@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test race racesmoke chaos smoke writefail bench benchsmoke benchgo telemetry
+.PHONY: ci lint build vet ddlint staticcheck test race racesmoke chaos smoke writefail bench benchsmoke benchcheck benchgo telemetry
 
 # ci is the gate: static checks, full build, full tests, then a short
 # race pass over the packages with real concurrency (the live TCP node
@@ -11,8 +11,9 @@ GO ?= go
 # recovery), then the metrics smoke (a live ddnode answering /metrics
 # and /healthz), then a one-iteration pass over the pinned benchmark
 # suite (exercises every bench fixture; no timing gate, no BENCH.json
-# update).
-ci: lint build test race racesmoke chaos smoke writefail benchsmoke
+# update), then the repository benchmark's own vet and tests (the
+# nested bench/ module, with its pinned Result digests).
+ci: lint build test race racesmoke chaos smoke writefail benchsmoke benchcheck
 
 build:
 	$(GO) build ./...
@@ -97,13 +98,13 @@ writefail:
 # bench regenerates the committed perf trajectory (BENCH.json) from the
 # pinned suite in cmd/ddbench and enforces the derived gates: the
 # traversal-cache speedup (cached vs uncached 2k-peer tick loop must
-# stay >= 1.5x), the sharded-tick speedup (serial vs 4-shard 10k
-# churn+attack loop, floor derated to GOMAXPROCS — see cmd/ddbench),
-# the nt_flood_delivery robustness floor (control delivery >= 0.95
-# under a 3x flood with the overload plane on), the trace_overhead
-# ceiling (tick loop with a sample-rate-0 tracer <= 1.03x untraced),
-# and the tick_100k_allocs_per_peer ceiling (steady 100k-peer loop must
-# stay O(active peers) in per-tick allocations, <= 0.10 per peer).
+# stay >= 1.5x), the nt_flood_delivery robustness floor (control
+# delivery >= 0.95 under a 3x flood with the overload plane on), the
+# trace_overhead ceiling (tick loop with a sample-rate-0 tracer <= 1.03x
+# untraced), and the tick_100k_allocs_per_peer ceiling (steady 100k-peer
+# loop must stay O(active peers) in per-tick allocations, <= 0.10 per
+# peer). The serial vs 4-shard 10k churn+attack ratio is reported but
+# no longer gated (DESIGN.md §13).
 # It also writes the timestamped BENCH_PR9.json snapshot. Timings are
 # machine-relative: compare the derived ratios across commits, not raw
 # ns across machines.
@@ -115,6 +116,14 @@ bench:
 # run always.
 benchsmoke:
 	$(GO) run ./cmd/ddbench -quick -out /tmp/BENCH.quick.json
+
+# benchcheck vets and tests the repository benchmark in bench/, a module
+# of its own that the root `go vet ./...` and `go test ./...` cannot
+# see. Its tests run all five workloads at smoke size against the
+# Result digests pinned in bench/golden, so every change to
+# flood/overlay/sim is held to "same simulated statistics" (~7 s).
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # benchgo runs the per-figure go test benchmarks (paper regeneration
 # paths); the pinned perf trajectory lives in `make bench` / BENCH.json.

@@ -4,11 +4,15 @@
 // forwarding. The cache memoizes that tree per (source, entry, TTL) and
 // replays it across ticks, re-running the per-tick parts (capacity
 // clipping, queueing delay, fair-share accounting) live on the cached
-// visit order. Trees are recorded as a byproduct of a live flood (and
+// visit order. Trees are recorded as a byproduct of a live flood and
 // kept only when that flood was provably structural — no forwarding
-// peer clipped away); there is no separate build pass. overlay.Version()
-// keys validity: any join/leave or cut/uncut (including partition
-// apply/heal) bumps it and flushes the cache.
+// peer clipped away. A clipped recording is discarded, not rebuilt:
+// budgets only fall within a tick, so the peer that clipped it would
+// fail the replay precheck of a separately built tree until the next
+// refill, and under churn the cache is flushed by then. The key stays
+// eligible and the next use records again at no extra cost.
+// overlay.Version() keys validity: any join/leave or cut/uncut
+// (including partition apply/heal) bumps it and flushes the trees.
 //
 // Replay is only attempted when it provably reproduces the uncached
 // traversal byte for byte:
@@ -93,23 +97,31 @@ type CacheStats struct {
 	Builds    uint64 // trees constructed (organic + prewarmed)
 	Prewarmed uint64 // trees built by the sharded proposal phase (subset of Builds)
 	Fallbacks uint64 // replays abandoned by the physical-mode precheck
+	// Discarded counts recordings thrown away because the flood clipped.
+	// omitempty: bench/ pins digests of Result's JSON encoding with Cache
+	// zeroed, so a field added here must vanish from it at zero.
+	Discarded uint64 `json:",omitempty"`
 	Flushes   uint64 // whole-cache invalidations (version change or size cap)
 	Trees     int    // trees currently cached
 }
 
-// travCache holds the version-keyed derived views: a CSR snapshot of
-// the active adjacency (online, uncut neighbors with their directed
-// edge ids — shared by every traversal, cached and live) and the
-// memoized first-visit trees.
+// travCache holds the version-keyed derived views: a snapshot of the
+// active adjacency (online, uncut neighbors with their directed edge
+// ids — shared by every traversal, cached and live) and the memoized
+// first-visit trees.
 type travCache struct {
+	ov      *overlay.Overlay
 	version uint64
 	synced  bool
 
-	// CSR active adjacency: adjPeer/adjEdge[adjStart[v]:adjStart[v+1]]
-	// list v's reachable neighbors in static neighbor order.
-	adjStart []int32
+	// Active adjacency, laid out at the static edge base so one row can
+	// be rewritten without moving the others: row v occupies
+	// adjPeer/adjEdge[EdgeID(v,0) : EdgeID(v,0)+adjCount[v]] and lists
+	// v's reachable neighbors in static neighbor order.
+	adjCount []int32
 	adjPeer  []PeerID
 	adjEdge  []overlay.EdgeID
+	changed  []PeerID // scratch for overlay.ChangedSince
 
 	trees        map[treeKey]*travTree
 	seenOnce     map[treeKey]struct{}
@@ -119,33 +131,56 @@ type travCache struct {
 	stats CacheStats
 }
 
-func newTravCache() *travCache {
+func newTravCache(ov *overlay.Overlay) *travCache {
 	return &travCache{
+		ov:       ov,
 		trees:    make(map[treeKey]*travTree),
 		seenOnce: make(map[treeKey]struct{}),
 	}
 }
 
-// sync revalidates the cache against the overlay, flushing every
-// derived view if connectivity changed. Called once per flood.
-func (c *travCache) sync(ov *overlay.Overlay) {
+// sync revalidates the cache against the overlay, flushing the trees
+// and refreshing the adjacency snapshot if connectivity changed. Called
+// once per flood.
+func (c *travCache) sync() {
 	c.floodsStable++
-	c.ensure(ov)
+	c.ensure()
 }
 
 // ensure revalidates without advancing the flood counter: the sharded
 // proposal phase (Engine.PrewarmTrees) calls it once per tick, and
 // counting those calls as floods would make the build-policy heuristics
 // diverge between serial and sharded runs of the same seed.
-func (c *travCache) ensure(ov *overlay.Overlay) {
-	if c.synced && c.version == ov.Version() {
+//
+// Only the adjacency rows the overlay's change log names are rewritten;
+// when the log does not reach back to c.version (or on first use) the
+// changed set is every peer. Either way the rows are current before any
+// traversal starts, so PrewarmTrees' workers see a read-only snapshot.
+func (c *travCache) ensure() {
+	if c.synced && c.version == c.ov.Version() {
 		return
 	}
-	c.version = ov.Version()
-	c.synced = true
 	c.floodsStable = 0
 	c.flush()
-	c.rebuildAdj(ov)
+	ok := false
+	if c.synced {
+		c.changed, ok = c.ov.ChangedSince(c.version, c.changed[:0])
+	} else {
+		c.adjCount = make([]int32, c.ov.NumPeers())
+		c.adjPeer = make([]PeerID, c.ov.NumDirectedEdges())
+		c.adjEdge = make([]overlay.EdgeID, c.ov.NumDirectedEdges())
+	}
+	if ok {
+		for _, v := range c.changed {
+			c.rebuildRow(v)
+		}
+	} else {
+		for v := range c.adjCount {
+			c.rebuildRow(PeerID(v))
+		}
+	}
+	c.version = c.ov.Version()
+	c.synced = true
 }
 
 func (c *travCache) flush() {
@@ -157,38 +192,29 @@ func (c *travCache) flush() {
 	c.cachedVisits = 0
 }
 
-// rebuildAdj snapshots the active adjacency in CSR form so traversals
-// read a flat slice instead of re-filtering (and binary-searching edge
-// ids from) the static graph on every hop.
-func (c *travCache) rebuildAdj(ov *overlay.Overlay) {
-	n := ov.NumPeers()
-	if cap(c.adjStart) < n+1 {
-		c.adjStart = make([]int32, n+1)
-	}
-	c.adjStart = c.adjStart[:n+1]
-	c.adjPeer = c.adjPeer[:0]
-	c.adjEdge = c.adjEdge[:0]
-	g := ov.Graph()
-	for v := 0; v < n; v++ {
-		id := PeerID(v)
-		c.adjStart[v] = int32(len(c.adjPeer))
-		if !ov.Online(id) {
-			continue
-		}
-		for k, w := range g.Neighbors(id) {
-			e := ov.EdgeID(id, k)
-			if ov.Online(w) && !ov.EdgeCut(e) {
-				c.adjPeer = append(c.adjPeer, w)
-				c.adjEdge = append(c.adjEdge, e)
+// rebuildRow rewrites v's row of the active-adjacency snapshot, so
+// traversals read a flat slice instead of re-filtering (and
+// binary-searching edge ids from) the static graph on every hop.
+func (c *travCache) rebuildRow(v PeerID) {
+	base := c.ov.EdgeID(v, 0)
+	n := overlay.EdgeID(0)
+	if c.ov.Online(v) {
+		for k, w := range c.ov.Graph().Neighbors(v) {
+			e := base + overlay.EdgeID(k)
+			if c.ov.Online(w) && !c.ov.EdgeCut(e) {
+				c.adjPeer[base+n] = w
+				c.adjEdge[base+n] = e
+				n++
 			}
 		}
 	}
-	c.adjStart[n] = int32(len(c.adjPeer))
+	c.adjCount[v] = int32(n)
 }
 
 // adj returns u's active neighbors and their directed edge ids.
 func (c *travCache) adj(u PeerID) ([]PeerID, []overlay.EdgeID) {
-	lo, hi := c.adjStart[u], c.adjStart[u+1]
+	lo := c.ov.EdgeID(u, 0)
+	hi := lo + overlay.EdgeID(c.adjCount[u])
 	return c.adjPeer[lo:hi], c.adjEdge[lo:hi]
 }
 
@@ -225,6 +251,17 @@ func (c *travCache) store(k treeKey, tr *travTree) {
 	}
 	c.trees[k] = tr
 	c.cachedVisits += sz
+}
+
+// keep ends a recording flood: a structural recording is cloned into
+// the cache; a clipped one is discarded, leaving k eligible to record
+// again on its next use (lookup's seenOnce entry stays).
+func (c *travCache) keep(k treeKey, rec *travTree, structural bool) {
+	if structural {
+		c.store(k, rec.clone())
+	} else {
+		c.stats.Discarded++
+	}
 }
 
 // clone copies the recorded tree into exactly-sized storage for the

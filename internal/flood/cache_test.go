@@ -197,39 +197,87 @@ func TestCacheEagerBuildAfterStability(t *testing.T) {
 	}
 }
 
-// TestCacheSkipsSaturatedTree checks the physical-mode fallback path:
-// a tree whose precheck keeps failing stops attempting replay until the
-// next flush, and the engine keeps producing correct (live) results.
-func TestCacheSkipsSaturatedTree(t *testing.T) {
-	ovA := lineGraph(t, 8)
-	ovB := lineGraph(t, 8)
-	engA, engB := NewEngine(ovA), NewEngine(ovB)
+// linePair builds a cached and an uncached engine over identical
+// 8-peer lines and returns the cached one with a comparator that floods
+// from peer 0 on both (TTL 7, holder 6) and fails the test if results
+// or budgets diverge.
+func linePair(t *testing.T) (engA *Engine, flood func(step int, ba, bb *Budget)) {
+	t.Helper()
+	engA, engB := NewEngine(lineGraph(t, 8)), NewEngine(lineGraph(t, 8))
 	engB.SetTraversalCache(false)
 	dm := DefaultDelayModel()
-	// Tokens for the first hops only: peers 4+ never have budget, so the
-	// cached structural tree always fails the precheck.
-	mkBudget := func() *Budget {
-		b := NewBudget(8, 0)
-		for i := 0; i < 4; i++ {
-			b.PerTick[i] = 5
-			b.Remaining[i] = 5
-		}
-		return b
-	}
-	for step := 0; step < 10; step++ {
-		ba, bb := mkBudget(), mkBudget()
-		ra := engA.FloodQuery(0, 7, []topology.NodeID{6}, ba, dm)
-		rb := engB.FloodQuery(0, 7, []topology.NodeID{6}, bb, dm)
+	holders := []topology.NodeID{6}
+	return engA, func(step int, ba, bb *Budget) {
+		t.Helper()
+		ra := engA.FloodQuery(0, 7, holders, ba, dm)
+		rb := engB.FloodQuery(0, 7, holders, bb, dm)
 		if ra != rb {
-			t.Fatalf("step %d: diverged under saturation:\ncached:   %+v\nuncached: %+v", step, ra, rb)
+			t.Fatalf("step %d: diverged:\ncached:   %+v\nuncached: %+v", step, ra, rb)
 		}
+		assertBudgetsEqual(t, step, ba, bb)
+	}
+}
+
+// starvedBudget funds only the first four peers of the line, so every
+// flood from peer 0 clips at peer 4.
+func starvedBudget() *Budget {
+	b := NewBudget(8, 0)
+	for i := 0; i < 4; i++ {
+		b.PerTick[i] = 5
+		b.Remaining[i] = 5
+	}
+	return b
+}
+
+// TestCacheSkipsSaturatedTree checks the build policy under saturation:
+// a flood that clips is never stored and never rebuilt by a second
+// traversal, so a source whose every flood clips costs the cache
+// nothing but discarded recordings — and once the budget is restored
+// the next flood records its tree and the one after replays it.
+func TestCacheSkipsSaturatedTree(t *testing.T) {
+	engA, flood := linePair(t)
+	for step := 0; step < 10; step++ {
+		flood(step, starvedBudget(), starvedBudget())
 	}
 	st := engA.CacheStats()
-	if st.Fallbacks == 0 {
-		t.Fatalf("expected precheck fallbacks, stats %+v", st)
+	if st.Builds != 0 || st.Fallbacks != 0 || st.Trees != 0 {
+		t.Fatalf("clipped floods reached the cache: %+v", st)
 	}
-	if st.Fallbacks > uint64(cacheSkipAfterFails) {
-		t.Fatalf("skip flag did not arm after %d failures: %+v", cacheSkipAfterFails, st)
+	if st.Discarded != 9 { // all but the first use, which only marks the key seen
+		t.Fatalf("Discarded = %d, want 9: %+v", st.Discarded, st)
+	}
+	// Recovery: the key stayed eligible, so the first unclipped flood
+	// is the recording and the second is a hit.
+	flood(10, bigBudget(8), bigBudget(8))
+	if st = engA.CacheStats(); st.Builds != 1 || st.Hits != 0 {
+		t.Fatalf("restored budget did not record a tree: %+v", st)
+	}
+	flood(11, bigBudget(8), bigBudget(8))
+	if st = engA.CacheStats(); st.Builds != 1 || st.Hits != 1 || st.Discarded != 9 {
+		t.Fatalf("recorded tree did not replay: %+v", st)
+	}
+}
+
+// TestCacheSkipAfterPrecheckFailures checks the physical-mode fallback
+// path: a tree recorded while unsaturated whose precheck then keeps
+// failing stops attempting replay until the next flush, and the engine
+// keeps producing correct (live) results.
+func TestCacheSkipAfterPrecheckFailures(t *testing.T) {
+	engA, flood := linePair(t)
+	flood(0, bigBudget(8), bigBudget(8)) // first use: key marked seen
+	flood(1, bigBudget(8), bigBudget(8)) // second use: tree recorded
+	if st := engA.CacheStats(); st.Builds != 1 {
+		t.Fatalf("unsaturated flood did not record a tree: %+v", st)
+	}
+	for step := 2; step < 12; step++ {
+		flood(step, starvedBudget(), starvedBudget())
+	}
+	st := engA.CacheStats()
+	if st.Fallbacks != uint64(cacheSkipAfterFails) {
+		t.Fatalf("Fallbacks = %d, want the skip flag armed after %d: %+v", st.Fallbacks, cacheSkipAfterFails, st)
+	}
+	if st.Builds != 1 || st.Discarded != 0 {
+		t.Fatalf("a skipped tree was rebuilt or re-recorded: %+v", st)
 	}
 }
 
@@ -272,5 +320,80 @@ func TestFairShareTracksChurn(t *testing.T) {
 	b.Refill()
 	if got := b.arrivalCap(hub, e3); got != 4 {
 		t.Fatalf("share after cut: got %v, want 8/2 = 4", got)
+	}
+}
+
+// TestAdjacencyRowsMatchFullRebuild is the property test for the
+// changed-row snapshot: across seeded random SetOnline/Cut/Uncut
+// sequences (rejoins clearing cuts, a partition applied and healed), a
+// cache that revalidates every step and one that lags past the
+// overlay's change-log bound both hold, row for row, exactly what a
+// cache built from scratch on the same overlay holds.
+func TestAdjacencyRowsMatchFullRebuild(t *testing.T) {
+	const n = 300
+	for seed := uint64(1); seed <= 3; seed++ {
+		g, err := topology.BarabasiAlbert(rng.New(seed), n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov := overlay.New(g)
+		prompt, laggard := newTravCache(ov), newTravCache(ov)
+		prompt.ensure()
+		laggard.ensure()
+		src := rng.New(500 + seed)
+		var partition [][2]PeerID
+		for step := 1; step <= 1200; step++ {
+			v := PeerID(src.Intn(n))
+			ns := g.Neighbors(v)
+			switch src.Intn(7) {
+			case 0, 1, 2:
+				ov.SetOnline(v, !ov.Online(v))
+			case 3, 4:
+				if err := ov.Cut(v, ns[src.Intn(len(ns))]); err != nil {
+					t.Fatal(err)
+				}
+			case 5:
+				ov.Uncut(v, ns[src.Intn(len(ns))])
+			case 6:
+				if len(partition) > 0 {
+					for _, e := range partition {
+						ov.Uncut(e[0], e[1])
+					}
+					partition = partition[:0]
+					break
+				}
+				for _, w := range ns { // isolate v, as a one-peer partition does
+					if err := ov.Cut(v, w); err != nil {
+						t.Fatal(err)
+					}
+					partition = append(partition, [2]PeerID{v, w})
+				}
+			}
+			caches := []*travCache{prompt}
+			if step%150 == 0 {
+				caches = append(caches, laggard)
+			}
+			fresh := newTravCache(ov)
+			fresh.ensure()
+			for _, c := range caches {
+				c.ensure()
+				for u := PeerID(0); u < n; u++ {
+					gotP, gotE := c.adj(u)
+					wantP, wantE := fresh.adj(u)
+					if len(gotP) != len(wantP) {
+						t.Fatalf("seed %d step %d: row %d has %d entries, full rebuild %d", seed, step, u, len(gotP), len(wantP))
+					}
+					for i := range wantP {
+						if gotP[i] != wantP[i] || gotE[i] != wantE[i] {
+							t.Fatalf("seed %d step %d: row %d entry %d = (%d, e%d), full rebuild (%d, e%d)",
+								seed, step, u, i, gotP[i], gotE[i], wantP[i], wantE[i])
+						}
+					}
+				}
+			}
+		}
+		if _, ok := ov.ChangedSince(0, nil); ok {
+			t.Fatalf("seed %d: the change log never wrapped, so the laggard never lagged", seed)
+		}
 	}
 }

@@ -585,7 +585,7 @@ func NewEngine(ov *overlay.Overlay) *Engine {
 		parent: make([]PeerID, n),
 		delay:  make([]float64, n),
 		mass:   make([]float64, n),
-		cache:  newTravCache(),
+		cache:  newTravCache(ov),
 	}
 }
 
@@ -595,7 +595,7 @@ func NewEngine(ov *overlay.Overlay) *Engine {
 // gate's uncached baseline.
 func (e *Engine) SetTraversalCache(on bool) {
 	if on && e.cache == nil {
-		e.cache = newTravCache()
+		e.cache = newTravCache(e.ov)
 	} else if !on {
 		e.cache = nil
 	}
@@ -657,34 +657,17 @@ func (e *Engine) activeAdj(u PeerID) ([]PeerID, []overlay.EdgeID) {
 }
 
 // resetRec clears and returns the engine's scratch recording tree.
-// Trees are recorded as a byproduct of the live BFS (no second
-// structural pass): the live traversal IS the structural first-visit
-// tree whenever every visited peer kept forwarding, and the dispatcher
-// clones the scratch into the cache only when that held. Recording into
-// a reused scratch keeps the no-store case (saturated floods that clip
-// peers) allocation-free.
+// Trees are recorded as a byproduct of the live BFS (there is no
+// second, structural pass): the live traversal IS the structural
+// first-visit tree whenever every visited peer kept forwarding, and the
+// dispatcher clones the scratch into the cache only when that held.
+// Recording into a reused scratch keeps the no-store case (saturated
+// floods that clip peers) allocation-free.
 func (e *Engine) resetRec() *travTree {
 	e.rec.nodes = e.rec.nodes[:0]
 	e.rec.visits = e.rec.visits[:0]
 	e.rec.edgeEvents, e.rec.dupEvents = 0, 0
 	return &e.rec
-}
-
-// buildTree runs the purely structural TTL-bounded BFS (parent skip +
-// duplicate suppression, no budgets) and records the first-visit tree
-// in frontier order. Used when a flood that should seed the cache was
-// capacity-clipped, so its own traversal was not structural: the tree
-// is built separately and kept for later replay attempts (each
-// prechecked against the then-current budget). The BFS itself lives on
-// treeBuilder (shard.go) so the sharded proposal phase runs the exact
-// same construction; this serial entry point uses a dedicated builder,
-// leaving the live flood's epoch/seen marks untouched.
-func (e *Engine) buildTree(src, entry PeerID, ttl int) *travTree {
-	if e.serialTB == nil {
-		e.serialTB = newTreeBuilder(e.ov.NumPeers())
-	}
-	e.serialTB.cache = e.cache
-	return e.serialTB.build(src, entry, ttl)
 }
 
 // replayQuery re-runs one discrete flood over the cached tree. In the
@@ -758,7 +741,7 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 	}
 	e.telFloods.Inc()
 	if e.cache != nil {
-		e.cache.sync(e.ov)
+		e.cache.sync()
 		k := treeKey{src: src, entry: noEntry, ttl: int32(ttl)}
 		tr, build := e.cache.lookup(k)
 		if tr != nil && e.replayQuery(tr, src, budget, dm, &res) {
@@ -769,16 +752,10 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 		if tr == nil && build {
 			rec := e.resetRec()
 			e.liveQuery(src, ttl, budget, dm, &res, rec)
-			e.scoreHolders(src, holders, dm, &res) // before buildTree clobbers the marks
-			if e.mode == CounterIdeal || res.CapacityDrops == 0 {
-				// The flood was structural: the recording is the tree.
-				e.cache.store(k, rec.clone())
-			} else {
-				// A capacity-dropped peer stopped forwarding, so the
-				// traversal was not structural; build the tree
-				// separately and keep it for later replay attempts.
-				e.cache.store(k, e.buildTree(src, noEntry, ttl))
-			}
+			e.scoreHolders(src, holders, dm, &res)
+			// A capacity-dropped peer stopped forwarding, so in the
+			// physical plane a clipped traversal was not structural.
+			e.cache.keep(k, rec, e.mode == CounterIdeal || res.CapacityDrops == 0)
 			return res
 		}
 	}
@@ -924,7 +901,7 @@ func (e *Engine) FloodBatch(src PeerID, entry PeerID, ttl int, weight float64, b
 	}
 	e.telFloods.Inc()
 	if e.cache != nil {
-		e.cache.sync(e.ov)
+		e.cache.sync()
 		key := entry
 		if key < 0 {
 			key = noEntry // normalize "any negative = unrestricted"
@@ -941,11 +918,7 @@ func (e *Engine) FloodBatch(src PeerID, entry PeerID, ttl int, weight float64, b
 			// reduced mass); only a zero-clip removes a subtree, and
 			// only in the physical plane.
 			zeroClip := e.liveBatch(src, entry, ttl, weight, budget, &res, rec)
-			if e.mode == CounterIdeal || !zeroClip {
-				e.cache.store(k, rec.clone())
-			} else {
-				e.cache.store(k, e.buildTree(src, entry, ttl))
-			}
+			e.cache.keep(k, rec, e.mode == CounterIdeal || !zeroClip)
 			return res
 		}
 	}

@@ -155,7 +155,7 @@ func (e *Engine) PrewarmTrees(keys []TreeKey, shards int) int {
 		return 0
 	}
 	c := e.cache
-	c.ensure(e.ov)
+	c.ensure()
 
 	// Serial filter: normalize, dedup, drop keys that already have a
 	// tree (including skip-marked ones — their trees exist; replay
@@ -249,7 +249,6 @@ type prewarmState struct {
 	prewarmWant   []treeKey
 	prewarmAssign []uint8
 	builders      []*treeBuilder
-	serialTB      *treeBuilder // lazily built; serves Engine.buildTree
 
 	telPrewarm       *telemetry.Counter // trees built by the proposal phase
 	telPrewarmVisits *telemetry.Counter // first-visit events in those trees

@@ -39,8 +39,8 @@ func shardKeys(n int) []TreeKey {
 
 // TestPrewarmTreesMatchOrganicBuilds asserts the tentpole's core
 // equality: a tree built by a proposal-phase shard is structurally
-// identical to the tree the serial engine's own build path constructs
-// for the same key.
+// identical to the tree a lone serial treeBuilder constructs for the
+// same key.
 func TestPrewarmTreesMatchOrganicBuilds(t *testing.T) {
 	const n = 300
 	ovA, ovB := shardGraph(t, n)
@@ -50,9 +50,11 @@ func TestPrewarmTreesMatchOrganicBuilds(t *testing.T) {
 	if built := engA.PrewarmTrees(keys, 4); built == 0 {
 		t.Fatal("prewarm built nothing")
 	}
-	// Organic builds on B: generous budget keeps every flood structural,
-	// and the direct builder path is exercised via buildTree.
-	engB.cache.sync(ovB)
+	// Reference builds on B: one treeBuilder, serially, over B's own
+	// snapshot.
+	engB.cache.sync()
+	tb := newTreeBuilder(n)
+	tb.cache = engB.cache
 	for _, k := range keys {
 		entry := k.Entry
 		if entry < 0 {
@@ -62,10 +64,10 @@ func TestPrewarmTreesMatchOrganicBuilds(t *testing.T) {
 		if _, ok := engB.cache.trees[ik]; ok {
 			continue
 		}
-		engB.cache.store(ik, engB.buildTree(k.Src, entry, int(k.TTL)))
+		engB.cache.store(ik, tb.build(k.Src, entry, int(k.TTL)))
 	}
 	if len(engA.cache.trees) != len(engB.cache.trees) {
-		t.Fatalf("tree counts diverge: prewarmed %d vs organic %d",
+		t.Fatalf("tree counts diverge: prewarmed %d vs serial %d",
 			len(engA.cache.trees), len(engB.cache.trees))
 	}
 	for ik, trB := range engB.cache.trees {
@@ -75,7 +77,7 @@ func TestPrewarmTreesMatchOrganicBuilds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(trA.nodes, trB.nodes) || !reflect.DeepEqual(trA.visits, trB.visits) ||
 			trA.edgeEvents != trB.edgeEvents || trA.dupEvents != trB.dupEvents {
-			t.Fatalf("tree %+v diverges between prewarm and organic build", ik)
+			t.Fatalf("tree %+v diverges between prewarm and serial build", ik)
 		}
 	}
 }

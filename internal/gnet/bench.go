@@ -47,7 +47,10 @@ func (n *Node) runOnCtl(fn func()) error {
 // so members that are direct peers are reached over the existing
 // connections) plus last-window traffic counters for the suspect. Keep
 // in/out modest relative to Q0 so the verdict does not cut the suspect
-// and the topology survives repeated rounds.
+// and the topology survives repeated rounds. The view is pinned: a
+// neighbor list the suspect sends afterwards (its initial exchange may
+// still be in flight) does not replace it, or every later round would
+// find nobody to ask.
 func (n *Node) BenchPrimeSuspect(suspect int32, memberIDs []int32, in, out float64) error {
 	if n.monitor == nil {
 		return errors.New("gnet: police monitor not enabled")
@@ -59,6 +62,10 @@ func (n *Node) BenchPrimeSuspect(suspect int32, memberIDs []int32, in, out float
 	return n.runOnCtl(func() {
 		m := n.monitor
 		m.lists[suspect] = members
+		if m.benchPinned == nil {
+			m.benchPinned = make(map[int32]struct{})
+		}
+		m.benchPinned[suspect] = struct{}{}
 		m.prevIn[suspect] = in
 		m.prevOut[suspect] = out
 	})

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ddpolice/internal/police"
+	"ddpolice/internal/protocol"
 	"ddpolice/internal/topology"
 )
 
@@ -38,15 +39,28 @@ func TestBenchNTRoundCollectsReports(t *testing.T) {
 	if err := observer.BenchPrimeSuspect(suspect, memberIDs, 20, 20); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 3; round++ {
-		got, err := observer.BenchNTRound(suspect, 2*time.Second)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if got != members {
-			t.Fatalf("round %d: collected %d reports, want %d", round, got, members)
+	rounds := func(phase string) {
+		t.Helper()
+		for round := 0; round < 3; round++ {
+			got, err := observer.BenchNTRound(suspect, 2*time.Second)
+			if err != nil {
+				t.Fatalf("%s, round %d: %v", phase, round, err)
+			}
+			if got != members {
+				t.Fatalf("%s, round %d: collected %d reports, want %d", phase, round, got, members)
+			}
 		}
 	}
+	rounds("primed")
+	// The suspect's own neighbor list — the observer and nobody else —
+	// delivered after the priming, as its initial exchange sometimes is:
+	// it used to replace the primed group with one that has nobody to
+	// ask, and every later round collected 0 reports.
+	late := protocol.NeighborList{Neighbors: []protocol.PeerAddr{protocol.AddrFromNodeID(1, 0)}}
+	if err := observer.runOnCtl(func() { observer.monitor.onNeighborList(suspect, late) }); err != nil {
+		t.Fatal(err)
+	}
+	rounds("after a late list")
 	// The verdict must not have cut the suspect: the star survives.
 	if nb := observer.Neighbors(); len(nb) != members+1 {
 		t.Fatalf("observer has %d neighbors after rounds, want %d", len(nb), members+1)

@@ -28,6 +28,11 @@ type monitor struct {
 	lists           map[int32][]protocol.PeerAddr
 	lastNT          map[int32]time.Time
 	windows         int
+	// benchPinned marks neighbors whose entry in lists was installed by
+	// BenchPrimeSuspect. The neighbor's own list may still be in flight
+	// when the view is primed and must not replace it. Nil outside
+	// benchmarks.
+	benchPinned map[int32]struct{}
 
 	// pending evaluations: suspect id -> collected reports.
 	pending map[int32]*evaluation
@@ -116,12 +121,16 @@ func (m *monitor) onNeighborDown(id int32) {
 	delete(m.prevOut, id)
 	delete(m.prevIn, id)
 	delete(m.lists, id)
+	delete(m.benchPinned, id)
 	if m.cfg.EventDriven {
 		m.broadcastList()
 	}
 }
 
 func (m *monitor) onNeighborList(id int32, nl protocol.NeighborList) {
+	if _, pinned := m.benchPinned[id]; pinned {
+		return
+	}
 	cp := make([]protocol.PeerAddr, len(nl.Neighbors))
 	copy(cp, nl.Neighbors)
 	m.lists[id] = cp

@@ -31,31 +31,42 @@ type Overlay struct {
 	curQ     []float64
 	prevQ    []float64
 	numEdges int
-	// Dense online index: onlineIDs lists the online peers in
-	// ascending PeerID order and onlinePos[v] is v's position in it
-	// (-1 while offline). Maintained incrementally by SetOnline so
-	// OnlineCount is O(1) and AppendOnline is O(active) — the tick
-	// hot path iterates active peers without scanning all N.
-	onlineIDs []PeerID
-	onlinePos []int32
+	// onlineCount is the number of true entries in online. It is all
+	// SetOnline maintains, so a flip costs O(degree); the ascending
+	// online list is produced on demand by AppendOnline, whose callers
+	// ask at most once per version change or minute.
+	onlineCount int
 	// version counts connectivity mutations (join/leave, cut/uncut —
 	// including partition apply/heal, which go through Cut/Uncut).
 	// Traversal caches and fair-share budgets key their validity on it;
 	// no-op mutations (cutting an already-cut edge, re-onlining an
 	// online peer) deliberately do not bump it.
 	version uint64
+	// changes is the bounded, version-keyed change log behind
+	// ChangedSince: one entry per peer whose active-neighbour row a
+	// mutation may have changed, tagged with the version that mutation
+	// produced, in mutation order. It covers versions in (changesFrom,
+	// version]; once it holds NumPeers entries it is emptied and
+	// changesFrom moves up, because a consumer that far behind is
+	// better served by rebuilding every row.
+	changes     []change
+	changesFrom uint64
+}
+
+// change is one change-log entry: peer's active row may differ from
+// what it was before the mutation that produced version ver.
+type change struct {
+	ver  uint64
+	peer PeerID
 }
 
 // New creates an overlay over g with every peer online and no cuts.
 func New(g *topology.Graph) *Overlay {
 	n := g.NumNodes()
-	o := &Overlay{g: g, online: make([]bool, n), edgeBase: make([]EdgeID, n+1),
-		onlineIDs: make([]PeerID, n), onlinePos: make([]int32, n)}
+	o := &Overlay{g: g, online: make([]bool, n), edgeBase: make([]EdgeID, n+1), onlineCount: n}
 	var total EdgeID
 	for v := 0; v < n; v++ {
 		o.online[v] = true
-		o.onlineIDs[v] = PeerID(v)
-		o.onlinePos[v] = int32(v)
 		o.edgeBase[v] = total
 		total += EdgeID(g.Degree(PeerID(v)))
 	}
@@ -118,15 +129,55 @@ func (o *Overlay) Version() uint64 { return o.version }
 func (o *Overlay) Online(v PeerID) bool { return o.online[v] }
 
 // OnlineCount returns the number of online peers in O(1).
-func (o *Overlay) OnlineCount() int { return len(o.onlineIDs) }
+func (o *Overlay) OnlineCount() int { return o.onlineCount }
 
 // AppendOnline appends the online peers in ascending PeerID order to
-// buf and returns the extended slice — the same order a full
-// O(NumPeers) scan of Online would produce, in O(online) time. buf may
-// be nil. The returned contents are a copy; they stay valid across
-// subsequent mutations.
+// buf and returns the extended slice, by one O(NumPeers) scan of the
+// online flags. buf may be nil. The returned contents are a copy; they
+// stay valid across subsequent mutations.
 func (o *Overlay) AppendOnline(buf []PeerID) []PeerID {
-	return append(buf, o.onlineIDs...)
+	for v, on := range o.online {
+		if on {
+			buf = append(buf, PeerID(v))
+		}
+	}
+	return buf
+}
+
+// logChange records that the mutation which just produced o.version may
+// have changed the active rows of peers and of nbrs. A full log is
+// emptied first, so the mutation being logged is always covered.
+func (o *Overlay) logChange(nbrs []PeerID, peers ...PeerID) {
+	if len(o.changes)+len(nbrs)+len(peers) > len(o.online) {
+		o.changes = o.changes[:0]
+		o.changesFrom = o.version - 1
+	}
+	for _, p := range peers {
+		o.changes = append(o.changes, change{o.version, p})
+	}
+	for _, p := range nbrs {
+		o.changes = append(o.changes, change{o.version, p})
+	}
+}
+
+// ChangedSince appends to buf every peer whose set of active neighbours
+// (online, edge not cut) may differ between version since and now, and
+// returns the extended slice; a peer may appear more than once. ok is
+// false when the log no longer reaches back to since — the caller lags
+// by more than about NumPeers row changes — and then every peer must be
+// taken as changed. since must be a value Version returned earlier.
+func (o *Overlay) ChangedSince(since uint64, buf []PeerID) (_ []PeerID, ok bool) {
+	if since < o.changesFrom {
+		return buf, false
+	}
+	i := len(o.changes)
+	for i > 0 && o.changes[i-1].ver > since {
+		i--
+	}
+	for _, c := range o.changes[i:] {
+		buf = append(buf, c.peer)
+	}
+	return buf, true
 }
 
 // SetOnline toggles peer v. Transitioning in either direction clears
@@ -141,31 +192,13 @@ func (o *Overlay) SetOnline(v PeerID, on bool) {
 	o.online[v] = on
 	o.version++
 	if on {
-		// Insert v into the sorted dense list.
-		lo, hi := 0, len(o.onlineIDs)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if o.onlineIDs[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		o.onlineIDs = append(o.onlineIDs, 0)
-		copy(o.onlineIDs[lo+1:], o.onlineIDs[lo:])
-		o.onlineIDs[lo] = v
-		for i := lo; i < len(o.onlineIDs); i++ {
-			o.onlinePos[o.onlineIDs[i]] = int32(i)
-		}
+		o.onlineCount++
 	} else {
-		pos := int(o.onlinePos[v])
-		copy(o.onlineIDs[pos:], o.onlineIDs[pos+1:])
-		o.onlineIDs = o.onlineIDs[:len(o.onlineIDs)-1]
-		o.onlinePos[v] = -1
-		for i := pos; i < len(o.onlineIDs); i++ {
-			o.onlinePos[o.onlineIDs[i]] = int32(i)
-		}
+		o.onlineCount--
 	}
+	// v's own row and, because v appears in or vanishes from theirs and
+	// the cuts on its edges are cleared, every static neighbour's.
+	o.logChange(o.g.Neighbors(v), v)
 	for k := range o.g.Neighbors(v) {
 		e := o.edgeBase[v] + EdgeID(k)
 		re := o.reverse[e]
@@ -250,6 +283,7 @@ func (o *Overlay) Cut(u, w PeerID) error {
 	}
 	if !o.cut[e] {
 		o.version++
+		o.logChange(nil, u, w)
 	}
 	o.cut[e] = true
 	o.cut[o.reverse[e]] = true
@@ -267,6 +301,7 @@ func (o *Overlay) Uncut(u, w PeerID) {
 	}
 	if o.cut[e] {
 		o.version++
+		o.logChange(nil, u, w)
 	}
 	o.cut[e] = false
 	o.cut[o.reverse[e]] = false

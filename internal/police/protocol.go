@@ -409,7 +409,7 @@ func (p *Police) Indicators(observer, suspect PeerID, now float64) (g, s float64
 func (p *Police) EvaluateMinute(now float64) {
 	cuts := p.cutBuf[:0]
 	// Sweep online observers only, in ascending order — identical to
-	// the old all-peers scan with its offline skip, in O(online).
+	// the old all-peers scan with its offline skip.
 	p.obsBuf = p.ov.AppendOnline(p.obsBuf[:0])
 	for _, observer := range p.obsBuf {
 		p.evalBuf = p.ov.ActiveNeighbors(observer, p.evalBuf[:0])

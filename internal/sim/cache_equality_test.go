@@ -196,3 +196,21 @@ func TestSteadyRunEngagesCache(t *testing.T) {
 	}
 }
 
+// TestAttackedRunReportsDiscards: under attack some recording floods
+// clip, and the cache's own loss — recordings thrown away instead of
+// stored — must be visible in Result.Cache and as the end-of-run gauge.
+func TestAttackedRunReportsDiscards(t *testing.T) {
+	cfg := equalityConfig()
+	cfg.NumAgents = 4
+	cfg.Registry = telemetry.New()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.Discarded == 0 {
+		t.Fatalf("no recording clipped under attack: %+v", res.Cache)
+	}
+	if got := cfg.Registry.Gauge("flood.cache_discarded").Load(); got != int64(res.Cache.Discarded) {
+		t.Fatalf("flood.cache_discarded = %d, Result.Cache.Discarded = %d", got, res.Cache.Discarded)
+	}
+}

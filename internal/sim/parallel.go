@@ -119,6 +119,7 @@ func mergeResults(rs []*Result) *Result {
 		out.Cache.Builds += r.Cache.Builds
 		out.Cache.Prewarmed += r.Cache.Prewarmed
 		out.Cache.Fallbacks += r.Cache.Fallbacks
+		out.Cache.Discarded += r.Cache.Discarded
 		out.Cache.Flushes += r.Cache.Flushes
 		out.Cache.Trees += r.Cache.Trees
 		for i := range out.SuccessSeries {
@@ -157,6 +158,7 @@ func mergeResults(rs []*Result) *Result {
 	out.Cache.Builds = roundDivU64(out.Cache.Builds, n)
 	out.Cache.Prewarmed = roundDivU64(out.Cache.Prewarmed, n)
 	out.Cache.Fallbacks = roundDivU64(out.Cache.Fallbacks, n)
+	out.Cache.Discarded = roundDivU64(out.Cache.Discarded, n)
 	out.Cache.Flushes = roundDivU64(out.Cache.Flushes, n)
 	out.Cache.Trees = roundDiv(out.Cache.Trees, n)
 	for i := range out.SuccessSeries {

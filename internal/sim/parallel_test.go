@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ddpolice/internal/flood"
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/police"
@@ -218,6 +219,7 @@ func TestAveragedMatchesSingleRuns(t *testing.T) {
 func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	first := &Result{
 		ControlLost: 100,
+		Cache:       flood.CacheStats{Builds: 40, Discarded: 10},
 		Minutes: []metrics.MinuteStats{
 			{Issued: 10, Succeeded: 10, QueryMsgs: 200, OnlinePeers: 50},
 			{Issued: 20, Succeeded: 0, QueryMsgs: 100, OnlinePeers: 60},
@@ -233,6 +235,7 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	}
 	second := &Result{
 		ControlLost: 50,
+		Cache:       flood.CacheStats{Builds: 20, Discarded: 5},
 		Minutes: []metrics.MinuteStats{
 			{Issued: 30, Succeeded: 11, QueryMsgs: 100, OnlinePeers: 50},
 			{Issued: 40, Succeeded: 1, QueryMsgs: 300, OnlinePeers: 70},
@@ -247,6 +250,9 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 
 	if merged.ControlLost != 75 {
 		t.Errorf("merged ControlLost = %d, want mean 75", merged.ControlLost)
+	}
+	if want := (flood.CacheStats{Builds: 30, Discarded: 8}); merged.Cache != want {
+		t.Errorf("merged Cache = %+v, want rounded means %+v", merged.Cache, want)
 	}
 	wantMinutes := []metrics.MinuteStats{
 		{Issued: 20, Succeeded: 11, QueryMsgs: 150, OnlinePeers: 50},

@@ -610,8 +610,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		t0 := stages.Start()
 		// The online list only changes when overlay connectivity does;
-		// recopy from the overlay's dense index (O(online), ascending
-		// order) keyed on the mutation counter instead of every tick.
+		// rescan the overlay's online flags (ascending order) keyed on
+		// the mutation counter instead of every tick.
 		if !onlineInit || onlineVer != ov.Version() {
 			onlineInit = true
 			onlineVer = ov.Version()
@@ -823,6 +823,7 @@ func Run(cfg Config) (*Result, error) {
 		reg.Gauge("flood.cache_builds").Set(int64(cs.Builds))
 		reg.Gauge("flood.cache_prewarmed").Set(int64(cs.Prewarmed))
 		reg.Gauge("flood.cache_fallbacks").Set(int64(cs.Fallbacks))
+		reg.Gauge("flood.cache_discarded").Set(int64(cs.Discarded))
 		reg.Gauge("flood.cache_flushes").Set(int64(cs.Flushes))
 		snap := reg.Snapshot()
 		res.Telemetry = &snap
