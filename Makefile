@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test race racesmoke chaos smoke writefail bench benchsmoke benchcheck benchgo telemetry
+.PHONY: ci lint build vet ddlint staticcheck test golden race racesmoke chaos smoke writefail bench benchsmoke benchcheck benchgo telemetry
 
 # ci is the gate: static checks, full build, full tests, then a short
 # race pass over the packages with real concurrency (the live TCP node
@@ -58,6 +58,13 @@ staticcheck:
 
 test:
 	$(GO) test ./...
+
+# golden re-pins internal/sim/testdata/golden/*.sha256 — the digests of
+# each scenario's Result, event, journal and trace streams that `test`
+# holds the one tick engine to (DESIGN.md §16). Run it only for a change
+# that is meant to move a stream, and commit the diff with the change.
+golden:
+	$(GO) test ./internal/sim -run Golden -update
 
 # The race pass is scoped to the concurrency-heavy suites so ci stays
 # fast: gnet's monitor/telemetry tests exercise transient dials and the

@@ -22,9 +22,9 @@ import (
 	"fmt"
 
 	"ddpolice/internal/journal"
-	"ddpolice/internal/trace"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
+	"ddpolice/internal/trace"
 )
 
 // PeerID aliases the overlay peer identifier.
@@ -57,8 +57,12 @@ type Config struct {
 	// disconnected.
 	VerifyLists bool
 	// Radius is r in DD-POLICE-r. r=1 (the paper's focus) uses direct
-	// neighbor lists only; r=2 additionally propagates lists one hop
-	// further, making buddy-group views resilient to a missed exchange.
+	// neighbor lists only. At r=2 a peer that exchanges also relays, to
+	// each active neighbor w, every list it holds from another of its
+	// neighbors, so a push w missed can still reach it over a second
+	// path. w keeps a relayed list only when its owner is w's own
+	// neighbor. Nothing usable is dropped by that: an observer only
+	// judges, and so only reads the list of, a peer it has an edge to.
 	Radius int
 	// BlacklistSec is a future-work extension (§5: "No mechanism can
 	// prevent the DDoS Agent from joining the system again"): an
@@ -66,14 +70,6 @@ type Config struct {
 	// for this many seconds, cutting re-established connections
 	// immediately. 0 disables the blacklist (the paper's behaviour).
 	BlacklistSec float64
-	// LegacyMapState forces the original map[PeerID]-keyed per-peer
-	// bookkeeping instead of the dense directed-edge-indexed arrays
-	// used for Radius 1. The two representations are byte-identical in
-	// every observable stream (results, events, journal, traces); the
-	// flag exists so the determinism matrix test can prove it. Radius 2
-	// always uses maps (relayed lists reach peers two hops out, beyond
-	// the directed-edge address space).
-	LegacyMapState bool
 }
 
 // DefaultConfig returns the paper's operating point: q0=100, warn=500,
@@ -90,19 +86,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The comparisons are written
+// so that NaN fails them too.
 func (c Config) Validate() error {
-	if c.Q0 <= 0 {
+	if !(c.Q0 > 0) {
 		return fmt.Errorf("police: Q0 = %v", c.Q0)
 	}
-	if c.WarnThreshold <= 0 {
+	if !(c.WarnThreshold > 0) {
 		return fmt.Errorf("police: WarnThreshold = %v", c.WarnThreshold)
 	}
-	if c.CutThreshold <= 0 {
+	if !(c.CutThreshold > 0) {
 		return fmt.Errorf("police: CutThreshold = %v", c.CutThreshold)
 	}
-	if !c.EventDriven && c.ExchangePeriod <= 0 {
+	if !c.EventDriven && !(c.ExchangePeriod > 0) {
 		return fmt.Errorf("police: ExchangePeriod = %v", c.ExchangePeriod)
+	}
+	if !(c.ReportRateLimit >= 0) {
+		return fmt.Errorf("police: ReportRateLimit = %v", c.ReportRateLimit)
+	}
+	if !(c.StaleAfter >= 0) {
+		return fmt.Errorf("police: StaleAfter = %v", c.StaleAfter)
+	}
+	if !(c.BlacklistSec >= 0) {
+		return fmt.Errorf("police: BlacklistSec = %v", c.BlacklistSec)
 	}
 	if c.Radius < 1 || c.Radius > 2 {
 		return fmt.Errorf("police: Radius = %d (supported: 1, 2)", c.Radius)
@@ -167,28 +173,14 @@ type Detection struct {
 	Single   float64 // s(j,t,i) at decision time
 }
 
-// advertised is a neighbor list received from a peer.
-type advertised struct {
-	at      float64
-	members []PeerID
-}
-
-// peerState is the per-peer DD-POLICE bookkeeping.
-type peerState struct {
-	lists        map[PeerID]advertised // owner -> owner's advertised neighbor list
-	lastReport   map[PeerID]float64    // suspect -> last Neighbor_Traffic sent
-	nextExchange float64
-}
-
 // Police drives the protocol over one overlay. Not safe for concurrent
 // use; each simulation replica owns one instance.
 type Police struct {
-	cfg    Config
-	ov     *overlay.Overlay
-	states []peerState
-	cheat  []CheatStrategy
-	isBad  []bool
-	liar   []bool // advertises fabricated neighbor-list entries
+	cfg   Config
+	ov    *overlay.Overlay
+	cheat []CheatStrategy
+	isBad []bool
+	liar  []bool // advertises fabricated neighbor-list entries
 
 	detections []Detection
 	overhead   Overhead
@@ -216,9 +208,6 @@ type Police struct {
 	openDet   map[uint64]*detTrace // (observer,suspect) -> open trace this minute
 	openOrd   []*detTrace          // commit order (map iteration is not deterministic)
 
-	// blacklist[observer][suspect] = expiry time (BlacklistSec > 0).
-	blacklist []map[PeerID]float64
-
 	// Pooled scratch buffers. The minute sweep and the exchange
 	// fan-outs run for every online peer every simulated minute, so
 	// their transient slices are reused across calls instead of
@@ -235,32 +224,35 @@ type Police struct {
 	sendBuf   []PeerID  // sendList's advertised members (liars append)
 	joinBuf   []PeerID  // NotifyJoin's neighbor push list
 
-	// Dense directed-edge-indexed state (Radius 1, LegacyMapState off).
-	// A stored list or rate-limit stamp always concerns a direct
-	// neighbor there, so the (receiver, owner) pair addresses the
-	// directed edge receiver->owner and the map lookups become array
-	// loads; the per-edge member slices are pooled across exchanges
-	// (storeList in map mode allocates a fresh copy per push).
-	dense   bool
-	listAt  []float64  // receipt time of the list on edge recv->owner; listNone = none
-	listMem [][]PeerID // advertised members on that edge (reused backing arrays)
-	lastNT  []float64  // last NT round on edge observer->suspect; ntNever = never
+	// Per-peer protocol memory, indexed by overlay.EdgeID. Everything a
+	// peer remembers — a received list, a rate-limit stamp, a ban —
+	// concerns a direct neighbor, so the (holder, neighbor) pair
+	// addresses the directed edge holder->neighbor. This holds at every
+	// Radius (see Config.Radius); the per-edge member slices are reused
+	// across exchanges.
+	listAt     []float64  // receipt time of the list on edge recv->owner; listNone = none
+	listMem    [][]PeerID // advertised members on that edge (reused backing arrays)
+	lastNT     []float64  // last NT round on edge observer->suspect; ntNever = never
+	blackUntil []float64  // ban expiry on edge observer->suspect; nil unless BlacklistSec > 0
+
+	// nextExchange[v] is when v's next periodic list exchange is due.
+	nextExchange []float64
 
 	// Calendar queue for the periodic exchange schedule: exqBucket[t%B]
 	// holds the peers whose next exchange is due at integer tick t, so
-	// Tick touches O(due) peers instead of scanning all N states. Kept
-	// exactly equivalent to the float schedule in states[].nextExchange
-	// (see Tick); falls back to the linear scan — and rebuilds lazily —
-	// when Tick is called off the integer-second cadence.
+	// Tick touches O(due) peers instead of scanning all N peers. Kept
+	// exactly equivalent to the float schedule in nextExchange (see
+	// Tick); falls back to the linear scan — and rebuilds lazily — when
+	// Tick is called off the integer-second cadence.
 	exqBucket [][]PeerID
 	exqNext   int64 // integer tick the queue expects to serve next
 	exqReady  bool
 }
 
-// Sentinels for the dense edge-indexed state. listNone marks "no list
-// held" (any real receipt time is >= 0); ntNever marks "no NT round
-// yet" (now-ntNever dwarfs any ReportRateLimit, matching the map's
-// missing-key behaviour).
+// Sentinels for the edge-indexed state. listNone marks "no list held"
+// (any real receipt time is >= 0); ntNever marks "no NT round yet"
+// (now-ntNever dwarfs any ReportRateLimit). blackUntil needs none: its
+// zero value has already expired at every now >= 0.
 const (
 	listNone = -1.0
 	ntNever  = -1e18
@@ -278,45 +270,35 @@ func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := ov.NumPeers()
+	n, ne := ov.NumPeers(), ov.NumDirectedEdges()
 	p := &Police{
-		cfg:      cfg,
-		ov:       ov,
-		states:   make([]peerState, n),
-		cheat:    make([]CheatStrategy, n),
-		isBad:    make([]bool, n),
-		liar:     make([]bool, n),
-		cutGood:  make([]bool, n),
-		detected: make([]bool, n),
-		dense:    cfg.Radius == 1 && !cfg.LegacyMapState,
+		cfg:          cfg,
+		ov:           ov,
+		cheat:        make([]CheatStrategy, n),
+		isBad:        make([]bool, n),
+		liar:         make([]bool, n),
+		cutGood:      make([]bool, n),
+		detected:     make([]bool, n),
+		listAt:       make([]float64, ne),
+		listMem:      make([][]PeerID, ne),
+		lastNT:       make([]float64, ne),
+		nextExchange: make([]float64, n),
 		// Non-nil from the start: membersOf's callers distinguish "no
 		// usable list" (nil) from "an empty buddy group" (empty slice).
 		memberBuf: make([]PeerID, 0, 8),
 	}
-	if p.dense {
-		ne := ov.NumDirectedEdges()
-		p.listAt = make([]float64, ne)
-		p.listMem = make([][]PeerID, ne)
-		p.lastNT = make([]float64, ne)
-		for e := 0; e < ne; e++ {
-			p.listAt[e] = listNone
-			p.lastNT[e] = ntNever
-		}
-	}
-	for i := range p.states {
-		if !p.dense {
-			p.states[i] = peerState{
-				lists:      make(map[PeerID]advertised),
-				lastReport: make(map[PeerID]float64),
-			}
-		}
-		if !cfg.EventDriven {
-			// Deterministic stagger: spread phases across the period.
-			p.states[i].nextExchange = cfg.ExchangePeriod * float64(i) / float64(n)
-		}
+	for e := range p.listAt {
+		p.listAt[e] = listNone
+		p.lastNT[e] = ntNever
 	}
 	if cfg.BlacklistSec > 0 {
-		p.blacklist = make([]map[PeerID]float64, n)
+		p.blackUntil = make([]float64, ne)
+	}
+	if !cfg.EventDriven {
+		// Deterministic stagger: spread phases across the period.
+		for i := range p.nextExchange {
+			p.nextExchange[i] = cfg.ExchangePeriod * float64(i) / float64(n)
+		}
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package police
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ddpolice/internal/overlay"
@@ -399,16 +400,51 @@ func TestVerifyListsCatchesLiar(t *testing.T) {
 	}
 }
 
-func TestRadius2PropagatesLists(t *testing.T) {
-	// Line 0-1-2: with r=2, peer 2 learns peer 0's list via peer 1.
+// lineOverlay builds the path 0-1-2; withChord closes it into the
+// triangle 0-1-2-0.
+func lineOverlay(t *testing.T, withChord bool) *overlay.Overlay {
+	t.Helper()
 	b := topology.NewBuilder(3)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
+	edges := [][2]topology.NodeID{{0, 1}, {1, 2}}
+	if withChord {
+		edges = append(edges, [2]topology.NodeID{0, 2})
 	}
-	if err := b.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
+	for _, e := range edges {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ov := overlay.New(b.Build())
+	return overlay.New(b.Build())
+}
+
+// TestRadius2PropagatesLists: a relayed list is usable exactly where its
+// owner is the receiver's neighbor. On the triangle, peer 2 misses 0's
+// direct push (the edge is cut while 0 exchanges) and still gets 0's
+// list through 1 at Radius 2, not at Radius 1. On the line, 0 is not
+// 2's neighbor: the relay is sent and counted but leaves 2 with nothing
+// it could read.
+func TestRadius2PropagatesLists(t *testing.T) {
+	for _, radius := range []int{1, 2} {
+		ov := lineOverlay(t, true)
+		cfg := DefaultConfig()
+		cfg.Radius = radius
+		p, err := New(ov, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ov.Cut(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		p.exchangeFrom(0, 0) // reaches 1 only
+		ov.Uncut(0, 2)
+		p.exchangeFrom(1, 1) // r=2: 1 relays 0's list to 2
+		_, _, _, ok := p.Indicators(2, 0, 2)
+		if want := radius == 2; ok != want {
+			t.Errorf("triangle, Radius %d: Indicators(2, 0) ok = %v, want %v", radius, ok, want)
+		}
+	}
+
+	ov := lineOverlay(t, false)
 	cfg := DefaultConfig()
 	cfg.Radius = 2
 	p, err := New(ov, cfg)
@@ -416,19 +452,16 @@ func TestRadius2PropagatesLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.exchangeFrom(0, 0) // 1 now holds 0's list
-	p.exchangeFrom(1, 1) // r=2: 1 relays 0's list to 2
-	if _, ok := p.states[2].lists[0]; !ok {
-		t.Fatal("r=2 relay did not deliver the two-hop list")
+	before := p.Overhead().NeighborListMsgs
+	p.exchangeFrom(1, 1) // own list to 0 and 2, plus 0's list relayed to 2
+	if got := p.Overhead().NeighborListMsgs - before; got != 3 {
+		t.Errorf("line: exchangeFrom(1) sent %d list messages, want 3 (2 pushes + 1 relay)", got)
 	}
-	// With r=1 the same sequence must NOT deliver it.
-	p1, err := New(ov, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	if _, _, _, ok := p.Indicators(2, 0, 2); ok {
+		t.Error("line: peer 2 holds a readable list for non-neighbor 0")
 	}
-	p1.exchangeFrom(0, 0)
-	p1.exchangeFrom(1, 1)
-	if _, ok := p1.states[2].lists[0]; ok {
-		t.Fatal("r=1 leaked a two-hop list")
+	if _, _, _, ok := p.Indicators(2, 1, 2); !ok {
+		t.Error("line: peer 2 lost 1's direct push")
 	}
 }
 
@@ -461,6 +494,32 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := New(overlay.New(mustRing(t)), cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+	// Negative and NaN values: each must be rejected with its field named.
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Q0", func(c *Config) { c.Q0 = nan }},
+		{"WarnThreshold", func(c *Config) { c.WarnThreshold = nan }},
+		{"CutThreshold", func(c *Config) { c.CutThreshold = nan }},
+		{"ExchangePeriod", func(c *Config) { c.ExchangePeriod = nan }},
+		{"ReportRateLimit", func(c *Config) { c.ReportRateLimit = -1 }},
+		{"ReportRateLimit", func(c *Config) { c.ReportRateLimit = nan }},
+		{"StaleAfter", func(c *Config) { c.StaleAfter = -1 }},
+		{"StaleAfter", func(c *Config) { c.StaleAfter = nan }},
+		{"BlacklistSec", func(c *Config) { c.BlacklistSec = -1 }},
+		{"BlacklistSec", func(c *Config) { c.BlacklistSec = nan }},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: bad value accepted: %+v", tc.field, cfg)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error does not name the field: %v", tc.field, err)
 		}
 	}
 	// Event-driven mode does not require an exchange period.

@@ -18,7 +18,7 @@ import (
 //
 // On the simulator's integer-second cadence the due peers come from a
 // calendar queue — O(due this tick) instead of an O(N) scan of every
-// state — and fire in ascending peer order, exactly the order the scan
+// peer — and fire in ascending peer order, exactly the order the scan
 // produced: for integer t, float64(t) >= nextExchange iff
 // t >= ceil(nextExchange) (ceil of a float64 is exact), so bucketing
 // peers by ceil(nextExchange) fires each peer on precisely the tick
@@ -48,8 +48,7 @@ func (p *Police) Tick(now float64) {
 	// the scan's ascending-peer order before firing.
 	slices.Sort(due)
 	for _, v := range due {
-		st := &p.states[v]
-		st.nextExchange += p.cfg.ExchangePeriod
+		p.nextExchange[v] += p.cfg.ExchangePeriod
 		if p.ov.Online(v) {
 			p.exchangeFrom(v, now)
 		}
@@ -64,12 +63,11 @@ func (p *Police) Tick(now float64) {
 // tickScan is the original O(N) exchange sweep, kept as the fallback
 // for off-cadence Tick calls (tests driving fractional time).
 func (p *Police) tickScan(now float64) {
-	for v := range p.states {
-		st := &p.states[v]
-		if now < st.nextExchange {
+	for v := range p.nextExchange {
+		if now < p.nextExchange[v] {
 			continue
 		}
-		st.nextExchange += p.cfg.ExchangePeriod
+		p.nextExchange[v] += p.cfg.ExchangePeriod
 		if p.ov.Online(PeerID(v)) {
 			p.exchangeFrom(PeerID(v), now)
 		}
@@ -89,7 +87,7 @@ func (p *Police) buildExchangeQueue(t int64) {
 	for i := range p.exqBucket {
 		p.exqBucket[i] = p.exqBucket[i][:0]
 	}
-	for v := range p.states {
+	for v := range p.nextExchange {
 		p.enqueueExchange(PeerID(v), t)
 	}
 	p.exqReady = true
@@ -101,7 +99,7 @@ func (p *Police) buildExchangeQueue(t int64) {
 // overdue peer fires once per tick until it catches up, exactly like
 // the scan.
 func (p *Police) enqueueExchange(v PeerID, floor int64) {
-	fire := int64(math.Ceil(p.states[v].nextExchange))
+	fire := int64(math.Ceil(p.nextExchange[v]))
 	if fire < floor {
 		fire = floor
 	}
@@ -115,22 +113,12 @@ func (p *Police) enqueueExchange(v PeerID, floor int64) {
 // exchanging operation"), and in event-driven mode its neighbors push
 // updates too.
 func (p *Police) NotifyJoin(v PeerID, now float64) {
-	if p.dense {
-		// Reset v's received-list and rate-limit slots: one directed
-		// edge per static neighbor, O(degree).
-		for k := range p.ov.Graph().Neighbors(v) {
-			e := p.ov.EdgeID(v, k)
-			p.listAt[e] = listNone
-			p.lastNT[e] = ntNever
-		}
-	} else if p.states[v].lists == nil {
-		// Reuse the joining peer's state maps across churn cycles
-		// instead of leaving the old ones to the collector every rejoin.
-		p.states[v].lists = make(map[PeerID]advertised)
-		p.states[v].lastReport = make(map[PeerID]float64)
-	} else {
-		clear(p.states[v].lists)
-		clear(p.states[v].lastReport)
+	// Reset v's received-list and rate-limit slots: one directed edge
+	// per static neighbor, O(degree).
+	for k := range p.ov.Graph().Neighbors(v) {
+		e := p.ov.EdgeID(v, k)
+		p.listAt[e] = listNone
+		p.lastNT[e] = ntNever
 	}
 	p.exchangeFrom(v, now)
 	// The new peer also learns its neighbors' lists right away (the
@@ -169,16 +157,23 @@ func (p *Police) exchangeFrom(v PeerID, now float64) {
 	for _, w := range p.exBuf {
 		p.sendList(v, w, now)
 		if p.cfg.Radius >= 2 {
-			// DD-POLICE-r, r=2: v relays the freshest lists it holds so
-			// w can build buddy groups for peers two hops away.
-			for owner, adv := range p.states[v].lists {
-				if owner == w {
-					continue
-				}
-				p.overhead.NeighborListMsgs++
-				p.storeList(w, owner, adv.members, adv.at)
-			}
+			p.relayLists(v, w)
 		}
+	}
+}
+
+// relayLists is the r=2 step of DD-POLICE-r: v forwards to w, in v's
+// static neighbor order, each list it holds from a neighbor other than
+// w, with the time v received it. Every relayed list is a message;
+// storeList keeps the ones whose owner w is itself a neighbor of.
+func (p *Police) relayLists(v, w PeerID) {
+	for k, owner := range p.ov.Graph().Neighbors(v) {
+		e := p.ov.EdgeID(v, k)
+		if owner == w || p.listAt[e] == listNone {
+			continue
+		}
+		p.overhead.NeighborListMsgs++
+		p.storeList(w, owner, p.listMem[e], p.listAt[e])
 	}
 }
 
@@ -207,30 +202,21 @@ func (p *Police) sendList(v, w PeerID, now float64) {
 	p.storeList(w, v, members, now)
 }
 
-// storeList records at receiver the advertised list of owner.
+// storeList records at receiver the advertised list of owner, on the
+// directed edge receiver->owner, reusing that edge's backing array. A
+// direct push always has such an edge; a relayed list whose owner is
+// not the receiver's neighbor has none and is dropped, since the
+// receiver could never be asked to judge that owner.
 func (p *Police) storeList(receiver, owner PeerID, members []PeerID, at float64) {
-	if p.dense {
-		// Radius 1: every push travels one hop, so owner is a direct
-		// neighbor and the (receiver, owner) pair addresses a directed
-		// edge. The per-edge backing array is reused across pushes.
-		e, ok := p.ov.FindEdge(receiver, owner)
-		if !ok {
-			return // not reachable at Radius 1; map mode never stores it either
-		}
-		if p.listAt[e] != listNone && p.listAt[e] > at {
-			return // keep the fresher list
-		}
-		p.listAt[e] = at
-		p.listMem[e] = append(p.listMem[e][:0], members...)
+	e, ok := p.ov.FindEdge(receiver, owner)
+	if !ok {
 		return
 	}
-	st := &p.states[receiver]
-	if prev, ok := st.lists[owner]; ok && prev.at > at {
-		return // keep the fresher list
+	if p.listAt[e] > at {
+		return // keep the fresher list (listNone is older than any)
 	}
-	cp := make([]PeerID, len(members))
-	copy(cp, members)
-	st.lists[owner] = advertised{at: at, members: cp}
+	p.listAt[e] = at
+	p.listMem[e] = append(p.listMem[e][:0], members...)
 }
 
 // verifyList performs the §3.1 consistency check at the receiver: each
@@ -257,26 +243,15 @@ func (p *Police) verifyList(receiver, owner PeerID, members []PeerID, now float6
 // BG1-j (excluding the observer itself), based on the advertised list
 // it holds, filtered for staleness.
 func (p *Police) membersOf(observer, suspect PeerID, now float64) []PeerID {
-	var at float64
-	var members []PeerID
-	if p.dense {
-		e, ok := p.ov.FindEdge(observer, suspect)
-		if !ok || p.listAt[e] == listNone {
-			return nil
-		}
-		at, members = p.listAt[e], p.listMem[e]
-	} else {
-		adv, ok := p.states[observer].lists[suspect]
-		if !ok {
-			return nil
-		}
-		at, members = adv.at, adv.members
+	e, ok := p.ov.FindEdge(observer, suspect)
+	if !ok || p.listAt[e] == listNone {
+		return nil
 	}
-	if p.cfg.StaleAfter > 0 && now-at > p.cfg.StaleAfter {
+	if p.cfg.StaleAfter > 0 && now-p.listAt[e] > p.cfg.StaleAfter {
 		return nil
 	}
 	out := p.memberBuf[:0]
-	for _, m := range members {
+	for _, m := range p.listMem[e] {
 		if m != observer {
 			out = append(out, m)
 		}
@@ -414,11 +389,15 @@ func (p *Police) EvaluateMinute(now float64) {
 	for _, observer := range p.obsBuf {
 		p.evalBuf = p.ov.ActiveNeighbors(observer, p.evalBuf[:0])
 		for _, suspect := range p.evalBuf {
-			if p.blacklisted(observer, suspect, now) {
-				// Future-work extension: a previously-convicted suspect
-				// that reconnected is cut on sight.
-				cuts = append(cuts, verdict{observer, suspect, 0, 0})
-				continue
+			// An active neighbor is a static one, so here and below the
+			// edge lookup cannot miss.
+			if p.blackUntil != nil {
+				if e, _ := p.ov.FindEdge(observer, suspect); now < p.blackUntil[e] {
+					// Future-work extension: a previously-convicted
+					// suspect that reconnected is cut on sight.
+					cuts = append(cuts, verdict{observer, suspect, 0, 0})
+					continue
+				}
 			}
 			inbound := p.ov.LastMinute(suspect, observer)
 			if inbound <= p.cfg.WarnThreshold {
@@ -445,19 +424,11 @@ func (p *Police) EvaluateMinute(now float64) {
 				}
 			}
 			// Rate-limit Neighbor_Traffic rounds per (observer, suspect).
-			if p.dense {
-				e, _ := p.ov.FindEdge(observer, suspect)
-				if now-p.lastNT[e] < p.cfg.ReportRateLimit {
-					continue
-				}
-				p.lastNT[e] = now
-			} else {
-				st := &p.states[observer]
-				if last, sent := st.lastReport[suspect]; sent && now-last < p.cfg.ReportRateLimit {
-					continue
-				}
-				st.lastReport[suspect] = now
+			e, _ := p.ov.FindEdge(observer, suspect)
+			if now-p.lastNT[e] < p.cfg.ReportRateLimit {
+				continue
 			}
+			p.lastNT[e] = now
 			g, s, k, ok := p.Indicators(observer, suspect, now)
 			p.curDet = nil
 			if !ok {
@@ -488,32 +459,11 @@ func (p *Police) EvaluateMinute(now float64) {
 	p.curDet = nil
 }
 
-// blacklisted reports whether the observer currently bans the suspect.
-func (p *Police) blacklisted(observer, suspect PeerID, now float64) bool {
-	if p.blacklist == nil {
-		return false
-	}
-	bl := p.blacklist[observer]
-	if bl == nil {
-		return false
-	}
-	exp, ok := bl[suspect]
-	if !ok {
-		return false
-	}
-	if now >= exp {
-		delete(bl, suspect)
-		return false
-	}
-	return true
-}
-
 func (p *Police) recordCut(observer, suspect PeerID, g, s, now float64) {
-	if p.blacklist != nil {
-		if p.blacklist[observer] == nil {
-			p.blacklist[observer] = make(map[PeerID]float64)
-		}
-		p.blacklist[observer][suspect] = now + p.cfg.BlacklistSec
+	if p.blackUntil != nil {
+		// Only a connected neighbor is ever cut, so the edge exists.
+		e, _ := p.ov.FindEdge(observer, suspect)
+		p.blackUntil[e] = now + p.cfg.BlacklistSec
 	}
 	p.detections = append(p.detections, Detection{
 		At: now, Observer: observer, Suspect: suspect, General: g, Single: s,

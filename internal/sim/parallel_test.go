@@ -285,3 +285,31 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 		t.Error("merge mutated the second input")
 	}
 }
+
+// TestShardedRunReleasesGoroutines is the pooled-buffer goroutine
+// regression: the sharded proposal phase spawns worker goroutines every
+// tick and the parallel replica runner spawns one per seed; both must
+// be fully joined by the time Run returns. A leak here compounds per
+// tick, so even a small overlay exposes it.
+func TestShardedRunReleasesGoroutines(t *testing.T) {
+	cfg := smallConfig()
+	cfg.DurationSec = 120
+	cfg.PoliceEnabled = true
+	cfg.NumAgents = 4
+	cfg.Shards = 4
+	baseline := runtime.NumGoroutine()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutine teardown is asynchronous after wg.Wait returns; poll
+	// briefly before declaring a leak.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= baseline {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before run, %d after", baseline, n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

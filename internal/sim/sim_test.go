@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"testing"
 
 	"ddpolice/internal/metrics"
@@ -362,5 +363,42 @@ func TestAgentsJoinAtAttackStart(t *testing.T) {
 	// After the attack starts they are online (no churn in smallConfig).
 	if r.Minutes[3].OnlinePeers != cfg.NumPeers {
 		t.Fatalf("post-attack online = %d, want %d", r.Minutes[3].OnlinePeers, cfg.NumPeers)
+	}
+}
+
+// TestTickMarginalAllocsBounded is the in-test mirror of ddbench's
+// tick_100k_allocs_per_peer gate, cheap enough for racesmoke: with the
+// pooled per-tick buffers (epoch-marked slices, budget touch lists,
+// query-trace pool, treeBuilder capacity hints) the steady tick loop
+// allocates O(workload), not O(peers). Differencing a 240s run against
+// a 120s run cancels setup cost, leaving the per-tick marginal
+// allocation rate, which must stay under the same 0.10-per-peer
+// ceiling the benchmark gate enforces (steady state measures ~0.03;
+// an O(N) rescan reintroduced into the tick loop shows up as >= 1).
+func TestTickMarginalAllocsBounded(t *testing.T) {
+	run := func(durationSec int) uint64 {
+		cfg := DefaultConfig()
+		cfg.NumPeers = 2000
+		cfg.ChurnEnabled = false
+		cfg.DurationSec = durationSec
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	short, long := run(120), run(240)
+	if long <= short {
+		t.Fatalf("marginal allocs non-positive (%d vs %d): measurement broken", short, long)
+	}
+	perPeerTick := float64(long-short) / 120 / 2000
+	const ceiling = 0.10 // keep in sync with allocsPerPeerTickMax in cmd/ddbench
+	t.Logf("marginal allocs per peer per tick: %.4f", perPeerTick)
+	if perPeerTick > ceiling {
+		t.Fatalf("marginal allocs per peer per tick = %.4f, want <= %.2f (tick loop no longer O(active))",
+			perPeerTick, ceiling)
 	}
 }

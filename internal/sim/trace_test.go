@@ -33,6 +33,7 @@ func runTraced(t *testing.T, cfg Config) (res *Result, events, jrnl, spans []byt
 // of the same seed emit byte-identical trace NDJSON, and the stream
 // covers all three lifecycles (query, detection, overload).
 func TestTraceByteIdentical(t *testing.T) {
+	t.Parallel()
 	cfg := tracedConfig()
 	_, _, _, spansA := runTraced(t, cfg)
 	_, _, _, spansB := runTraced(t, cfg)
@@ -63,6 +64,7 @@ func TestTraceByteIdentical(t *testing.T) {
 // Result, event stream, and journal stay byte-identical to an untraced
 // run of the same seed.
 func TestTracePassive(t *testing.T) {
+	t.Parallel()
 	cfg := tracedConfig()
 	plain, evP, jrP := runInstrumented(t, cfg)
 	traced, evT, jrT, spans := runTraced(t, cfg)
@@ -77,6 +79,7 @@ func TestTracePassive(t *testing.T) {
 // same visit sequence from a cache replay as from a live traversal, so
 // traces survive the cached/uncached split byte-for-byte.
 func TestTraceCacheByteIdentical(t *testing.T) {
+	t.Parallel()
 	cfg := tracedConfig()
 	_, _, _, spansC := runTraced(t, cfg)
 	uc := cfg
@@ -135,6 +138,7 @@ func TestTraceSampling(t *testing.T) {
 // TestTraceDetectionPathMatchesJournal: the detection critical path
 // reconstructed from spans must agree with the journal's cut record.
 func TestTraceDetectionPathMatchesJournal(t *testing.T) {
+	t.Parallel()
 	cfg := tracedConfig()
 	_, _, jrnl, spans := runTraced(t, cfg)
 	parsed, err := trace.ReadNDJSON(bytes.NewReader(spans))

@@ -15,6 +15,11 @@ func TestRadiusStudyShape(t *testing.T) {
 	if r2.ListMessages <= r1.ListMessages {
 		t.Errorf("r=2 list traffic %d not above r=1 %d", r2.ListMessages, r1.ListMessages)
 	}
+	// ...but one hop, not a gossip: 5.7x at paper scale, where
+	// re-relaying every held list cost 737x.
+	if r2.ListMessages > 10*r1.ListMessages {
+		t.Errorf("r=2 list traffic %d is more than 10x r=1's %d", r2.ListMessages, r1.ListMessages)
+	}
 	// Both variants must actually defend.
 	for _, p := range pts {
 		if p.Detections == 0 {
