@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test golden race racesmoke chaos smoke writefail bench benchsmoke benchcheck benchgo telemetry
+.PHONY: ci lint build vet ddlint staticcheck test golden race racesmoke chaos smoke writefail bench benchcheck telemetry
 
 # ci is the gate: static checks, full build, full tests, then a short
 # race pass over the packages with real concurrency (the live TCP node
@@ -9,11 +9,10 @@ GO ?= go
 # proposal phase that the scoped -run regex would skip), then the chaos
 # pass (fault injection, reconnect supervision, transient-dial
 # recovery), then the metrics smoke (a live ddnode answering /metrics
-# and /healthz), then a one-iteration pass over the pinned benchmark
-# suite (exercises every bench fixture; no timing gate, no BENCH.json
-# update), then the repository benchmark's own vet and tests (the
-# nested bench/ module, with its pinned Result digests).
-ci: lint build test race racesmoke chaos smoke writefail benchsmoke benchcheck
+# and /healthz), then the repository benchmark's own vet and tests (the
+# nested bench/ module: every workload at smoke size against its pinned
+# Result digests; no timing).
+ci: lint build test race racesmoke chaos smoke writefail benchcheck
 
 build:
 	$(GO) build ./...
@@ -102,27 +101,15 @@ smoke:
 writefail:
 	./scripts/writefail_smoke.sh
 
-# bench regenerates the committed perf trajectory (BENCH.json) from the
-# pinned suite in cmd/ddbench and enforces the derived gates: the
-# traversal-cache speedup (cached vs uncached 2k-peer tick loop must
-# stay >= 1.5x), the nt_flood_delivery robustness floor (control
-# delivery >= 0.95 under a 3x flood with the overload plane on), the
-# trace_overhead ceiling (tick loop with a sample-rate-0 tracer <= 1.03x
-# untraced), and the tick_100k_allocs_per_peer ceiling (steady 100k-peer
-# loop must stay O(active peers) in per-tick allocations, <= 0.10 per
-# peer). The serial vs 4-shard 10k churn+attack ratio is reported but
-# no longer gated (DESIGN.md §13).
-# It also writes the timestamped BENCH_PR9.json snapshot. Timings are
-# machine-relative: compare the derived ratios across commits, not raw
-# ns across machines.
+# bench runs the repository benchmark (BENCHMARK.json, bench/README.md),
+# the one instrument that measures speed: each workload in a process of
+# its own, ~15 s each, every metric printed by name. To compare two
+# commits, write result sets with -out and use `-compare A B` as
+# bench/README.md shows.
 bench:
-	$(GO) run ./cmd/ddbench -out BENCH.json -gate
-
-# benchsmoke runs every benchmark fixture once, with no warmup, no gate
-# and no snapshot — a compile-and-execute check for ci, cheap enough to
-# run always.
-benchsmoke:
-	$(GO) run ./cmd/ddbench -quick -out /tmp/BENCH.quick.json
+	@for w in steady-2k attack-40k scale-100k paper-figs live-12; do \
+		$(GO) run -C bench . -workload $$w || exit 1; \
+	done
 
 # benchcheck vets and tests the repository benchmark in bench/, a module
 # of its own that the root `go vet ./...` and `go test ./...` cannot
@@ -131,11 +118,6 @@ benchsmoke:
 # flood/overlay/sim is held to "same simulated statistics" (~7 s).
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# benchgo runs the per-figure go test benchmarks (paper regeneration
-# paths); the pinned perf trajectory lives in `make bench` / BENCH.json.
-benchgo:
-	$(GO) test -bench . -benchtime 1x ./...
 
 telemetry:
 	$(GO) run ./cmd/ddexp -fig table1 -telemetry

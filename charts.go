@@ -241,24 +241,3 @@ func OverloadSVG(w io.Writer, pts []OverloadPoint) error {
 		Series: []viz.Series{off, on},
 	})
 }
-
-// ScaleSVG renders the scale study's headline curve: per-tick
-// wall-clock cost vs overlay size. Linear-ish growth is the pass
-// condition — a superlinear bend means an O(N) (or worse) rescan crept
-// back into the tick loop.
-func ScaleSVG(w io.Writer, pts []ScalePoint) error {
-	var s viz.Series
-	s.Label = "steady tick"
-	for _, p := range pts {
-		s.X = append(s.X, float64(p.Peers))
-		s.Y = append(s.Y, p.NsPerTick/1e6)
-	}
-	lo := 0.0
-	return renderChart(w, &viz.Chart{
-		Title:  "Tick latency vs overlay size",
-		XLabel: "peers",
-		YLabel: "ms per simulated tick",
-		YMin:   &lo,
-		Series: []viz.Series{s},
-	})
-}

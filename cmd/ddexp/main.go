@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	ddexp [-scale quick|paper] [-csv dir]
-//	      [-fig all|5|6|9|10|11|12|13|14|freq|cheat|table1|radius|liar|ablate]
+//	ddexp [-scale quick|paper] [-csv dir] [-svg dir] [-fig all|<one of figValues>]
 //
 // At -scale paper the full regeneration takes tens of minutes on one
 // core; -scale quick replays every experiment at reduced size in a few
@@ -26,9 +25,15 @@ import (
 	dtrace "ddpolice/internal/trace"
 )
 
+// figValues is every value -fig accepts; the usage string and the
+// unknown-value error are both built from it.
+var figValues = []string{"all", "5", "6", "9", "10", "11", "12", "13", "14",
+	"freq", "cheat", "table1", "radius", "liar", "ablate", "baseline", "blacklist",
+	"structured", "faults", "detect", "overload", "trace"}
+
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	figFlag := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 9, 10, 11, 12, 13, 14, freq, cheat, table1, radius, liar, ablate, baseline, blacklist, structured, faults, detect, overload, trace, scale")
+	figFlag := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figValues, ", "))
 	csvDir := flag.String("csv", "", "also write one CSV per figure into this directory")
 	svgDir := flag.String("svg", "", "also render one SVG per figure into this directory")
 	telemetryFlag := flag.Bool("telemetry", false, "run the telemetry study and print per-stage timing tables")
@@ -37,6 +42,28 @@ func main() {
 	traceOut := flag.String("trace-out", "", "capture causal traces of one policed timeline run at the chosen scale (.json = Chrome/Perfetto, else NDJSON for ddtrace)")
 	traceSmp := flag.Float64("trace-sample", 1.0, "head-sampling rate for -trace-out (0..1)")
 	flag.Parse()
+
+	var scale ddpolice.Scale
+	switch *scaleFlag {
+	case "quick":
+		scale = ddpolice.QuickScale()
+	case "paper":
+		scale = ddpolice.PaperScale()
+	default:
+		fmt.Fprintf(os.Stderr, "ddexp: unknown -scale %q; valid values: quick, paper\n", *scaleFlag)
+		os.Exit(2)
+	}
+	knownFig := false
+	for _, v := range figValues {
+		knownFig = knownFig || *figFlag == v
+	}
+	if !knownFig {
+		if *figFlag == "scale" {
+			fmt.Fprintln(os.Stderr, "ddexp: -fig scale is gone: tick cost against overlay size is measured by the repository benchmark (go run -C bench . -workload scale-100k)")
+		}
+		fmt.Fprintf(os.Stderr, "ddexp: unknown -fig %q; valid values: %s\n", *figFlag, strings.Join(figValues, ", "))
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		stop, err := telemetry.StartCPUProfile(*cpuProfile)
@@ -62,17 +89,6 @@ func main() {
 	}
 	csvOut = *csvDir
 	svgOut = *svgDir
-
-	var scale ddpolice.Scale
-	switch *scaleFlag {
-	case "quick":
-		scale = ddpolice.QuickScale()
-	case "paper":
-		scale = ddpolice.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
-	}
 
 	want := func(keys ...string) bool {
 		if *figFlag == "all" {
@@ -141,11 +157,6 @@ func main() {
 	}
 	if want("trace") {
 		if err := printTraceStudy(scale); err != nil {
-			fatal(err)
-		}
-	}
-	if want("scale") {
-		if err := printScaleStudy(scale); err != nil {
 			fatal(err)
 		}
 	}
@@ -528,30 +539,6 @@ func printOverloadStudy(scale ddpolice.Scale) error {
 		fmt.Fprintf(w, "%.0fx\t%s\t%.1f\t%.1f\t%s\t%d\t%d\n",
 			p.Factor, plane, p.ControlDelivery*100, p.QueryShedRate*100,
 			cut, p.Detections, p.Degraded)
-	}
-	return w.Flush()
-}
-
-// printScaleStudy runs the peers-vs-tick-latency sweep. The paper
-// scale pushes to 100k peers (a couple of minutes of wall clock); the
-// quick scale stops at 25k so `-fig all` stays fast.
-func printScaleStudy(scale ddpolice.Scale) error {
-	peerCounts, durationSec := []int{2000, 10000, 25000}, 60
-	if scale.DurationSec >= 1800 {
-		peerCounts, durationSec = []int{2000, 10000, 50000, 100000}, 120
-	}
-	pts, err := ddpolice.ScaleStudy(peerCounts, durationSec, scale.Seed)
-	if err != nil {
-		return err
-	}
-	saveCSV("scale_study.csv", func(w io.Writer) error { return ddpolice.ScalePointsCSV(w, pts) })
-	saveSVG("scale.svg", func(w io.Writer) error { return ddpolice.ScaleSVG(w, pts) })
-	section("Scale: tick latency and allocation vs overlay size (steady loop)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "peers\tms/tick\tallocs/tick\tKB/tick\tpeers/sec")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d\t%.2f\t%.0f\t%.0f\t%.0f\n",
-			p.Peers, p.NsPerTick/1e6, p.AllocsPerTick, p.BytesPerTick/1024, p.PeersPerSec)
 	}
 	return w.Flush()
 }

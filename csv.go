@@ -270,16 +270,3 @@ func OverloadPointsCSV(w io.Writer, pts []OverloadPoint) error {
 	}
 	return writeAll(w, rows)
 }
-
-// ScalePointsCSV renders the peers-vs-tick-latency scale study.
-func ScalePointsCSV(w io.Writer, pts []ScalePoint) error {
-	rows := [][]string{{
-		"peers", "ns_per_tick", "allocs_per_tick", "bytes_per_tick", "peers_per_sec",
-	}}
-	for _, p := range pts {
-		rows = append(rows, []string{
-			d(p.Peers), f(p.NsPerTick), f(p.AllocsPerTick), f(p.BytesPerTick), f(p.PeersPerSec),
-		})
-	}
-	return writeAll(w, rows)
-}

@@ -79,6 +79,16 @@ func TestFig9To11Shapes(t *testing.T) {
 		t.Errorf("response under attack %v not above baseline %v",
 			last.ResponseAttack, last.ResponseBaseline)
 	}
+	// Figure 9: at the heaviest attack the traffic is above the
+	// no-attack run's, and Figure 11: DD-POLICE strictly restores success.
+	if last.TrafficAttack <= last.TrafficBaseline {
+		t.Errorf("traffic under attack %v not above baseline %v",
+			last.TrafficAttack, last.TrafficBaseline)
+	}
+	if last.SuccessDefended <= last.SuccessAttack {
+		t.Errorf("defended success %v not above undefended %v",
+			last.SuccessDefended, last.SuccessAttack)
+	}
 	if last.Detections == 0 {
 		t.Error("defended run recorded no detections")
 	}
@@ -91,6 +101,9 @@ func TestFig12Shape(t *testing.T) {
 	tl, err := Fig12(QuickScale())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tl) != 4 {
+		t.Fatalf("timelines = %d, want no-defense + 3 CTs", len(tl))
 	}
 	if tl[0].Label != "no DD-POLICE" {
 		t.Fatal("first timeline must be the undefended run")
@@ -152,6 +165,10 @@ func TestFig13And14Shapes(t *testing.T) {
 		if p.FalseJudgment != p.FalseNegatives+p.FalsePositives {
 			t.Errorf("CT=%g: false judgment %d != FN+FP", p.CutThreshold, p.FalseJudgment)
 		}
+		// Figure 14: -1 is "never recovered"; nothing below it is a time.
+		if p.RecoveryMinutes < -1 {
+			t.Errorf("CT=%g: recovery time %d", p.CutThreshold, p.RecoveryMinutes)
+		}
 	}
 }
 
@@ -178,6 +195,9 @@ func TestCheatingStudyShape(t *testing.T) {
 	pts, err := CheatingStudy(QuickScale())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(pts) != 4 {
+		t.Fatalf("rows = %d, want 4 strategies", len(pts))
 	}
 	byName := map[string]CheatPoint{}
 	for _, p := range pts {

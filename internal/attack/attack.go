@@ -11,7 +11,6 @@ import (
 
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/flood"
-	"ddpolice/internal/flowplane"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/police"
 	"ddpolice/internal/rng"
@@ -248,21 +247,4 @@ func accumulate(total *flood.BatchResult, r flood.BatchResult) {
 	total.CapacityDrops += r.CapacityDrops
 	total.ProcessedMass += r.ProcessedMass
 	total.PeersReached += r.PeersReached
-}
-
-// Emissions appends the fleet's monitoring-plane injections for one
-// minute of attack (see internal/flowplane): each online agent's
-// effective generation rate, split per neighbor in spray mode.
-func (f *Fleet) Emissions(ov *overlay.Overlay, buf []flowplane.Emission) []flowplane.Emission {
-	for _, a := range f.agents {
-		if !ov.Online(a.ID) {
-			continue
-		}
-		buf = append(buf, flowplane.Emission{
-			Source:    a.ID,
-			PerMinute: a.EffectivePerMin,
-			Split:     a.cfg.Mode == ModeSpray,
-		})
-	}
-	return buf
 }

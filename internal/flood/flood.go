@@ -591,8 +591,7 @@ func NewEngine(ov *overlay.Overlay) *Engine {
 
 // SetTraversalCache enables or disables the topology-versioned
 // traversal cache. It is on by default; results are byte-identical
-// either way, so disabling exists for A/B verification and the perf
-// gate's uncached baseline.
+// either way, so disabling exists for A/B verification.
 func (e *Engine) SetTraversalCache(on bool) {
 	if on && e.cache == nil {
 		e.cache = newTravCache(e.ov)

@@ -1,11 +1,12 @@
 package gnet
 
-// Benchmark hooks for cmd/ddbench: a Neighbor_Traffic evaluation round
-// is normally triggered by closeMinute observing a hot window, which is
-// far too slow (and too noisy) to benchmark directly. These hooks let
-// the harness inject a synthetic buddy-group view and drive one full
-// start → collect-reports → verdict round on the real TCP links and the
-// real run loop, without waiting out monitoring windows.
+// Benchmark hooks for the repository benchmark (bench/live.go): a
+// Neighbor_Traffic evaluation round is normally triggered by
+// closeMinute observing a hot window, which is far too slow (and too
+// noisy) to benchmark directly. These hooks let the harness inject a
+// synthetic buddy-group view and drive one full start →
+// collect-reports → verdict round on the real TCP links and the real
+// run loop, without waiting out monitoring windows.
 //
 // They are exported only for benchmarking; production code paths never
 // call them.

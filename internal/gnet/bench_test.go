@@ -9,7 +9,7 @@ import (
 	"ddpolice/internal/topology"
 )
 
-// TestBenchNTRoundCollectsReports exercises the ddbench hook end to
+// TestBenchNTRoundCollectsReports exercises the benchmark hook end to
 // end: a star around the observer, a primed buddy-group view, and one
 // driven Neighbor_Traffic round that must collect a report from every
 // member over the live TCP links without cutting the suspect.

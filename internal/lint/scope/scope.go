@@ -11,8 +11,11 @@ import "strings"
 // shard counts, and plane on/off. Everything here runs on simulated
 // time and seeded randomness; wall clocks and unseeded rand are build
 // errors. The live edges (gnet, telemetry, metricsrv) are deliberately
-// absent — they stamp wall-clock time by design.
+// absent — they stamp wall-clock time by design. Root, the figure
+// library whose output is the committed results/csv, is in the set as
+// itself only: every other package is nested under its path.
 var Deterministic = []string{
+	Root,
 	"ddpolice/internal/sim",
 	"ddpolice/internal/flood",
 	"ddpolice/internal/police",
@@ -21,6 +24,9 @@ var Deterministic = []string{
 	"ddpolice/internal/overlay",
 	"ddpolice/internal/overload",
 }
+
+// Root is the module's root package.
+const Root = "ddpolice"
 
 // CmdPrefix is the import-path prefix of the command-line tools, whose
 // result artifacts must flow through internal/outfile's sticky-error
@@ -32,10 +38,10 @@ const CmdPrefix = "ddpolice/cmd/"
 const RNG = "ddpolice/internal/rng"
 
 // InDeterministic reports whether pkgPath is one of the deterministic
-// packages or a package nested under one.
+// packages or a package nested under one other than Root.
 func InDeterministic(pkgPath string) bool {
 	for _, p := range Deterministic {
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
+		if pkgPath == p || p != Root && strings.HasPrefix(pkgPath, p+"/") {
 			return true
 		}
 	}

@@ -39,9 +39,11 @@ func goldenConfig() Config {
 // attack: none (detection cuts are the mutation), continuous churn, a
 // timed partition, and a scheduled capacity brownout with the overload
 // plane engaged. The first four run at Radius 1 and were pinned from the
-// commit before the map-keyed police state was deleted; the last runs
+// commit before the map-keyed police state was deleted; radius2 runs
 // DD-POLICE-2 under churn with congestion-driven control loss, where a
-// relayed list can stand in for a lost direct push.
+// relayed list can stand in for a lost direct push; fairshare is the
+// churn run on the fair-share budget, pinned from the commit before the
+// cached-vs-uncached sibling matrix was deleted.
 func goldenScenarios() []struct {
 	name string
 	cfg  func() Config
@@ -75,6 +77,12 @@ func goldenScenarios() []struct {
 			cfg := goldenConfig()
 			cfg.ChurnEnabled = true
 			cfg.Police.Radius = 2
+			return cfg
+		}},
+		{"fairshare", func() Config {
+			cfg := goldenConfig()
+			cfg.ChurnEnabled = true
+			cfg.FairShareDrop = true
 			return cfg
 		}},
 	}

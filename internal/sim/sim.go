@@ -97,9 +97,9 @@ type Config struct {
 
 	// DisableFloodCache turns off the flood engine's topology-versioned
 	// traversal cache and runs every flood as a full BFS. Results are
-	// byte-identical either way (asserted by the equality suite in
-	// cache_equality_test.go); the switch exists for that A/B check and
-	// for the ddbench uncached baseline.
+	// byte-identical either way: TestCachedRunByteIdentical holds the
+	// uncached run to the golden digests the cached run is pinned to,
+	// and the switch exists for that check.
 	DisableFloodCache bool
 
 	// Shards > 1 enables the deterministic sharded tick engine: each

@@ -184,3 +184,28 @@ func TestTraceDetectionPathMatchesJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledOutTracerAllocsConstant: a tracer that samples every query
+// out may cost the steady 2k loop a constant number of allocations (the
+// one queryTracePool), never one per query. Mallocs is differenced as
+// in TestTickMarginalAllocsBounded, so the property holds on any box —
+// it is what the old 1.03x timing ratio stood for.
+func TestSampledOutTracerAllocsConstant(t *testing.T) {
+	cfg := steady2kConfig()
+	cfg.DurationSec = 120
+	plain, res := runMallocs(t, cfg)
+	tr := trace.New(0, 0)
+	cfg.Trace = tr
+	sampledOut, _ := runMallocs(t, cfg)
+	queries := res.QueriesIssued
+	if tr.Len() != 0 || queries < 1000 {
+		t.Fatalf("%d spans recorded over %d queries: want none, over enough queries to tell", tr.Len(), queries)
+	}
+	// Identical runs differ by ~15 mallocs (runtime background); one
+	// allocation per query would add `queries`.
+	extra := int64(sampledOut) - int64(plain)
+	t.Logf("mallocs: untraced %d, sampled-out %d (%+d) over %d queries", plain, sampledOut, extra, queries)
+	if extra > int64(queries/10) {
+		t.Fatalf("sampled-out tracer added %d allocations over %d queries, want O(1)", extra, queries)
+	}
+}

@@ -15,7 +15,7 @@ workdir=$(mktemp -d)
 cleanup() { rm -rf "$workdir"; }
 trap cleanup EXIT INT TERM
 
-go build -o "$workdir" ./cmd/ddsim ./cmd/ddexp ./cmd/ddbench ./cmd/ddtrace ./cmd/tracegen ./cmd/ddnode
+go build -o "$workdir" ./cmd/ddsim ./cmd/ddexp ./cmd/ddtrace ./cmd/tracegen ./cmd/ddnode
 
 # must_fail NAME CMD... — run the tool with output aimed at /dev/full
 # and demand a nonzero exit.
@@ -38,7 +38,6 @@ must_fail ddsim-trace "$workdir/ddsim" $tiny -trace-out /dev/full
 must_fail ddsim-journal "$workdir/ddsim" $busy -journal /dev/full
 must_fail ddsim-events "$workdir/ddsim" $tiny -events /dev/full
 must_fail tracegen "$workdir/tracegen" -out /dev/full -peers 10 -rate 1 -duration 1m
-must_fail ddbench "$workdir/ddbench" -quick -out /dev/full
 
 # ddexp writes per-figure artifacts into a directory; point the CSV dir
 # at one whose target file is the full device via a symlink.

@@ -6,9 +6,7 @@ package ddpolice
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/chord"
@@ -651,54 +649,6 @@ func OverloadStudy(scale Scale, factors []float64) ([]OverloadPoint, error) {
 			}
 			out = append(out, p)
 		}
-	}
-	return out, nil
-}
-
-// ScalePoint is one cell of the peers-vs-tick-latency scale study: the
-// measured per-tick cost of the steady (no-churn, undefended) tick loop
-// at one overlay size.
-type ScalePoint struct {
-	Peers         int
-	NsPerTick     float64
-	AllocsPerTick float64
-	BytesPerTick  float64
-	PeersPerSec   float64 // peers advanced per wall-clock second
-}
-
-// ScaleStudy measures how the tick loop's wall-clock and allocation
-// cost grow with overlay size — the dense-index scale claim made
-// concrete: per-tick cost must grow with the active-peer count and the
-// query workload, not with any hidden O(N) rescan. Each overlay size
-// runs one steady simulation of durationSec simulated seconds; the
-// reported figures are whole-run means (setup amortized), so compare
-// trends across sizes, not absolute ns across machines.
-func ScaleStudy(peerCounts []int, durationSec int, seed uint64) ([]ScalePoint, error) {
-	out := make([]ScalePoint, 0, len(peerCounts))
-	for _, peers := range peerCounts {
-		cfg := DefaultConfig()
-		cfg.NumPeers = peers
-		cfg.DurationSec = durationSec
-		cfg.ChurnEnabled = false
-		cfg.Seed = seed
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		if _, err := Run(cfg); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		ticks := float64(durationSec)
-		p := ScalePoint{
-			Peers:         peers,
-			NsPerTick:     float64(elapsed.Nanoseconds()) / ticks,
-			AllocsPerTick: float64(m1.Mallocs-m0.Mallocs) / ticks,
-			BytesPerTick:  float64(m1.TotalAlloc-m0.TotalAlloc) / ticks,
-		}
-		p.PeersPerSec = float64(peers) / (p.NsPerTick / 1e9)
-		out = append(out, p)
 	}
 	return out, nil
 }
