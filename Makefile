@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test golden race racesmoke chaos smoke writefail bench benchcheck telemetry
+.PHONY: ci lint build vet ddlint staticcheck test golden race racesmoke chaos smoke writefail resultscheck bench benchcheck telemetry
 
 # ci is the gate: static checks, full build, full tests, then a short
 # race pass over the packages with real concurrency (the live TCP node
@@ -9,10 +9,11 @@ GO ?= go
 # proposal phase that the scoped -run regex would skip), then the chaos
 # pass (fault injection, reconnect supervision, transient-dial
 # recovery), then the metrics smoke (a live ddnode answering /metrics
-# and /healthz), then the repository benchmark's own vet and tests (the
-# nested bench/ module: every workload at smoke size against its pinned
-# Result digests; no timing).
-ci: lint build test race racesmoke chaos smoke writefail benchcheck
+# and /healthz), then the write-failure smoke, then the paper-scale
+# regeneration against the committed results/, then the repository
+# benchmark's own vet and tests (the nested bench/ module: every
+# workload at smoke size against its pinned Result digests; no timing).
+ci: lint build test race racesmoke chaos smoke writefail resultscheck benchcheck
 
 build:
 	$(GO) build ./...
@@ -58,12 +59,18 @@ staticcheck:
 test:
 	$(GO) test ./...
 
-# golden re-pins internal/sim/testdata/golden/*.sha256 — the digests of
-# each scenario's Result, event, journal and trace streams that `test`
-# holds the one tick engine to (DESIGN.md §16). Run it only for a change
-# that is meant to move a stream, and commit the diff with the change.
+# golden re-pins everything that is pinned: internal/sim/testdata/golden/
+# *.sha256 — the digests of each scenario's Result, event, journal and
+# trace streams that `test` holds the one tick engine to (DESIGN.md §16)
+# — then cmd/ddexp/testdata/quick, the quick-scale stdout, CSVs and SVGs
+# of every figure, then the committed paper-scale results/ (~1 min). Run
+# it only for a change that is meant to move a stream or a figure, and
+# commit the diff with the change.
 golden:
 	$(GO) test ./internal/sim -run Golden -update
+	$(GO) test ./cmd/ddexp -run Pinned -update
+	rm -rf results/csv results/svg
+	$(GO) run ./cmd/ddexp -scale paper -fig all -csv results/csv -svg results/svg > results/paper_results.txt
 
 # The race pass is scoped to the concurrency-heavy suites so ci stays
 # fast: gnet's monitor/telemetry tests exercise transient dials and the
@@ -100,6 +107,15 @@ smoke:
 # as success poisons everything downstream.
 writefail:
 	./scripts/writefail_smoke.sh
+
+# resultscheck regenerates the paper-scale figures into a temporary
+# directory and fails when anything differs from the committed results/
+# (~1 min): a stale results/ — and with it every number EXPERIMENTS.md
+# quotes from it — cannot survive a merge. `make golden` re-pins.
+resultscheck:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/ddexp -scale paper -fig all -csv "$$tmp/csv" -svg "$$tmp/svg" > "$$tmp/paper_results.txt" && \
+	diff -r "$$tmp" results && echo "resultscheck ok: results/ is what the code regenerates"
 
 # bench runs the repository benchmark (BENCHMARK.json, bench/README.md),
 # the one instrument that measures speed: each workload in a process of

@@ -21,8 +21,7 @@
 //	res, err := ddpolice.Run(cfg)
 //
 // The Experiment functions regenerate every table and figure of the
-// paper's evaluation; cmd/ddexp drives them from the command line and
-// bench_test.go exposes each as a testing.B benchmark.
+// paper's evaluation; Figures declares each once and cmd/ddexp drives it.
 package ddpolice
 
 import (

@@ -201,6 +201,17 @@ func Fig12(scale Scale) ([]Timeline, error) {
 	return out, nil
 }
 
+// recoveryMinutes is Fig 14's measure of a damage series: minutes from
+// D >= 20% until D <= 15%. Damage that never reached 20% recovered
+// immediately (0); damage that never fell back is -1.
+func recoveryMinutes(dmg []float64) int {
+	rec, err := metrics.RecoveryTime(dmg, 20, 15)
+	if err != nil {
+		return 0
+	}
+	return rec
+}
+
 // CTPoint is one x-position of Figures 13 and 14.
 type CTPoint struct {
 	CutThreshold    float64
@@ -231,16 +242,12 @@ func Fig13And14(scale Scale) ([]CTPoint, error) {
 			return nil, err
 		}
 		dmg := metrics.DamageSeries(baseline.SuccessSeries, r.SuccessSeries)
-		rec, err := metrics.RecoveryTime(dmg, 20, 15)
-		if err != nil {
-			rec = 0 // damage never reached 20%: recovery is immediate
-		}
 		out = append(out, CTPoint{
 			CutThreshold:    ct,
 			FalseNegatives:  r.FalseNegatives,
 			FalsePositives:  r.FalsePositives,
 			FalseJudgment:   r.FalseNegatives + r.FalsePositives,
-			RecoveryMinutes: rec,
+			RecoveryMinutes: recoveryMinutes(dmg),
 			StableDamage:    metrics.MeanTail(dmg, 0.2),
 		})
 	}
@@ -268,47 +275,34 @@ func ExchangeFrequencyStudy(scale Scale, periodsMin []float64) ([]FreqPoint, err
 	if err != nil {
 		return nil, err
 	}
-	run := func(label string, mutate func(*PoliceConfig)) (FreqPoint, error) {
+	variants := make([]variant, 0, len(periodsMin)+1)
+	for _, mins := range periodsMin {
+		variants = append(variants, variant{fmt.Sprintf("periodic %gmin", mins),
+			func(c *Config) { c.Police.ExchangePeriod = mins * 60 }})
+	}
+	variants = append(variants, variant{"event-driven", func(c *Config) { c.Police.EventDriven = true }})
+	out := make([]FreqPoint, 0, len(variants))
+	for _, v := range variants {
 		cfg := base
 		cfg.NumAgents = scale.TimelineAgents
 		cfg.PoliceEnabled = true
-		mutate(&cfg.Police)
+		v.mutate(&cfg)
 		r, err := scale.run(cfg)
-		if err != nil {
-			return FreqPoint{}, err
-		}
-		dmg := metrics.DamageSeries(baseline.SuccessSeries, r.SuccessSeries)
-		rec, err := metrics.RecoveryTime(dmg, 20, 15)
-		if err != nil {
-			rec = 0
-		}
-		return FreqPoint{
-			Label:           label,
-			ListMessages:    r.Overhead.NeighborListMsgs,
-			FalseNegatives:  r.FalseNegatives,
-			FalsePositives:  r.FalsePositives,
-			RecoveryMinutes: rec,
-		}, nil
-	}
-	var out []FreqPoint
-	for _, mins := range periodsMin {
-		mins := mins
-		p, err := run(fmt.Sprintf("periodic %gmin", mins), func(pc *PoliceConfig) {
-			pc.ExchangePeriod = mins * 60
-		})
 		if err != nil {
 			return nil, err
 		}
-		p.PeriodSec = mins * 60
+		p := FreqPoint{
+			Label:           v.label,
+			ListMessages:    r.Overhead.NeighborListMsgs,
+			FalseNegatives:  r.FalseNegatives,
+			FalsePositives:  r.FalsePositives,
+			RecoveryMinutes: recoveryMinutes(metrics.DamageSeries(baseline.SuccessSeries, r.SuccessSeries)),
+		}
+		if !cfg.Police.EventDriven {
+			p.PeriodSec = cfg.Police.ExchangePeriod
+		}
 		out = append(out, p)
 	}
-	p, err := run("event-driven", func(pc *PoliceConfig) {
-		pc.EventDriven = true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, p)
 	return out, nil
 }
 
@@ -325,27 +319,24 @@ type CheatPoint struct {
 // reporting strategy of §3.4: honest, inflating (Case 1), deflating
 // (Case 2) and silent.
 func CheatingStudy(scale Scale) ([]CheatPoint, error) {
-	strategies := []struct {
-		name  string
-		cheat police.CheatStrategy
-	}{
-		{"honest", police.CheatNone},
-		{"inflate", police.CheatInflate},
-		{"deflate", police.CheatDeflate},
-		{"silent", police.CheatSilent},
+	strategies := []variant{
+		{"honest", func(c *Config) { c.Agent.Cheat = police.CheatNone }},
+		{"inflate", func(c *Config) { c.Agent.Cheat = police.CheatInflate }},
+		{"deflate", func(c *Config) { c.Agent.Cheat = police.CheatDeflate }},
+		{"silent", func(c *Config) { c.Agent.Cheat = police.CheatSilent }},
 	}
 	out := make([]CheatPoint, 0, len(strategies))
 	for _, s := range strategies {
 		cfg := scale.baseConfig()
 		cfg.NumAgents = scale.TimelineAgents
 		cfg.PoliceEnabled = true
-		cfg.Agent.Cheat = s.cheat
+		s.mutate(&cfg)
 		r, err := scale.run(cfg)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, CheatPoint{
-			Strategy:       s.name,
+			Strategy:       s.label,
 			Detections:     r.Detections,
 			FalseNegatives: r.FalseNegatives,
 			FalsePositives: r.FalsePositives,
@@ -353,6 +344,13 @@ func CheatingStudy(scale Scale) ([]CheatPoint, error) {
 		})
 	}
 	return out, nil
+}
+
+// variant is one labelled row of a study: a named change to the
+// study's base configuration.
+type variant struct {
+	label  string
+	mutate func(*Config)
 }
 
 // StageBreakdown is one row of the telemetry study: where one
@@ -375,10 +373,7 @@ func TelemetryStudy(scale Scale) ([]StageBreakdown, error) {
 	if n := len(scale.AgentCounts); n > 0 && scale.AgentCounts[n-1] > maxAgents {
 		maxAgents = scale.AgentCounts[n-1]
 	}
-	rows := []struct {
-		label  string
-		mutate func(*Config)
-	}{
+	rows := []variant{
 		{"no attack", func(*Config) {}},
 		{fmt.Sprintf("%d agents, no defense", maxAgents), func(cfg *Config) {
 			cfg.NumAgents = maxAgents

@@ -1,0 +1,291 @@
+package ddpolice
+
+import (
+	"bytes"
+	"encoding/csv"
+	"io"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"ddpolice/internal/capacity"
+)
+
+func figureByKey(t *testing.T, key string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if slices.Contains(f.Keys, key) {
+			return f
+		}
+	}
+	t.Fatalf("no figure answers -fig %s", key)
+	return Figure{}
+}
+
+// renderCSV writes one table's CSV from data, reads it back and checks
+// that it is rectangular and headed by the declared CSV headers.
+func renderCSV(t *testing.T, tab Table, data any) [][]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tab.WriteCSV(&buf, data); err != nil {
+		t.Fatalf("%s: %v", tab.CSV, err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("%s: unparseable CSV: %v", tab.CSV, err)
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%s: no header", tab.CSV)
+	}
+	for i, r := range rows {
+		if len(r) != len(rows[0]) {
+			t.Fatalf("%s: row %d has %d fields, header has %d", tab.CSV, i, len(r), len(rows[0]))
+		}
+	}
+	for i, c := range tab.Columns {
+		if rows[0][i] != c.CSV {
+			t.Fatalf("%s: header %d = %q, declared %q", tab.CSV, i, rows[0][i], c.CSV)
+		}
+	}
+	return rows
+}
+
+// renderCase is one entry of the figure table driven through the two
+// renderers with hand-made data.
+type renderCase struct {
+	key   string
+	data  any
+	csv   string            // artifact the cells are read from; "" = the entry's first table
+	rows  int               // CSV lines including the header
+	cells map[[2]int]string // CSV (line, column) -> cell
+	text  []string          // substrings of the text rendering
+}
+
+// renderCases has at least one case per entry (keyed by its first -fig
+// key): plain cells, ragged timelines, the -1 never-recovered sentinel,
+// and the percent, "never" and "-" forms of the text side.
+var renderCases = []renderCase{
+	{key: "5", rows: 3, cells: map[[2]int]string{{2, 2}: "0.483"}, text: []string{"29000", "48.3"},
+		data: []capacity.SaturationPoint{
+			{OfferedPerMin: 1000, ProcessedPerMin: 1000, DropRate: 0},
+			{OfferedPerMin: 29000, ProcessedPerMin: 15000, DropRate: 0.483},
+		}},
+	{key: "9", rows: 2, cells: map[[2]int]string{{1, 0}: "5", {1, 10}: "12", {1, 7}: "0.9"},
+		text: []string{"== Figure 9:", "== Figure 10:", "== Figure 11:", "90.0"},
+		data: []SweepPoint{{Agents: 5, TrafficBaseline: 100, TrafficAttack: 300,
+			SuccessBaseline: 0.9, SuccessAttack: 0.5, Detections: 12}}},
+	// Ragged timelines: the short series is padded, "" in CSV and "-" in text.
+	{key: "12", rows: 4, cells: map[[2]int]string{{0, 2}: "b", {1, 2}: "9", {2, 2}: "", {3, 1}: "3"},
+		text: []string{"(7 agents)", "2.0  -"},
+		data: []Timeline{{Label: "a", Damage: []float64{1, 2, 3}}, {Label: "b", Damage: []float64{9}}}},
+	// The never-recovered sentinel stays -1 in CSV and reads "never" in text.
+	{key: "13", rows: 2, cells: map[[2]int]string{{1, 4}: "-1", {1, 1}: "3"}, text: []string{"never"},
+		data: []CTPoint{{CutThreshold: 5, FalseNegatives: 3, RecoveryMinutes: -1}}},
+	// period_sec is a CSV column the text section leaves out.
+	{key: "freq", rows: 2, cells: map[[2]int]string{{1, 1}: "120", {1, 2}: "9"}, text: []string{"periodic 2min  9"},
+		data: []FreqPoint{{Label: "periodic 2min", PeriodSec: 120, ListMessages: 9}}},
+	{key: "cheat", rows: 2, cells: map[[2]int]string{{1, 0}: "deflate", {1, 4}: "0.5"}, text: []string{"50.0"},
+		data: []CheatPoint{{Strategy: "deflate", Detections: 7, Success: 0.5}}},
+	{key: "radius", rows: 2, cells: map[[2]int]string{{1, 0}: "2", {1, 4}: "100"},
+		data: []RadiusPoint{{Radius: 2, ListMessages: 100}}},
+	{key: "liar", rows: 2, cells: map[[2]int]string{{1, 0}: "lying agents + verification", {1, 4}: "4"},
+		data: []LiarPoint{{Label: "lying agents + verification", VerifyMsgs: 4}}},
+	{key: "ablate", rows: 2, cells: map[[2]int]string{{1, 1}: "0.6", {1, 2}: "0.2"}, text: []string{"60.0", "20.0"},
+		data: []AblationPoint{{Label: "ttl 7", Success: 0.6, SuccessNoDef: 0.2}}},
+	{key: "baseline", rows: 2, cells: map[[2]int]string{{1, 2}: "0.1804"}, text: []string{"58.0", "0.180"},
+		data: []BaselinePoint{{Label: "fair-share drop [21]", Success: 0.58, Response: 0.1804}}},
+	{key: "blacklist", rows: 2, cells: map[[2]int]string{{1, 1}: "24.04"}, text: []string{"24.0"},
+		data: []BlacklistPoint{{Label: "DD-POLICE + 10-minute blacklist", StableDamage: 24.04}}},
+	{key: "structured", rows: 2, cells: map[[2]int]string{{1, 3}: "3.44"}, text: []string{"3.4"},
+		data: []StructuredPoint{{Agents: 3, UnstructuredSuccess: 0.6, StructuredSuccess: 0.9, StructuredMeanHops: 3.44}}},
+	{key: "faults", rows: 2, cells: map[[2]int]string{{1, 0}: "0.1", {1, 1}: "paper"}, text: []string{"10%"},
+		data: []FaultPoint{{ControlLoss: 0.1, Churn: "paper", FalseJudgment: 3}}},
+	{key: "overload", rows: 3, cells: map[[2]int]string{{1, 1}: "off", {1, 4}: "-1", {2, 1}: "on", {2, 4}: "60"},
+		text: []string{"3x", "never", "97.5"},
+		data: []OverloadPoint{{Factor: 3, TimeToCutSec: -1}, {Factor: 3, Plane: true, TimeToCutSec: 60, ControlDelivery: 0.975}}},
+	{key: "trace", rows: 2, cells: map[[2]int]string{{1, 5}: "-1", {1, 8}: "192.04"}, text: []string{"-        -", "192.0"},
+		data: []TracePoint{{Traces: 7, MeanRequest: -1, MeanIndic: -1, MeanCut: -1, HopsPerQuery: 192.04}}},
+	{key: "detect", rows: 3, cells: map[[2]int]string{{1, 1}: "1", {2, 1}: "0", {1, 6}: "60"},
+		text: []string{"true", "false", "journal: 9 events (1 dropped); 2 cuts; 30 NT msgs (15.0 per cut)", "latency p50 0s, p90 0s, max 60s over 2 cut suspects"},
+		data: detectSample},
+	{key: "detect", csv: "detect_latency_cdf.csv", rows: 3, cells: map[[2]int]string{{2, 0}: "60", {2, 1}: "1"}, data: detectSample},
+	{key: "detect", csv: "detect_overhead.csv", rows: 2, cells: map[[2]int]string{{1, 0}: "30", {1, 2}: "15", {1, 4}: "1"}, data: detectSample},
+}
+
+// check renders the case's figure: every CSV of the entry must be
+// rectangular under its declared header, the named cells must hold,
+// and the text must contain the given forms.
+func (tc renderCase) check(t *testing.T) {
+	t.Helper()
+	fig := figureByKey(t, tc.key)
+	checked := tc.csv
+	if checked == "" {
+		checked = fig.Tables[0].CSV
+	}
+	for _, tab := range fig.Tables {
+		if tab.CSV == "" {
+			continue
+		}
+		rows := renderCSV(t, tab, tc.data)
+		if tab.CSV != checked {
+			continue
+		}
+		if len(rows) != tc.rows {
+			t.Errorf("%s: %d lines, want %d: %v", tab.CSV, len(rows), tc.rows, rows)
+			continue
+		}
+		for at, want := range tc.cells {
+			if got := rows[at[0]][at[1]]; got != want {
+				t.Errorf("%s: line %d column %d = %q, want %q", tab.CSV, at[0], at[1], got, want)
+			}
+		}
+	}
+	var text bytes.Buffer
+	scale := QuickScale()
+	scale.TimelineAgents = 7
+	if err := fig.WriteText(&text, scale, tc.data); err != nil {
+		t.Fatalf("-fig %s: %v", tc.key, err)
+	}
+	for _, want := range tc.text {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("-fig %s: text lacks %q:\n%s", tc.key, want, text.String())
+		}
+	}
+}
+
+// checkCases runs every case of the entry -fig key selects; an entry
+// without a case is a failure.
+func checkCases(t *testing.T, key string) {
+	t.Helper()
+	n := 0
+	for _, tc := range renderCases {
+		if tc.key == key {
+			tc.check(t)
+			n++
+		}
+	}
+	if n == 0 {
+		t.Errorf("-fig %s: no renderer case", key)
+	}
+}
+
+func TestSaturationCSV(t *testing.T) { checkCases(t, "5") }
+
+func TestSweepCSV(t *testing.T) { checkCases(t, "9") }
+
+func TestTimelinesCSVRaggedSeries(t *testing.T) { checkCases(t, "12") }
+
+// TestRemainingCSVWriters runs every other entry of the figure table
+// (Table 1's runner is its data: TestFigureRenderersEmptyInput).
+func TestRemainingCSVWriters(t *testing.T) {
+	for _, f := range Figures {
+		if key := f.Keys[0]; !slices.Contains([]string{"table1", "5", "9", "12"}, key) {
+			checkCases(t, key)
+		}
+	}
+}
+
+var detectSample = &DetectReport{
+	Points: []DetectPoint{
+		{Suspect: 7, Agent: true, FloodStart: 60, FirstWarning: 120, QuorumAt: 120, CutAt: 120, LatencySec: 60, Reports: 2},
+		{Suspect: 9, FloodStart: 240, FirstWarning: 240, QuorumAt: 240, CutAt: 240},
+	},
+	CDF:        []DetectCDFPoint{{LatencySec: 0, Fraction: 0.5}, {LatencySec: 60, Fraction: 1}},
+	NTMessages: 30, Cuts: 2, NTPerCut: 15, Events: 9, Dropped: 1,
+}
+
+// Empty input still yields every CSV's header and every section's
+// title — no renderer indexes into rows it was not given.
+func TestFigureRenderersEmptyInput(t *testing.T) {
+	empty := map[string]any{
+		"5": []capacity.SaturationPoint(nil), "radius": []RadiusPoint(nil), "liar": []LiarPoint(nil),
+		"ablate": []AblationPoint(nil), "baseline": []BaselinePoint(nil), "blacklist": []BlacklistPoint(nil),
+		"structured": []StructuredPoint(nil), "faults": []FaultPoint(nil), "detect": &DetectReport{},
+		"overload": []OverloadPoint(nil), "trace": []TracePoint(nil), "9": []SweepPoint(nil),
+		"12": []Timeline(nil), "13": []CTPoint(nil), "freq": []FreqPoint(nil), "cheat": []CheatPoint(nil),
+	}
+	for _, fig := range Figures {
+		data, ok := empty[fig.Keys[0]]
+		if !ok {
+			// Table 1 has no input to empty: its runner is its data.
+			var err error
+			if data, err = fig.Run(Scale{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tab := range fig.Tables {
+			if tab.CSV == "" {
+				continue
+			}
+			lines := 1
+			if tab.CSV == "detect_overhead.csv" {
+				lines = 2 // the one summary row is there for an empty journal too
+			}
+			if rows := renderCSV(t, tab, data); len(rows) != lines || len(rows[0]) != len(tab.Columns) {
+				t.Errorf("%s on empty input = %v, want %d line(s)", tab.CSV, rows, lines)
+			}
+		}
+		var text bytes.Buffer
+		if err := fig.WriteText(&text, Scale{}, data); err != nil {
+			t.Fatalf("-fig %s: %v", fig.Keys[0], err)
+		}
+		for _, tab := range fig.Tables {
+			for _, s := range tab.Sections {
+				if title, _, _ := strings.Cut(s.Title, "{"); !strings.Contains(text.String(), "== "+title) {
+					t.Errorf("-fig %s on empty input does not print section %q", fig.Keys[0], s.Title)
+				}
+			}
+		}
+	}
+}
+
+// TestFigureTableValid holds the committed table to ValidateFigures and
+// each rule of ValidateFigures to a table that breaks it.
+func TestFigureTableValid(t *testing.T) {
+	if err := ValidateFigures(Figures); err != nil {
+		t.Fatal(err)
+	}
+	good := func(key, artifact string) Figure {
+		return study([]string{key}, func(Scale) ([]int, error) { return nil, nil }, artifact+".csv", "a title",
+			[]Column{col("n", "n", func(n int) any { return n }, raw, raw)},
+			svg(artifact+".svg", func(w io.Writer, _ []int) error { return nil }))
+	}
+	if err := ValidateFigures([]Figure{good("a", "a"), good("b", "b")}); err != nil {
+		t.Fatalf("two distinct entries rejected: %v", err)
+	}
+	bad := map[string]func(f *Figure){
+		"duplicate -fig key a":           func(f *Figure) { f.Keys = []string{"b", "a"} },
+		"duplicate -fig key all":         func(f *Figure) { f.Keys = []string{"all"} },
+		"duplicate artifact a.csv":       func(f *Figure) { f.Tables[0].CSV = "a.csv" },
+		"duplicate artifact a.svg":       func(f *Figure) { f.SVGs[0].Name = "a.svg" },
+		"duplicate artifact b.svg":       func(f *Figure) { f.Tables[0].CSV = "b.svg" },
+		"section with an empty title":    func(f *Figure) { f.Tables[0].Sections[0].Title = "" },
+		`column "n"/"" lacks a header`:   func(f *Figure) { f.Tables[0].Columns[0].Text = "" },
+		`column ""/"n" lacks a header`:   func(f *Figure) { f.Tables[0].Columns[0].CSV = "" },
+		`shows undeclared column "m"`:    func(f *Figure) { f.Tables[0].Sections[0].Only = []string{"n", "m"} },
+		"no -fig key or no runner":       func(f *Figure) { f.Keys = nil },
+		"entry 1 [b]: no -fig key or no": func(f *Figure) { f.Run = nil },
+	}
+	for want, breakIt := range bad {
+		second := good("b", "b")
+		breakIt(&second)
+		err := ValidateFigures([]Figure{good("a", "a"), second})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want an error containing %q, got %v", want, err)
+		}
+	}
+}
+
+// Every -fig key of the table is documented in README's target table.
+func TestReadmeListsEveryFigKey(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range FigureKeys()[1:] {
+		if !bytes.Contains(readme, []byte("`-fig "+key+"`")) {
+			t.Errorf("README.md does not document `-fig %s`", key)
+		}
+	}
+}

@@ -1,7 +1,10 @@
 package gnet
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -259,4 +262,69 @@ func TestChaosDetectionConverges(t *testing.T) {
 		}
 		return false
 	}, "an observer cut the agent despite 20% loss and a partition")
+}
+
+// TestChaosCloseDuringHandshake is the shutdown-race regression: Close
+// must wait for accepted connections still in serverHandshake — whose
+// adoptConn would otherwise call wg.Add after wg.Wait has seen zero,
+// always possible for transient connections, which skip the run-loop
+// gate — without waiting out a stalled dialer's handshake deadline.
+// Half the dialers finish their hello while Close runs, half only after
+// it returned; ordinary and transient alternate.
+func TestChaosCloseDuringHandshake(t *testing.T) {
+	const dialers = 8
+	for round := 0; round < 5; round++ {
+		n := newTestNode(t, "n", 1, nil)
+		conns := make([]net.Conn, dialers)
+		for i := range conns {
+			conn, err := net.Dial("tcp", n.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			kind := ""
+			if i%2 == 1 {
+				kind = "Transient: true\r\n"
+			}
+			hello := fmt.Sprintf("%s\r\nListen-Addr: 127.0.0.1:1\r\nNode-ID: %d\r\n%s\r\n", helloLine, 100+i, kind)
+			// All but the closing blank line: the acceptor stays in readHandshake.
+			if _, err := conn.Write([]byte(hello[:len(hello)-2])); err != nil {
+				t.Fatal(err)
+			}
+			conns[i] = conn
+		}
+		// The accept loop takes connections in order, so once a later
+		// dial has its reply every earlier one is in serverHandshake.
+		probe, err := dialHandshake(context.Background(), n.Addr(), "127.0.0.1:1", 99, true, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readPeerIdentity(probe); err != nil {
+			t.Fatal(err)
+		}
+		probe.Close()
+
+		closed := make(chan struct{})
+		go func() {
+			n.Close()
+			close(closed)
+		}()
+		finish := func(conn net.Conn) {
+			conn.Write([]byte("\r\n")) // may fail: the node may already have hung up
+			conn.SetReadDeadline(time.Now().Add(time.Second))
+			io.Copy(io.Discard, conn) // until the node hangs up or says nothing more
+			conn.Close()
+		}
+		for _, conn := range conns[:dialers/2] {
+			finish(conn)
+		}
+		select {
+		case <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatal("Close is waiting out stalled handshakes")
+		}
+		for _, conn := range conns[dialers/2:] {
+			finish(conn)
+		}
+	}
 }

@@ -607,8 +607,15 @@ func (n *Node) acceptLoop() {
 			}
 			continue
 		}
+		// Counted before it starts — this loop still holds its own count,
+		// so the Add is ordered ahead of Close's Wait — and hung up on by
+		// Close, which must not wait out a stalled dialer's deadline.
+		n.wg.Add(1)
 		go func() {
+			defer n.wg.Done()
+			stop := context.AfterFunc(n.ctx, func() { conn.Close() })
 			id, remote, transient, err := n.serverHandshake(conn)
+			stop()
 			if err != nil {
 				n.tel.handshakeFail.Inc()
 				conn.Close()
@@ -639,6 +646,15 @@ func classifyFrame(frame []byte) faults.Class {
 // adoptConn starts a handshaked connection's pumps; register=false
 // keeps it off the neighbor table (transient control channel).
 func (n *Node) adoptConn(conn net.Conn, addr string, id int32, register bool) {
+	// A closing node adopts nothing: a transient connection skips the
+	// run-loop gate below, and pumps started now would hold Close until
+	// the remote end hangs up.
+	select {
+	case <-n.done:
+		conn.Close()
+		return
+	default:
+	}
 	conn = faults.Wrap(conn, n.cfg.Faults, n.cfg.NodeID, id, classifyFrame)
 	pc := &peerConn{conn: conn, addr: addr, id: id, sendCh: make(chan []byte, 256), node: n}
 	if n.ovl != nil {

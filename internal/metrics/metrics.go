@@ -44,19 +44,12 @@ type Collector struct {
 	minutes    []MinuteStats
 	respTime   stats.Welford
 	respSample *stats.Sample
-	respHist   *stats.Histogram
-	hopHist    *stats.Histogram
 	hops       stats.Welford
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		respSample: stats.NewSample(4096),
-		// 50 ms buckets up to 5 s cover idle through saturated paths.
-		respHist: stats.NewHistogram(0, 5, 100),
-		hopHist:  stats.NewHistogram(0, 16, 16),
-	}
+	return &Collector{respSample: stats.NewSample(4096)}
 }
 
 // RecordQuery folds in one good-peer query flood result.
@@ -69,9 +62,7 @@ func (c *Collector) RecordQuery(res flood.QueryResult) {
 		c.cur.Succeeded++
 		c.respTime.Add(res.ResponseDelay)
 		c.respSample.Add(res.ResponseDelay)
-		c.respHist.Add(res.ResponseDelay)
 		c.hops.Add(float64(res.FirstHitHops))
-		c.hopHist.Add(float64(res.FirstHitHops))
 	}
 }
 
@@ -105,13 +96,6 @@ func (c *Collector) ResponseTimeQuantile(q float64) float64 { return c.respSampl
 
 // MeanHitHops returns the mean hop distance to the first responder.
 func (c *Collector) MeanHitHops() float64 { return c.hops.Mean() }
-
-// ResponseHistogram returns the response-delay histogram (50 ms
-// buckets over [0, 5s)).
-func (c *Collector) ResponseHistogram() *stats.Histogram { return c.respHist }
-
-// HopHistogram returns the first-hit hop-count histogram.
-func (c *Collector) HopHistogram() *stats.Histogram { return c.hopHist }
 
 // OverallSuccessRate returns total qs / total qw across all minutes.
 func (c *Collector) OverallSuccessRate() float64 {

@@ -170,21 +170,3 @@ func TestMeanTail(t *testing.T) {
 		t.Fatalf("empty tail = %v", got)
 	}
 }
-
-func TestCollectorHistograms(t *testing.T) {
-	c := NewCollector()
-	c.RecordQuery(hitResult(0.12, 2, 10))
-	c.RecordQuery(hitResult(0.62, 3, 10))
-	c.RecordQuery(missResult(5, 1)) // misses stay out of the histograms
-	rh := c.ResponseHistogram()
-	if rh.Count() != 2 {
-		t.Fatalf("response histogram count = %d", rh.Count())
-	}
-	if rh.Bucket(2) != 1 { // 0.12s in [0.10, 0.15)
-		t.Errorf("bucket for 0.12s = %d", rh.Bucket(2))
-	}
-	hh := c.HopHistogram()
-	if hh.Count() != 2 || hh.Bucket(2) != 1 || hh.Bucket(3) != 1 {
-		t.Errorf("hop histogram wrong: count=%d", hh.Count())
-	}
-}

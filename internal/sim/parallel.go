@@ -1,15 +1,12 @@
 package sim
 
 import (
-	"math"
+	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"time"
 
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/overlay"
-	"ddpolice/internal/telemetry"
 )
 
 // RunParallel executes the given configurations concurrently on a
@@ -59,10 +56,7 @@ func RunParallel(cfgs []Config) ([]*Result, error) {
 // mean, and the traversal-cache effectiveness counters (Result.Cache)
 // field-wise by rounded mean. Minutes is averaged element-wise
 // (truncated to the shortest run, which is a no-op for a fixed
-// DurationSec), Stages element-wise when every run timed the same
-// stage list (always true: StageNames is fixed), Telemetry by
-// name-union of instruments with an absent instrument contributing 0,
-// and ControlLost by rounded mean.
+// DurationSec) and ControlLost by rounded mean.
 //
 // The single remaining first-seed field is AgentIDs: agent placement
 // is per-seed identity data, not a statistic — a cross-seed mean of
@@ -70,9 +64,32 @@ func RunParallel(cfgs []Config) ([]*Result, error) {
 // seed's placement as "one representative run". Everything else in
 // Result is averaged. It reduces run-to-run noise for the figure
 // sweeps.
+//
+// The replicas run concurrently from copies of cfg, so a per-run sink
+// in it would be shared by all of them: an Events writer written by
+// several goroutines at once, a Journal, Trace or Registry interleaved
+// by scheduling, Telemetry timing replicas that contend with each
+// other. With more than one seed any of those is an error naming the
+// field; observe one run with Run instead.
 func Averaged(cfg Config, seeds []uint64) (*Result, error) {
 	if len(seeds) == 0 {
 		return Run(cfg)
+	}
+	if len(seeds) > 1 {
+		for _, sink := range []struct {
+			field string
+			set   bool
+		}{
+			{"Events", cfg.Events != nil},
+			{"Journal", cfg.Journal != nil},
+			{"Trace", cfg.Trace != nil},
+			{"Registry", cfg.Registry != nil},
+			{"Telemetry", cfg.Telemetry},
+		} {
+			if sink.set {
+				return nil, fmt.Errorf("sim: Averaged: Config.%s is a per-run sink and %d concurrent replicas would share it; observe one seed with Run", sink.field, len(seeds))
+			}
+		}
 	}
 	cfgs := make([]Config, len(seeds))
 	for i, s := range seeds {
@@ -95,7 +112,6 @@ func mergeResults(rs []*Result) *Result {
 	out.Minutes = append([]metrics.MinuteStats(nil), rs[0].Minutes...)
 	out.SuccessSeries = append([]float64(nil), rs[0].SuccessSeries...)
 	out.AgentIDs = append([]overlay.PeerID(nil), rs[0].AgentIDs...)
-	out.Stages = append([]telemetry.Stage(nil), rs[0].Stages...)
 	n := float64(len(rs))
 	for _, r := range rs[1:] {
 		out.OverallSuccess += r.OverallSuccess
@@ -165,8 +181,6 @@ func mergeResults(rs []*Result) *Result {
 		out.SuccessSeries[i] /= n
 	}
 	mergeMinutes(&out, rs, n)
-	mergeStages(&out, rs, n)
-	out.Telemetry = mergeTelemetry(rs, n)
 	return &out
 }
 
@@ -201,123 +215,6 @@ func mergeMinutes(out *Result, rs []*Result, n float64) {
 		m.ControlMsgs /= n
 		m.CapacityDrop /= n
 	}
-}
-
-// mergeStages averages the per-stage wall-clock timers element-wise.
-// Every telemetry-enabled run times the identical StageNames list, so
-// positions align by construction; if a run diverges (different length
-// or names — nothing produces this today) the merge keeps the first
-// seed's stages verbatim rather than average mismatched stages.
-func mergeStages(out *Result, rs []*Result, n float64) {
-	for _, r := range rs[1:] {
-		if len(r.Stages) != len(out.Stages) {
-			return
-		}
-		for i := range out.Stages {
-			if r.Stages[i].Name != out.Stages[i].Name {
-				return
-			}
-		}
-	}
-	for i := range out.Stages {
-		s := &out.Stages[i]
-		for _, r := range rs[1:] {
-			s.Total += r.Stages[i].Total
-			s.Count += r.Stages[i].Count
-		}
-		s.Total = time.Duration(math.Round(float64(s.Total) / n))
-		s.Count = roundDivU64(s.Count, n)
-	}
-}
-
-// mergeTelemetry averages instrument snapshots by name union: an
-// instrument absent from a run contributes 0 to its mean, which is the
-// honest reading (the event never fired there). Histogram buckets merge
-// by bound union the same way. The result is nil only when every run's
-// snapshot is nil; Snapshot's sorted-by-name invariant is preserved.
-func mergeTelemetry(rs []*Result, n float64) *telemetry.Snapshot {
-	any := false
-	for _, r := range rs {
-		if r.Telemetry != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	counters := map[string]uint64{}
-	gauges := map[string]int64{}
-	timers := map[string]telemetry.TimerValue{}
-	hists := map[string]*telemetry.HistogramValue{}
-	for _, r := range rs {
-		if r.Telemetry == nil {
-			continue
-		}
-		for _, c := range r.Telemetry.Counters {
-			counters[c.Name] += c.Value
-		}
-		for _, g := range r.Telemetry.Gauges {
-			gauges[g.Name] += g.Value
-		}
-		for _, tv := range r.Telemetry.Timers {
-			acc := timers[tv.Name]
-			acc.Name = tv.Name
-			acc.Total += tv.Total
-			acc.Count += tv.Count
-			timers[tv.Name] = acc
-		}
-		for _, h := range r.Telemetry.Histograms {
-			acc := hists[h.Name]
-			if acc == nil {
-				acc = &telemetry.HistogramValue{Name: h.Name}
-				hists[h.Name] = acc
-			}
-			acc.Count += h.Count
-			acc.Sum += h.Sum
-		outer:
-			for _, b := range h.Buckets {
-				for i := range acc.Buckets {
-					if acc.Buckets[i].Le == b.Le {
-						acc.Buckets[i].Count += b.Count
-						continue outer
-					}
-				}
-				acc.Buckets = append(acc.Buckets, b)
-			}
-		}
-	}
-	snap := &telemetry.Snapshot{}
-	for name, v := range counters {
-		snap.Counters = append(snap.Counters, telemetry.CounterValue{Name: name, Value: roundDivU64(v, n)})
-	}
-	for name, v := range gauges {
-		snap.Gauges = append(snap.Gauges, telemetry.GaugeValue{Name: name, Value: int64(math.Round(float64(v) / n))})
-	}
-	for _, tv := range timers {
-		tv.Total = time.Duration(math.Round(float64(tv.Total) / n))
-		tv.Count = roundDivU64(tv.Count, n)
-		snap.Timers = append(snap.Timers, tv)
-	}
-	for _, h := range hists {
-		h.Count = roundDivU64(h.Count, n)
-		h.Sum = roundDivU64(h.Sum, n)
-		kept := h.Buckets[:0]
-		for _, b := range h.Buckets {
-			b.Count = roundDivU64(b.Count, n)
-			if b.Count > 0 {
-				kept = append(kept, b)
-			}
-		}
-		h.Buckets = kept
-		sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].Le < h.Buckets[j].Le })
-		snap.Histograms = append(snap.Histograms, *h)
-	}
-	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
-	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
-	sort.Slice(snap.Timers, func(i, j int) bool { return snap.Timers[i].Name < snap.Timers[j].Name })
-	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
-	return snap
 }
 
 func roundDiv(sum int, n float64) int {

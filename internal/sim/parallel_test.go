@@ -1,17 +1,21 @@
 package sim
 
 import (
+	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ddpolice/internal/flood"
+	"ddpolice/internal/journal"
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/police"
 	"ddpolice/internal/telemetry"
+	"ddpolice/internal/trace"
 )
 
 // TestMergeResultsLeavesInputsUnmodified is the regression test for the
@@ -25,8 +29,6 @@ func TestMergeResultsLeavesInputsUnmodified(t *testing.T) {
 		AgentIDs:       []overlay.PeerID{7},
 		OverallSuccess: 1,
 		Detections:     4,
-		Stages:         []telemetry.Stage{{Name: "flood", Total: time.Second, Count: 3}},
-		Telemetry:      &telemetry.Snapshot{Counters: []telemetry.CounterValue{{Name: "flood.floods", Value: 9}}},
 	}
 	second := &Result{
 		SuccessSeries:  []float64{0, 0, 0},
@@ -58,13 +60,8 @@ func TestMergeResultsLeavesInputsUnmodified(t *testing.T) {
 	merged.SuccessSeries[0] = -1
 	merged.Minutes[0].Issued = -1
 	merged.AgentIDs[0] = -1
-	merged.Stages[0].Count = 99
-	merged.Telemetry.Counters[0].Value = 99
 	if first.SuccessSeries[0] != 1 || first.Minutes[0].Issued != 10 || first.AgentIDs[0] != 7 {
 		t.Error("merged result aliases the first input's slices")
-	}
-	if first.Stages[0].Count != 3 || first.Telemetry.Counters[0].Value != 9 {
-		t.Error("merged result aliases the first input's telemetry")
 	}
 }
 
@@ -212,10 +209,11 @@ func TestAveragedMatchesSingleRuns(t *testing.T) {
 
 // TestMergeResultsAveragesDeepFields is the regression test for the
 // remaining first-seed-only traps: ControlLost was silently never
-// accumulated (and absent from the documented list), and Minutes,
-// Stages, and Telemetry were first-seed-only by doc. All of them must
-// now be cross-seed means; only AgentIDs (per-seed identity data)
-// stays the first seed's verbatim.
+// accumulated (and absent from the documented list), and Minutes was
+// first-seed-only by doc. Both must be cross-seed means; only AgentIDs
+// (per-seed identity data) stays the first seed's verbatim. (Stages
+// and Telemetry are per-run measurements: Averaged rejects them, see
+// TestAveragedRejectsPerRunSinks.)
 func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	first := &Result{
 		ControlLost: 100,
@@ -224,14 +222,6 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 			{Issued: 10, Succeeded: 10, QueryMsgs: 200, OnlinePeers: 50},
 			{Issued: 20, Succeeded: 0, QueryMsgs: 100, OnlinePeers: 60},
 		},
-		Stages: []telemetry.Stage{{Name: "flood", Total: 2 * time.Second, Count: 4}},
-		Telemetry: &telemetry.Snapshot{
-			Counters: []telemetry.CounterValue{
-				{Name: "both", Value: 10},
-				{Name: "only-first", Value: 8},
-			},
-			Gauges: []telemetry.GaugeValue{{Name: "depth", Value: -4}},
-		},
 	}
 	second := &Result{
 		ControlLost: 50,
@@ -239,11 +229,6 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 		Minutes: []metrics.MinuteStats{
 			{Issued: 30, Succeeded: 11, QueryMsgs: 100, OnlinePeers: 50},
 			{Issued: 40, Succeeded: 1, QueryMsgs: 300, OnlinePeers: 70},
-		},
-		Stages: []telemetry.Stage{{Name: "flood", Total: 4 * time.Second, Count: 6}},
-		Telemetry: &telemetry.Snapshot{
-			Counters: []telemetry.CounterValue{{Name: "both", Value: 30}},
-			Gauges:   []telemetry.GaugeValue{{Name: "depth", Value: -7}},
 		},
 	}
 	merged := mergeResults([]*Result{first, second})
@@ -262,27 +247,40 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	if !reflect.DeepEqual(merged.Minutes, wantMinutes) {
 		t.Errorf("merged Minutes = %+v, want %+v", merged.Minutes, wantMinutes)
 	}
-	wantStages := []telemetry.Stage{{Name: "flood", Total: 3 * time.Second, Count: 5}}
-	if !reflect.DeepEqual(merged.Stages, wantStages) {
-		t.Errorf("merged Stages = %+v, want %+v", merged.Stages, wantStages)
-	}
-	wantCounters := []telemetry.CounterValue{
-		{Name: "both", Value: 20},
-		{Name: "only-first", Value: 4}, // absent in seed 2 contributes 0
-	}
-	if !reflect.DeepEqual(merged.Telemetry.Counters, wantCounters) {
-		t.Errorf("merged counters = %+v, want %+v", merged.Telemetry.Counters, wantCounters)
-	}
-	wantGauges := []telemetry.GaugeValue{{Name: "depth", Value: -6}} // mean -5.5 rounds away from the trap of truncation toward zero
-	if !reflect.DeepEqual(merged.Telemetry.Gauges, wantGauges) {
-		t.Errorf("merged gauges = %+v, want %+v", merged.Telemetry.Gauges, wantGauges)
-	}
-	if first.ControlLost != 100 || first.Minutes[0].Issued != 10 ||
-		first.Stages[0].Count != 4 || first.Telemetry.Counters[0].Value != 10 {
+	if first.ControlLost != 100 || first.Minutes[0].Issued != 10 {
 		t.Error("merge mutated the first input")
 	}
-	if second.Minutes[1].Issued != 40 || second.Telemetry.Counters[0].Value != 30 {
+	if second.Minutes[1].Issued != 40 {
 		t.Error("merge mutated the second input")
+	}
+}
+
+// TestAveragedRejectsPerRunSinks: the replicas of an averaged run
+// execute concurrently from copies of one Config, so every field that
+// is a per-run sink must be refused by name when there is more than one
+// seed — and only then.
+func TestAveragedRejectsPerRunSinks(t *testing.T) {
+	sinks := map[string]func(*Config){
+		"Events":    func(c *Config) { c.Events = io.Discard },
+		"Journal":   func(c *Config) { c.Journal = journal.New(16) },
+		"Trace":     func(c *Config) { c.Trace = trace.New(1, 0) },
+		"Registry":  func(c *Config) { c.Registry = telemetry.New() },
+		"Telemetry": func(c *Config) { c.Telemetry = true },
+	}
+	for field, set := range sinks {
+		cfg := smallConfig()
+		cfg.NumPeers = 50
+		cfg.TopologyM = 2
+		cfg.DurationSec = 60
+		cfg.Catalog.NumObjects = 100
+		set(&cfg)
+		_, err := Averaged(cfg, []uint64{1, 2})
+		if err == nil || !strings.Contains(err.Error(), "Config."+field+" ") {
+			t.Errorf("two seeds with %s set: err = %v, want one naming Config.%s", field, err, field)
+		}
+		if _, err := Averaged(cfg, []uint64{1}); err != nil {
+			t.Errorf("one seed with %s set: %v, want a plain run", field, err)
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package stats provides the statistical accumulators used by the
-// DD-POLICE simulator and its experiment harness: streaming moments
-// (Welford), quantiles over bounded samples, fixed-width histograms,
-// exponentially weighted moving averages, and per-tick time series with
-// windowed aggregation.
+// DD-POLICE simulator and the repository benchmark: streaming moments
+// (Welford) and exact quantiles over bounded samples. Histograms are
+// internal/telemetry's, the one kind /metrics exports.
 package stats
 
 import (
@@ -39,35 +38,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// AddN incorporates x with integer weight n (n identical observations).
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
-// Merge folds other into w (parallel reduction).
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	d := other.mean - w.mean
-	n := w.n + other.n
-	w.m2 += other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	w.mean += d * float64(other.n) / float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	w.n = n
-}
-
 // Count returns the number of observations.
 func (w *Welford) Count() int64 { return w.n }
 
@@ -93,15 +63,6 @@ func (w *Welford) Max() float64 { return w.max }
 
 // Sum returns n * mean.
 func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
-// CI95 returns the half-width of the 95% confidence interval on the
-// mean under a normal approximation.
-func (w *Welford) CI95() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return 1.96 * w.Stddev() / math.Sqrt(float64(w.n))
-}
 
 // String renders a compact summary.
 func (w *Welford) String() string {
@@ -164,159 +125,4 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Histogram is a fixed-width histogram over [lo, hi) with overflow and
-// underflow buckets.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int64
-	under   int64
-	over    int64
-	total   int64
-	sum     float64
-}
-
-// NewHistogram creates a histogram with n equal buckets over [lo, hi).
-// It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int64, n)}
-}
-
-// Add records x.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) { // float rounding at the upper edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns total observations (including under/overflow).
-func (h *Histogram) Count() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Underflow and Overflow return out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of observations >= hi.
-func (h *Histogram) Overflow() int64 { return h.over }
-
-// Mean returns the mean of all recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// EWMA is an exponentially weighted moving average with smoothing
-// factor alpha in (0, 1]. The zero value is invalid; use NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha out of (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds in x and returns the new average.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.init {
-		e.value, e.init = x, true
-	} else {
-		e.value = e.alpha*x + (1-e.alpha)*e.value
-	}
-	return e.value
-}
-
-// Value returns the current average (0 before the first update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// TimeSeries records one float64 per tick and supports windowed sums.
-type TimeSeries struct {
-	vs []float64
-}
-
-// Append adds the value for the next tick.
-func (ts *TimeSeries) Append(v float64) { ts.vs = append(ts.vs, v) }
-
-// Len returns the number of ticks recorded.
-func (ts *TimeSeries) Len() int { return len(ts.vs) }
-
-// At returns the value at tick i.
-func (ts *TimeSeries) At(i int) float64 { return ts.vs[i] }
-
-// Values returns the backing slice (not a copy).
-func (ts *TimeSeries) Values() []float64 { return ts.vs }
-
-// WindowSum returns the sum of values in ticks [from, to).
-// Out-of-range portions are ignored.
-func (ts *TimeSeries) WindowSum(from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(ts.vs) {
-		to = len(ts.vs)
-	}
-	var sum float64
-	for i := from; i < to; i++ {
-		sum += ts.vs[i]
-	}
-	return sum
-}
-
-// WindowMean returns the mean over [from, to), or 0 if empty.
-func (ts *TimeSeries) WindowMean(from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(ts.vs) {
-		to = len(ts.vs)
-	}
-	if to <= from {
-		return 0
-	}
-	return ts.WindowSum(from, to) / float64(to-from)
-}
-
-// Downsample returns a new series where each point is the mean of
-// factor consecutive ticks (the final partial window is averaged too).
-func (ts *TimeSeries) Downsample(factor int) []float64 {
-	if factor <= 0 {
-		panic("stats: non-positive downsample factor")
-	}
-	var out []float64
-	for i := 0; i < len(ts.vs); i += factor {
-		end := i + factor
-		if end > len(ts.vs) {
-			end = len(ts.vs)
-		}
-		out = append(out, ts.WindowMean(i, end))
-	}
-	return out
 }

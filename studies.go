@@ -52,11 +52,6 @@ func RadiusStudy(scale Scale) ([]RadiusPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		dmg := metrics.DamageSeries(baseline.SuccessSeries, res.SuccessSeries)
-		rec, err := metrics.RecoveryTime(dmg, 20, 15)
-		if err != nil {
-			rec = 0
-		}
 		out = append(out, RadiusPoint{
 			Radius:          r,
 			Detections:      res.Detections,
@@ -64,7 +59,7 @@ func RadiusStudy(scale Scale) ([]RadiusPoint, error) {
 			FalsePositives:  res.FalsePositives,
 			ListMessages:    res.Overhead.NeighborListMsgs,
 			Success:         res.OverallSuccess,
-			RecoveryMinutes: rec,
+			RecoveryMinutes: recoveryMinutes(metrics.DamageSeries(baseline.SuccessSeries, res.SuccessSeries)),
 		})
 	}
 	return out, nil
@@ -83,22 +78,17 @@ type LiarPoint struct {
 // neighbor-list entries; with VerifyLists enabled, receivers confirm
 // each claim with the named peer and disconnect inconsistent liars.
 func LiarStudy(scale Scale) ([]LiarPoint, error) {
-	rows := []struct {
-		label  string
-		lie    bool
-		verify bool
-	}{
-		{"honest lists", false, false},
-		{"lying agents, no verification", true, false},
-		{"lying agents + verification", true, true},
+	rows := []variant{
+		{"honest lists", func(*Config) {}},
+		{"lying agents, no verification", func(c *Config) { c.AgentsLieAboutLists = true }},
+		{"lying agents + verification", func(c *Config) { c.AgentsLieAboutLists = true; c.Police.VerifyLists = true }},
 	}
 	out := make([]LiarPoint, 0, len(rows))
 	for _, row := range rows {
 		cfg := scale.baseConfig()
 		cfg.NumAgents = scale.TimelineAgents
 		cfg.PoliceEnabled = true
-		cfg.AgentsLieAboutLists = row.lie
-		cfg.Police.VerifyLists = row.verify
+		row.mutate(&cfg)
 		res, err := scale.run(cfg)
 		if err != nil {
 			return nil, err
@@ -130,10 +120,7 @@ type BaselinePoint struct {
 // less effective when the number of DDoS agents is getting large"
 // because it never removes the attackers; DD-POLICE does.
 func BaselineDefenseStudy(scale Scale) ([]BaselinePoint, error) {
-	rows := []struct {
-		label  string
-		mutate func(*Config)
-	}{
+	rows := []variant{
 		{"no defense", func(*Config) {}},
 		{"fair-share drop [21]", func(c *Config) { c.FairShareDrop = true }},
 		{"DD-POLICE", func(c *Config) { c.PoliceEnabled = true }},
@@ -182,10 +169,6 @@ type AblationPoint struct {
 //     neighbors instead of the Fig 1 spray;
 //   - "no churn": a static population.
 func AblationStudy(scale Scale) ([]AblationPoint, error) {
-	type variant struct {
-		label  string
-		mutate func(*Config)
-	}
 	variants := []variant{
 		{"default", func(*Config) {}},
 		{"ideal counters", func(c *Config) { c.IdealCounters = true }},
@@ -242,19 +225,16 @@ func BlacklistStudy(scale Scale) ([]BlacklistPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []struct {
-		label string
-		secs  float64
-	}{
-		{"DD-POLICE (paper: no memory)", 0},
-		{"DD-POLICE + 10-minute blacklist", 600},
+	rows := []variant{
+		{"DD-POLICE (paper: no memory)", func(*Config) {}},
+		{"DD-POLICE + 10-minute blacklist", func(c *Config) { c.Police.BlacklistSec = 600 }},
 	}
 	out := make([]BlacklistPoint, 0, len(rows))
 	for _, row := range rows {
 		cfg := base
 		cfg.NumAgents = scale.TimelineAgents
 		cfg.PoliceEnabled = true
-		cfg.Police.BlacklistSec = row.secs
+		row.mutate(&cfg)
 		r, err := scale.run(cfg)
 		if err != nil {
 			return nil, err
@@ -540,10 +520,7 @@ type FaultPoint struct {
 // control channel and crash churn leaves stale buddy-group state
 // behind (a crashed peer never sends the leave-side notifications).
 func FaultsStudy(scale Scale, losses []float64) ([]FaultPoint, error) {
-	churns := []struct {
-		label  string
-		mutate func(*Config)
-	}{
+	churns := []variant{
 		{"none", func(c *Config) { c.ChurnEnabled = false }},
 		{"paper", func(c *Config) { c.ChurnEnabled = true }},
 		{"crash-heavy", func(c *Config) {

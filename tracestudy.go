@@ -85,23 +85,6 @@ func TraceStudy(scale Scale) ([]TracePoint, error) {
 	return out, nil
 }
 
-// TracePointsCSV renders the causal-trace study rows.
-func TracePointsCSV(w io.Writer, pts []TracePoint) error {
-	rows := [][]string{{
-		"agents", "traces", "spans", "warnings", "cuts",
-		"mean_request_sec", "mean_indicator_sec", "mean_cut_sec",
-		"hops_per_query", "max_depth",
-	}}
-	for _, p := range pts {
-		rows = append(rows, []string{
-			d(p.Agents), d(p.Traces), d(p.Spans), d(p.Warnings), d(p.Cuts),
-			f(p.MeanRequest), f(p.MeanIndic), f(p.MeanCut),
-			f(p.HopsPerQuery), d(p.MaxDepth),
-		})
-	}
-	return writeAll(w, rows)
-}
-
 // TraceSVG renders the study's headline: mean warning-to-stage latency
 // per agent count, one series per critical-path stage. Agent counts
 // where no detection reached a cut are omitted.
