@@ -1,19 +1,16 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test golden race racesmoke chaos smoke writefail resultscheck bench benchcheck telemetry
+.PHONY: ci lint build vet ddlint staticcheck test golden race smoke writefail resultscheck bench benchcheck
 
-# ci is the gate: static checks, full build, full tests, then a short
-# race pass over the packages with real concurrency (the live TCP node
-# and the parallel replica runner), then the full-package race smoke
-# over the engine/sim/gnet suites (catches data races in the sharded
-# proposal phase that the scoped -run regex would skip), then the chaos
-# pass (fault injection, reconnect supervision, transient-dial
-# recovery), then the metrics smoke (a live ddnode answering /metrics
-# and /healthz), then the write-failure smoke, then the paper-scale
-# regeneration against the committed results/, then the repository
-# benchmark's own vet and tests (the nested bench/ module: every
-# workload at smoke size against its pinned Result digests; no timing).
-ci: lint build test race racesmoke chaos smoke writefail resultscheck benchcheck
+# ci is the gate: static checks, full build, full tests, then the one
+# race pass (every package with real concurrency, whole suites, under
+# the race detector), then the metrics smoke (a live ddnode answering
+# /metrics and /healthz), then the write-failure smoke, then the
+# paper-scale regeneration against the committed results/, then the
+# repository benchmark's own vet and tests (the nested bench/ module:
+# every workload at smoke size against its pinned Result digests; no
+# timing).
+ci: lint build test race smoke writefail resultscheck benchcheck
 
 build:
 	$(GO) build ./...
@@ -60,8 +57,8 @@ test:
 	$(GO) test ./...
 
 # golden re-pins everything that is pinned: internal/sim/testdata/golden/
-# *.sha256 — the digests of each scenario's Result, event, journal and
-# trace streams that `test` holds the one tick engine to (DESIGN.md §16)
+# *.sha256 — the digests of each scenario's Result, journal and trace
+# streams that `test` holds the one tick engine to (DESIGN.md §16)
 # — then cmd/ddexp/testdata/quick, the quick-scale stdout, CSVs and SVGs
 # of every figure, then the committed paper-scale results/ (~1 min). Run
 # it only for a change that is meant to move a stream or a figure, and
@@ -72,30 +69,18 @@ golden:
 	rm -rf results/csv results/svg
 	$(GO) run ./cmd/ddexp -scale paper -fig all -csv results/csv -svg results/svg > results/paper_results.txt
 
-# The race pass is scoped to the concurrency-heavy suites so ci stays
-# fast: gnet's monitor/telemetry tests exercise transient dials and the
-# registry from many goroutines; sim's merge/telemetry tests cover the
-# parallel replica fan-out; the histogram and journal suites hammer
-# their instruments from many writers.
+# race is the one race pass: the full suites of every package with real
+# concurrency, under the race detector. flood and sim run whole ticks
+# (the sharded proposal phase only races then) and the parallel replica
+# runner; gnet is the live TCP node — monitor, transient dials, the
+# overload and fault-injection chaos cases (injected resets with
+# reconnect backoff, cut-vs-crash provenance, goroutine-leak regression,
+# the 8-node lossy overlay, quarantine under flood, dual-queue send
+# pumps); metricsrv scrapes while instruments churn; telemetry and
+# journal hammer their instruments from many writers; faults wraps the
+# conns gnet's chaos cases inject into.
 race:
-	$(GO) test -race -run 'Telemetry|Monitor|Evaluation|Duplicate|MergeResults|Averaged|Parallel|Histogram|Journal' ./internal/gnet/ ./internal/sim/ ./internal/telemetry/ ./internal/journal/
-
-# racesmoke runs the flood/sim/gnet/overload suites in full under the
-# race detector: the sharded proposal phase (flood.Engine.PrewarmTrees
-# and the sim byte-identity matrix at 2/4/8 shards) only races when
-# whole ticks run, which the scoped `race` regex above does not cover;
-# the gnet suite includes the overload chaos cases (quarantine under
-# flood, degraded mode, dual-queue send pumps); metricsrv's concurrent
-# scrape-vs-churn test covers the exposition plane's snapshot paths.
-racesmoke:
-	$(GO) test -race ./internal/flood/ ./internal/sim/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/
-
-# The chaos pass runs the fault-injection suites under the race
-# detector: injected resets with reconnect backoff, cut-vs-crash
-# provenance, goroutine-leak regression, and the 8-node lossy overlay.
-chaos:
-	$(GO) vet ./internal/faults/
-	$(GO) test -race -run 'Chaos|Reconnect|Transient' ./internal/gnet/...
+	$(GO) test -race ./internal/flood/ ./internal/sim/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/ ./internal/faults/
 
 # The smoke pass boots a real ddnode with the exposition plane on and
 # asserts /metrics serves non-empty Prometheus text and /healthz is ok.
@@ -134,6 +119,3 @@ bench:
 # flood/overlay/sim is held to "same simulated statistics" (~7 s).
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-telemetry:
-	$(GO) run ./cmd/ddexp -fig table1 -telemetry

@@ -22,7 +22,6 @@ import (
 	"ddpolice"
 	"ddpolice/internal/outfile"
 	"ddpolice/internal/telemetry"
-	dtrace "ddpolice/internal/trace"
 )
 
 func main() {
@@ -31,11 +30,8 @@ func main() {
 	figFlag := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figKeys, ", "))
 	csvDir := flag.String("csv", "", "also write one CSV per figure into this directory")
 	svgDir := flag.String("svg", "", "also render one SVG per figure into this directory")
-	telemetryFlag := flag.Bool("telemetry", false, "run the telemetry study and print per-stage timing tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	tracePath := flag.String("trace", "", "write an execution trace to this file (go tool trace)")
-	traceOut := flag.String("trace-out", "", "capture causal traces of one policed timeline run at the chosen scale (.json = Chrome/Perfetto, else NDJSON for ddtrace)")
-	traceSmp := flag.Float64("trace-sample", 1.0, "head-sampling rate for -trace-out (0..1)")
 	flag.Parse()
 
 	var scale ddpolice.Scale
@@ -80,13 +76,6 @@ func main() {
 	}
 
 	for _, fig := range ddpolice.Figures {
-		// The -trace-out capture keeps its place in the print order:
-		// after the studies, ahead of the Fig 9-14 sweeps.
-		if fig.Keys[0] == "9" && *traceOut != "" {
-			if err := captureTrace(scale, *traceOut, *traceSmp); err != nil {
-				fatal(err)
-			}
-		}
 		if *figFlag != "all" && !slices.Contains(fig.Keys, *figFlag) {
 			continue
 		}
@@ -101,11 +90,6 @@ func main() {
 			save(*svgDir, s.Name, func(w io.Writer) error { return s.Render(w, data) })
 		}
 		if err := fig.WriteText(os.Stdout, scale, data); err != nil {
-			fatal(err)
-		}
-	}
-	if *telemetryFlag {
-		if err := printTelemetryStudy(scale); err != nil {
 			fatal(err)
 		}
 	}
@@ -143,53 +127,4 @@ func save(dir, name string, render func(w io.Writer) error) {
 	if err := outfile.Write(dir+"/"+name, render); err != nil {
 		fatal(err)
 	}
-}
-
-func printTelemetryStudy(scale ddpolice.Scale) error {
-	rows, err := ddpolice.TelemetryStudy(scale)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\n== Run telemetry: per-stage wall-clock breakdown ==")
-	for _, row := range rows {
-		fmt.Printf("\n-- %s --\n", row.Label)
-		if err := telemetry.WriteStageTable(os.Stdout, row.Stages); err != nil {
-			return err
-		}
-		if len(row.Counters.Counters) > 0 || len(row.Counters.Gauges) > 0 {
-			fmt.Println()
-			if err := row.Counters.WriteTable(os.Stdout); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// captureTrace runs one policed timeline run at the chosen scale with
-// the causal tracer attached and writes the span stream by extension.
-func captureTrace(scale ddpolice.Scale, path string, sample float64) error {
-	cfg := ddpolice.DefaultConfig()
-	cfg.NumPeers = scale.NumPeers
-	cfg.DurationSec = scale.DurationSec
-	cfg.AttackStartSec = scale.AttackStartSec
-	cfg.Seed = scale.Seed
-	cfg.NumAgents = scale.TimelineAgents
-	cfg.PoliceEnabled = true
-	tr := dtrace.New(sample, 0)
-	cfg.Trace = tr
-	if _, err := ddpolice.Run(cfg); err != nil {
-		return err
-	}
-	err := outfile.Write(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".json") {
-			return tr.WriteChromeTrace(w)
-		}
-		return tr.WriteNDJSON(w)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace: %d spans in %d traces -> %s\n", tr.Len(), tr.TraceCount(), path)
-	return nil
 }

@@ -67,6 +67,17 @@ func TestUnknownScaleExitsTwo(t *testing.T) {
 	}
 }
 
+// ddexp prints figures; the timing table went to the repository
+// benchmark and the trace capture to ddsim, and their flags with them.
+func TestRemovedFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{{"-telemetry"}, {"-trace-out", "x"}, {"-trace-sample", "1"}} {
+		code, stdout, stderr := ddexp(t, append(args, "-fig", "table1")...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("%v: exit = %d, stdout = %q, stderr = %q; want 2 and an unknown-flag error", args, code, stdout, stderr)
+		}
+	}
+}
+
 func TestTable1ExitsZero(t *testing.T) {
 	code, stdout, stderr := ddexp(t, "-fig", "table1")
 	if code != 0 || !strings.Contains(stdout, "Neighbor_Traffic") {

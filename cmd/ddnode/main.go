@@ -25,7 +25,6 @@ import (
 	"ddpolice/internal/gnet"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/metricsrv"
-	"ddpolice/internal/outfile"
 	"ddpolice/internal/police"
 	"ddpolice/internal/telemetry"
 	dtrace "ddpolice/internal/trace"
@@ -130,7 +129,7 @@ func main() {
 		case <-stop:
 			fmt.Println("shutting down")
 			if *traceOut != "" {
-				if err := dumpTrace(cfg.Tracer, *traceOut); err != nil {
+				if err := cfg.Tracer.WriteFile(*traceOut); err != nil {
 					// A truncated trace reported as success poisons
 					// every later analysis step; die loudly instead.
 					node.Close()
@@ -155,18 +154,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ddnode:", err)
 	os.Exit(1)
-}
-
-// dumpTrace writes the node's collected spans by output extension:
-// .json gets Chrome trace-event JSON (load in Perfetto), anything else
-// NDJSON (feed to ddtrace).
-func dumpTrace(tr *dtrace.Tracer, path string) error {
-	return outfile.Write(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".json") {
-			return tr.WriteChromeTrace(w)
-		}
-		return tr.WriteNDJSON(w)
-	})
 }
 
 // runSearcher periodically issues a search and reports the outcome.

@@ -9,9 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -22,18 +20,6 @@ import (
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/trace"
 )
-
-// writeTrace dumps the tracer by output extension: .json gets Chrome
-// trace-event JSON (load in Perfetto), anything else NDJSON (feed to
-// ddtrace).
-func writeTrace(tr *trace.Tracer, path string) error {
-	return outfile.Write(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".json") {
-			return tr.WriteChromeTrace(w)
-		}
-		return tr.WriteNDJSON(w)
-	})
-}
 
 func main() {
 	var (
@@ -46,12 +32,10 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Minute, "simulated duration")
 		start    = flag.Duration("attack-start", 5*time.Minute, "attack start time")
 		churn    = flag.Bool("churn", true, "enable peer churn")
-		shards   = flag.Int("shards", 0, "worker shards for the tick proposal phase (0 or 1 = serial; results are byte-identical either way)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		perMin   = flag.Bool("minutes", false, "print the per-minute table")
-		events   = flag.String("events", "", "write a JSON-lines event log to this file")
 		metrics  = flag.String("metrics", "", "serve /metrics, /healthz, /journal and /trace on this address while the run executes")
-		jfile    = flag.String("journal", "", "write the detection-event journal (NDJSON) to this file")
+		jfile    = flag.String("journal", "", "stream the detection-event journal (NDJSON, every record) to this file")
 		traceOut = flag.String("trace-out", "", "write causal traces to this file (.json = Chrome/Perfetto, else NDJSON)")
 		traceSmp = flag.Float64("trace-sample", 1.0, "head-sampling rate for traces (0..1)")
 	)
@@ -67,26 +51,28 @@ func main() {
 	cfg.DurationSec = int(duration.Seconds())
 	cfg.AttackStartSec = int(start.Seconds())
 	cfg.ChurnEnabled = *churn
-	cfg.Shards = *shards
 	cfg.Seed = *seed
-	var eventsFile *outfile.File
-	if *events != "" {
-		f, err := outfile.Create(*events)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(1)
-		}
-		cfg.Events = f
-		eventsFile = f
-	}
 	if *metrics != "" || *jfile != "" {
 		cfg.Journal = journal.New(1 << 16)
+	}
+	// The file is teed from the first record on, so it holds the whole
+	// run; the ring only has to serve /journal its recent tail.
+	var journalFile *outfile.File
+	if *jfile != "" {
+		f, err := outfile.Create(*jfile)
+		if err != nil {
+			fatal(err)
+		}
+		cfg.Journal.Tee(f)
+		journalFile = f
 	}
 	if *traceOut != "" || *metrics != "" {
 		cfg.Trace = trace.New(*traceSmp, 0)
 	}
 	if *metrics != "" {
+		// Telemetry puts the tick's stage timers in the served registry.
 		cfg.Registry = telemetry.New()
+		cfg.Telemetry = true
 		cfg.Journal.AttachTelemetry(cfg.Registry)
 		srv, err := metricsrv.Serve(*metrics, metricsrv.Config{
 			Registry: cfg.Registry,
@@ -97,8 +83,7 @@ func main() {
 			},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer srv.Close()
 		fmt.Printf("metrics on http://%s\n", srv.Addr())
@@ -106,30 +91,24 @@ func main() {
 
 	res, err := ddpolice.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddsim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	// The event log streamed during the run; a full disk only surfaces
-	// at flush time, and swallowing it would report a truncated log as
-	// a successful run.
-	if eventsFile != nil {
-		if err := eventsFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(1)
+	// The journal streamed during the run; a full disk surfaces on a
+	// mid-run write or only at flush time, and swallowing either would
+	// report a truncated journal as a successful run.
+	if journalFile != nil {
+		if err := cfg.Journal.Err(); err != nil {
+			fatal(err)
 		}
-	}
-	if *jfile != "" {
-		if err := outfile.Write(*jfile, cfg.Journal.WriteNDJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(1)
+		if err := journalFile.Close(); err != nil {
+			fatal(err)
 		}
-		fmt.Printf("journal: %d events -> %s (%d dropped)\n",
-			cfg.Journal.Len(), *jfile, cfg.Journal.Dropped())
+		fmt.Printf("journal: %d events -> %s\n",
+			uint64(cfg.Journal.Len())+cfg.Journal.Dropped(), *jfile)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(cfg.Trace, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(1)
+		if err := cfg.Trace.WriteFile(*traceOut); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("trace: %d spans in %d traces -> %s (%d dropped)\n",
 			cfg.Trace.Len(), cfg.Trace.TraceCount(), *traceOut, cfg.Trace.Dropped())
@@ -165,4 +144,9 @@ func main() {
 		}
 		w.Flush()
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "ddsim:", err)
+	os.Exit(1)
 }

@@ -7,7 +7,6 @@ import (
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/police"
 	"ddpolice/internal/sim"
-	"ddpolice/internal/telemetry"
 )
 
 // Scale bundles the experiment dimensions so the same harness can run
@@ -351,52 +350,4 @@ func CheatingStudy(scale Scale) ([]CheatPoint, error) {
 type variant struct {
 	label  string
 	mutate func(*Config)
-}
-
-// StageBreakdown is one row of the telemetry study: where one
-// representative scenario spends its wall-clock, stage by stage, plus
-// the engine counters behind it.
-type StageBreakdown struct {
-	Label    string
-	Stages   []telemetry.Stage
-	Counters telemetry.Snapshot
-}
-
-// TelemetryStudy runs three representative scenarios with run
-// telemetry enabled and returns their per-stage timing breakdowns:
-// the quiet baseline, the heaviest attack in the sweep undefended,
-// and the same attack with DD-POLICE on. Single-seeded — stage
-// timings are wall-clock measurements, so averaging across parallel
-// replicas would fold scheduler contention into the numbers.
-func TelemetryStudy(scale Scale) ([]StageBreakdown, error) {
-	maxAgents := scale.TimelineAgents
-	if n := len(scale.AgentCounts); n > 0 && scale.AgentCounts[n-1] > maxAgents {
-		maxAgents = scale.AgentCounts[n-1]
-	}
-	rows := []variant{
-		{"no attack", func(*Config) {}},
-		{fmt.Sprintf("%d agents, no defense", maxAgents), func(cfg *Config) {
-			cfg.NumAgents = maxAgents
-		}},
-		{fmt.Sprintf("%d agents + DD-POLICE", maxAgents), func(cfg *Config) {
-			cfg.NumAgents = maxAgents
-			cfg.PoliceEnabled = true
-		}},
-	}
-	out := make([]StageBreakdown, 0, len(rows))
-	for _, row := range rows {
-		cfg := scale.baseConfig()
-		cfg.Telemetry = true
-		row.mutate(&cfg)
-		r, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		b := StageBreakdown{Label: row.label, Stages: r.Stages}
-		if r.Telemetry != nil {
-			b.Counters = *r.Telemetry
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

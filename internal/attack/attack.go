@@ -85,7 +85,6 @@ type Agent struct {
 // Fleet is the set of agents for one simulation run.
 type Fleet struct {
 	agents []Agent
-	member []bool
 }
 
 // NewFleet compromises count distinct peers chosen uniformly at random
@@ -98,7 +97,7 @@ func NewFleet(count, numPeers int, cfg AgentConfig, links LinkModel, src *rng.So
 	if cfg.RatePerMin <= 0 || cfg.TTL <= 0 {
 		return nil, fmt.Errorf("attack: agent config rate=%v ttl=%d", cfg.RatePerMin, cfg.TTL)
 	}
-	f := &Fleet{member: make([]bool, numPeers)}
+	f := &Fleet{}
 	perm := src.Perm(numPeers)
 	for i := 0; i < count; i++ {
 		id := PeerID(perm[i])
@@ -114,7 +113,6 @@ func NewFleet(count, numPeers int, cfg AgentConfig, links LinkModel, src *rng.So
 			rate = cap // Q_d = min(20000, capacity of the link)
 		}
 		f.agents = append(f.agents, Agent{ID: id, EffectivePerMin: rate, cfg: cfg})
-		f.member[id] = true
 	}
 	return f, nil
 }
@@ -134,19 +132,10 @@ func (f *Fleet) IDs() []PeerID {
 // Size returns the number of agents.
 func (f *Fleet) Size() int { return len(f.agents) }
 
-// IsAgent reports whether peer v is compromised.
-func (f *Fleet) IsAgent(v PeerID) bool { return f.member[v] }
-
-// Tick floods every agent's bogus query volume for a dt-second
+// TickSliced floods every agent's bogus query volume for a dt-second
 // interval through eng, consuming budget like any other traffic, and
-// returns the aggregate flood accounting. It is equivalent to
-// TickSliced with a single slice.
-func (f *Fleet) Tick(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budget, dt float64) flood.BatchResult {
-	return f.TickSliced(eng, ov, budget, dt, 1, 0)
-}
-
-// TickSliced spreads the interval's attack volume over the given
-// number of interleaved slices, rotating the agent order between
+// returns the aggregate flood accounting. The volume is spread over the
+// given number of interleaved slices, rotating the agent order between
 // slices (rotation seeded by round so the bias rotates across ticks).
 //
 // Slicing matters under saturation: peers' processing budgets are
@@ -213,7 +202,7 @@ func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budge
 }
 
 // FloodKeys appends the (source, entry, TTL) traversal keys the fleet's
-// next Tick/TickSliced call will flood — one unrestricted key per agent
+// next TickSliced call will flood — one unrestricted key per agent
 // in broadcast mode, one entry-restricted key per active neighbor in
 // spray mode — mirroring emit's own skip conditions (offline agent, no
 // active neighbors, zero weight). The sim's proposal phase feeds these

@@ -36,25 +36,10 @@ func TestFleetSelection(t *testing.T) {
 			t.Fatalf("duplicate agent %d", a.ID)
 		}
 		seen[a.ID] = true
-		if !f.IsAgent(a.ID) {
-			t.Fatalf("IsAgent(%d) false", a.ID)
-		}
-	}
-	if f.IsAgent(pickNonAgent(f, 500)) {
-		t.Fatal("non-agent reported as agent")
 	}
 	if len(f.IDs()) != 50 {
 		t.Fatal("IDs length mismatch")
 	}
-}
-
-func pickNonAgent(f *Fleet, n int) PeerID {
-	for v := 0; v < n; v++ {
-		if !f.IsAgent(PeerID(v)) {
-			return PeerID(v)
-		}
-	}
-	return -1
 }
 
 func TestFleetDeterministic(t *testing.T) {
@@ -137,7 +122,7 @@ func TestTickEmitsExpectedVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := f.Tick(eng, ov, budget, 60) // one full minute
+	res := f.TickSliced(eng, ov, budget, 60, 1, 0) // one full minute
 	// The agent emits 20k on its access link and flooding multiplies
 	// messages far beyond that.
 	if res.QueryMessages < 100000 {
@@ -175,7 +160,7 @@ func TestSprayVsBroadcastSignature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Tick(flood.NewEngine(ov), ov, flood.NewBudget(300, 1e12), 60) // one full minute
+		f.TickSliced(flood.NewEngine(ov), ov, flood.NewBudget(300, 1e12), 60, 1, 0) // one full minute
 		ov.RollMinute()
 		a := f.Agents()[0]
 		min = math.Inf(1)
@@ -204,7 +189,7 @@ func TestOfflineAgentEmitsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov.SetOnline(f.Agents()[0].ID, false)
-	if res := f.Tick(eng, ov, budget, 60); res.QueryMessages != 0 {
+	if res := f.TickSliced(eng, ov, budget, 60, 1, 0); res.QueryMessages != 0 {
 		t.Fatalf("offline agent emitted %v messages", res.QueryMessages)
 	}
 }
@@ -216,7 +201,7 @@ func TestZeroAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := f.Tick(eng, ov, flood.NewBudget(100, 1e12), 60); res.QueryMessages != 0 {
+	if res := f.TickSliced(eng, ov, flood.NewBudget(100, 1e12), 60, 1, 0); res.QueryMessages != 0 {
 		t.Fatal("empty fleet emitted traffic")
 	}
 }

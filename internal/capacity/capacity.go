@@ -14,14 +14,8 @@ const (
 	// TestbedSaturationPerMin is the processing rate at which the
 	// dedicated testbed peer saturated (Figs 5-6).
 	TestbedSaturationPerMin = 15000
-	// GoodPeerProcessPerMin is the assumed in-the-wild processing
-	// capacity of a good peer (§2.3, end).
-	GoodPeerProcessPerMin = 10000
 	// BadPeerIssuePerMin is the assumed generation rate of a DDoS agent.
 	BadPeerIssuePerMin = 20000
-	// GoodPeerIssueBoundPerMin is q0: a good peer never issues more
-	// than 100 queries/min (Definition 2.1's threshold q).
-	GoodPeerIssueBoundPerMin = 100
 )
 
 // Processor is a token-bucket query processor. Tokens accrue at the
@@ -205,9 +199,6 @@ func (cp *ClassedProcessor) ControlDropRate() float64 { return cp.control.DropRa
 // QueryDropped returns the cumulative shed query count.
 func (cp *ClassedProcessor) QueryDropped() float64 { return cp.query.dropped }
 
-// QueryProcessed returns the cumulative accepted query count.
-func (cp *ClassedProcessor) QueryProcessed() float64 { return cp.query.processed }
-
 // ControlDropped returns the cumulative shed control count.
 func (cp *ClassedProcessor) ControlDropped() float64 { return cp.control.dropped }
 
@@ -258,11 +249,11 @@ func SaturationCurve(capacityPerMin float64, offeredPerMin []float64, durationSe
 
 // EffectiveForwardPerMin is the calibrated per-peer effective
 // forwarding rate (queries/min) used by the overlay simulator's
-// contention model. A peer's local lookup engine sustains
-// GoodPeerProcessPerMin, but the rate at which it can usefully relay
-// query messages onward is bounded by its share of access-link
-// bandwidth (the paper's [19] bandwidth classes put 22% of peers at
-// <= 100 Kbps). The simulator uses this single effective bottleneck for
+// contention model. A peer's local lookup engine sustains the paper's
+// assumed 10,000 queries/min (§2.3, end), but the rate at which it can
+// usefully relay query messages onward is bounded by its share of
+// access-link bandwidth (the paper's [19] bandwidth classes put 22% of
+// peers at <= 100 Kbps). The simulator uses this single effective bottleneck for
 // flood propagation; DESIGN.md ("Calibration") documents the sweep that
 // selected it so that agent indicators separate from good-peer
 // indicators exactly over the paper's CT range.

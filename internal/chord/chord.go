@@ -11,7 +11,6 @@ package chord
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"ddpolice/internal/rng"
@@ -127,9 +126,6 @@ func (r *Ring) successorOf(target NodeID) int {
 	}
 	return lo
 }
-
-// NumNodes returns the ring size.
-func (r *Ring) NumNodes() int { return len(r.nodes) }
 
 // SetOnline toggles node p (external index).
 func (r *Ring) SetOnline(p int, on bool) { r.nodes[r.index[p]].online = on }
@@ -258,9 +254,4 @@ func (r *Ring) Stats() Stats {
 		st.MeanHops = float64(r.hopTotal) / float64(ok)
 	}
 	return st
-}
-
-// ExpectedHops returns the theoretical O(log2 n / 2) hop count.
-func ExpectedHops(n int) float64 {
-	return float64(bits.Len(uint(n))) / 2
 }

@@ -150,9 +150,3 @@ func TestOfflineOriginFails(t *testing.T) {
 		t.Fatal("offline origin routed a lookup")
 	}
 }
-
-func TestExpectedHops(t *testing.T) {
-	if ExpectedHops(1024) <= ExpectedHops(16) {
-		t.Fatal("expected hops must grow with n")
-	}
-}

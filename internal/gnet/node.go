@@ -140,17 +140,6 @@ type ReconnectConfig struct {
 	DialTimeout time.Duration
 }
 
-// DefaultReconnectConfig returns the supervisor schedule used by the
-// chaos harness: 6 attempts, 50ms base doubling to a 2s cap, 3s dials.
-func DefaultReconnectConfig() *ReconnectConfig {
-	return &ReconnectConfig{
-		MaxAttempts: 6,
-		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    2 * time.Second,
-		DialTimeout: 3 * time.Second,
-	}
-}
-
 // DefaultConfig returns a node config matching the paper's testbed.
 func DefaultConfig(name string) Config {
 	return Config{

@@ -100,13 +100,20 @@ type Event struct {
 // the oldest entry and counts it as dropped; Seq keeps increasing, so
 // gaps in a read-back are detectable. All methods are safe for
 // concurrent use; Record takes one short mutex hold (no allocation, no
-// encoding) so it is cheap enough for verdict-path call sites.
+// encoding unless a Tee sink is attached) so it is cheap enough for
+// verdict-path call sites.
 type Journal struct {
 	mu      sync.Mutex
 	buf     []Event
 	next    int // oldest entry once the ring is full
 	seq     uint64
 	dropped uint64
+
+	// tee, when attached, receives every recorded event as one NDJSON
+	// line, so a sink outlives the ring's capacity; teeErr is the first
+	// error it returned, after which nothing more is written.
+	tee    *json.Encoder
+	teeErr error
 
 	// dropGauge, when attached, mirrors the running drop count into a
 	// telemetry gauge so a live /metrics scrape sees ring overflow as
@@ -142,7 +149,37 @@ func (j *Journal) Record(e Event) {
 		j.dropped++
 		j.dropGauge.Set(int64(j.dropped))
 	}
+	if j.tee != nil && j.teeErr == nil {
+		j.teeErr = j.tee.Encode(e)
+	}
 	j.mu.Unlock()
+}
+
+// Tee makes every later Record also append the event to w as one
+// NDJSON line, in sequence order and in WriteNDJSON's encoding — so a
+// sink attached before the first Record holds every event, however
+// many the ring has since overwritten. The write happens under the
+// journal's lock: w must not call back into j. Check Err when the run
+// is over. No-op on nil.
+func (j *Journal) Tee(w io.Writer) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	j.tee = json.NewEncoder(w)
+	j.mu.Unlock()
+}
+
+// Err returns the first error the Tee sink returned (nil on nil, with
+// no sink, or while every write succeeded). The error is kept: events
+// recorded after it are in the ring but not in the sink.
+func (j *Journal) Err() error {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.teeErr
 }
 
 // AttachTelemetry exposes the ring's overflow count as the

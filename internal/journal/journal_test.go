@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,10 @@ func TestNilJournalIsInert(t *testing.T) {
 	}
 	if got := j.Tail(5); len(got) != 0 {
 		t.Fatalf("nil Tail = %v", got)
+	}
+	j.Tee(io.Discard)
+	if err := j.Err(); err != nil {
+		t.Fatalf("nil Err = %v", err)
 	}
 }
 
@@ -121,6 +127,8 @@ func TestEventsSince(t *testing.T) {
 
 func TestJournalNDJSONRoundTrip(t *testing.T) {
 	j := New(16)
+	var tee bytes.Buffer
+	j.Tee(&tee)
 	j.Record(Event{T: 61, Type: TypeWarning, Node: 3, Peer: 9, Value: 720, Window: 1})
 	j.Record(Event{T: 61, Type: TypeIndicator, Node: 3, Peer: 9, G: 12.5, S: 0.8, K: 5, Window: 1})
 	j.Record(Event{T: 61, Type: TypeCut, Node: 3, Peer: 9, G: 12.5, S: 0.8})
@@ -131,6 +139,11 @@ func TestJournalNDJSONRoundTrip(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 3 {
 		t.Fatalf("NDJSON lines = %d, want 3\n%s", got, buf.String())
+	}
+	// A sink teed from the start of a journal that never wrapped is the
+	// dump, byte for byte.
+	if !bytes.Equal(tee.Bytes(), buf.Bytes()) {
+		t.Fatalf("Tee stream differs from WriteNDJSON:\n%s\nvs\n%s", tee.String(), buf.String())
 	}
 	back, err := ReadNDJSON(&buf)
 	if err != nil {
@@ -147,10 +160,95 @@ func TestJournalNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTeeOutlivesRing: the sink holds every record in sequence order
+// however small the ring; the ring still serves its last few.
+func TestTeeOutlivesRing(t *testing.T) {
+	j := New(4)
+	var sink bytes.Buffer
+	j.Tee(&sink)
+	for i := 1; i <= 100; i++ {
+		j.Record(Event{T: float64(i), Type: TypeCut, Peer: int64(i)})
+	}
+	got, err := ReadNDJSON(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 {
+		t.Fatalf("sink holds %d records, want 100", len(got))
+	}
+	for i, e := range got {
+		if e.Seq != uint64(i+1) || e.Peer != int64(i+1) {
+			t.Fatalf("sink record %d = %+v, want seq and peer %d", i, e, i+1)
+		}
+	}
+	if j.Len() != 4 || j.Dropped() != 96 {
+		t.Fatalf("ring len = %d dropped = %d, want 4 and 96", j.Len(), j.Dropped())
+	}
+	if err := j.Err(); err != nil {
+		t.Fatalf("Err = %v on a sink that never failed", err)
+	}
+}
+
+// failingWriter accepts ok writes, then fails every later one.
+type failingWriter struct {
+	ok, calls int
+	err       error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls > w.ok {
+		return 0, w.err
+	}
+	return len(p), nil
+}
+
+// TestTeeKeepsFirstError: a sink failure is neither swallowed nor
+// overwritten, the sink is left alone after it, and the ring keeps
+// recording.
+func TestTeeKeepsFirstError(t *testing.T) {
+	j := New(16)
+	errDisk := errors.New("disk full")
+	w := &failingWriter{ok: 2, err: errDisk}
+	j.Tee(w)
+	for i := 0; i < 5; i++ {
+		j.Record(Event{Type: TypeCut})
+		if want := i >= 2; (j.Err() != nil) != want {
+			t.Fatalf("after record %d: Err = %v", i+1, j.Err())
+		}
+	}
+	if err := j.Err(); !errors.Is(err, errDisk) {
+		t.Fatalf("Err = %v, want the third write's error", err)
+	}
+	if w.calls != 3 {
+		t.Fatalf("sink written %d times, want 3 (nothing after the failure)", w.calls)
+	}
+	if j.Len() != 5 {
+		t.Fatalf("ring holds %d records, want 5", j.Len())
+	}
+}
+
+// TestRecordAllocatesNothingWithoutSink pins the verdict-path cost:
+// with no Tee sink, Record neither allocates nor encodes, while the
+// ring fills and after it wraps.
+func TestRecordAllocatesNothingWithoutSink(t *testing.T) {
+	j := New(64)
+	e := Event{T: 61, Type: TypeIndicator, Node: 3, Peer: 9, G: 12.5, S: 0.8, K: 5, Window: 1}
+	if allocs := testing.AllocsPerRun(1000, func() { j.Record(e) }); allocs != 0 {
+		t.Fatalf("Record allocates %v times per call without a sink", allocs)
+	}
+	if j.Dropped() == 0 {
+		t.Fatal("the ring never wrapped (vacuous)")
+	}
+}
+
 // TestJournalConcurrentWriters exercises Record/Events/Tail from many
-// goroutines; run under -race this is the journal's data-race gate.
+// goroutines, with a Tee sink attached; run under -race this is the
+// journal's data-race gate.
 func TestJournalConcurrentWriters(t *testing.T) {
 	j := New(256)
+	var sink bytes.Buffer
+	j.Tee(&sink)
 	const writers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -186,6 +284,15 @@ func TestJournalConcurrentWriters(t *testing.T) {
 	for i := 1; i < len(ev); i++ {
 		if ev[i].Seq != ev[i-1].Seq+1 {
 			t.Fatalf("seq gap in ring: %d then %d", ev[i-1].Seq, ev[i].Seq)
+		}
+	}
+	teed, err := ReadNDJSON(&sink)
+	if err != nil || len(teed) != writers*per {
+		t.Fatalf("sink holds %d records (%v), want %d", len(teed), err, writers*per)
+	}
+	for i, e := range teed {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("sink line %d has seq %d: lines out of sequence order", i+1, e.Seq)
 		}
 	}
 }

@@ -38,7 +38,6 @@ type Churn struct {
 	flips     []PeerID  // peers that flipped during the last Tick, ascending
 	joins     int
 	leaves    int
-	crashes   int
 }
 
 // NewChurn creates a churn driver. Every peer starts online with a
@@ -74,20 +73,11 @@ func (c *Churn) Pin(v PeerID) {
 	c.ov.SetOnline(v, true)
 }
 
-// Unpin re-enrolls v into churn with a fresh lifetime.
-func (c *Churn) Unpin(v PeerID) {
-	c.pinned[v] = false
-	c.remaining[v] = c.sampleLifetime()
-}
-
 // Joins returns the number of join events so far.
 func (c *Churn) Joins() int { return c.joins }
 
 // Leaves returns the number of leave events so far (crashes included).
 func (c *Churn) Leaves() int { return c.leaves }
-
-// Crashes returns the number of departures that were crashes.
-func (c *Churn) Crashes() int { return c.crashes }
 
 // Crashed reports whether v's most recent departure was a crash. The
 // flag clears when v rejoins.
@@ -119,7 +109,6 @@ func (c *Churn) Tick(dt float64) {
 			c.leaves++
 			if c.cfg.CrashFraction > 0 && c.src.Bool(c.cfg.CrashFraction) {
 				c.crashed[v] = true
-				c.crashes++
 			}
 			if c.cfg.MeanOffline <= 0 {
 				c.remaining[v] = 1e18 // never rejoins

@@ -363,8 +363,5 @@ func (o *Overlay) LastMinute(u, w PeerID) float64 {
 	return o.prevQ[e]
 }
 
-// LastMinuteEdge returns the closed-minute count for a directed edge id.
-func (o *Overlay) LastMinuteEdge(e EdgeID) float64 { return o.prevQ[e] }
-
 // CurrentMinuteEdge returns the accumulating count for a directed edge.
 func (o *Overlay) CurrentMinuteEdge(e EdgeID) float64 { return o.curQ[e] }

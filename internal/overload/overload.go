@@ -56,8 +56,6 @@ const (
 	ClassControl Class = iota
 	// ClassQuery: Query and QueryHit — bulk flood traffic; shed first.
 	ClassQuery
-	// NumClasses counts the classes (for per-class arrays).
-	NumClasses
 )
 
 // String names the class for telemetry and journal details.
@@ -222,9 +220,6 @@ func (s *Shedder) ShouldShed(depth int) bool {
 	}
 	return s.shedding
 }
-
-// Shedding exposes the current hysteresis state (telemetry/tests).
-func (s *Shedder) Shedding() bool { return s.shedding }
 
 // BreakerState is one quarantine circuit breaker position.
 type BreakerState uint8

@@ -148,22 +148,6 @@ func (o Overhead) Total() uint64 {
 	return o.NeighborListMsgs + o.NeighborTrafficMsgs + o.VerifyMsgs
 }
 
-// EstimatedBytes converts the message counts into wire bytes using the
-// protocol's frame sizes: every message carries the 23-byte unified
-// header; a Neighbor_Traffic body is the fixed 20 bytes of Table 1; a
-// neighbor list averages 2 + 6*avgDegree bytes; a verification probe is
-// approximated as a Ping/Pong pair.
-func (o Overhead) EstimatedBytes(avgDegree float64) uint64 {
-	const header = 23
-	listBody := 2 + 6*avgDegree
-	ntBody := 20.0
-	pingPong := 2*header + 14.0
-	total := float64(o.NeighborListMsgs)*(header+listBody) +
-		float64(o.NeighborTrafficMsgs)*(header+ntBody) +
-		float64(o.VerifyMsgs)*pingPong
-	return uint64(total)
-}
-
 // Detection records one disconnect decision.
 type Detection struct {
 	At       float64 // seconds
@@ -426,6 +410,3 @@ func (p *Police) SetTracer(tr *trace.Tracer, seed uint64) {
 func detKey(observer, suspect PeerID) uint64 {
 	return uint64(uint32(observer))<<32 | uint64(uint32(suspect))
 }
-
-// IsBad reports ground truth for peer v (error accounting only).
-func (p *Police) IsBad(v PeerID) bool { return p.isBad[v] }

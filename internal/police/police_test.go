@@ -764,15 +764,3 @@ func TestProtocolWalkthroughFigure8(t *testing.T) {
 		t.Fatalf("detected bad = %d", p.DetectedBad())
 	}
 }
-
-func TestOverheadEstimatedBytes(t *testing.T) {
-	o := Overhead{NeighborListMsgs: 10, NeighborTrafficMsgs: 5, VerifyMsgs: 2}
-	got := o.EstimatedBytes(6)
-	// Lists: 10*(23+2+36)=610; NT: 5*43=215; verify: 2*60=120.
-	if got != 610+215+120 {
-		t.Fatalf("bytes = %d", got)
-	}
-	if (Overhead{}).EstimatedBytes(6) != 0 {
-		t.Fatal("empty overhead must cost nothing")
-	}
-}

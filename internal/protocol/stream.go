@@ -60,10 +60,3 @@ func (sr *StreamReader) Next() (Message, error) {
 		return msg, nil
 	}
 }
-
-// WriteMessage frames and writes one message to w.
-func WriteMessage(w io.Writer, guid GUID, ttl, hops byte, body Body) error {
-	wire := Encode(nil, guid, ttl, hops, body)
-	_, err := w.Write(wire)
-	return err
-}

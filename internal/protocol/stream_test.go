@@ -22,9 +22,7 @@ func streamOf(bodies ...Body) *bytes.Buffer {
 	src := rng.New(1)
 	var buf bytes.Buffer
 	for _, b := range bodies {
-		if err := WriteMessage(&buf, NewGUID(src), DefaultTTL, 0, b); err != nil {
-			panic(err)
-		}
+		buf.Write(Encode(nil, NewGUID(src), DefaultTTL, 0, b))
 	}
 	return &buf
 }

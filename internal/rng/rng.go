@@ -65,13 +65,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Substream returns a Source seeded at SubSeed(seed, dims...): a
-// deterministic per-coordinate stream that can be created concurrently
-// from any goroutine without sharing or advancing a parent generator.
-func Substream(seed uint64, dims ...uint64) *Source {
-	return New(SubSeed(seed, dims...))
-}
-
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -87,9 +80,6 @@ func (r *Source) Uint64() uint64 {
 	s[3] = rotl(s[3], 45)
 	return result
 }
-
-// Int63 returns a non-negative int64.
-func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {

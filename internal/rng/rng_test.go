@@ -323,7 +323,7 @@ func TestSubstreamDecorrelated(t *testing.T) {
 	var sum float64
 	const streams, draws = 64, 256
 	for i := uint64(0); i < streams; i++ {
-		src := Substream(7, i)
+		src := New(SubSeed(7, i))
 		for d := 0; d < draws; d++ {
 			sum += src.Float64()
 		}

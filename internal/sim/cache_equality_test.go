@@ -9,15 +9,12 @@ import (
 	"ddpolice/internal/faults"
 	"ddpolice/internal/flood"
 	"ddpolice/internal/journal"
-	"ddpolice/internal/telemetry"
 )
 
-// runInstrumented executes one config with the event stream and
-// detection journal captured.
-func runInstrumented(t *testing.T, cfg Config) (res *Result, events, jrnl []byte) {
+// runInstrumented executes one config with the detection journal
+// captured.
+func runInstrumented(t *testing.T, cfg Config) (res *Result, jrnl []byte) {
 	t.Helper()
-	var ev bytes.Buffer
-	cfg.Events = &ev
 	jr := journal.New(4096)
 	cfg.Journal = jr
 	res, err := Run(cfg)
@@ -28,7 +25,7 @@ func runInstrumented(t *testing.T, cfg Config) (res *Result, events, jrnl []byte
 	if err := jr.WriteNDJSON(&jb); err != nil {
 		t.Fatal(err)
 	}
-	return res, ev.Bytes(), jb.Bytes()
+	return res, jb.Bytes()
 }
 
 // stripCache returns a copy of res with the cache-effectiveness
@@ -44,14 +41,11 @@ func stripCache(res *Result) *Result {
 
 // assertSameRun asserts the full acceptance property between two runs
 // of the same seed: equal Results (modulo Cache) and byte-identical
-// event/journal streams.
-func assertSameRun(t *testing.T, scenario, labelA, labelB string, a, b *Result, evA, evB, jrA, jrB []byte) {
+// journals.
+func assertSameRun(t *testing.T, scenario, labelA, labelB string, a, b *Result, jrA, jrB []byte) {
 	t.Helper()
 	if !reflect.DeepEqual(stripCache(a), stripCache(b)) {
 		t.Fatalf("%s: Results diverged:\n%s: %+v\n%s: %+v", scenario, labelA, a, labelB, b)
-	}
-	if !bytes.Equal(evA, evB) {
-		t.Fatalf("%s: event streams diverged (%d vs %d bytes)", scenario, len(evA), len(evB))
 	}
 	if !bytes.Equal(jrA, jrB) {
 		t.Fatalf("%s: journals diverged (%d vs %d bytes)", scenario, len(jrA), len(jrB))
@@ -134,18 +128,18 @@ func TestCachedRunByteIdentical(t *testing.T) {
 // every mutation scenario, the sharded two-phase tick (parallel tree
 // proposal + serial commit) at 2, 4, and 8 shards must be
 // byte-identical to the serial engine — same Result (modulo Cache),
-// same event stream, same detection journal.
+// same detection journal.
 func TestShardedRunByteIdentical(t *testing.T) {
 	for _, sc := range equalityScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			serial, evS, jrS := runInstrumented(t, sc.cfg())
+			serial, jrS := runInstrumented(t, sc.cfg())
 			for _, shards := range []int{2, 4, 8} {
 				cfg := sc.cfg()
 				cfg.Shards = shards
-				sharded, evP, jrP := runInstrumented(t, cfg)
+				sharded, jrP := runInstrumented(t, cfg)
 				label := fmt.Sprintf("shards=%d", shards)
 				assertSameRun(t, sc.name+"/"+label, "serial", label,
-					serial, sharded, evS, evP, jrS, jrP)
+					serial, sharded, jrS, jrP)
 			}
 		})
 	}
@@ -172,39 +166,32 @@ func TestShardedRunEngagesPrewarm(t *testing.T) {
 // TestSteadyRunEngagesCache guards against the equality suite passing
 // vacuously: in the steady-topology query loop (the regime of the
 // benchmark's steady-2k workload) the cache must actually replay
-// floods, visible through the end-of-run telemetry gauges. No attack
+// floods, visible in Result.Cache. No attack
 // agents here on purpose — network-wide saturation clips floods, and
 // clipped floods are exactly the ones replay must refuse (a clipped
 // peer stops forwarding, so the cached tree would not be
 // byte-identical).
 func TestSteadyRunEngagesCache(t *testing.T) {
-	cfg := equalityConfig()
-	cfg.Registry = telemetry.New()
-	if _, err := Run(cfg); err != nil {
+	res, err := Run(equalityConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	hits := cfg.Registry.Gauge("flood.cache_hits").Load()
-	builds := cfg.Registry.Gauge("flood.cache_builds").Load()
-	if hits == 0 || builds == 0 {
-		t.Fatalf("traversal cache never engaged: hits=%d builds=%d", hits, builds)
+	if res.Cache.Hits == 0 || res.Cache.Builds == 0 {
+		t.Fatalf("traversal cache never engaged: %+v", res.Cache)
 	}
 }
 
 // TestAttackedRunReportsDiscards: under attack some recording floods
 // clip, and the cache's own loss — recordings thrown away instead of
-// stored — must be visible in Result.Cache and as the end-of-run gauge.
+// stored — must be visible in Result.Cache.
 func TestAttackedRunReportsDiscards(t *testing.T) {
 	cfg := equalityConfig()
 	cfg.NumAgents = 4
-	cfg.Registry = telemetry.New()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cache.Discarded == 0 {
 		t.Fatalf("no recording clipped under attack: %+v", res.Cache)
-	}
-	if got := cfg.Registry.Gauge("flood.cache_discarded").Load(); got != int64(res.Cache.Discarded) {
-		t.Fatalf("flood.cache_discarded = %d, Result.Cache.Discarded = %d", got, res.Cache.Discarded)
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ddpolice/internal/faults"
@@ -43,6 +45,54 @@ func TestValidateFaults(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad faults config %d accepted", i)
+		}
+	}
+}
+
+// TestValidateFaultPeersInRange: a scheduled fault naming a peer id
+// outside [0, NumPeers) indexes per-peer arrays mid-run, so Validate
+// must refuse it — naming the event and the id — on both lists and both
+// sides of the range, and accept the two boundary ids.
+func TestValidateFaultPeersInRange(t *testing.T) {
+	partition := func(event, id int) *faults.Schedule {
+		ps := make([]faults.PartitionEvent, event+1)
+		for i := range ps {
+			ps[i] = faults.PartitionEvent{StartSec: 60, EndSec: 120, Peers: []int{1}}
+		}
+		ps[event].Peers = []int{2, id}
+		return &faults.Schedule{Partitions: ps}
+	}
+	overload := func(event, id int) *faults.Schedule {
+		oes := make([]faults.OverloadEvent, event+1)
+		for i := range oes {
+			oes[i] = faults.OverloadEvent{StartSec: 60, EndSec: 120, Peers: []int{1}, Factor: 0.5}
+		}
+		oes[event].Peers = []int{2, id}
+		return &faults.Schedule{Overloads: oes}
+	}
+	cfg := smallConfig()
+	n := cfg.NumPeers
+	for _, tc := range []struct {
+		name   string
+		faults *faults.Schedule
+		want   string // "" = valid
+	}{
+		{"partition id = NumPeers", partition(1, n), fmt.Sprintf("Faults.Partitions[1] names peer %d,", n)},
+		{"partition id negative", partition(0, -1), "Faults.Partitions[0] names peer -1,"},
+		{"overload id = NumPeers", overload(0, n), fmt.Sprintf("Faults.Overloads[0] names peer %d,", n)},
+		{"overload id negative", overload(2, -7), "Faults.Overloads[2] names peer -7,"},
+		{"partition boundary ids", &faults.Schedule{Partitions: []faults.PartitionEvent{
+			{StartSec: 60, EndSec: 120, Peers: []int{0, n - 1}}}}, ""},
+		{"overload boundary ids", &faults.Schedule{Overloads: []faults.OverloadEvent{
+			{StartSec: 60, EndSec: 120, Peers: []int{0, n - 1}, Factor: 0.5}}}, ""},
+	} {
+		cfg.Faults = tc.faults
+		err := cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v, want valid", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func goldenRun(t *testing.T, cfg Config) (digests string, jrnl []byte) {
 	t.Helper()
 	tr := trace.New(1.0, 0)
 	cfg.Trace = tr
-	res, events, jrnl := runInstrumented(t, cfg)
+	res, jrnl := runInstrumented(t, cfg)
 	if tr.Len() == 0 {
 		t.Fatal("no spans traced (vacuous)")
 	}
@@ -114,8 +114,8 @@ func goldenRun(t *testing.T, cfg Config) (digests string, jrnl []byte) {
 		t.Fatal(err)
 	}
 	sum := func(b []byte) []byte { s := sha256.Sum256(b); return s[:] }
-	return fmt.Sprintf("result %x\nevents %x\njournal %x\ntrace %x\n",
-		sum(resJSON), sum(events), sum(jrnl), spans.Sum(nil)), jrnl
+	return fmt.Sprintf("result %x\njournal %x\ntrace %x\n",
+		sum(resJSON), sum(jrnl), spans.Sum(nil)), jrnl
 }
 
 func goldenPath(scenario string) string {
@@ -157,7 +157,7 @@ func checkGolden(t *testing.T, scenario, got string) {
 }
 
 // TestGoldenDigests checks the one engine against pinned artifacts:
-// each scenario's Result, event, journal and trace streams must hash to
+// each scenario's Result, journal and trace streams must hash to
 // the digests committed under testdata/golden, so any change that
 // reorders an iteration, drops an update or shifts a random draw
 // anywhere in the tick shows up here as the first stream it reaches.

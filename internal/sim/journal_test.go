@@ -84,15 +84,26 @@ func TestJournalLifecycleEvents(t *testing.T) {
 	if seen[journal.TypeAttackStart] != cfg.NumAgents {
 		t.Errorf("attack_start events = %d, want %d", seen[journal.TypeAttackStart], cfg.NumAgents)
 	}
+	// The journal is the record of the run's decisions: one cut record
+	// per detection, and ground truth recoverable from it alone — a cut
+	// is of a bad peer exactly when its suspect has an attack_start.
+	if seen[journal.TypeCut] != res.Detections {
+		t.Errorf("cut events = %d, Result.Detections = %d", seen[journal.TypeCut], res.Detections)
+	}
+	agents := map[int64]bool{}
+	cutAgent := false
 	// Per suspect, warning must precede the first cut.
 	firstWarn := map[int64]uint64{}
 	for _, e := range jr.Events() {
 		switch e.Type {
+		case journal.TypeAttackStart:
+			agents[e.Peer] = true
 		case journal.TypeWarning:
 			if _, ok := firstWarn[e.Peer]; !ok {
 				firstWarn[e.Peer] = e.Seq
 			}
 		case journal.TypeCut:
+			cutAgent = cutAgent || agents[e.Peer]
 			if e.G == 0 && e.S == 0 {
 				continue // verify-list cut, no preceding warning
 			}
@@ -101,5 +112,8 @@ func TestJournalLifecycleEvents(t *testing.T) {
 				t.Fatalf("cut of %d at seq %d without earlier warning", e.Peer, e.Seq)
 			}
 		}
+	}
+	if !cutAgent {
+		t.Error("no cut names a peer the journal's attack_start records mark as an agent")
 	}
 }

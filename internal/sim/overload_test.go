@@ -83,7 +83,7 @@ func TestOverloadPlaneControlDelivery(t *testing.T) {
 	// 10 attacked neighborhoods among 1000 peers dilute to ~0.22 during
 	// the saturated minute, so the default node-local 0.5 is lowered.
 	cfg.Overload = &overload.SimPlane{DegradedLossThreshold: 0.2}
-	on, _, jrnl := runInstrumented(t, cfg)
+	on, jrnl := runInstrumented(t, cfg)
 
 	dOn, dOff := controlDelivery(on), controlDelivery(off)
 	if dOn < 0.95 {
@@ -131,7 +131,7 @@ func TestOverloadPlaneNilKeepsHistoricalStream(t *testing.T) {
 	cfg.DurationSec = 600
 	cfg.NumAgents = 10
 	cfg.PoliceEnabled = true
-	_, _, jrnl := runInstrumented(t, cfg)
+	_, jrnl := runInstrumented(t, cfg)
 	for _, typ := range []string{
 		journal.TypeShed, journal.TypeDegraded,
 		journal.TypeQuarantine, journal.TypeOverload,
@@ -144,7 +144,7 @@ func TestOverloadPlaneNilKeepsHistoricalStream(t *testing.T) {
 
 // TestOverloadPlaneDeterministic: the overload plane and scheduled
 // brownouts introduce no nondeterminism — identical seeds produce
-// equal Results and byte-identical event/journal streams.
+// equal Results and byte-identical journals.
 func TestOverloadPlaneDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumAgents = 5
@@ -153,9 +153,9 @@ func TestOverloadPlaneDeterministic(t *testing.T) {
 	cfg.Faults = &faults.Schedule{Overloads: []faults.OverloadEvent{
 		{StartSec: 120, EndSec: 240, Peers: []int{10, 11, 12}, Factor: 0.25},
 	}}
-	a, evA, jrA := runInstrumented(t, cfg)
-	b, evB, jrB := runInstrumented(t, cfg)
-	assertSameRun(t, "overload plane", "first", "second", a, b, evA, evB, jrA, jrB)
+	a, jrA := runInstrumented(t, cfg)
+	b, jrB := runInstrumented(t, cfg)
+	assertSameRun(t, "overload plane", "first", "second", a, b, jrA, jrB)
 }
 
 // TestBrownoutEvents: a scheduled capacity brownout is applied and
@@ -169,7 +169,7 @@ func TestBrownoutEvents(t *testing.T) {
 	}}
 	var res *Result
 	var jrnl []byte
-	res, _, jrnl = runInstrumented(t, cfg)
+	res, jrnl = runInstrumented(t, cfg)
 	if got := faultCounter(res, "sim.overload_brownouts"); got != 1 {
 		t.Errorf("sim.overload_brownouts = %d, want 1", got)
 	}

@@ -66,10 +66,9 @@ func RunParallel(cfgs []Config) ([]*Result, error) {
 // sweeps.
 //
 // The replicas run concurrently from copies of cfg, so a per-run sink
-// in it would be shared by all of them: an Events writer written by
-// several goroutines at once, a Journal, Trace or Registry interleaved
-// by scheduling, Telemetry timing replicas that contend with each
-// other. With more than one seed any of those is an error naming the
+// in it would be shared by all of them: a Journal, Trace or Registry
+// interleaved by scheduling, Telemetry timing replicas that contend
+// with each other. With more than one seed any of those is an error naming the
 // field; observe one run with Run instead.
 func Averaged(cfg Config, seeds []uint64) (*Result, error) {
 	if len(seeds) == 0 {
@@ -80,7 +79,6 @@ func Averaged(cfg Config, seeds []uint64) (*Result, error) {
 			field string
 			set   bool
 		}{
-			{"Events", cfg.Events != nil},
 			{"Journal", cfg.Journal != nil},
 			{"Trace", cfg.Trace != nil},
 			{"Registry", cfg.Registry != nil},

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -261,7 +260,6 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 // seed — and only then.
 func TestAveragedRejectsPerRunSinks(t *testing.T) {
 	sinks := map[string]func(*Config){
-		"Events":    func(c *Config) { c.Events = io.Discard },
 		"Journal":   func(c *Config) { c.Journal = journal.New(16) },
 		"Trace":     func(c *Config) { c.Trace = trace.New(1, 0) },
 		"Registry":  func(c *Config) { c.Registry = telemetry.New() },

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"ddpolice/internal/attack"
 	"ddpolice/internal/capacity"
@@ -126,14 +125,11 @@ type Config struct {
 	DurationSec int
 	Delay       flood.DelayModel
 
-	// Events, when non-nil, receives a JSON-lines structured log of the
-	// run (see Event).
-	Events io.Writer
-
-	// Telemetry enables the run observability layer: cumulative
-	// per-stage wall-clock timers for each tick stage (Result.Stages)
+	// Telemetry enables the run observability layer: one registry timer
+	// per tick stage ("sim.stage.<name>", read back as Result.Stages)
 	// and the flood engine's event counters (Result.Telemetry). Off by
-	// default; when off the instrumentation sites reduce to nil checks.
+	// default; when off the timing sites are nil checks that never read
+	// the clock.
 	Telemetry bool
 
 	// Registry, when non-nil, receives the run's instruments instead of
@@ -158,8 +154,8 @@ type Config struct {
 	// markers). Trace IDs derive from Seed via pure sub-seed hashing,
 	// so identical-seed runs emit byte-identical span streams, cached
 	// or uncached, at any shard count. Tracing is passive: a non-nil
-	// tracer leaves Results, Events and the journal byte-identical to
-	// a nil one. Nil costs a pointer check per site.
+	// tracer leaves Results and the journal byte-identical to a nil
+	// one. Nil costs a pointer check per site.
 	Trace *trace.Tracer
 }
 
@@ -261,6 +257,9 @@ func (c Config) Validate() error {
 			if len(pe.Peers) == 0 {
 				return fmt.Errorf("sim: Faults.Partitions[%d] has no peers", i)
 			}
+			if err := c.checkFaultPeers("Partitions", i, pe.Peers); err != nil {
+				return err
+			}
 		}
 		for i, oe := range c.Faults.Overloads {
 			if oe.StartSec < 0 || oe.EndSec <= oe.StartSec {
@@ -268,6 +267,9 @@ func (c Config) Validate() error {
 			}
 			if len(oe.Peers) == 0 {
 				return fmt.Errorf("sim: Faults.Overloads[%d] has no peers", i)
+			}
+			if err := c.checkFaultPeers("Overloads", i, oe.Peers); err != nil {
+				return err
 			}
 			if oe.Factor < 0 || oe.Factor >= 1 {
 				return fmt.Errorf("sim: Faults.Overloads[%d].Factor = %v (want [0, 1))", i, oe.Factor)
@@ -277,6 +279,18 @@ func (c Config) Validate() error {
 	if c.Overload != nil {
 		if err := c.Overload.WithDefaults().Validate(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkFaultPeers rejects a scheduled fault event naming a peer id
+// outside the overlay: the tick loop indexes per-peer arrays with these
+// ids unchecked.
+func (c Config) checkFaultPeers(list string, event int, peers []int) error {
+	for _, p := range peers {
+		if p < 0 || p >= c.NumPeers {
+			return fmt.Errorf("sim: Faults.%s[%d] names peer %d, outside [0, %d)", list, event, p, c.NumPeers)
 		}
 	}
 	return nil
@@ -309,10 +323,12 @@ type Result struct {
 	AgentIDs     []overlay.PeerID
 	AttackVolume float64 // bogus query messages put on the wire
 
-	// Telemetry (nil unless Config.Telemetry): cumulative wall clock
-	// per tick stage, in StageNames order, and the run's counter
-	// snapshot (flood engine event counters).
-	Stages    []telemetry.Stage
+	// Stages (nil unless Config.Telemetry) reads the run's stage timers
+	// back in StageNames order, named as in StageNames. Telemetry (nil
+	// unless Config.Telemetry or Config.Registry) is the registry's
+	// snapshot at run end: those timers plus the flood engine's event
+	// counters.
+	Stages    []telemetry.TimerValue
 	Telemetry *telemetry.Snapshot
 
 	// Cache reports the flood engine's traversal-cache effectiveness
@@ -330,7 +346,7 @@ const (
 	StageQueryGen        // online scan + good-peer query generation
 	StageFlood           // good-peer query flood propagation
 	StagePolice          // DD-POLICE Tick and minute evaluation
-	StageMetrics         // minute close: collection, events, loss derivation
+	StageMetrics         // minute close: collection, shed markers, loss derivation
 	StageProposal        // sharded mode: parallel traversal-tree prewarm
 	numStages
 )
@@ -400,16 +416,18 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.DisableFloodCache {
 		eng.SetTraversalCache(false)
 	}
-	// Observability: nil when disabled, making every Start/Stop and
+	// Observability: nil when disabled, making every Start/Observe and
 	// counter site below a nil-check no-op. An externally supplied
-	// registry (ddsim -metrics) turns instrument recording on even when
-	// the stage timers are off.
-	var stages *telemetry.StageSet
+	// registry turns instrument recording on even when the stage timers
+	// are off.
+	var stages [numStages]*telemetry.Timer
 	reg := cfg.Registry
 	if cfg.Telemetry {
-		stages = telemetry.NewStages(StageNames...)
 		if reg == nil {
 			reg = telemetry.New()
+		}
+		for i, name := range StageNames {
+			stages[i] = reg.Timer("sim.stage." + name)
 		}
 	}
 	if reg != nil {
@@ -454,7 +472,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	coll := metrics.NewCollector()
 	lossSrc := root.Split()
-	events := newEventLog(cfg.Events)
 
 	// Scheduled fault state: one tracker per partition event, recording
 	// exactly which edges the partition severed so healing restores only
@@ -560,7 +577,7 @@ func Run(cfg Config) (*Result, error) {
 		// buddies keep stale group state until timeouts clear it —
 		// exactly the degraded view §3.3's timeout-as-zero is for.
 		if churn != nil {
-			t0 := stages.Start()
+			t0 := stages[StageChurn].Start()
 			churn.Tick(1)
 			if pol != nil {
 				// Churn reports its flips in ascending order — the same
@@ -577,7 +594,7 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 			}
-			stages.Stop(StageChurn, t0)
+			stages[StageChurn].Observe(t0)
 		}
 
 		// 1b. Attack onset: the agents join the overlay.
@@ -588,7 +605,6 @@ func Run(cfg Config) (*Result, error) {
 					pol.NotifyJoin(a.ID, now)
 				}
 			}
-			events.attackStart(now, fleet.IDs())
 			for _, a := range fleet.Agents() {
 				jr.Record(journal.Event{T: now, Type: journal.TypeAttackStart, Peer: int64(a.ID)})
 			}
@@ -608,7 +624,7 @@ func Run(cfg Config) (*Result, error) {
 		if slices < 2 {
 			slices = 2
 		}
-		t0 := stages.Start()
+		t0 := stages[StageQueryGen].Start()
 		// The online list only changes when overlay connectivity does;
 		// rescan the overlay's online flags (ascending order) keyed on
 		// the mutation counter instead of every tick.
@@ -618,7 +634,7 @@ func Run(cfg Config) (*Result, error) {
 			onlineBuf = ov.AppendOnline(onlineBuf[:0])
 		}
 		queryBuf = qgen.Tick(onlineBuf, 1, queryBuf[:0])
-		stages.Stop(StageQueryGen, t0)
+		stages[StageQueryGen].Observe(t0)
 
 		// 2b. Proposal phase (sharded mode): every traversal this tick
 		// will flood — the attacker batches and the good-peer queries
@@ -627,7 +643,7 @@ func Run(cfg Config) (*Result, error) {
 		// canonical key order. The commit phase below then replays them
 		// through the ordinary serial flood calls.
 		if cfg.Shards > 1 && eng.TraversalCacheEnabled() {
-			t0 = stages.Start()
+			t0 = stages[StageProposal].Start()
 			keyBuf = keyBuf[:0]
 			if attacking {
 				keyBuf = fleet.FloodKeys(ov, keyBuf)
@@ -636,22 +652,22 @@ func Run(cfg Config) (*Result, error) {
 				keyBuf = append(keyBuf, flood.TreeKey{Src: q.Issuer, Entry: -1, TTL: int32(cfg.TTL)})
 			}
 			eng.PrewarmTrees(keyBuf, cfg.Shards)
-			stages.Stop(StageProposal, t0)
+			stages[StageProposal].Observe(t0)
 		}
 
 		// 2c. First half of the tick's attack volume.
 		if attacking {
-			t0 = stages.Start()
+			t0 = stages[StageAttack].Start()
 			br := fleet.TickSliced(eng, ov, budget, 0.5, slices/2, 2*t)
 			coll.RecordBatch(br)
 			res.AttackVolume += br.QueryMessages
-			stages.Stop(StageAttack, t0)
+			stages[StageAttack].Observe(t0)
 		}
 
 		// 3. Good-peer query floods, interleaved mid-tick so they
 		// compete with attack traffic on fair terms rather than always
 		// seeing a drained (or untouched) budget.
-		t0 = stages.Start()
+		t0 = stages[StageFlood].Start()
 		for qi, q := range queryBuf {
 			var tc *trace.Trace
 			if tcr != nil {
@@ -667,43 +683,38 @@ func Run(cfg Config) (*Result, error) {
 			}
 			coll.RecordQuery(qr)
 		}
-		stages.Stop(StageFlood, t0)
+		stages[StageFlood].Observe(t0)
 
 		// 3b. Second half of the attack volume.
 		if attacking {
-			t0 = stages.Start()
+			t0 = stages[StageAttack].Start()
 			br := fleet.TickSliced(eng, ov, budget, 0.5, slices-slices/2, 2*t+1)
 			coll.RecordBatch(br)
 			res.AttackVolume += br.QueryMessages
-			stages.Stop(StageAttack, t0)
+			stages[StageAttack].Observe(t0)
 		}
 
 		// 4. DD-POLICE periodic work.
 		if pol != nil {
-			t0 = stages.Start()
+			t0 = stages[StagePolice].Start()
 			pol.Tick(now)
-			stages.Stop(StagePolice, t0)
+			stages[StagePolice].Observe(t0)
 		}
 
 		// 5. Minute boundary: close counters, evaluate, collect.
 		if (t+1)%60 == 0 {
 			ov.RollMinute()
 			if pol != nil {
-				t0 = stages.Start()
+				t0 = stages[StagePolice].Start()
 				pol.EvaluateMinute(now + 1)
-				stages.Stop(StagePolice, t0)
+				stages[StagePolice].Observe(t0)
 				oh := pol.Overhead().Total()
 				coll.AddControl(float64(oh - overheadAt))
 				overheadAt = oh
 			}
-			t0 = stages.Start()
+			t0 = stages[StageMetrics].Start()
 			coll.SetOnline(len(onlineBuf))
 			coll.CloseMinute()
-			if events != nil {
-				ms := coll.Minutes()
-				events.drainDetections(pol)
-				events.minute(now+1, len(ms)-1, ms[len(ms)-1], ov.CutCount())
-			}
 			if ovp != nil {
 				// Journal the minute's query-plane shedding and roll the
 				// degraded-mode detector so late cuts are attributable to
@@ -772,7 +783,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				pol.SetControlLoss(loss, lossSrc)
 			}
-			stages.Stop(StageMetrics, t0)
+			stages[StageMetrics].Observe(t0)
 		}
 	}
 
@@ -811,20 +822,12 @@ func Run(cfg Config) (*Result, error) {
 	ovTr.EndAt(float64(cfg.DurationSec))
 	res.Cache = eng.CacheStats()
 	if cfg.Telemetry {
-		res.Stages = stages.Snapshot()
+		res.Stages = make([]telemetry.TimerValue, numStages)
+		for i, tm := range stages {
+			res.Stages[i] = telemetry.TimerValue{Name: StageNames[i], Total: tm.Total(), Count: tm.Count()}
+		}
 	}
 	if reg != nil {
-		// Traversal-cache effectiveness, exported once at run end (the
-		// engine accumulates internally; per-tick gauge updates would
-		// cost atomics on the hot path for no added information).
-		cs := res.Cache
-		reg.Gauge("flood.cache_hits").Set(int64(cs.Hits))
-		reg.Gauge("flood.cache_misses").Set(int64(cs.Misses))
-		reg.Gauge("flood.cache_builds").Set(int64(cs.Builds))
-		reg.Gauge("flood.cache_prewarmed").Set(int64(cs.Prewarmed))
-		reg.Gauge("flood.cache_fallbacks").Set(int64(cs.Fallbacks))
-		reg.Gauge("flood.cache_discarded").Set(int64(cs.Discarded))
-		reg.Gauge("flood.cache_flushes").Set(int64(cs.Flushes))
 		snap := reg.Snapshot()
 		res.Telemetry = &snap
 	}

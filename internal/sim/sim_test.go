@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"runtime"
 	"testing"
 
@@ -250,58 +247,6 @@ func TestAveraged(t *testing.T) {
 	}
 }
 
-func TestEventLog(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := smallConfig()
-	cfg.DurationSec = 300
-	cfg.NumAgents = 5
-	cfg.PoliceEnabled = true
-	cfg.Events = &buf
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(&buf)
-	var (
-		attackStarts, detections, minutes int
-		sawBadDetection                   bool
-	)
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("bad event JSON: %v", err)
-		}
-		switch e.Type {
-		case "attack_start":
-			attackStarts++
-			if len(e.Agents) != 5 {
-				t.Errorf("attack_start lists %d agents", len(e.Agents))
-			}
-		case "detection":
-			detections++
-			if e.BadPeer == nil {
-				t.Error("detection without ground-truth flag")
-			} else if *e.BadPeer {
-				sawBadDetection = true
-			}
-		case "minute":
-			minutes++
-		default:
-			t.Errorf("unknown event type %q", e.Type)
-		}
-	}
-	if attackStarts != 1 {
-		t.Errorf("attack_start events = %d", attackStarts)
-	}
-	if minutes != 5 {
-		t.Errorf("minute events = %d, want 5", minutes)
-	}
-	if detections == 0 || !sawBadDetection {
-		t.Errorf("detections = %d (bad-peer seen: %v)", detections, sawBadDetection)
-	}
-}
-
 func TestFairShareDropFlag(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumAgents = 5
@@ -391,7 +336,7 @@ func runMallocs(t *testing.T, cfg Config) (uint64, *Result) {
 }
 
 // TestTickMarginalAllocsBounded owns the per-peer allocation ceiling of
-// the tick loop, cheap enough for racesmoke: with the pooled per-tick
+// the tick loop, cheap enough for `make race`: with the pooled per-tick
 // buffers (epoch-marked slices, budget touch lists, query-trace pool,
 // treeBuilder capacity hints) the steady tick loop allocates
 // O(workload), not O(peers). Differencing a 240s run against a 120s run

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"ddpolice/internal/telemetry"
+)
 
 func TestRunTelemetryStages(t *testing.T) {
 	cfg := smallConfig()
@@ -11,6 +17,7 @@ func TestRunTelemetryStages(t *testing.T) {
 	cfg.NumAgents = 2
 	cfg.PoliceEnabled = true
 	cfg.Telemetry = true
+	cfg.Registry = telemetry.New()
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -18,9 +25,23 @@ func TestRunTelemetryStages(t *testing.T) {
 	if len(r.Stages) != len(StageNames) {
 		t.Fatalf("stages = %d, want %d", len(r.Stages), len(StageNames))
 	}
+	// The stage timers live in the caller's registry — so on /metrics —
+	// and Result.Stages is those same timers read back in StageNames
+	// order.
+	var prom bytes.Buffer
+	if err := cfg.Registry.Snapshot().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
 	for i, st := range r.Stages {
 		if st.Name != StageNames[i] {
 			t.Errorf("stage %d = %q, want %q", i, st.Name, StageNames[i])
+		}
+		tm := cfg.Registry.Timer("sim.stage." + st.Name)
+		if tm.Total() != st.Total || tm.Count() != st.Count {
+			t.Errorf("stage %q = %v/%d, registry timer %v/%d", st.Name, st.Total, st.Count, tm.Total(), tm.Count())
+		}
+		if want := "sim_stage_" + st.Name + "_seconds_sum "; !strings.Contains(prom.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, prom.String())
 		}
 	}
 	byName := map[string]int{}
@@ -60,5 +81,16 @@ func TestRunTelemetryDisabledByDefault(t *testing.T) {
 	}
 	if r.Stages != nil || r.Telemetry != nil {
 		t.Fatal("telemetry present without cfg.Telemetry")
+	}
+	// A registry alone records instruments but times no stage.
+	cfg.Registry = telemetry.New()
+	if r, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if r.Stages != nil || len(r.Telemetry.Timers) != 0 {
+		t.Fatalf("stage timers without cfg.Telemetry: Stages %v, timers %v", r.Stages, r.Telemetry.Timers)
+	}
+	if len(r.Telemetry.Counters) == 0 {
+		t.Fatal("a supplied registry recorded no counters")
 	}
 }

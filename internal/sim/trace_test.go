@@ -16,17 +16,17 @@ func tracedConfig() Config {
 }
 
 // runTraced executes one config with a fully-sampled tracer attached
-// and returns the instrumented streams plus the trace NDJSON.
-func runTraced(t *testing.T, cfg Config) (res *Result, events, jrnl, spans []byte) {
+// and returns the result and journal plus the trace NDJSON.
+func runTraced(t *testing.T, cfg Config) (res *Result, jrnl, spans []byte) {
 	t.Helper()
 	tr := trace.New(1.0, 0)
 	cfg.Trace = tr
-	res, events, jrnl = runInstrumented(t, cfg)
+	res, jrnl = runInstrumented(t, cfg)
 	var buf bytes.Buffer
 	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return res, events, jrnl, buf.Bytes()
+	return res, jrnl, buf.Bytes()
 }
 
 // TestTraceByteIdentical is the tentpole acceptance property: two runs
@@ -35,8 +35,8 @@ func runTraced(t *testing.T, cfg Config) (res *Result, events, jrnl, spans []byt
 func TestTraceByteIdentical(t *testing.T) {
 	t.Parallel()
 	cfg := tracedConfig()
-	_, _, _, spansA := runTraced(t, cfg)
-	_, _, _, spansB := runTraced(t, cfg)
+	_, _, spansA := runTraced(t, cfg)
+	_, _, spansB := runTraced(t, cfg)
 	if !bytes.Equal(spansA, spansB) {
 		t.Fatalf("trace streams diverged (%d vs %d bytes)", len(spansA), len(spansB))
 	}
@@ -61,15 +61,15 @@ func TestTraceByteIdentical(t *testing.T) {
 }
 
 // TestTracePassive: attaching a tracer must not perturb the run — the
-// Result, event stream, and journal stay byte-identical to an untraced
+// Result and journal stay byte-identical to an untraced
 // run of the same seed.
 func TestTracePassive(t *testing.T) {
 	t.Parallel()
 	cfg := tracedConfig()
-	plain, evP, jrP := runInstrumented(t, cfg)
-	traced, evT, jrT, spans := runTraced(t, cfg)
+	plain, jrP := runInstrumented(t, cfg)
+	traced, jrT, spans := runTraced(t, cfg)
 	assertSameRun(t, "traced-vs-untraced", "untraced", "traced",
-		plain, traced, evP, evT, jrP, jrT)
+		plain, traced, jrP, jrT)
 	if len(spans) == 0 {
 		t.Fatal("passivity test ran without any spans (vacuous)")
 	}
@@ -81,10 +81,10 @@ func TestTracePassive(t *testing.T) {
 func TestTraceCacheByteIdentical(t *testing.T) {
 	t.Parallel()
 	cfg := tracedConfig()
-	_, _, _, spansC := runTraced(t, cfg)
+	_, _, spansC := runTraced(t, cfg)
 	uc := cfg
 	uc.DisableFloodCache = true
-	_, _, _, spansU := runTraced(t, uc)
+	_, _, spansU := runTraced(t, uc)
 	if !bytes.Equal(spansC, spansU) {
 		t.Fatalf("cached/uncached trace streams diverged (%d vs %d bytes)", len(spansC), len(spansU))
 	}
@@ -140,7 +140,7 @@ func TestTraceSampling(t *testing.T) {
 func TestTraceDetectionPathMatchesJournal(t *testing.T) {
 	t.Parallel()
 	cfg := tracedConfig()
-	_, _, jrnl, spans := runTraced(t, cfg)
+	_, jrnl, spans := runTraced(t, cfg)
 	parsed, err := trace.ReadNDJSON(bytes.NewReader(spans))
 	if err != nil {
 		t.Fatal(err)

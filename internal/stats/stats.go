@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -64,12 +63,6 @@ func (w *Welford) Max() float64 { return w.max }
 // Sum returns n * mean.
 func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
 
-// String renders a compact summary.
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		w.n, w.Mean(), w.Stddev(), w.min, w.max)
-}
-
 // Sample is a bounded in-memory sample supporting exact quantiles.
 type Sample struct {
 	xs     []float64
@@ -86,9 +79,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
-
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
 // It returns 0 for an empty sample.
@@ -113,16 +103,4 @@ func (s *Sample) Quantile(q float64) float64 {
 		return s.xs[lo]
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Mean returns the sample mean.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
 }

@@ -6,7 +6,7 @@
 // Everything is sync/atomic-based so hot paths — the live gnet run
 // loop, transient-connection goroutines, the simulator tick loop — can
 // record without locks. Every instrument is nil-safe: a nil *Counter,
-// *Gauge, *Timer, *Registry or *StageSet turns every recording call
+// *Gauge, *Timer, *Histogram or *Registry turns every recording call
 // into a nil-check no-op, so "telemetry disabled" costs a predictable
 // branch and nothing else. Instrumented code therefore never guards
 // its recording sites:
@@ -17,13 +17,10 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 )
 
@@ -101,8 +98,17 @@ func (t *Timer) Add(d time.Duration) {
 	}
 }
 
-// Observe folds in the time elapsed since start (as returned by
-// time.Now at the start of the measured region).
+// Start reads the clock at the top of a measured region; pass the
+// result to Observe. A nil Timer returns the zero time without reading
+// the clock, so a disabled timing site costs one pointer check.
+func (t *Timer) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Observe folds in the time elapsed since start (as returned by Start).
 func (t *Timer) Observe(start time.Time) {
 	if t != nil {
 		t.Add(time.Since(start))
@@ -285,14 +291,6 @@ type TimerValue struct {
 	Count uint64
 }
 
-// Mean returns the average observed duration (0 with no observations).
-func (t TimerValue) Mean() time.Duration {
-	if t.Count == 0 {
-		return 0
-	}
-	return t.Total / time.Duration(t.Count)
-}
-
 // HistogramBucket is one occupied log₂ bucket: Count observations with
 // value ≤ Le (and greater than the previous bucket's Le).
 type HistogramBucket struct {
@@ -386,143 +384,4 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Timers, func(i, j int) bool { return s.Timers[i].Name < s.Timers[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Clone deep-copies the snapshot (its slices share no storage with s).
-func (s Snapshot) Clone() Snapshot {
-	c := Snapshot{
-		Counters:   append([]CounterValue(nil), s.Counters...),
-		Gauges:     append([]GaugeValue(nil), s.Gauges...),
-		Timers:     append([]TimerValue(nil), s.Timers...),
-		Histograms: append([]HistogramValue(nil), s.Histograms...),
-	}
-	for i := range c.Histograms {
-		c.Histograms[i].Buckets = append([]HistogramBucket(nil), c.Histograms[i].Buckets...)
-	}
-	return c
-}
-
-// WriteTable renders the snapshot as aligned text tables, one section
-// per instrument kind. Each section is flushed independently so its
-// column widths — and therefore the rendered bytes — depend only on
-// that section's rows, keeping output stable for golden-file
-// comparison. Rows are in Snapshot's sorted-by-name order.
-func (s Snapshot) WriteTable(w io.Writer) error {
-	flush := func(emit func(tw *tabwriter.Writer)) error {
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		emit(tw)
-		return tw.Flush()
-	}
-	if len(s.Counters) > 0 {
-		if err := flush(func(tw *tabwriter.Writer) {
-			fmt.Fprintln(tw, "counter\tvalue")
-			for _, c := range s.Counters {
-				fmt.Fprintf(tw, "%s\t%d\n", c.Name, c.Value)
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	if len(s.Gauges) > 0 {
-		if err := flush(func(tw *tabwriter.Writer) {
-			fmt.Fprintln(tw, "gauge\tvalue")
-			for _, g := range s.Gauges {
-				fmt.Fprintf(tw, "%s\t%d\n", g.Name, g.Value)
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	if len(s.Timers) > 0 {
-		if err := flush(func(tw *tabwriter.Writer) {
-			fmt.Fprintln(tw, "timer\ttotal\tcount\tmean")
-			for _, t := range s.Timers {
-				fmt.Fprintf(tw, "%s\t%v\t%d\t%v\n", t.Name, t.Total, t.Count, t.Mean())
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	if len(s.Histograms) > 0 {
-		if err := flush(func(tw *tabwriter.Writer) {
-			fmt.Fprintln(tw, "histogram\tcount\tmean\tp50\tp95\tmax")
-			for _, h := range s.Histograms {
-				fmt.Fprintf(tw, "%s\t%d\t%.1f\t%d\t%d\t%d\n",
-					h.Name, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(1))
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stage is one stage's cumulative wall-clock reading.
-type Stage struct {
-	Name  string
-	Total time.Duration
-	Count uint64 // number of timed intervals
-}
-
-// StageSet times a fixed set of named pipeline stages addressed by
-// index, the allocation-free shape of a per-tick instrumentation loop.
-// A nil StageSet no-ops: Start returns the zero time without reading
-// the clock and Stop discards.
-type StageSet struct {
-	names  []string
-	timers []Timer
-}
-
-// NewStages creates a stage set; stage i is names[i].
-func NewStages(names ...string) *StageSet {
-	return &StageSet{names: names, timers: make([]Timer, len(names))}
-}
-
-// Start reads the clock (zero time on nil).
-func (s *StageSet) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// Stop charges the interval since start to stage i.
-func (s *StageSet) Stop(i int, start time.Time) {
-	if s == nil {
-		return
-	}
-	s.timers[i].Add(time.Since(start))
-}
-
-// Snapshot returns the per-stage readings in stage order (nil on a nil
-// set).
-func (s *StageSet) Snapshot() []Stage {
-	if s == nil {
-		return nil
-	}
-	out := make([]Stage, len(s.names))
-	for i, name := range s.names {
-		out[i] = Stage{Name: name, Total: s.timers[i].Total(), Count: s.timers[i].Count()}
-	}
-	return out
-}
-
-// WriteStageTable renders per-stage totals with their share of the
-// summed stage time.
-func WriteStageTable(w io.Writer, stages []Stage) error {
-	var sum time.Duration
-	for _, st := range stages {
-		sum += st.Total
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "stage\ttotal\tshare\tintervals")
-	for _, st := range stages {
-		share := 0.0
-		if sum > 0 {
-			share = float64(st.Total) / float64(sum) * 100
-		}
-		fmt.Fprintf(tw, "%s\t%v\t%.1f%%\t%d\n", st.Name, st.Total, share, st.Count)
-	}
-	fmt.Fprintf(tw, "total\t%v\t\t\n", sum)
-	return tw.Flush()
 }

@@ -35,14 +35,8 @@ func TestNilSafety(t *testing.T) {
 	if snap := r.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Timers)+len(snap.Histograms) != 0 {
 		t.Fatal("nil registry produced a non-empty snapshot")
 	}
-	var s *StageSet
-	start := s.Start()
-	if !start.IsZero() {
-		t.Fatal("nil stage set read the clock")
-	}
-	s.Stop(0, start)
-	if s.Snapshot() != nil {
-		t.Fatal("nil stage set produced stages")
+	if !tm.Start().IsZero() {
+		t.Fatal("nil timer read the clock")
 	}
 }
 
@@ -189,43 +183,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestWriteTableDeterministicWithMean(t *testing.T) {
-	r := New()
-	r.Counter("sim.queries").Add(12)
-	r.Gauge("gnet.inbox_hwm").Set(7)
-	r.Timer("stage.flood").Add(10 * time.Millisecond)
-	r.Timer("stage.flood").Add(30 * time.Millisecond)
-	r.Histogram("flood.hit_hops").Observe(3)
-	snap := r.Snapshot()
-	var a, b bytes.Buffer
-	if err := snap.WriteTable(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.WriteTable(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("WriteTable is not deterministic for the same snapshot")
-	}
-	if !strings.Contains(a.String(), "mean") || !strings.Contains(a.String(), "20ms") {
-		t.Fatalf("timer mean missing:\n%s", a.String())
-	}
-	if !strings.Contains(a.String(), "histogram") || !strings.Contains(a.String(), "p95") {
-		t.Fatalf("histogram section missing:\n%s", a.String())
-	}
-	// A long name in one section must not disturb another section's
-	// column widths (per-section flush): rendering only the timer
-	// section yields the same timer lines as the full table.
-	timerOnly := Snapshot{Timers: snap.Timers}
-	var c bytes.Buffer
-	if err := timerOnly.WriteTable(&c); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a.String(), strings.TrimSuffix(c.String(), "\n")) {
-		t.Fatalf("timer section depends on other sections:\nfull:\n%s\ntimers only:\n%s", a.String(), c.String())
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := New()
 	r.Counter("gnet.reconnect_ok").Add(2)
@@ -259,51 +216,43 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestSnapshotSortedAndCloned: a snapshot is sorted by name within each
+// kind and is a copy — recording after it was taken does not move it.
 func TestSnapshotSortedAndCloned(t *testing.T) {
 	r := New()
 	r.Counter("b").Inc()
 	r.Counter("a").Add(2)
-	r.Timer("t").Add(time.Millisecond)
-	r.Gauge("g").Set(1)
+	r.Timer("t2").Add(time.Millisecond)
+	r.Timer("t1").Add(time.Millisecond)
 	snap := r.Snapshot()
 	if len(snap.Counters) != 2 || snap.Counters[0].Name != "a" || snap.Counters[1].Name != "b" {
 		t.Fatalf("counters not sorted: %+v", snap.Counters)
 	}
-	cl := snap.Clone()
-	cl.Counters[0].Value = 99
-	if snap.Counters[0].Value == 99 {
-		t.Fatal("Clone shares storage with the original")
+	if len(snap.Timers) != 2 || snap.Timers[0].Name != "t1" || snap.Timers[1].Name != "t2" {
+		t.Fatalf("timers not sorted: %+v", snap.Timers)
 	}
-	var buf bytes.Buffer
-	if err := snap.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"counter", "a", "gauge", "timer"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("table missing %q:\n%s", want, buf.String())
-		}
+	r.Counter("a").Add(97)
+	r.Timer("t1").Add(time.Second)
+	if snap.Counters[0].Value != 2 || snap.Timers[0].Total != time.Millisecond {
+		t.Fatalf("snapshot moved with the live instruments: %+v %+v", snap.Counters[0], snap.Timers[0])
 	}
 }
 
-func TestStageSet(t *testing.T) {
-	s := NewStages("alpha", "beta")
-	st := s.Start()
+// TestTimerStartObserve: a live timer's Start reads the clock and
+// Observe charges the interval since — the pair the simulator's stage
+// timers are built from.
+func TestTimerStartObserve(t *testing.T) {
+	r := New()
+	tm := r.Timer("alpha")
+	st := tm.Start()
+	if st.IsZero() {
+		t.Fatal("live timer did not read the clock")
+	}
 	time.Sleep(time.Millisecond)
-	s.Stop(0, st)
-	s.Stop(1, s.Start())
-	stages := s.Snapshot()
-	if len(stages) != 2 {
-		t.Fatalf("stages = %d", len(stages))
-	}
-	if stages[0].Name != "alpha" || stages[0].Total <= 0 || stages[0].Count != 1 {
-		t.Fatalf("alpha stage = %+v", stages[0])
-	}
-	var buf bytes.Buffer
-	if err := WriteStageTable(&buf, stages); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "alpha") || !strings.Contains(buf.String(), "total") {
-		t.Fatalf("stage table:\n%s", buf.String())
+	tm.Observe(st)
+	tv := r.Snapshot().Timers[0]
+	if tv.Name != "alpha" || tv.Total <= 0 || tv.Count != 1 {
+		t.Fatalf("alpha timer = %+v", tv)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"ddpolice/internal/outfile"
 )
 
 // WriteNDJSON writes one span per line in commit order. The encoding
@@ -147,4 +149,17 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 // WriteChromeTrace converts the tracer's committed spans.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTrace(w, t.Spans())
+}
+
+// WriteFile writes the tracer's committed spans to path in the format
+// its extension names — .json gets Chrome trace-event JSON (load in
+// Perfetto), anything else NDJSON (feed to ddtrace) — through outfile,
+// so a failed flush or close is an error, not a truncated file.
+func (t *Tracer) WriteFile(path string) error {
+	return outfile.Write(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return t.WriteChromeTrace(w)
+		}
+		return t.WriteNDJSON(w)
+	})
 }

@@ -295,12 +295,3 @@ func OverloadID(seed uint64) uint64 {
 
 // FormatID renders a trace ID as 16 lowercase hex digits.
 func FormatID(id uint64) string { return fmt.Sprintf("%016x", id) }
-
-// ParseID inverts FormatID.
-func ParseID(s string) (uint64, error) {
-	var id uint64
-	if _, err := fmt.Sscanf(s, "%x", &id); err != nil {
-		return 0, fmt.Errorf("trace: bad id %q: %w", s, err)
-	}
-	return id, nil
-}

@@ -3,6 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,19 +125,22 @@ func TestIDsDistinctAcrossLifecycles(t *testing.T) {
 	}
 }
 
+// TestFormatParseID: a formatted ID is 16 lowercase hex digits that
+// parse back to the ID — what a consumer matching span files by trace
+// ID relies on.
 func TestFormatParseID(t *testing.T) {
-	for _, id := range []uint64{0, 1, 0xDEADBEEF, ^uint64(0)} {
+	for id, want := range map[uint64]string{
+		0:          "0000000000000000",
+		0xDEADBEEF: "00000000deadbeef",
+		^uint64(0): "ffffffffffffffff",
+	} {
 		s := FormatID(id)
-		if len(s) != 16 {
-			t.Fatalf("FormatID(%d) = %q", id, s)
+		if s != want {
+			t.Fatalf("FormatID(%#x) = %q, want %q", id, s, want)
 		}
-		back, err := ParseID(s)
-		if err != nil || back != id {
-			t.Fatalf("ParseID(%q) = %d, %v", s, back, err)
+		if back, err := strconv.ParseUint(s, 16, 64); err != nil || back != id {
+			t.Fatalf("%q parses back to %d, %v", s, back, err)
 		}
-	}
-	if _, err := ParseID("zzzz"); err == nil {
-		t.Fatal("ParseID accepted garbage")
 	}
 }
 
@@ -219,6 +226,41 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if ev[0].PID != ev[1].PID {
 		t.Fatal("same trace split across pids")
+	}
+}
+
+// TestWriteFileByExtension: the one trace-dump switch the commands
+// share — .json is the Chrome export, anything else the NDJSON stream,
+// each byte-identical to its writer — and a failed write is an error.
+func TestWriteFileByExtension(t *testing.T) {
+	tr := New(1.0, 0)
+	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 3})
+	tc.Add(Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
+	tc.End()
+	dir := t.TempDir()
+	for name, write := range map[string]func(io.Writer) error{
+		"run.json":   tr.WriteChromeTrace,
+		"run.ndjson": tr.WriteNDJSON,
+		"run":        tr.WriteNDJSON,
+	} {
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: WriteFile wrote\n%s\nwant\n%s", name, got, want.Bytes())
+		}
+	}
+	if err := tr.WriteFile(filepath.Join(dir, "missing", "run.json")); err == nil {
+		t.Error("WriteFile into a missing directory returned nil")
 	}
 }
 
