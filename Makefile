@@ -56,6 +56,11 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+# regen_paper is the paper-scale regeneration into directory $(1) —
+# csv/, svg/ and paper_results.txt — spelled once, so what `golden` pins
+# and what `resultscheck` checks cannot drift apart.
+regen_paper = $(GO) run ./cmd/ddexp -scale paper -fig all -csv $(1)/csv -svg $(1)/svg > $(1)/paper_results.txt
+
 # golden re-pins everything that is pinned: internal/sim/testdata/golden/
 # *.sha256 — the digests of each scenario's Result, journal and trace
 # streams that `test` holds the one tick engine to (DESIGN.md §16)
@@ -67,7 +72,7 @@ golden:
 	$(GO) test ./internal/sim -run Golden -update
 	$(GO) test ./cmd/ddexp -run Pinned -update
 	rm -rf results/csv results/svg
-	$(GO) run ./cmd/ddexp -scale paper -fig all -csv results/csv -svg results/svg > results/paper_results.txt
+	$(call regen_paper,results)
 
 # race is the one race pass: the full suites of every package with real
 # concurrency, under the race detector. flood and sim run whole ticks
@@ -99,7 +104,7 @@ writefail:
 # quotes from it — cannot survive a merge. `make golden` re-pins.
 resultscheck:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/ddexp -scale paper -fig all -csv "$$tmp/csv" -svg "$$tmp/svg" > "$$tmp/paper_results.txt" && \
+	$(call regen_paper,"$$tmp") && \
 	diff -r "$$tmp" results && echo "resultscheck ok: results/ is what the code regenerates"
 
 # bench runs the repository benchmark (BENCHMARK.json, bench/README.md),

@@ -5,6 +5,7 @@ package ddpolice
 
 import (
 	"io"
+	"slices"
 
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/viz"
@@ -12,35 +13,39 @@ import (
 
 func renderChart(w io.Writer, c *viz.Chart) error { return c.RenderSVG(w) }
 
+// curve is one series: each point's x and y.
+func curve[T any](label string, pts []T, xy func(T) (x, y float64)) viz.Series {
+	s := viz.Series{Label: label}
+	for _, p := range pts {
+		x, y := xy(p)
+		s.X, s.Y = append(s.X, x), append(s.Y, y)
+	}
+	return s
+}
+
 // Fig5SVG renders queries processed/min vs offered/min.
 func Fig5SVG(w io.Writer, pts []capacity.SaturationPoint) error {
-	var x, y []float64
-	for _, p := range pts {
-		x = append(x, p.OfferedPerMin)
-		y = append(y, p.ProcessedPerMin)
-	}
 	return renderChart(w, &viz.Chart{
 		Title:  "Figure 5: queries sent out vs processed",
 		XLabel: "offered (queries/min)",
 		YLabel: "processed (queries/min)",
-		Series: []viz.Series{{Label: "processed", X: x, Y: y}},
+		Series: []viz.Series{curve("processed", pts, func(p capacity.SaturationPoint) (x, y float64) {
+			return p.OfferedPerMin, p.ProcessedPerMin
+		})},
 	})
 }
 
 // Fig6SVG renders the drop rate vs offered rate.
 func Fig6SVG(w io.Writer, pts []capacity.SaturationPoint) error {
-	var x, y []float64
-	for _, p := range pts {
-		x = append(x, p.OfferedPerMin)
-		y = append(y, p.DropRate*100)
-	}
 	lo := 0.0
 	return renderChart(w, &viz.Chart{
 		Title:  "Figure 6: query drop rate vs query density",
 		XLabel: "offered (queries/min)",
 		YLabel: "drop rate (%)",
 		YMin:   &lo,
-		Series: []viz.Series{{Label: "drop rate", X: x, Y: y}},
+		Series: []viz.Series{curve("drop rate", pts, func(p capacity.SaturationPoint) (x, y float64) {
+			return p.OfferedPerMin, p.DropRate * 100
+		})},
 	})
 }
 
@@ -120,42 +125,32 @@ func Fig12SVG(w io.Writer, tl []Timeline) error {
 }
 
 // Fig13SVG renders the three error curves vs CT.
-func Fig13SVG(w io.Writer, pts []CTPoint) error {
-	var x, fn, fp, fj []float64
-	for _, p := range pts {
-		x = append(x, p.CutThreshold)
-		fn = append(fn, float64(p.FalseNegatives))
-		fp = append(fp, float64(p.FalsePositives))
-		fj = append(fj, float64(p.FalseJudgment))
+func Fig13SVG(w io.Writer, rows []Row) error {
+	errors := func(label string, count func(Row) int) viz.Series {
+		return curve(label, rows, func(r Row) (x, y float64) { return r.Config.Police.CutThreshold, float64(count(r)) })
 	}
 	return renderChart(w, &viz.Chart{
 		Title:  "Figure 13: errors vs cut threshold",
 		XLabel: "cut threshold CT",
 		YLabel: "errors",
 		Series: []viz.Series{
-			{Label: "false judgment", X: x, Y: fj},
-			{Label: "false negative", X: x, Y: fn},
-			{Label: "false positive", X: x, Y: fp},
+			errors("false judgment", Row.FalseJudgment),
+			errors("false negative", func(r Row) int { return r.Result.FalseNegatives }),
+			errors("false positive", func(r Row) int { return r.Result.FalsePositives }),
 		},
 	})
 }
 
 // Fig14SVG renders the recovery time vs CT (never-recovered points are
 // drawn at the top of the plotted range).
-func Fig14SVG(w io.Writer, pts []CTPoint) error {
-	maxRec := 1.0
-	for _, p := range pts {
-		if float64(p.RecoveryMinutes) > maxRec {
-			maxRec = float64(p.RecoveryMinutes)
-		}
-	}
-	var x, y []float64
-	for _, p := range pts {
-		x = append(x, p.CutThreshold)
-		if p.RecoveryMinutes < 0 {
-			y = append(y, maxRec+1) // sentinel: never recovered
-		} else {
-			y = append(y, float64(p.RecoveryMinutes))
+func Fig14SVG(w io.Writer, rows []Row) error {
+	rec := curve("damage recovery time", rows, func(r Row) (x, y float64) {
+		return r.Config.Police.CutThreshold, float64(r.RecoveryMinutes())
+	})
+	never := slices.Max(append([]float64{1}, rec.Y...)) + 1
+	for i, y := range rec.Y {
+		if y < 0 {
+			rec.Y[i] = never
 		}
 	}
 	lo := 0.0
@@ -164,43 +159,29 @@ func Fig14SVG(w io.Writer, pts []CTPoint) error {
 		XLabel: "cut threshold CT",
 		YLabel: "recovery time (min)",
 		YMin:   &lo,
-		Series: []viz.Series{{Label: "damage recovery time", X: x, Y: y}},
+		Series: []viz.Series{rec},
 	})
 }
 
 // DetectCDFSVG renders the detection-latency CDF reconstructed from
 // the event journal (agents and collateral good peers together).
 func DetectCDFSVG(w io.Writer, rep *DetectReport) error {
-	var x, y []float64
-	for _, p := range rep.CDF {
-		x = append(x, p.LatencySec)
-		y = append(y, p.Fraction)
-	}
 	lo := 0.0
 	return renderChart(w, &viz.Chart{
 		Title:  "Detection latency CDF (journal-reconstructed)",
 		XLabel: "seconds from flood start to cut",
 		YLabel: "fraction of cut suspects",
 		YMin:   &lo,
-		Series: []viz.Series{{Label: "detection latency", X: x, Y: y}},
+		Series: []viz.Series{curve("detection latency", rep.CDF, func(p DetectCDFPoint) (x, y float64) {
+			return p.LatencySec, p.Fraction
+		})},
 	})
 }
 
 // FaultsSVG renders the false-judgment surface of the fault-plane
-// study: one curve per churn regime, control loss on the x-axis.
-func FaultsSVG(w io.Writer, pts []FaultPoint) error {
-	series := map[string]*viz.Series{}
-	var order []string
-	for _, p := range pts {
-		s, ok := series[p.Churn]
-		if !ok {
-			s = &viz.Series{Label: "churn: " + p.Churn}
-			series[p.Churn] = s
-			order = append(order, p.Churn)
-		}
-		s.X = append(s.X, p.ControlLoss)
-		s.Y = append(s.Y, float64(p.FalseJudgment))
-	}
+// study: one curve per churn regime (the plan runs each regime's losses
+// together), control loss on the x-axis.
+func FaultsSVG(w io.Writer, rows []Row) error {
 	lo := 0.0
 	c := &viz.Chart{
 		Title:  "Fault plane: false judgments vs control loss",
@@ -208,8 +189,12 @@ func FaultsSVG(w io.Writer, pts []FaultPoint) error {
 		YLabel: "false judgments (FN + FP)",
 		YMin:   &lo,
 	}
-	for _, k := range order {
-		c.Series = append(c.Series, *series[k])
+	for _, r := range rows {
+		if label := "churn: " + churnRegime(r); len(c.Series) == 0 || c.Series[len(c.Series)-1].Label != label {
+			c.Series = append(c.Series, viz.Series{Label: label})
+		}
+		s := &c.Series[len(c.Series)-1]
+		s.X, s.Y = append(s.X, r.Config.Faults.ControlLoss), append(s.Y, float64(r.FalseJudgment()))
 	}
 	return renderChart(w, c)
 }
@@ -219,18 +204,9 @@ func FaultsSVG(w io.Writer, pts []FaultPoint) error {
 // overload plane off and one with it on. Points where the agent was
 // never cut are omitted from their series.
 func OverloadSVG(w io.Writer, pts []OverloadPoint) error {
-	var off, on viz.Series
-	off.Label, on.Label = "plane off", "plane on"
-	for _, p := range pts {
-		if p.TimeToCutSec < 0 {
-			continue
-		}
-		s := &off
-		if p.Plane {
-			s = &on
-		}
-		s.X = append(s.X, p.Factor)
-		s.Y = append(s.Y, p.TimeToCutSec)
+	cut := func(label string, plane bool) viz.Series {
+		kept := slices.DeleteFunc(slices.Clone(pts), func(p OverloadPoint) bool { return p.Plane != plane || p.TimeToCutSec < 0 })
+		return curve(label, kept, func(p OverloadPoint) (x, y float64) { return p.Factor, p.TimeToCutSec })
 	}
 	lo := 0.0
 	return renderChart(w, &viz.Chart{
@@ -238,6 +214,6 @@ func OverloadSVG(w io.Writer, pts []OverloadPoint) error {
 		XLabel: "agent rate / peer capacity",
 		YLabel: "time to first cut (s)",
 		YMin:   &lo,
-		Series: []viz.Series{off, on},
+		Series: []viz.Series{cut("plane off", false), cut("plane on", true)},
 	})
 }

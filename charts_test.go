@@ -58,9 +58,16 @@ func TestFigureCharts(t *testing.T) {
 	}
 	svgOK(t, "fig12", Fig12SVG(&buf, tl), &buf)
 
-	cts := []CTPoint{
-		{CutThreshold: 1, FalseNegatives: 120, FalseJudgment: 120, RecoveryMinutes: 1},
-		{CutThreshold: 10, FalseNegatives: 4, FalsePositives: 2, FalseJudgment: 6, RecoveryMinutes: -1},
+	// CT=1 recovers after a minute, CT=10 never does (Fig 14's sentinel).
+	calm := &Result{SuccessSeries: []float64{1, 1, 1}}
+	cts := []Row{
+		{Config: config(func(c *Config) { c.Police.CutThreshold = 1 }), Against: calm,
+			Result: &Result{FalseNegatives: 120, SuccessSeries: []float64{0.5, 0.9, 0.9}}},
+		{Config: config(func(c *Config) { c.Police.CutThreshold = 10 }), Against: calm,
+			Result: &Result{FalseNegatives: 4, FalsePositives: 2, SuccessSeries: []float64{0.5, 0.5, 0.5}}},
+	}
+	if a, b := cts[0].RecoveryMinutes(), cts[1].RecoveryMinutes(); a != 1 || b != -1 {
+		t.Fatalf("recovery = %d, %d; want 1, -1", a, b)
 	}
 	buf.Reset()
 	svgOK(t, "fig13", Fig13SVG(&buf, cts), &buf)

@@ -6,7 +6,8 @@
 //	ddexp [-scale quick|paper] [-csv dir] [-svg dir] [-fig all|<a key of ddpolice.Figures>]
 //
 // Every figure is one entry of the table ddpolice.Figures; this command
-// is flag parsing plus one loop over it. At -scale paper the full
+// is flag parsing, a check of the selected entries' plans, and one loop
+// over them. At -scale paper the full
 // regeneration takes about a minute on two cores (measured: 51-65 s);
 // -scale quick replays every experiment at reduced size in about 5 s.
 package main
@@ -51,6 +52,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ddexp: unknown -fig %q; valid values: %s\n", *figFlag, strings.Join(figKeys, ", "))
 		os.Exit(2)
 	}
+	var figs []ddpolice.Figure
+	for _, fig := range ddpolice.Figures {
+		if *figFlag == "all" || slices.Contains(fig.Keys, *figFlag) {
+			figs = append(figs, fig)
+		}
+	}
+	// A bad plan fails here, not after every figure ahead of it has run.
+	if err := ddpolice.ValidateFigures(figs); err != nil {
+		fatal(err)
+	}
 
 	if *cpuProfile != "" {
 		stop, err := telemetry.StartCPUProfile(*cpuProfile)
@@ -75,11 +86,8 @@ func main() {
 		}
 	}
 
-	for _, fig := range ddpolice.Figures {
-		if *figFlag != "all" && !slices.Contains(fig.Keys, *figFlag) {
-			continue
-		}
-		data, err := fig.Run(scale)
+	for _, fig := range figs {
+		data, err := fig.Execute(scale)
 		if err != nil {
 			fatal(err)
 		}

@@ -20,7 +20,19 @@ var update = flag.Bool("update", false, "re-pin testdata/quick from this build's
 // the tests below see the real exit code and streams of main — which
 // exits through os.Exit and prints straight to os.Stdout.
 func TestMain(m *testing.M) {
-	if os.Getenv("DDEXP_RUN_MAIN") == "1" {
+	switch os.Getenv("DDEXP_RUN_MAIN") {
+	case "badplan":
+		// The table with a study whose plan cannot run, last in line.
+		ddpolice.Figures = append(ddpolice.Figures, ddpolice.Figure{
+			Keys: []string{"badplan"},
+			Plan: func(s ddpolice.Scale) []ddpolice.Row {
+				cfg := ddpolice.DefaultConfig()
+				cfg.NumAgents = cfg.NumPeers
+				return []ddpolice.Row{{Label: "all agents", Config: cfg}}
+			},
+		})
+		fallthrough
+	case "1":
 		main()
 		os.Exit(0)
 	}
@@ -30,8 +42,15 @@ func TestMain(m *testing.M) {
 // ddexp runs main with args and returns its exit code and streams.
 func ddexp(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	return ddexpOver(t, "1", args...)
+}
+
+// ddexpOver is ddexp over the committed figure table ("1") or over the
+// table TestMain seeds with a bad plan ("badplan").
+func ddexpOver(t *testing.T, table string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "DDEXP_RUN_MAIN=1")
+	cmd.Env = append(os.Environ(), "DDEXP_RUN_MAIN="+table)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
@@ -82,6 +101,26 @@ func TestTable1ExitsZero(t *testing.T) {
 	code, stdout, stderr := ddexp(t, "-fig", "table1")
 	if code != 0 || !strings.Contains(stdout, "Neighbor_Traffic") {
 		t.Fatalf("exit = %d, stdout = %q, stderr = %q", code, stdout, stderr)
+	}
+}
+
+// A study whose plan cannot run stops ddexp before the first simulation,
+// not after every figure ahead of it: nothing is printed, nothing is
+// written, and stderr names the figure, the run and what is wrong.
+// Selecting only valid entries of the same table still works.
+func TestInvalidPlanFailsBeforeAnyRun(t *testing.T) {
+	dir := t.TempDir()
+	code, stdout, stderr := ddexpOver(t, "badplan", "-fig", "all", "-scale", "quick", "-csv", dir)
+	if code == 0 || stdout != "" || len(readDir(t, dir)) != 0 {
+		t.Fatalf("exit = %d, stdout = %q, %d files written; want a failure before any figure", code, stdout, len(readDir(t, dir)))
+	}
+	for _, want := range []string{"[badplan]", `run "all agents"`, "NumAgents = 2000 of 2000 peers"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	if code, stdout, _ := ddexpOver(t, "badplan", "-fig", "table1"); code != 0 || !strings.Contains(stdout, "Neighbor_Traffic") {
+		t.Errorf("-fig table1 beside the bad entry: exit = %d, stdout = %q", code, stdout)
 	}
 }
 

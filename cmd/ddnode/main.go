@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -52,6 +53,21 @@ func main() {
 		traceSmp = flag.Float64("trace-sample", 1.0, "head-sampling rate for traces (0..1)")
 	)
 	flag.Parse()
+	// A value that cannot mean anything is refused by name, not bent into
+	// one that can: -rate 0 used to flood at the 1 µs ticker floor.
+	switch {
+	case !(*rate > 0) || math.IsInf(*rate, 0):
+		usage("-rate %v: want a positive number of queries/min", *rate)
+	case *jcap < 1:
+		usage("-journal-cap %d: want at least 1", *jcap)
+	case !(*traceSmp >= 0 && *traceSmp <= 1):
+		usage("-trace-sample %v: want a rate in [0, 1]", *traceSmp)
+	}
+
+	// Registered before anything is printed: whoever reads the addresses
+	// below may signal at once and still gets the orderly shutdown.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
 	cfg := gnet.DefaultConfig(fmt.Sprintf("node-%d", *id))
 	cfg.NodeID = int32(*id)
@@ -112,9 +128,6 @@ func main() {
 		fmt.Printf("connected to %s\n", addr)
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
 	if *attack {
 		go runAgent(node, *rate, *trace, stop)
 	}
@@ -154,6 +167,12 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ddnode:", err)
 	os.Exit(1)
+}
+
+// usage rejects a flag value: exit 2, like an unknown flag.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ddnode: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // runSearcher periodically issues a search and reports the outcome.

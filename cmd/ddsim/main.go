@@ -40,6 +40,10 @@ func main() {
 		traceSmp = flag.Float64("trace-sample", 1.0, "head-sampling rate for traces (0..1)")
 	)
 	flag.Parse()
+	if !(*traceSmp >= 0 && *traceSmp <= 1) { // NaN too: trace.New would turn it into an undefined threshold
+		fmt.Fprintf(os.Stderr, "ddsim: -trace-sample %v: want a rate in [0, 1]\n", *traceSmp)
+		os.Exit(2)
+	}
 
 	cfg := ddpolice.DefaultConfig()
 	cfg.NumPeers = *peers

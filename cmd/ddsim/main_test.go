@@ -100,3 +100,14 @@ func TestRemovedFlagsExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// -trace-sample is a rate: anything outside [0, 1], NaN included, is
+// refused by name before the run starts.
+func TestBadTraceSampleExitsTwo(t *testing.T) {
+	for _, v := range []string{"-0.1", "1.5", "nan"} {
+		code, stdout, stderr := ddsim(t, "-peers", "100", "-duration", "1m", "-trace-sample", v)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-trace-sample") {
+			t.Errorf("-trace-sample %s: exit = %d, stdout = %q, stderr = %q; want 2 naming the flag", v, code, stdout, stderr)
+		}
+	}
+}

@@ -60,7 +60,3 @@ func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 // RunParallel executes several configurations concurrently (bounded by
 // GOMAXPROCS) and returns results in input order.
 func RunParallel(cfgs []Config) ([]*Result, error) { return sim.RunParallel(cfgs) }
-
-// broadcastMode aliases the attack package's broadcast spreading mode
-// for use in study configurations.
-const broadcastMode = attack.ModeBroadcast

@@ -146,78 +146,75 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13And14Shapes(t *testing.T) {
-	pts, err := Fig13And14(QuickScale())
+	rows, err := Fig13And14(QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, last := pts[0], pts[len(pts)-1]
+	ct := func(r Row) float64 { return r.Config.Police.CutThreshold }
+	first, last := rows[0], rows[len(rows)-1]
+	if len(rows) != len(QuickScale().CutThresholds) || ct(first) != 1 || ct(last) != 15 {
+		t.Fatalf("%d rows from CT=%g to CT=%g, want one per cut threshold", len(rows), ct(first), ct(last))
+	}
 	// Figure 13: false negatives (good peers cut) shrink as CT grows;
 	// false positives (missed agents) grow.
-	if last.FalseNegatives > first.FalseNegatives {
+	if last.Result.FalseNegatives > first.Result.FalseNegatives {
 		t.Errorf("FN grew with CT: %d@CT=%g -> %d@CT=%g",
-			first.FalseNegatives, first.CutThreshold, last.FalseNegatives, last.CutThreshold)
+			first.Result.FalseNegatives, ct(first), last.Result.FalseNegatives, ct(last))
 	}
-	if last.FalsePositives < first.FalsePositives {
+	if last.Result.FalsePositives < first.Result.FalsePositives {
 		t.Errorf("FP shrank with CT: %d@CT=%g -> %d@CT=%g",
-			first.FalsePositives, first.CutThreshold, last.FalsePositives, last.CutThreshold)
+			first.Result.FalsePositives, ct(first), last.Result.FalsePositives, ct(last))
 	}
-	for _, p := range pts {
-		if p.FalseJudgment != p.FalseNegatives+p.FalsePositives {
-			t.Errorf("CT=%g: false judgment %d != FN+FP", p.CutThreshold, p.FalseJudgment)
+	for _, r := range rows {
+		if r.FalseJudgment() != r.Result.FalseNegatives+r.Result.FalsePositives {
+			t.Errorf("CT=%g: false judgment %d != FN+FP", ct(r), r.FalseJudgment())
 		}
 		// Figure 14: -1 is "never recovered"; nothing below it is a time.
-		if p.RecoveryMinutes < -1 {
-			t.Errorf("CT=%g: recovery time %d", p.CutThreshold, p.RecoveryMinutes)
+		if r.RecoveryMinutes() < -1 {
+			t.Errorf("CT=%g: recovery time %d", ct(r), r.RecoveryMinutes())
 		}
 	}
 }
 
 func TestExchangeFrequencyStudyShape(t *testing.T) {
-	pts, err := ExchangeFrequencyStudy(QuickScale(), []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("rows = %d", len(pts))
+	fig := figureByKey(t, "freq")
+	fig.Plan = func(s Scale) []Row { return freqPlan(s, 1, 2) }
+	rows := execute[[]Row](t, fig, QuickScale())
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	// §3.7.1: more frequent exchange costs more list messages.
-	if pts[0].ListMessages <= pts[1].ListMessages {
-		t.Errorf("1-min exchange (%d msgs) not above 2-min (%d)",
-			pts[0].ListMessages, pts[1].ListMessages)
+	if one, two := rows[0].Result.Overhead.NeighborListMsgs, rows[1].Result.Overhead.NeighborListMsgs; one <= two {
+		t.Errorf("1-min exchange (%d msgs) not above 2-min (%d)", one, two)
 	}
-	eventDriven := pts[len(pts)-1]
-	if eventDriven.Label != "event-driven" {
+	if rows[0].Config.Police.ExchangePeriod != 60 || rows[1].Config.Police.ExchangePeriod != 120 {
+		t.Errorf("periods = %v, %v; want 60, 120", rows[0].Config.Police.ExchangePeriod, rows[1].Config.Police.ExchangePeriod)
+	}
+	eventDriven := rows[len(rows)-1]
+	if eventDriven.Label != "event-driven" || !eventDriven.Config.Police.EventDriven {
 		t.Fatal("last row must be event-driven")
 	}
 }
 
 func TestCheatingStudyShape(t *testing.T) {
-	pts, err := CheatingStudy(QuickScale())
-	if err != nil {
-		t.Fatal(err)
+	rows := execute[[]Row](t, figureByKey(t, "cheat"), QuickScale())
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4 strategies", len(rows))
 	}
-	if len(pts) != 4 {
-		t.Fatalf("rows = %d, want 4 strategies", len(pts))
-	}
-	byName := map[string]CheatPoint{}
-	for _, p := range pts {
-		byName[p.Strategy] = p
+	fn := map[string]int{}
+	for _, r := range rows {
+		fn[r.Label] = r.Result.FalseNegatives
+		if r.Result.Detections == 0 {
+			t.Errorf("%s: cheating prevented all detections", r.Label)
+		}
 	}
 	// §3.4: deflating/silent cheating frames good peers (more false
 	// negatives than honest reporting) but cannot save the agents.
-	honest, deflate, silent := byName["honest"], byName["deflate"], byName["silent"]
-	if deflate.FalseNegatives < honest.FalseNegatives {
-		t.Errorf("deflation did not raise false cuts: %d vs honest %d",
-			deflate.FalseNegatives, honest.FalseNegatives)
+	if fn["deflate"] < fn["honest"] {
+		t.Errorf("deflation did not raise false cuts: %d vs honest %d", fn["deflate"], fn["honest"])
 	}
-	if silent.FalseNegatives < honest.FalseNegatives {
-		t.Errorf("silence did not raise false cuts: %d vs honest %d",
-			silent.FalseNegatives, honest.FalseNegatives)
-	}
-	for _, p := range pts {
-		if p.Detections == 0 {
-			t.Errorf("%s: cheating prevented all detections", p.Strategy)
-		}
+	if fn["silent"] < fn["honest"] {
+		t.Errorf("silence did not raise false cuts: %d vs honest %d", fn["silent"], fn["honest"])
 	}
 }
 

@@ -73,10 +73,7 @@ func TestDetectStudyEndToEnd(t *testing.T) {
 		Seed:           1,
 		TimelineAgents: 2,
 	}
-	rep, err := DetectStudy(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := execute[*DetectReport](t, figureByKey(t, "detect"), scale)
 	if rep.Cuts == 0 || len(rep.Points) == 0 {
 		t.Fatalf("study saw no cuts: %+v", rep)
 	}

@@ -21,7 +21,7 @@ func main() {
 	scale.TimelineAgents = 8
 	scale.CutThresholds = []float64{1, 2, 3, 5, 7, 10, 15}
 
-	pts, err := ddpolice.Fig13And14(scale)
+	rows, err := ddpolice.Fig13And14(scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,16 +29,17 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "CT\tgood peers wrongly cut\tagents missed\tfalse judgment\trecovery (min)\tstable damage (%)")
 	bestCT, bestFJ := 0.0, 1<<30
-	for _, p := range pts {
-		rec := fmt.Sprint(p.RecoveryMinutes)
-		if p.RecoveryMinutes < 0 {
+	for _, r := range rows {
+		ct := r.Config.Police.CutThreshold
+		rec := fmt.Sprint(r.RecoveryMinutes())
+		if r.RecoveryMinutes() < 0 {
 			rec = "never"
 		}
 		fmt.Fprintf(w, "%g\t%d\t%d\t%d\t%s\t%.1f\n",
-			p.CutThreshold, p.FalseNegatives, p.FalsePositives,
-			p.FalseJudgment, rec, p.StableDamage)
-		if p.FalseJudgment < bestFJ {
-			bestFJ, bestCT = p.FalseJudgment, p.CutThreshold
+			ct, r.Result.FalseNegatives, r.Result.FalsePositives,
+			r.FalseJudgment(), rec, r.StableDamage(0.2))
+		if r.FalseJudgment() < bestFJ {
+			bestFJ, bestCT = r.FalseJudgment(), ct
 		}
 	}
 	w.Flush()

@@ -2,6 +2,7 @@ package ddpolice
 
 import (
 	"fmt"
+	"slices"
 
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/metrics"
@@ -66,12 +67,121 @@ func (s Scale) baseConfig() Config {
 	return cfg
 }
 
-// run executes cfg once, or averaged across s.Seeds when set.
-func (s Scale) run(cfg Config) (*Result, error) {
-	if len(s.Seeds) == 0 {
-		return sim.Run(cfg)
+// Row is one run of a figure. The figure's plan declares it (Label,
+// unique within the figure, and the Config to run), the executor finishes
+// it (Result, Observed) and the row builder says what it is compared
+// with (Against). Columns read Config and Result directly.
+type Row struct {
+	Label    string
+	Config   Config
+	Result   *Result
+	Against  *Result // the study's no-attack run, or for an ablation the same variant without DD-POLICE; nil: compared with nothing
+	Observed any     // what the figure's Observe made of the run's Journal or Trace
+}
+
+// Execute runs the figure's plan at scale, in declared order, and builds
+// its data. Outside the Run/RunParallel facade it is the one place a
+// simulation starts: a run is averaged over scale.Seeds when there are
+// any, except under Observe — a Journal or Trace narrates one run, so
+// those execute once on their own Config.Seed and are condensed as they
+// end (a full trace is ~100 MB; a study of seven holds one at a time).
+func (f Figure) Execute(scale Scale) (any, error) {
+	var rows []Row
+	if f.Plan != nil {
+		rows = f.Plan(scale)
 	}
-	return sim.Averaged(cfg, s.Seeds)
+	seeds := scale.Seeds
+	if f.Observe != nil {
+		seeds = nil
+	}
+	for i := range rows {
+		r := &rows[i]
+		var err error
+		if r.Result, err = sim.Averaged(r.Config, seeds); err != nil { // no seeds: sim.Run
+			return nil, fmt.Errorf("-fig %s, run %q: %w", f.Keys[0], r.Label, err)
+		}
+		if f.Observe != nil {
+			r.Observed = f.Observe(*r)
+			r.Config.Journal, r.Config.Trace = nil, nil
+		}
+	}
+	if f.Build == nil {
+		return rows, nil
+	}
+	return f.Build(scale, rows)
+}
+
+// figureData executes the table entry that -fig key selects and returns
+// its data as a T: the typed entry points below are views of the table.
+func figureData[T any](key string, scale Scale) (T, error) {
+	i := slices.IndexFunc(Figures, func(f Figure) bool { return slices.Contains(f.Keys, key) })
+	data, err := Figures[i].Execute(scale)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return data.(T), nil
+}
+
+func (r Row) damage() []float64 {
+	return metrics.DamageSeries(r.Against.SuccessSeries, r.Result.SuccessSeries)
+}
+
+// RecoveryMinutes is Fig 14's measure of the row's damage against its
+// baseline: minutes from D >= 20% until D <= 15%. Damage that never
+// reached 20% recovered immediately (0); damage that never fell back
+// is -1.
+func (r Row) RecoveryMinutes() int {
+	rec, err := metrics.RecoveryTime(r.damage(), 20, 15)
+	if err != nil {
+		return 0
+	}
+	return rec
+}
+
+// StableDamage is the mean damage (percent) over the final tail
+// fraction of the run.
+func (r Row) StableDamage(tail float64) float64 { return metrics.MeanTail(r.damage(), tail) }
+
+// FalseJudgment is the paper's combined error count: good peers wrongly
+// disconnected plus agents never identified.
+func (r Row) FalseJudgment() int { return r.Result.FalseNegatives + r.Result.FalsePositives }
+
+// variant is one labelled run of a plan: a named change to the plan's
+// attacked configuration.
+type variant struct {
+	label  string
+	mutate func(*Config) // nil: the attacked configuration as it stands
+}
+
+// noAttack leads a plan whose rows are compared with the same overlay
+// left alone: no agents, no DD-POLICE.
+var noAttack = variant{"no attack", func(c *Config) { c.NumAgents, c.PoliceEnabled = 0, false }}
+
+// plan declares one run per variant: base under the scale's
+// TimelineAgents agents with DD-POLICE on or off, then the variant's own
+// change, which may override either.
+func (s Scale) plan(base Config, defended bool, vs ...variant) []Row {
+	rows := make([]Row, len(vs))
+	for i, v := range vs {
+		cfg := base
+		cfg.NumAgents = s.TimelineAgents
+		cfg.PoliceEnabled = defended
+		if v.mutate != nil {
+			v.mutate(&cfg)
+		}
+		rows[i] = Row{Label: v.label, Config: cfg}
+	}
+	return rows
+}
+
+// againstFirst is the row builder of a plan led by noAttack: every later
+// row is compared with that baseline.
+func againstFirst(_ Scale, rows []Row) (any, error) {
+	for i := range rows[1:] {
+		rows[i+1].Against = rows[0].Result
+	}
+	return rows[1:], nil
 }
 
 // Fig5And6 regenerates the single-peer saturation curves: processed
@@ -110,50 +220,39 @@ type SweepPoint struct {
 // Fig9To11 runs the agent-count sweep behind Figures 9 (traffic cost),
 // 10 (response time) and 11 (success rate). The three figures share
 // the same runs, so one sweep regenerates all of them.
-func Fig9To11(scale Scale) ([]SweepPoint, error) {
-	base := scale.baseConfig()
-	baseline, err := scale.run(base)
-	if err != nil {
-		return nil, err
+func Fig9To11(scale Scale) ([]SweepPoint, error) { return figureData[[]SweepPoint]("9", scale) }
+
+// withAgents is the variant that attacks with n agents instead of the
+// scale's TimelineAgents.
+func withAgents(n int, defended bool) variant {
+	return variant{fmt.Sprintf("%d agents, DD-POLICE %t", n, defended), func(c *Config) { c.NumAgents, c.PoliceEnabled = n, defended }}
+}
+
+// sweepPlan is the no-attack run, then each nonzero agent count without
+// and with DD-POLICE; zero agents is the no-attack run itself.
+func sweepPlan(s Scale) []Row {
+	vs := []variant{noAttack}
+	for _, k := range s.AgentCounts {
+		if k > 0 {
+			vs = append(vs, withAgents(k, false), withAgents(k, true))
+		}
 	}
-	out := make([]SweepPoint, 0, len(scale.AgentCounts))
-	for _, k := range scale.AgentCounts {
-		p := SweepPoint{
-			Agents:           k,
-			TrafficBaseline:  baseline.MeanTraffic,
-			ResponseBaseline: baseline.MeanResponseTime,
-			SuccessBaseline:  baseline.OverallSuccess,
+	return s.plan(s.baseConfig(), false, vs...)
+}
+
+func sweepPoints(s Scale, rows []Row) (any, error) {
+	base, rest := rows[0].Result, rows[1:]
+	out := make([]SweepPoint, 0, len(s.AgentCounts))
+	for _, k := range s.AgentCounts {
+		atk, def := base, base
+		p := SweepPoint{Agents: k}
+		if k > 0 {
+			atk, def, rest = rest[0].Result, rest[1].Result, rest[2:]
+			p.Detections, p.FalseNegatives, p.FalsePositives = def.Detections, def.FalseNegatives, def.FalsePositives
 		}
-		if k == 0 {
-			p.TrafficAttack = baseline.MeanTraffic
-			p.TrafficDefended = baseline.MeanTraffic
-			p.ResponseAttack = baseline.MeanResponseTime
-			p.ResponseDefended = baseline.MeanResponseTime
-			p.SuccessAttack = baseline.OverallSuccess
-			p.SuccessDefended = baseline.OverallSuccess
-			out = append(out, p)
-			continue
-		}
-		cfg := base
-		cfg.NumAgents = k
-		attacked, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.PoliceEnabled = true
-		defended, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.TrafficAttack = attacked.MeanTraffic
-		p.ResponseAttack = attacked.MeanResponseTime
-		p.SuccessAttack = attacked.OverallSuccess
-		p.TrafficDefended = defended.MeanTraffic
-		p.ResponseDefended = defended.MeanResponseTime
-		p.SuccessDefended = defended.OverallSuccess
-		p.Detections = defended.Detections
-		p.FalseNegatives = defended.FalseNegatives
-		p.FalsePositives = defended.FalsePositives
+		p.TrafficBaseline, p.TrafficAttack, p.TrafficDefended = base.MeanTraffic, atk.MeanTraffic, def.MeanTraffic
+		p.ResponseBaseline, p.ResponseAttack, p.ResponseDefended = base.MeanResponseTime, atk.MeanResponseTime, def.MeanResponseTime
+		p.SuccessBaseline, p.SuccessAttack, p.SuccessDefended = base.OverallSuccess, atk.OverallSuccess, def.OverallSuccess
 		out = append(out, p)
 	}
 	return out, nil
@@ -168,186 +267,64 @@ type Timeline struct {
 
 // Fig12 regenerates the damage-rate timelines: no defense, and
 // DD-POLICE at each cut threshold in scale.TimelineCTs.
-func Fig12(scale Scale) ([]Timeline, error) {
-	base := scale.baseConfig()
-	baseline, err := scale.run(base)
-	if err != nil {
-		return nil, err
+func Fig12(scale Scale) ([]Timeline, error) { return figureData[[]Timeline]("12", scale) }
+
+// cutThreshold is the variant that defends at CT = ct.
+func cutThreshold(label string, ct float64) variant {
+	return variant{fmt.Sprintf(label, ct), func(c *Config) { c.PoliceEnabled, c.Police.CutThreshold = true, ct }}
+}
+
+func timelinePlan(s Scale) []Row {
+	vs := []variant{noAttack, {label: "no DD-POLICE"}}
+	for _, ct := range s.TimelineCTs {
+		vs = append(vs, cutThreshold("DD-POLICE-%g", ct))
 	}
-	attack := base
-	attack.NumAgents = scale.TimelineAgents
-	undefended, err := scale.run(attack)
-	if err != nil {
-		return nil, err
-	}
-	out := []Timeline{{
-		Label:  "no DD-POLICE",
-		Damage: metrics.DamageSeries(baseline.SuccessSeries, undefended.SuccessSeries),
-	}}
-	for _, ct := range scale.TimelineCTs {
-		cfg := attack
-		cfg.PoliceEnabled = true
-		cfg.Police.CutThreshold = ct
-		defended, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Timeline{
-			Label:  fmt.Sprintf("DD-POLICE-%g", ct),
-			Damage: metrics.DamageSeries(baseline.SuccessSeries, defended.SuccessSeries),
-		})
+	return s.plan(s.baseConfig(), false, vs...)
+}
+
+func timelines(_ Scale, rows []Row) (any, error) {
+	out := make([]Timeline, 0, len(rows))
+	for _, r := range rows[1:] {
+		r.Against = rows[0].Result
+		out = append(out, Timeline{Label: r.Label, Damage: r.damage()})
 	}
 	return out, nil
 }
 
-// recoveryMinutes is Fig 14's measure of a damage series: minutes from
-// D >= 20% until D <= 15%. Damage that never reached 20% recovered
-// immediately (0); damage that never fell back is -1.
-func recoveryMinutes(dmg []float64) int {
-	rec, err := metrics.RecoveryTime(dmg, 20, 15)
-	if err != nil {
-		return 0
+// Fig13And14 sweeps the cut threshold: one Row per CT, compared with the
+// no-attack run, carrying the three error counts (Fig 13) and the damage
+// recovery time (Fig 14).
+func Fig13And14(scale Scale) ([]Row, error) { return figureData[[]Row]("13", scale) }
+
+func ctPlan(s Scale) []Row {
+	vs := []variant{noAttack}
+	for _, ct := range s.CutThresholds {
+		vs = append(vs, cutThreshold("CT=%g", ct))
 	}
-	return rec
+	return s.plan(s.baseConfig(), true, vs...)
 }
 
-// CTPoint is one x-position of Figures 13 and 14.
-type CTPoint struct {
-	CutThreshold    float64
-	FalseNegatives  int // good peers wrongly disconnected (paper naming)
-	FalsePositives  int // agents never identified (paper naming)
-	FalseJudgment   int // sum of the two
-	RecoveryMinutes int // Fig 14; -1 = never recovered
-	StableDamage    float64
-}
-
-// Fig13And14 sweeps the cut threshold, measuring the three error
-// counts (Fig 13) and the damage recovery time (Fig 14: minutes from
-// D >= 20% until D <= 15%).
-func Fig13And14(scale Scale) ([]CTPoint, error) {
-	base := scale.baseConfig()
-	baseline, err := scale.run(base)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CTPoint, 0, len(scale.CutThresholds))
-	for _, ct := range scale.CutThresholds {
-		cfg := base
-		cfg.NumAgents = scale.TimelineAgents
-		cfg.PoliceEnabled = true
-		cfg.Police.CutThreshold = ct
-		r, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		dmg := metrics.DamageSeries(baseline.SuccessSeries, r.SuccessSeries)
-		out = append(out, CTPoint{
-			CutThreshold:    ct,
-			FalseNegatives:  r.FalseNegatives,
-			FalsePositives:  r.FalsePositives,
-			FalseJudgment:   r.FalseNegatives + r.FalsePositives,
-			RecoveryMinutes: recoveryMinutes(dmg),
-			StableDamage:    metrics.MeanTail(dmg, 0.2),
-		})
-	}
-	return out, nil
-}
-
-// FreqPoint is one row of the §3.7.1 neighbor-list exchange frequency
-// study.
-type FreqPoint struct {
-	Label           string
-	PeriodSec       float64 // 0 for event-driven
-	ListMessages    uint64  // exchange overhead
-	FalseNegatives  int
-	FalsePositives  int
-	RecoveryMinutes int
-}
-
-// ExchangeFrequencyStudy compares periodic neighbor-list exchange at
-// several periods against the event-driven policy, under churn and
-// attack (§3.7.1: s <= 2 min performs alike; event-driven costs far
-// more; long periods degrade accuracy through stale lists).
-func ExchangeFrequencyStudy(scale Scale, periodsMin []float64) ([]FreqPoint, error) {
-	base := scale.baseConfig()
-	baseline, err := scale.run(base)
-	if err != nil {
-		return nil, err
-	}
-	variants := make([]variant, 0, len(periodsMin)+1)
+// freqPlan is the §3.7.1 neighbor-list exchange frequency study:
+// periodic exchange at several periods against the event-driven policy,
+// under churn and attack (s <= 2 min performs alike; event-driven costs
+// far more; long periods degrade accuracy through stale lists).
+func freqPlan(s Scale, periodsMin ...float64) []Row {
+	vs := []variant{noAttack}
 	for _, mins := range periodsMin {
-		variants = append(variants, variant{fmt.Sprintf("periodic %gmin", mins),
+		vs = append(vs, variant{fmt.Sprintf("periodic %gmin", mins),
 			func(c *Config) { c.Police.ExchangePeriod = mins * 60 }})
 	}
-	variants = append(variants, variant{"event-driven", func(c *Config) { c.Police.EventDriven = true }})
-	out := make([]FreqPoint, 0, len(variants))
-	for _, v := range variants {
-		cfg := base
-		cfg.NumAgents = scale.TimelineAgents
-		cfg.PoliceEnabled = true
-		v.mutate(&cfg)
-		r, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p := FreqPoint{
-			Label:           v.label,
-			ListMessages:    r.Overhead.NeighborListMsgs,
-			FalseNegatives:  r.FalseNegatives,
-			FalsePositives:  r.FalsePositives,
-			RecoveryMinutes: recoveryMinutes(metrics.DamageSeries(baseline.SuccessSeries, r.SuccessSeries)),
-		}
-		if !cfg.Police.EventDriven {
-			p.PeriodSec = cfg.Police.ExchangePeriod
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	vs = append(vs, variant{"event-driven", func(c *Config) { c.Police.EventDriven = true }})
+	return s.plan(s.baseConfig(), true, vs...)
 }
 
-// CheatPoint is one row of the §3.4 cheating study.
-type CheatPoint struct {
-	Strategy       string
-	Detections     int
-	FalseNegatives int
-	FalsePositives int
-	Success        float64
-}
-
-// CheatingStudy runs the defense against each Neighbor_Traffic
-// reporting strategy of §3.4: honest, inflating (Case 1), deflating
-// (Case 2) and silent.
-func CheatingStudy(scale Scale) ([]CheatPoint, error) {
-	strategies := []variant{
-		{"honest", func(c *Config) { c.Agent.Cheat = police.CheatNone }},
-		{"inflate", func(c *Config) { c.Agent.Cheat = police.CheatInflate }},
-		{"deflate", func(c *Config) { c.Agent.Cheat = police.CheatDeflate }},
-		{"silent", func(c *Config) { c.Agent.Cheat = police.CheatSilent }},
-	}
-	out := make([]CheatPoint, 0, len(strategies))
-	for _, s := range strategies {
-		cfg := scale.baseConfig()
-		cfg.NumAgents = scale.TimelineAgents
-		cfg.PoliceEnabled = true
-		s.mutate(&cfg)
-		r, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CheatPoint{
-			Strategy:       s.label,
-			Detections:     r.Detections,
-			FalseNegatives: r.FalseNegatives,
-			FalsePositives: r.FalsePositives,
-			Success:        r.OverallSuccess,
-		})
-	}
-	return out, nil
-}
-
-// variant is one labelled row of a study: a named change to the
-// study's base configuration.
-type variant struct {
-	label  string
-	mutate func(*Config)
+// cheatPlan runs the defense against each Neighbor_Traffic reporting
+// strategy of §3.4: honest, inflating (Case 1), deflating (Case 2) and
+// silent.
+func cheatPlan(s Scale) []Row {
+	return s.plan(s.baseConfig(), true,
+		variant{"honest", func(c *Config) { c.Agent.Cheat = police.CheatNone }},
+		variant{"inflate", func(c *Config) { c.Agent.Cheat = police.CheatInflate }},
+		variant{"deflate", func(c *Config) { c.Agent.Cheat = police.CheatDeflate }},
+		variant{"silent", func(c *Config) { c.Agent.Cheat = police.CheatSilent }})
 }

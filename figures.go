@@ -1,12 +1,15 @@
 package ddpolice
 
 // The figure table: one declaration per figure or study that cmd/ddexp
-// regenerates. An entry names the -fig keys that select it, the typed
-// runner that produces its data, and its tables — each column declared
-// once with its CSV header, its text header, its value and its two
-// formats — plus the CSV and SVG artifacts written from the same data.
-// One text renderer and one CSV renderer serve every entry; adding a
-// figure is adding an entry.
+// regenerates. An entry names the -fig keys that select it, its plan —
+// the simulations behind it, declared as labelled Configs in run order —
+// the row builder that turns the finished runs into its data, and its
+// tables — each column declared once with its CSV header, its text
+// header, its value and its two formats — plus the CSV and SVG artifacts
+// written from the same data. One executor (Figure.Execute) runs every
+// plan, ValidateFigures checks every plan before anything runs, one text
+// renderer and one CSV renderer serve every entry; adding a figure is
+// adding an entry.
 
 import (
 	"encoding/csv"
@@ -24,8 +27,18 @@ import (
 
 // Figure is one entry of the figure table.
 type Figure struct {
-	Keys   []string                 // -fig values that select this entry
-	Run    func(Scale) (any, error) // the typed runner; its result feeds everything below
+	Keys []string // -fig values that select this entry
+	// Plan declares the figure's simulations as a function of the scale,
+	// in the order they run: each Row a label, unique within the figure,
+	// and the Config to run. nil: the figure runs none.
+	Plan func(Scale) []Row
+	// Observe, when set, condenses a run's Journal or Trace into
+	// Row.Observed as soon as that run ends. Its runs execute once each,
+	// on their own Config.Seed, at every scale.
+	Observe func(Row) any
+	// Build turns the finished rows into the data everything below
+	// renders; nil: the rows themselves.
+	Build  func(Scale, []Row) (any, error)
 	Tables []Table
 	SVGs   []SVG
 	Notes  func(data any) []string // summary lines printed under the text tables
@@ -38,7 +51,7 @@ type Table struct {
 	CSV      string    // artifact name; "" writes no CSV
 	Sections []Section // none: the table is CSV only
 	Columns  []Column
-	Rows     func(data any) any      // picks the row slice out of the runner's result; nil: the result is the slice
+	Rows     func(data any) any      // picks the row slice out of the figure's data; nil: the data is the slice
 	Series   func(data any) []Column // further columns known only from the data (Fig 12: one per timeline)
 }
 
@@ -57,7 +70,7 @@ type Column struct {
 	csvFmt, textFmt format
 }
 
-// SVG is one chart artifact rendered from the runner's result.
+// SVG is one chart artifact rendered from the figure's data.
 type SVG struct {
 	Name   string
 	Render func(w io.Writer, data any) error
@@ -105,15 +118,12 @@ func col[T any](csvHead, textHead string, val func(T) any, csvFmt, textFmt forma
 	return Column{csvHead, textHead, func(r any) any { return val(r.(T)) }, csvFmt, textFmt}
 }
 
-// study declares the common shape of an entry: one typed row list,
-// written whole to one CSV and printed as one section.
-func study[T any](keys []string, run func(Scale) ([]T, error), csvName, title string, cols []Column, svgs ...SVG) Figure {
-	return Figure{
-		Keys:   keys,
-		Run:    func(s Scale) (any, error) { return run(s) },
-		Tables: []Table{{CSV: csvName, Sections: []Section{{Title: title}}, Columns: cols}},
-		SVGs:   svgs,
-	}
+// table completes the common shape of an entry: data written whole to
+// one CSV and printed as one section.
+func (f Figure) table(csvName, title string, cols []Column, svgs ...SVG) Figure {
+	f.Tables = []Table{{CSV: csvName, Sections: []Section{{Title: title}}, Columns: cols}}
+	f.SVGs = svgs
+	return f
 }
 
 // svg adapts a typed chart builder to the table's signature.
@@ -121,11 +131,33 @@ func svg[D any](name string, render func(io.Writer, D) error) SVG {
 	return SVG{name, func(w io.Writer, d any) error { return render(w, d.(D)) }}
 }
 
+// The columns more than one study shows of a finished Row, declared once.
+var (
+	detections    = col("detections", "detections", func(r Row) any { return r.Result.Detections }, raw, raw)
+	falseNeg      = col("false_negatives", "FN", func(r Row) any { return r.Result.FalseNegatives }, raw, raw)
+	falsePos      = col("false_positives", "FP", func(r Row) any { return r.Result.FalsePositives }, raw, raw)
+	falseJudgment = col("false_judgment", "false judgment", func(r Row) any { return r.FalseJudgment() }, raw, raw)
+	success       = col("success", "success (%)", func(r Row) any { return r.Result.OverallSuccess }, raw, pct)
+	listMessages  = col("list_messages", "list msgs", func(r Row) any { return r.Result.Overhead.NeighborListMsgs }, raw, raw)
+	recovery      = col("recovery_minutes", "recovery (min)", func(r Row) any { return r.RecoveryMinutes() }, raw, raw)
+	// Figs 13-14 and the §3.7 studies spell the paper's error names out.
+	falseNegative = falseNeg.headed("false negative")
+	falsePositive = falsePos.headed("false positive")
+)
+
+// labelled shows a row's label under the study's own word for it.
+func labelled(head string) Column {
+	return col(head, head, func(r Row) any { return r.Label }, raw, raw)
+}
+
+// headed is c under another text header.
+func (c Column) headed(text string) Column { c.Text = text; return c }
+
 // Figures is the figure table, in the order ddexp prints it.
 var Figures = []Figure{
 	{
 		Keys: []string{"table1"},
-		Run: func(Scale) (any, error) {
+		Build: func(Scale, []Row) (any, error) {
 			return [][2]any{ // field, byte offset
 				{"Source IP Address", protocol.OffsetSourceIP},
 				{"Suspect IP Address", protocol.OffsetSuspectIP},
@@ -148,74 +180,59 @@ var Figures = []Figure{
 				protocol.HeaderSize+protocol.NeighborTrafficBodySize)}
 		},
 	},
-	study([]string{"5", "6"}, func(Scale) ([]capacity.SaturationPoint, error) { return Fig5And6() },
+	Figure{Keys: []string{"5", "6"}, Build: func(Scale, []Row) (any, error) { return Fig5And6() }}.table(
 		"fig5_6_saturation.csv", "Figures 5 & 6: single-peer saturation (testbed calibration)", []Column{
 			col("offered_per_min", "offered (q/min)", func(p capacity.SaturationPoint) any { return p.OfferedPerMin }, raw, f0),
 			col("processed_per_min", "processed (q/min)", func(p capacity.SaturationPoint) any { return p.ProcessedPerMin }, raw, f0),
 			col("drop_rate", "drop rate (%)", func(p capacity.SaturationPoint) any { return p.DropRate }, raw, pct),
 		}, svg("fig5.svg", Fig5SVG), svg("fig6.svg", Fig6SVG)),
-	study([]string{"radius"}, RadiusStudy,
+	Figure{Keys: []string{"radius"}, Plan: radiusPlan, Build: againstFirst}.table(
 		"radius_study.csv", "DD-POLICE-r: buddy groups from r-hop list propagation", []Column{
-			col("radius", "radius", func(p RadiusPoint) any { return p.Radius }, raw, raw),
-			col("detections", "detections", func(p RadiusPoint) any { return p.Detections }, raw, raw),
-			col("false_negatives", "FN", func(p RadiusPoint) any { return p.FalseNegatives }, raw, raw),
-			col("false_positives", "FP", func(p RadiusPoint) any { return p.FalsePositives }, raw, raw),
-			col("list_messages", "list msgs", func(p RadiusPoint) any { return p.ListMessages }, raw, raw),
-			col("success", "success (%)", func(p RadiusPoint) any { return p.Success }, raw, pct),
-			col("recovery_minutes", "recovery (min)", func(p RadiusPoint) any { return p.RecoveryMinutes }, raw, raw),
+			col("radius", "radius", func(r Row) any { return r.Config.Police.Radius }, raw, raw),
+			detections, falseNeg, falsePos, listMessages, success, recovery,
 		}),
-	study([]string{"liar"}, LiarStudy,
+	Figure{Keys: []string{"liar"}, Plan: liarPlan}.table(
 		"liar_study.csv", "§3.1: lying about neighbor lists vs the verification check", []Column{
-			col("variant", "variant", func(p LiarPoint) any { return p.Label }, raw, raw),
-			col("detections", "detections", func(p LiarPoint) any { return p.Detections }, raw, raw),
-			col("false_positives", "FP", func(p LiarPoint) any { return p.FalsePositives }, raw, raw),
-			col("success", "success (%)", func(p LiarPoint) any { return p.Success }, raw, pct),
-			col("verify_messages", "verify msgs", func(p LiarPoint) any { return p.VerifyMsgs }, raw, raw),
+			labelled("variant"), detections, falsePos, success,
+			col("verify_messages", "verify msgs", func(r Row) any { return r.Result.Overhead.VerifyMsgs }, raw, raw),
 		}),
-	study([]string{"ablate"}, AblationStudy,
+	Figure{Keys: []string{"ablate"}, Plan: ablationPlan, Build: ablationRows}.table(
 		"ablation_study.csv", "Modeling-decision ablations (DESIGN.md, Calibration)", []Column{
-			col("variant", "variant", func(p AblationPoint) any { return p.Label }, raw, raw),
-			col("success_defended", "success defended (%)", func(p AblationPoint) any { return p.Success }, raw, pct),
-			col("success_undefended", "success undefended (%)", func(p AblationPoint) any { return p.SuccessNoDef }, raw, pct),
-			col("detections", "detections", func(p AblationPoint) any { return p.Detections }, raw, raw),
-			col("false_negatives", "FN", func(p AblationPoint) any { return p.FalseNegatives }, raw, raw),
-			col("false_positives", "FP", func(p AblationPoint) any { return p.FalsePositives }, raw, raw),
+			labelled("variant"),
+			col("success_defended", "success defended (%)", func(r Row) any { return r.Result.OverallSuccess }, raw, pct),
+			col("success_undefended", "success undefended (%)", func(r Row) any { return r.Against.OverallSuccess }, raw, pct),
+			detections, falseNeg, falsePos,
 		}),
-	study([]string{"baseline"}, BaselineDefenseStudy,
+	Figure{Keys: []string{"baseline"}, Plan: baselinePlan}.table(
 		"baseline_study.csv", "Defense comparison: DD-POLICE vs fair-share load balancing [21]", []Column{
-			col("strategy", "strategy", func(p BaselinePoint) any { return p.Label }, raw, raw),
-			col("success", "success (%)", func(p BaselinePoint) any { return p.Success }, raw, pct),
-			col("response_s", "response (s)", func(p BaselinePoint) any { return p.Response }, raw, f3),
-			col("detections", "detections", func(p BaselinePoint) any { return p.Detections }, raw, raw),
-			col("false_negatives", "FN", func(p BaselinePoint) any { return p.FalseNegatives }, raw, raw),
+			labelled("strategy"), success,
+			col("response_s", "response (s)", func(r Row) any { return r.Result.MeanResponseTime }, raw, f3),
+			detections, falseNeg,
 		}),
-	study([]string{"blacklist"}, BlacklistStudy,
+	Figure{Keys: []string{"blacklist"}, Plan: blacklistPlan, Build: againstFirst}.table(
 		"blacklist_study.csv", "Future work (§5): blacklisting rejoining agents", []Column{
-			col("variant", "variant", func(p BlacklistPoint) any { return p.Label }, raw, raw),
-			col("stable_damage_pct", "stable damage (%)", func(p BlacklistPoint) any { return p.StableDamage }, raw, f1),
-			col("detections", "detections", func(p BlacklistPoint) any { return p.Detections }, raw, raw),
-			col("success", "success (%)", func(p BlacklistPoint) any { return p.Success }, raw, pct),
+			labelled("variant"),
+			col("stable_damage_pct", "stable damage (%)", func(r Row) any { return r.StableDamage(0.3) }, raw, f1),
+			detections, success,
 		}),
-	study([]string{"structured"}, StructuredStudy,
+	Figure{Keys: []string{"structured"}, Plan: func(s Scale) []Row { return perAgentCount(s, false) }, Build: structuredPoints}.table(
 		"structured_study.csv", "Future work (§5): overlay DDoS on a structured (Chord) P2P", []Column{
 			col("agents", "agents", func(p StructuredPoint) any { return p.Agents }, raw, raw),
 			col("unstructured_success", "unstructured success (%)", func(p StructuredPoint) any { return p.UnstructuredSuccess }, raw, pct),
 			col("structured_success", "structured success (%)", func(p StructuredPoint) any { return p.StructuredSuccess }, raw, pct),
 			col("structured_mean_hops", "DHT mean hops", func(p StructuredPoint) any { return p.StructuredMeanHops }, raw, f1),
 		}),
-	study([]string{"faults"}, func(s Scale) ([]FaultPoint, error) { return FaultsStudy(s, []float64{0, 0.1, 0.2, 0.4}) },
+	Figure{Keys: []string{"faults"}, Plan: func(s Scale) []Row { return faultsPlan(s, 0, 0.1, 0.2, 0.4) }}.table(
 		"faults_study.csv", "Fault plane: judgment quality under control loss x churn", []Column{
-			col("control_loss", "control loss", func(p FaultPoint) any { return p.ControlLoss }, raw, scaled("%.0f%%", 100)),
-			col("churn", "churn", func(p FaultPoint) any { return p.Churn }, raw, raw),
-			col("detections", "detections", func(p FaultPoint) any { return p.Detections }, raw, raw),
-			col("false_negatives", "FN", func(p FaultPoint) any { return p.FalseNegatives }, raw, raw),
-			col("false_positives", "FP", func(p FaultPoint) any { return p.FalsePositives }, raw, raw),
-			col("false_judgment", "false judgment", func(p FaultPoint) any { return p.FalseJudgment }, raw, raw),
-			col("success", "success (%)", func(p FaultPoint) any { return p.Success }, raw, pct),
+			col("control_loss", "control loss", func(r Row) any { return r.Config.Faults.ControlLoss }, raw, scaled("%.0f%%", 100)),
+			col("churn", "churn", func(r Row) any { return churnRegime(r) }, raw, raw),
+			detections, falseNeg, falsePos, falseJudgment, success,
 		}, svg("faults.svg", FaultsSVG)),
 	{
-		Keys: []string{"detect"},
-		Run:  func(s Scale) (any, error) { return DetectStudy(s) },
+		Keys:    []string{"detect"},
+		Plan:    detectPlan,
+		Observe: detectReport,
+		Build:   func(_ Scale, rows []Row) (any, error) { return rows[0].Observed, nil },
 		Tables: []Table{{
 			CSV:      "detect_timelines.csv",
 			Sections: []Section{{Title: "Detection pipeline: journal-reconstructed timelines"}},
@@ -261,7 +278,7 @@ var Figures = []Figure{
 			return lines
 		},
 	},
-	study([]string{"overload"}, func(s Scale) ([]OverloadPoint, error) { return OverloadStudy(s, []float64{1, 3, 10}) },
+	Figure{Keys: []string{"overload"}, Plan: func(s Scale) []Row { return overloadPlan(s, 1, 3, 10) }, Observe: overloadPoint, Build: observed[OverloadPoint]}.table(
 		"overload_study.csv", "Overload plane: control delivery and time-to-cut vs offered-over-capacity", []Column{
 			col("factor", "factor", func(p OverloadPoint) any { return p.Factor }, raw, verb("%.0fx")),
 			col("plane", "plane", func(p OverloadPoint) any {
@@ -276,7 +293,7 @@ var Figures = []Figure{
 			col("detections", "detections", func(p OverloadPoint) any { return p.Detections }, raw, raw),
 			col("degraded_transitions", "degraded", func(p OverloadPoint) any { return p.Degraded }, raw, raw),
 		}, svg("overload.svg", OverloadSVG)),
-	study([]string{"trace"}, TraceStudy,
+	Figure{Keys: []string{"trace"}, Plan: tracePlan, Observe: tracePoint, Build: observed[TracePoint]}.table(
 		"trace_study.csv", "Causal traces: detection critical path and flood fan-out vs agents", []Column{
 			col("agents", "agents", func(p TracePoint) any { return p.Agents }, raw, raw),
 			col("traces", "traces", func(p TracePoint) any { return p.Traces }, raw, raw),
@@ -290,8 +307,9 @@ var Figures = []Figure{
 			col("max_depth", "max depth", func(p TracePoint) any { return p.MaxDepth }, raw, raw),
 		}, svg("trace.svg", TraceSVG)),
 	{
-		Keys: []string{"9", "10", "11"},
-		Run:  func(s Scale) (any, error) { return Fig9To11(s) },
+		Keys:  []string{"9", "10", "11"},
+		Plan:  sweepPlan,
+		Build: sweepPoints,
 		Tables: []Table{{
 			CSV: "fig9_10_11_sweep.csv",
 			Sections: []Section{
@@ -322,8 +340,9 @@ var Figures = []Figure{
 		SVGs: []SVG{svg("fig9.svg", Fig9SVG), svg("fig10.svg", Fig10SVG), svg("fig11.svg", Fig11SVG)},
 	},
 	{
-		Keys: []string{"12"},
-		Run:  func(s Scale) (any, error) { return Fig12(s) },
+		Keys:  []string{"12"},
+		Plan:  timelinePlan,
+		Build: timelines,
 		Tables: []Table{{
 			CSV:      "fig12_damage.csv",
 			Sections: []Section{{Title: "Figure 12: damage rate D(t) over time ({agents} agents)"}},
@@ -354,39 +373,36 @@ var Figures = []Figure{
 		}},
 		SVGs: []SVG{svg("fig12.svg", Fig12SVG)},
 	},
-	study([]string{"13", "14"}, Fig13And14,
+	Figure{Keys: []string{"13", "14"}, Plan: ctPlan, Build: againstFirst}.table(
 		"fig13_14_ct.csv", "Figures 13 & 14: errors and damage recovery time vs cut threshold", []Column{
-			col("cut_threshold", "CT", func(p CTPoint) any { return p.CutThreshold }, raw, raw),
-			col("false_negatives", "false negative", func(p CTPoint) any { return p.FalseNegatives }, raw, raw),
-			col("false_positives", "false positive", func(p CTPoint) any { return p.FalsePositives }, raw, raw),
-			col("false_judgment", "false judgment", func(p CTPoint) any { return p.FalseJudgment }, raw, raw),
-			col("recovery_minutes", "recovery (min)", func(p CTPoint) any { return p.RecoveryMinutes }, raw, orNegative("never", raw)),
-			col("stable_damage_pct", "stable damage (%)", func(p CTPoint) any { return p.StableDamage }, raw, f1),
+			col("cut_threshold", "CT", func(r Row) any { return r.Config.Police.CutThreshold }, raw, raw),
+			falseNegative, falsePositive, falseJudgment,
+			col("recovery_minutes", "recovery (min)", func(r Row) any { return r.RecoveryMinutes() }, raw, orNegative("never", raw)),
+			col("stable_damage_pct", "stable damage (%)", func(r Row) any { return r.StableDamage(0.2) }, raw, f1),
 		}, svg("fig13.svg", Fig13SVG), svg("fig14.svg", Fig14SVG)),
 	{
-		Keys: []string{"freq"},
-		Run:  func(s Scale) (any, error) { return ExchangeFrequencyStudy(s, []float64{1, 2, 4, 5, 10}) },
+		Keys:  []string{"freq"},
+		Plan:  func(s Scale) []Row { return freqPlan(s, 1, 2, 4, 5, 10) },
+		Build: againstFirst,
 		Tables: []Table{{
 			CSV: "freq_study.csv",
 			Sections: []Section{{Title: "§3.7.1: neighbor-list exchange frequency study",
 				Only: []string{"policy", "list_messages", "false_negatives", "false_positives", "recovery_minutes"}}},
 			Columns: []Column{
-				col("policy", "policy", func(p FreqPoint) any { return p.Label }, raw, raw),
-				col("period_sec", "period (s)", func(p FreqPoint) any { return p.PeriodSec }, raw, f0),
-				col("list_messages", "list msgs", func(p FreqPoint) any { return p.ListMessages }, raw, raw),
-				col("false_negatives", "false negative", func(p FreqPoint) any { return p.FalseNegatives }, raw, raw),
-				col("false_positives", "false positive", func(p FreqPoint) any { return p.FalsePositives }, raw, raw),
-				col("recovery_minutes", "recovery (min)", func(p FreqPoint) any { return p.RecoveryMinutes }, raw, raw),
+				labelled("policy"),
+				col("period_sec", "period (s)", func(r Row) any { // 0 for event-driven
+					if r.Config.Police.EventDriven {
+						return 0.0
+					}
+					return r.Config.Police.ExchangePeriod
+				}, raw, f0),
+				listMessages, falseNegative, falsePositive, recovery,
 			},
 		}},
 	},
-	study([]string{"cheat"}, CheatingStudy,
+	Figure{Keys: []string{"cheat"}, Plan: cheatPlan}.table(
 		"cheat_study.csv", "§3.4: Neighbor_Traffic cheating strategies", []Column{
-			col("strategy", "strategy", func(p CheatPoint) any { return p.Strategy }, raw, raw),
-			col("detections", "detections", func(p CheatPoint) any { return p.Detections }, raw, raw),
-			col("false_negatives", "false negative", func(p CheatPoint) any { return p.FalseNegatives }, raw, raw),
-			col("false_positives", "false positive", func(p CheatPoint) any { return p.FalsePositives }, raw, raw),
-			col("success", "success (%)", func(p CheatPoint) any { return p.Success }, raw, pct),
+			labelled("strategy"), detections, falseNegative, falsePositive, success,
 		}),
 }
 
@@ -401,16 +417,19 @@ func FigureKeys() []string {
 }
 
 // ValidateFigures rejects a table that cannot be driven unambiguously:
-// an entry without a -fig key or a runner, two entries answering one
-// key, two artifacts with one file name (-csv and -svg may name the same
-// directory), a section with an empty title, a column without both
-// headers, or a section showing a column its table does not declare.
+// an entry without a -fig key, or with neither a plan nor a builder, two
+// entries answering one key, two artifacts with one file name (-csv and
+// -svg may name the same directory), a section with an empty title, a
+// column without both headers, or a section showing a column its table
+// does not declare. It then checks every plan, at quick and at paper
+// scale, without running it: run labels unique, every Config valid, and
+// no Journal or Trace on a run that will be seed-averaged.
 func ValidateFigures(figs []Figure) error {
 	seen := map[string]bool{"-fig key all": true}
 	for i, f := range figs {
 		var claims, bad []string
-		if len(f.Keys) == 0 || f.Run == nil {
-			bad = append(bad, "no -fig key or no runner")
+		if len(f.Keys) == 0 || f.Plan == nil && f.Build == nil {
+			bad = append(bad, "no -fig key, or neither plan nor builder")
 		}
 		for _, k := range f.Keys {
 			claims = append(claims, "-fig key "+k)
@@ -446,11 +465,34 @@ func ValidateFigures(figs []Figure) error {
 			}
 			seen[c] = true
 		}
+		if f.Plan != nil {
+			bad = append(bad, f.planErrors("quick", QuickScale())...)
+			bad = append(bad, f.planErrors("paper", PaperScale())...)
+		}
 		if len(bad) > 0 {
 			return fmt.Errorf("ddpolice: figure table: entry %d %v: %s", i, f.Keys, strings.Join(bad, "; "))
 		}
 	}
 	return nil
+}
+
+// planErrors lists what is wrong with the figure's plan at one scale.
+func (f Figure) planErrors(name string, scale Scale) (bad []string) {
+	labels := map[string]bool{}
+	for _, r := range f.Plan(scale) {
+		at := fmt.Sprintf("run %q at %s scale: ", r.Label, name)
+		if r.Label == "" || labels[r.Label] {
+			bad = append(bad, at+"empty or duplicate label")
+		}
+		labels[r.Label] = true
+		if err := r.Config.Validate(); err != nil {
+			bad = append(bad, at+err.Error())
+		}
+		if f.Observe == nil && len(scale.Seeds) > 1 && (r.Config.Journal != nil || r.Config.Trace != nil) {
+			bad = append(bad, at+"carries a Journal or Trace but is averaged over seeds; declare Observe")
+		}
+	}
+	return bad
 }
 
 // grid renders the table's header and rows as cells, in text or CSV

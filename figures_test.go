@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"ddpolice/internal/capacity"
+	"ddpolice/internal/faults"
+	"ddpolice/internal/journal"
 )
 
 func figureByKey(t *testing.T, key string) Figure {
@@ -51,6 +53,24 @@ func renderCSV(t *testing.T, tab Table, data any) [][]string {
 	return rows
 }
 
+// execute runs fig's plan at scale and returns its data as a T.
+func execute[T any](t *testing.T, fig Figure, scale Scale) T {
+	t.Helper()
+	data, err := fig.Execute(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data.(T)
+}
+
+// config is the zero Config with one change: the part of a hand-made
+// Row a column reads.
+func config(mutate func(*Config)) Config {
+	var c Config
+	mutate(&c)
+	return c
+}
+
 // renderCase is one entry of the figure table driven through the two
 // renderers with hand-made data.
 type renderCase struct {
@@ -79,28 +99,38 @@ var renderCases = []renderCase{
 	{key: "12", rows: 4, cells: map[[2]int]string{{0, 2}: "b", {1, 2}: "9", {2, 2}: "", {3, 1}: "3"},
 		text: []string{"(7 agents)", "2.0  -"},
 		data: []Timeline{{Label: "a", Damage: []float64{1, 2, 3}}, {Label: "b", Damage: []float64{9}}}},
-	// The never-recovered sentinel stays -1 in CSV and reads "never" in text.
-	{key: "13", rows: 2, cells: map[[2]int]string{{1, 4}: "-1", {1, 1}: "3"}, text: []string{"never"},
-		data: []CTPoint{{CutThreshold: 5, FalseNegatives: 3, RecoveryMinutes: -1}}},
+	// Damage that stays at 50% never recovers: -1 in CSV, "never" in text.
+	{key: "13", rows: 2, cells: map[[2]int]string{{1, 0}: "5", {1, 1}: "3", {1, 3}: "4", {1, 4}: "-1", {1, 5}: "50"}, text: []string{"never"},
+		data: []Row{{Config: config(func(c *Config) { c.Police.CutThreshold = 5 }),
+			Result:  &Result{FalseNegatives: 3, FalsePositives: 1, SuccessSeries: []float64{0.5, 0.5}},
+			Against: &Result{SuccessSeries: []float64{1, 1}}}}},
 	// period_sec is a CSV column the text section leaves out.
-	{key: "freq", rows: 2, cells: map[[2]int]string{{1, 1}: "120", {1, 2}: "9"}, text: []string{"periodic 2min  9"},
-		data: []FreqPoint{{Label: "periodic 2min", PeriodSec: 120, ListMessages: 9}}},
+	{key: "freq", rows: 3, cells: map[[2]int]string{{1, 1}: "120", {1, 2}: "9", {2, 1}: "0"}, text: []string{"periodic 2min  9"},
+		data: []Row{
+			{Label: "periodic 2min", Config: config(func(c *Config) { c.Police.ExchangePeriod = 120 }),
+				Result: listMsgs(9), Against: &Result{}},
+			{Label: "event-driven", Config: config(func(c *Config) { c.Police.ExchangePeriod, c.Police.EventDriven = 120, true }),
+				Result: &Result{}, Against: &Result{}}}},
 	{key: "cheat", rows: 2, cells: map[[2]int]string{{1, 0}: "deflate", {1, 4}: "0.5"}, text: []string{"50.0"},
-		data: []CheatPoint{{Strategy: "deflate", Detections: 7, Success: 0.5}}},
-	{key: "radius", rows: 2, cells: map[[2]int]string{{1, 0}: "2", {1, 4}: "100"},
-		data: []RadiusPoint{{Radius: 2, ListMessages: 100}}},
-	{key: "liar", rows: 2, cells: map[[2]int]string{{1, 0}: "lying agents + verification", {1, 4}: "4"},
-		data: []LiarPoint{{Label: "lying agents + verification", VerifyMsgs: 4}}},
+		data: []Row{{Label: "deflate", Result: &Result{Detections: 7, OverallSuccess: 0.5}}}},
+	{key: "radius", rows: 2, cells: map[[2]int]string{{1, 0}: "2", {1, 1}: "8", {1, 6}: "0"},
+		data: []Row{{Config: config(func(c *Config) { c.Police.Radius = 2 }), Result: &Result{Detections: 8}, Against: &Result{}}}},
+	{key: "liar", rows: 2, cells: map[[2]int]string{{1, 0}: "lying agents + verification", {1, 2}: "4"},
+		data: []Row{{Label: "lying agents + verification", Result: &Result{FalsePositives: 4}}}},
 	{key: "ablate", rows: 2, cells: map[[2]int]string{{1, 1}: "0.6", {1, 2}: "0.2"}, text: []string{"60.0", "20.0"},
-		data: []AblationPoint{{Label: "ttl 7", Success: 0.6, SuccessNoDef: 0.2}}},
+		data: []Row{{Label: "ttl 7", Result: &Result{OverallSuccess: 0.6}, Against: &Result{OverallSuccess: 0.2}}}},
 	{key: "baseline", rows: 2, cells: map[[2]int]string{{1, 2}: "0.1804"}, text: []string{"58.0", "0.180"},
-		data: []BaselinePoint{{Label: "fair-share drop [21]", Success: 0.58, Response: 0.1804}}},
-	{key: "blacklist", rows: 2, cells: map[[2]int]string{{1, 1}: "24.04"}, text: []string{"24.0"},
-		data: []BlacklistPoint{{Label: "DD-POLICE + 10-minute blacklist", StableDamage: 24.04}}},
+		data: []Row{{Label: "fair-share drop [21]", Result: &Result{OverallSuccess: 0.58, MeanResponseTime: 0.1804}}}},
+	// Stable damage is the mean of the last 30% of the series: here its last minute.
+	{key: "blacklist", rows: 2, cells: map[[2]int]string{{1, 1}: "25"}, text: []string{"25.0"},
+		data: []Row{{Label: "DD-POLICE + 10-minute blacklist",
+			Result: &Result{SuccessSeries: []float64{0.1, 0.2, 0.75}}, Against: &Result{SuccessSeries: []float64{1, 1, 1}}}}},
 	{key: "structured", rows: 2, cells: map[[2]int]string{{1, 3}: "3.44"}, text: []string{"3.4"},
 		data: []StructuredPoint{{Agents: 3, UnstructuredSuccess: 0.6, StructuredSuccess: 0.9, StructuredMeanHops: 3.44}}},
-	{key: "faults", rows: 2, cells: map[[2]int]string{{1, 0}: "0.1", {1, 1}: "paper"}, text: []string{"10%"},
-		data: []FaultPoint{{ControlLoss: 0.1, Churn: "paper", FalseJudgment: 3}}},
+	// A faults row's coordinates are its label's churn regime and its Config's loss.
+	{key: "faults", rows: 2, cells: map[[2]int]string{{1, 0}: "0.1", {1, 1}: "crash-heavy", {1, 5}: "3"}, text: []string{"10%"},
+		data: []Row{{Label: "crash-heavy/0.1", Config: config(func(c *Config) { c.Faults = &faults.Schedule{ControlLoss: 0.1} }),
+			Result: &Result{FalseNegatives: 1, FalsePositives: 2}}}},
 	{key: "overload", rows: 3, cells: map[[2]int]string{{1, 1}: "off", {1, 4}: "-1", {2, 1}: "on", {2, 4}: "60"},
 		text: []string{"3x", "never", "97.5"},
 		data: []OverloadPoint{{Factor: 3, TimeToCutSec: -1}, {Factor: 3, Plane: true, TimeToCutSec: 60, ControlDelivery: 0.975}}},
@@ -111,6 +141,12 @@ var renderCases = []renderCase{
 		data: detectSample},
 	{key: "detect", csv: "detect_latency_cdf.csv", rows: 3, cells: map[[2]int]string{{2, 0}: "60", {2, 1}: "1"}, data: detectSample},
 	{key: "detect", csv: "detect_overhead.csv", rows: 2, cells: map[[2]int]string{{1, 0}: "30", {1, 2}: "15", {1, 4}: "1"}, data: detectSample},
+}
+
+func listMsgs(n uint64) *Result {
+	var r Result
+	r.Overhead.NeighborListMsgs = n
+	return &r
 }
 
 // check renders the case's figure: every CSV of the entry must be
@@ -177,7 +213,7 @@ func TestSweepCSV(t *testing.T) { checkCases(t, "9") }
 func TestTimelinesCSVRaggedSeries(t *testing.T) { checkCases(t, "12") }
 
 // TestRemainingCSVWriters runs every other entry of the figure table
-// (Table 1's runner is its data: TestFigureRenderersEmptyInput).
+// (Table 1's builder is its data: TestFigureRenderersEmptyInput).
 func TestRemainingCSVWriters(t *testing.T) {
 	for _, f := range Figures {
 		if key := f.Keys[0]; !slices.Contains([]string{"table1", "5", "9", "12"}, key) {
@@ -198,21 +234,18 @@ var detectSample = &DetectReport{
 // Empty input still yields every CSV's header and every section's
 // title — no renderer indexes into rows it was not given.
 func TestFigureRenderersEmptyInput(t *testing.T) {
-	empty := map[string]any{
-		"5": []capacity.SaturationPoint(nil), "radius": []RadiusPoint(nil), "liar": []LiarPoint(nil),
-		"ablate": []AblationPoint(nil), "baseline": []BaselinePoint(nil), "blacklist": []BlacklistPoint(nil),
-		"structured": []StructuredPoint(nil), "faults": []FaultPoint(nil), "detect": &DetectReport{},
-		"overload": []OverloadPoint(nil), "trace": []TracePoint(nil), "9": []SweepPoint(nil),
-		"12": []Timeline(nil), "13": []CTPoint(nil), "freq": []FreqPoint(nil), "cheat": []CheatPoint(nil),
+	empty := map[string]any{ // the entries whose data is not a []Row
+		"5": []capacity.SaturationPoint(nil), "structured": []StructuredPoint(nil), "detect": &DetectReport{},
+		"overload": []OverloadPoint(nil), "trace": []TracePoint(nil), "9": []SweepPoint(nil), "12": []Timeline(nil),
 	}
 	for _, fig := range Figures {
 		data, ok := empty[fig.Keys[0]]
 		if !ok {
-			// Table 1 has no input to empty: its runner is its data.
-			var err error
-			if data, err = fig.Run(Scale{}); err != nil {
-				t.Fatal(err)
-			}
+			data = []Row(nil)
+		}
+		if fig.Keys[0] == "table1" {
+			// Table 1 has no input to empty: its builder is its data.
+			data = execute[any](t, fig, Scale{})
 		}
 		for _, tab := range fig.Tables {
 			if tab.CSV == "" {
@@ -247,25 +280,39 @@ func TestFigureTableValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := func(key, artifact string) Figure {
-		return study([]string{key}, func(Scale) ([]int, error) { return nil, nil }, artifact+".csv", "a title",
+		return Figure{Keys: []string{key}, Build: func(Scale, []Row) (any, error) { return []int(nil), nil }}.table(artifact+".csv", "a title",
 			[]Column{col("n", "n", func(n int) any { return n }, raw, raw)},
 			svg(artifact+".svg", func(w io.Writer, _ []int) error { return nil }))
 	}
 	if err := ValidateFigures([]Figure{good("a", "a"), good("b", "b")}); err != nil {
 		t.Fatalf("two distinct entries rejected: %v", err)
 	}
+	planned := func(vs ...variant) func(Scale) []Row {
+		return func(s Scale) []Row { return s.plan(s.baseConfig(), true, vs...) }
+	}
 	bad := map[string]func(f *Figure){
-		"duplicate -fig key a":           func(f *Figure) { f.Keys = []string{"b", "a"} },
-		"duplicate -fig key all":         func(f *Figure) { f.Keys = []string{"all"} },
-		"duplicate artifact a.csv":       func(f *Figure) { f.Tables[0].CSV = "a.csv" },
-		"duplicate artifact a.svg":       func(f *Figure) { f.SVGs[0].Name = "a.svg" },
-		"duplicate artifact b.svg":       func(f *Figure) { f.Tables[0].CSV = "b.svg" },
-		"section with an empty title":    func(f *Figure) { f.Tables[0].Sections[0].Title = "" },
-		`column "n"/"" lacks a header`:   func(f *Figure) { f.Tables[0].Columns[0].Text = "" },
-		`column ""/"n" lacks a header`:   func(f *Figure) { f.Tables[0].Columns[0].CSV = "" },
-		`shows undeclared column "m"`:    func(f *Figure) { f.Tables[0].Sections[0].Only = []string{"n", "m"} },
-		"no -fig key or no runner":       func(f *Figure) { f.Keys = nil },
-		"entry 1 [b]: no -fig key or no": func(f *Figure) { f.Run = nil },
+		"duplicate -fig key a":         func(f *Figure) { f.Keys = []string{"b", "a"} },
+		"duplicate -fig key all":       func(f *Figure) { f.Keys = []string{"all"} },
+		"duplicate artifact a.csv":     func(f *Figure) { f.Tables[0].CSV = "a.csv" },
+		"duplicate artifact a.svg":     func(f *Figure) { f.SVGs[0].Name = "a.svg" },
+		"duplicate artifact b.svg":     func(f *Figure) { f.Tables[0].CSV = "b.svg" },
+		"section with an empty title":  func(f *Figure) { f.Tables[0].Sections[0].Title = "" },
+		`column "n"/"" lacks a header`: func(f *Figure) { f.Tables[0].Columns[0].Text = "" },
+		`column ""/"n" lacks a header`: func(f *Figure) { f.Tables[0].Columns[0].CSV = "" },
+		`shows undeclared column "m"`:  func(f *Figure) { f.Tables[0].Sections[0].Only = []string{"n", "m"} },
+		"no -fig key, or neither plan": func(f *Figure) { f.Keys = nil },
+		"entry 1 [b]: no -fig key, or": func(f *Figure) { f.Build = nil },
+		// The plan checks name the figure, the run and the scale.
+		`entry 1 [b]: run "twice" at quick scale: empty or duplicate label`: func(f *Figure) {
+			f.Plan = planned(variant{label: "once"}, variant{label: "twice"}, variant{label: "twice"})
+		},
+		`run "" at quick scale: empty or duplicate label`: func(f *Figure) { f.Plan = planned(variant{}) },
+		`run "all agents" at paper scale: sim: NumAgents = 2000 of 2000 peers`: func(f *Figure) {
+			f.Plan = planned(variant{"all agents", func(c *Config) { c.NumAgents = c.NumPeers }})
+		},
+		`entry 1 [b]: run "narrated" at paper scale: carries a Journal or Trace but is averaged over seeds`: func(f *Figure) {
+			f.Plan = planned(variant{"narrated", func(c *Config) { c.Journal = journal.New(1) }})
+		},
 	}
 	for want, breakIt := range bad {
 		second := good("b", "b")
@@ -273,6 +320,54 @@ func TestFigureTableValid(t *testing.T) {
 		err := ValidateFigures([]Figure{good("a", "a"), second})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("want an error containing %q, got %v", want, err)
+		}
+	}
+	// The same journal is in order on a figure that observes its runs.
+	narrated := good("b", "b")
+	narrated.Plan = planned(variant{"narrated", func(c *Config) { c.Journal = journal.New(1) }})
+	narrated.Observe = func(Row) any { return nil }
+	if err := ValidateFigures([]Figure{narrated}); err != nil {
+		t.Errorf("a journal under Observe rejected: %v", err)
+	}
+}
+
+// TestFigurePlansValid walks every entry's plan at both scales: it is
+// valid as ValidateFigures defines it, and it declares exactly the runs
+// the figure has always made — the repository benchmark divides the
+// paper-figs wall clock by Fig 9-11's 13 plus Fig 12's 5 configurations.
+func TestFigurePlansValid(t *testing.T) {
+	runs := map[string][2]int{ // first -fig key -> runs at quick, at paper scale
+		"table1": {0, 0}, "5": {0, 0}, "radius": {3, 3}, "liar": {3, 3}, "ablate": {12, 12}, "baseline": {4, 4},
+		"blacklist": {3, 3}, "structured": {4, 7}, "faults": {12, 12}, "detect": {1, 1}, "overload": {6, 6},
+		"trace": {4, 7}, "9": {7, 13}, "12": {5, 5}, "13": {7, 9}, "freq": {7, 7}, "cheat": {4, 4},
+	}
+	for _, fig := range Figures {
+		want, ok := runs[fig.Keys[0]]
+		if !ok {
+			t.Errorf("-fig %s: no run count declared here", fig.Keys[0])
+		}
+		for i, scale := range []Scale{QuickScale(), PaperScale()} {
+			if fig.Plan == nil {
+				if want[i] != 0 {
+					t.Errorf("-fig %s: no plan, want %d runs", fig.Keys[0], want[i])
+				}
+				continue
+			}
+			if bad := fig.planErrors([]string{"quick", "paper"}[i], scale); len(bad) > 0 {
+				t.Errorf("-fig %s: %v", fig.Keys[0], bad)
+			}
+			rows := fig.Plan(scale)
+			if len(rows) != want[i] {
+				t.Errorf("-fig %s: %d runs at scale %d, want %d", fig.Keys[0], len(rows), i, want[i])
+			}
+			for _, r := range rows {
+				if r.Config.NumPeers != scale.NumPeers || r.Config.DurationSec != scale.DurationSec || r.Config.Seed != scale.Seed {
+					t.Errorf("-fig %s, run %q: not at the scale's size, length and seed", fig.Keys[0], r.Label)
+				}
+				if (r.Config.Journal != nil || r.Config.Trace != nil) != (fig.Observe != nil) {
+					t.Errorf("-fig %s, run %q: a sink without Observe, or Observe without a sink", fig.Keys[0], r.Label)
+				}
+			}
 		}
 	}
 }

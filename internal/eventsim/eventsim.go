@@ -37,12 +37,6 @@ type Event struct {
 	index int // heap index; -1 once popped or cancelled
 }
 
-// Cancelled reports whether Cancel was called (or the event already ran).
-func (e *Event) Cancelled() bool { return e.index == -1 && e.fn == nil }
-
-// At returns the scheduled virtual time.
-func (e *Event) At() Time { return e.at }
-
 // Engine is a single-threaded discrete-event executor. It is not safe
 // for concurrent use; run one Engine per goroutine.
 type Engine struct {

@@ -56,8 +56,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after cancel")
+	if e.Pending() != 0 {
+		t.Fatal("cancelled event still queued")
 	}
 	// Double-cancel and nil-cancel are no-ops.
 	e.Cancel(ev)

@@ -19,28 +19,14 @@ import (
 	"ddpolice/internal/protocol"
 )
 
-// errNodeClosed is returned when a bench hook races node shutdown.
-var errNodeClosed = errors.New("gnet: node closed")
-
 // runOnCtl executes fn on the node's run loop and waits for it to
-// finish, mirroring what message handlers do internally.
+// finish, mirroring what message handlers do internally; a run loop
+// that does not get to it within 5 s per half of the trip is reported
+// as stalled.
 func (n *Node) runOnCtl(fn func()) error {
-	done := make(chan struct{})
-	select {
-	case n.ctl <- func() { fn(); close(done) }:
-	case <-n.closed:
-		return errNodeClosed
-	case <-time.After(5 * time.Second):
-		return errors.New("gnet: run loop stalled")
-	}
-	select {
-	case <-done:
-		return nil
-	case <-n.closed:
-		return errNodeClosed
-	case <-time.After(5 * time.Second):
-		return errors.New("gnet: run loop stalled")
-	}
+	done := make(chan struct{}, 1)
+	_, err := ctlCall(n, done, 5*time.Second, func() { fn(); done <- struct{}{} })
+	return err
 }
 
 // BenchPrimeSuspect installs a synthetic buddy-group view for suspect

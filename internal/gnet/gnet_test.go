@@ -1,11 +1,15 @@
 package gnet
 
 import (
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/police"
+	"ddpolice/internal/telemetry"
 )
 
 func newTestNode(t *testing.T, name string, id int32, mutate func(*Config)) *Node {
@@ -49,6 +53,79 @@ func TestHandshakeAndNeighbors(t *testing.T) {
 	}
 	if got := b.Neighbors()[0]; got != 1 {
 		t.Fatalf("b's neighbor id = %d", got)
+	}
+}
+
+// badNodeIDs are the Node-ID header lines a handshake must refuse:
+// absent, not a number, and past int32 — 2^32 used to truncate to 0.
+var badNodeIDs = []string{"", "Node-ID: zero\r\n", "Node-ID: 4294967296\r\n", "Node-ID: \r\n"}
+
+// A dialer that omits or garbles Node-ID used to be adopted as node 0,
+// and adoptConn closed the real neighbor 0 to make room for it. The
+// acceptor must hang up without an OK, count the failure and keep its
+// neighbor.
+func TestAcceptorRejectsBadNodeID(t *testing.T) {
+	reg := telemetry.New()
+	hub := newTestNode(t, "hub", 5, func(cfg *Config) { cfg.Telemetry = reg })
+	zero := newTestNode(t, "zero", 0, nil)
+	if err := zero.Connect(hub.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(hub.Neighbors()) == 1 }, "hub sees node 0")
+	for i, header := range badNodeIDs {
+		conn, err := net.Dial("tcp", hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(helloLine + "\r\nListen-Addr: 127.0.0.1:1\r\n" + header + "\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if reply, _ := io.ReadAll(conn); strings.Contains(string(reply), okLine) {
+			t.Errorf("hello with %q was answered %q", header, reply)
+		}
+		if got := counterValue(reg, "gnet.handshake_failures"); got != uint64(i+1) {
+			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", header, got, i+1)
+		}
+	}
+	// Every dialer was counted as refused, so none was adopted in node 0's place.
+	if got := zero.Neighbors(); len(got) != 1 || got[0] != 5 {
+		t.Errorf("node 0 lost the hub to an unidentified dialer: neighbors = %v", got)
+	}
+}
+
+// The same rule on the dialing side: a responder whose OK carries no
+// usable Node-ID is not a neighbor.
+func TestDialerRejectsBadNodeID(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for _, header := range badNodeIDs {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			readHandshake(conn)
+			conn.Write([]byte(okLine + "\r\nListen-Addr: " + ln.Addr().String() + "\r\n" + header + "\r\n"))
+			conn.Close()
+		}
+	}()
+	reg := telemetry.New()
+	a := newTestNode(t, "a", 1, func(cfg *Config) { cfg.Telemetry = reg })
+	for i, header := range badNodeIDs {
+		if err := a.Connect(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "Node-ID") {
+			t.Errorf("Connect to a responder sending %q: err = %v, want a Node-ID error", header, err)
+		}
+		if got := counterValue(reg, "gnet.handshake_failures"); got != uint64(i+1) {
+			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", header, got, i+1)
+		}
+	}
+	if got := a.Neighbors(); len(got) != 0 {
+		t.Errorf("adopted an unidentified responder: neighbors = %v", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -419,26 +420,47 @@ func (n *Node) Stats() Stats {
 	return out
 }
 
+// ctlCall is the one control-loop round trip: it posts fn to the run loop
+// and waits for the answer fn sends on res (buffered, so a run loop that
+// reaches fn after the caller gave up does not block on it). It gives up
+// when the node closes and, with a positive stall, when either half of
+// the trip takes longer than that.
+func ctlCall[T any](n *Node, res chan T, stall time.Duration, fn func()) (T, error) {
+	var zero T
+	after := func() <-chan time.Time {
+		if stall <= 0 {
+			return nil
+		}
+		return time.After(stall)
+	}
+	select {
+	case n.ctl <- fn:
+	case <-n.closed:
+		return zero, errClosed
+	case <-after():
+		return zero, errStalled
+	}
+	select {
+	case v := <-res:
+		return v, nil
+	case <-n.closed:
+		return zero, errClosed
+	case <-after():
+		return zero, errStalled
+	}
+}
+
 // Neighbors returns the overlay ids of current neighbors.
 func (n *Node) Neighbors() []int32 {
 	res := make(chan []int32, 1)
-	select {
-	case n.ctl <- func() {
+	out, _ := ctlCall(n, res, 0, func() {
 		var out []int32
 		for id := range n.peers {
 			out = append(out, id)
 		}
 		res <- out
-	}:
-	case <-n.closed:
-		return nil
-	}
-	select {
-	case out := <-res:
-		return out
-	case <-n.closed:
-		return nil
-	}
+	})
+	return out
 }
 
 // Connect dials and handshakes with a remote node's listen address,
@@ -519,9 +541,18 @@ func readPeerIdentity(conn net.Conn) (int32, string, error) {
 	if !strings.HasPrefix(resp, okLine) {
 		return 0, "", fmt.Errorf("gnet: handshake rejected: %q", firstLine(resp))
 	}
-	var id int64
-	fmt.Sscanf(headerValue(resp, "Node-ID"), "%d", &id)
-	return int32(id), headerValue(resp, "Listen-Addr"), nil
+	id, err := parseNodeID(resp)
+	return id, headerValue(resp, "Listen-Addr"), err
+}
+
+// parseNodeID reads a handshake block's Node-ID. A peer that omits or garbles
+// it is refused: adopted as node 0 it would displace the real neighbor 0.
+func parseNodeID(block string) (int32, error) {
+	id, err := strconv.ParseInt(headerValue(block, "Node-ID"), 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("gnet: handshake Node-ID: %w", err)
+	}
+	return int32(id), nil
 }
 
 // serverHandshake runs the acceptor side; it returns the remote's
@@ -542,14 +573,16 @@ func (n *Node) serverHandshake(conn net.Conn) (int32, string, bool, error) {
 	if remote == "" {
 		remote = conn.RemoteAddr().String()
 	}
-	var id int64
-	fmt.Sscanf(headerValue(req, "Node-ID"), "%d", &id)
+	id, err := parseNodeID(req)
+	if err != nil {
+		return 0, "", false, err
+	}
 	transient := headerValue(req, "Transient") == "true"
 	if _, err := fmt.Fprintf(conn, "%s\r\nListen-Addr: %s\r\nNode-ID: %d%s",
 		okLine, n.Addr(), n.cfg.NodeID, headerTerm); err != nil {
 		return 0, "", false, fmt.Errorf("gnet: handshake reply: %w", err)
 	}
-	return int32(id), remote, transient, nil
+	return id, remote, transient, nil
 }
 
 // readHandshake reads until the blank-line terminator.

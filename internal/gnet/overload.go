@@ -177,8 +177,7 @@ func (n *Node) Quarantined() []int32 {
 		return nil
 	}
 	res := make(chan []int32, 1)
-	select {
-	case n.ctl <- func() {
+	out, _ := ctlCall(n, res, 0, func() {
 		var out []int32
 		for id, b := range n.ovl.breakers {
 			if b.State() != overload.StateClosed {
@@ -186,16 +185,8 @@ func (n *Node) Quarantined() []int32 {
 			}
 		}
 		res <- out
-	}:
-	case <-n.closed:
-		return nil
-	}
-	select {
-	case out := <-res:
-		return out
-	case <-n.closed:
-		return nil
-	}
+	})
+	return out
 }
 
 // Degraded reports whether the node is currently in degraded mode.

@@ -60,6 +60,8 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "a sees b")
+	// b floods below: it must have adopted the link too, or it sends to nobody.
+	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 }, "b sees a")
 
 	// Two consecutive hot windows (> TripThreshold offered) trip the
 	// breaker. The breaker is created explicitly: in live traffic

@@ -1,6 +1,7 @@
 package gnet
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -307,8 +308,7 @@ func (n *Node) rememberGUID(g protocol.GUID) {
 func (n *Node) IssueQuery(keywords string) (<-chan protocol.QueryHit, error) {
 	res := make(chan protocol.QueryHit, 1)
 	errCh := make(chan error, 1)
-	select {
-	case n.ctl <- func() {
+	sendErr, err := ctlCall(n, errCh, 0, func() {
 		guid := protocol.NewGUID(n.src)
 		n.rememberGUID(guid)
 		n.hits[guid] = res
@@ -327,19 +327,11 @@ func (n *Node) IssueQuery(keywords string) (<-chan protocol.QueryHit, error) {
 			return
 		}
 		errCh <- nil
-	}:
-	case <-n.closed:
-		return nil, errClosed
+	})
+	if err = cmp.Or(err, sendErr); err != nil {
+		return nil, err
 	}
-	select {
-	case err := <-errCh:
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	case <-n.closed:
-		return nil, errClosed
-	}
+	return res, nil
 }
 
 // SendRawQuery floods a pre-addressed query at full rate without
@@ -365,6 +357,7 @@ func (n *Node) SendRawQuery(keywords string) {
 var (
 	errNoNeighbors = errorString("gnet: no neighbors")
 	errClosed      = errorString("gnet: node closed")
+	errStalled     = errorString("gnet: run loop stalled")
 )
 
 type errorString string
@@ -374,8 +367,7 @@ func (e errorString) Error() string { return string(e) }
 // Disconnect sends an orderly Bye to neighbor id and drops the link.
 func (n *Node) Disconnect(id int32, code uint16, reason string) error {
 	errCh := make(chan error, 1)
-	select {
-	case n.ctl <- func() {
+	dropErr, err := ctlCall(n, errCh, 0, func() {
 		pc, ok := n.peers[id]
 		if !ok {
 			errCh <- fmt.Errorf("gnet: no neighbor %d", id)
@@ -385,14 +377,6 @@ func (n *Node) Disconnect(id int32, code uint16, reason string) error {
 			protocol.Bye{Code: code, Reason: reason}))
 		n.dropPeer(pc, dropOrderly)
 		errCh <- nil
-	}:
-	case <-n.closed:
-		return errClosed
-	}
-	select {
-	case err := <-errCh:
-		return err
-	case <-n.closed:
-		return errClosed
-	}
+	})
+	return cmp.Or(err, dropErr)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ddpolice/internal/overlay"
+	"ddpolice/internal/rng"
 	"ddpolice/internal/topology"
 )
 
@@ -75,6 +76,72 @@ func TestIndicatorsFigure2Example(t *testing.T) {
 	}
 	if math.Abs(s-12) > 1e-9 {
 		t.Errorf("s = %v, want 12", s)
+	}
+}
+
+// TestHonestForwarderIdentityProperty holds the protocol to Definitions
+// 2.1-2.2 themselves, the paper as oracle: for any degree k, any inbound
+// volumes and any own rate q', a peer that forwards every inbound query
+// to its other k-1 neighbours (no-duplicate accounting) reads
+// g(j,t) = s(j,t,i) = q'/q0 from every observer i — Fig 2's identity —
+// so an honest peer (q' <= q0) never reaches 1, let alone CT. And a
+// member going silent (its report times out and counts as zero, §3.3)
+// keeps its seat in k and never lowers s: silence can frame the
+// suspect, not shield it.
+func TestHonestForwarderIdentityProperty(t *testing.T) {
+	src := rng.New(2007)
+	cfg := DefaultConfig()
+	for trial := 0; trial < 200; trial++ {
+		k := 2 + src.Intn(7)
+		ov := starOverlay(t, k)
+		p, err := New(ov, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exchangeAll(p, ov, 0)
+		own := src.Float64() * 2 * cfg.Q0 // q': an honest rate in about half the trials
+		in := make([]float64, k+1)        // in[m] = Q_{m->j}
+		total := 0.0
+		for m := 1; m <= k; m++ {
+			in[m] = float64(src.Intn(5000))
+			total += in[m]
+		}
+		for m := 1; m <= k; m++ {
+			addTraffic(t, ov, PeerID(m), 0, in[m])
+			addTraffic(t, ov, 0, PeerID(m), own+total-in[m])
+		}
+		ov.RollMinute()
+
+		want, eps := own/cfg.Q0, 1e-9*(1+total)
+		full := make([]float64, k+1) // s per observer with every member reporting
+		for i := 1; i <= k; i++ {
+			g, s, seats, ok := p.Indicators(PeerID(i), 0, 60)
+			if !ok || seats != k {
+				t.Fatalf("trial %d, k=%d, observer %d: ok=%v k=%d", trial, k, i, ok, seats)
+			}
+			if math.Abs(g-want) > eps || math.Abs(s-want) > eps {
+				t.Fatalf("trial %d, k=%d, q'=%v, in=%v: observer %d reads g=%v s=%v, want q'/q0 = %v", trial, k, own, in[1:], i, g, s, want)
+			}
+			if own <= cfg.Q0 && (g > 1+eps || s > 1+eps || g >= cfg.CutThreshold) {
+				t.Fatalf("trial %d: honest forwarder (q'=%v <= q0) read g=%v s=%v against CT=%v", trial, own, g, s, cfg.CutThreshold)
+			}
+			full[i] = s
+		}
+
+		silent := PeerID(1 + src.Intn(k))
+		p.SetBad(silent, CheatSilent)
+		for i := 1; i <= k; i++ {
+			if PeerID(i) == silent {
+				continue
+			}
+			_, s, seats, ok := p.Indicators(PeerID(i), 0, 60)
+			if !ok || seats != k {
+				t.Fatalf("trial %d: silent member %d lost its seat: ok=%v k=%d, want %d", trial, silent, ok, seats, k)
+			}
+			if s < full[i]-eps || math.Abs(s-(full[i]+in[silent]/cfg.Q0)) > eps {
+				t.Fatalf("trial %d, observer %d: member %d (sent %v) going silent moved s %v -> %v, want +Q/q0", trial, i, silent, in[silent], full[i], s)
+			}
+		}
 	}
 }
 

@@ -108,13 +108,8 @@ type Bye struct {
 	Reason string
 }
 
-// Bye reason codes.
-const (
-	ByeCodeShutdown          uint16 = 200
-	ByeCodeDDoSSuspect       uint16 = 451 // cut by DD-POLICE indicator
-	ByeCodeNeighborListLiar  uint16 = 452 // inconsistent neighbor-list claim
-	ByeCodeCapacityExhausted uint16 = 503
-)
+// ByeCodeDDoSSuspect is the Bye reason code of a DD-POLICE cut.
+const ByeCodeDDoSSuspect uint16 = 451
 
 // Type implements Body.
 func (Bye) Type() byte { return TypeBye }

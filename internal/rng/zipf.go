@@ -38,12 +38,6 @@ func NewZipf(src *Source, n uint64, s float64) *Zipf {
 	return z
 }
 
-// N returns the rank-space size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // h is the (unnormalized) density x^-s.
 func (z *Zipf) h(x float64) float64 { return math.Exp(-z.s * math.Log(x)) }
 

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 )
 
@@ -15,22 +14,10 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
@@ -50,18 +37,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the minimum observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the maximum observation (0 if empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// Sum returns n * mean.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
 
 // Sample is a bounded in-memory sample supporting exact quantiles.
 type Sample struct {

@@ -307,35 +307,6 @@ type HistogramValue struct {
 	Buckets []HistogramBucket
 }
 
-// Mean returns the average observed value (0 with no observations).
-func (h HistogramValue) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Quantile returns the upper bound of the bucket containing the
-// q-quantile observation (q in [0,1]); 0 with no observations. The
-// answer is exact to within the bucket's power-of-two resolution.
-func (h HistogramValue) Quantile(q float64) uint64 {
-	if h.Count == 0 || len(h.Buckets) == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.Count))
-	if rank >= h.Count {
-		rank = h.Count - 1
-	}
-	var seen uint64
-	for _, b := range h.Buckets {
-		seen += b.Count
-		if rank < seen {
-			return b.Le
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1].Le
-}
-
 // Snapshot is a point-in-time reading of every instrument, sorted by
 // name within each kind.
 type Snapshot struct {

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 
 	"ddpolice/internal/rng"
 )
@@ -61,63 +60,6 @@ func BarabasiAlbert(src *rng.Source, n, m int) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// Waxman generates the classic BRITE router-level model: n nodes placed
-// uniformly in the unit square; each pair (u,v) is linked with
-// probability alpha * exp(-d(u,v) / (beta * L)) where L = sqrt(2) is
-// the maximum possible distance. If the result is disconnected, a
-// minimal set of bridging edges joins the components.
-func Waxman(src *rng.Source, n int, alpha, beta float64) (*Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("topology: Waxman n=%d", n)
-	}
-	if alpha <= 0 || alpha > 1 || beta <= 0 {
-		return nil, fmt.Errorf("topology: Waxman alpha=%v beta=%v out of range", alpha, beta)
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i], ys[i] = src.Float64(), src.Float64()
-	}
-	maxDist := math.Sqrt2
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			d := math.Sqrt(dx*dx + dy*dy)
-			if src.Bool(alpha * math.Exp(-d/(beta*maxDist))) {
-				if err := b.AddEdge(NodeID(i), NodeID(j)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	connectComponents(src, b, n)
-	return b.Build(), nil
-}
-
-// ErdosRenyi generates G(n, p): every pair is linked independently with
-// probability p, then components are bridged to guarantee connectivity.
-func ErdosRenyi(src *rng.Source, n int, p float64) (*Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("topology: ErdosRenyi n=%d", n)
-	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("topology: ErdosRenyi p=%v out of [0,1]", p)
-	}
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if src.Bool(p) {
-				if err := b.AddEdge(NodeID(i), NodeID(j)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	connectComponents(src, b, n)
-	return b.Build(), nil
-}
-
 // RingLattice generates a ring where each node links to its k nearest
 // neighbors on each side (2k total). Deterministic; used in tests where
 // exact structure matters.
@@ -137,46 +79,4 @@ func RingLattice(n, k int) (*Graph, error) {
 		}
 	}
 	return b.Build(), nil
-}
-
-// connectComponents adds one edge between each pair of adjacent
-// components (in discovery order) so the final graph is connected.
-func connectComponents(src *rng.Source, b *Builder, n int) {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for e := range b.edges {
-		ra, rb := find(int(e[0])), find(int(e[1]))
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	// Collect one representative per component.
-	reps := make([]NodeID, 0)
-	seen := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if !seen[r] {
-			seen[r] = true
-			reps = append(reps, NodeID(i))
-		}
-	}
-	// Shuffle then chain the components together.
-	src.Shuffle(len(reps), func(i, j int) { reps[i], reps[j] = reps[j], reps[i] })
-	for i := 1; i < len(reps); i++ {
-		// The representatives are in different components, so the edge
-		// cannot be a duplicate or self-loop.
-		if err := b.AddEdge(reps[i-1], reps[i]); err != nil {
-			panic("topology: internal error bridging components: " + err.Error())
-		}
-	}
 }

@@ -4,8 +4,7 @@
 // neighbors, and a few peers have tens of direct neighbors. The average
 // number of neighbors of each node is 6." A Barabási–Albert
 // preferential-attachment generator with m≈3 reproduces exactly that
-// degree profile; Waxman and Erdős–Rényi generators are provided for
-// ablations.
+// degree profile.
 package topology
 
 import (
@@ -178,9 +177,6 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 	_, ok := b.edges[edgeKey(u, v)]
 	return ok
 }
-
-// NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build produces the immutable Graph with sorted adjacency lists.
 func (b *Builder) Build() *Graph {

@@ -133,59 +133,6 @@ func TestBarabasiAlbertDeterministic(t *testing.T) {
 	}
 }
 
-func TestWaxmanConnected(t *testing.T) {
-	g, err := Waxman(rng.New(5), 500, 0.15, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsConnected() {
-		t.Fatal("Waxman graph must be bridged to connectivity")
-	}
-	if g.NumNodes() != 500 {
-		t.Fatalf("n = %d", g.NumNodes())
-	}
-}
-
-func TestWaxmanErrors(t *testing.T) {
-	src := rng.New(1)
-	for _, c := range []struct {
-		n           int
-		alpha, beta float64
-	}{{0, 0.5, 0.5}, {10, 0, 0.5}, {10, 1.5, 0.5}, {10, 0.5, 0}} {
-		if _, err := Waxman(src, c.n, c.alpha, c.beta); err == nil {
-			t.Errorf("Waxman(%d,%v,%v) accepted", c.n, c.alpha, c.beta)
-		}
-	}
-}
-
-func TestErdosRenyi(t *testing.T) {
-	g, err := ErdosRenyi(rng.New(6), 400, 0.015)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsConnected() {
-		t.Fatal("ER graph must be bridged to connectivity")
-	}
-	// E[deg] = p*(n-1) = 5.985; allow wide slack plus bridge edges.
-	if avg := g.AvgDegree(); avg < 4.5 || avg > 7.5 {
-		t.Errorf("avg degree = %v, want ~6", avg)
-	}
-}
-
-func TestErdosRenyiExtremes(t *testing.T) {
-	g, err := ErdosRenyi(rng.New(1), 50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// p=0: only bridge edges -> a tree chain of 50 nodes.
-	if g.NumEdges() != 49 || !g.IsConnected() {
-		t.Fatalf("p=0: edges=%d connected=%v", g.NumEdges(), g.IsConnected())
-	}
-	if _, err := ErdosRenyi(rng.New(1), 10, 1.5); err == nil {
-		t.Error("p>1 accepted")
-	}
-}
-
 func TestRingLattice(t *testing.T) {
 	g, err := RingLattice(10, 2)
 	if err != nil {

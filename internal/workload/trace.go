@@ -28,9 +28,8 @@ type TraceRecord struct {
 // "ts_ms issuer object keywords"). Wrap w with gzip by passing
 // compress=true to NewTraceWriter.
 type TraceWriter struct {
-	bw    *bufio.Writer
-	gz    *gzip.Writer
-	count uint64
+	bw *bufio.Writer
+	gz *gzip.Writer
 }
 
 // NewTraceWriter creates a writer over w, optionally gzip-compressed.
@@ -51,14 +50,8 @@ func (tw *TraceWriter) Write(r TraceRecord) error {
 		return fmt.Errorf("workload: keywords contain newline")
 	}
 	_, err := fmt.Fprintf(tw.bw, "%d %d %d %s\n", r.TimestampMS, r.Issuer, r.Object, r.Keywords)
-	if err == nil {
-		tw.count++
-	}
 	return err
 }
-
-// Count returns the number of records written.
-func (tw *TraceWriter) Count() uint64 { return tw.count }
 
 // Close flushes buffers (and the gzip stream if enabled).
 func (tw *TraceWriter) Close() error {

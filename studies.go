@@ -7,157 +7,64 @@ package ddpolice
 import (
 	"fmt"
 	"sort"
+	"strings"
 
+	"ddpolice/internal/attack"
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/chord"
 	"ddpolice/internal/faults"
 	"ddpolice/internal/journal"
-	"ddpolice/internal/metrics"
 	"ddpolice/internal/overload"
 	"ddpolice/internal/rng"
 )
 
-// RadiusPoint compares DD-POLICE-r variants.
-type RadiusPoint struct {
-	Radius          int
-	Detections      int
-	FalseNegatives  int
-	FalsePositives  int
-	ListMessages    uint64
-	Success         float64
-	RecoveryMinutes int
-}
-
-// RadiusStudy contrasts DD-POLICE-1 with DD-POLICE-2 under heavy churn:
+// radiusPlan contrasts DD-POLICE-1 with DD-POLICE-2 under heavy churn:
 // r=2 relays neighbor lists one hop further, so buddy-group views
 // survive a missed exchange at the cost of more control traffic (the
 // §3.5 motivation for r > 1).
-func RadiusStudy(scale Scale) ([]RadiusPoint, error) {
-	base := scale.baseConfig()
-	// Heavy churn is where the radius matters.
-	base.Churn.MeanLifetime = 300
-	base.Churn.StddevLifetime = 70
-	base.Churn.MeanOffline = 300
-	baseline, err := scale.run(base)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RadiusPoint, 0, 2)
-	for _, r := range []int{1, 2} {
-		cfg := base
-		cfg.NumAgents = scale.TimelineAgents
-		cfg.PoliceEnabled = true
-		cfg.Police.Radius = r
-		res, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, RadiusPoint{
-			Radius:          r,
-			Detections:      res.Detections,
-			FalseNegatives:  res.FalseNegatives,
-			FalsePositives:  res.FalsePositives,
-			ListMessages:    res.Overhead.NeighborListMsgs,
-			Success:         res.OverallSuccess,
-			RecoveryMinutes: recoveryMinutes(metrics.DamageSeries(baseline.SuccessSeries, res.SuccessSeries)),
-		})
-	}
-	return out, nil
+func radiusPlan(s Scale) []Row {
+	base := s.baseConfig()
+	heavyChurn(&base) // where the radius matters
+	return s.plan(base, true, noAttack,
+		variant{"r=1", func(c *Config) { c.Police.Radius = 1 }},
+		variant{"r=2", func(c *Config) { c.Police.Radius = 2 }})
 }
 
-// LiarPoint is one row of the lying-peer study.
-type LiarPoint struct {
-	Label          string
-	Detections     int
-	FalsePositives int
-	Success        float64
-	VerifyMsgs     uint64
+// heavyChurn is five-minute sessions: the regime where stale buddy-group
+// views, not the attack, limit DD-POLICE.
+func heavyChurn(c *Config) {
+	c.Churn.MeanLifetime = 300
+	c.Churn.StddevLifetime = 70
+	c.Churn.MeanOffline = 300
 }
 
-// LiarStudy evaluates the §3.1 countermeasure: agents fabricate
+// liarPlan evaluates the §3.1 countermeasure: agents fabricate
 // neighbor-list entries; with VerifyLists enabled, receivers confirm
 // each claim with the named peer and disconnect inconsistent liars.
-func LiarStudy(scale Scale) ([]LiarPoint, error) {
-	rows := []variant{
-		{"honest lists", func(*Config) {}},
-		{"lying agents, no verification", func(c *Config) { c.AgentsLieAboutLists = true }},
-		{"lying agents + verification", func(c *Config) { c.AgentsLieAboutLists = true; c.Police.VerifyLists = true }},
-	}
-	out := make([]LiarPoint, 0, len(rows))
-	for _, row := range rows {
-		cfg := scale.baseConfig()
-		cfg.NumAgents = scale.TimelineAgents
-		cfg.PoliceEnabled = true
-		row.mutate(&cfg)
-		res, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, LiarPoint{
-			Label:          row.label,
-			Detections:     res.Detections,
-			FalsePositives: res.FalsePositives,
-			Success:        res.OverallSuccess,
-			VerifyMsgs:     res.Overhead.VerifyMsgs,
-		})
-	}
-	return out, nil
+func liarPlan(s Scale) []Row {
+	return s.plan(s.baseConfig(), true,
+		variant{label: "honest lists"},
+		variant{"lying agents, no verification", func(c *Config) { c.AgentsLieAboutLists = true }},
+		variant{"lying agents + verification", func(c *Config) { c.AgentsLieAboutLists = true; c.Police.VerifyLists = true }})
 }
 
-// BaselinePoint compares defense strategies against the same attack.
-type BaselinePoint struct {
-	Label          string
-	Success        float64
-	Response       float64
-	Detections     int
-	FalseNegatives int
+// baselinePlan contrasts DD-POLICE with the related-work baseline the
+// paper singles out (§4, reference [21]): application-layer load
+// balancing that gives every connection a fair share of a peer's
+// capacity. The paper argues the survival approach "could be less
+// effective when the number of DDoS agents is getting large" because it
+// never removes the attackers; DD-POLICE does.
+func baselinePlan(s Scale) []Row {
+	return s.plan(s.baseConfig(), false,
+		variant{label: "no defense"},
+		variant{"fair-share drop [21]", func(c *Config) { c.FairShareDrop = true }},
+		variant{"DD-POLICE", func(c *Config) { c.PoliceEnabled = true }},
+		variant{"DD-POLICE + fair-share", func(c *Config) { c.PoliceEnabled = true; c.FairShareDrop = true }})
 }
 
-// BaselineDefenseStudy contrasts DD-POLICE with the related-work
-// baseline the paper singles out (§4, reference [21]): application-
-// layer load balancing that gives every connection a fair share of a
-// peer's capacity. The paper argues the survival approach "could be
-// less effective when the number of DDoS agents is getting large"
-// because it never removes the attackers; DD-POLICE does.
-func BaselineDefenseStudy(scale Scale) ([]BaselinePoint, error) {
-	rows := []variant{
-		{"no defense", func(*Config) {}},
-		{"fair-share drop [21]", func(c *Config) { c.FairShareDrop = true }},
-		{"DD-POLICE", func(c *Config) { c.PoliceEnabled = true }},
-		{"DD-POLICE + fair-share", func(c *Config) { c.PoliceEnabled = true; c.FairShareDrop = true }},
-	}
-	out := make([]BaselinePoint, 0, len(rows))
-	for _, row := range rows {
-		cfg := scale.baseConfig()
-		cfg.NumAgents = scale.TimelineAgents
-		row.mutate(&cfg)
-		r, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BaselinePoint{
-			Label:          row.label,
-			Success:        r.OverallSuccess,
-			Response:       r.MeanResponseTime,
-			Detections:     r.Detections,
-			FalseNegatives: r.FalseNegatives,
-		})
-	}
-	return out, nil
-}
-
-// AblationPoint is one modeling-decision ablation row.
-type AblationPoint struct {
-	Label          string
-	Success        float64
-	SuccessNoDef   float64
-	Detections     int
-	FalseNegatives int
-	FalsePositives int
-}
-
-// AblationStudy re-runs the 10-agent scenario with each calibrated
-// modeling decision toggled, quantifying how load-bearing it is:
+// ablationPlan re-runs the 10-agent scenario, without and with
+// DD-POLICE, with each calibrated modeling decision toggled,
+// quantifying how load-bearing it is:
 //
 //   - "default": the calibrated operating point;
 //   - "ideal counters": the paper's forward-everything monitoring plane
@@ -168,86 +75,43 @@ type AblationPoint struct {
 //   - "broadcast agents": agents flood the same stream to all
 //     neighbors instead of the Fig 1 spray;
 //   - "no churn": a static population.
-func AblationStudy(scale Scale) ([]AblationPoint, error) {
-	variants := []variant{
+func ablationPlan(s Scale) []Row {
+	var vs []variant
+	for _, v := range []variant{
 		{"default", func(*Config) {}},
 		{"ideal counters", func(c *Config) { c.IdealCounters = true }},
 		{"paper capacity 10k", func(c *Config) { c.GoodCapacityPerMin = 10000 }},
 		{"ttl 7", func(c *Config) { c.TTL = 7; c.Agent.TTL = 7 }},
-		{"broadcast agents", func(c *Config) { c.Agent.Mode = broadcastMode }},
+		{"broadcast agents", func(c *Config) { c.Agent.Mode = attack.ModeBroadcast }},
 		{"no churn", func(c *Config) { c.ChurnEnabled = false }},
+	} {
+		vs = append(vs, variant{v.label + ", undefended", v.mutate},
+			variant{v.label, func(c *Config) { v.mutate(c); c.PoliceEnabled = true }})
 	}
-	out := make([]AblationPoint, 0, len(variants))
-	for _, v := range variants {
-		undef := scale.baseConfig()
-		undef.NumAgents = scale.TimelineAgents
-		v.mutate(&undef)
-		ru, err := scale.run(undef)
-		if err != nil {
-			return nil, fmt.Errorf("%s (undefended): %w", v.label, err)
-		}
-		def := undef
-		def.PoliceEnabled = true
-		rd, err := scale.run(def)
-		if err != nil {
-			return nil, fmt.Errorf("%s (defended): %w", v.label, err)
-		}
-		out = append(out, AblationPoint{
-			Label:          v.label,
-			Success:        rd.OverallSuccess,
-			SuccessNoDef:   ru.OverallSuccess,
-			Detections:     rd.Detections,
-			FalseNegatives: rd.FalseNegatives,
-			FalsePositives: rd.FalsePositives,
-		})
+	return s.plan(s.baseConfig(), false, vs...)
+}
+
+// ablationRows keeps each variant's defended run, compared with the
+// undefended run the plan put just before it.
+func ablationRows(_ Scale, rows []Row) (any, error) {
+	out := make([]Row, 0, len(rows)/2)
+	for i := 1; i < len(rows); i += 2 {
+		rows[i].Against = rows[i-1].Result
+		out = append(out, rows[i])
 	}
 	return out, nil
 }
 
-// BlacklistPoint compares DD-POLICE with and without the re-join
-// blacklist extension.
-type BlacklistPoint struct {
-	Label        string
-	StableDamage float64
-	Detections   int
-	Success      float64
-}
-
-// BlacklistStudy measures the §5 future-work extension: the paper
-// notes that nothing stops a disconnected agent from rejoining and
-// launching another round. In the simulator that re-entry happens every
-// time a previously-attacked good peer churns (its cuts are reset), and
-// it is what keeps the residual damage in Figure 12 above zero. A
-// blacklist lets observers cut convicted suspects on sight.
-func BlacklistStudy(scale Scale) ([]BlacklistPoint, error) {
-	base := scale.baseConfig()
-	baseline, err := scale.run(base)
-	if err != nil {
-		return nil, err
-	}
-	rows := []variant{
-		{"DD-POLICE (paper: no memory)", func(*Config) {}},
-		{"DD-POLICE + 10-minute blacklist", func(c *Config) { c.Police.BlacklistSec = 600 }},
-	}
-	out := make([]BlacklistPoint, 0, len(rows))
-	for _, row := range rows {
-		cfg := base
-		cfg.NumAgents = scale.TimelineAgents
-		cfg.PoliceEnabled = true
-		row.mutate(&cfg)
-		r, err := scale.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		dmg := metrics.DamageSeries(baseline.SuccessSeries, r.SuccessSeries)
-		out = append(out, BlacklistPoint{
-			Label:        row.label,
-			StableDamage: metrics.MeanTail(dmg, 0.3),
-			Detections:   r.Detections,
-			Success:      r.OverallSuccess,
-		})
-	}
-	return out, nil
+// blacklistPlan measures the §5 future-work extension: the paper notes
+// that nothing stops a disconnected agent from rejoining and launching
+// another round. In the simulator that re-entry happens every time a
+// previously-attacked good peer churns (its cuts are reset), and it is
+// what keeps the residual damage in Figure 12 above zero. A blacklist
+// lets observers cut convicted suspects on sight.
+func blacklistPlan(s Scale) []Row {
+	return s.plan(s.baseConfig(), true, noAttack,
+		variant{label: "DD-POLICE (paper: no memory)"},
+		variant{"DD-POLICE + 10-minute blacklist", func(c *Config) { c.Police.BlacklistSec = 600 }})
 }
 
 // StructuredPoint compares attack damage on unstructured flooding vs a
@@ -266,45 +130,43 @@ type StructuredPoint struct {
 // peers. A DHT lookup costs O(log n) hops instead of an O(coverage)
 // flood, so the attacker's amplification — and the damage — collapses.
 func StructuredStudy(scale Scale) ([]StructuredPoint, error) {
-	base := scale.baseConfig()
-	out := make([]StructuredPoint, 0, len(scale.AgentCounts))
-	for _, agents := range scale.AgentCounts {
-		// Unstructured reference: undefended flooding system.
-		cfg := base
-		cfg.NumAgents = agents
-		un, err := scale.run(cfg)
-		if err != nil {
+	return figureData[[]StructuredPoint]("structured", scale)
+}
+
+// perAgentCount declares one run per agent count of the scale's sweep.
+func perAgentCount(s Scale, defended bool) []Row {
+	vs := make([]variant, len(s.AgentCounts))
+	for i, n := range s.AgentCounts {
+		vs[i] = withAgents(n, defended)
+	}
+	return s.plan(s.baseConfig(), defended, vs...)
+}
+
+// structuredPoints pairs each undefended flooding run with a Chord run
+// at matching size, capacity, rates and duration.
+func structuredPoints(s Scale, rows []Row) (any, error) {
+	out := make([]StructuredPoint, 0, len(rows))
+	for _, r := range rows {
+		p := StructuredPoint{Agents: r.Config.NumAgents, UnstructuredSuccess: r.Result.OverallSuccess}
+		if err := runChord(s, &p); err != nil {
 			return nil, err
 		}
-		// Structured run at matching size, capacity, rates and duration.
-		st, err := runChord(scale, agents)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, StructuredPoint{
-			Agents:              agents,
-			UnstructuredSuccess: un.OverallSuccess,
-			StructuredSuccess:   st.success,
-			StructuredMeanHops:  st.meanHops,
-		})
+		out = append(out, p)
 	}
 	return out, nil
 }
 
-type chordOutcome struct {
-	success  float64
-	meanHops float64
-}
-
-func runChord(scale Scale, agents int) (chordOutcome, error) {
+// runChord fills in p's structured half: p.Agents agents against a ring
+// of the scale's size.
+func runChord(scale Scale, p *StructuredPoint) error {
 	src := rng.New(scale.Seed)
 	ccfg := chord.DefaultConfig()
 	ccfg.CapacityPerMin = capacity.EffectiveForwardPerMin
 	ring, err := chord.New(scale.NumPeers, ccfg, src.Split())
 	if err != nil {
-		return chordOutcome{}, err
+		return err
 	}
-	agentIDs := src.Perm(scale.NumPeers)[:agents]
+	agentIDs := src.Perm(scale.NumPeers)[:p.Agents]
 	good := src.Split()
 	bogus := src.Split()
 	const goodPerMin = 0.3
@@ -327,11 +189,11 @@ func runChord(scale Scale, agents int) (chordOutcome, error) {
 			}
 		}
 	}
-	outcome := chordOutcome{meanHops: ring.Stats().MeanHops}
+	p.StructuredMeanHops = ring.Stats().MeanHops
 	if issued > 0 {
-		outcome.success = float64(ok) / float64(issued)
+		p.StructuredSuccess = float64(ok) / float64(issued)
 	}
-	return outcome, nil
+	return nil
 }
 
 // DetectPoint is one suspect's detection timeline, reconstructed from
@@ -463,22 +325,27 @@ func detectCDF(pts []DetectPoint) []DetectCDFPoint {
 	return out
 }
 
-// DetectStudy runs one seeded attack scenario with the event journal
-// attached and reconstructs the detection pipeline's behaviour from
-// it: per-suspect timelines, the detection-latency CDF, and the
-// Neighbor_Traffic overhead amortized per cut. It runs a single
-// simulation (not a seed average) because the journal narrates one
-// run; scale.Seed picks which.
-func DetectStudy(scale Scale) (*DetectReport, error) {
-	cfg := scale.baseConfig()
-	cfg.NumAgents = scale.TimelineAgents
-	cfg.PoliceEnabled = true
-	jr := journal.New(1 << 16)
-	cfg.Journal = jr
-	res, err := Run(cfg)
-	if err != nil {
-		return nil, err
+// journaled attaches an event journal to every run of a plan; the
+// figure's Observe reads it back as each run ends.
+func journaled(rows []Row) []Row {
+	for i := range rows {
+		rows[i].Config.Journal = journal.New(1 << 16)
 	}
+	return rows
+}
+
+// detectPlan is one seeded attack scenario with the event journal
+// attached — a single simulation, not a seed average, because the
+// journal narrates one run; scale.Seed picks which.
+func detectPlan(s Scale) []Row {
+	return journaled(s.plan(s.baseConfig(), true, variant{label: "journaled attack"}))
+}
+
+// detectReport reconstructs the detection pipeline's behaviour from the
+// run's journal: per-suspect timelines, the detection-latency CDF, and
+// the Neighbor_Traffic overhead amortized per cut.
+func detectReport(r Row) any {
+	jr := r.Config.Journal
 	events := jr.Events()
 	cuts := 0
 	for _, e := range events {
@@ -488,7 +355,7 @@ func DetectStudy(scale Scale) (*DetectReport, error) {
 	}
 	rep := &DetectReport{
 		Points:     DetectTimelines(events),
-		NTMessages: res.Overhead.NeighborTrafficMsgs,
+		NTMessages: r.Result.Overhead.NeighborTrafficMsgs,
 		Cuts:       cuts,
 		Events:     jr.Len(),
 		Dropped:    jr.Dropped(),
@@ -497,66 +364,41 @@ func DetectStudy(scale Scale) (*DetectReport, error) {
 	if cuts > 0 {
 		rep.NTPerCut = float64(rep.NTMessages) / float64(cuts)
 	}
-	return rep, nil
+	return rep
 }
 
-// FaultPoint is one cell of the fault-plane sweep: DD-POLICE judgment
-// quality at a given injected control-message loss rate under a given
-// churn regime.
-type FaultPoint struct {
-	ControlLoss    float64
-	Churn          string
-	Detections     int
-	FalseNegatives int
-	FalsePositives int
-	FalseJudgment  int // FN + FP, the paper's combined error metric
-	Success        float64
-}
-
-// FaultsStudy sweeps injected control loss against churn regimes. The
+// faultsPlan sweeps injected control loss against churn regimes. The
 // paper's §3.3 claim is that treating missing Neighbor_Traffic reports
 // as zeros keeps judgments safe when control messages are lost; this
 // study quantifies how far that holds as the fault plane degrades the
 // control channel and crash churn leaves stale buddy-group state
 // behind (a crashed peer never sends the leave-side notifications).
-func FaultsStudy(scale Scale, losses []float64) ([]FaultPoint, error) {
-	churns := []variant{
+// A run's label is "<churn regime>/<loss>".
+func faultsPlan(s Scale, losses ...float64) []Row {
+	var vs []variant
+	for _, ch := range []variant{
 		{"none", func(c *Config) { c.ChurnEnabled = false }},
 		{"paper", func(c *Config) { c.ChurnEnabled = true }},
 		{"crash-heavy", func(c *Config) {
 			c.ChurnEnabled = true
-			c.Churn.MeanLifetime = 300
-			c.Churn.StddevLifetime = 70
-			c.Churn.MeanOffline = 300
+			heavyChurn(c)
 			c.Churn.CrashFraction = 0.5
 		}},
-	}
-	out := make([]FaultPoint, 0, len(churns)*len(losses))
-	for _, ch := range churns {
+	} {
 		for _, loss := range losses {
-			cfg := scale.baseConfig()
-			cfg.NumAgents = scale.TimelineAgents
-			cfg.PoliceEnabled = true
-			ch.mutate(&cfg)
-			if loss > 0 {
-				cfg.Faults = &faults.Schedule{ControlLoss: loss}
-			}
-			res, err := scale.run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, FaultPoint{
-				ControlLoss:    loss,
-				Churn:          ch.label,
-				Detections:     res.Detections,
-				FalseNegatives: res.FalseNegatives,
-				FalsePositives: res.FalsePositives,
-				FalseJudgment:  res.FalseNegatives + res.FalsePositives,
-				Success:        res.OverallSuccess,
-			})
+			vs = append(vs, variant{fmt.Sprintf("%s/%g", ch.label, loss), func(c *Config) {
+				ch.mutate(c)
+				c.Faults = &faults.Schedule{ControlLoss: loss} // at loss 0 the same run as no schedule
+			}})
 		}
 	}
-	return out, nil
+	return s.plan(s.baseConfig(), true, vs...)
+}
+
+// churnRegime is the churn half of a faults-study row's label.
+func churnRegime(r Row) string {
+	regime, _, _ := strings.Cut(r.Label, "/")
+	return regime
 }
 
 // OverloadPoint is one cell of the overload-resilience sweep: control
@@ -572,60 +414,66 @@ type OverloadPoint struct {
 	Degraded        int // degraded-minute transitions journaled
 }
 
-// OverloadStudy sweeps the attack's offered-over-capacity factor with
+// overloadPlan sweeps the attack's offered-over-capacity factor with
 // the overload-resilience plane off and on. The PR 7 claim it
 // substantiates: as agents push 1x..10x a peer's processing capacity,
 // the class-aware control reserve keeps DD-POLICE delivery >= 95% and
 // time-to-cut bounded (degrading gracefully with load), while the
 // unprotected control plane rides the same saturated links as the
 // flood and loses up to ControlLossCap of its messages.
-func OverloadStudy(scale Scale, factors []float64) ([]OverloadPoint, error) {
-	out := make([]OverloadPoint, 0, 2*len(factors))
+func overloadPlan(s Scale, factors ...float64) []Row {
+	var vs []variant
 	for _, f := range factors {
-		for _, plane := range []bool{false, true} {
-			cfg := scale.baseConfig()
-			cfg.NumAgents = scale.TimelineAgents
-			cfg.PoliceEnabled = true
-			cfg.Agent.RatePerMin = f * cfg.GoodCapacityPerMin
-			if plane {
-				cfg.Overload = &overload.SimPlane{}
+		vs = append(vs,
+			variant{fmt.Sprintf("%gx, plane off", f), func(c *Config) { c.Agent.RatePerMin = f * c.GoodCapacityPerMin }},
+			variant{fmt.Sprintf("%gx, plane on", f), func(c *Config) {
+				c.Agent.RatePerMin = f * c.GoodCapacityPerMin
+				c.Overload = &overload.SimPlane{}
+			}})
+	}
+	return journaled(s.plan(s.baseConfig(), true, vs...))
+}
+
+// overloadPoint condenses one run and its journal into a sweep cell.
+func overloadPoint(r Row) any {
+	cfg, res := r.Config, r.Result
+	var msgs, drops float64
+	for _, m := range res.Minutes {
+		msgs += m.QueryMsgs
+		drops += m.CapacityDrop
+	}
+	p := OverloadPoint{
+		Factor:          cfg.Agent.RatePerMin / cfg.GoodCapacityPerMin, // the plan's multiple, read back
+		Plane:           cfg.Overload != nil,
+		ControlDelivery: 1,
+		TimeToCutSec:    -1,
+		Detections:      res.Detections,
+	}
+	if msgs+drops > 0 {
+		p.QueryShedRate = drops / (msgs + drops)
+	}
+	if sent := res.Overhead.Total(); sent > 0 {
+		p.ControlDelivery = 1 - float64(res.ControlLost)/float64(sent)
+	}
+	for _, e := range cfg.Journal.Events() {
+		switch e.Type {
+		case journal.TypeCut:
+			if t := e.T - float64(cfg.AttackStartSec); p.TimeToCutSec < 0 || t < p.TimeToCutSec {
+				p.TimeToCutSec = t
 			}
-			jr := journal.New(1 << 16)
-			cfg.Journal = jr
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var msgs, drops float64
-			for _, m := range res.Minutes {
-				msgs += m.QueryMsgs
-				drops += m.CapacityDrop
-			}
-			p := OverloadPoint{
-				Factor:          f,
-				Plane:           plane,
-				ControlDelivery: 1,
-				TimeToCutSec:    -1,
-				Detections:      res.Detections,
-			}
-			if msgs+drops > 0 {
-				p.QueryShedRate = drops / (msgs + drops)
-			}
-			if sent := res.Overhead.Total(); sent > 0 {
-				p.ControlDelivery = 1 - float64(res.ControlLost)/float64(sent)
-			}
-			for _, e := range jr.Events() {
-				switch e.Type {
-				case journal.TypeCut:
-					if t := e.T - float64(cfg.AttackStartSec); p.TimeToCutSec < 0 || t < p.TimeToCutSec {
-						p.TimeToCutSec = t
-					}
-				case journal.TypeDegraded:
-					p.Degraded++
-				}
-			}
-			out = append(out, p)
+		case journal.TypeDegraded:
+			p.Degraded++
 		}
+	}
+	return p
+}
+
+// observed is the row builder of a figure whose Observe yields one T
+// per run.
+func observed[T any](_ Scale, rows []Row) (any, error) {
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = r.Observed.(T)
 	}
 	return out, nil
 }

@@ -2,115 +2,116 @@ package ddpolice
 
 import "testing"
 
+// byLabel indexes a study's rows by their variant label.
+func byLabel(rows []Row) map[string]Row {
+	m := map[string]Row{}
+	for _, r := range rows {
+		m[r.Label] = r
+	}
+	return m
+}
+
 func TestRadiusStudyShape(t *testing.T) {
-	pts, err := RadiusStudy(QuickScale())
-	if err != nil {
-		t.Fatal(err)
+	rows := execute[[]Row](t, figureByKey(t, "radius"), QuickScale())
+	if len(rows) != 2 || rows[0].Config.Police.Radius != 1 || rows[1].Config.Police.Radius != 2 {
+		t.Fatalf("rows = %+v", rows)
 	}
-	if len(pts) != 2 || pts[0].Radius != 1 || pts[1].Radius != 2 {
-		t.Fatalf("rows = %+v", pts)
-	}
-	r1, r2 := pts[0], pts[1]
+	r1, r2 := rows[0].Result.Overhead.NeighborListMsgs, rows[1].Result.Overhead.NeighborListMsgs
 	// r=2 relays lists one hop further: strictly more control traffic.
-	if r2.ListMessages <= r1.ListMessages {
-		t.Errorf("r=2 list traffic %d not above r=1 %d", r2.ListMessages, r1.ListMessages)
+	if r2 <= r1 {
+		t.Errorf("r=2 list traffic %d not above r=1 %d", r2, r1)
 	}
 	// ...but one hop, not a gossip: 5.7x at paper scale, where
 	// re-relaying every held list cost 737x.
-	if r2.ListMessages > 10*r1.ListMessages {
-		t.Errorf("r=2 list traffic %d is more than 10x r=1's %d", r2.ListMessages, r1.ListMessages)
+	if r2 > 10*r1 {
+		t.Errorf("r=2 list traffic %d is more than 10x r=1's %d", r2, r1)
 	}
-	// Both variants must actually defend.
-	for _, p := range pts {
-		if p.Detections == 0 {
-			t.Errorf("r=%d: no detections", p.Radius)
+	for _, r := range rows {
+		// Both variants must actually defend...
+		if r.Result.Detections == 0 {
+			t.Errorf("%s: no detections", r.Label)
+		}
+		// ...and are measured against the same heavy-churn overlay left alone.
+		if r.Against == nil || r.Against.Detections != 0 || r.Config.Churn.MeanLifetime != 300 {
+			t.Errorf("%s: not compared with the heavy-churn no-attack run", r.Label)
 		}
 	}
 }
 
 func TestLiarStudyShape(t *testing.T) {
-	pts, err := LiarStudy(QuickScale())
-	if err != nil {
-		t.Fatal(err)
+	rows := execute[[]Row](t, figureByKey(t, "liar"), QuickScale())
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if len(pts) != 3 {
-		t.Fatalf("rows = %d", len(pts))
-	}
-	honest, lying, verified := pts[0], pts[1], pts[2]
-	if honest.VerifyMsgs != 0 || lying.VerifyMsgs != 0 {
+	honest, lying, verified := rows[0].Result, rows[1].Result, rows[2].Result
+	if honest.Overhead.VerifyMsgs != 0 || lying.Overhead.VerifyMsgs != 0 {
 		t.Error("verification traffic without VerifyLists")
 	}
-	if verified.VerifyMsgs == 0 {
+	if verified.Overhead.VerifyMsgs == 0 {
 		t.Error("no verification traffic with VerifyLists")
 	}
 	// Verification must not make the system worse than unverified lying.
-	if verified.Success < lying.Success-0.1 {
-		t.Errorf("verification hurt: %v vs %v", verified.Success, lying.Success)
+	if verified.OverallSuccess < lying.OverallSuccess-0.1 {
+		t.Errorf("verification hurt: %v vs %v", verified.OverallSuccess, lying.OverallSuccess)
 	}
 	// Agents still get identified in every variant.
-	for _, p := range pts {
-		if p.Detections == 0 {
-			t.Errorf("%s: no detections", p.Label)
+	for _, r := range rows {
+		if r.Result.Detections == 0 {
+			t.Errorf("%s: no detections", r.Label)
 		}
 	}
 }
 
 func TestAblationStudyShape(t *testing.T) {
-	pts, err := AblationStudy(QuickScale())
-	if err != nil {
-		t.Fatal(err)
+	rows := byLabel(execute[[]Row](t, figureByKey(t, "ablate"), QuickScale()))
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want one per ablation", len(rows))
 	}
-	byLabel := map[string]AblationPoint{}
-	for _, p := range pts {
-		byLabel[p.Label] = p
-	}
-	def := byLabel["default"]
-	if def.Detections == 0 {
+	// A row is the defended run; Against is the same variant undefended.
+	benefit := func(r Row) float64 { return r.Result.OverallSuccess - r.Against.OverallSuccess }
+	def := rows["default"]
+	if def.Result.Detections == 0 {
 		t.Fatal("default ablation row has no detections")
+	}
+	for label, r := range rows {
+		if !r.Config.PoliceEnabled || r.Against.Detections != 0 {
+			t.Errorf("%s: want the defended run compared with an undefended one", label)
+		}
 	}
 	// Finding 1: the idealized counter plane destroys the defense's
 	// value — indicators are noise, so cuts bring little benefit and
 	// far more good peers are wrongly disconnected.
-	ideal := byLabel["ideal counters"]
-	idealBenefit := ideal.Success - ideal.SuccessNoDef
-	defBenefit := def.Success - def.SuccessNoDef
-	if idealBenefit >= defBenefit/2 {
+	ideal := rows["ideal counters"]
+	if benefit(ideal) >= benefit(def)/2 {
 		t.Errorf("ideal counters should gut the defense benefit: %+.3f vs default %+.3f",
-			idealBenefit, defBenefit)
+			benefit(ideal), benefit(def))
 	}
-	if ideal.FalseNegatives <= def.FalseNegatives {
+	if ideal.Result.FalseNegatives <= def.Result.FalseNegatives {
 		t.Errorf("ideal counters FN %d not above default %d",
-			ideal.FalseNegatives, def.FalseNegatives)
+			ideal.Result.FalseNegatives, def.Result.FalseNegatives)
 	}
 	// Finding 2: TTL 7 produces the cliff — undefended success far
 	// below the default TTL's.
-	ttl7 := byLabel["ttl 7"]
-	if ttl7.SuccessNoDef >= def.SuccessNoDef {
-		t.Errorf("ttl 7 should deepen damage: %v vs %v", ttl7.SuccessNoDef, def.SuccessNoDef)
+	if ttl7 := rows["ttl 7"]; ttl7.Against.OverallSuccess >= def.Against.OverallSuccess {
+		t.Errorf("ttl 7 should deepen damage: %v vs %v", ttl7.Against.OverallSuccess, def.Against.OverallSuccess)
 	}
 	// The defense must help in the default configuration.
-	if def.Success <= def.SuccessNoDef {
-		t.Errorf("default: defended %v not above undefended %v", def.Success, def.SuccessNoDef)
+	if benefit(def) <= 0 {
+		t.Errorf("default: defended %v not above undefended %v", def.Result.OverallSuccess, def.Against.OverallSuccess)
 	}
 }
 
 func TestBaselineDefenseStudyShape(t *testing.T) {
-	pts, err := BaselineDefenseStudy(QuickScale())
-	if err != nil {
-		t.Fatal(err)
+	fig := figureByKey(t, "baseline")
+	rows := byLabel(execute[[]Row](t, fig, QuickScale()))
+	none := rows["no defense"].Result
+	fair := rows["fair-share drop [21]"].Result
+	pol := rows["DD-POLICE"].Result
+	if fair.OverallSuccess <= none.OverallSuccess {
+		t.Errorf("fair-share drop did not help: %v vs %v", fair.OverallSuccess, none.OverallSuccess)
 	}
-	byLabel := map[string]BaselinePoint{}
-	for _, p := range pts {
-		byLabel[p.Label] = p
-	}
-	none := byLabel["no defense"]
-	fair := byLabel["fair-share drop [21]"]
-	pol := byLabel["DD-POLICE"]
-	if fair.Success <= none.Success {
-		t.Errorf("fair-share drop did not help: %v vs %v", fair.Success, none.Success)
-	}
-	if pol.Success <= none.Success {
-		t.Errorf("DD-POLICE did not help: %v vs %v", pol.Success, none.Success)
+	if pol.OverallSuccess <= none.OverallSuccess {
+		t.Errorf("DD-POLICE did not help: %v vs %v", pol.OverallSuccess, none.OverallSuccess)
 	}
 	if fair.Detections != 0 {
 		t.Error("the survival baseline must not record detections")
@@ -122,9 +123,9 @@ func TestBaselineDefenseStudyShape(t *testing.T) {
 	// The combined defense dominates either alone: fair sharing keeps
 	// the system serving while DD-POLICE removes the attackers (and the
 	// lighter congestion all but eliminates wrongful disconnections).
-	comb := byLabel["DD-POLICE + fair-share"]
-	if comb.Success < fair.Success-0.02 || comb.Success < pol.Success-0.02 {
-		t.Errorf("combined %v below components (%v, %v)", comb.Success, fair.Success, pol.Success)
+	comb := rows["DD-POLICE + fair-share"].Result
+	if comb.OverallSuccess < fair.OverallSuccess-0.02 || comb.OverallSuccess < pol.OverallSuccess-0.02 {
+		t.Errorf("combined %v below components (%v, %v)", comb.OverallSuccess, fair.OverallSuccess, pol.OverallSuccess)
 	}
 
 	// The paper's §4 argument: the survival approach becomes less
@@ -132,18 +133,11 @@ func TestBaselineDefenseStudyShape(t *testing.T) {
 	// with density while detection keeps removing attackers.
 	heavy := QuickScale()
 	heavy.TimelineAgents *= 6
-	hpts, err := BaselineDefenseStudy(heavy)
-	if err != nil {
-		t.Fatal(err)
+	hrows := byLabel(execute[[]Row](t, fig, heavy))
+	if hf := hrows["fair-share drop [21]"].Result; hf.OverallSuccess >= fair.OverallSuccess {
+		t.Errorf("fair-share at 6x agents (%v) should degrade from %v", hf.OverallSuccess, fair.OverallSuccess)
 	}
-	hByLabel := map[string]BaselinePoint{}
-	for _, p := range hpts {
-		hByLabel[p.Label] = p
-	}
-	if hf := hByLabel["fair-share drop [21]"]; hf.Success >= fair.Success {
-		t.Errorf("fair-share at 6x agents (%v) should degrade from %v", hf.Success, fair.Success)
-	}
-	if hc := hByLabel["DD-POLICE + fair-share"]; hc.Success <= hByLabel["no defense"].Success {
+	if hc := hrows["DD-POLICE + fair-share"].Result; hc.OverallSuccess <= hrows["no defense"].Result.OverallSuccess {
 		t.Errorf("combined defense at 6x agents did not help")
 	}
 }
@@ -151,21 +145,21 @@ func TestBaselineDefenseStudyShape(t *testing.T) {
 func TestBlacklistStudyShape(t *testing.T) {
 	scale := QuickScale()
 	scale.DurationSec = 600 // enough minutes for re-attack cycles
-	pts, err := BlacklistStudy(scale)
-	if err != nil {
-		t.Fatal(err)
+	rows := execute[[]Row](t, figureByKey(t, "blacklist"), scale)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if len(pts) != 2 {
-		t.Fatalf("rows = %d", len(pts))
+	noMem, mem := rows[0], rows[1]
+	if noMem.Config.Police.BlacklistSec != 0 || mem.Config.Police.BlacklistSec != 600 {
+		t.Fatalf("row order: blacklists of %vs then %vs", noMem.Config.Police.BlacklistSec, mem.Config.Police.BlacklistSec)
 	}
-	noMem, mem := pts[0], pts[1]
 	// With the blacklist, re-joining agents are cut on sight, so the
 	// system retains at least as much service.
-	if mem.Success < noMem.Success-0.02 {
-		t.Errorf("blacklist hurt success: %v vs %v", mem.Success, noMem.Success)
+	if mem.Result.OverallSuccess < noMem.Result.OverallSuccess-0.02 {
+		t.Errorf("blacklist hurt success: %v vs %v", mem.Result.OverallSuccess, noMem.Result.OverallSuccess)
 	}
-	if mem.StableDamage > noMem.StableDamage+5 {
-		t.Errorf("blacklist raised stable damage: %v vs %v", mem.StableDamage, noMem.StableDamage)
+	if mem.StableDamage(0.3) > noMem.StableDamage(0.3)+5 {
+		t.Errorf("blacklist raised stable damage: %v vs %v", mem.StableDamage(0.3), noMem.StableDamage(0.3))
 	}
 }
 
@@ -202,42 +196,40 @@ func TestStructuredStudyShape(t *testing.T) {
 }
 
 func TestFaultsStudyShape(t *testing.T) {
-	losses := []float64{0, 0.2}
-	pts, err := FaultsStudy(QuickScale(), losses)
-	if err != nil {
-		t.Fatal(err)
+	fig := figureByKey(t, "faults")
+	fig.Plan = func(s Scale) []Row { return faultsPlan(s, 0, 0.2) }
+	rows := execute[[]Row](t, fig, QuickScale())
+	if len(rows) != 3*2 {
+		t.Fatalf("rows = %d, want 3 churn regimes x 2 losses", len(rows))
 	}
-	if len(pts) != 3*len(losses) {
-		t.Fatalf("rows = %d, want %d", len(pts), 3*len(losses))
-	}
-	for _, p := range pts {
-		if p.FalseJudgment != p.FalseNegatives+p.FalsePositives {
-			t.Errorf("%s/%v: false judgment %d != FN %d + FP %d",
-				p.Churn, p.ControlLoss, p.FalseJudgment, p.FalseNegatives, p.FalsePositives)
+	for i, r := range rows {
+		if want := []string{"none", "paper", "crash-heavy"}[i/2]; churnRegime(r) != want || r.Config.Faults.ControlLoss != []float64{0, 0.2}[i%2] {
+			t.Errorf("row %d (%s) reads as churn %q at loss %v", i, r.Label, churnRegime(r), r.Config.Faults.ControlLoss)
 		}
-		if p.Detections == 0 {
-			t.Errorf("%s/%v: defense never fired", p.Churn, p.ControlLoss)
+		if r.Result.Detections == 0 {
+			t.Errorf("%s: defense never fired", r.Label)
 		}
 	}
 	// The headline claim: a degraded control channel costs judgment
 	// accuracy. Compare the clean and lossy cells of the no-churn row.
-	clean, lossy := pts[0], pts[1]
-	if lossy.FalseJudgment < clean.FalseJudgment {
+	clean, lossy := rows[0], rows[1]
+	if lossy.FalseJudgment() < clean.FalseJudgment() {
 		t.Errorf("20%% control loss improved judgments: %d vs %d",
-			lossy.FalseJudgment, clean.FalseJudgment)
+			lossy.FalseJudgment(), clean.FalseJudgment())
 	}
 }
 
 func TestOverloadStudyShape(t *testing.T) {
-	factors := []float64{3}
-	pts, err := OverloadStudy(QuickScale(), factors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2*len(factors) {
-		t.Fatalf("rows = %d, want %d (plane off+on per factor)", len(pts), 2*len(factors))
+	fig := figureByKey(t, "overload")
+	fig.Plan = func(s Scale) []Row { return overloadPlan(s, 3) }
+	pts := execute[[]OverloadPoint](t, fig, QuickScale())
+	if len(pts) != 2 {
+		t.Fatalf("rows = %d, want 2 (plane off+on per factor)", len(pts))
 	}
 	off, on := pts[0], pts[1]
+	if off.Factor != 3 || on.Factor != 3 {
+		t.Fatalf("factors = %v, %v; want 3", off.Factor, on.Factor)
+	}
 	if off.Plane || !on.Plane {
 		t.Fatalf("row order = %+v, %+v; want plane off then on", off, on)
 	}

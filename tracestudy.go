@@ -31,58 +31,56 @@ type TracePoint struct {
 	MaxDepth     int     // deepest flood front observed
 }
 
-// TraceStudy runs one fully-sampled traced simulation per agent count
-// (police on) and condenses the span streams into TracePoints.
-func TraceStudy(scale Scale) ([]TracePoint, error) {
-	out := make([]TracePoint, 0, len(scale.AgentCounts))
-	for _, agents := range scale.AgentCounts {
-		cfg := scale.baseConfig()
-		cfg.NumAgents = agents
-		cfg.PoliceEnabled = true
-		tr := trace.New(1.0, 0)
-		cfg.Trace = tr
-		if _, err := Run(cfg); err != nil {
-			return nil, err
-		}
-		views := trace.Group(tr.Spans())
-		p := TracePoint{
-			Agents: agents, Traces: tr.TraceCount(), Spans: tr.Len(),
-			MeanRequest: -1, MeanIndic: -1, MeanCut: -1,
-		}
-		queries, hops := 0, 0
-		for _, tv := range views {
-			if tv.Kind() != "query" {
-				continue
-			}
-			queries++
-			for d, n := range trace.FanOut(tv) {
-				hops += n
-				if n > 0 && d+1 > p.MaxDepth {
-					p.MaxDepth = d + 1
-				}
-			}
-		}
-		if queries > 0 {
-			p.HopsPerQuery = float64(hops) / float64(queries)
-		}
-		var sumReq, sumInd, sumCut float64
-		for _, dp := range trace.DetectionPaths(views) {
-			p.Warnings++
-			if dp.CutSec < 0 {
-				continue
-			}
-			p.Cuts++
-			sumReq += dp.RequestSec
-			sumInd += dp.IndicSec
-			sumCut += dp.CutSec
-		}
-		if p.Cuts > 0 {
-			n := float64(p.Cuts)
-			p.MeanRequest, p.MeanIndic, p.MeanCut = sumReq/n, sumInd/n, sumCut/n
-		}
-		out = append(out, p)
+// tracePlan is one fully-sampled traced simulation per agent count,
+// police on.
+func tracePlan(s Scale) []Row {
+	rows := perAgentCount(s, true)
+	for i := range rows {
+		rows[i].Config.Trace = trace.New(1.0, 0)
 	}
-	return out, nil
+	return rows
+}
+
+// tracePoint condenses one run's span stream into a TracePoint.
+func tracePoint(r Row) any {
+	tr := r.Config.Trace
+	views := trace.Group(tr.Spans())
+	p := TracePoint{
+		Agents: r.Config.NumAgents, Traces: tr.TraceCount(), Spans: tr.Len(),
+		MeanRequest: -1, MeanIndic: -1, MeanCut: -1,
+	}
+	queries, hops := 0, 0
+	for _, tv := range views {
+		if tv.Kind() != "query" {
+			continue
+		}
+		queries++
+		for d, n := range trace.FanOut(tv) {
+			hops += n
+			if n > 0 && d+1 > p.MaxDepth {
+				p.MaxDepth = d + 1
+			}
+		}
+	}
+	if queries > 0 {
+		p.HopsPerQuery = float64(hops) / float64(queries)
+	}
+	var sumReq, sumInd, sumCut float64
+	for _, dp := range trace.DetectionPaths(views) {
+		p.Warnings++
+		if dp.CutSec < 0 {
+			continue
+		}
+		p.Cuts++
+		sumReq += dp.RequestSec
+		sumInd += dp.IndicSec
+		sumCut += dp.CutSec
+	}
+	if p.Cuts > 0 {
+		n := float64(p.Cuts)
+		p.MeanRequest, p.MeanIndic, p.MeanCut = sumReq/n, sumInd/n, sumCut/n
+	}
+	return p
 }
 
 // TraceSVG renders the study's headline: mean warning-to-stage latency
