@@ -65,7 +65,7 @@ regen_paper = $(GO) run ./cmd/ddexp -scale paper -fig all -csv $(1)/csv -svg $(1
 # *.sha256 — the digests of each scenario's Result, journal and trace
 # streams that `test` holds the one tick engine to (DESIGN.md §16)
 # — then cmd/ddexp/testdata/quick, the quick-scale stdout, CSVs and SVGs
-# of every figure, then the committed paper-scale results/ (~1 min). Run
+# of every figure, then the committed paper-scale results/ (~40 s). Run
 # it only for a change that is meant to move a stream or a figure, and
 # commit the diff with the change.
 golden:
@@ -76,8 +76,11 @@ golden:
 
 # race is the one race pass: the full suites of every package with real
 # concurrency, under the race detector. flood and sim run whole ticks
-# (the sharded proposal phase only races then) and the parallel replica
-# runner; gnet is the live TCP node — monitor, transient dials, the
+# (the sharded proposal phase only races then) and sim.Grid, the one
+# worker pool, whose jobs share a World read-only; the root package is
+# where figure-level concurrency is driven from (Figure.Execute hands a
+# whole plan to the grid) and workload owns the shared Catalog, so a
+# write to either from a run shows up here; gnet is the live TCP node — monitor, transient dials, the
 # overload and fault-injection chaos cases (injected resets with
 # reconnect backoff, cut-vs-crash provenance, goroutine-leak regression,
 # the 8-node lossy overlay, quarantine under flood, dual-queue send
@@ -85,7 +88,7 @@ golden:
 # journal hammer their instruments from many writers; faults wraps the
 # conns gnet's chaos cases inject into.
 race:
-	$(GO) test -race ./internal/flood/ ./internal/sim/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/ ./internal/faults/
+	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/ ./internal/faults/
 
 # The smoke pass boots a real ddnode with the exposition plane on and
 # asserts /metrics serves non-empty Prometheus text and /healthz is ok.
@@ -100,7 +103,7 @@ writefail:
 
 # resultscheck regenerates the paper-scale figures into a temporary
 # directory and fails when anything differs from the committed results/
-# (~1 min): a stale results/ — and with it every number EXPERIMENTS.md
+# (~40 s): a stale results/ — and with it every number EXPERIMENTS.md
 # quotes from it — cannot survive a merge. `make golden` re-pins.
 resultscheck:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

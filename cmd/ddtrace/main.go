@@ -1,5 +1,5 @@
-// Command ddtrace analyzes causal trace streams written by ddsim,
-// ddnode, or ddexp (-trace-out). It reconstructs span trees from the
+// Command ddtrace analyzes causal trace streams written by ddsim or
+// ddnode (-trace-out). It reconstructs span trees from the
 // NDJSON stream and answers the two questions the flat journal cannot:
 // what route one query's flood actually took, and where the time went
 // between a warning crossing and the cut.

@@ -1,6 +1,7 @@
 package ddpolice
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -79,30 +80,41 @@ type Row struct {
 	Observed any     // what the figure's Observe made of the run's Journal or Trace
 }
 
-// Execute runs the figure's plan at scale, in declared order, and builds
-// its data. Outside the Run/RunParallel facade it is the one place a
-// simulation starts: a run is averaged over scale.Seeds when there are
-// any, except under Observe — a Journal or Trace narrates one run, so
-// those execute once on their own Config.Seed and are condensed as they
-// end (a full trace is ~100 MB; a study of seven holds one at a time).
+// Execute runs the figure's plan at scale and builds its data. Outside
+// the Run/RunParallel facade it is the one place a simulation starts: the
+// whole plan is one sim.Grid — every row on every one of scale.Seeds (none:
+// on its own Config.Seed) as flat jobs on one worker pool, a seed's rows
+// sharing its world — and the data is what running them in declared order
+// would give. Under Observe a Journal or Trace narrates one run, so those
+// rows execute one at a time on their own Config.Seed and are condensed as
+// they end (a full trace is ~100 MB; a study of seven holds one at a time).
 func (f Figure) Execute(scale Scale) (any, error) {
 	var rows []Row
 	if f.Plan != nil {
 		rows = f.Plan(scale)
 	}
-	seeds := scale.Seeds
+	batch, seeds := len(rows), scale.Seeds
 	if f.Observe != nil {
-		seeds = nil
+		batch, seeds = 1, nil
 	}
-	for i := range rows {
-		r := &rows[i]
-		var err error
-		if r.Result, err = sim.Averaged(r.Config, seeds); err != nil { // no seeds: sim.Run
-			return nil, fmt.Errorf("-fig %s, run %q: %w", f.Keys[0], r.Label, err)
+	for at := 0; at < len(rows); at += batch {
+		part := rows[at : at+batch]
+		cfgs := make([]Config, len(part))
+		for i, r := range part {
+			cfgs[i] = r.Config
 		}
-		if f.Observe != nil {
-			r.Observed = f.Observe(*r)
-			r.Config.Journal, r.Config.Trace = nil, nil
+		results, err := sim.Grid(cfgs, seeds)
+		var job *sim.JobError
+		if errors.As(err, &job) {
+			return nil, fmt.Errorf("-fig %s, run %q, seed %d: %w", f.Keys[0], part[job.Index].Label, job.Seed, job.Err)
+		}
+		for i := range part {
+			r := &part[i]
+			r.Result = results[i]
+			if f.Observe != nil {
+				r.Observed = f.Observe(*r)
+				r.Config.Journal, r.Config.Trace = nil, nil
+			}
 		}
 	}
 	if f.Build == nil {

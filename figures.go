@@ -488,8 +488,8 @@ func (f Figure) planErrors(name string, scale Scale) (bad []string) {
 		if err := r.Config.Validate(); err != nil {
 			bad = append(bad, at+err.Error())
 		}
-		if f.Observe == nil && len(scale.Seeds) > 1 && (r.Config.Journal != nil || r.Config.Trace != nil) {
-			bad = append(bad, at+"carries a Journal or Trace but is averaged over seeds; declare Observe")
+		if f.Observe == nil && (r.Config.Journal != nil || r.Config.Trace != nil || r.Config.Registry != nil || r.Config.Telemetry) {
+			bad = append(bad, at+"carries a Journal, Trace, Registry or Telemetry but a plan's runs are concurrent; declare Observe")
 		}
 	}
 	return bad

@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"io"
 	"os"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/faults"
 	"ddpolice/internal/journal"
+	"ddpolice/internal/telemetry"
 )
 
 func figureByKey(t *testing.T, key string) Figure {
@@ -310,8 +313,16 @@ func TestFigureTableValid(t *testing.T) {
 		`run "all agents" at paper scale: sim: NumAgents = 2000 of 2000 peers`: func(f *Figure) {
 			f.Plan = planned(variant{"all agents", func(c *Config) { c.NumAgents = c.NumPeers }})
 		},
-		`entry 1 [b]: run "narrated" at paper scale: carries a Journal or Trace but is averaged over seeds`: func(f *Figure) {
+		// A per-run sink without Observe, at the scale that has no seeds
+		// too: a plan's rows run concurrently whatever the seed count.
+		`entry 1 [b]: run "narrated" at quick scale: carries a Journal, Trace, Registry or Telemetry`: func(f *Figure) {
 			f.Plan = planned(variant{"narrated", func(c *Config) { c.Journal = journal.New(1) }})
+		},
+		`run "timed" at paper scale: carries a Journal, Trace, Registry or Telemetry`: func(f *Figure) {
+			f.Plan = planned(variant{label: "plain"}, variant{"timed", func(c *Config) { c.Telemetry = true }})
+		},
+		`run "metered" at quick scale: carries a Journal, Trace, Registry or Telemetry`: func(f *Figure) {
+			f.Plan = planned(variant{"metered", func(c *Config) { c.Registry = telemetry.New() }})
 		},
 	}
 	for want, breakIt := range bad {
@@ -328,6 +339,63 @@ func TestFigureTableValid(t *testing.T) {
 	narrated.Observe = func(Row) any { return nil }
 	if err := ValidateFigures([]Figure{narrated}); err != nil {
 		t.Errorf("a journal under Observe rejected: %v", err)
+	}
+}
+
+// shortScale is QuickScale cut to two minutes, with two replica seeds so
+// that a plan is a (row x seed) grid.
+func shortScale() Scale {
+	s := QuickScale()
+	s.NumPeers, s.DurationSec, s.Seeds = 300, 120, []uint64{4, 5}
+	return s
+}
+
+// TestExecuteIndependentOfWorkers: Figs 9-11's plan runs as one grid of
+// flat (row x seed) jobs on GOMAXPROCS workers over shared worlds; its
+// data must not know how many there were.
+func TestExecuteIndependentOfWorkers(t *testing.T) {
+	fig := figureByKey(t, "9")
+	var data [2][]SweepPoint
+	for i, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		data[i] = execute[[]SweepPoint](t, fig, shortScale())
+		runtime.GOMAXPROCS(prev)
+	}
+	if !reflect.DeepEqual(data[0], data[1]) {
+		t.Errorf("Figs 9-11 differ between 1 worker and 4:\n%+v\n%+v", data[0], data[1])
+	}
+	if first, last := data[0][0], data[0][len(data[0])-1]; last.TrafficAttack <= first.TrafficAttack {
+		t.Errorf("attack traffic does not grow with agents (vacuous): %+v .. %+v", first, last)
+	}
+}
+
+// TestExecuteErrorNamesFigureRunAndSeed: a plan executed without
+// ValidateFigures in front of it, its third and fourth rows invalid. The
+// error names the figure, the third row's label and the first seed, at one
+// worker and at four: the first row that fails, not whichever job lost
+// the race.
+func TestExecuteErrorNamesFigureRunAndSeed(t *testing.T) {
+	fig := Figure{Keys: []string{"broken"}, Plan: func(s Scale) []Row {
+		return s.plan(s.baseConfig(), true,
+			noAttack, variant{label: "attacked"},
+			variant{"all agents", func(c *Config) { c.NumAgents = c.NumPeers }},
+			variant{"no ttl", func(c *Config) { c.TTL = 0 }},
+			variant{label: "never reached"})
+	}}
+	const want = `-fig broken, run "all agents", seed 4: sim: NumAgents = 300 of 300 peers`
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		data, err := fig.Execute(shortScale())
+		runtime.GOMAXPROCS(prev)
+		if err == nil || err.Error() != want || data != nil {
+			t.Errorf("GOMAXPROCS %d: data %v, err %v, want %s", procs, data, err, want)
+		}
+	}
+	// Without replica seeds the job's seed is its Config's own.
+	scale := shortScale()
+	scale.Seeds = nil
+	if _, err := fig.Execute(scale); err == nil || !strings.Contains(err.Error(), `run "all agents", seed 1: sim: NumAgents`) {
+		t.Errorf("no seeds: err %v, want the run on seed 1", err)
 	}
 }
 

@@ -38,6 +38,15 @@ func NewZipf(src *Source, n uint64, s float64) *Zipf {
 	return z
 }
 
+// Clone returns a sampler with z's constants and its own copy of z's
+// source at its current position: the two then draw the same ranks
+// without moving each other.
+func (z *Zipf) Clone() *Zipf {
+	c, src := *z, *z.src
+	c.src = &src
+	return &c
+}
+
 // h is the (unnormalized) density x^-s.
 func (z *Zipf) h(x float64) float64 { return math.Exp(-z.s * math.Log(x)) }
 

@@ -8,24 +8,17 @@ import (
 
 	"ddpolice/internal/faults"
 	"ddpolice/internal/flood"
-	"ddpolice/internal/journal"
 )
 
 // runInstrumented executes one config with the detection journal
 // captured.
 func runInstrumented(t *testing.T, cfg Config) (res *Result, jrnl []byte) {
 	t.Helper()
-	jr := journal.New(4096)
-	cfg.Journal = jr
-	res, err := Run(cfg)
+	res, jrnl, err := journaled(Run, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jb bytes.Buffer
-	if err := jr.WriteNDJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	return res, jb.Bytes()
+	return res, jrnl
 }
 
 // stripCache returns a copy of res with the cache-effectiveness

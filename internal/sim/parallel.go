@@ -4,77 +4,75 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/overlay"
 )
 
-// RunParallel executes the given configurations concurrently on a
-// bounded worker pool and returns results in input order. Each
-// configuration carries its own seed, so results are deterministic
-// regardless of scheduling. The first error (if any, in input order)
-// is returned with whatever results completed.
-//
-// Workers are capped at min(GOMAXPROCS, len(cfgs)) and pull indices
-// from a channel: a 10k-seed sweep runs on a dozen goroutines, not ten
-// thousand parked ones (the previous version spawned one goroutine per
-// config before acquiring its semaphore slot).
-func RunParallel(cfgs []Config) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = Run(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+// JobError is the failure of one job of a grid.
+type JobError struct {
+	Index int    // of the job's configuration in cfgs
+	Seed  uint64 // the job ran on
+	Err   error
 }
 
-// Averaged runs the same configuration with the given seeds and merges
-// scalar outputs by arithmetic mean: series element-wise, counters by
-// rounded mean, control-overhead message counts per class by rounded
-// mean, and the traversal-cache effectiveness counters (Result.Cache)
-// field-wise by rounded mean. Minutes is averaged element-wise
-// (truncated to the shortest run, which is a no-op for a fixed
-// DurationSec) and ControlLost by rounded mean.
-//
-// The single remaining first-seed field is AgentIDs: agent placement
-// is per-seed identity data, not a statistic — a cross-seed mean of
-// peer IDs is meaningless, so the merged result carries the first
-// seed's placement as "one representative run". Everything else in
-// Result is averaged. It reduces run-to-run noise for the figure
-// sweeps.
-//
-// The replicas run concurrently from copies of cfg, so a per-run sink
-// in it would be shared by all of them: a Journal, Trace or Registry
-// interleaved by scheduling, Telemetry timing replicas that contend
-// with each other. With more than one seed any of those is an error naming the
-// field; observe one run with Run instead.
-func Averaged(cfg Config, seeds []uint64) (*Result, error) {
-	if len(seeds) == 0 {
-		return Run(cfg)
+func (e *JobError) Error() string {
+	return fmt.Sprintf("config %d, seed %d: %v", e.Index, e.Seed, e.Err)
+}
+
+// sharedWorld is one distinct world of a grid: built by the first job to
+// claim it and forgotten as the last does, so it lives while its jobs run.
+type sharedWorld struct {
+	mu     sync.Mutex
+	w      *World
+	jobs   []int // in declared order
+	claims int
+}
+
+func (s *sharedWorld) run(cfg Config) (*Result, error) {
+	s.mu.Lock()
+	w, err := s.w, error(nil)
+	if w == nil {
+		w, err = NewWorld(cfg)
+		s.w = w
 	}
-	if len(seeds) > 1 {
+	if s.claims++; s.claims == len(s.jobs) {
+		s.w = nil
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return w.Run(cfg)
+}
+
+// Grid runs every configuration on every seed — on its own Seed when
+// seeds is empty — as flat jobs on one pool of GOMAXPROCS workers, the
+// package's only one, and returns one Result per configuration in input
+// order: the run's own, or with seeds the mergeResults of its replicas in
+// seed order. Jobs of one world share it read-only and are dispatched
+// together, worlds in order of first appearance, so about one world is
+// live at a time. A job is deterministic in its Config: no result
+// depends on the schedule.
+//
+// No job starts after one has failed, and the error is a *JobError: the
+// first failure in dispatch order, which every schedule reaches (for
+// configurations of one world shape, the first in declared order). With
+// more than one job a per-run sink is such an error, naming the field:
+// sinks would be live side by side and Telemetry would time runs that
+// contend with each other.
+func Grid(cfgs []Config, seeds []uint64) ([]*Result, error) {
+	type job struct {
+		cfg   Config
+		world *sharedWorld
+	}
+	per := max(1, len(seeds))
+	total := len(cfgs) * per
+	jobs := make([]job, 0, total)
+	var worlds []*sharedWorld
+	byKey := map[worldKey]*sharedWorld{}
+	for i, cfg := range cfgs {
 		for _, sink := range []struct {
 			field string
 			set   bool
@@ -84,22 +82,77 @@ func Averaged(cfg Config, seeds []uint64) (*Result, error) {
 			{"Registry", cfg.Registry != nil},
 			{"Telemetry", cfg.Telemetry},
 		} {
-			if sink.set {
-				return nil, fmt.Errorf("sim: Averaged: Config.%s is a per-run sink and %d concurrent replicas would share it; observe one seed with Run", sink.field, len(seeds))
+			if sink.set && total > 1 {
+				return nil, &JobError{i, cfg.Seed, fmt.Errorf("sim: Config.%s is a per-run sink and %d concurrent jobs would run beside it; observe one run with Run", sink.field, total)}
 			}
 		}
+		for r := 0; r < per; r++ {
+			if len(seeds) > 0 {
+				cfg.Seed = seeds[r]
+			}
+			s := byKey[cfg.world()]
+			if s == nil {
+				s = &sharedWorld{}
+				byKey[cfg.world()] = s
+				worlds = append(worlds, s)
+			}
+			s.jobs = append(s.jobs, len(jobs))
+			jobs = append(jobs, job{cfg, s})
+		}
 	}
-	cfgs := make([]Config, len(seeds))
-	for i, s := range seeds {
-		c := cfg
-		c.Seed = s
-		cfgs[i] = c
+	var order []int
+	for _, s := range worlds {
+		order = append(order, s.jobs...)
 	}
-	rs, err := RunParallel(cfgs)
+	results := make([]*Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), total); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(order)) && !failed.Load(); k = next.Add(1) - 1 {
+				j := order[k]
+				if results[j], errs[j] = jobs[j].world.run(jobs[j].cfg); errs[j] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, j := range order {
+		if errs[j] != nil {
+			return nil, &JobError{j / per, jobs[j].cfg.Seed, errs[j]}
+		}
+	}
+	if len(seeds) == 0 {
+		return results, nil
+	}
+	out := make([]*Result, len(cfgs))
+	for i := range out {
+		out[i] = mergeResults(results[i*per : (i+1)*per])
+	}
+	return out, nil
+}
+
+// RunParallel executes the given configurations concurrently and returns
+// their results in input order: Grid with each on its own Seed.
+func RunParallel(cfgs []Config) ([]*Result, error) { return Grid(cfgs, nil) }
+
+// Averaged runs cfg on each seed and merges the replicas: scalars and
+// series by arithmetic mean, counters — Minutes element-wise, the
+// control-overhead classes, ControlLost, the traversal-cache tallies — by
+// rounded mean. AgentIDs alone stays the first seed's: placement is
+// per-seed identity, not a statistic. It is Grid over the one
+// configuration, so no seeds is Run(cfg).
+func Averaged(cfg Config, seeds []uint64) (*Result, error) {
+	rs, err := Grid([]Config{cfg}, seeds)
 	if err != nil {
 		return nil, err
 	}
-	return mergeResults(rs), nil
+	return rs[0], nil
 }
 
 // mergeResults averages rs into a fresh Result without modifying any
@@ -153,20 +206,11 @@ func mergeResults(rs []*Result) *Result {
 	out.Detections = roundDiv(out.Detections, n)
 	out.FalseNegatives = roundDiv(out.FalseNegatives, n)
 	out.FalsePositives = roundDiv(out.FalsePositives, n)
-	// ControlLost was silently first-seed-only — it never appeared in the
-	// documented list and was never accumulated, so "averaged" sweeps
-	// reported one run's control-plane losses as the mean.
 	out.ControlLost = roundDivU64(out.ControlLost, n)
 	out.CutEdges = roundDiv(out.CutEdges, n)
-	// Overhead was previously copied wholesale from the first seed, so
-	// "averaged" sweeps reported one run's control traffic as the mean;
-	// its three message counters are plain totals and average cleanly.
 	out.Overhead.NeighborListMsgs = roundDivU64(out.Overhead.NeighborListMsgs, n)
 	out.Overhead.NeighborTrafficMsgs = roundDivU64(out.Overhead.NeighborTrafficMsgs, n)
 	out.Overhead.VerifyMsgs = roundDivU64(out.Overhead.VerifyMsgs, n)
-	// Cache counters are plain scalars and average cleanly; reporting
-	// the first seed's values verbatim (the previous behaviour) let one
-	// run's hit/miss/replay profile masquerade as the sweep's.
 	out.Cache.Hits = roundDivU64(out.Cache.Hits, n)
 	out.Cache.Misses = roundDivU64(out.Cache.Misses, n)
 	out.Cache.Builds = roundDivU64(out.Cache.Builds, n)

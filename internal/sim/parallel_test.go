@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -254,10 +255,10 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	}
 }
 
-// TestAveragedRejectsPerRunSinks: the replicas of an averaged run
-// execute concurrently from copies of one Config, so every field that
-// is a per-run sink must be refused by name when there is more than one
-// seed — and only then.
+// TestAveragedRejectsPerRunSinks: the jobs of a grid execute
+// concurrently, so every field that is a per-run sink must be refused by
+// name when there is more than one job — replicas of one Config or
+// different Configs on their own seeds — and only then.
 func TestAveragedRejectsPerRunSinks(t *testing.T) {
 	sinks := map[string]func(*Config){
 		"Journal":   func(c *Config) { c.Journal = journal.New(16) },
@@ -271,10 +272,15 @@ func TestAveragedRejectsPerRunSinks(t *testing.T) {
 		cfg.TopologyM = 2
 		cfg.DurationSec = 60
 		cfg.Catalog.NumObjects = 100
+		plain := cfg
 		set(&cfg)
 		_, err := Averaged(cfg, []uint64{1, 2})
 		if err == nil || !strings.Contains(err.Error(), "Config."+field+" ") {
 			t.Errorf("two seeds with %s set: err = %v, want one naming Config.%s", field, err, field)
+		}
+		var job *JobError
+		if _, err = Grid([]Config{plain, cfg}, nil); !errors.As(err, &job) || job.Index != 1 || !strings.Contains(err.Error(), "Config."+field+" ") {
+			t.Errorf("two configs, no seeds, the second with %s set: err = %v, want config 1 refused naming Config.%s", field, err, field)
 		}
 		if _, err := Averaged(cfg, []uint64{1}); err != nil {
 			t.Errorf("one seed with %s set: %v, want a plain run", field, err)

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 
 	"ddpolice/internal/attack"
 	"ddpolice/internal/capacity"
@@ -354,24 +355,69 @@ const (
 // StageNames labels the tick stages, indexed by the Stage constants.
 var StageNames = []string{"churn", "attack", "querygen", "flood", "police", "metrics", "proposal"}
 
-// Run executes one simulation and returns its result.
-func Run(cfg Config) (*Result, error) {
+// World is the environment a run starts in: the topology and the catalog
+// placed on it, which four Config fields decide. Both are immutable once
+// built — the overlay keeps all edge and peer state beside the graph, the
+// query generator draws objects from its own workload.Sampler — so
+// concurrent runs may share one World, and no method writes to it.
+type World struct {
+	key   worldKey
+	graph *topology.Graph
+	cat   *workload.Catalog
+}
+
+// worldKey is those four, under their Config names.
+type worldKey struct {
+	Seed                uint64
+	NumPeers, TopologyM int
+	Catalog             workload.CatalogConfig
+}
+
+func (c Config) world() worldKey { return worldKey{c.Seed, c.NumPeers, c.TopologyM, c.Catalog} }
+
+// NewWorld builds the world of cfg.
+func NewWorld(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-
 	g, err := topology.BarabasiAlbert(root.Split(), cfg.NumPeers, cfg.TopologyM)
 	if err != nil {
 		return nil, err
 	}
-	ov := overlay.New(g)
-
 	cat, err := workload.NewCatalog(cfg.Catalog, cfg.NumPeers, root.Split())
 	if err != nil {
 		return nil, err
 	}
-	qgen, err := workload.NewQueryGen(cat, cfg.QueriesPerMin, root.Split())
+	return &World{cfg.world(), g, cat}, nil
+}
+
+// Run executes one simulation and returns its result.
+func Run(cfg Config) (*Result, error) {
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return w.Run(cfg)
+}
+
+// Run executes cfg in w exactly as Run(cfg) would. A cfg that describes
+// another world is an error naming the field that differs.
+func (w *World) Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	got, built := reflect.ValueOf(cfg.world()), reflect.ValueOf(w.key)
+	for i := 0; i < got.NumField(); i++ {
+		if a, b := got.Field(i).Interface(), built.Field(i).Interface(); a != b {
+			return nil, fmt.Errorf("sim: World.Run: Config.%s = %v, but the world was built with %v", got.Type().Field(i).Name, a, b)
+		}
+	}
+	root := rng.New(cfg.Seed)
+	root.Split() // the topology's stream and the catalog's, spent building w:
+	root.Split() // every later stream stays where Run has always had it
+	ov := overlay.New(w.graph)
+	qgen, err := workload.NewQueryGen(w.cat, cfg.QueriesPerMin, root.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -676,7 +722,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				tc = startQueryTrace(tcr, eng, tracePool, cfg.Seed, uint64(t), uint64(qi), q, now)
 			}
-			qr := eng.FloodQuery(q.Issuer, cfg.TTL, cat.Holders(q.Object), budget, cfg.Delay)
+			qr := eng.FloodQuery(q.Issuer, cfg.TTL, w.cat.Holders(q.Object), budget, cfg.Delay)
 			if tc != nil {
 				eng.SetTraceVisitor(nil)
 				endQueryTrace(tc, now, qr)

@@ -158,11 +158,12 @@ func GenerateTrace(tw *TraceWriter, cat *Catalog, numPeers int, ratePerMin float
 	perSec := ratePerMin / 60 * float64(numPeers)
 	var written uint64
 	var batch []TraceRecord
+	objects := cat.Sampler()
 	for sec := 0; sec < durationSec; sec++ {
 		n := src.Poisson(perSec)
 		batch = batch[:0]
 		for i := 0; i < n; i++ {
-			obj := cat.SampleObject()
+			obj := objects.Object()
 			batch = append(batch, TraceRecord{
 				TimestampMS: int64(sec)*1000 + int64(src.Intn(1000)),
 				Issuer:      topology.NodeID(src.Intn(numPeers)),

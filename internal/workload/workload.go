@@ -44,12 +44,13 @@ func DefaultCatalogConfig() CatalogConfig {
 	}
 }
 
-// Catalog holds object popularity and placement.
+// Catalog holds object popularity and placement. It is immutable once
+// built, so concurrent runs may share one: whatever advances — the
+// popularity sampler's stream — lives in the Sampler each consumer takes.
 type Catalog struct {
-	cfg        CatalogConfig
 	popularity []float64           // normalized query probability per object
 	holders    [][]topology.NodeID // object -> peers storing it
-	zipf       *rng.Zipf
+	zipf       *rng.Zipf           // start of the sampling stream; cloned, never drawn from
 }
 
 // NewCatalog builds a catalog and places replicas on the n peers.
@@ -64,7 +65,6 @@ func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, err
 		return nil, fmt.Errorf("workload: replica config %v/%d invalid", cfg.MeanReplicas, cfg.MinReplicas)
 	}
 	c := &Catalog{
-		cfg:        cfg,
 		popularity: rng.ZipfWeights(cfg.NumObjects, cfg.ZipfExponent),
 		holders:    make([][]topology.NodeID, cfg.NumObjects),
 		zipf:       rng.NewZipf(src.Split(), uint64(cfg.NumObjects), cfg.ZipfExponent),
@@ -77,6 +77,10 @@ func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, err
 		shapeSum += shape[i]
 	}
 	budget := cfg.MeanReplicas * float64(cfg.NumObjects)
+	perm := make([]topology.NodeID, numPeers)
+	for i := range perm {
+		perm[i] = topology.NodeID(i)
+	}
 	for o := 0; o < cfg.NumObjects; o++ {
 		count := int(budget * shape[o] / shapeSum)
 		if count < cfg.MinReplicas {
@@ -85,7 +89,7 @@ func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, err
 		if count > numPeers {
 			count = numPeers
 		}
-		c.holders[o] = samplePeers(src, numPeers, count)
+		c.holders[o] = samplePeers(src, perm, count)
 	}
 	return c, nil
 }
@@ -99,28 +103,30 @@ func (c *Catalog) NumObjects() int { return len(c.holders) }
 // Popularity returns the query probability of object o.
 func (c *Catalog) Popularity(o ObjectID) float64 { return c.popularity[o] }
 
-// SampleObject draws an object according to popularity.
-func (c *Catalog) SampleObject() ObjectID { return ObjectID(c.zipf.Rank() - 1) }
+// Sampler draws objects according to popularity from its own copy of
+// the catalog's stream: every Sampler of one catalog emits the same
+// sequence, and drawing from one moves no other.
+type Sampler struct{ zipf *rng.Zipf }
 
-// samplePeers draws count distinct peers via partial Fisher-Yates over
-// a lazily materialized index map.
-func samplePeers(src *rng.Source, n, count int) []topology.NodeID {
-	if count > n {
-		count = n
-	}
-	swapped := make(map[int]int, count*2)
+// Sampler returns a sampler positioned at the start of the stream.
+func (c *Catalog) Sampler() *Sampler { return &Sampler{c.zipf.Clone()} }
+
+// Object draws the next object.
+func (s *Sampler) Object() ObjectID { return ObjectID(s.zipf.Rank() - 1) }
+
+// samplePeers draws count distinct peers by partial Fisher-Yates over
+// perm, the identity permutation, and leaves it the identity again: a
+// position past count is touched only when drawn, and its own value
+// moved into out the first time it was.
+func samplePeers(src *rng.Source, perm []topology.NodeID, count int) []topology.NodeID {
 	out := make([]topology.NodeID, count)
-	get := func(i int) int {
-		if v, ok := swapped[i]; ok {
-			return v
-		}
-		return i
+	for i := range out {
+		j := i + src.Intn(len(perm)-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		out[i] = perm[i]
 	}
-	for i := 0; i < count; i++ {
-		j := i + src.Intn(n-i)
-		vi, vj := get(i), get(j)
-		swapped[i], swapped[j] = vj, vi
-		out[i] = topology.NodeID(vj)
+	for i, v := range out {
+		perm[i], perm[v] = topology.NodeID(i), v
 	}
 	return out
 }
@@ -130,7 +136,7 @@ func samplePeers(src *rng.Source, n, count int) []topology.NodeID {
 type QueryGen struct {
 	ratePerSec float64
 	src        *rng.Source
-	catalog    *Catalog
+	objects    *Sampler
 	issued     uint64
 }
 
@@ -145,7 +151,7 @@ func NewQueryGen(catalog *Catalog, queriesPerMin float64, src *rng.Source) (*Que
 	if queriesPerMin < 0 {
 		return nil, fmt.Errorf("workload: negative query rate %v", queriesPerMin)
 	}
-	return &QueryGen{ratePerSec: queriesPerMin / 60, src: src, catalog: catalog}, nil
+	return &QueryGen{ratePerSec: queriesPerMin / 60, src: src, objects: catalog.Sampler()}, nil
 }
 
 // Issued returns the total number of queries generated so far.
@@ -161,7 +167,7 @@ func (q *QueryGen) Tick(online []topology.NodeID, dt float64, buf []Query) []Que
 	for i := 0; i < total; i++ {
 		buf = append(buf, Query{
 			Issuer: online[q.src.Intn(len(online))],
-			Object: q.catalog.SampleObject(),
+			Object: q.objects.Object(),
 		})
 		q.issued++
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"ddpolice/internal/rng"
@@ -103,8 +104,9 @@ func TestSampleObjectDistribution(t *testing.T) {
 	c := testCatalog(t, cfg, 500, 4)
 	counts := make([]int, 100)
 	const draws = 200000
+	objects := c.Sampler()
 	for i := 0; i < draws; i++ {
-		counts[c.SampleObject()]++
+		counts[objects.Object()]++
 	}
 	for _, o := range []ObjectID{0, 10, 50} {
 		want := c.Popularity(o)
@@ -147,6 +149,81 @@ func TestQueryGenRate(t *testing.T) {
 	}
 	if qg.Issued() != uint64(total) {
 		t.Fatalf("Issued() = %d, want %d", qg.Issued(), total)
+	}
+}
+
+// TestSharedCatalogQueryStreams: a catalog is shared between runs, so two
+// generators built on one must emit what two built on two identically
+// seeded catalogs emit — each starts at the head of the catalog's object
+// stream — and drawing from one must not move the other: a sampler kept
+// in the catalog would make the second generator continue where the
+// first stopped.
+func TestSharedCatalogQueryStreams(t *testing.T) {
+	cfg := DefaultCatalogConfig()
+	cfg.NumObjects = 200
+	online := make([]topology.NodeID, 300)
+	for i := range online {
+		online[i] = topology.NodeID(i)
+	}
+	gen := func(c *Catalog) *QueryGen {
+		qg, err := NewQueryGen(c, 6, rng.New(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qg
+	}
+	drain := func(qg *QueryGen) (out []Query) {
+		for i := 0; i < 50; i++ {
+			out = qg.Tick(online, 1, out)
+		}
+		return out
+	}
+	want := drain(gen(testCatalog(t, cfg, 300, 3)))
+	if len(want) < 1000 {
+		t.Fatalf("only %d queries (vacuous)", len(want))
+	}
+	shared := testCatalog(t, cfg, 300, 3)
+	a, b := gen(shared), gen(shared)
+	gotA := drain(a) // b has drawn nothing yet
+	if gotB := drain(b); !slices.Equal(gotA, want) || !slices.Equal(gotB, want) {
+		t.Error("generators on one shared catalog differ from generators on catalogs of their own")
+	}
+	// Interleaved, tick by tick: still the one stream each.
+	a, b = gen(shared), gen(shared)
+	var gotA2, gotB2 []Query
+	for i := 0; i < 50; i++ {
+		gotA2, gotB2 = a.Tick(online, 1, gotA2), b.Tick(online, 1, gotB2)
+	}
+	if !slices.Equal(gotA2, want) || !slices.Equal(gotB2, want) {
+		t.Error("interleaved generators on one catalog moved each other's stream")
+	}
+}
+
+// TestSamplePeersRestoresIdentity: the scratch permutation NewCatalog
+// hands samplePeers must come back the identity, whatever was drawn, or
+// the next object's holders are drawn from a shuffled population.
+func TestSamplePeersRestoresIdentity(t *testing.T) {
+	src := rng.New(17)
+	perm := make([]topology.NodeID, 40)
+	for i := range perm {
+		perm[i] = topology.NodeID(i)
+	}
+	for _, count := range []int{0, 1, 7, 39, 40} {
+		for rep := 0; rep < 50; rep++ {
+			out := samplePeers(src, perm, count)
+			seen := map[topology.NodeID]bool{}
+			for _, v := range out {
+				if v < 0 || int(v) >= len(perm) || seen[v] {
+					t.Fatalf("count %d: holders %v out of range or repeated", count, out)
+				}
+				seen[v] = true
+			}
+			for i, v := range perm {
+				if v != topology.NodeID(i) {
+					t.Fatalf("count %d: perm[%d] = %d after the draw", count, i, v)
+				}
+			}
+		}
 	}
 }
 
@@ -278,8 +355,9 @@ func BenchmarkSampleObject(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	objects := c.Sampler()
 	for i := 0; i < b.N; i++ {
-		c.SampleObject()
+		objects.Object()
 	}
 }
 
@@ -290,8 +368,9 @@ func TestFitZipfRecoversExponent(t *testing.T) {
 		cfg.ZipfExponent = s
 		c := testCatalog(t, cfg, 500, 42)
 		counts := make([]uint64, cfg.NumObjects)
+		objects := c.Sampler()
 		for i := 0; i < 500000; i++ {
-			counts[c.SampleObject()]++
+			counts[objects.Object()]++
 		}
 		got, err := FitZipf(counts)
 		if err != nil {
