@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test golden race smoke writefail resultscheck bench benchcheck
+.PHONY: ci lint build vet ddlint staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
@@ -119,6 +119,21 @@ bench:
 	@for w in steady-2k attack-40k scale-100k paper-figs live-12; do \
 		$(GO) run -C bench . -workload $$w || exit 1; \
 	done
+
+# benchpair is the protocol a speed claim rests on, scripted: `make
+# benchpair W=steady-2k [N=10] [SEED=1] [BASE=HEAD~1]` builds the
+# benchmark of BASE (in a temporary git worktree) and of the working
+# tree once each, discards one warm-up run, runs N pairs alternating
+# which side goes first, and prints per end-to-end metric both medians
+# with quartiles, the change's wins and `claim ok` or `unresolved`
+# (nine tenths of the pairs, and a median gap beyond the base's own
+# interquartile range). About N x 40 s; non-zero exit when a run was not
+# correct. Run it again with SEED=2 before claiming anything.
+N ?= 10
+SEED ?= 1
+BASE ?= HEAD~1
+benchpair:
+	./scripts/benchpair.sh "$(W)" $(N) $(SEED) $(BASE)
 
 # benchcheck vets and tests the repository benchmark in bench/, a module
 # of its own that the root `go vet ./...` and `go test ./...` cannot

@@ -2,9 +2,10 @@
 // pure function of overlay connectivity (who is online, which edges are
 // cut) — not of budgets or delays — whenever every visited peer keeps
 // forwarding. The cache memoizes that tree per (source, entry, TTL) and
-// replays it across ticks, re-running the per-tick parts (capacity
-// clipping, queueing delay, fair-share accounting) live on the cached
-// visit order. Trees are recorded as a byproduct of a live flood and
+// replays it across ticks, charging the per-tick parts (capacity
+// clipping, fair-share accounting) visit by visit in the cached order;
+// queueing delay is computed afterwards, for the one path that is timed
+// (pathDelay). Trees are recorded as a byproduct of a live flood and
 // kept only when that flood was provably structural — no forwarding
 // peer clipped away. A clipped recording is discarded, not rebuilt:
 // budgets only fall within a tick, so the peer that clipped it would

@@ -16,9 +16,19 @@
 //     weight. This is the fluid limit of flooding N identical-topology
 //     queries and lets the simulator handle 20,000 queries/min/agent
 //     without per-message events.
+//
+// The unit of cost is the first visit of a peer by a query copy, and a
+// visit writes one 16-byte cell: the flood's epoch, the hop, the BFS
+// parent and whether the copy is still alive. Queueing delay is not
+// part of a visit. A response is timed only for the nearest responder,
+// so scoreHolders walks that one peer's parent chain after the flood
+// and sums the per-hop delays then (see pathDelay for why that is the
+// same float).
 package flood
 
 import (
+	"math"
+
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
@@ -29,6 +39,21 @@ type PeerID = overlay.PeerID
 
 // noParent marks the flood source, which has no inbound edge.
 const noParent PeerID = -1
+
+// MaxTTL is the largest TTL a flood accepts: the wire header carries the
+// TTL in one byte (protocol.Header.TTL), and the response-delay walk
+// sizes its path by it.
+const MaxTTL = math.MaxUint8
+
+// cell is one peer's visit state, valid for the flood whose epoch it
+// carries: a first visit is one 16-byte store, and scoreHolders' test
+// of a replica holder one load.
+type cell struct {
+	seen   uint32 // epoch mark: the peer received the query
+	hop    int32  // first-visit hop count
+	parent PeerID // BFS parent
+	alive  bool   // the copy was processed here and keeps flooding
+}
 
 // Budget tracks the per-tick processing tokens of every peer. The
 // simulator refills it each tick from the peers' capacity model.
@@ -516,10 +541,7 @@ type Engine struct {
 	telDelay   *telemetry.Histogram // first-response delay, ms
 
 	epoch    uint32
-	seen     []uint32  // epoch marks: peer received the query
-	hop      []int32   // first-visit hop count
-	parent   []PeerID  // BFS parent (valid for current epoch)
-	delay    []float64 // accumulated one-way delay along first-visit path
+	cells    []cell    // per-peer visit state of the flood numbered epoch
 	mass     []float64 // batch mode: surviving (processed) weight at peer
 	frontier []PeerID
 	next     []PeerID
@@ -578,14 +600,11 @@ func (e *Engine) SetTraceVisitor(fn TraceVisitFn) { e.tv = fn }
 func NewEngine(ov *overlay.Overlay) *Engine {
 	n := ov.NumPeers()
 	return &Engine{
-		ov:     ov,
-		mode:   CounterPhysical,
-		seen:   make([]uint32, n),
-		hop:    make([]int32, n),
-		parent: make([]PeerID, n),
-		delay:  make([]float64, n),
-		mass:   make([]float64, n),
-		cache:  newTravCache(ov),
+		ov:    ov,
+		mode:  CounterPhysical,
+		cells: make([]cell, n),
+		mass:  make([]float64, n),
+		cache: newTravCache(ov),
 	}
 }
 
@@ -634,14 +653,15 @@ func (e *Engine) SetCounterMode(m CounterMode) { e.mode = m }
 // Mode returns the current counter accounting plane.
 func (e *Engine) Mode() CounterMode { return e.mode }
 
-func (e *Engine) bump() {
+// bump starts a new flood: it advances the epoch, which invalidates
+// every cell at once, and marks src as the root.
+func (e *Engine) bump(src PeerID) {
 	e.epoch++
 	if e.epoch == 0 { // wrapped: clear marks once every 2^32 floods
-		for i := range e.seen {
-			e.seen[i] = 0
-		}
+		clear(e.cells)
 		e.epoch = 1
 	}
+	e.cells[src] = cell{seen: e.epoch, parent: noParent, alive: true}
 }
 
 // activeAdj returns u's active neighbors, plus their directed edge ids
@@ -669,14 +689,19 @@ func (e *Engine) resetRec() *travTree {
 	return &e.rec
 }
 
-// replayQuery re-runs one discrete flood over the cached tree. In the
-// physical plane it first prechecks that no cached visit would be
-// capacity-clipped (a clipped peer stops forwarding, which would
-// reshape the tree); each peer and directed edge is charged at most
-// once per flood, so the cells it reads keep their values until their
-// own visit and the precheck is exact. Returns false (with no state
-// mutated) when the flood must fall back to the live BFS.
-func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, dm DelayModel, res *QueryResult) bool {
+// replayQuery re-runs one discrete flood over the cached tree. The
+// physical plane splits it into a read-only precheck and a commit. The
+// precheck asks whether any cached visit would be capacity-clipped (a
+// clipped peer stops forwarding, which would reshape the tree); each
+// peer and directed edge is charged at most once per flood, so the
+// cells it reads keep their values until their own visit and its answer
+// is exact. A failed precheck returns false with no state mutated, and
+// the flood falls back to the live BFS. A passed one has proved that
+// every cached visit forwards, so the commit charges and marks each
+// visit without deciding anything again. The ideal plane has no
+// precheck (a clipped peer keeps forwarding for the counters, so the
+// tree always holds) and therefore owns the only deciding replay loop.
+func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *QueryResult) bool {
 	if e.mode == CounterPhysical {
 		for i := range tr.visits {
 			vt := &tr.visits[i]
@@ -688,78 +713,91 @@ func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, dm DelayM
 		}
 	}
 	tr.failStreak = 0
-	e.bump()
-	e.seen[src] = e.epoch
-	e.hop[src] = 0
-	e.parent[src] = noParent
-	e.delay[src] = 0
+	e.bump(src)
+	ep, cells := e.epoch, e.cells
 	res.QueryMessages = float64(tr.edgeEvents)
 	res.DupMessages = float64(tr.dupEvents)
 	e.telEdges.Add(tr.edgeEvents)
 	e.telDups.Add(tr.dupEvents)
+	if e.mode == CounterPhysical {
+		for i := range tr.visits {
+			vt := &tr.visits[i]
+			e.ov.AddTraffic(vt.eid, 1)
+			cells[vt.v] = cell{seen: ep, hop: vt.depth, parent: vt.parent, alive: true}
+			budget.take(vt.v, vt.eid, 1)
+			if e.tv != nil {
+				e.tv(vt.v, vt.parent, vt.depth, VisitForwarded)
+			}
+		}
+		res.Processed = len(tr.visits)
+		return true
+	}
 	for i := range tr.visits {
 		vt := &tr.visits[i]
 		e.ov.AddTraffic(vt.eid, 1)
-		e.seen[vt.v] = e.epoch
-		e.hop[vt.v] = vt.depth
-		e.parent[vt.v] = vt.parent
-		surviving := e.delay[vt.parent] >= 0
-		outcome := VisitForwarded
-		if !surviving {
-			outcome = VisitDead
-		}
-		if surviving && budget.arrivalCap(vt.v, vt.eid) < 1 {
-			res.CapacityDrops++
-			e.telDrops.Inc()
-			surviving = false
-			outcome = VisitDropped
-		}
-		if surviving {
-			budget.take(vt.v, vt.eid, 1)
-			res.Processed++
-			e.delay[vt.v] = e.delay[vt.parent] + dm.hopDelay(budget.Utilization(vt.v))
-		} else {
-			e.delay[vt.v] = -1
-		}
+		alive, outcome := e.decide(cells[vt.parent].alive, vt.v, vt.eid, budget, res)
+		cells[vt.v] = cell{seen: ep, hop: vt.depth, parent: vt.parent, alive: alive}
 		if e.tv != nil {
 			e.tv(vt.v, vt.parent, vt.depth, outcome)
 		}
 	}
+	e.telDrops.Add(uint64(res.CapacityDrops))
 	return true
 }
 
-// FloodQuery floods one discrete query from src with the given TTL.
-// holders is the replica set of the searched object (used for success
-// accounting; the issuer itself is not counted as a responder). Each
-// processing peer consumes one token from budget. Edge traffic counters
-// in the overlay are incremented for every query copy sent.
+// decide settles one first visit of a discrete flood whose outcome is
+// not known in advance: a copy whose upstream path died is dead, one
+// arriving at a saturated peer is dropped there, and any other is
+// charged one token and forwards.
+func (e *Engine) decide(upstream bool, v PeerID, eid overlay.EdgeID, budget *Budget, res *QueryResult) (alive bool, outcome VisitOutcome) {
+	if !upstream {
+		return false, VisitDead
+	}
+	if budget.arrivalCap(v, eid) < 1 {
+		res.CapacityDrops++
+		return false, VisitDropped
+	}
+	budget.take(v, eid, 1)
+	res.Processed++
+	return true, VisitForwarded
+}
+
+// FloodQuery floods one discrete query from src with the given TTL (at
+// most MaxTTL). holders is the replica set of the searched object (used
+// for success accounting; the issuer itself is not counted as a
+// responder). Each processing peer consumes one token from budget. Edge
+// traffic counters in the overlay are incremented for every query copy
+// sent.
 func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budget *Budget, dm DelayModel) QueryResult {
 	res := QueryResult{FirstHitHops: -1}
 	if ttl <= 0 || !e.ov.Online(src) {
 		return res
+	}
+	if ttl > MaxTTL {
+		panic("flood: FloodQuery ttl exceeds MaxTTL")
 	}
 	e.telFloods.Inc()
 	if e.cache != nil {
 		e.cache.sync()
 		k := treeKey{src: src, entry: noEntry, ttl: int32(ttl)}
 		tr, build := e.cache.lookup(k)
-		if tr != nil && e.replayQuery(tr, src, budget, dm, &res) {
+		if tr != nil && e.replayQuery(tr, src, budget, &res) {
 			e.cache.stats.Hits++
-			e.scoreHolders(src, holders, dm, &res)
+			e.scoreHolders(src, holders, budget, dm, &res)
 			return res
 		}
 		if tr == nil && build {
 			rec := e.resetRec()
-			e.liveQuery(src, ttl, budget, dm, &res, rec)
-			e.scoreHolders(src, holders, dm, &res)
+			e.liveQuery(src, ttl, budget, &res, rec)
+			e.scoreHolders(src, holders, budget, dm, &res)
 			// A capacity-dropped peer stopped forwarding, so in the
 			// physical plane a clipped traversal was not structural.
 			e.cache.keep(k, rec, e.mode == CounterIdeal || res.CapacityDrops == 0)
 			return res
 		}
 	}
-	e.liveQuery(src, ttl, budget, dm, &res, nil)
-	e.scoreHolders(src, holders, dm, &res)
+	e.liveQuery(src, ttl, budget, &res, nil)
+	e.scoreHolders(src, holders, budget, dm, &res)
 	return res
 }
 
@@ -767,40 +805,31 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 // snapshot when the cache is enabled (the snapshot is connectivity
 // state, not traversal memoization, so it is always sound). A non-nil
 // rec collects the first-visit tree in traversal order as it runs.
-func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, dm DelayModel, res *QueryResult, rec *travTree) {
-	e.bump()
-	e.seen[src] = e.epoch
-	e.hop[src] = 0
-	e.parent[src] = noParent
-	e.delay[src] = 0
+func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult, rec *travTree) {
+	e.bump(src)
+	ep, cells := e.epoch, e.cells
 	e.frontier = append(e.frontier[:0], src)
+	var edges, dups uint64
 
-	for depth := 1; depth <= ttl && len(e.frontier) > 0; depth++ {
+	for depth := int32(1); int(depth) <= ttl && len(e.frontier) > 0; depth++ {
 		e.next = e.next[:0]
 		for _, u := range e.frontier {
 			nbrs, eids := e.activeAdj(u)
+			cu := cells[u]
 			var nd travNode
 			if rec != nil {
 				nd = travNode{u: u, vStart: int32(len(rec.visits))}
 			}
 			for k, v := range nbrs {
-				if v == e.parent[u] {
+				if v == cu.parent {
 					continue // never send back where it came from
 				}
-				res.QueryMessages++
-				e.telEdges.Inc()
-				if rec != nil {
-					nd.edges++
-				}
-				if e.seen[v] == e.epoch {
+				nd.edges++
+				if cells[v].seen == ep {
 					// Duplicate copy: wire traffic, but discarded before
 					// the Out_query/In_query monitors count it (the
 					// paper's no-duplication accounting, Fig 2).
-					res.DupMessages++
-					e.telDups.Inc()
-					if rec != nil {
-						nd.dups++
-					}
+					nd.dups++
 					continue
 				}
 				eid := overlay.EdgeID(0)
@@ -810,76 +839,91 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, dm DelayModel, r
 					eid, _ = e.ov.FindEdge(u, v)
 				}
 				if rec != nil {
-					rec.visits = append(rec.visits, visit{v: v, parent: u, eid: eid, depth: int32(depth)})
+					rec.visits = append(rec.visits, visit{v: v, parent: u, eid: eid, depth: depth})
 				}
 				e.ov.AddTraffic(eid, 1)
-				e.seen[v] = e.epoch
-				e.hop[v] = int32(depth)
-				e.parent[v] = u
-				surviving := e.delay[u] >= 0
-				outcome := VisitForwarded
-				if !surviving {
-					outcome = VisitDead
-				}
-				if surviving && budget.arrivalCap(v, eid) < 1 {
-					res.CapacityDrops++
-					e.telDrops.Inc()
-					surviving = false
-					outcome = VisitDropped
-				}
+				alive, outcome := e.decide(cu.alive, v, eid, budget, res)
+				cells[v] = cell{seen: ep, hop: depth, parent: u, alive: alive}
 				if e.tv != nil {
-					e.tv(v, u, int32(depth), outcome)
+					e.tv(v, u, depth, outcome)
 				}
-				if surviving {
-					budget.take(v, eid, 1)
-					res.Processed++
-					e.delay[v] = e.delay[u] + dm.hopDelay(budget.Utilization(v))
-				} else {
-					// The real query died upstream or here; in the
-					// ideal counter plane the message flow continues
-					// for accounting, in the physical plane it stops.
-					e.delay[v] = -1
-					if e.mode == CounterPhysical {
-						continue
-					}
+				// A copy that died upstream or here stops in the physical
+				// plane; in the ideal counter plane the message flow
+				// continues for accounting.
+				if alive || e.mode == CounterIdeal {
+					e.next = append(e.next, v)
 				}
-				e.next = append(e.next, v)
 			}
+			edges += uint64(nd.edges)
+			dups += uint64(nd.dups)
 			if rec != nil && nd.edges > 0 {
 				nd.vCount = int32(len(rec.visits)) - nd.vStart
 				rec.nodes = append(rec.nodes, nd)
-				rec.edgeEvents += uint64(nd.edges)
-				rec.dupEvents += uint64(nd.dups)
 			}
 		}
 		e.frontier, e.next = e.next, e.frontier
 	}
+	res.QueryMessages = float64(edges)
+	res.DupMessages = float64(dups)
+	e.telEdges.Add(edges)
+	e.telDups.Add(dups)
+	e.telDrops.Add(uint64(res.CapacityDrops))
+	if rec != nil {
+		rec.edgeEvents, rec.dupEvents = edges, dups
+	}
 }
 
 // scoreHolders runs the success accounting against the replica set,
-// reading the seen/hop/delay marks left by the traversal (live or
-// replayed).
-func (e *Engine) scoreHolders(src PeerID, holders []topology.NodeID, dm DelayModel, res *QueryResult) {
+// reading the cells the traversal (live or replayed) left behind. The
+// responder that times the query is the first holder in list order at
+// the minimum hop; its forward delay is computed here, on demand, for
+// its path alone.
+func (e *Engine) scoreHolders(src PeerID, holders []topology.NodeID, budget *Budget, dm DelayModel, res *QueryResult) {
+	ep, cells := e.epoch, e.cells
+	first := noParent
 	for _, h := range holders {
 		if h == src {
 			continue // searching peers don't count their own copy
 		}
-		if e.seen[h] == e.epoch && e.delay[h] >= 0 && e.hop[h] > 0 {
+		if c := cells[h]; c.seen == ep && c.alive && c.hop > 0 {
 			res.HitHolders++
-			res.HitMessages += float64(e.hop[h]) // QueryHit returns along the reverse path
-			if !res.Hit || int(e.hop[h]) < res.FirstHitHops {
+			res.HitMessages += float64(c.hop) // QueryHit returns along the reverse path
+			if !res.Hit || int(c.hop) < res.FirstHitHops {
 				res.Hit = true
-				res.FirstHitHops = int(e.hop[h])
-				// Round trip: accumulated forward delay plus the return
-				// path at base latency (QueryHits are few and cheap).
-				res.ResponseDelay = e.delay[h] + float64(e.hop[h])*dm.HopDelay
+				res.FirstHitHops = int(c.hop)
+				first = h
 			}
 		}
 	}
 	if res.Hit {
+		// Round trip: accumulated forward delay plus the return path at
+		// base latency (QueryHits are few and cheap).
+		res.ResponseDelay = e.pathDelay(first, budget, dm) + float64(res.FirstHitHops)*dm.HopDelay
 		e.telHitHops.Observe(uint64(res.FirstHitHops))
 		e.telDelay.Observe(uint64(res.ResponseDelay * 1000))
 	}
+}
+
+// pathDelay returns the one-way delay the query accumulated on its
+// first-visit path to h: the per-hop delays of the peers on h's parent
+// chain, summed from the source down, each at the utilization the peer
+// had when the copy reached it. Computing that after the flood is exact
+// because a flood charges each peer at most once (the seen mark), so
+// Remaining[v] is still what v's own take left, and prevUtil and
+// PerTick move only at Refill, SetCapacity and ReserveControl, none of
+// which runs inside a flood.
+func (e *Engine) pathDelay(h PeerID, budget *Budget, dm DelayModel) float64 {
+	var path [MaxTTL]PeerID
+	n := int(e.cells[h].hop)
+	for i := n - 1; i >= 0; i-- {
+		path[i] = h
+		h = e.cells[h].parent
+	}
+	d := 0.0
+	for _, v := range path[:n] {
+		d += dm.hopDelay(budget.Utilization(v))
+	}
+	return d
 }
 
 // FloodBatch floods weight identical-routing bogus queries from src.
@@ -960,7 +1004,8 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 		}
 	}
 	tr.failStreak = 0
-	e.bump()
+	e.bump(src)
+	var drops uint64
 	for _, nd := range tr.nodes {
 		s := e.mass[nd.u]
 		counted := weight
@@ -977,15 +1022,13 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 		for k := int32(0); k < nd.dups; k++ {
 			res.DupMessages += counted
 		}
-		e.telEdges.Add(uint64(nd.edges))
-		e.telDups.Add(uint64(nd.dups))
 		for j := nd.vStart; j < nd.vStart+nd.vCount; j++ {
 			vt := &tr.visits[j]
 			a := acc[j]
 			e.ov.AddTraffic(vt.eid, counted)
 			budget.take(vt.v, vt.eid, a)
 			if a < s {
-				e.telDrops.Inc()
+				drops++
 			}
 			res.CapacityDrops += s - a
 			if a > 0 {
@@ -994,6 +1037,9 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 			}
 		}
 	}
+	e.telEdges.Add(tr.edgeEvents)
+	e.telDups.Add(tr.dupEvents)
+	e.telDrops.Add(drops)
 	return true
 }
 
@@ -1003,14 +1049,13 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 // capacity-clipped to zero, which in the physical plane prunes a
 // subtree and makes the recording non-structural.
 func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, budget *Budget, res *BatchResult, rec *travTree) (zeroClip bool) {
-	e.bump()
-	e.seen[src] = e.epoch
-	e.hop[src] = 0
-	e.parent[src] = noParent
+	e.bump(src)
+	ep, cells := e.epoch, e.cells
 	e.mass[src] = weight
 	e.frontier = append(e.frontier[:0], src)
+	var edges, dups, drops uint64
 
-	for depth := 1; depth <= ttl && len(e.frontier) > 0; depth++ {
+	for depth := int32(1); int(depth) <= ttl && len(e.frontier) > 0; depth++ {
 		e.next = e.next[:0]
 		for _, u := range e.frontier {
 			surviving := e.mass[u] // physical mass still alive at u
@@ -1022,28 +1067,23 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 				}
 			}
 			nbrs, eids := e.activeAdj(u)
+			parent := cells[u].parent
 			var nd travNode
 			if rec != nil {
 				nd = travNode{u: u, vStart: int32(len(rec.visits))}
 			}
 			for k, v := range nbrs {
-				if v == e.parent[u] {
+				if v == parent {
 					continue
 				}
 				if u == src && entry >= 0 && v != entry {
 					continue // restricted entry: batch leaves via one neighbor
 				}
 				res.QueryMessages += counted
-				e.telEdges.Inc()
-				if rec != nil {
-					nd.edges++
-				}
-				if e.seen[v] == e.epoch {
+				nd.edges++
+				if cells[v].seen == ep {
 					res.DupMessages += counted
-					e.telDups.Inc()
-					if rec != nil {
-						nd.dups++
-					}
+					nd.dups++
 					continue
 				}
 				eid := overlay.EdgeID(0)
@@ -1053,12 +1093,9 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 					eid, _ = e.ov.FindEdge(u, v)
 				}
 				if rec != nil {
-					rec.visits = append(rec.visits, visit{v: v, parent: u, eid: eid, depth: int32(depth)})
+					rec.visits = append(rec.visits, visit{v: v, parent: u, eid: eid, depth: depth})
 				}
 				e.ov.AddTraffic(eid, counted)
-				e.seen[v] = e.epoch
-				e.hop[v] = int32(depth)
-				e.parent[v] = u
 				accepted := surviving
 				if room := budget.arrivalCap(v, eid); accepted > room {
 					accepted = room
@@ -1068,9 +1105,10 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 				}
 				budget.take(v, eid, accepted)
 				if accepted < surviving {
-					e.telDrops.Inc()
+					drops++
 				}
 				res.CapacityDrops += surviving - accepted
+				cells[v] = cell{seen: ep, hop: depth, parent: u, alive: accepted > 0}
 				e.mass[v] = accepted
 				if accepted > 0 {
 					res.ProcessedMass += accepted
@@ -1083,14 +1121,20 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 					e.next = append(e.next, v)
 				}
 			}
+			edges += uint64(nd.edges)
+			dups += uint64(nd.dups)
 			if rec != nil && nd.edges > 0 {
 				nd.vCount = int32(len(rec.visits)) - nd.vStart
 				rec.nodes = append(rec.nodes, nd)
-				rec.edgeEvents += uint64(nd.edges)
-				rec.dupEvents += uint64(nd.dups)
 			}
 		}
 		e.frontier, e.next = e.next, e.frontier
+	}
+	e.telEdges.Add(edges)
+	e.telDups.Add(dups)
+	e.telDrops.Add(drops)
+	if rec != nil {
+		rec.edgeEvents, rec.dupEvents = edges, dups
 	}
 	return zeroClip
 }

@@ -2,7 +2,8 @@
 //
 //	GET /metrics  — Prometheus text exposition rendered from a
 //	                telemetry.Registry snapshot
-//	GET /healthz  — JSON liveness with uptime and journal occupancy
+//	GET /healthz  — JSON liveness with uptime, journal and tracer
+//	                occupancy and what each has dropped
 //	GET /journal  — NDJSON tail of the event journal (?n= bounds it;
 //	                ?since=<seq> returns only events newer than seq,
 //	                the incremental-poll cursor)
@@ -37,7 +38,8 @@ type Config struct {
 	// Journal backs /journal and the healthz occupancy fields; nil
 	// serves an empty tail.
 	Journal *journal.Journal
-	// Tracer backs /trace; nil serves an empty stream.
+	// Tracer backs /trace and the healthz span fields; nil serves an
+	// empty stream.
 	Tracer *trace.Tracer
 	// Health, when non-nil, contributes extra fields to the /healthz
 	// document (merged over the defaults).
@@ -94,6 +96,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"uptime_seconds":  time.Since(s.start).Seconds(),
 		"journal_events":  s.cfg.Journal.Len(),
 		"journal_dropped": s.cfg.Journal.Dropped(),
+		"trace_spans":     s.cfg.Tracer.Len(),
+		"trace_dropped":   s.cfg.Tracer.Dropped(),
 	}
 	if s.cfg.Health != nil {
 		for k, v := range s.cfg.Health() {

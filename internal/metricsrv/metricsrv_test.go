@@ -36,9 +36,14 @@ func TestServeEndpoints(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		jr.Record(journal.Event{T: float64(i), Type: journal.TypeNTReport, Peer: 7})
 	}
+	tr := trace.New(1.0, 3) // room for three spans: two of five are lost
+	for i := 0; i < 5; i++ {
+		tr.Record(trace.QueryID(1, uint64(i), 0), trace.Span{Kind: trace.KindHop, T: float64(i)})
+	}
 	srv, err := Serve("127.0.0.1:0", Config{
 		Registry: reg,
 		Journal:  jr,
+		Tracer:   tr,
 		Health:   func() map[string]any { return map[string]any{"node_id": 42} },
 	})
 	if err != nil {
@@ -73,6 +78,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if doc["journal_events"] != float64(8) || doc["journal_dropped"] != float64(4) {
 		t.Fatalf("healthz journal fields = %v", doc)
+	}
+	if doc["trace_spans"] != float64(3) || doc["trace_dropped"] != float64(2) {
+		t.Fatalf("healthz tracer fields = %v", doc)
 	}
 
 	code, body, ctype = get(t, base+"/journal?n=3")
@@ -257,8 +265,14 @@ func TestServeNilInputs(t *testing.T) {
 	if code, body, _ := get(t, base+"/metrics"); code != 200 || body != "" {
 		t.Fatalf("nil metrics: code=%d body=%q", code, body)
 	}
-	if code, body, _ := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, `"status":"ok"`) {
+	code, body, _ := get(t, base+"/healthz")
+	if code != 200 || !strings.Contains(body, `"status":"ok"`) {
 		t.Fatalf("nil healthz: code=%d body=%q", code, body)
+	}
+	for _, want := range []string{`"journal_events":0`, `"journal_dropped":0`, `"trace_spans":0`, `"trace_dropped":0`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("nil healthz lacks %s: %s", want, body)
+		}
 	}
 	if code, body, _ := get(t, base+"/journal"); code != 200 || strings.TrimSpace(body) != "" {
 		t.Fatalf("nil journal: code=%d body=%q", code, body)

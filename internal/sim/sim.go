@@ -227,6 +227,9 @@ func (c Config) Validate() error {
 	if c.TTL < 1 {
 		return fmt.Errorf("sim: TTL = %d", c.TTL)
 	}
+	if c.TTL > flood.MaxTTL {
+		return fmt.Errorf("sim: TTL = %d (want at most %d, what the wire header's one byte carries)", c.TTL, flood.MaxTTL)
+	}
 	if c.GoodCapacityPerMin <= 0 {
 		return fmt.Errorf("sim: GoodCapacityPerMin = %v", c.GoodCapacityPerMin)
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
+	"ddpolice/internal/flood"
 	"ddpolice/internal/metrics"
 )
 
@@ -26,6 +28,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.TopologyM = 0 },
 		func(c *Config) { c.QueriesPerMin = -1 },
 		func(c *Config) { c.TTL = 0 },
+		func(c *Config) { c.TTL = flood.MaxTTL + 1 },
 		func(c *Config) { c.GoodCapacityPerMin = 0 },
 		func(c *Config) { c.NumAgents = -1 },
 		func(c *Config) { c.NumAgents = 1000 },
@@ -39,6 +42,16 @@ func TestValidate(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// The TTL ceiling names its field and admits the bound itself.
+	cfg := smallConfig()
+	cfg.TTL = flood.MaxTTL + 1
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "TTL = 256") {
+		t.Errorf("TTL %d: err = %v, want one naming TTL = 256", cfg.TTL, err)
+	}
+	cfg.TTL = flood.MaxTTL
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("TTL %d refused: %v", cfg.TTL, err)
 	}
 }
 
