@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
+.PHONY: ci lint build vet ddlint detectorhome staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
@@ -16,11 +16,12 @@ build:
 	$(GO) build ./...
 
 # lint is the full static-analysis gate (DESIGN.md §18): go vet, then
-# the ddlint determinism analyzers, then pinned staticcheck. Every leg
-# runs unconditionally — there is deliberately no PATH-probe-and-skip
-# path left; a static gate that cannot run must fail loudly (the
-# writefail philosophy), never report a clean tree it did not inspect.
-lint: vet ddlint staticcheck
+# the ddlint determinism analyzers, then the one-home check of the
+# detector, then pinned staticcheck. Every leg runs unconditionally —
+# there is deliberately no PATH-probe-and-skip path left; a static gate
+# that cannot run must fail loudly (the writefail philosophy), never
+# report a clean tree it did not inspect.
+lint: vet ddlint detectorhome staticcheck
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +33,12 @@ vet:
 ddlint:
 	$(GO) run ./cmd/ddlint ./...
 
+# detectorhome keeps bad-peer recognition in one place: the seven
+# detection journal types and span kinds are constructed, and
+# police.ComputeIndicators is called, only in internal/police/round.go.
+detectorhome:
+	./scripts/detectorhome.sh
+
 # staticcheck is hermetic: the release is pinned here (module version
 # and the matching -version string) and executed via `go run
 # module@version`, so the gate runs the exact same check set on every
@@ -41,8 +48,8 @@ ddlint:
 # lives here rather than as a go.mod tool dependency because go.mod
 # must stay dependency-free for the offline hermetic build; in a fully
 # offline environment with no module cache this target fails loudly —
-# intentionally, there is no silent-skip path (`make vet ddlint` still
-# covers the house rules offline).
+# intentionally, there is no silent-skip path (`make vet ddlint
+# detectorhome` still covers the house rules offline).
 STATICCHECK_VERSION ?= 2024.1
 STATICCHECK_MODVER ?= v0.5.0
 staticcheck:

@@ -48,11 +48,7 @@ func (n *Node) BenchPrimeSuspect(suspect int32, memberIDs []int32, in, out float
 	}
 	return n.runOnCtl(func() {
 		m := n.monitor
-		m.lists[suspect] = members
-		if m.benchPinned == nil {
-			m.benchPinned = make(map[int32]struct{})
-		}
-		m.benchPinned[suspect] = struct{}{}
+		m.holdList(suspect, members, true)
 		m.prevIn[suspect] = in
 		m.prevOut[suspect] = out
 	})
@@ -67,24 +63,24 @@ func (n *Node) BenchNTRound(suspect int32, timeout time.Duration) (int, error) {
 		return 0, errors.New("gnet: police monitor not enabled")
 	}
 	m := n.monitor
-	if err := n.runOnCtl(func() { m.startEvaluation(suspect, 0) }); err != nil {
+	if err := n.runOnCtl(func() { m.startEvaluation(suspect) }); err != nil {
 		return 0, err
 	}
 	deadline := time.Now().Add(timeout)
+	var got int
 	for {
-		var missing, got int
-		pending := false
+		missing := -1
 		if err := n.runOnCtl(func() {
-			if ev, ok := m.pending[suspect]; ok {
-				pending = true
-				missing = ev.missing
-				got = len(ev.reports)
+			if r, ok := m.pending[suspect]; ok {
+				missing = r.Silent()
+				got = len(r.Asked()) - missing
 			}
 		}); err != nil {
 			return 0, err
 		}
-		if !pending {
-			// The armVerdict timer already fired and judged the round.
+		if missing < 0 {
+			// Nobody could be asked, or the armVerdict timer already
+			// fired and judged the round.
 			return got, nil
 		}
 		if missing == 0 {
@@ -95,12 +91,5 @@ func (n *Node) BenchNTRound(suspect int32, timeout time.Duration) (int, error) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	var got int
-	err := n.runOnCtl(func() {
-		if ev, ok := m.pending[suspect]; ok {
-			got = len(ev.reports)
-		}
-		m.finishEvaluation(suspect)
-	})
-	return got, err
+	return got, n.runOnCtl(func() { m.finishEvaluation(suspect) })
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 )
@@ -65,7 +66,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // clockPolicePair is policePair with an injected fake clock: the
 // hour-long MinuteLength means detection timing moves only when the
 // test advances the clock.
-func clockPolicePair(t *testing.T, clk *fakeClock) (observer, suspect *Node) {
+func clockPolicePair(t *testing.T, clk *fakeClock, jr *journal.Journal) (observer, suspect *Node) {
 	t.Helper()
 	pcfg := police.DefaultConfig()
 	pcfg.Q0 = 10
@@ -75,6 +76,7 @@ func clockPolicePair(t *testing.T, clk *fakeClock) (observer, suspect *Node) {
 		cfg.Police = &pcfg
 		cfg.MinuteLength = time.Hour
 		cfg.Clock = clk
+		cfg.Journal = jr
 	}
 	observer = newTestNode(t, "observer", 1, mutate)
 	suspect = newTestNode(t, "suspect", 2, mutate)
@@ -94,18 +96,21 @@ func clockPolicePair(t *testing.T, clk *fakeClock) (observer, suspect *Node) {
 // TestMonitorNTRateLimitUsesInjectedClock is the regression test for
 // the monitor reading raw wall time: the §3.3 50-second suppression
 // (scaled to 50 virtual minutes by the hour-long test window) must
-// follow the node's injected clock. Before the clock was injectable
+// follow the node's injected clock. The comparison itself is
+// police.TestRoundLifecycle's ("rate limited", "rate limit expired");
+// what needs a node is the driver's conversion of Clock spans to
+// protocol seconds and its last-round stamp. Before the clock was injectable
 // this rule was untestable without real sleeps — under chaos (stalled
 // goroutines, slow CI wall time) the suppression window silently
 // drifted relative to the window roll it is defined against.
 func TestMonitorNTRateLimitUsesInjectedClock(t *testing.T) {
 	clk := newFakeClock()
-	observer, _ := clockPolicePair(t, clk)
+	observer, _ := clockPolicePair(t, clk, nil)
 	m := observer.monitor
 
 	// Flood window: the evaluation starts and stamps lastNT at the
 	// fake now.
-	var ev1 *evaluation
+	var ev1 *police.Round
 	runOnLoop(t, observer, func() {
 		m.curIn[2] = 1000
 		m.closeMinute()
@@ -140,13 +145,15 @@ func TestMonitorNTRateLimitUsesInjectedClock(t *testing.T) {
 
 // TestVerdictDeadlineFollowsInjectedClock pins the half-window verdict
 // deadline to the injected clock: armed at 30 virtual minutes, it must
-// not fire at 29 and must fire once advanced past — entirely without
-// wall-clock sleeps. The suspect's buddy group is just the observer
+// not fire at 29 and must fire at 30 — entirely without wall-clock
+// sleeps — and the journal, stamped on the same clock, must read exactly
+// that half window from warning to cut. The suspect's buddy group is just the observer
 // itself here (asked = 0, so no deferral), and the observer's own
 // 1000-query report is far beyond CT, so the verdict cuts.
 func TestVerdictDeadlineFollowsInjectedClock(t *testing.T) {
 	clk := newFakeClock()
-	observer, _ := clockPolicePair(t, clk)
+	jr := journal.New(64)
+	observer, _ := clockPolicePair(t, clk, jr)
 	m := observer.monitor
 
 	runOnLoop(t, observer, func() {
@@ -165,9 +172,9 @@ func TestVerdictDeadlineFollowsInjectedClock(t *testing.T) {
 		}
 	})
 
-	// Past the deadline: the timer hands finishEvaluation to the run
+	// At the deadline: the timer hands finishEvaluation to the run
 	// loop, which cuts the suspect.
-	clk.Advance(2 * time.Minute)
+	clk.Advance(time.Minute)
 	waitFor(t, 2*time.Second, func() bool {
 		gone := false
 		runOnLoop(t, observer, func() {
@@ -185,5 +192,19 @@ func TestVerdictDeadlineFollowsInjectedClock(t *testing.T) {
 	}
 	if !cut {
 		t.Fatal("deadline verdict did not cut the flooding neighbor")
+	}
+	// Every record is stamped on the injected clock, so the journal reads
+	// the half window that was advanced, to the second.
+	at := map[string]float64{}
+	for _, e := range jr.Events() {
+		if e.Node == 1 {
+			at[e.Type] = e.T
+		}
+	}
+	if d := at[journal.TypeCut] - at[journal.TypeWarning]; d != 1800 {
+		t.Errorf("journal warning -> cut = %v s, want the 1800 s the clock advanced", d)
+	}
+	if d := at[journal.TypePeerDrop] - at[journal.TypeCut]; d != 0 {
+		t.Errorf("peer_drop %v s after the cut on a clock that did not move", d)
 	}
 }

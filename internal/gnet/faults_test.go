@@ -166,14 +166,14 @@ func TestCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 
 	// In-flight evaluation: four dead members, each retried with backoff.
 	runOnLoop(t, a, func() {
-		a.monitor.lists[7] = []protocol.PeerAddr{
+		a.monitor.holdList(7, []protocol.PeerAddr{
 			protocol.AddrFromNodeID(8, 1),
 			protocol.AddrFromNodeID(9, 1),
 			protocol.AddrFromNodeID(10, 1),
 			protocol.AddrFromNodeID(11, 1),
-		}
+		}, false)
 		a.monitor.prevIn[7] = 1000
-		a.monitor.startEvaluation(7, 0)
+		a.monitor.startEvaluation(7)
 	})
 	// Pending reconnect: b dies, a's supervisor starts re-dialing.
 	b.Close()

@@ -362,12 +362,34 @@ func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(cfg); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	cfg = DefaultConfig("x")
-	bad := police.DefaultConfig()
-	bad.Q0 = 0
-	cfg.Police = &bad
-	if _, err := NewNode(cfg); err == nil {
-		t.Fatal("invalid police config accepted")
+	// A police.Config field the live node cannot honour is refused by
+	// name, not accepted and ignored.
+	for _, tc := range []struct {
+		field string // "": must be accepted
+		set   func(*police.Config)
+	}{
+		{"", func(*police.Config) {}}, // what ddnode, live_overlay and bench/live.go pass
+		{"Q0", func(c *police.Config) { c.Q0 = 0 }},
+		{"Radius", func(c *police.Config) { c.Radius = 2 }},
+		{"VerifyLists", func(c *police.Config) { c.VerifyLists = true }},
+		{"BlacklistSec", func(c *police.Config) { c.BlacklistSec = 300 }},
+	} {
+		pcfg := police.DefaultConfig()
+		tc.set(&pcfg)
+		cfg := DefaultConfig("x")
+		cfg.Police = &pcfg
+		n, err := NewNode(cfg)
+		switch {
+		case err == nil:
+			n.Close()
+			if tc.field != "" {
+				t.Errorf("%s: unsupported value accepted: %+v", tc.field, pcfg)
+			}
+		case tc.field == "":
+			t.Errorf("police.DefaultConfig() refused: %v", err)
+		case !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%s: error does not name the field: %v", tc.field, err)
+		}
 	}
 }
 

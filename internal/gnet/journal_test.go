@@ -38,7 +38,7 @@ func policeTriangle(t *testing.T, jr *journal.Journal, reg *telemetry.Registry) 
 	waitFor(t, 2*time.Second, func() bool {
 		sawBuddy := false
 		runOnLoop(t, observer, func() {
-			for _, m := range observer.monitor.lists[2] {
+			for _, m := range observer.monitor.lists[2].members {
 				if m.NodeID() == 3 {
 					sawBuddy = true
 				}
@@ -66,13 +66,7 @@ func TestJournalWarningReportCutOrdering(t *testing.T) {
 	})
 	// The buddy's report travels over the direct observer—buddy link.
 	waitFor(t, 2*time.Second, func() bool {
-		got := false
-		runOnLoop(t, observer, func() {
-			if ev, ok := observer.monitor.pending[2]; ok {
-				got = len(ev.reports) == 1
-			}
-		})
-		return got
+		return seatedReports(t, observer, 2) == 1
 	}, "buddy report arrived")
 	runOnLoop(t, observer, func() { observer.monitor.finishEvaluation(2) })
 	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 1 }, "suspect cut")
@@ -127,13 +121,7 @@ func TestNeighborTrafficNoEchoStorm(t *testing.T) {
 		observer.monitor.closeMinute()
 	})
 	waitFor(t, 2*time.Second, func() bool {
-		got := false
-		runOnLoop(t, observer, func() {
-			if ev, ok := observer.monitor.pending[2]; ok {
-				got = len(ev.reports) == 1
-			}
-		})
-		return got
+		return seatedReports(t, observer, 2) == 1
 	}, "buddy report arrived")
 	runOnLoop(t, observer, func() { observer.monitor.finishEvaluation(2) })
 

@@ -1,68 +1,45 @@
 package gnet
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"strconv"
 	"time"
 
 	"ddpolice/internal/faults"
-	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
-	"ddpolice/internal/trace"
 )
 
-// monitor is the live DD-POLICE implementation: per-neighbor
-// Out_query/In_query windows, periodic neighbor-list exchange,
-// Neighbor_Traffic collection over transient connections, indicator
-// evaluation and disconnection. All methods run on the node's run-loop
-// goroutine unless noted.
+// monitor is the live driver of DD-POLICE: per-neighbor
+// Out_query/In_query windows, periodic neighbor-list exchange, and the
+// transport of bad-peer recognition — Neighbor_Traffic requests over
+// direct links and transient connections, the half-window verdict timer,
+// Bye and disconnection. What a round decides and records is
+// police.Round's (DESIGN.md §19). Run-loop goroutine only unless noted.
 type monitor struct {
 	n   *Node
 	cfg police.Config
 
 	curOut, curIn   map[int32]float64 // this window, by neighbor id
 	prevOut, prevIn map[int32]float64 // last closed window
-	lists           map[int32][]protocol.PeerAddr
+	lists           map[int32]heldList
 	lastNT          map[int32]time.Time
 	windows         int
-	// benchPinned marks neighbors whose entry in lists was installed by
-	// BenchPrimeSuspect. The neighbor's own list may still be in flight
-	// when the view is primed and must not replace it. Nil outside
-	// benchmarks.
-	benchPinned map[int32]struct{}
-
-	// pending evaluations: suspect id -> collected reports.
-	pending map[int32]*evaluation
+	pending         map[int32]*police.Round // by suspect id, from the request to the verdict
 }
 
-type evaluation struct {
-	suspect int32
-	// own is the observer's report about the suspect, snapshotted from
-	// the window that triggered the evaluation. The verdict fires half
-	// a window later and may land after closeMinute has rolled the
-	// windows; recomputing from prevOut/prevIn at that point would
-	// compare the members' flood-window reports against the observer's
-	// quiet new window and miss sustained floods.
-	own     police.Report
-	reports []police.Report
-	// sources dedups reports per evaluation: a member reachable both
-	// directly and over a transient dial (or an unsolicited third
-	// party) must count once, not inflate k and skew g(j,t).
-	sources map[[4]byte]struct{}
-	missing int
-	// started is when the NT round began; report arrivals observe
-	// their latency against it.
-	started time.Time
-	// deferred marks that the verdict already got its one extra
-	// half-window because every asked buddy was still silent.
-	deferred bool
-	// traceID keys this evaluation's causal spans; 0 when untraced.
-	// Snapshotted at the warning so spans landing after the window
-	// rolls still join the trace that opened them.
-	traceID uint64
+// heldList is the neighbor list a neighbor advertised, a set, and when
+// it arrived on the node's Clock (what StaleAfter is measured from).
+type heldList struct {
+	members []protocol.PeerAddr
+	ids     []police.PeerID // of members, in order
+	at      time.Time
+	pinned  bool // by BenchPrimeSuspect: the neighbor's own list, maybe still in flight, must not replace it
 }
 
 // transient-dial retry schedule: each member exchange gets
@@ -83,9 +60,9 @@ func newMonitor(n *Node, cfg police.Config) *monitor {
 		curIn:   make(map[int32]float64),
 		prevOut: make(map[int32]float64),
 		prevIn:  make(map[int32]float64),
-		lists:   make(map[int32][]protocol.PeerAddr),
+		lists:   make(map[int32]heldList),
 		lastNT:  make(map[int32]time.Time),
-		pending: make(map[int32]*evaluation),
+		pending: make(map[int32]*police.Round),
 	}
 }
 
@@ -121,23 +98,33 @@ func (m *monitor) onNeighborDown(id int32) {
 	delete(m.prevOut, id)
 	delete(m.prevIn, id)
 	delete(m.lists, id)
-	delete(m.benchPinned, id)
 	if m.cfg.EventDriven {
 		m.broadcastList()
 	}
 }
 
 func (m *monitor) onNeighborList(id int32, nl protocol.NeighborList) {
-	if _, pinned := m.benchPinned[id]; pinned {
-		return
+	if !m.lists[id].pinned {
+		m.holdList(id, nl.Neighbors, false)
 	}
-	cp := make([]protocol.PeerAddr, len(nl.Neighbors))
-	copy(cp, nl.Neighbors)
-	m.lists[id] = cp
+}
+
+// holdList stores members as the list neighbor id advertised, stamped
+// with its receipt time. A list is a set: a repeated member is dropped,
+// so no peer is asked, or seated, twice.
+func (m *monitor) holdList(id int32, members []protocol.PeerAddr, pinned bool) {
+	held := heldList{at: m.n.cfg.Clock.Now(), pinned: pinned}
+	for _, a := range members {
+		if mid := police.PeerID(a.NodeID()); !slices.Contains(held.ids, mid) {
+			held.members, held.ids = append(held.members, a), append(held.ids, mid)
+		}
+	}
+	m.lists[id] = held
 }
 
 // ownList renders this node's neighbor set as wire entries carrying the
-// overlay identity and the TCP port for out-of-band dialing.
+// overlay identity and the TCP port for out-of-band dialing, in ascending
+// id order: the simulator's, so both ask a buddy group in the same order.
 func (m *monitor) ownList() protocol.NeighborList {
 	var nl protocol.NeighborList
 	for id, pc := range m.n.peers {
@@ -149,6 +136,7 @@ func (m *monitor) ownList() protocol.NeighborList {
 		}
 		nl.Neighbors = append(nl.Neighbors, protocol.AddrFromNodeID(id, port))
 	}
+	slices.SortFunc(nl.Neighbors, func(a, b protocol.PeerAddr) int { return cmp.Compare(a.NodeID(), b.NodeID()) })
 	return nl
 }
 
@@ -181,67 +169,67 @@ func (m *monitor) closeMinute() {
 		m.broadcastList()
 	}
 
-	// The paper's 50-second suppression is defined against one-minute
-	// windows; scale it with the configured window length so shortened
-	// test windows keep the same windows-per-round ratio.
-	rateLimit := time.Duration(m.cfg.ReportRateLimit / 60 * float64(m.n.cfg.MinuteLength))
+	r := m.newRound()
 	for id, in := range m.prevIn {
-		if in <= m.cfg.WarnThreshold {
+		if !r.Warn(police.PeerID(m.n.cfg.NodeID), police.PeerID(id), m.n.stamp(), m.windows, in) {
 			continue
 		}
-		m.n.journalEvent(journal.Event{
-			Type: journal.TypeWarning, Peer: int64(id),
-			Value: in, Window: m.windows,
-		})
-		tid := uint64(0)
-		if m.n.cfg.Tracer != nil {
-			// The node id seeds the derivation on the live path (each
-			// node draws its own GUIDs the same way), so two nodes
-			// evaluating the same suspect get distinct traces.
-			tid = trace.DetectionID(uint64(uint32(m.n.cfg.NodeID)),
-				uint64(uint32(m.n.cfg.NodeID)), uint64(uint32(id)), uint64(m.windows))
-			m.n.traceSpan(tid, trace.Span{
-				Kind: trace.KindWarning, Peer: int64(id), Value: in,
-			})
+		// Never asked before: the zero time, ages ago.
+		if m.open(id, r, m.protocolSeconds(m.n.cfg.Clock.Since(m.lastNT[id]))) {
+			r = m.newRound() // that one is the suspect's pending round now
 		}
-		if last, ok := m.lastNT[id]; ok && m.n.cfg.Clock.Since(last) < rateLimit {
-			continue
-		}
-		m.lastNT[id] = m.n.cfg.Clock.Now()
-		m.startEvaluation(id, tid)
 	}
 }
 
-// startEvaluation sends Neighbor_Traffic requests to the suspect's
-// buddy group and schedules the verdict after half a window.
-func (m *monitor) startEvaluation(suspect int32, traceID uint64) {
-	members, ok := m.lists[suspect]
-	if !ok {
-		return // no buddy-group view yet: defer (paper step 1 is a prerequisite)
+// newRound returns a round wired to the node's thresholds and sinks; the
+// node id seeds its trace IDs, so two observers' traces stay distinct.
+func (m *monitor) newRound() *police.Round {
+	return police.NewRound(m.cfg, m.n.cfg.Journal, m.n.cfg.Tracer, uint64(uint32(m.n.cfg.NodeID)))
+}
+
+// protocolSeconds converts a span of the node's Clock to the protocol's
+// seconds, in which a window lasts 60: ReportRateLimit and StaleAfter are
+// defined against one-minute windows, whatever MinuteLength is.
+func (m *monitor) protocolSeconds(d time.Duration) float64 {
+	return d.Seconds() * 60 / m.n.cfg.MinuteLength.Seconds()
+}
+
+// startEvaluation opens an ungated round about suspect (the benchmark hook's entry).
+func (m *monitor) startEvaluation(suspect int32) {
+	r := m.newRound()
+	r.Begin(police.PeerID(m.n.cfg.NodeID), police.PeerID(suspect), m.n.stamp(), m.windows)
+	m.open(suspect, r, math.Inf(1))
+}
+
+// open puts the closed window to the round r has begun. If it opens, r
+// becomes the suspect's pending round (open reports true): the members
+// it names are asked and the verdict is scheduled.
+func (m *monitor) open(suspect int32, r *police.Round, sinceRound float64) bool {
+	now := m.n.cfg.Clock.Now()
+	held, ok := m.lists[suspect]
+	own := police.Report{Out: m.prevOut[suspect], In: m.prevIn[suspect]}
+	if !r.Open(own, held.ids, ok, m.protocolSeconds(now.Sub(held.at)), sinceRound) {
+		r.End() // rate-limited, or no buddy-group view yet: defer (paper step 1 is a prerequisite)
+		return false
 	}
-	ev := &evaluation{
-		suspect: suspect,
-		own:     police.Report{Out: m.prevOut[suspect], In: m.prevIn[suspect]},
-		sources: make(map[[4]byte]struct{}),
-		started: m.n.cfg.Clock.Now(),
-		traceID: traceID,
+	m.lastNT[suspect] = now
+	if old, ok := m.pending[suspect]; ok {
+		old.End() // superseded before its verdict
 	}
-	m.pending[suspect] = ev
+	m.pending[suspect] = r
 	nt := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(m.n.cfg.NodeID, 0).IP,
 		SuspectIP: protocol.AddrFromNodeID(suspect, 0).IP,
-		Timestamp: uint32(m.n.cfg.Clock.Now().Unix()),
-		Outgoing:  uint32(m.prevOut[suspect]),
-		Incoming:  uint32(m.prevIn[suspect]),
+		Timestamp: uint32(now.Unix()),
+		Outgoing:  uint32(own.Out),
+		Incoming:  uint32(own.In),
 	}
 	wire := protocol.Encode(nil, protocol.NewGUID(m.n.src), 1, 0, nt)
-	asked := 0
-	for _, member := range members {
+	for _, member := range held.members {
 		mid := member.NodeID()
-		if mid == m.n.cfg.NodeID || mid == suspect {
+		if !slices.Contains(r.Asked(), police.PeerID(mid)) {
 			continue
 		}
-		asked++
 		if pc, direct := m.n.peers[mid]; direct {
 			pc.send(wire)
 			continue
@@ -258,15 +246,8 @@ func (m *monitor) startEvaluation(suspect int32, traceID uint64) {
 			m.n.tel.transientRejected.Inc()
 		}
 	}
-	ev.missing = asked // members count down as reports arrive
-	m.n.journalEvent(journal.Event{
-		Type: journal.TypeNTRequest, Peer: int64(suspect),
-		K: asked, Window: m.windows,
-	})
-	m.n.traceSpan(ev.traceID, trace.Span{
-		Kind: trace.KindNTRequest, Peer: int64(suspect), Value: float64(asked),
-	})
 	m.armVerdict(suspect)
+	return true
 }
 
 // armVerdict schedules finishEvaluation half a window out.
@@ -341,7 +322,7 @@ func (m *monitor) transientAttempt(member protocol.PeerAddr, wire []byte) bool {
 	}
 	m.n.tel.transientOK.Inc()
 	select {
-	case m.n.ctl <- func() { m.recordReport(nt) }:
+	case m.n.ctl <- func() { m.seat(member.NodeID(), nt) }:
 	case <-m.n.closed:
 	}
 	return true
@@ -360,7 +341,7 @@ func (m *monitor) transientAttempt(member protocol.PeerAddr, wire []byte) bool {
 func (m *monitor) onNeighborTraffic(from *peerConn, nt protocol.NeighborTraffic) {
 	suspect := protocol.PeerAddr{IP: nt.SuspectIP}.NodeID()
 	if _, waiting := m.pending[suspect]; waiting {
-		m.recordReport(nt)
+		m.seat(from.id, nt)
 		return
 	}
 	// Because window phases differ across nodes, report the heavier of
@@ -370,119 +351,69 @@ func (m *monitor) onNeighborTraffic(from *peerConn, nt protocol.NeighborTraffic)
 		SourceIP:  protocol.AddrFromNodeID(m.n.cfg.NodeID, 0).IP,
 		SuspectIP: nt.SuspectIP,
 		Timestamp: uint32(m.n.cfg.Clock.Now().Unix()),
-		Outgoing:  uint32(maxf(m.prevOut[suspect], m.curOut[suspect])),
-		Incoming:  uint32(maxf(m.prevIn[suspect], m.curIn[suspect])),
+		Outgoing:  uint32(max(m.prevOut[suspect], m.curOut[suspect])),
+		Incoming:  uint32(max(m.prevIn[suspect], m.curIn[suspect])),
 	}
 	from.send(protocol.Encode(nil, protocol.NewGUID(m.n.src), 1, 0, reply))
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (m *monitor) recordReport(nt protocol.NeighborTraffic) {
-	suspect := protocol.PeerAddr{IP: nt.SuspectIP}.NodeID()
-	ev, ok := m.pending[suspect]
+// seat offers nt to the pending round about its suspect. sender is who
+// demonstrably sent it — the neighbor whose link carried it, or the
+// member a transient dial reached — and the report must name that peer
+// as its source; the round then seats it or refuses it.
+func (m *monitor) seat(sender int32, nt protocol.NeighborTraffic) {
+	r, ok := m.pending[protocol.PeerAddr{IP: nt.SuspectIP}.NodeID()]
 	if !ok {
 		return
 	}
-	if _, dup := ev.sources[nt.SourceIP]; dup {
-		return // one vote per buddy-group member, whatever the channel
+	now := m.n.stamp()
+	rep := police.Report{Out: float64(nt.Outgoing), In: float64(nt.Incoming)}
+	if (protocol.PeerAddr{IP: nt.SourceIP}).NodeID() != sender || !r.Report(now, police.PeerID(sender), rep) {
+		m.n.tel.ntRefused.Inc()
+		return
 	}
-	ev.sources[nt.SourceIP] = struct{}{}
-	ev.reports = append(ev.reports, police.Report{
-		Out: float64(nt.Outgoing),
-		In:  float64(nt.Incoming),
-	})
-	if ev.missing > 0 {
-		ev.missing--
-	}
-	m.n.tel.ntLatency.ObserveDuration(m.n.cfg.Clock.Since(ev.started))
-	m.n.journalEvent(journal.Event{
-		Type: journal.TypeNTReport, Peer: int64(suspect),
-		Member: int64(protocol.PeerAddr{IP: nt.SourceIP}.NodeID()),
-		Window: m.windows,
-	})
-	m.n.traceSpan(ev.traceID, trace.Span{
-		Kind: trace.KindNTReport,
-		Peer: int64(protocol.PeerAddr{IP: nt.SourceIP}.NodeID()),
-		Dur:  m.n.cfg.Clock.Since(ev.started).Seconds(),
-	})
+	m.n.tel.ntLatency.ObserveDuration(time.Duration((now - r.Began()) * float64(time.Second)))
 }
 
-// finishEvaluation computes the indicators and cuts the suspect if
-// either exceeds CT.
+// finishEvaluation passes the verdict deadline to the round and carries
+// out what it decides: one more half-window (every asked buddy still
+// silent: dead ports, partitions, dial retries in flight), or the verdict.
 func (m *monitor) finishEvaluation(suspect int32) {
-	ev, ok := m.pending[suspect]
+	r, ok := m.pending[suspect]
 	if !ok {
 		return
 	}
-	// Graceful degradation under quorum loss: if we asked buddies and
-	// every one of them is still silent (dead ports, partitions, dial
-	// retries still in flight), give the group one extra half-window
-	// before judging alone. One deferral only — after that the paper's
-	// §3.3 timeout-as-zero applies and the verdict proceeds on whatever
-	// arrived.
-	if !ev.deferred && ev.missing > 0 && len(ev.reports) == 0 {
-		ev.deferred = true
+	pc, connected := m.n.peers[suspect]
+	if !connected {
+		// The suspect left before the deadline: nothing to judge or cut.
+		delete(m.pending, suspect)
+		r.End()
+		return
+	}
+	// The timer can always be armed again, so no deadline is final.
+	v, done := r.Deadline(m.n.stamp(), false)
+	if !done {
 		m.n.tel.evalDeferred.Inc()
-		m.n.journalEvent(journal.Event{
-			Type: journal.TypeNTDefer, Peer: int64(suspect), Value: float64(ev.missing),
-		})
-		m.n.traceSpan(ev.traceID, trace.Span{
-			Kind: trace.KindNTDefer, Peer: int64(suspect), Value: float64(ev.missing),
-		})
 		m.armVerdict(suspect)
 		return
 	}
 	delete(m.pending, suspect)
-	pc, connected := m.n.peers[suspect]
-	if !connected {
-		return
-	}
-	if ev.missing > 0 {
-		// §3.3 timeout-as-zero: the verdict proceeds scoring each
-		// still-silent member as a zero report. Journaled distinctly
-		// from the deferral above — post-run the two used to be
-		// indistinguishable.
+	defer r.End()
+	if r.Silent() > 0 {
 		m.n.tel.evalTimeoutZero.Inc()
-		m.n.journalEvent(journal.Event{
-			Type: journal.TypeNTTimeout, Peer: int64(suspect), Value: float64(ev.missing),
-		})
-		m.n.traceSpan(ev.traceID, trace.Span{
-			Kind: trace.KindNTTimeout, Peer: int64(suspect), Value: float64(ev.missing),
-		})
 	}
-	g, s, k := police.ComputeIndicators(m.cfg.Q0, ev.own, ev.reports, ev.missing)
-	m.n.journalEvent(journal.Event{
-		Type: journal.TypeIndicator, Peer: int64(suspect),
-		G: g, S: s, K: k, Window: m.windows,
-	})
-	m.n.traceSpan(ev.traceID, trace.Span{
-		Kind: trace.KindIndicator, Peer: int64(suspect),
-		Value: max(g, s), Detail: "g_s_max", Depth: k,
-	})
-	if g <= m.cfg.CutThreshold && s <= m.cfg.CutThreshold {
+	if !v.Cut {
 		return
 	}
-	reason := fmt.Sprintf("DD-POLICE: g=%.1f s=%.1f > CT=%.1f", g, s, m.cfg.CutThreshold)
+	reason := fmt.Sprintf("DD-POLICE: g=%.1f s=%.1f > CT=%.1f", v.G, v.S, m.cfg.CutThreshold)
 	pc.send(protocol.Encode(nil, protocol.NewGUID(m.n.src), 1, 0,
 		protocol.Bye{Code: protocol.ByeCodeDDoSSuspect, Reason: reason}))
 	m.n.statsMu.Lock()
 	m.n.stats.Disconnects = append(m.n.stats.Disconnects, Disconnect{
 		Peer: pc.addr, Code: protocol.ByeCodeDDoSSuspect, Reason: reason,
-		General: g, Single: s,
+		General: v.G, Single: v.S,
 	})
 	m.n.statsMu.Unlock()
-	m.n.journalEvent(journal.Event{
-		Type: journal.TypeCut, Peer: int64(suspect), G: g, S: s, Window: m.windows,
-	})
-	m.n.traceSpan(ev.traceID, trace.Span{
-		Kind: trace.KindCut, Peer: int64(suspect), Value: max(g, s),
-		Dur: m.n.cfg.Clock.Since(ev.started).Seconds(),
-	})
+	r.RecordCut(m.n.stamp(), v)
 	m.n.dropPeer(pc, dropCut)
 }

@@ -2,10 +2,12 @@ package gnet
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
@@ -27,6 +29,19 @@ func runOnLoop(t *testing.T, n *Node, fn func()) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("ctl run timeout")
 	}
+}
+
+// seatedReports returns how many asked members the pending round about
+// suspect has seated, -1 when no round is pending.
+func seatedReports(t *testing.T, n *Node, suspect int32) int {
+	t.Helper()
+	seated := -1
+	runOnLoop(t, n, func() {
+		if r, ok := n.monitor.pending[suspect]; ok {
+			seated = len(r.Asked()) - r.Silent()
+		}
+	})
+	return seated
 }
 
 // policePair builds observer -> suspect over real TCP with DD-POLICE on
@@ -60,61 +75,38 @@ func policePair(t *testing.T, reg *telemetry.Registry) (observer, suspect *Node)
 
 // TestEvaluationSurvivesWindowRoll is the regression test for the
 // stale-window verdict bug: the half-window AfterFunc can fire after
-// closeMinute rolls the windows, and the verdict used to recompute the
-// observer's own report from the rolled (quiet) window — missing a
-// sustained flood. The evaluation must carry the flood window's
-// snapshot instead.
+// closeMinute rolls the windows. That the round judges by the opening
+// window's own report is police.TestRoundOwnReportIsTheOpeningWindows';
+// what needs a node is that a quiet window
+// closing in between leaves the pending round alone and the late
+// verdict still cuts.
 func TestEvaluationSurvivesWindowRoll(t *testing.T) {
 	observer, _ := policePair(t, nil)
 	m := observer.monitor
 
-	// Flood window: the suspect sent 1000 queries this minute.
 	runOnLoop(t, observer, func() {
-		m.curIn[2] = 1000
-		m.closeMinute() // rolls the window, starts the evaluation
-		if _, ok := m.pending[2]; !ok {
-			t.Error("no evaluation started for the flooding neighbor")
-		}
+		m.curIn[2] = 1000 // flood window
+		m.closeMinute()   // rolls it, opens the round
+		m.closeMinute()   // the next, quiet window closes BEFORE the verdict
+		m.finishEvaluation(2)
 	})
-	// The next minute closes (quiet window) BEFORE the verdict fires.
-	runOnLoop(t, observer, func() { m.closeMinute() })
-	// Verdict, one window-roll late.
-	runOnLoop(t, observer, func() { m.finishEvaluation(2) })
-
-	cut := false
-	for _, d := range observer.Stats().Disconnects {
-		if d.Code == protocol.ByeCodeDDoSSuspect {
-			cut = true
-			if d.General <= 5 {
-				t.Errorf("g = %v at cut time, want > CT", d.General)
-			}
-		}
-	}
-	if !cut {
-		t.Fatal("verdict after a window roll missed the flooding neighbor")
+	cuts := observer.Stats().Disconnects
+	if len(cuts) != 1 || cuts[0].Code != protocol.ByeCodeDDoSSuspect || cuts[0].General <= 5 {
+		t.Fatalf("verdict after a window roll: %+v, want one DD-POLICE cut with g > CT", cuts)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 0 }, "suspect dropped")
 }
 
 // TestDuplicateReportsCountOnce is the regression test for report
-// double-counting: a buddy-group member that answers on both the direct
-// link and a transient dial (or an unsolicited third party repeating
-// itself) must contribute one report, not inflate k and skew g(j,t).
+// double-counting. That a round seats each asked member once is
+// police.TestRoundLifecycle's ("duplicate, non-member and suspect
+// reports refused"); what needs a node is that its two channels — the
+// direct link's handler and a transient dial's reply — feed the same
+// seat, and that the refusal is counted.
 func TestDuplicateReportsCountOnce(t *testing.T) {
-	observer, _ := policePair(t, nil)
+	reg := telemetry.New()
+	observer, _ := policePair(t, reg)
 	m := observer.monitor
-
-	runOnLoop(t, observer, func() {
-		// Buddy-group view of suspect 2: two members besides us, both
-		// unreachable (port 1), so all reports arrive via recordReport.
-		m.lists[2] = []protocol.PeerAddr{
-			protocol.AddrFromNodeID(1, 0), // the observer itself: skipped
-			protocol.AddrFromNodeID(8, 1),
-			protocol.AddrFromNodeID(9, 1),
-		}
-		m.prevIn[2] = 1000
-		m.startEvaluation(2, 0)
-	})
 
 	nt := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(8, 0).IP,
@@ -122,36 +114,79 @@ func TestDuplicateReportsCountOnce(t *testing.T) {
 		Outgoing:  5,
 		Incoming:  400,
 	}
-	var reports, missing int
 	runOnLoop(t, observer, func() {
-		m.recordReport(nt)
-		m.recordReport(nt) // same member again over a second channel
-		if ev, ok := m.pending[2]; ok {
-			reports = len(ev.reports)
-			missing = ev.missing
-		} else {
-			t.Error("evaluation vanished")
-		}
+		// Buddy-group view of suspect 2: two members besides us, both
+		// unreachable (port 1), so every report arrives by hand.
+		m.holdList(2, []protocol.PeerAddr{
+			protocol.AddrFromNodeID(1, 0), // the observer itself: not asked
+			protocol.AddrFromNodeID(8, 1),
+			protocol.AddrFromNodeID(9, 1),
+		}, false)
+		m.prevIn[2] = 1000
+		m.startEvaluation(2)
+		m.seat(8, nt) // member 8 over a transient dial ...
+		m.seat(8, nt) // ... and again over a second channel
 	})
-	if reports != 1 {
-		t.Errorf("reports = %d after duplicate Neighbor_Traffic, want 1", reports)
+	if got := seatedReports(t, observer, 2); got != 1 {
+		t.Errorf("seated = %d after a duplicate Neighbor_Traffic, want 1", got)
 	}
-	if missing != 1 {
-		t.Errorf("missing = %d, want 1 (only one distinct member answered)", missing)
+	if got := reg.Counter("gnet.nt_reports_refused").Load(); got != 1 {
+		t.Errorf("gnet.nt_reports_refused = %d, want 1", got)
 	}
+}
 
-	// A distinct member still counts.
-	nt2 := nt
-	nt2.SourceIP = protocol.AddrFromNodeID(9, 0).IP
+// TestForgedReportsCannotShieldTheSuspect is the regression test for
+// forged Neighbor_Traffic votes. The wire format lets any neighbor send
+// a 0x83 frame naming any source, and the monitor used to seat every
+// source it had not seen while a round was pending — so the suspect
+// itself, a direct neighbor, could answer the observer's round with
+// reports of an enormous Outgoing (as itself, as strangers, as the real
+// buddy) and drive g and s far below CT. Now a report must name the
+// neighbor whose link carried it and the round seats only members it
+// asked: the forgeries are refused and counted, k stays the asked group,
+// and the flooding suspect is cut.
+func TestForgedReportsCannotShieldTheSuspect(t *testing.T) {
+	jr := journal.New(1024)
+	reg := telemetry.New()
+	observer, suspect, _ := policeTriangle(t, jr, reg)
+
 	runOnLoop(t, observer, func() {
-		m.recordReport(nt2)
-		if ev, ok := m.pending[2]; ok {
-			reports = len(ev.reports)
-			missing = ev.missing
+		observer.monitor.curIn[2] = 1000
+		observer.monitor.closeMinute()
+	})
+	sources := []int32{2, 8, 9, 3}
+	runOnLoop(t, suspect, func() {
+		for _, src := range sources {
+			forged := protocol.NeighborTraffic{
+				SourceIP:  protocol.AddrFromNodeID(src, 0).IP,
+				SuspectIP: protocol.AddrFromNodeID(2, 0).IP,
+				Outgoing:  math.MaxUint32,
+			}
+			suspect.peers[1].send(protocol.Encode(nil, protocol.NewGUID(suspect.src), 1, 0, forged))
 		}
 	})
-	if reports != 2 || missing != 0 {
-		t.Errorf("after second member: reports = %d, missing = %d, want 2, 0", reports, missing)
+	refused := reg.Counter("gnet.nt_reports_refused")
+	waitFor(t, 2*time.Second, func() bool {
+		return refused.Load() == uint64(len(sources)) && seatedReports(t, observer, 2) == 1
+	}, "forged reports refused and the buddy's report seated")
+	runOnLoop(t, observer, func() { observer.monitor.finishEvaluation(2) })
+
+	var ind, cut *journal.Event
+	for _, e := range jr.Events() {
+		if e.Node == 1 && e.Peer == 2 {
+			switch e.Type {
+			case journal.TypeIndicator:
+				ind = &e
+			case journal.TypeCut:
+				cut = &e
+			}
+		}
+	}
+	if ind == nil || ind.K != 2 {
+		t.Fatalf("indicator %+v, want k = 2: the observer and the one member asked", ind)
+	}
+	if cut == nil || cut.G <= 5 {
+		t.Fatalf("cut %+v, want the flooding suspect cut with g > CT (indicator %+v)", cut, ind)
 	}
 }
 
@@ -168,18 +203,18 @@ func TestTelemetryConcurrentTransientDials(t *testing.T) {
 	// Members advertising dead ports: every evaluation round spawns
 	// concurrent transient dials that fail and must count.
 	runOnLoop(t, observer, func() {
-		m.lists[7] = []protocol.PeerAddr{
+		m.holdList(7, []protocol.PeerAddr{
 			protocol.AddrFromNodeID(8, 1),
 			protocol.AddrFromNodeID(9, 1),
 			protocol.AddrFromNodeID(10, 1),
 			protocol.AddrFromNodeID(11, 1),
-		}
+		}, false)
 	})
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
 		runOnLoop(t, observer, func() {
 			m.prevIn[7] = 1000
-			m.startEvaluation(7, 0)
+			m.startEvaluation(7)
 		})
 	}
 

@@ -96,7 +96,7 @@ type Config struct {
 	// Journal, when non-nil, receives the node's detection-lifecycle
 	// events (warning_crossed, nt_request/report/defer/timeout,
 	// indicator, cut), peer-drop provenance and reconnect-supervisor
-	// activity, stamped with wall-clock seconds. Several nodes may share
+	// activity, stamped with Unix seconds on Clock. Several nodes may share
 	// one journal; events interleave by arrival. Nil disables recording
 	// at a pointer check per site.
 	Journal *journal.Journal
@@ -248,14 +248,15 @@ type nodeTelemetry struct {
 	transientErr  *telemetry.Counter // transient Neighbor_Traffic dials that died
 	transientOK   *telemetry.Counter // transient dials that returned a report
 
-	transientRejected *telemetry.Counter // dials refused by the semaphore
-	transientRetries  *telemetry.Counter // transient dial retry attempts
-	reconnectAttempts *telemetry.Counter // supervisor re-dials started
-	reconnectOK       *telemetry.Counter // neighbors re-established
-	reconnectGiveups  *telemetry.Counter // backoff chains exhausted
-	reconnectBackoff  *telemetry.Gauge   // longest scheduled backoff, ms
-	evalDeferred      *telemetry.Counter // verdicts deferred for quorum
-	evalTimeoutZero   *telemetry.Counter // verdicts that scored silent members as zero
+	transientRejected *telemetry.Counter   // dials refused by the semaphore
+	transientRetries  *telemetry.Counter   // transient dial retry attempts
+	reconnectAttempts *telemetry.Counter   // supervisor re-dials started
+	reconnectOK       *telemetry.Counter   // neighbors re-established
+	reconnectGiveups  *telemetry.Counter   // backoff chains exhausted
+	reconnectBackoff  *telemetry.Gauge     // longest scheduled backoff, ms
+	evalDeferred      *telemetry.Counter   // verdicts deferred for quorum
+	evalTimeoutZero   *telemetry.Counter   // verdicts that scored silent members as zero
+	ntRefused         *telemetry.Counter   // NT reports a pending round refused: forged source, not asked, repeat
 	ntLatency         *telemetry.Histogram // NT request→report round trip, ms
 
 	// Per-class shedding split of the historical send_queue_stalls
@@ -357,6 +358,7 @@ func NewNode(cfg Config) (*Node, error) {
 		reconnectBackoff:  cfg.Telemetry.Gauge("gnet.reconnect_backoff_max_ms"),
 		evalDeferred:      cfg.Telemetry.Counter("gnet.evaluations_deferred"),
 		evalTimeoutZero:   cfg.Telemetry.Counter("gnet.evaluations_timeout_zero"),
+		ntRefused:         cfg.Telemetry.Counter("gnet.nt_reports_refused"),
 		ntLatency:         cfg.Telemetry.Histogram("gnet.nt_report_latency_ms"),
 
 		shedQuery:        cfg.Telemetry.Counter("gnet.shed_query"),
@@ -378,7 +380,19 @@ func NewNode(cfg Config) (*Node, error) {
 		n.inboxCtl = make(chan inboundMsg, 256)
 	}
 	if cfg.Police != nil {
-		if err := cfg.Police.Validate(); err != nil {
+		// What the live driver has no mechanism for is refused by name,
+		// not accepted and ignored.
+		err := cfg.Police.Validate()
+		switch pc := cfg.Police; {
+		case err != nil:
+		case pc.Radius != 1:
+			err = fmt.Errorf("gnet: Police.Radius = %d: a live node exchanges direct lists only (supported: 1)", pc.Radius)
+		case pc.VerifyLists:
+			err = errors.New("gnet: Police.VerifyLists: a live node cannot confirm list claims with the claimed peers")
+		case pc.BlacklistSec > 0:
+			err = fmt.Errorf("gnet: Police.BlacklistSec = %v: a live node never re-accepts a peer it cut, so no ban can expire", pc.BlacklistSec)
+		}
+		if err != nil {
 			ln.Close()
 			return nil, err
 		}
@@ -951,19 +965,20 @@ func (c dropCause) String() string {
 	}
 }
 
-// traceSpan stamps the node identity and wall-clock seconds on s and
-// records it as a standalone span of trace id; a nil-check no-op when
-// the node has no tracer. Live nodes cannot coordinate span ordinals
-// across processes, so spans carry no parent links here — the trace ID
-// groups them and timestamps order them.
+// stamp is the node's time on journal records and trace spans: Unix seconds on Clock.
+func (n *Node) stamp() float64 { return float64(n.cfg.Clock.Now().UnixNano()) / 1e9 }
+
+// traceSpan stamps the node identity and time on s and records it as a
+// standalone span of trace id; a nil-check no-op when the node has no
+// tracer. Query and overload spans come from many nodes, which cannot
+// coordinate span ordinals, so they carry no parent links: the trace ID
+// groups them and timestamps order them. (A detection's spans all come
+// from the observer; police.Round builds that tree.)
 func (n *Node) traceSpan(id uint64, s trace.Span) {
 	if n.cfg.Tracer == nil || id == 0 {
 		return
 	}
-	s.Node = int64(n.cfg.NodeID)
-	if s.T == 0 {
-		s.T = float64(time.Now().UnixNano()) / 1e9
-	}
+	s.Node, s.T = int64(n.cfg.NodeID), n.stamp()
 	n.cfg.Tracer.Record(id, s)
 }
 
@@ -973,17 +988,14 @@ func guidTraceID(g protocol.GUID) uint64 {
 	return binary.LittleEndian.Uint64(g[0:8])
 }
 
-// journalEvent stamps the node identity and wall-clock seconds on e and
-// records it into the configured journal; a nil-check no-op when the
-// node has no journal.
+// journalEvent stamps the node identity and time on e and records it
+// into the configured journal; a nil-check no-op when the node has no
+// journal.
 func (n *Node) journalEvent(e journal.Event) {
 	if n.cfg.Journal == nil {
 		return
 	}
-	e.Node = int64(n.cfg.NodeID)
-	if e.T == 0 {
-		e.T = float64(time.Now().UnixNano()) / 1e9
-	}
+	e.Node, e.T = int64(n.cfg.NodeID), n.stamp()
 	n.cfg.Journal.Record(e)
 }
 

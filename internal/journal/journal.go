@@ -7,8 +7,8 @@
 //
 // Timestamps are supplied by the caller: the simulator stamps logical
 // seconds from its seeded clock, so two identical-seed runs produce
-// byte-identical journals; gnet stamps wall-clock seconds. The journal
-// itself never reads a clock.
+// byte-identical journals; gnet stamps Unix seconds from the node's
+// Clock. The journal itself never reads a clock.
 //
 // A nil *Journal is inert — Record is a nil-check no-op — mirroring
 // the zero-cost-when-disabled contract of internal/telemetry.
@@ -31,15 +31,17 @@ const (
 	// TypeNTRequest: the observer started a Neighbor_Traffic round
 	// for a suspect (K = buddy members asked).
 	TypeNTRequest = "nt_request"
-	// TypeNTReport: one buddy member's NT report reached the
-	// observer (Member = reporter).
+	// TypeNTReport: an asked buddy member's seat at the verdict, filled:
+	// its NT report reached the observer at T (Member = reporter).
 	TypeNTReport = "nt_report"
-	// TypeNTTimeout: the verdict proceeded with missing reports
-	// treated as zero, §3.3 (Value = reports missing; in the
-	// simulator one event per silent member, Member set).
+	// TypeNTTimeout: an asked buddy member's seat at the verdict, empty:
+	// the member stayed silent and scores zero, §3.3. One event per
+	// silent member, Member set, in the simulator and the live node
+	// alike (police.Round writes both).
 	TypeNTTimeout = "nt_timeout"
 	// TypeNTDefer: the verdict was deferred one half-window because
-	// no reports had arrived yet (PR 2 quorum deferral).
+	// every asked member was still silent (Value = members asked). Live
+	// node only: the simulator's minute has no second deadline.
 	TypeNTDefer = "nt_defer"
 	// TypeIndicator: indicators computed for a suspect (G = g(j,t),
 	// S = s(j,t,i), K = group size, Window = minute index).

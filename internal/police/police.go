@@ -177,36 +177,21 @@ type Police struct {
 	lossSrc   *rng.Source
 	lostCount uint64 // control messages dropped by the loss model
 
-	// jr receives detection-lifecycle events stamped with the
-	// simulator's logical clock; nil disables journaling.
-	jr *journal.Journal
+	// round is the one bad-peer-recognition round (round.go), reused for
+	// every (observer, suspect) pair of every sweep; it holds the journal
+	// and tracer that SetJournal and SetTracer attach.
+	round Round
 
-	// tracer, when non-nil, mirrors the journal's detection lifecycle
-	// into causal span trees (see internal/trace): one trace per
-	// (observer, suspect, minute window) from warning_crossed to cut.
-	// traceSeed feeds the deterministic trace-ID derivation; nil
-	// tracer costs one pointer check per site.
-	tracer    *trace.Tracer
-	traceSeed uint64
-	curDet    *detTrace            // trace of the evaluation in flight
-	openDet   map[uint64]*detTrace // (observer,suspect) -> open trace this minute
-	openOrd   []*detTrace          // commit order (map iteration is not deterministic)
-
-	// Pooled scratch buffers. The minute sweep and the exchange
-	// fan-outs run for every online peer every simulated minute, so
-	// their transient slices are reused across calls instead of
-	// re-allocated per observer/suspect round. Each buffer is owned by
-	// exactly one (non-reentrant) call path: membersOf/Indicators never
-	// nest inside each other, exchangeFrom never calls NotifyJoin, and
-	// sendList is a leaf.
-	memberBuf []PeerID  // membersOf result
-	reportBuf []Report  // Indicators' collected Neighbor_Traffic answers
-	cutBuf    []verdict // EvaluateMinute's deferred cut decisions
-	evalBuf   []PeerID  // EvaluateMinute's per-observer suspect scan
-	obsBuf    []PeerID  // EvaluateMinute's online-observer sweep list
-	exBuf     []PeerID  // exchangeFrom's neighbor fan-out
-	sendBuf   []PeerID  // sendList's advertised members (liars append)
-	joinBuf   []PeerID  // NotifyJoin's neighbor push list
+	// Pooled scratch buffers: the minute sweep and the exchange fan-outs
+	// run for every online peer every simulated minute. Each buffer is
+	// owned by exactly one (non-reentrant) call path: exchangeFrom never
+	// calls NotifyJoin, and sendList is a leaf.
+	cutBuf  []Verdict // EvaluateMinute's deferred cut decisions
+	evalBuf []PeerID  // EvaluateMinute's per-observer suspect scan
+	obsBuf  []PeerID  // EvaluateMinute's online-observer sweep list
+	exBuf   []PeerID  // exchangeFrom's neighbor fan-out
+	sendBuf []PeerID  // sendList's advertised members (liars append)
+	joinBuf []PeerID  // NotifyJoin's neighbor push list
 
 	// Per-peer protocol memory, indexed by overlay.EdgeID. Everything a
 	// peer remembers — a received list, a rate-limit stamp, a ban —
@@ -242,12 +227,6 @@ const (
 	ntNever  = -1e18
 )
 
-// verdict is one deferred disconnect decision from the minute sweep.
-type verdict struct {
-	observer, suspect PeerID
-	g, s              float64
-}
-
 // New creates a DD-POLICE instance over ov. Exchange phases are
 // staggered per peer so the control traffic spreads over the period.
 func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
@@ -267,9 +246,7 @@ func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
 		listMem:      make([][]PeerID, ne),
 		lastNT:       make([]float64, ne),
 		nextExchange: make([]float64, n),
-		// Non-nil from the start: membersOf's callers distinguish "no
-		// usable list" (nil) from "an empty buddy group" (empty slice).
-		memberBuf: make([]PeerID, 0, 8),
+		round:        Round{cfg: cfg},
 	}
 	for e := range p.listAt {
 		p.listAt[e] = listNone
@@ -383,30 +360,13 @@ func (p *Police) ControlLost() uint64 { return p.lostCount }
 // timestamps. The protocol sweep is single-threaded and iterates peers
 // and buddy members in deterministic order, so two identical-seed runs
 // journal identical event sequences. A nil journal disables recording.
-func (p *Police) SetJournal(j *journal.Journal) { p.jr = j }
+func (p *Police) SetJournal(j *journal.Journal) { p.round.jr = j }
 
-// detTrace is one open detection trace plus the span ordinals deeper
-// protocol stages hang their children from.
-type detTrace struct {
-	tc  *trace.Trace
-	req uint32 // nt_request span ordinal
-	ind uint32 // indicator span ordinal
-}
-
-// SetTracer attaches the causal tracing plane. seed is the run seed
-// the deterministic trace IDs derive from; a nil tracer disables
-// tracing. Like the journal, tracing is passive: it reads protocol
-// state but never mutates it, so traced and untraced runs stay
-// byte-identical.
+// SetTracer attaches the causal tracing plane: one trace per (observer,
+// suspect, minute window) from warning_crossed to cut, mirroring the
+// journal's lifecycle as a span tree. seed is the run seed the trace IDs
+// derive from; a nil tracer disables tracing. Like the journal, tracing
+// is passive, so traced and untraced runs stay byte-identical.
 func (p *Police) SetTracer(tr *trace.Tracer, seed uint64) {
-	p.tracer = tr
-	p.traceSeed = seed
-	if tr != nil && p.openDet == nil {
-		p.openDet = make(map[uint64]*detTrace)
-	}
-}
-
-// detKey packs an (observer, suspect) pair for the open-trace map.
-func detKey(observer, suspect PeerID) uint64 {
-	return uint64(uint32(observer))<<32 | uint64(uint32(suspect))
+	p.round.tracer, p.round.seed = tr, seed
 }

@@ -10,6 +10,21 @@ import (
 	"ddpolice/internal/topology"
 )
 
+// Indicators computes g(j,t) and s(j,t,i) as seen by the observer, along
+// with the buddy-group size k used: one round through the simulator's
+// transport with neither the warning gate nor the rate limit in front of
+// it. ok is false when the observer has no usable buddy-group view of
+// the suspect (the decision must be deferred).
+func (p *Police) Indicators(observer, suspect PeerID, now float64) (g, s float64, k int, ok bool) {
+	e, found := p.ov.FindEdge(observer, suspect)
+	if !found {
+		return 0, 0, 0, false
+	}
+	p.round.Begin(observer, suspect, now, int(now)/60)
+	v, ok := p.collect(e, now, math.Inf(1))
+	return v.G, v.S, v.K, ok
+}
+
 // starOverlay builds suspect j=0 at the center of k leaves 1..k.
 func starOverlay(t *testing.T, k int) *overlay.Overlay {
 	t.Helper()
@@ -766,10 +781,10 @@ func TestBuddyGroupFigure7(t *testing.T) {
 	}
 	exchangeAll(p, ov, 0)
 	for member := PeerID(1); member <= 4; member++ {
-		got := p.membersOf(member, 0, 1)
-		if got == nil {
+		if _, _, _, ok := p.Indicators(member, 0, 1); !ok {
 			t.Fatalf("member %d has no view of BG1-j", member)
 		}
+		got := p.round.Asked()
 		// The view excludes the member itself: the other three peers.
 		if len(got) != 3 {
 			t.Fatalf("member %d sees %d buddies, want 3", member, len(got))

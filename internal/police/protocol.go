@@ -1,16 +1,15 @@
 package police
 
-// This file implements the protocol mechanics: list exchange (step 1),
-// report collection and indicator evaluation (step 3). Step 2 — the
-// per-minute Out_query/In_query counters — lives in internal/overlay
-// and is read here via LastMinute.
+// This file is the simulator's side of the protocol: list exchange (step
+// 1), how a simulated member answers, and the minute sweep that drives
+// step 3, whose rules and records are round.go's. Step 2, the per-minute
+// Out_query/In_query counters, lives in internal/overlay (LastMinute).
 
 import (
 	"math"
 	"slices"
 
-	"ddpolice/internal/journal"
-	"ddpolice/internal/trace"
+	"ddpolice/internal/overlay"
 )
 
 // Tick runs time-driven protocol work for the second ending at now
@@ -232,32 +231,11 @@ func (p *Police) verifyList(receiver, owner PeerID, members []PeerID, now float6
 		if !p.ov.Connected(owner, claimed) {
 			if p.ov.Connected(receiver, owner) {
 				_ = p.ov.Cut(receiver, owner)
-				p.recordCut(receiver, owner, 0, 0, now)
+				p.recordCut(Verdict{Observer: receiver, Suspect: owner, Window: int(now) / 60, Cut: true}, now)
 			}
 			return
 		}
 	}
-}
-
-// membersOf returns the observer's view of suspect j's buddy group
-// BG1-j (excluding the observer itself), based on the advertised list
-// it holds, filtered for staleness.
-func (p *Police) membersOf(observer, suspect PeerID, now float64) []PeerID {
-	e, ok := p.ov.FindEdge(observer, suspect)
-	if !ok || p.listAt[e] == listNone {
-		return nil
-	}
-	if p.cfg.StaleAfter > 0 && now-p.listAt[e] > p.cfg.StaleAfter {
-		return nil
-	}
-	out := p.memberBuf[:0]
-	for _, m := range p.listMem[e] {
-		if m != observer {
-			out = append(out, m)
-		}
-	}
-	p.memberBuf = out
-	return out
 }
 
 // report produces member m's Neighbor_Traffic answer about suspect j:
@@ -298,84 +276,30 @@ func (p *Police) report(m, suspect PeerID, now float64) (out, in float64, ok boo
 	return out, in, true
 }
 
-// Indicators computes g(j,t) and s(j,t,i) as seen by the observer,
-// along with the buddy-group size k used. It returns ok=false when the
-// observer has no usable buddy-group view for the suspect (decision
-// must be deferred).
-func (p *Police) Indicators(observer, suspect PeerID, now float64) (g, s float64, k int, ok bool) {
-	members := p.membersOf(observer, suspect, now)
-	if members == nil {
-		return 0, 0, 0, false
-	}
-	// Observer's own measurements of the suspect's edge.
+// collect is the simulator's transport for the evaluation p.round has
+// begun on edge e (observer->suspect): synchronous, so the members asked
+// answer from report(), or stay silent, at once, and the deadline is final.
+func (p *Police) collect(e overlay.EdgeID, now, sinceRound float64) (v Verdict, opened bool) {
+	r := &p.round
 	own := Report{
-		Out: p.ov.LastMinute(observer, suspect), // Q_{i->j}
-		In:  p.ov.LastMinute(suspect, observer), // Q_{j->i}
+		Out: p.ov.LastMinute(r.observer, r.suspect), // Q_{i->j}
+		In:  p.ov.LastMinute(r.suspect, r.observer), // Q_{j->i}
 	}
-	p.jr.Record(journal.Event{
-		T: now, Type: journal.TypeNTRequest,
-		Node: int64(observer), Peer: int64(suspect),
-		K: len(members), Window: int(now) / 60,
-	})
-	dt := p.curDet
-	if dt != nil {
-		dt.req = dt.tc.Add(trace.Span{
-			Kind: trace.KindNTRequest, T: now,
-			Node: int64(observer), Peer: int64(suspect),
-			Value: float64(len(members)),
-		})
+	if !r.Open(own, p.listMem[e], p.listAt[e] != listNone, now-p.listAt[e], sinceRound) {
+		return Verdict{}, false
 	}
-	others := p.reportBuf[:0]
-	missing := 0
-	for _, m := range members {
-		rOut, rIn, got := p.report(m, suspect, now)
-		if !got {
-			missing++ // missing report counts as zero but keeps its seat
-			p.jr.Record(journal.Event{
-				T: now, Type: journal.TypeNTTimeout,
-				Node: int64(observer), Peer: int64(suspect), Member: int64(m),
-			})
-			if dt != nil {
-				dt.tc.Add(trace.Span{
-					Kind: trace.KindNTTimeout, Parent: dt.req, T: now,
-					Node: int64(observer), Peer: int64(m),
-				})
-			}
-			continue
-		}
-		others = append(others, Report{Out: rOut, In: rIn})
-		p.jr.Record(journal.Event{
-			T: now, Type: journal.TypeNTReport,
-			Node: int64(observer), Peer: int64(suspect), Member: int64(m),
-		})
-		if dt != nil {
-			dt.tc.Add(trace.Span{
-				Kind: trace.KindNTReport, Parent: dt.req, T: now,
-				Node: int64(observer), Peer: int64(m), Value: rIn,
-			})
+	for _, m := range r.Asked() {
+		if out, in, got := p.report(m, r.suspect, now); got {
+			r.Report(now, m, Report{Out: out, In: in})
 		}
 	}
-	p.reportBuf = others
-	g, s, k = ComputeIndicators(p.cfg.Q0, own, others, missing)
-	p.jr.Record(journal.Event{
-		T: now, Type: journal.TypeIndicator,
-		Node: int64(observer), Peer: int64(suspect),
-		G: g, S: s, K: k, Window: int(now) / 60,
-	})
-	if dt != nil {
-		dt.ind = dt.tc.Add(trace.Span{
-			Kind: trace.KindIndicator, Parent: dt.req, T: now,
-			Node: int64(observer), Peer: int64(suspect),
-			Value: max(g, s), Detail: "g_s_max",
-		})
-	}
-	return g, s, k, true
+	return r.Deadline(now, true)
 }
 
 // EvaluateMinute runs bad-peer recognition for the minute that just
 // closed (call immediately after overlay.RollMinute). Every online peer
-// inspects its neighbors' last-minute inbound volume; suspects above
-// the warning threshold are judged against the cut threshold.
+// puts each neighbor's last-minute inbound volume to the round's warning
+// gate; suspects that cross it are judged against the cut threshold.
 //
 // Decisions are collected first and applied after the sweep: the real
 // protocol runs at all observers concurrently over the same minute's
@@ -383,8 +307,9 @@ func (p *Police) Indicators(observer, suspect PeerID, now float64) (g, s float64
 // later observer's computation depends on.
 func (p *Police) EvaluateMinute(now float64) {
 	cuts := p.cutBuf[:0]
-	// Sweep online observers only, in ascending order — identical to
-	// the old all-peers scan with its offline skip.
+	window := int(now) / 60
+	r := &p.round
+	// Online observers, in ascending order.
 	p.obsBuf = p.ov.AppendOnline(p.obsBuf[:0])
 	for _, observer := range p.obsBuf {
 		p.evalBuf = p.ov.ActiveNeighbors(observer, p.evalBuf[:0])
@@ -395,99 +320,55 @@ func (p *Police) EvaluateMinute(now float64) {
 				if e, _ := p.ov.FindEdge(observer, suspect); now < p.blackUntil[e] {
 					// Future-work extension: a previously-convicted
 					// suspect that reconnected is cut on sight.
-					cuts = append(cuts, verdict{observer, suspect, 0, 0})
+					cuts = append(cuts, Verdict{Observer: observer, Suspect: suspect, Window: window, Cut: true})
 					continue
 				}
 			}
-			inbound := p.ov.LastMinute(suspect, observer)
-			if inbound <= p.cfg.WarnThreshold {
+			if !r.Warn(observer, suspect, now, window, p.ov.LastMinute(suspect, observer)) {
 				continue
 			}
-			p.jr.Record(journal.Event{
-				T: now, Type: journal.TypeWarning,
-				Node: int64(observer), Peer: int64(suspect),
-				Value: inbound, Window: int(now) / 60,
-			})
-			p.curDet = nil
-			if p.tracer != nil {
-				id := trace.DetectionID(p.traceSeed,
-					uint64(observer), uint64(suspect), uint64(int(now)/60))
-				if tc := p.tracer.Start(id, trace.Span{
-					Kind: trace.KindWarning, T: now,
-					Node: int64(observer), Peer: int64(suspect),
-					Value: inbound,
-				}); tc != nil {
-					dt := &detTrace{tc: tc}
-					p.curDet = dt
-					p.openDet[detKey(observer, suspect)] = dt
-					p.openOrd = append(p.openOrd, dt)
-				}
-			}
-			// Rate-limit Neighbor_Traffic rounds per (observer, suspect).
 			e, _ := p.ov.FindEdge(observer, suspect)
-			if now-p.lastNT[e] < p.cfg.ReportRateLimit {
+			v, opened := p.collect(e, now, now-p.lastNT[e])
+			if !opened {
 				continue
 			}
 			p.lastNT[e] = now
-			g, s, k, ok := p.Indicators(observer, suspect, now)
-			p.curDet = nil
-			if !ok {
-				continue
-			}
 			// The observer's own broadcast to the group.
-			p.overhead.NeighborTrafficMsgs += uint64(k - 1)
-			if g > p.cfg.CutThreshold || s > p.cfg.CutThreshold {
-				cuts = append(cuts, verdict{observer, suspect, g, s})
+			p.overhead.NeighborTrafficMsgs += uint64(v.K - 1)
+			if v.Cut {
+				cuts = append(cuts, v)
 			}
 		}
 	}
-	for _, c := range cuts {
-		if err := p.ov.Cut(c.observer, c.suspect); err == nil {
-			p.recordCut(c.observer, c.suspect, c.g, c.s, now)
+	for _, v := range cuts {
+		if err := p.ov.Cut(v.Observer, v.Suspect); err == nil {
+			p.recordCut(v, now)
 		}
 	}
 	p.cutBuf = cuts // keep the grown capacity for the next minute
-	// Commit this minute's detection traces in creation order (cut or
-	// not — a warning with no verdict is still a complete story).
-	if len(p.openOrd) > 0 {
-		for _, dt := range p.openOrd {
-			dt.tc.End()
-		}
-		p.openOrd = p.openOrd[:0]
-		clear(p.openDet)
-	}
-	p.curDet = nil
+	// Commit this minute's detection traces, after the cuts joined them.
+	r.End()
 }
 
-func (p *Police) recordCut(observer, suspect PeerID, g, s, now float64) {
+// recordCut books a disconnect the overlay carried out: the ban, the
+// detection list, the record, the error accounting against ground truth.
+func (p *Police) recordCut(v Verdict, now float64) {
 	if p.blackUntil != nil {
 		// Only a connected neighbor is ever cut, so the edge exists.
-		e, _ := p.ov.FindEdge(observer, suspect)
+		e, _ := p.ov.FindEdge(v.Observer, v.Suspect)
 		p.blackUntil[e] = now + p.cfg.BlacklistSec
 	}
 	p.detections = append(p.detections, Detection{
-		At: now, Observer: observer, Suspect: suspect, General: g, Single: s,
+		At: now, Observer: v.Observer, Suspect: v.Suspect, General: v.G, Single: v.S,
 	})
-	p.jr.Record(journal.Event{
-		T: now, Type: journal.TypeCut,
-		Node: int64(observer), Peer: int64(suspect), G: g, S: s,
-		Window: int(now) / 60,
-	})
-	// Blacklist and verify-list cuts have no open warning trace; the
-	// lookup simply misses for them.
-	if dt, ok := p.openDet[detKey(observer, suspect)]; ok {
-		dt.tc.Add(trace.Span{
-			Kind: trace.KindCut, Parent: dt.ind, T: now,
-			Node: int64(observer), Peer: int64(suspect), Value: max(g, s),
-		})
-	}
-	if p.isBad[suspect] {
-		if !p.detected[suspect] {
-			p.detected[suspect] = true
+	p.round.RecordCut(now, v)
+	if p.isBad[v.Suspect] {
+		if !p.detected[v.Suspect] {
+			p.detected[v.Suspect] = true
 			p.detectedN++
 		}
-	} else if !p.cutGood[suspect] {
-		p.cutGood[suspect] = true
+	} else if !p.cutGood[v.Suspect] {
+		p.cutGood[v.Suspect] = true
 		p.cutGoodN++
 	}
 }
