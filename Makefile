@@ -4,8 +4,8 @@ GO ?= go
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
-# the race detector), then the metrics smoke (a live ddnode answering
-# /metrics and /healthz), then the write-failure smoke, then the
+# the race detector), then the smoke (a live ddnode answering /metrics
+# and /healthz, and the in-process examples), then the write-failure smoke, then the
 # paper-scale regeneration against the committed results/, then the
 # repository benchmark's own vet and tests (the nested bench/ module:
 # every workload at smoke size against its pinned Result digests; no
@@ -98,9 +98,15 @@ race:
 	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/ ./internal/faults/
 
 # The smoke pass boots a real ddnode with the exposition plane on and
-# asserts /metrics serves non-empty Prometheus text and /healthz is ok.
+# asserts /metrics serves non-empty Prometheus text and /healthz is ok,
+# then runs the five in-process examples (~2 s together), failing on a
+# non-zero exit; examples/live_overlay (real TCP, ~6 s) stays out.
 smoke:
 	./scripts/metrics_smoke.sh
+	@for e in quickstart attack_impact defense_tuning structured_comparison trace_pipeline; do \
+		echo "smoke: examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
 
 # writefail asserts every cmd tool exits nonzero when its output file
 # write fails (injected via /dev/full): a truncated artifact reported

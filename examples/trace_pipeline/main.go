@@ -1,8 +1,8 @@
 // trace_pipeline walks the paper's §2.3 data path end to end, entirely
 // in-process: synthesize a query trace like the one the monitoring
 // super-node captured (13M queries over 24h, Zipf-popular keywords),
-// analyze it (rates, popularity fit), and replay its head through the
-// message-level simulator the way the DDoS-agent prototype replays a
+// analyze it (rates, popularity fit), and replay it through the flood
+// engine the simulator runs, the way the DDoS-agent prototype replays a
 // log file.
 package main
 
@@ -12,10 +12,11 @@ import (
 	"io"
 	"log"
 
-	"ddpolice/internal/eventsim"
-	"ddpolice/internal/msgsim"
+	"ddpolice/internal/capacity"
+	"ddpolice/internal/flood"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
+	"ddpolice/internal/sim"
 	"ddpolice/internal/topology"
 	"ddpolice/internal/workload"
 )
@@ -66,32 +67,30 @@ func main() {
 			s, catCfg.ZipfExponent)
 	}
 
-	// 3. Replay through the message-level simulator on a live overlay.
+	// 3. Replay through the simulator's flood engine on a live overlay:
+	// every peer's processing budget refills once per trace second, as
+	// one sim.Run tick does, and every query is one TTL-bounded flood.
 	g, err := topology.BarabasiAlbert(rng.New(8), peers, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ov := overlay.New(g)
-	simCfg := msgsim.DefaultConfig()
-	sim, err := msgsim.New(ov, simCfg, rng.New(9))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, rec := range records {
-		sim.IssueAt(eventsim.Time(rec.TimestampMS)*eventsim.Millisecond,
-			rec.Issuer, cat.Holders(rec.Object))
-	}
-	sim.Run(15 * eventsim.Minute)
-
-	var hits, total int
+	eng := flood.NewEngine(overlay.New(g))
+	budget := flood.NewBudget(peers, capacity.EffectiveForwardPerMin/60)
+	dm := flood.DefaultDelayModel()
+	var hits int
 	var msgs float64
-	for _, o := range sim.Outcomes() {
-		total++
-		msgs += o.QueryMessages
-		if o.Hit {
+	second := int64(-1)
+	for _, rec := range records {
+		for ; second < rec.TimestampMS/1000; second++ {
+			budget.Refill()
+		}
+		r := eng.FloodQuery(rec.Issuer, sim.DefaultSimTTL, cat.Holders(rec.Object), budget, dm)
+		msgs += r.QueryMessages
+		if r.Hit {
 			hits++
 		}
 	}
+	total := len(records)
 	fmt.Printf("replayed %d queries: %.1f%% answered, %.0f messages (%.0f per query)\n",
 		total, float64(hits)/float64(total)*100, msgs, msgs/float64(total))
 }

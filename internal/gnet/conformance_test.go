@@ -179,25 +179,38 @@ func liveConformance(t *testing.T) []detectionRecord {
 	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 4 }, "suspect cut")
 	verdict := detectionRecords(jr.Events())
 
-	// The late member answers now. No round is waiting, so the observer
-	// takes the message for a request and answers it; nothing is recorded.
+	// The late member answers now, reply-flagged. No round is waiting, so
+	// the observer refuses the reply: it neither answers nor records it.
+	late.SetReadDeadline(time.Now().Add(2 * time.Second))
+	sr := protocol.NewStreamReader(late, 4096)
+	for { // the round's request, which the member never answered in time
+		msg, err := sr.Next()
+		if err != nil {
+			t.Fatalf("late member never received the request: %v", err)
+		}
+		if _, ok := msg.Body.(protocol.NeighborTraffic); ok {
+			break
+		}
+	}
 	report := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(confLate, 0).IP,
 		SuspectIP: protocol.AddrFromNodeID(confSuspect, 0).IP,
 		Outgoing:  math.MaxUint32,
 	}
-	if _, err := late.Write(protocol.Encode(nil, protocol.GUID{6}, 1, 0, report)); err != nil {
+	if _, err := late.Write(protocol.Encode(nil, protocol.GUID{6}, 1, ntReplyHops, report)); err != nil {
 		t.Fatal(err)
 	}
-	late.SetReadDeadline(time.Now().Add(2 * time.Second))
-	sr := protocol.NewStreamReader(late, 4096)
-	for answers := 0; answers < 2; { // the round's request, then the answer to the late report
+	late.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	for {
 		msg, err := sr.Next()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			break // the observer stayed silent
+		}
 		if err != nil {
-			t.Fatalf("late member never heard back: %v", err)
+			t.Fatal(err)
 		}
 		if _, ok := msg.Body.(protocol.NeighborTraffic); ok {
-			answers++
+			t.Fatal("the observer answered a late reply")
 		}
 	}
 	if after := detectionRecords(jr.Events()); !reflect.DeepEqual(after, verdict) {

@@ -328,20 +328,29 @@ func (m *monitor) transientAttempt(member protocol.PeerAddr, wire []byte) bool {
 	return true
 }
 
-// onNeighborTraffic handles an incoming Table 1 message. The wire
-// format carries no request/reply flag, so solicitation state decides:
-// while we have a pending evaluation for the suspect, an incoming NT
-// is (or doubles as) a reply to our own round and is only recorded —
-// answering it would bounce NT messages between two monitors forever,
-// an echo storm the event journal made plainly visible. Unsolicited
-// messages are someone else's request and get our report back (the
-// paper's 50-second rule suppresses redundant *broadcast rounds*, not
-// answers; a member that stonewalled would be indistinguishable from a
-// cheater).
-func (m *monitor) onNeighborTraffic(from *peerConn, nt protocol.NeighborTraffic) {
+// ntReplyHops is the header Hops of a Neighbor_Traffic reply; a request
+// carries 0. Table 1's body has no request/reply flag, and the header
+// byte is the one a one-hop control frame leaves free.
+const ntReplyHops = 1
+
+// onNeighborTraffic handles an incoming Table 1 message. While we have a
+// pending evaluation for the suspect, an incoming NT is (or doubles as) a
+// report for our own round and is only seated, whatever its header says.
+// Otherwise a request (Hops 0) is someone else's round and gets our
+// report back, reply-flagged (the paper's 50-second rule suppresses
+// redundant *broadcast rounds*, not answers; a member that stonewalled
+// would be indistinguishable from a cheater). A reply with no round
+// waiting — late, or for a round that was never ours — is refused and
+// counted: answering it would bounce the frame between two monitors
+// without end.
+func (m *monitor) onNeighborTraffic(from *peerConn, h protocol.Header, nt protocol.NeighborTraffic) {
 	suspect := protocol.PeerAddr{IP: nt.SuspectIP}.NodeID()
 	if _, waiting := m.pending[suspect]; waiting {
 		m.seat(from.id, nt)
+		return
+	}
+	if h.Hops != 0 {
+		m.n.tel.ntRefused.Inc()
 		return
 	}
 	// Because window phases differ across nodes, report the heavier of
@@ -354,7 +363,7 @@ func (m *monitor) onNeighborTraffic(from *peerConn, nt protocol.NeighborTraffic)
 		Outgoing:  uint32(max(m.prevOut[suspect], m.curOut[suspect])),
 		Incoming:  uint32(max(m.prevIn[suspect], m.curIn[suspect])),
 	}
-	from.send(protocol.Encode(nil, protocol.NewGUID(m.n.src), 1, 0, reply))
+	from.send(protocol.Encode(nil, protocol.NewGUID(m.n.src), 1, ntReplyHops, reply))
 }
 
 // seat offers nt to the pending round about its suspect. sender is who

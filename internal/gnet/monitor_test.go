@@ -190,6 +190,45 @@ func TestForgedReportsCannotShieldTheSuspect(t *testing.T) {
 	}
 }
 
+// TestStrayReplyIsNotAnswered is the regression test for the 0x83
+// bounce: a reply that arrived with no round pending was answered as a
+// request, the answer was answered in turn, and one stray frame kept two
+// monitors trading reports for good (about 1.2 MB/s on loopback). Now a
+// reply is reply-flagged in its header, and a reply nobody is waiting
+// for is refused and counted, never answered.
+func TestStrayReplyIsNotAnswered(t *testing.T) {
+	reg := telemetry.New()
+	_, suspect := policePair(t, reg)
+	// Let the neighbor-list exchange of the handshake finish first.
+	last := uint64(0)
+	waitFor(t, 2*time.Second, func() bool {
+		in := suspect.Stats().BytesIn
+		quiet := in == last
+		last = in
+		return quiet
+	}, "link quiet after the handshake")
+
+	stray := protocol.NeighborTraffic{
+		SourceIP:  protocol.AddrFromNodeID(2, 0).IP,
+		SuspectIP: protocol.AddrFromNodeID(9, 0).IP, // no round about 9 anywhere
+		Outgoing:  5,
+	}
+	runOnLoop(t, suspect, func() {
+		suspect.peers[1].send(protocol.Encode(nil, protocol.NewGUID(suspect.src), 1, ntReplyHops, stray))
+	})
+	refused := reg.Counter("gnet.nt_reports_refused")
+	waitFor(t, 2*time.Second, func() bool {
+		return refused.Load() > 0 || suspect.Stats().BytesIn != last
+	}, "the stray reply refused or answered")
+	time.Sleep(300 * time.Millisecond)
+	if in := suspect.Stats().BytesIn; in != last {
+		t.Fatalf("0x83 frames came back for a stray reply: %d -> %d bytes in", last, in)
+	}
+	if got := refused.Load(); got != 1 {
+		t.Errorf("gnet.nt_reports_refused = %d, want 1", got)
+	}
+}
+
 // TestTelemetryConcurrentTransientDials exercises the gnet telemetry
 // hooks from every goroutine that records them — transient dial
 // failures, handshake failures, inbox high-water, send stalls — while

@@ -256,7 +256,7 @@ type nodeTelemetry struct {
 	reconnectBackoff  *telemetry.Gauge     // longest scheduled backoff, ms
 	evalDeferred      *telemetry.Counter   // verdicts deferred for quorum
 	evalTimeoutZero   *telemetry.Counter   // verdicts that scored silent members as zero
-	ntRefused         *telemetry.Counter   // NT reports a pending round refused: forged source, not asked, repeat
+	ntRefused         *telemetry.Counter   // NT reports refused: forged source, not asked, repeat, or a reply with no round pending
 	ntLatency         *telemetry.Histogram // NT request→report round trip, ms
 
 	// Per-class shedding split of the historical send_queue_stalls

@@ -119,7 +119,7 @@ func (n *Node) handle(in inboundMsg) {
 			if !n.admitControl() {
 				return
 			}
-			n.monitor.onNeighborTraffic(in.from, body)
+			n.monitor.onNeighborTraffic(in.from, in.msg.Header, body)
 		}
 	}
 }

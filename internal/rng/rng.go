@@ -220,19 +220,3 @@ func (r *Source) LogNormal(mean, stddev float64) float64 {
 	mu := math.Log(mean) - sigma2/2
 	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
 }
-
-// Pareto returns a Pareto(alpha, xm) variate (heavy-tailed, minimum xm).
-func (r *Source) Pareto(alpha, xm float64) float64 {
-	if alpha <= 0 || xm <= 0 {
-		panic("rng: Pareto with non-positive parameter")
-	}
-	return xm / math.Pow(1-r.Float64(), 1/alpha)
-}
-
-// Weibull returns a Weibull(shape, scale) variate.
-func (r *Source) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Weibull with non-positive parameter")
-	}
-	return scale * math.Pow(-math.Log(1-r.Float64()), 1/shape)
-}

@@ -227,24 +227,6 @@ func TestLogNormalZeroStddev(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(16)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(2, 10); v < 10 {
-			t.Fatalf("Pareto below minimum: %v", v)
-		}
-	}
-}
-
-func TestWeibullPositive(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 10000; i++ {
-		if v := r.Weibull(1.5, 100); v < 0 {
-			t.Fatalf("Weibull negative: %v", v)
-		}
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := New(18)
 	if r.Bool(0) {

@@ -12,35 +12,6 @@ import (
 	"ddpolice/internal/rng"
 )
 
-// ClusteringCoefficient returns the average local clustering
-// coefficient: for each node with degree >= 2, the fraction of its
-// neighbor pairs that are themselves connected.
-func (g *Graph) ClusteringCoefficient() float64 {
-	var sum float64
-	counted := 0
-	for v := range g.adj {
-		ns := g.adj[v]
-		k := len(ns)
-		if k < 2 {
-			continue
-		}
-		counted++
-		links := 0
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				if g.HasEdge(ns[i], ns[j]) {
-					links++
-				}
-			}
-		}
-		sum += 2 * float64(links) / float64(k*(k-1))
-	}
-	if counted == 0 {
-		return 0
-	}
-	return sum / float64(counted)
-}
-
 // DegreeAssortativity returns the Pearson correlation of degrees across
 // edges (Newman's assortativity coefficient). BA graphs are mildly
 // disassortative (hubs attach to leaves).

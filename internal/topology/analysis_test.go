@@ -7,37 +7,6 @@ import (
 	"ddpolice/internal/rng"
 )
 
-func TestClusteringCoefficientKnownGraphs(t *testing.T) {
-	// Triangle: every node's neighbors are connected -> C = 1.
-	b := NewBuilder(3)
-	for _, e := range [][2]NodeID{{0, 1}, {1, 2}, {0, 2}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.Build().ClusteringCoefficient(); got != 1 {
-		t.Fatalf("triangle C = %v", got)
-	}
-	// Star: hub neighbors never interconnect -> C = 0.
-	b = NewBuilder(5)
-	for i := 1; i < 5; i++ {
-		if err := b.AddEdge(0, NodeID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.Build().ClusteringCoefficient(); got != 0 {
-		t.Fatalf("star C = %v", got)
-	}
-	// Ring lattice with k=2 has C = 0.5.
-	g, err := RingLattice(20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.ClusteringCoefficient(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("ring-lattice C = %v, want 0.5", got)
-	}
-}
-
 func TestAssortativityBAIsDisassortative(t *testing.T) {
 	g, err := BarabasiAlbert(rng.New(5), 1000, 3)
 	if err != nil {

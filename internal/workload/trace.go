@@ -116,6 +116,12 @@ func (tr *TraceReader) Read() (TraceRecord, error) {
 	if err != nil {
 		return rec, fmt.Errorf("workload: trace line %d object: %w", tr.line, err)
 	}
+	// The scanner strips one trailing '\r' (CRLF logs); any other is a
+	// byte TraceWriter refuses to write, so the record could not be
+	// replayed into a log again.
+	if len(parts) == 4 && strings.ContainsRune(parts[3], '\r') {
+		return rec, fmt.Errorf("workload: trace line %d keywords contain a carriage return", tr.line)
+	}
 	rec.TimestampMS = ts
 	rec.Issuer = topology.NodeID(issuer)
 	rec.Object = ObjectID(obj)
