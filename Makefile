@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint detectorhome staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
+.PHONY: ci lint build fmt vet ddlint detectorhome staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
@@ -15,13 +15,19 @@ ci: lint build test race smoke writefail resultscheck benchcheck
 build:
 	$(GO) build ./...
 
-# lint is the full static-analysis gate (DESIGN.md §18): go vet, then
-# the ddlint determinism analyzers, then the one-home check of the
+# lint is the full static-analysis gate (DESIGN.md §18): gofmt, go vet,
+# then the ddlint determinism analyzers, then the one-home check of the
 # detector, then pinned staticcheck. Every leg runs unconditionally —
 # there is deliberately no PATH-probe-and-skip path left; a static gate
 # that cannot run must fail loudly (the writefail philosophy), never
 # report a clean tree it did not inspect.
-lint: vet ddlint detectorhome staticcheck
+lint: fmt vet ddlint detectorhome staticcheck
+
+# fmt fails when any tracked Go file (bench/ included) is not gofmt-clean,
+# listing the files; it checks and never rewrites.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need gofmt -w:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

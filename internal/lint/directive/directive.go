@@ -32,7 +32,7 @@ var Known = map[string]bool{
 
 // Allow is one parsed //ddlint:allow directive.
 type Allow struct {
-	Line   int    // 1-based line of the comment
+	Line   int // 1-based line of the comment
 	Pos    token.Pos
 	Check  string // first token after ddlint:allow ("" if absent)
 	Reason string // text after " -- " ("" if absent)

@@ -77,15 +77,21 @@ func New(g *topology.Graph) *Overlay {
 	o.cut = make([]bool, total)
 	o.curQ = make([]float64, total)
 	o.prevQ = make([]float64, total)
+	// Reverse edges by cursor, not search: rows are sorted and v ascends,
+	// so the j-th time w is met as a neighbour, v must be adj[w][j]; a
+	// mismatch is an asymmetric graph. Each directed edge advances one
+	// cursor and none may pass its row's end, so every row is used up.
+	cursor := make([]int32, n)
 	for v := 0; v < n; v++ {
 		for k, w := range g.Neighbors(PeerID(v)) {
 			e := o.edgeBase[v] + EdgeID(k)
 			o.slot[e] = int32(k)
-			re, ok := o.lookupEdge(w, PeerID(v))
-			if !ok {
+			j := cursor[w]
+			if int(j) >= g.Degree(w) || g.Neighbors(w)[j] != PeerID(v) {
 				panic("overlay: asymmetric adjacency")
 			}
-			o.reverse[e] = re
+			cursor[w]++
+			o.reverse[e] = o.edgeBase[w] + EdgeID(j)
 		}
 	}
 	return o

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"testing"
 
 	"ddpolice/internal/rng"
@@ -49,6 +50,37 @@ func TestEdgeLookupAndEndpoints(t *testing.T) {
 	}
 	if _, ok := o.FindEdge(0, 5); ok {
 		t.Fatal("found non-existent edge")
+	}
+}
+
+// TestReverseEdgesMatchLookup holds New's reverse-edge cursor to the
+// binary search it replaced: Reverse is an involution and Reverse(e) is
+// the lookupEdge of e's swapped endpoints, on BA and ring graphs.
+func TestReverseEdgesMatchLookup(t *testing.T) {
+	type named struct {
+		name string
+		g    *topology.Graph
+	}
+	graphs := []named{{"ring(10,2)", ring(t, 10, 2)}, {"ring(101,7)", ring(t, 101, 7)}}
+	for _, c := range []struct{ n, m int }{{12, 2}, {300, 3}, {2000, 5}} {
+		g, err := topology.BarabasiAlbert(rng.New(uint64(c.n)), c.n, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, named{fmt.Sprintf("BA(%d,%d)", c.n, c.m), g})
+	}
+	for _, c := range graphs {
+		name, o := c.name, New(c.g)
+		for e := EdgeID(0); int(e) < o.NumDirectedEdges(); e++ {
+			re := o.Reverse(e)
+			if o.Reverse(re) != e {
+				t.Fatalf("%s: Reverse(Reverse(%d)) = %d", name, e, o.Reverse(re))
+			}
+			from, to := o.Endpoints(e)
+			if want, ok := o.lookupEdge(to, from); !ok || re != want {
+				t.Fatalf("%s: Reverse(%d) = %d, lookupEdge(%d,%d) = %d,%v", name, e, re, to, from, want, ok)
+			}
+		}
 	}
 }
 

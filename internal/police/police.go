@@ -182,25 +182,31 @@ type Police struct {
 	// and tracer that SetJournal and SetTracer attach.
 	round Round
 
-	// Pooled scratch buffers: the minute sweep and the exchange fan-outs
-	// run for every online peer every simulated minute. Each buffer is
-	// owned by exactly one (non-reentrant) call path: exchangeFrom never
-	// calls NotifyJoin, and sendList is a leaf.
+	// Pooled scratch buffers: the minute sweep runs for every online peer
+	// every simulated minute. Each buffer is owned by exactly one
+	// (non-reentrant) call path; the exchange walks static slots and
+	// needs none but advertised's.
 	cutBuf  []Verdict // EvaluateMinute's deferred cut decisions
 	evalBuf []PeerID  // EvaluateMinute's per-observer suspect scan
 	obsBuf  []PeerID  // EvaluateMinute's online-observer sweep list
-	exBuf   []PeerID  // exchangeFrom's neighbor fan-out
-	sendBuf []PeerID  // sendList's advertised members (liars append)
-	joinBuf []PeerID  // NotifyJoin's neighbor push list
+	joinBuf []PeerID  // NotifyJoin's event-driven exchange list
+	advBuf  []PeerID  // advertised's recompute, compared before publishing
+
+	// Published neighbor lists, one per owner (advertised): snap[v] is
+	// the last list v published and is never written again; snapVer[v] is
+	// overlay.Version()+1 when it was last confirmed current, 0 = never.
+	snap    [][]PeerID
+	snapVer []uint64
 
 	// Per-peer protocol memory, indexed by overlay.EdgeID. Everything a
 	// peer remembers — a received list, a rate-limit stamp, a ban —
 	// concerns a direct neighbor, so the (holder, neighbor) pair
 	// addresses the directed edge holder->neighbor. This holds at every
-	// Radius (see Config.Radius); the per-edge member slices are reused
-	// across exchanges.
+	// Radius (see Config.Radius). A held list is the header of the
+	// owner's published snapshot (a liar's padded copy), shared by every
+	// edge that received it, so list memory is O(Σ deg), not O(Σ deg²).
 	listAt     []float64  // receipt time of the list on edge recv->owner; listNone = none
-	listMem    [][]PeerID // advertised members on that edge (reused backing arrays)
+	listMem    [][]PeerID // advertised members on that edge: an immutable shared snapshot
 	lastNT     []float64  // last NT round on edge observer->suspect; ntNever = never
 	blackUntil []float64  // ban expiry on edge observer->suspect; nil unless BlacklistSec > 0
 
@@ -242,6 +248,8 @@ func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
 		liar:         make([]bool, n),
 		cutGood:      make([]bool, n),
 		detected:     make([]bool, n),
+		snap:         make([][]PeerID, n),
+		snapVer:      make([]uint64, n),
 		listAt:       make([]float64, ne),
 		listMem:      make([][]PeerID, ne),
 		lastNT:       make([]float64, ne),

@@ -121,15 +121,16 @@ func (p *Police) NotifyJoin(v PeerID, now float64) {
 	}
 	p.exchangeFrom(v, now)
 	// The new peer also learns its neighbors' lists right away (the
-	// exchange is mutual on connect).
-	p.joinBuf = p.ov.ActiveNeighbors(v, p.joinBuf[:0])
-	for _, w := range p.joinBuf {
-		p.sendList(w, v, now)
+	// exchange is mutual on connect): each active neighbor w pushes its
+	// own list back over v's slot edge v->w.
+	if p.ov.Online(v) {
+		for k, w := range p.ov.Graph().Neighbors(v) {
+			if e := p.ov.EdgeID(v, k); p.ov.Online(w) && !p.ov.EdgeCut(e) {
+				p.push(w, v, e, now)
+			}
+		}
 	}
 	if p.cfg.EventDriven {
-		// sendList above cannot shuffle joinBuf, but exchangeFrom fans
-		// out through exBuf, so reusing joinBuf for this second pass is
-		// still safe.
 		p.joinBuf = p.ov.ActiveNeighbors(v, p.joinBuf[:0])
 		for _, w := range p.joinBuf {
 			p.exchangeFrom(w, now)
@@ -151,45 +152,52 @@ func (p *Police) NotifyLeave(v PeerID, now float64) {
 
 // exchangeFrom makes peer v push its neighbor list to all its active
 // neighbors (and, for Radius 2, relay the lists it holds one hop on).
+// It walks v's static slots, so receiver w's edge w->v is the reverse of
+// the slot's edge, found in O(1). The only mutation an exchange makes is
+// a VerifyLists cut of the edge just pushed over, so testing each slot
+// as it comes up sees the same receivers as listing them first.
 func (p *Police) exchangeFrom(v PeerID, now float64) {
-	p.exBuf = p.ov.ActiveNeighbors(v, p.exBuf[:0])
-	for _, w := range p.exBuf {
-		p.sendList(v, w, now)
+	if !p.ov.Online(v) {
+		return
+	}
+	for k, w := range p.ov.Graph().Neighbors(v) {
+		e := p.ov.EdgeID(v, k)
+		if !p.ov.Online(w) || p.ov.EdgeCut(e) {
+			continue
+		}
+		p.push(v, w, p.ov.Reverse(e), now)
 		if p.cfg.Radius >= 2 {
 			p.relayLists(v, w)
 		}
 	}
 }
 
-// relayLists is the r=2 step of DD-POLICE-r: v forwards to w, in v's
-// static neighbor order, each list it holds from a neighbor other than
-// w, with the time v received it. Every relayed list is a message;
-// storeList keeps the ones whose owner w is itself a neighbor of.
-func (p *Police) relayLists(v, w PeerID) {
-	for k, owner := range p.ov.Graph().Neighbors(v) {
-		e := p.ov.EdgeID(v, k)
-		if owner == w || p.listAt[e] == listNone {
-			continue
-		}
-		p.overhead.NeighborListMsgs++
-		p.storeList(w, owner, p.listMem[e], p.listAt[e])
+// advertised returns v's active-neighbor list as a published snapshot:
+// a slice that is never written again, so every receiver stores its
+// header instead of a copy. While the overlay's version is unchanged it
+// is returned as is; otherwise the list is recomputed into scratch and
+// republished, as a fresh clone, only if its contents changed. A
+// VerifyLists cut in mid-exchange bumps the version, so the next push
+// re-reads the list.
+func (p *Police) advertised(v PeerID) []PeerID {
+	ver := p.ov.Version() + 1 // snapVer 0 = never computed
+	if p.snapVer[v] == ver {
+		return p.snap[v]
 	}
+	p.snapVer[v] = ver
+	p.advBuf = p.ov.ActiveNeighbors(v, p.advBuf[:0])
+	if !slices.Equal(p.advBuf, p.snap[v]) {
+		p.snap[v] = slices.Clip(slices.Clone(p.advBuf))
+	}
+	return p.snap[v]
 }
 
-// sendList delivers v's own current neighbor list to receiver w.
-func (p *Police) sendList(v, w PeerID, now float64) {
-	p.sendBuf = p.ov.ActiveNeighbors(v, p.sendBuf[:0])
-	members := p.sendBuf
+// push delivers owner v's own current list to receiver w, to be held on
+// w's edge e (w->v).
+func (p *Police) push(v, w PeerID, e overlay.EdgeID, now float64) {
+	members := p.advertised(v)
 	if p.liar[v] {
-		// A lying peer pads its list with fabricated claims: peers it
-		// is not actually connected to.
-		fakes := 0
-		for fake := PeerID(0); fake < PeerID(p.ov.NumPeers()) && fakes < 4; fake++ {
-			if fake != v && fake != w && !p.ov.Connected(v, fake) {
-				members = append(members, fake)
-				fakes++
-			}
-		}
+		members = p.padded(v, w, members)
 	}
 	p.overhead.NeighborListMsgs++
 	if p.lost() {
@@ -198,24 +206,52 @@ func (p *Police) sendList(v, w PeerID, now float64) {
 	if p.cfg.VerifyLists {
 		p.verifyList(w, v, members, now)
 	}
-	p.storeList(w, v, members, now)
+	p.storeList(e, members, now)
 }
 
-// storeList records at receiver the advertised list of owner, on the
-// directed edge receiver->owner, reusing that edge's backing array. A
-// direct push always has such an edge; a relayed list whose owner is
-// not the receiver's neighbor has none and is dropped, since the
-// receiver could never be asked to judge that owner.
-func (p *Police) storeList(receiver, owner PeerID, members []PeerID, at float64) {
-	e, ok := p.ov.FindEdge(receiver, owner)
-	if !ok {
-		return
+// padded is a lying peer's list for receiver w: a copy of its true list
+// (members, a snapshot it must not write) padded with fabricated claims,
+// peers it is not actually connected to.
+func (p *Police) padded(v, w PeerID, members []PeerID) []PeerID {
+	out := append(make([]PeerID, 0, len(members)+4), members...)
+	fakes := 0
+	for fake := PeerID(0); fake < PeerID(p.ov.NumPeers()) && fakes < 4; fake++ {
+		if fake != v && fake != w && !p.ov.Connected(v, fake) {
+			out = append(out, fake)
+			fakes++
+		}
 	}
+	return out
+}
+
+// relayLists is the r=2 step of DD-POLICE-r: v forwards to w, in v's
+// static neighbor order, each list it holds from a neighbor other than
+// w, with the time v received it. Every relayed list is a message, and
+// w holds the same snapshot v does. w keeps only the lists whose owner
+// it is itself a neighbor of: for any other owner it has no edge, and it
+// could never be asked to judge that owner.
+func (p *Police) relayLists(v, w PeerID) {
+	for k, owner := range p.ov.Graph().Neighbors(v) {
+		e := p.ov.EdgeID(v, k)
+		if owner == w || p.listAt[e] == listNone {
+			continue
+		}
+		p.overhead.NeighborListMsgs++
+		if we, ok := p.ov.FindEdge(w, owner); ok {
+			p.storeList(we, p.listMem[e], p.listAt[e])
+		}
+	}
+}
+
+// storeList records on edge e (receiver->owner) the list members the
+// receiver got from owner at time at, unless it holds a fresher one.
+// members is immutable and shared; the edge keeps its header.
+func (p *Police) storeList(e overlay.EdgeID, members []PeerID, at float64) {
 	if p.listAt[e] > at {
 		return // keep the fresher list (listNone is older than any)
 	}
 	p.listAt[e] = at
-	p.listMem[e] = append(p.listMem[e][:0], members...)
+	p.listMem[e] = members
 }
 
 // verifyList performs the §3.1 consistency check at the receiver: each

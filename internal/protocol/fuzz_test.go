@@ -18,6 +18,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode(nil, NewGUID(src), 1, 0, NeighborTraffic{Outgoing: 20000, Incoming: 3}))
 	f.Add(Encode(nil, NewGUID(src), 1, 0, NeighborList{Neighbors: []PeerAddr{AddrFromNodeID(7, 6346)}}))
 	f.Add(Encode(nil, NewGUID(src), 3, 2, Bye{Code: 451, Reason: "g>CT"}))
+	// The 'T' trace extension: the smallest trace ID, and one whose top
+	// byte is zero, so the NUL-then-tag check sees a 0 right before 'T'.
+	f.Add(Encode(nil, NewGUID(src), 7, 0, Query{Keywords: "traced", TraceID: 1}))
+	f.Add(Encode(nil, NewGUID(src), 7, 0, Query{Keywords: "traced", TraceID: 0x00DEADBEEFCAFE01}))
+	f.Add(Encode(nil, NewGUID(src), 5, 2, QueryHit{Addr: AddrFromNodeID(11, 6346), HitCount: 1, QueryGUID: NewGUID(src)}))
+	f.Add(Encode(nil, NewGUID(src), 1, 1, Pong{Addr: AddrFromNodeID(3, 6346), FileCount: 12, KBShared: 4096}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 

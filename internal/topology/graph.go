@@ -9,7 +9,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node within a Graph.
@@ -134,10 +134,12 @@ func (g *Graph) EccentricityFrom(start NodeID) (maxHops, reached int) {
 	return maxHops, reached
 }
 
-// Builder assembles a simple undirected graph incrementally.
+// Builder assembles a simple undirected graph incrementally. It keeps
+// one unsorted adjacency row per node; a duplicate is found by scanning
+// the shorter of the two rows, which in a preferential-attachment graph
+// is the newcomer's handful of edges, not the hub's.
 type Builder struct {
-	n     int
-	edges map[[2]NodeID]struct{}
+	adj [][]NodeID
 }
 
 // NewBuilder creates a builder for a graph with n nodes and no edges.
@@ -145,15 +147,11 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("topology: negative node count")
 	}
-	return &Builder{n: n, edges: make(map[[2]NodeID]struct{})}
+	return &Builder{adj: make([][]NodeID, n)}
 }
 
-func edgeKey(u, v NodeID) [2]NodeID {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]NodeID{u, v}
-}
+// inRange reports whether v names one of the builder's nodes.
+func (b *Builder) inRange(v NodeID) bool { return v >= 0 && int(v) < len(b.adj) }
 
 // AddEdge inserts edge {u, v}. Self-loops and duplicates are rejected
 // with an error.
@@ -161,40 +159,44 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if u == v {
 		return fmt.Errorf("topology: self-loop on node %d", u)
 	}
-	if int(u) < 0 || int(u) >= b.n || int(v) < 0 || int(v) >= b.n {
-		return fmt.Errorf("topology: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+	if !b.inRange(u) || !b.inRange(v) {
+		return fmt.Errorf("topology: edge (%d,%d) out of range [0,%d)", u, v, len(b.adj))
 	}
-	k := edgeKey(u, v)
-	if _, dup := b.edges[k]; dup {
+	if b.HasEdge(u, v) {
 		return fmt.Errorf("topology: duplicate edge (%d,%d)", u, v)
 	}
-	b.edges[k] = struct{}{}
+	b.adj[u] = append(b.adj[u], v)
+	b.adj[v] = append(b.adj[v], u)
 	return nil
 }
 
 // HasEdge reports whether {u, v} has been added.
 func (b *Builder) HasEdge(u, v NodeID) bool {
-	_, ok := b.edges[edgeKey(u, v)]
-	return ok
+	if !b.inRange(u) || !b.inRange(v) {
+		return false
+	}
+	row, other := b.adj[u], v
+	if len(b.adj[v]) < len(row) {
+		row, other = b.adj[v], u
+	}
+	return slices.Contains(row, other)
 }
 
-// Build produces the immutable Graph with sorted adjacency lists.
+// Build produces the immutable Graph with sorted adjacency lists, every
+// row a window of one flat array with its capacity clipped to its
+// length. The builder is left as it was.
 func (b *Builder) Build() *Graph {
-	adj := make([][]NodeID, b.n)
-	deg := make([]int, b.n)
-	for e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
+	total := 0
+	for _, row := range b.adj {
+		total += len(row)
 	}
-	for i := range adj {
-		adj[i] = make([]NodeID, 0, deg[i])
-	}
-	for e := range b.edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	for i := range adj {
-		sort.Slice(adj[i], func(a, c int) bool { return adj[i][a] < adj[i][c] })
+	flat := make([]NodeID, 0, total)
+	adj := make([][]NodeID, len(b.adj))
+	for i, row := range b.adj {
+		start := len(flat)
+		flat = append(flat, row...)
+		adj[i] = flat[start:len(flat):len(flat)]
+		slices.Sort(adj[i])
 	}
 	return &Graph{adj: adj}
 }

@@ -1,24 +1,109 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"slices"
+	"strings"
 	"testing"
 
 	"ddpolice/internal/rng"
 )
 
 func TestBuilderRejectsBadEdges(t *testing.T) {
+	// One builder for the whole table: each row sees the edges the rows
+	// above it added.
 	b := NewBuilder(3)
-	if err := b.AddEdge(1, 1); err == nil {
-		t.Error("self-loop accepted")
+	for _, tc := range []struct {
+		name string
+		u, v NodeID
+		want string // "" = accepted; else a substring of the error
+	}{
+		{"valid", 0, 1, ""},
+		{"self-loop", 1, 1, "self-loop on node 1"},
+		{"out of range high", 0, 3, "edge (0,3) out of range [0,3)"},
+		{"out of range negative", -1, 2, "edge (-1,2) out of range [0,3)"},
+		{"duplicate same orientation", 0, 1, "duplicate edge (0,1)"},
+		{"duplicate reversed", 1, 0, "duplicate edge (1,0)"},
+		{"second valid", 2, 1, ""},
+		{"duplicate of second, reversed", 1, 2, "duplicate edge (1,2)"},
+	} {
+		err := b.AddEdge(tc.u, tc.v)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: valid edge rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: AddEdge(%d,%d) = %v, want error containing %q", tc.name, tc.u, tc.v, err, tc.want)
+		}
 	}
-	if err := b.AddEdge(0, 3); err == nil {
-		t.Error("out-of-range edge accepted")
+	if b.HasEdge(-1, 0) || b.HasEdge(0, 3) || b.HasEdge(0, 2) || !b.HasEdge(2, 1) {
+		t.Error("Builder.HasEdge wrong")
 	}
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatalf("valid edge rejected: %v", err)
+	g := b.Build()
+	if g.NumEdges() != 2 || !g.HasEdge(0, 1) || !g.HasEdge(1, 2) || g.HasEdge(0, 2) {
+		t.Fatalf("rejected edges leaked into the graph: %v", g.adj)
 	}
-	if err := b.AddEdge(1, 0); err == nil {
-		t.Error("duplicate (reversed) edge accepted")
+}
+
+// adjDigest is the SHA-256 of g's adjacency: per node, its degree then
+// its sorted row, all as little-endian uint32s.
+func adjDigest(g *Graph) string {
+	h := sha256.New()
+	var w [4]byte
+	put := func(x uint32) {
+		binary.LittleEndian.PutUint32(w[:], x)
+		h.Write(w[:])
+	}
+	for v := range g.NumNodes() {
+		row := g.Neighbors(NodeID(v))
+		put(uint32(len(row)))
+		for _, u := range row {
+			put(uint32(u))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBarabasiAlbertDigests pins the generator's output, row order
+// included, to digests taken before the builder lost its edge map: a
+// change to the builder or to the sampling must not move a graph.
+func TestBarabasiAlbertDigests(t *testing.T) {
+	for _, tc := range []struct {
+		n, m int
+		seed uint64
+		want string
+	}{
+		{12, 2, 3, "8cdd00874aeaa5022b6e93a8d1da750cf1e0485eabf17f89864142b6598272fd"},
+		{2000, 3, 1, "8c2f16e229ad0b24439ed07b7608595f8da8b99b59511900c8143cbc4232700a"},
+		{40000, 3, 7, "e07e0f920facf16566d3eb1969e87701d8707ffb1e4c03c9b940906b8f3a4a20"},
+	} {
+		g, err := BarabasiAlbert(rng.New(tc.seed), tc.n, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := adjDigest(g); got != tc.want {
+			t.Errorf("BA(%d,%d) seed %d: adjacency digest %s, want %s", tc.n, tc.m, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestBuildRowsAreClipped: every row of a built graph is sorted and has
+// no spare capacity, so an append by a caller cannot write into the next
+// node's row of the shared backing array.
+func TestBuildRowsAreClipped(t *testing.T) {
+	g, err := BarabasiAlbert(rng.New(5), 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range g.NumNodes() {
+		row := g.Neighbors(NodeID(v))
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: len %d cap %d", v, len(row), cap(row))
+		}
+		if !slices.IsSorted(row) {
+			t.Fatalf("row %d not sorted: %v", v, row)
+		}
 	}
 }
 

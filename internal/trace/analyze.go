@@ -121,7 +121,7 @@ func FanOut(tv TraceView) []int {
 // happened are -1.
 type DetectionPath struct {
 	Trace       string
-	Node        int64   // observing peer
+	Node        int64 // observing peer
 	Suspect     int64
 	WarnT       float64 // absolute time the warning crossed
 	RequestSec  float64 // warning -> nt_request

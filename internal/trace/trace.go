@@ -37,10 +37,10 @@ import (
 // transitions.
 const (
 	// Query lifecycle.
-	KindQueryIssue = "query_issue" // root: a peer issued a search
-	KindHop        = "hop"         // first delivery of the query to one peer
-	KindDelivery   = "delivery"    // a replica holder answered
-	KindTTLDeath   = "ttl_death"   // flood exhausted with no hit
+	KindQueryIssue = "query_issue"     // root: a peer issued a search
+	KindHop        = "hop"             // first delivery of the query to one peer
+	KindDelivery   = "delivery"        // a replica holder answered
+	KindTTLDeath   = "ttl_death"       // flood exhausted with no hit
 	KindCongestion = "congestion_drop" // copy discarded at a saturated peer
 
 	// Detection lifecycle (journal-aligned names).
