@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build fmt vet ddlint detectorhome staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
+.PHONY: ci lint build fmt vet ddlint detectorhome stagetimers staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
@@ -16,12 +16,12 @@ build:
 	$(GO) build ./...
 
 # lint is the full static-analysis gate (DESIGN.md §18): gofmt, go vet,
-# then the ddlint determinism analyzers, then the one-home check of the
-# detector, then pinned staticcheck. Every leg runs unconditionally —
+# then the ddlint determinism analyzers, then the one-home checks of the
+# detector and of the tick's stage timing, then pinned staticcheck. Every leg runs unconditionally —
 # there is deliberately no PATH-probe-and-skip path left; a static gate
 # that cannot run must fail loudly (the writefail philosophy), never
 # report a clean tree it did not inspect.
-lint: fmt vet ddlint detectorhome staticcheck
+lint: fmt vet ddlint detectorhome stagetimers staticcheck
 
 # fmt fails when any tracked Go file (bench/ included) is not gofmt-clean,
 # listing the files; it checks and never rewrites.
@@ -45,6 +45,12 @@ ddlint:
 detectorhome:
 	./scripts/detectorhome.sh
 
+# stagetimers keeps the tick timed in one place: outside tests,
+# internal/sim starts and observes stage timers only in the walker of
+# the tick table (DESIGN.md §5, "The tick").
+stagetimers:
+	./scripts/stagetimers.sh
+
 # staticcheck is hermetic: the release is pinned here (module version
 # and the matching -version string) and executed via `go run
 # module@version`, so the gate runs the exact same check set on every
@@ -55,7 +61,7 @@ detectorhome:
 # must stay dependency-free for the offline hermetic build; in a fully
 # offline environment with no module cache this target fails loudly —
 # intentionally, there is no silent-skip path (`make vet ddlint
-# detectorhome` still covers the house rules offline).
+# detectorhome stagetimers` still covers the house rules offline).
 STATICCHECK_VERSION ?= 2024.1
 STATICCHECK_MODVER ?= v0.5.0
 staticcheck:

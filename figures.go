@@ -209,12 +209,6 @@ var Figures = []Figure{
 			col("response_s", "response (s)", func(r Row) any { return r.Result.MeanResponseTime }, raw, f3),
 			detections, falseNeg,
 		}),
-	Figure{Keys: []string{"blacklist"}, Plan: blacklistPlan, Build: againstFirst}.table(
-		"blacklist_study.csv", "Future work (§5): blacklisting rejoining agents", []Column{
-			labelled("variant"),
-			col("stable_damage_pct", "stable damage (%)", func(r Row) any { return r.StableDamage(0.3) }, raw, f1),
-			detections, success,
-		}),
 	Figure{Keys: []string{"structured"}, Plan: func(s Scale) []Row { return perAgentCount(s, false) }, Build: structuredPoints}.table(
 		"structured_study.csv", "Future work (§5): overlay DDoS on a structured (Chord) P2P", []Column{
 			col("agents", "agents", func(p StructuredPoint) any { return p.Agents }, raw, raw),

@@ -124,10 +124,6 @@ var renderCases = []renderCase{
 		data: []Row{{Label: "ttl 7", Result: &Result{OverallSuccess: 0.6}, Against: &Result{OverallSuccess: 0.2}}}},
 	{key: "baseline", rows: 2, cells: map[[2]int]string{{1, 2}: "0.1804"}, text: []string{"58.0", "0.180"},
 		data: []Row{{Label: "fair-share drop [21]", Result: &Result{OverallSuccess: 0.58, MeanResponseTime: 0.1804}}}},
-	// Stable damage is the mean of the last 30% of the series: here its last minute.
-	{key: "blacklist", rows: 2, cells: map[[2]int]string{{1, 1}: "25"}, text: []string{"25.0"},
-		data: []Row{{Label: "DD-POLICE + 10-minute blacklist",
-			Result: &Result{SuccessSeries: []float64{0.1, 0.2, 0.75}}, Against: &Result{SuccessSeries: []float64{1, 1, 1}}}}},
 	{key: "structured", rows: 2, cells: map[[2]int]string{{1, 3}: "3.44"}, text: []string{"3.4"},
 		data: []StructuredPoint{{Agents: 3, UnstructuredSuccess: 0.6, StructuredSuccess: 0.9, StructuredMeanHops: 3.44}}},
 	// A faults row's coordinates are its label's churn regime and its Config's loss.
@@ -406,7 +402,7 @@ func TestExecuteErrorNamesFigureRunAndSeed(t *testing.T) {
 func TestFigurePlansValid(t *testing.T) {
 	runs := map[string][2]int{ // first -fig key -> runs at quick, at paper scale
 		"table1": {0, 0}, "5": {0, 0}, "radius": {3, 3}, "liar": {3, 3}, "ablate": {12, 12}, "baseline": {4, 4},
-		"blacklist": {3, 3}, "structured": {4, 7}, "faults": {12, 12}, "detect": {1, 1}, "overload": {6, 6},
+		"structured": {4, 7}, "faults": {12, 12}, "detect": {1, 1}, "overload": {6, 6},
 		"trace": {4, 7}, "9": {7, 13}, "12": {5, 5}, "13": {7, 9}, "freq": {7, 7}, "cheat": {4, 4},
 	}
 	for _, fig := range Figures {

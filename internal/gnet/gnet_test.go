@@ -372,7 +372,6 @@ func TestNodeConfigValidation(t *testing.T) {
 		{"Q0", func(c *police.Config) { c.Q0 = 0 }},
 		{"Radius", func(c *police.Config) { c.Radius = 2 }},
 		{"VerifyLists", func(c *police.Config) { c.VerifyLists = true }},
-		{"BlacklistSec", func(c *police.Config) { c.BlacklistSec = 300 }},
 	} {
 		pcfg := police.DefaultConfig()
 		tc.set(&pcfg)

@@ -389,8 +389,6 @@ func NewNode(cfg Config) (*Node, error) {
 			err = fmt.Errorf("gnet: Police.Radius = %d: a live node exchanges direct lists only (supported: 1)", pc.Radius)
 		case pc.VerifyLists:
 			err = errors.New("gnet: Police.VerifyLists: a live node cannot confirm list claims with the claimed peers")
-		case pc.BlacklistSec > 0:
-			err = fmt.Errorf("gnet: Police.BlacklistSec = %v: a live node never re-accepts a peer it cut, so no ban can expire", pc.BlacklistSec)
 		}
 		if err != nil {
 			ln.Close()

@@ -64,12 +64,6 @@ type Config struct {
 	// neighbor. Nothing usable is dropped by that: an observer only
 	// judges, and so only reads the list of, a peer it has an edge to.
 	Radius int
-	// BlacklistSec is a future-work extension (§5: "No mechanism can
-	// prevent the DDoS Agent from joining the system again"): an
-	// observer that disconnected a suspect refuses to serve it again
-	// for this many seconds, cutting re-established connections
-	// immediately. 0 disables the blacklist (the paper's behaviour).
-	BlacklistSec float64
 }
 
 // DefaultConfig returns the paper's operating point: q0=100, warn=500,
@@ -106,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.StaleAfter >= 0) {
 		return fmt.Errorf("police: StaleAfter = %v", c.StaleAfter)
-	}
-	if !(c.BlacklistSec >= 0) {
-		return fmt.Errorf("police: BlacklistSec = %v", c.BlacklistSec)
 	}
 	if c.Radius < 1 || c.Radius > 2 {
 		return fmt.Errorf("police: Radius = %d (supported: 1, 2)", c.Radius)
@@ -199,35 +190,25 @@ type Police struct {
 	snapVer []uint64
 
 	// Per-peer protocol memory, indexed by overlay.EdgeID. Everything a
-	// peer remembers — a received list, a rate-limit stamp, a ban —
+	// peer remembers — a received list, a rate-limit stamp —
 	// concerns a direct neighbor, so the (holder, neighbor) pair
 	// addresses the directed edge holder->neighbor. This holds at every
 	// Radius (see Config.Radius). A held list is the header of the
 	// owner's published snapshot (a liar's padded copy), shared by every
 	// edge that received it, so list memory is O(Σ deg), not O(Σ deg²).
-	listAt     []float64  // receipt time of the list on edge recv->owner; listNone = none
-	listMem    [][]PeerID // advertised members on that edge: an immutable shared snapshot
-	lastNT     []float64  // last NT round on edge observer->suspect; ntNever = never
-	blackUntil []float64  // ban expiry on edge observer->suspect; nil unless BlacklistSec > 0
+	listAt  []float64  // receipt time of the list on edge recv->owner; listNone = none
+	listMem [][]PeerID // advertised members on that edge: an immutable shared snapshot
+	lastNT  []float64  // last NT round on edge observer->suspect; ntNever = never
 
-	// nextExchange[v] is when v's next periodic list exchange is due.
+	// nextExchange[v] is when v's next periodic list exchange is due;
+	// nextDue is the peer due soonest, where Tick starts (see Tick).
 	nextExchange []float64
-
-	// Calendar queue for the periodic exchange schedule: exqBucket[t%B]
-	// holds the peers whose next exchange is due at integer tick t, so
-	// Tick touches O(due) peers instead of scanning all N peers. Kept
-	// exactly equivalent to the float schedule in nextExchange (see
-	// Tick); falls back to the linear scan — and rebuilds lazily — when
-	// Tick is called off the integer-second cadence.
-	exqBucket [][]PeerID
-	exqNext   int64 // integer tick the queue expects to serve next
-	exqReady  bool
+	nextDue      int
 }
 
 // Sentinels for the edge-indexed state. listNone marks "no list held"
 // (any real receipt time is >= 0); ntNever marks "no NT round yet"
-// (now-ntNever dwarfs any ReportRateLimit). blackUntil needs none: its
-// zero value has already expired at every now >= 0.
+// (now-ntNever dwarfs any ReportRateLimit).
 const (
 	listNone = -1.0
 	ntNever  = -1e18
@@ -259,9 +240,6 @@ func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
 	for e := range p.listAt {
 		p.listAt[e] = listNone
 		p.lastNT[e] = ntNever
-	}
-	if cfg.BlacklistSec > 0 {
-		p.blackUntil = make([]float64, ne)
 	}
 	if !cfg.EventDriven {
 		// Deterministic stagger: spread phases across the period.

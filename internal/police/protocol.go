@@ -6,104 +6,51 @@ package police
 // Out_query/In_query counters, lives in internal/overlay (LastMinute).
 
 import (
-	"math"
 	"slices"
 
 	"ddpolice/internal/overlay"
 )
 
 // Tick runs time-driven protocol work for the second ending at now
-// (seconds). In periodic mode it fires due neighbor-list exchanges.
+// (seconds). In periodic mode it fires due neighbor-list exchanges, in
+// ascending peer order.
 //
-// On the simulator's integer-second cadence the due peers come from a
-// calendar queue — O(due this tick) instead of an O(N) scan of every
-// peer — and fire in ascending peer order, exactly the order the scan
-// produced: for integer t, float64(t) >= nextExchange iff
-// t >= ceil(nextExchange) (ceil of a float64 is exact), so bucketing
-// peers by ceil(nextExchange) fires each peer on precisely the tick
-// the scan would have. A call off that cadence (fractional now, or a
-// skipped second) falls back to the scan and rebuilds the queue lazily.
+// Only Tick writes nextExchange, and it adds the same period to every
+// peer it fires. Read cyclically from nextDue, the schedule therefore
+// never decreases (float addition of one constant keeps order) and ends
+// at most one period past its start. So the due peers are the run from
+// nextDue up to the first peer not yet due: Tick walks that run, no
+// further, and fires it in ascending peer order, the part that wrapped
+// past the last peer first.
 func (p *Police) Tick(now float64) {
 	if p.cfg.EventDriven {
 		return
 	}
-	t := int64(now)
-	if float64(t) != now || (p.exqReady && t != p.exqNext) {
-		p.exqReady = false
-		p.tickScan(now)
-		return
-	}
-	if !p.exqReady {
-		p.buildExchangeQueue(t)
-	}
-	p.exqNext = t + 1
-	b := &p.exqBucket[t%int64(len(p.exqBucket))]
-	due := *b
-	*b = nil
-	if len(due) == 0 {
-		return
-	}
-	// Buckets receive refires from multiple earlier ticks, so restore
-	// the scan's ascending-peer order before firing.
-	slices.Sort(due)
-	for _, v := range due {
-		p.nextExchange[v] += p.cfg.ExchangePeriod
-		if p.ov.Online(v) {
-			p.exchangeFrom(v, now)
+	n, start, due := len(p.nextExchange), p.nextDue, 0
+	for v := start; due < n && !(now < p.nextExchange[v]); due++ {
+		if v++; v == n {
+			v = 0
 		}
-		p.enqueueExchange(v, t+1)
 	}
-	// Keep the drained backing array for a future bucket.
-	if cap(due) > 0 {
-		*b = due[:0]
+	stop := start + due
+	p.nextDue = stop
+	if stop >= n { // the run wrapped: its low peers fire first
+		p.nextDue -= n
+		p.fire(0, p.nextDue, now)
+		stop = n
 	}
+	p.fire(start, stop, now)
 }
 
-// tickScan is the original O(N) exchange sweep, kept as the fallback
-// for off-cadence Tick calls (tests driving fractional time).
-func (p *Police) tickScan(now float64) {
-	for v := range p.nextExchange {
-		if now < p.nextExchange[v] {
-			continue
-		}
+// fire runs the periodic exchange of peers [from, to) and reschedules
+// them one period on.
+func (p *Police) fire(from, to int, now float64) {
+	for v := from; v < to; v++ {
 		p.nextExchange[v] += p.cfg.ExchangePeriod
 		if p.ov.Online(PeerID(v)) {
 			p.exchangeFrom(PeerID(v), now)
 		}
 	}
-}
-
-// buildExchangeQueue (re)derives the calendar buckets from the float
-// schedule, starting service at integer tick t.
-func (p *Police) buildExchangeQueue(t int64) {
-	// A peer that just fired reschedules at most ceil(period) ticks
-	// out, and overdue peers land in the current bucket, so
-	// ceil(period)+2 buckets can never collide across rounds.
-	nb := int64(math.Ceil(p.cfg.ExchangePeriod)) + 2
-	if p.exqBucket == nil || int64(len(p.exqBucket)) != nb {
-		p.exqBucket = make([][]PeerID, nb)
-	}
-	for i := range p.exqBucket {
-		p.exqBucket[i] = p.exqBucket[i][:0]
-	}
-	for v := range p.nextExchange {
-		p.enqueueExchange(PeerID(v), t)
-	}
-	p.exqReady = true
-	p.exqNext = t
-}
-
-// enqueueExchange places v into the bucket for ceil(nextExchange),
-// clamped to floor (the earliest tick the queue will still serve): an
-// overdue peer fires once per tick until it catches up, exactly like
-// the scan.
-func (p *Police) enqueueExchange(v PeerID, floor int64) {
-	fire := int64(math.Ceil(p.nextExchange[v]))
-	if fire < floor {
-		fire = floor
-	}
-	i := fire % int64(len(p.exqBucket))
-	p.exqBucket[i] = append(p.exqBucket[i], v)
 }
 
 // NotifyJoin must be called when peer v comes online. The joining peer
@@ -350,19 +297,10 @@ func (p *Police) EvaluateMinute(now float64) {
 	for _, observer := range p.obsBuf {
 		p.evalBuf = p.ov.ActiveNeighbors(observer, p.evalBuf[:0])
 		for _, suspect := range p.evalBuf {
-			// An active neighbor is a static one, so here and below the
-			// edge lookup cannot miss.
-			if p.blackUntil != nil {
-				if e, _ := p.ov.FindEdge(observer, suspect); now < p.blackUntil[e] {
-					// Future-work extension: a previously-convicted
-					// suspect that reconnected is cut on sight.
-					cuts = append(cuts, Verdict{Observer: observer, Suspect: suspect, Window: window, Cut: true})
-					continue
-				}
-			}
 			if !r.Warn(observer, suspect, now, window, p.ov.LastMinute(suspect, observer)) {
 				continue
 			}
+			// An active neighbor is a static one: the lookup cannot miss.
 			e, _ := p.ov.FindEdge(observer, suspect)
 			v, opened := p.collect(e, now, now-p.lastNT[e])
 			if !opened {
@@ -386,14 +324,9 @@ func (p *Police) EvaluateMinute(now float64) {
 	r.End()
 }
 
-// recordCut books a disconnect the overlay carried out: the ban, the
-// detection list, the record, the error accounting against ground truth.
+// recordCut books a disconnect the overlay carried out: the detection
+// list, the record, the error accounting against ground truth.
 func (p *Police) recordCut(v Verdict, now float64) {
-	if p.blackUntil != nil {
-		// Only a connected neighbor is ever cut, so the edge exists.
-		e, _ := p.ov.FindEdge(v.Observer, v.Suspect)
-		p.blackUntil[e] = now + p.cfg.BlacklistSec
-	}
 	p.detections = append(p.detections, Detection{
 		At: now, Observer: v.Observer, Suspect: v.Suspect, General: v.G, Single: v.S,
 	})

@@ -15,7 +15,7 @@ import (
 )
 
 // Verdict is a round's outcome. Zero G, S and K with Cut set is a
-// disconnect no round decided (a blacklist hit, a lying list).
+// disconnect no round decided (a lying list).
 type Verdict struct {
 	Observer, Suspect PeerID
 	G, S              float64 // g(j,t) and s(j,t,i)

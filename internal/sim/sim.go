@@ -65,7 +65,8 @@ type Config struct {
 	AgentsLieAboutLists bool
 
 	// ControlLossCap bounds the congestion-driven loss probability of
-	// DD-POLICE control messages (lists, reports). 0 disables loss.
+	// DD-POLICE control messages (lists, reports); it lies in [0, 1],
+	// and 0 disables loss.
 	ControlLossCap float64
 
 	// Overload, when non-nil, enables the simulator mirror of the
@@ -213,7 +214,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The float comparisons are
+// written so that NaN fails them too.
 func (c Config) Validate() error {
 	if c.NumPeers < 10 {
 		return fmt.Errorf("sim: NumPeers = %d", c.NumPeers)
@@ -221,7 +223,7 @@ func (c Config) Validate() error {
 	if c.TopologyM < 1 {
 		return fmt.Errorf("sim: TopologyM = %d", c.TopologyM)
 	}
-	if c.QueriesPerMin < 0 {
+	if !(c.QueriesPerMin >= 0) {
 		return fmt.Errorf("sim: QueriesPerMin = %v", c.QueriesPerMin)
 	}
 	if c.TTL < 1 {
@@ -230,7 +232,7 @@ func (c Config) Validate() error {
 	if c.TTL > flood.MaxTTL {
 		return fmt.Errorf("sim: TTL = %d (want at most %d, what the wire header's one byte carries)", c.TTL, flood.MaxTTL)
 	}
-	if c.GoodCapacityPerMin <= 0 {
+	if !(c.GoodCapacityPerMin > 0) {
 		return fmt.Errorf("sim: GoodCapacityPerMin = %v", c.GoodCapacityPerMin)
 	}
 	if c.NumAgents < 0 || c.NumAgents >= c.NumPeers {
@@ -245,13 +247,16 @@ func (c Config) Validate() error {
 	if c.Shards < 0 || c.Shards > 256 {
 		return fmt.Errorf("sim: Shards = %d (want 0..256)", c.Shards)
 	}
+	if !(c.ControlLossCap >= 0 && c.ControlLossCap <= 1) {
+		return fmt.Errorf("sim: ControlLossCap = %v (want [0, 1])", c.ControlLossCap)
+	}
 	if c.PoliceEnabled {
 		if err := c.Police.Validate(); err != nil {
 			return err
 		}
 	}
 	if c.Faults != nil {
-		if c.Faults.ControlLoss < 0 || c.Faults.ControlLoss >= 1 {
+		if !(c.Faults.ControlLoss >= 0 && c.Faults.ControlLoss < 1) {
 			return fmt.Errorf("sim: Faults.ControlLoss = %v", c.Faults.ControlLoss)
 		}
 		for i, pe := range c.Faults.Partitions {
@@ -275,7 +280,7 @@ func (c Config) Validate() error {
 			if err := c.checkFaultPeers("Overloads", i, oe.Peers); err != nil {
 				return err
 			}
-			if oe.Factor < 0 || oe.Factor >= 1 {
+			if !(oe.Factor >= 0 && oe.Factor < 1) {
 				return fmt.Errorf("sim: Faults.Overloads[%d].Factor = %v (want [0, 1))", i, oe.Factor)
 			}
 		}
@@ -405,7 +410,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // Run executes cfg in w exactly as Run(cfg) would. A cfg that describes
-// another world is an error naming the field that differs.
+// another world is an error naming the field that differs. A run is
+// set-up (newRun), then tickStages walked once per simulated second,
+// then result assembly.
 func (w *World) Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -416,426 +423,150 @@ func (w *World) Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: World.Run: Config.%s = %v, but the world was built with %v", got.Type().Field(i).Name, a, b)
 		}
 	}
+	r, err := newRun(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for t := 0; t < cfg.DurationSec; t++ {
+		r.step(t)
+	}
+	return r.result(), nil
+}
+
+// newRun builds everything the first tick needs: overlay, workload,
+// fleet, defense, churn, flood engine, budget and observation sinks,
+// and DD-POLICE's initial exchange. The random streams split off the
+// seed in the order they always have.
+func newRun(w *World, cfg Config) (*run, error) {
 	root := rng.New(cfg.Seed)
 	root.Split() // the topology's stream and the catalog's, spent building w:
 	root.Split() // every later stream stays where Run has always had it
-	ov := overlay.New(w.graph)
-	qgen, err := workload.NewQueryGen(w.cat, cfg.QueriesPerMin, root.Split())
-	if err != nil {
+	r := &run{cfg: cfg, cat: w.cat, ov: overlay.New(w.graph), slices: max(cfg.AttackSlices, 2)}
+	var err error
+	if r.qgen, err = workload.NewQueryGen(w.cat, cfg.QueriesPerMin, root.Split()); err != nil {
 		return nil, err
 	}
-
-	fleet, err := attack.NewFleet(cfg.NumAgents, cfg.NumPeers, cfg.Agent, cfg.Links, root.Split())
-	if err != nil {
+	if r.fleet, err = attack.NewFleet(cfg.NumAgents, cfg.NumPeers, cfg.Agent, cfg.Links, root.Split()); err != nil {
 		return nil, err
 	}
-
-	var pol *police.Police
 	if cfg.PoliceEnabled {
-		pol, err = police.New(ov, cfg.Police)
-		if err != nil {
+		if r.pol, err = police.New(r.ov, cfg.Police); err != nil {
 			return nil, err
 		}
-		for _, a := range fleet.Agents() {
-			pol.SetBad(a.ID, cfg.Agent.Cheat)
+		for _, a := range r.fleet.Agents() {
+			r.pol.SetBad(a.ID, cfg.Agent.Cheat)
 			if cfg.AgentsLieAboutLists {
-				pol.SetListLiar(a.ID)
+				r.pol.SetListLiar(a.ID)
 			}
 		}
 	}
-
-	var churn *overlay.Churn
 	if cfg.ChurnEnabled {
-		churn = overlay.NewChurn(ov, cfg.Churn, root.Split())
+		r.churn = overlay.NewChurn(r.ov, cfg.Churn, root.Split())
 		// Agents are dedicated machines: they do not churn.
-		for _, a := range fleet.Agents() {
-			churn.Pin(a.ID)
+		for _, a := range r.fleet.Agents() {
+			r.churn.Pin(a.ID)
 		}
 	}
 	// Agents "walk in" when the attack begins (§2.1): they are offline
 	// until AttackStartSec and join the overlay then.
-	for _, a := range fleet.Agents() {
-		ov.SetOnline(a.ID, false)
+	for _, a := range r.fleet.Agents() {
+		r.ov.SetOnline(a.ID, false)
 	}
-
-	eng := flood.NewEngine(ov)
+	r.eng = flood.NewEngine(r.ov)
 	if cfg.IdealCounters {
-		eng.SetCounterMode(flood.CounterIdeal)
+		r.eng.SetCounterMode(flood.CounterIdeal)
 	}
 	if cfg.DisableFloodCache {
-		eng.SetTraversalCache(false)
+		r.eng.SetTraversalCache(false)
 	}
-	// Observability: nil when disabled, making every Start/Observe and
-	// counter site below a nil-check no-op. An externally supplied
-	// registry turns instrument recording on even when the stage timers
-	// are off.
-	var stages [numStages]*telemetry.Timer
-	reg := cfg.Registry
-	if cfg.Telemetry {
-		if reg == nil {
-			reg = telemetry.New()
-		}
-		for i, name := range StageNames {
-			stages[i] = reg.Timer("sim.stage." + name)
-		}
-	}
-	if reg != nil {
-		eng.AttachTelemetry(reg)
-	}
-	jr := cfg.Journal
-	if pol != nil {
-		pol.SetJournal(jr)
-	}
-	// Causal tracing plane. The overload-annotation trace is opened
-	// eagerly (its root doubles as a run marker) and committed after
-	// the loop; query and detection traces open and close per unit.
-	tcr := cfg.Trace
-	var ovTr *trace.Trace
-	if tcr != nil {
-		if pol != nil {
-			pol.SetTracer(tcr, cfg.Seed)
-		}
-		ovTr = tcr.Start(trace.OverloadID(cfg.Seed), trace.Span{
-			Kind: trace.KindOverload, T: 0, Value: float64(cfg.NumPeers),
-		})
-	}
-	budget := flood.NewBudget(cfg.NumPeers, cfg.GoodCapacityPerMin/60)
+	r.observe()
+	r.budget = flood.NewBudget(cfg.NumPeers, cfg.GoodCapacityPerMin/60)
 	if cfg.FairShareDrop {
-		budget.EnableFairShare(ov)
+		r.budget.EnableFairShare(r.ov)
 	}
-	// Overload plane mirror: carve the control reserve out of every
-	// peer's query budget and arm the degraded-mode detector. The
-	// queryPerTick baseline (post-reserve) is also what brownout events
-	// scale and restore.
-	queryPerTick := cfg.GoodCapacityPerMin / 60
-	var ovp *overload.SimPlane
-	var degDet *overload.Detector
-	if cfg.Overload != nil {
-		p := cfg.Overload.WithDefaults()
-		ovp = &p
-		budget.ReserveControl(p.ControlReserveFrac)
-		queryPerTick *= 1 - p.ControlReserveFrac
-		degDet = overload.NewDetector(overload.Config{
-			DegradedShedFrac: p.DegradedLossThreshold,
-		}.WithDefaults())
-	}
-	coll := metrics.NewCollector()
-	lossSrc := root.Split()
-
-	// Scheduled fault state: one tracker per partition event, recording
-	// exactly which edges the partition severed so healing restores only
-	// those (DD-POLICE cuts made meanwhile must stay cut).
-	var parts []partitionState
-	if cfg.Faults != nil {
-		parts = make([]partitionState, len(cfg.Faults.Partitions))
-		for i, pe := range cfg.Faults.Partitions {
-			parts[i].ev = pe
-			parts[i].members = make([]bool, cfg.NumPeers)
-			for _, p := range pe.Peers {
-				parts[i].members[p] = true
-			}
-		}
-	}
-	// Fault counters resolve to nil no-ops when telemetry is off.
-	crashCtr := reg.Counter("sim.crash_departures")
-	partCutCtr := reg.Counter("sim.partition_cut_edges")
-	partHealCtr := reg.Counter("sim.partition_healed_edges")
-	brownoutCtr := reg.Counter("sim.overload_brownouts")
-
-	var (
-		onlineBuf  []overlay.PeerID
-		onlineVer  uint64
-		onlineInit bool
-		queryBuf   []workload.Query
-		keyBuf     []flood.TreeKey
-		tracePool  *queryTracePool
-		overheadAt uint64
-		res        Result
-	)
-	if cfg.PoliceEnabled {
+	r.armOverload()
+	r.coll = metrics.NewCollector()
+	r.lossSrc = root.Split()
+	r.parts = newPartitions(cfg)
+	if r.pol != nil {
 		// Initial neighbor-list exchange: the network is already
 		// running at t=0, so every peer has performed at least one
 		// exchange (its join-time exchange).
 		for v := 0; v < cfg.NumPeers; v++ {
-			if ov.Online(overlay.PeerID(v)) {
-				pol.NotifyJoin(overlay.PeerID(v), 0)
+			if r.ov.Online(overlay.PeerID(v)) {
+				r.pol.NotifyJoin(overlay.PeerID(v), 0)
 			}
 		}
 		// The injected loss floor applies from the first minute; the
 		// congestion-derived term joins it at each minute close.
 		if cfg.Faults != nil && cfg.Faults.ControlLoss > 0 {
-			pol.SetControlLoss(cfg.Faults.ControlLoss, lossSrc)
+			r.pol.SetControlLoss(cfg.Faults.ControlLoss, r.lossSrc)
 		}
 	}
+	return r, nil
+}
 
-	for t := 0; t < cfg.DurationSec; t++ {
-		now := float64(t)
-		budget.Refill()
-
-		// 0. Scheduled partition/heal events take effect at the top of
-		// their tick so the whole tick sees the new connectivity.
-		for i := range parts {
-			p := &parts[i]
-			if t == p.ev.StartSec {
-				if cut := p.apply(ov, partCutCtr); cut > 0 {
-					jr.Record(journal.Event{T: now, Type: journal.TypePartition, Value: float64(cut)})
-				}
-			}
-			if t == p.ev.EndSec {
-				if healed := p.heal(ov, partHealCtr); healed > 0 {
-					jr.Record(journal.Event{T: now, Type: journal.TypeHeal, Value: float64(healed)})
-				}
-			}
+// observe attaches the run's observation sinks. Each is nil when off,
+// which makes every timer, counter, journal and trace site a nil check.
+// A supplied registry turns instrument recording on even when the stage
+// timers are off. The overload-annotation trace is opened here (its
+// root doubles as a run marker) and committed by result; query and
+// detection traces open and close per unit.
+func (r *run) observe() {
+	cfg := &r.cfg
+	r.reg = cfg.Registry
+	if cfg.Telemetry {
+		if r.reg == nil {
+			r.reg = telemetry.New()
 		}
-		// Capacity brownouts scale the listed peers' query budgets for
-		// the event's span and restore the (post-reserve) baseline after.
-		if cfg.Faults != nil {
-			for _, oe := range cfg.Faults.Overloads {
-				if t == oe.StartSec {
-					for _, p := range oe.Peers {
-						budget.SetCapacity(overlay.PeerID(p), queryPerTick*oe.Factor)
-					}
-					brownoutCtr.Inc()
-					jr.Record(journal.Event{
-						T: now, Type: journal.TypeOverload, Detail: "start",
-						Value: oe.Factor, K: len(oe.Peers),
-					})
-					ovTr.Add(trace.Span{
-						Kind: trace.KindOverload, T: now,
-						Value: oe.Factor, Detail: "brownout_start",
-					})
-				}
-				if t == oe.EndSec {
-					for _, p := range oe.Peers {
-						budget.SetCapacity(overlay.PeerID(p), queryPerTick)
-					}
-					jr.Record(journal.Event{
-						T: now, Type: journal.TypeOverload, Detail: "end",
-						Value: oe.Factor, K: len(oe.Peers),
-					})
-					ovTr.Add(trace.Span{
-						Kind: trace.KindOverload, T: now,
-						Value: oe.Factor, Detail: "brownout_end",
-					})
-				}
-			}
-		}
-
-		// 1. Churn, with police notifications derived from the diff.
-		// Crashed peers vanish silently: no NotifyLeave, so their
-		// buddies keep stale group state until timeouts clear it —
-		// exactly the degraded view §3.3's timeout-as-zero is for.
-		if churn != nil {
-			t0 := stages[StageChurn].Start()
-			churn.Tick(1)
-			if pol != nil {
-				// Churn reports its flips in ascending order — the same
-				// order the old full prevOnline diff scanned in — so the
-				// notification stream is byte-identical in O(flips).
-				for _, id := range churn.Flips() {
-					if ov.Online(id) {
-						pol.NotifyJoin(id, now)
-					} else if churn.Crashed(id) {
-						crashCtr.Inc()
-						jr.Record(journal.Event{T: now, Type: journal.TypeCrash, Peer: int64(id)})
-					} else {
-						pol.NotifyLeave(id, now)
-					}
-				}
-			}
-			stages[StageChurn].Observe(t0)
-		}
-
-		// 1b. Attack onset: the agents join the overlay.
-		if t == cfg.AttackStartSec && fleet.Size() > 0 {
-			for _, a := range fleet.Agents() {
-				ov.SetOnline(a.ID, true)
-				if pol != nil {
-					pol.NotifyJoin(a.ID, now)
-				}
-			}
-			for _, a := range fleet.Agents() {
-				jr.Record(journal.Event{T: now, Type: journal.TypeAttackStart, Peer: int64(a.ID)})
-			}
-		}
-
-		// 2. Good-peer query *generation*, hoisted ahead of the attack
-		// slices: the tick's full flood workload must be known before
-		// the proposal phase can prewarm its traversal trees. Issue
-		// order is untouched — generation only draws from qgen's private
-		// stream and the connectivity-keyed online list, neither of
-		// which the attack slices read or write — so hoisting it is
-		// byte-invisible to the serial engine. The floods themselves
-		// still run mid-tick (step 3) so good queries compete with
-		// attack traffic on fair terms.
-		attacking := t >= cfg.AttackStartSec && fleet.Size() > 0
-		slices := cfg.AttackSlices
-		if slices < 2 {
-			slices = 2
-		}
-		t0 := stages[StageQueryGen].Start()
-		// The online list only changes when overlay connectivity does;
-		// rescan the overlay's online flags (ascending order) keyed on
-		// the mutation counter instead of every tick.
-		if !onlineInit || onlineVer != ov.Version() {
-			onlineInit = true
-			onlineVer = ov.Version()
-			onlineBuf = ov.AppendOnline(onlineBuf[:0])
-		}
-		queryBuf = qgen.Tick(onlineBuf, 1, queryBuf[:0])
-		stages[StageQueryGen].Observe(t0)
-
-		// 2b. Proposal phase (sharded mode): every traversal this tick
-		// will flood — the attacker batches and the good-peer queries
-		// just generated — is declared to the engine, which builds the
-		// missing trees on parallel worker shards and stores them in
-		// canonical key order. The commit phase below then replays them
-		// through the ordinary serial flood calls.
-		if cfg.Shards > 1 && eng.TraversalCacheEnabled() {
-			t0 = stages[StageProposal].Start()
-			keyBuf = keyBuf[:0]
-			if attacking {
-				keyBuf = fleet.FloodKeys(ov, keyBuf)
-			}
-			for _, q := range queryBuf {
-				keyBuf = append(keyBuf, flood.TreeKey{Src: q.Issuer, Entry: -1, TTL: int32(cfg.TTL)})
-			}
-			eng.PrewarmTrees(keyBuf, cfg.Shards)
-			stages[StageProposal].Observe(t0)
-		}
-
-		// 2c. First half of the tick's attack volume.
-		if attacking {
-			t0 = stages[StageAttack].Start()
-			br := fleet.TickSliced(eng, ov, budget, 0.5, slices/2, 2*t)
-			coll.RecordBatch(br)
-			res.AttackVolume += br.QueryMessages
-			stages[StageAttack].Observe(t0)
-		}
-
-		// 3. Good-peer query floods, interleaved mid-tick so they
-		// compete with attack traffic on fair terms rather than always
-		// seeing a drained (or untouched) budget.
-		t0 = stages[StageFlood].Start()
-		for qi, q := range queryBuf {
-			var tc *trace.Trace
-			if tcr != nil {
-				if tracePool == nil {
-					tracePool = newQueryTracePool(cfg.NumPeers)
-				}
-				tc = startQueryTrace(tcr, eng, tracePool, cfg.Seed, uint64(t), uint64(qi), q, now)
-			}
-			qr := eng.FloodQuery(q.Issuer, cfg.TTL, w.cat.Holders(q.Object), budget, cfg.Delay)
-			if tc != nil {
-				eng.SetTraceVisitor(nil)
-				endQueryTrace(tc, now, qr)
-			}
-			coll.RecordQuery(qr)
-		}
-		stages[StageFlood].Observe(t0)
-
-		// 3b. Second half of the attack volume.
-		if attacking {
-			t0 = stages[StageAttack].Start()
-			br := fleet.TickSliced(eng, ov, budget, 0.5, slices-slices/2, 2*t+1)
-			coll.RecordBatch(br)
-			res.AttackVolume += br.QueryMessages
-			stages[StageAttack].Observe(t0)
-		}
-
-		// 4. DD-POLICE periodic work.
-		if pol != nil {
-			t0 = stages[StagePolice].Start()
-			pol.Tick(now)
-			stages[StagePolice].Observe(t0)
-		}
-
-		// 5. Minute boundary: close counters, evaluate, collect.
-		if (t+1)%60 == 0 {
-			ov.RollMinute()
-			if pol != nil {
-				t0 = stages[StagePolice].Start()
-				pol.EvaluateMinute(now + 1)
-				stages[StagePolice].Observe(t0)
-				oh := pol.Overhead().Total()
-				coll.AddControl(float64(oh - overheadAt))
-				overheadAt = oh
-			}
-			t0 = stages[StageMetrics].Start()
-			coll.SetOnline(len(onlineBuf))
-			coll.CloseMinute()
-			if ovp != nil {
-				// Journal the minute's query-plane shedding and roll the
-				// degraded-mode detector so late cuts are attributable to
-				// saturation. Gated on the overload plane: a nil plane
-				// journals exactly the historical stream.
-				ms := coll.Minutes()
-				last := ms[len(ms)-1]
-				minute := len(ms) - 1
-				if last.CapacityDrop > 0 {
-					jr.Record(journal.Event{
-						T: now + 1, Type: journal.TypeShed,
-						Detail: overload.ClassQuery.String(),
-						Value:  last.CapacityDrop, Window: minute,
-					})
-					ovTr.Add(trace.Span{
-						Kind: trace.KindShed, T: now + 1,
-						Value: last.CapacityDrop, Detail: overload.ClassQuery.String(),
-					})
-				}
-				if degDet.CloseWindow(last.CapacityDrop, last.QueryMsgs) {
-					detail := "exit"
-					if degDet.Degraded() {
-						detail = "enter"
-					}
-					frac := 0.0
-					if total := last.QueryMsgs + last.CapacityDrop; total > 0 {
-						frac = last.CapacityDrop / total
-					}
-					jr.Record(journal.Event{
-						T: now + 1, Type: journal.TypeDegraded,
-						Detail: detail, Value: frac, Window: minute,
-					})
-					ovTr.Add(trace.Span{
-						Kind: trace.KindDegraded, T: now + 1,
-						Value: frac, Detail: detail,
-					})
-				}
-			}
-			if pol != nil {
-				// DD-POLICE control messages ride the same saturated
-				// links as the attack traffic: derive their loss rate
-				// for the next minute from the congestion just measured.
-				// The scheduled fault floor adds on top: congestion and
-				// injected loss are independent failure sources.
-				ms := coll.Minutes()
-				last := ms[len(ms)-1]
-				loss := 0.0
-				if total := last.QueryMsgs + last.CapacityDrop; total > 0 {
-					loss = last.CapacityDrop / total
-				}
-				// The overload plane's control reserve bounds how much
-				// congestion can hurt the control plane: its (much
-				// tighter) cap replaces the historical one.
-				lossCap := cfg.ControlLossCap
-				if ovp != nil {
-					lossCap = ovp.ControlLossCap
-				}
-				if loss > lossCap {
-					loss = lossCap
-				}
-				if cfg.Faults != nil {
-					loss += cfg.Faults.ControlLoss
-					if loss > 0.95 {
-						loss = 0.95
-					}
-				}
-				pol.SetControlLoss(loss, lossSrc)
-			}
-			stages[StageMetrics].Observe(t0)
+		for i, name := range StageNames {
+			r.timers[i] = r.reg.Timer("sim.stage." + name)
 		}
 	}
+	if r.reg != nil {
+		r.eng.AttachTelemetry(r.reg)
+	}
+	r.crashCtr = r.reg.Counter("sim.crash_departures")
+	r.partCutCtr = r.reg.Counter("sim.partition_cut_edges")
+	r.partHealCtr = r.reg.Counter("sim.partition_healed_edges")
+	r.brownoutCtr = r.reg.Counter("sim.overload_brownouts")
+	r.jr = cfg.Journal
+	if r.pol != nil {
+		r.pol.SetJournal(r.jr)
+	}
+	r.tcr = cfg.Trace
+	if r.tcr != nil {
+		if r.pol != nil {
+			r.pol.SetTracer(r.tcr, cfg.Seed)
+		}
+		r.ovTr = r.tcr.Start(trace.OverloadID(cfg.Seed), trace.Span{
+			Kind: trace.KindOverload, T: 0, Value: float64(cfg.NumPeers),
+		})
+	}
+}
 
+// armOverload sets up the overload plane mirror: the control reserve
+// carved out of every peer's query budget, and the degraded-mode
+// detector. queryPerTick, the post-reserve baseline, is also what
+// brownout events scale and restore.
+func (r *run) armOverload() {
+	r.queryPerTick = r.cfg.GoodCapacityPerMin / 60
+	if r.cfg.Overload == nil {
+		return
+	}
+	p := r.cfg.Overload.WithDefaults()
+	r.ovp = &p
+	r.budget.ReserveControl(p.ControlReserveFrac)
+	r.queryPerTick *= 1 - p.ControlReserveFrac
+	r.degDet = overload.NewDetector(overload.Config{
+		DegradedShedFrac: p.DegradedLossThreshold,
+	}.WithDefaults())
+}
+
+// result assembles the Result of the finished run: a copy, so that a
+// caller holding it does not keep the run's overlay and engine alive.
+func (r *run) result() *Result {
+	res, coll := r.res, r.coll
 	res.Minutes = coll.Minutes()
 	res.SuccessSeries = coll.SuccessSeries()
 	res.OverallSuccess = coll.OverallSuccessRate()
@@ -844,43 +575,44 @@ func (w *World) Run(cfg Config) (*Result, error) {
 	res.ResponseP50 = coll.ResponseTimeQuantile(0.5)
 	res.ResponseP95 = coll.ResponseTimeQuantile(0.95)
 	res.MeanHitHops = coll.MeanHitHops()
-	res.QueriesIssued = qgen.Issued()
-	res.AgentIDs = fleet.IDs()
-	res.CutEdges = ov.CutCount()
+	res.QueriesIssued = r.qgen.Issued()
+	res.AgentIDs = r.fleet.IDs()
+	res.CutEdges = r.ov.CutCount()
 	// Partitions that never healed (EndSec past the horizon) still hold
 	// edges cut; those are injected faults, not DD-POLICE decisions, so
 	// they don't count as defense cuts.
-	for i := range parts {
-		p := &parts[i]
+	for i := range r.parts {
+		p := &r.parts[i]
 		if !p.applied || p.healed {
 			continue
 		}
 		for _, e := range p.cutEdges {
-			if ov.IsCut(e[0], e[1]) {
+			if r.ov.IsCut(e[0], e[1]) {
 				res.CutEdges--
 			}
 		}
 	}
-	if pol != nil {
-		res.Detections = len(pol.Detections())
-		res.FalseNegatives = pol.FalseNegatives()
-		res.FalsePositives = pol.FalsePositives(fleet.IDs())
-		res.Overhead = pol.Overhead()
-		res.ControlLost = pol.ControlLost()
+	if r.pol != nil {
+		res.Detections = len(r.pol.Detections())
+		res.FalseNegatives = r.pol.FalseNegatives()
+		res.FalsePositives = r.pol.FalsePositives(res.AgentIDs)
+		res.Overhead = r.pol.Overhead()
+		res.ControlLost = r.pol.ControlLost()
 	}
-	ovTr.EndAt(float64(cfg.DurationSec))
-	res.Cache = eng.CacheStats()
-	if cfg.Telemetry {
+	r.ovTr.EndAt(float64(r.cfg.DurationSec))
+	res.Cache = r.eng.CacheStats()
+	if r.cfg.Telemetry {
 		res.Stages = make([]telemetry.TimerValue, numStages)
-		for i, tm := range stages {
-			res.Stages[i] = telemetry.TimerValue{Name: StageNames[i], Total: tm.Total(), Count: tm.Count()}
+		for i, name := range StageNames {
+			tm := r.timers[i]
+			res.Stages[i] = telemetry.TimerValue{Name: name, Total: tm.Total(), Count: tm.Count()}
 		}
 	}
-	if reg != nil {
-		snap := reg.Snapshot()
+	if r.reg != nil {
+		snap := r.reg.Snapshot()
 		res.Telemetry = &snap
 	}
-	return &res, nil
+	return &res
 }
 
 // partitionState tracks one scheduled faults.PartitionEvent through a
@@ -894,6 +626,24 @@ type partitionState struct {
 	cutEdges [][2]overlay.PeerID
 	applied  bool
 	healed   bool
+}
+
+// newPartitions is one tracker per scheduled partition event: each
+// records exactly which edges its partition severed, so healing restores
+// only those (DD-POLICE cuts made meanwhile must stay cut).
+func newPartitions(cfg Config) []partitionState {
+	if cfg.Faults == nil {
+		return nil
+	}
+	parts := make([]partitionState, len(cfg.Faults.Partitions))
+	for i, pe := range cfg.Faults.Partitions {
+		parts[i].ev = pe
+		parts[i].members = make([]bool, cfg.NumPeers)
+		for _, p := range pe.Peers {
+			parts[i].members[p] = true
+		}
+	}
+	return parts
 }
 
 func (p *partitionState) apply(ov *overlay.Overlay, ctr *telemetry.Counter) int {

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"ddpolice/internal/faults"
 	"ddpolice/internal/flood"
 	"ddpolice/internal/metrics"
 )
@@ -35,6 +37,18 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.DurationSec = 30 },
 		func(c *Config) { c.AttackStartSec = -1 },
 		func(c *Config) { c.PoliceEnabled = true; c.Police.Q0 = 0 },
+		// NaN fails every float check, and ControlLossCap is a probability.
+		func(c *Config) { c.QueriesPerMin = math.NaN() },
+		func(c *Config) { c.GoodCapacityPerMin = math.NaN() },
+		func(c *Config) { c.ControlLossCap = math.NaN() },
+		func(c *Config) { c.ControlLossCap = -0.1 },
+		func(c *Config) { c.ControlLossCap = 1.5 },
+		func(c *Config) { c.Faults = &faults.Schedule{ControlLoss: math.NaN()} },
+		func(c *Config) {
+			c.Faults = &faults.Schedule{Overloads: []faults.OverloadEvent{
+				{StartSec: 60, EndSec: 120, Peers: []int{1}, Factor: math.NaN()},
+			}}
+		},
 	}
 	for i, mutate := range bad {
 		cfg := smallConfig()

@@ -48,11 +48,21 @@ func TestRunTelemetryStages(t *testing.T) {
 	for i, st := range r.Stages {
 		byName[st.Name] = i
 	}
-	// Every instrumented stage ran in this configuration.
-	for _, name := range []string{"churn", "attack", "querygen", "flood", "police", "metrics"} {
-		st := r.Stages[byName[name]]
-		if st.Count == 0 {
-			t.Errorf("stage %q never recorded an interval", name)
+	// Each stage is timed exactly where the tick runs it: once per tick
+	// for churn, query generation and the good-peer floods; once per
+	// attack half on each attacking tick; once per tick plus once per
+	// minute evaluation for the police; once per minute close for the
+	// metrics; never for the serial run's proposal phase.
+	ticks := cfg.DurationSec
+	minutes := ticks / 60
+	attacking := ticks - cfg.AttackStartSec
+	for name, want := range map[string]int{
+		"churn": ticks, "querygen": ticks, "flood": ticks,
+		"attack": 2 * attacking, "police": ticks + minutes,
+		"metrics": minutes, "proposal": 0,
+	} {
+		if got := r.Stages[byName[name]].Count; got != uint64(want) {
+			t.Errorf("stage %q timed %d intervals, want %d", name, got, want)
 		}
 	}
 	if r.Telemetry == nil {

@@ -1,8 +1,8 @@
 package sim
 
-// Causal-trace plumbing for the tick loop: per-query span trees built
-// from the flood engine's visit hook. Kept out of sim.go so the hot
-// loop reads as before; everything here runs only for sampled queries.
+// Causal-trace plumbing for the tick's flood row: per-query span trees
+// built from the flood engine's visit hook. Kept out of tick.go so the
+// row stays short; everything here runs only for sampled queries.
 
 import (
 	"ddpolice/internal/flood"

@@ -102,18 +102,6 @@ func ablationRows(_ Scale, rows []Row) (any, error) {
 	return out, nil
 }
 
-// blacklistPlan measures the §5 future-work extension: the paper notes
-// that nothing stops a disconnected agent from rejoining and launching
-// another round. In the simulator that re-entry happens every time a
-// previously-attacked good peer churns (its cuts are reset), and it is
-// what keeps the residual damage in Figure 12 above zero. A blacklist
-// lets observers cut convicted suspects on sight.
-func blacklistPlan(s Scale) []Row {
-	return s.plan(s.baseConfig(), true, noAttack,
-		variant{label: "DD-POLICE (paper: no memory)"},
-		variant{"DD-POLICE + 10-minute blacklist", func(c *Config) { c.Police.BlacklistSec = 600 }})
-}
-
 // StructuredPoint compares attack damage on unstructured flooding vs a
 // Chord-style structured overlay at the same agent count.
 type StructuredPoint struct {

@@ -142,27 +142,6 @@ func TestBaselineDefenseStudyShape(t *testing.T) {
 	}
 }
 
-func TestBlacklistStudyShape(t *testing.T) {
-	scale := QuickScale()
-	scale.DurationSec = 600 // enough minutes for re-attack cycles
-	rows := execute[[]Row](t, figureByKey(t, "blacklist"), scale)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	noMem, mem := rows[0], rows[1]
-	if noMem.Config.Police.BlacklistSec != 0 || mem.Config.Police.BlacklistSec != 600 {
-		t.Fatalf("row order: blacklists of %vs then %vs", noMem.Config.Police.BlacklistSec, mem.Config.Police.BlacklistSec)
-	}
-	// With the blacklist, re-joining agents are cut on sight, so the
-	// system retains at least as much service.
-	if mem.Result.OverallSuccess < noMem.Result.OverallSuccess-0.02 {
-		t.Errorf("blacklist hurt success: %v vs %v", mem.Result.OverallSuccess, noMem.Result.OverallSuccess)
-	}
-	if mem.StableDamage(0.3) > noMem.StableDamage(0.3)+5 {
-		t.Errorf("blacklist raised stable damage: %v vs %v", mem.StableDamage(0.3), noMem.StableDamage(0.3))
-	}
-}
-
 func TestStructuredStudyShape(t *testing.T) {
 	scale := QuickScale()
 	scale.AgentCounts = []int{0, 3, 6}
