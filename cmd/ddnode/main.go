@@ -106,6 +106,7 @@ func main() {
 					"node_id":   *id,
 					"neighbors": len(node.Neighbors()),
 					"cuts":      len(st.Disconnects),
+					"degraded":  st.Degraded,
 				}
 			},
 		})

@@ -418,7 +418,7 @@ func (m *monitor) finishEvaluation(suspect int32) {
 	pc.send(protocol.Encode(nil, protocol.NewGUID(m.n.src), 1, 0,
 		protocol.Bye{Code: protocol.ByeCodeDDoSSuspect, Reason: reason}))
 	m.n.statsMu.Lock()
-	m.n.stats.Disconnects = append(m.n.stats.Disconnects, Disconnect{
+	m.n.disconnects = append(m.n.disconnects, Disconnect{
 		Peer: pc.addr, Code: protocol.ByeCodeDDoSSuspect, Reason: reason,
 		General: v.G, Single: v.S,
 	})

@@ -199,11 +199,12 @@ func TestForgedReportsCannotShieldTheSuspect(t *testing.T) {
 func TestStrayReplyIsNotAnswered(t *testing.T) {
 	reg := telemetry.New()
 	_, suspect := policePair(t, reg)
-	// Let the neighbor-list exchange of the handshake finish first.
+	// Let the neighbor-list exchange of the handshake finish first: the
+	// observer's list has arrived and nothing followed it.
 	last := uint64(0)
 	waitFor(t, 2*time.Second, func() bool {
 		in := suspect.Stats().BytesIn
-		quiet := in == last
+		quiet := in != 0 && in == last
 		last = in
 		return quiet
 	}, "link quiet after the handshake")

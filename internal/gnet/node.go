@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ddpolice/internal/capacity"
@@ -110,14 +111,13 @@ type Config struct {
 	// whether it is traced. Nil disables tracing at a pointer check
 	// per site.
 	Tracer *trace.Tracer
-	// Overload, when non-nil, enables the overload-resilience plane:
+	// Overload tunes the overload-resilience plane every node runs:
 	// per-peer send queues split by class (control vs. query) with
 	// strict-priority draining and watermark shedding, a class-split
 	// processing budget with a protected control reserve, per-peer
 	// inbound quarantine circuit breakers, and degraded-mode
-	// detection. Zero fields take their documented defaults. Nil keeps
-	// the historical class-blind behaviour exactly.
-	Overload *overload.Config
+	// detection. Zero fields take overload.DefaultConfig's values.
+	Overload overload.Config
 	// Reconnect, when non-nil, enables the self-healing supervisor:
 	// neighbors lost to transport faults (resets, read errors) are
 	// re-dialed with exponential backoff + jitter. Neighbors this node
@@ -165,7 +165,7 @@ type Stats struct {
 	BytesOut         uint64
 	Disconnects      []Disconnect
 
-	// Overload-plane counters (zero when Config.Overload is nil).
+	// Overload-plane counters.
 	ShedQuery         uint64 // query-class messages shed (send watermark / full queue)
 	ShedControl       uint64 // control-class messages shed (last resort)
 	QuarantineDropped uint64 // inbound queries throttled by a peer's breaker
@@ -186,7 +186,6 @@ type Disconnect struct {
 type Node struct {
 	cfg      Config
 	ln       net.Listener
-	proc     *capacity.Processor
 	src      *rng.Source
 	shared   map[string]bool
 	inbox    chan inboundMsg
@@ -221,20 +220,29 @@ type Node struct {
 	cutPeers     map[int32]bool
 	reconnecting map[int32]bool
 
-	stats   Stats
-	statsMu sync.Mutex
+	count       counters
+	statsMu     sync.Mutex // guards disconnects
+	disconnects []Disconnect
 
 	tel nodeTelemetry
 
 	monitor *monitor
 
-	// ovl is the overload-resilience plane (nil when disabled).
-	// inboxCtl is its control-priority inbox: the run loop drains it
-	// before touching queued query traffic, so NT reports and neighbor
-	// lists never wait behind a flood backlog. Nil when disabled — the
-	// select case then blocks forever and the legacy path is exact.
+	// ovl is the overload-resilience plane. inboxCtl is its
+	// control-priority inbox: the run loop drains it before touching
+	// queued query traffic, so NT reports and neighbor lists never wait
+	// behind a flood backlog.
 	ovl      *overloadState
 	inboxCtl chan inboundMsg
+}
+
+// counters are the node's Stats counters. Each is one atomic, bumped by
+// whichever goroutine sees the event (run loop, read loop, write pump),
+// so no per-frame path takes a node-wide lock.
+type counters struct {
+	QueriesReceived, QueriesProcessed, QueriesDropped, QueriesForwarded atomic.Uint64
+	DupDropped, HitsSent, HitsReceived, BytesIn, BytesOut               atomic.Uint64
+	ShedQuery, ShedControl, QuarantineDropped                           atomic.Uint64
 }
 
 // nodeTelemetry holds the node's resolved telemetry instruments. All
@@ -279,21 +287,20 @@ type peerConn struct {
 	conn     net.Conn
 	addr     string // remote advertised listen address (for dialing)
 	id       int32  // remote overlay identity
-	sendCh   chan []byte
 	node     *Node
 	closeOne sync.Once
 
-	// sendCtl is the dedicated control-class queue when the overload
-	// plane is enabled (nil otherwise): the write pump drains it with
-	// strict priority, so NT and neighbor-list frames never wait
-	// behind a query backlog. shedder applies watermark hysteresis to
-	// the query queue; both are guarded by sendMu like sendCh.
+	// The outbound queues, split by class: the write pump drains sendCtl
+	// with strict priority, so NT and neighbor-list frames never wait
+	// behind a backlog in sendQry. shedder applies watermark hysteresis
+	// to the query queue.
 	sendCtl chan []byte
+	sendQry chan []byte
 	shedder overload.Shedder
 
 	// sendMu orders send against close: senders check sendClosed under
-	// the mutex before touching sendCh, so close(sendCh) can never race
-	// a send and the pumps need no recover band-aid.
+	// the mutex before touching the queues or the shedder, so closing the
+	// queues can never race a send and the pump needs no recover band-aid.
 	sendMu     sync.Mutex
 	sendClosed bool
 }
@@ -312,7 +319,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
 	}
-	proc, err := capacity.NewProcessor(cfg.CapacityPerMin, cfg.Burst)
+	ovl, err := newOverloadState(cfg.Overload, cfg.CapacityPerMin, cfg.Burst)
 	if err != nil {
 		return nil, err
 	}
@@ -323,10 +330,11 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:          cfg,
 		ln:           ln,
-		proc:         proc,
 		src:          rng.New(cfg.Seed),
 		shared:       make(map[string]bool),
 		inbox:        make(chan inboundMsg, 1024),
+		inboxCtl:     make(chan inboundMsg, 256),
+		ovl:          ovl,
 		ctl:          make(chan func(), 64),
 		done:         make(chan struct{}),
 		closed:       make(chan struct{}),
@@ -369,15 +377,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.Faults != nil && cfg.Telemetry != nil {
 		cfg.Faults.AttachTelemetry(cfg.Telemetry)
-	}
-	if cfg.Overload != nil {
-		ovl, err := newOverloadState(*cfg.Overload, cfg.CapacityPerMin, cfg.Burst)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		n.ovl = ovl
-		n.inboxCtl = make(chan inboundMsg, 256)
 	}
 	if cfg.Police != nil {
 		// What the live driver has no mechanism for is refused by name,
@@ -422,13 +421,25 @@ func (n *Node) Close() {
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats {
-	n.statsMu.Lock()
-	out := n.stats
-	out.Disconnects = append([]Disconnect(nil), n.stats.Disconnects...)
-	n.statsMu.Unlock()
-	if n.ovl != nil {
-		out.Degraded = n.ovl.degraded.Load()
+	c := &n.count
+	out := Stats{
+		QueriesReceived:   c.QueriesReceived.Load(),
+		QueriesProcessed:  c.QueriesProcessed.Load(),
+		QueriesDropped:    c.QueriesDropped.Load(),
+		QueriesForwarded:  c.QueriesForwarded.Load(),
+		DupDropped:        c.DupDropped.Load(),
+		HitsSent:          c.HitsSent.Load(),
+		HitsReceived:      c.HitsReceived.Load(),
+		BytesIn:           c.BytesIn.Load(),
+		BytesOut:          c.BytesOut.Load(),
+		ShedQuery:         c.ShedQuery.Load(),
+		ShedControl:       c.ShedControl.Load(),
+		QuarantineDropped: c.QuarantineDropped.Load(),
+		Degraded:          n.ovl.degraded.Load(),
 	}
+	n.statsMu.Lock()
+	out.Disconnects = append([]Disconnect(nil), n.disconnects...)
+	n.statsMu.Unlock()
 	return out
 }
 
@@ -660,14 +671,14 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// classifyFrame maps one outbound wire frame to its fault class by the
-// Gnutella header type byte. Frames shorter than a header (handshake
-// text never reaches the wrapped path) fall into ClassOther.
-func classifyFrame(frame []byte) faults.Class {
-	if len(frame) < protocol.HeaderSize {
-		return faults.ClassOther
-	}
-	switch frame[16] {
+// frameClass is the node's one query-or-control decision, keyed on the
+// Gnutella payload type byte: Query/QueryHit are the flood, neighbor
+// lists and Neighbor_Traffic the DD-POLICE control plane, and Ping,
+// Pong, Bye and unknown types ClassOther. Fault plans match all three
+// classes; the overload plane queues, admits and sheds everything that
+// is not ClassQuery as control.
+func frameClass(typ byte) faults.Class {
+	switch typ {
 	case protocol.TypeQuery, protocol.TypeQueryHit:
 		return faults.ClassQuery
 	case protocol.TypeNeighborList, protocol.TypeNeighborTraffic:
@@ -675,6 +686,16 @@ func classifyFrame(frame []byte) faults.Class {
 	default:
 		return faults.ClassOther
 	}
+}
+
+// classifyFrame is frameClass of one outbound wire frame. Frames shorter
+// than a header (handshake text never reaches the wrapped path) fall into
+// ClassOther.
+func classifyFrame(frame []byte) faults.Class {
+	if len(frame) < protocol.HeaderSize {
+		return faults.ClassOther
+	}
+	return frameClass(frame[16])
 }
 
 // adoptConn starts a handshaked connection's pumps; register=false
@@ -690,12 +711,12 @@ func (n *Node) adoptConn(conn net.Conn, addr string, id int32, register bool) {
 	default:
 	}
 	conn = faults.Wrap(conn, n.cfg.Faults, n.cfg.NodeID, id, classifyFrame)
-	pc := &peerConn{conn: conn, addr: addr, id: id, sendCh: make(chan []byte, 256), node: n}
-	if n.ovl != nil {
-		oc := n.ovl.cfg
-		pc.sendCh = make(chan []byte, oc.QueryQueueDepth)
-		pc.sendCtl = make(chan []byte, oc.ControlQueueDepth)
-		pc.shedder = overload.NewShedder(oc.QueryQueueDepth, oc.HighWatermark, oc.LowWatermark)
+	oc := n.ovl.cfg
+	pc := &peerConn{
+		conn: conn, addr: addr, id: id, node: n,
+		sendCtl: make(chan []byte, oc.ControlQueueDepth),
+		sendQry: make(chan []byte, oc.QueryQueueDepth),
+		shedder: overload.NewShedder(oc.QueryQueueDepth, oc.HighWatermark, oc.LowWatermark),
 	}
 	if register {
 		select {
@@ -730,26 +751,10 @@ func (pc *peerConn) close() {
 		pc.conn.Close()
 		pc.sendMu.Lock()
 		pc.sendClosed = true
-		close(pc.sendCh)
-		if pc.sendCtl != nil {
-			close(pc.sendCtl)
-		}
+		close(pc.sendCtl)
+		close(pc.sendQry)
 		pc.sendMu.Unlock()
 	})
-}
-
-// isControlFrame classifies one outbound wire frame: Query/QueryHit
-// are the flood (query class); every other type — NT, neighbor lists,
-// Ping/Pong, Bye — is control-plane.
-func isControlFrame(frame []byte) bool {
-	if len(frame) < protocol.HeaderSize {
-		return true
-	}
-	switch frame[16] {
-	case protocol.TypeQuery, protocol.TypeQueryHit:
-		return false
-	}
-	return true
 }
 
 // shedQuery accounts one shed query-class frame: the per-class counter,
@@ -758,103 +763,62 @@ func isControlFrame(frame []byte) bool {
 func (n *Node) shedQuery() {
 	n.tel.sendStalls.Inc()
 	n.tel.shedQuery.Inc()
-	n.statsMu.Lock()
-	n.stats.ShedQuery++
-	n.statsMu.Unlock()
-	n.recordShed()
+	n.count.ShedQuery.Add(1)
+	n.ovl.winShed.Add(1)
 }
 
 // shedControl accounts one shed control-class frame — the last resort.
 func (n *Node) shedControl() {
 	n.tel.sendStalls.Inc()
 	n.tel.shedControl.Inc()
-	n.statsMu.Lock()
-	n.stats.ShedControl++
-	n.statsMu.Unlock()
+	n.count.ShedControl.Add(1)
 }
 
 // send enqueues wire bytes, dropping on backpressure (a slow neighbor
 // must not stall the node; this is where a saturated peer's drops show
 // up on the sender side). Sends to a closed link report failure instead
 // of panicking: the closed flag is checked under the same mutex close()
-// holds while closing sendCh, so real panics in callers propagate
+// holds while closing the queues, so real panics in callers propagate
 // rather than being swallowed by a blanket recover.
 //
-// With the overload plane enabled the path is class-aware: control
-// frames go to the dedicated sendCtl queue (shed only when that queue
-// is itself full), query frames shed early once the query queue
-// crosses the high watermark and keep shedding until it drains below
-// the low one — backpressure costs the flood first.
+// The path is class-aware: control frames go to the dedicated sendCtl
+// queue (shed only when that queue is itself full), query frames shed
+// early once the query queue crosses the high watermark and keep
+// shedding until it drains below the low one — backpressure costs the
+// flood first. Every frame not queued is counted by class.
 func (pc *peerConn) send(wire []byte) bool {
 	pc.sendMu.Lock()
 	defer pc.sendMu.Unlock()
 	if pc.sendClosed {
 		return false
 	}
-	if pc.sendCtl != nil {
-		if isControlFrame(wire) {
-			select {
-			case pc.sendCtl <- wire:
-				return true
-			default:
-				pc.node.shedControl()
-				return false
-			}
-		}
-		if pc.shedder.ShouldShed(len(pc.sendCh)) {
-			pc.node.shedQuery()
-			return false
-		}
+	if classifyFrame(wire) != faults.ClassQuery {
 		select {
-		case pc.sendCh <- wire:
+		case pc.sendCtl <- wire:
 			return true
 		default:
-			pc.node.shedQuery()
+			pc.node.shedControl()
 			return false
 		}
 	}
-	select {
-	case pc.sendCh <- wire:
-		return true
-	default:
-		// Class-blind queue, class-aware accounting: the aggregate
-		// stall counter still ticks, split by frame type.
-		pc.node.tel.sendStalls.Inc()
-		if isControlFrame(wire) {
-			pc.node.tel.shedControl.Inc()
-		} else {
-			pc.node.tel.shedQuery.Inc()
+	if !pc.shedder.ShouldShed(len(pc.sendQry)) {
+		select {
+		case pc.sendQry <- wire:
+			return true
+		default:
 		}
-		return false
 	}
+	pc.node.shedQuery()
+	return false
 }
 
+// writeLoop is the write pump: control frames drain with strict
+// priority — a queued NT report goes on the wire before any backlog of
+// query forwards. After a write error both queues keep draining until
+// close, so senders never block on a dead link.
 func (pc *peerConn) writeLoop() {
 	defer pc.node.wg.Done()
-	if pc.sendCtl != nil {
-		pc.writeLoopClassed()
-		return
-	}
-	for wire := range pc.sendCh {
-		if _, err := pc.conn.Write(wire); err != nil {
-			pc.conn.Close()
-			// Drain remaining queued messages until close.
-			for range pc.sendCh {
-			}
-			return
-		}
-		pc.node.statsMu.Lock()
-		pc.node.stats.BytesOut += uint64(len(wire))
-		pc.node.statsMu.Unlock()
-	}
-}
-
-// writeLoopClassed is the dual-queue write pump: control frames drain
-// with strict priority — a queued NT report goes on the wire before
-// any backlog of query forwards. After a write error both queues keep
-// draining until close, mirroring the single-queue pump.
-func (pc *peerConn) writeLoopClassed() {
-	ctl, qry := pc.sendCtl, pc.sendCh
+	ctl, qry := pc.sendCtl, pc.sendQry
 	failed := false
 	write := func(wire []byte) {
 		if failed {
@@ -865,22 +829,13 @@ func (pc *peerConn) writeLoopClassed() {
 			failed = true
 			return
 		}
-		pc.node.statsMu.Lock()
-		pc.node.stats.BytesOut += uint64(len(wire))
-		pc.node.statsMu.Unlock()
+		pc.node.count.BytesOut.Add(uint64(len(wire)))
 	}
 	for ctl != nil || qry != nil {
-		if ctl != nil {
-			select {
-			case wire, ok := <-ctl:
-				if !ok {
-					ctl = nil
-					continue
-				}
-				write(wire)
-				continue
-			default:
-			}
+		// The pump is ctl's only receiver, so a non-empty ctl never blocks.
+		if len(ctl) > 0 {
+			write(<-ctl)
+			continue
 		}
 		select {
 		case wire, ok := <-ctl:
@@ -905,7 +860,7 @@ func (pc *peerConn) readLoop() {
 	defer func() {
 		// Close the link here, not only in dropPeer: the run loop may
 		// already be gone (node closing), and the write pump's drain
-		// blocks until sendCh closes. dropPeer still runs for the
+		// blocks until the send queues close. dropPeer still runs for the
 		// bookkeeping (neighbor table, monitor, reconnect provenance).
 		pc.close()
 		select {
@@ -920,15 +875,13 @@ func (pc *peerConn) readLoop() {
 		if err != nil {
 			return
 		}
-		n.statsMu.Lock()
-		n.stats.BytesIn += uint64(protocol.HeaderSize) + uint64(msg.Header.PayloadLen)
-		n.statsMu.Unlock()
-		// Control messages bypass the query backlog: with the overload
-		// plane enabled they go to the priority inbox, so a flooded
-		// node still sees NT reports and neighbor lists promptly.
-		dest := n.inbox
-		if n.inboxCtl != nil && isControlMsg(msg.Body) {
-			dest = n.inboxCtl
+		n.count.BytesIn.Add(uint64(protocol.HeaderSize) + uint64(msg.Header.PayloadLen))
+		// Control messages bypass the query backlog through the priority
+		// inbox, so a flooded node still sees NT reports and neighbor
+		// lists promptly.
+		dest := n.inboxCtl
+		if frameClass(msg.Header.Type) == faults.ClassQuery {
+			dest = n.inbox
 		}
 		select {
 		case dest <- inboundMsg{from: pc, msg: msg}:
@@ -1022,7 +975,7 @@ func (n *Node) dropPeer(pc *peerConn, cause dropCause) {
 			// its connection would hand it a fresh queue to fill. If it
 			// dials back, the acceptor still admits it (control keeps
 			// flowing) with the breaker — and its throttle — intact.
-			if n.ovl != nil && n.ovl.isQuarantined(pc.id) {
+			if n.ovl.isQuarantined(pc.id) {
 				break
 			}
 			if n.cfg.Reconnect != nil && !n.cutPeers[pc.id] && !n.reconnecting[pc.id] {
@@ -1077,7 +1030,7 @@ func (n *Node) tryReconnect(id int32, addr string, attempt int) {
 	}
 	// A backoff chain that was already in flight when the peer got
 	// quarantined stops here rather than re-dialing a judged flooder.
-	if n.ovl != nil && n.ovl.isQuarantined(id) {
+	if n.ovl.isQuarantined(id) {
 		delete(n.reconnecting, id)
 		return
 	}

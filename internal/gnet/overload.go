@@ -6,14 +6,13 @@ import (
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overload"
-	"ddpolice/internal/protocol"
 	"ddpolice/internal/trace"
 )
 
-// overloadState is the node's overload-resilience plane, present only
-// when Config.Overload is set. The breaker and offered maps are
-// run-loop-owned; the window counters are atomics because send-path
-// sheds may be recorded from connection goroutines.
+// overloadState is the node's overload-resilience plane, tuned by
+// Config.Overload. The breaker and offered maps are run-loop-owned; the
+// window counters are atomics because send-path sheds may be recorded
+// from connection goroutines.
 type overloadState struct {
 	cfg   overload.Config
 	cproc *capacity.ClassedProcessor
@@ -87,7 +86,7 @@ func (o *overloadState) admitQuery(id int32) bool {
 }
 
 // closeOverloadWindow rolls every breaker and the degraded detector
-// (run-loop goroutine only, driven by the overload ticker at
+// (run-loop goroutine only, driven by the window ticker at
 // MinuteLength). Breakers with no traffic still roll, so quarantine
 // terms elapse and probes fire even when the flooder goes silent.
 func (n *Node) closeOverloadWindow() {
@@ -162,20 +161,9 @@ func (n *Node) overloadSpan(s trace.Span) {
 	n.traceSpan(trace.OverloadID(uint64(uint32(n.cfg.NodeID))), s)
 }
 
-// recordShed counts one shed query-class message (any goroutine).
-func (n *Node) recordShed() {
-	if n.ovl != nil {
-		n.ovl.winShed.Add(1)
-	}
-}
-
 // Quarantined returns the ids of peers whose overload breaker is
-// currently open (quarantined or probing); nil when the overload plane
-// is disabled.
+// currently open (quarantined or probing).
 func (n *Node) Quarantined() []int32 {
-	if n.ovl == nil {
-		return nil
-	}
 	res := make(chan []int32, 1)
 	out, _ := ctlCall(n, res, 0, func() {
 		var out []int32
@@ -191,17 +179,5 @@ func (n *Node) Quarantined() []int32 {
 
 // Degraded reports whether the node is currently in degraded mode.
 func (n *Node) Degraded() bool {
-	return n.ovl != nil && n.ovl.degraded.Load()
-}
-
-// isControlMsg classifies one decoded inbound message: everything that
-// is not flood traffic (Query/QueryHit) is control-plane — the sparse,
-// load-bearing messages detection depends on.
-func isControlMsg(body any) bool {
-	switch body.(type) {
-	case protocol.Query, protocol.QueryHit:
-		return false
-	default:
-		return true
-	}
+	return n.ovl.degraded.Load()
 }

@@ -2,6 +2,7 @@ package gnet
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -36,6 +37,77 @@ func journalDetails(jr *journal.Journal, typ string) []string {
 	return out
 }
 
+// TestControlFrameJumpsQueryBacklog stalls one peer's link so its query
+// queue fills, then enqueues a Neighbor_Traffic frame behind the backlog.
+// The frame must reach the wire before every queued query, and each
+// query the full queue refused must be counted: in Stats, in
+// gnet.shed_query and in the window's shed journal record. The node runs
+// its default config.
+func TestControlFrameJumpsQueryBacklog(t *testing.T) {
+	reg := telemetry.New()
+	jr := journal.New(64)
+	a := newTestNode(t, "a", 1, func(cfg *Config) {
+		cfg.MinuteLength = time.Hour // the window is closed by hand
+		cfg.Telemetry = reg
+		cfg.Journal = jr
+	})
+	// A synchronous pipe stands in for the peer: a's write pump blocks in
+	// its first Write until the test reads, which stalls the link.
+	local, remote := net.Pipe()
+	defer remote.Close()
+	a.adoptConn(local, "pipe", 2, true)
+	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "pipe peer adopted")
+
+	const sent = 300 // more than the default 256-frame query queue holds
+	for i := 0; i < sent; i++ {
+		a.SendRawQuery(fmt.Sprintf("q-%d", i))
+	}
+	nt := protocol.Encode(nil, protocol.GUID{1}, 1, 0, protocol.NeighborTraffic{Outgoing: 7})
+	queued := false
+	runOnLoop(t, a, func() { queued = a.peers[2].send(nt) })
+	if !queued {
+		t.Fatal("NT frame refused behind a query backlog")
+	}
+	shed := a.Stats().ShedQuery
+	if shed == 0 {
+		t.Fatalf("%d queries into a stalled link, none counted as shed", sent)
+	}
+
+	// Every frame a queued goes on the wire, and only the query already
+	// inside the blocked Write may precede the NT frame.
+	remote.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sr := protocol.NewStreamReader(remote, 64*1024)
+	queries, ntAt := 0, -1
+	for i := 0; i < sent-int(shed)+1; i++ {
+		msg, err := sr.Next()
+		if err != nil {
+			t.Fatalf("frame %d (%d queries read, NT at %d): %v", i, queries, ntAt, err)
+		}
+		switch msg.Body.(type) {
+		case protocol.Query:
+			queries++
+		case protocol.NeighborTraffic:
+			ntAt = i
+		}
+	}
+	if ntAt < 0 || ntAt > 1 {
+		t.Fatalf("NT frame at position %d, want 0 or 1 (behind at most the query in flight)", ntAt)
+	}
+	if got := counterValue(reg, "gnet.shed_query"); got != shed {
+		t.Errorf("gnet.shed_query = %d, Stats().ShedQuery = %d", got, shed)
+	}
+	runOnLoop(t, a, a.closeOverloadWindow)
+	var journaled float64
+	for _, e := range jr.Events() {
+		if e.Type == journal.TypeShed && e.Detail == "query" {
+			journaled += e.Value
+		}
+	}
+	if journaled != float64(shed) {
+		t.Errorf("shed journal records %v queries, Stats().ShedQuery = %d", journaled, shed)
+	}
+}
+
 // TestOverloadBreakerLifecycle hand-drives the full quarantine circuit
 // breaker state machine over real TCP: two hot windows trip the
 // breaker, the quarantined peer's queries are throttled to the probe
@@ -50,7 +122,7 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 	ocfg.QuarantineWindows = 2
 	ocfg.ProbeAdmit = 2
 	a := newTestNode(t, "a", 1, func(cfg *Config) {
-		cfg.Overload = &ocfg
+		cfg.Overload = ocfg
 		cfg.MinuteLength = time.Hour // windows rolled by hand
 		cfg.Telemetry = reg
 		cfg.Journal = jr
@@ -149,7 +221,7 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	ocfg.TripThreshold = 10
 	ocfg.TripWindows = 1
 	a := NewNodeMust(t, func(cfg *Config) {
-		cfg.Overload = &ocfg
+		cfg.Overload = ocfg
 		cfg.MinuteLength = time.Hour
 		cfg.Telemetry = reg
 		cfg.Reconnect = fastReconnect()
@@ -235,7 +307,7 @@ func TestOverloadFloodBoundedCut(t *testing.T) {
 		cfg.Police = &pcfg
 		cfg.MinuteLength = 400 * time.Millisecond
 		cfg.CapacityPerMin = 3000 // 50/s; the agent offers ~333/s
-		cfg.Overload = &ocfg
+		cfg.Overload = ocfg
 		cfg.Telemetry = reg
 	})
 	if err != nil {
@@ -320,7 +392,7 @@ func TestOverloadDegradedMode(t *testing.T) {
 	ocfg := overload.DefaultConfig()
 	ocfg.TripThreshold = 1e9 // keep the breaker out of this test
 	a := newTestNode(t, "a", 1, func(cfg *Config) {
-		cfg.Overload = &ocfg
+		cfg.Overload = ocfg
 		cfg.CapacityPerMin = 60 // ~1 query/s: any flood saturates it
 		cfg.Burst = 2
 		cfg.MinuteLength = 300 * time.Millisecond

@@ -23,23 +23,10 @@ func (n *Node) runLoop() {
 
 	refill := time.NewTicker(100 * time.Millisecond)
 	defer refill.Stop()
-	var minute *time.Ticker
-	var minuteCh <-chan time.Time
-	if n.monitor != nil {
-		minute = time.NewTicker(n.cfg.MinuteLength)
-		minuteCh = minute.C
-		defer minute.Stop()
-	}
-	// The overload plane rolls its breaker/detector windows on its own
-	// ticker so it works with or without the monitor. ovlCh is nil when
-	// the plane is disabled, as is inboxCtl — those cases then never
-	// fire and the loop is exactly the historical one.
-	var ovlCh <-chan time.Time
-	if n.ovl != nil {
-		ovlTick := time.NewTicker(n.cfg.MinuteLength)
-		ovlCh = ovlTick.C
-		defer ovlTick.Stop()
-	}
+	// One window ticker closes the monitor's minute, then the overload
+	// plane's breaker/detector window.
+	window := time.NewTicker(n.cfg.MinuteLength)
+	defer window.Stop()
 	last := time.Now()
 	for {
 		select {
@@ -48,15 +35,12 @@ func (n *Node) runLoop() {
 		case fn := <-n.ctl:
 			fn()
 		case now := <-refill.C:
-			if n.ovl != nil {
-				n.ovl.cproc.Tick(now.Sub(last).Seconds())
-			} else {
-				n.proc.Tick(now.Sub(last).Seconds())
-			}
+			n.ovl.cproc.Tick(now.Sub(last).Seconds())
 			last = now
-		case <-minuteCh:
-			n.monitor.closeMinute()
-		case <-ovlCh:
+		case <-window.C:
+			if n.monitor != nil {
+				n.monitor.closeMinute()
+			}
 			n.closeOverloadWindow()
 		case in := <-n.inboxCtl:
 			n.handle(in)
@@ -70,24 +54,16 @@ func (n *Node) runLoop() {
 }
 
 // drainCtlInbox handles every currently-queued control message
-// (run-loop goroutine only; no-op when the overload plane is off).
+// (run-loop goroutine only: as inboxCtl's one receiver it never blocks).
 func (n *Node) drainCtlInbox() {
-	if n.inboxCtl == nil {
-		return
-	}
-	for {
-		select {
-		case in := <-n.inboxCtl:
-			n.handle(in)
-		default:
-			return
-		}
+	for len(n.inboxCtl) > 0 {
+		n.handle(<-n.inboxCtl)
 	}
 }
 
 // handle dispatches one inbound message (run-loop goroutine only).
-// With the overload plane enabled, processing-heavy control messages
-// (Ping, neighbor lists, NT) draw from the protected control reserve —
+// Processing-heavy control messages (Ping, neighbor lists, NT) draw
+// from the overload plane's protected control reserve —
 // which borrows idle query tokens and so only ever sheds when the node
 // is completely dry. Bye is exempt: it is terminal and dropping it
 // would leak the link's bookkeeping.
@@ -125,11 +101,8 @@ func (n *Node) handle(in inboundMsg) {
 }
 
 // admitControl meters one inbound control message against the
-// protected reserve; always true when the overload plane is off.
+// protected reserve.
 func (n *Node) admitControl() bool {
-	if n.ovl == nil {
-		return true
-	}
 	if n.ovl.cproc.TryProcessControl() {
 		return true
 	}
@@ -142,13 +115,9 @@ func (n *Node) admitControl() bool {
 // sharing storage index, and then forward the query"), answer if the
 // local index matches, and rebroadcast to every other neighbor.
 func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) {
-	n.statsMu.Lock()
-	n.stats.QueriesReceived++
-	n.statsMu.Unlock()
+	n.count.QueriesReceived.Add(1)
 	if _, dup := n.seen[h.GUID]; dup {
-		n.statsMu.Lock()
-		n.stats.DupDropped++
-		n.statsMu.Unlock()
+		n.count.DupDropped.Add(1)
 		if n.monitor != nil {
 			// The sender evidently had this query already: if we had
 			// counted a forward of it to them, cancel that count so the
@@ -176,12 +145,10 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 	// Quarantine circuit breaker: the offer is counted (above — the
 	// monitor and the breaker both judge offered load), but a
 	// quarantined or probing peer only gets its per-window trickle.
-	if n.ovl != nil && !n.ovl.admitQuery(from.id) {
+	if !n.ovl.admitQuery(from.id) {
 		n.tel.quarantineDrops.Inc()
 		n.ovl.winShed.Add(1)
-		n.statsMu.Lock()
-		n.stats.QuarantineDropped++
-		n.statsMu.Unlock()
+		n.count.QuarantineDropped.Add(1)
 		n.traceSpan(q.TraceID, trace.Span{
 			Kind: trace.KindShed, Peer: int64(from.id),
 			Depth: int(h.Hops) + 1, Detail: "quarantine",
@@ -189,25 +156,19 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 		return
 	}
 
-	if !n.tryProcessQuery() {
-		n.statsMu.Lock()
-		n.stats.QueriesDropped++
-		n.statsMu.Unlock()
+	if !n.ovl.cproc.TryProcessQuery() {
+		n.count.QueriesDropped.Add(1)
 		// A capacity drop is the saturation signal itself: it feeds the
 		// degraded-mode detector alongside the overload plane's sheds.
-		n.recordShed()
+		n.ovl.winShed.Add(1)
 		n.traceSpan(q.TraceID, trace.Span{
 			Kind: trace.KindCongestion, Peer: int64(from.id),
 			Depth: int(h.Hops) + 1,
 		})
 		return
 	}
-	if n.ovl != nil {
-		n.ovl.winHandled.Add(1)
-	}
-	n.statsMu.Lock()
-	n.stats.QueriesProcessed++
-	n.statsMu.Unlock()
+	n.ovl.winHandled.Add(1)
+	n.count.QueriesProcessed.Add(1)
 	n.traceSpan(q.TraceID, trace.Span{
 		Kind: trace.KindHop, Peer: int64(from.id), Depth: int(h.Hops) + 1,
 	})
@@ -215,9 +176,7 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 	if n.shared[q.Keywords] {
 		hit := protocol.QueryHit{HitCount: 1, QueryGUID: h.GUID}
 		if from.send(protocol.Encode(nil, protocol.NewGUID(n.src), n.cfg.TTL, 0, hit)) {
-			n.statsMu.Lock()
-			n.stats.HitsSent++
-			n.statsMu.Unlock()
+			n.count.HitsSent.Add(1)
 			n.traceSpan(q.TraceID, trace.Span{
 				Kind: trace.KindDelivery, Peer: int64(from.id),
 				Depth: int(h.Hops) + 1,
@@ -233,9 +192,7 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 			continue
 		}
 		if pc.send(wire) {
-			n.statsMu.Lock()
-			n.stats.QueriesForwarded++
-			n.statsMu.Unlock()
+			n.count.QueriesForwarded.Add(1)
 			if n.monitor != nil {
 				n.monitor.countOut(id)
 				n.forwarded[h.GUID] = append(n.forwarded[h.GUID], id)
@@ -263,22 +220,10 @@ func (n *Node) tracedQuery(guid protocol.GUID, keywords string) protocol.Query {
 	return q
 }
 
-// tryProcessQuery draws one query-processing token: the class-split
-// bulk budget when the overload plane is on, the historical single
-// bucket otherwise.
-func (n *Node) tryProcessQuery() bool {
-	if n.ovl != nil {
-		return n.ovl.cproc.TryProcessQuery()
-	}
-	return n.proc.TryProcess()
-}
-
 // handleQueryHit routes a hit backwards along the query's reverse path;
 // hits addressed to one of our own queries complete the local waiter.
 func (n *Node) handleQueryHit(from *peerConn, h protocol.Header, qh protocol.QueryHit) {
-	n.statsMu.Lock()
-	n.stats.HitsReceived++
-	n.statsMu.Unlock()
+	n.count.HitsReceived.Add(1)
 	if ch, mine := n.hits[qh.QueryGUID]; mine {
 		select {
 		case ch <- qh:

@@ -38,7 +38,7 @@ echo "$metrics" | grep -q '^gnet_' || {
 health=$(curl -fsS "http://$addr/healthz")
 echo "$health" | grep -q '"status":"ok"' || {
 	echo "smoke: /healthz not ok: $health"; exit 1; }
-for field in journal_events journal_dropped trace_spans trace_dropped; do
+for field in journal_events journal_dropped trace_spans trace_dropped degraded; do
 	echo "$health" | grep -q "\"$field\":" || {
 		echo "smoke: /healthz lacks $field: $health"; exit 1; }
 done
