@@ -40,8 +40,9 @@ ddlint:
 	$(GO) run ./cmd/ddlint ./...
 
 # detectorhome keeps bad-peer recognition in one place: the seven
-# detection journal types and span kinds are constructed, and
-# police.ComputeIndicators is called, only in internal/police/round.go.
+# detection journal types are constructed, and police.ComputeIndicators
+# is called, only in internal/police/round.go. The journal is a
+# detection's only record; no span kind mirrors it.
 detectorhome:
 	./scripts/detectorhome.sh
 

@@ -149,7 +149,7 @@ func main() {
 					node.Close()
 					fatal(fmt.Errorf("trace dump: %w", err))
 				}
-				fmt.Printf("trace: %d spans -> %s\n", cfg.Tracer.Len(), *traceOut)
+				fmt.Printf("trace: %d spans -> %s (%d dropped)\n", cfg.Tracer.Len(), *traceOut, cfg.Tracer.Dropped())
 			}
 			return
 		case <-ticker.C:

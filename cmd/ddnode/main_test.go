@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -83,9 +84,11 @@ func TestUnreadableTraceExitsOne(t *testing.T) {
 }
 
 // -metrics boots the exposition plane beside the node: /healthz answers
-// ok with the node's identity, and SIGTERM shuts both down cleanly.
+// ok with the node's identity, and SIGTERM shuts both down cleanly,
+// dumping the trace with its loss count.
 func TestMetricsBootsAndAnswersHealthz(t *testing.T) {
-	cmd := ddnodeCmd("-id", "7", "-listen", "127.0.0.1:0", "-police", "-metrics", "127.0.0.1:0")
+	traceOut := filepath.Join(t.TempDir(), "node.trace")
+	cmd := ddnodeCmd("-id", "7", "-listen", "127.0.0.1:0", "-police", "-metrics", "127.0.0.1:0", "-trace-out", traceOut)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +129,8 @@ func TestMetricsBootsAndAnswersHealthz(t *testing.T) {
 	rest, _ := io.ReadAll(stdout)
 	if err := cmd.Wait(); err != nil || !strings.Contains(string(rest), "shutting down") {
 		t.Fatalf("after SIGTERM: err = %v, stdout = %q, stderr = %q; want a clean shutdown", err, rest, stderr.String())
+	}
+	if want := "-> " + traceOut + " (0 dropped)"; !strings.Contains(string(rest), want) {
+		t.Errorf("shutdown stdout = %q, want the trace dump line ending %q", rest, want)
 	}
 }

@@ -1,17 +1,12 @@
-// Command ddtrace analyzes causal trace streams written by ddsim or
-// ddnode (-trace-out). It reconstructs span trees from the
-// NDJSON stream and answers the two questions the flat journal cannot:
-// what route one query's flood actually took, and where the time went
-// between a warning crossing and the cut.
+// Command ddtrace analyzes what ddsim and ddnode record. From a causal
+// trace stream (-trace-out) it reconstructs what route one query's flood
+// actually took; from a journal (ddsim -journal, or a ddnode's
+// /journal?n=) it tabulates where the time went between each warning
+// crossing and the cut.
 //
-// Summary of a run:
+// Summary of a trace stream:
 //
 //	ddtrace -in run.trace
-//
-// Detection critical path (warning -> nt_request -> indicator -> cut
-// stage latencies, one row per detection):
-//
-//	ddtrace -in run.trace -critical
 //
 // One trace as an ASCII tree, per-depth flood fan-out, Perfetto
 // conversion:
@@ -19,6 +14,11 @@
 //	ddtrace -in run.trace -tree <id>
 //	ddtrace -in run.trace -fanout
 //	ddtrace -in run.trace -perfetto run.json
+//
+// Detection critical path (warning -> nt_request -> first report ->
+// indicator -> cut stage times, one row per warning), from a journal:
+//
+//	ddtrace -critical run.journal
 package main
 
 import (
@@ -26,8 +26,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"text/tabwriter"
 
+	"ddpolice/internal/journal"
 	"ddpolice/internal/outfile"
 	"ddpolice/internal/trace"
 )
@@ -36,11 +38,25 @@ func main() {
 	var (
 		in       = flag.String("in", "", "trace NDJSON file ('-' = stdin)")
 		tree     = flag.String("tree", "", "print this trace ID as an ASCII span tree ('all' = every trace)")
-		critical = flag.Bool("critical", false, "print the detection critical-path table")
+		critical = flag.String("critical", "", "print the detection critical-path table of this journal NDJSON file ('-' = stdin)")
 		fanout   = flag.Bool("fanout", false, "print per-depth flood fan-out across query traces")
 		perfetto = flag.String("perfetto", "", "convert the stream to Chrome trace-event JSON at this path")
 	)
 	flag.Parse()
+	if *critical != "" {
+		if *in != "" {
+			fmt.Fprintln(os.Stderr, "ddtrace: -critical reads a journal; it takes no -in trace stream")
+			os.Exit(2)
+		}
+		events, err := readJournal(*critical)
+		if err == nil {
+			err = printCritical(os.Stdout, detections(events))
+		}
+		if err != nil {
+			fatal(err)
+		}
+		return
+	}
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -55,8 +71,6 @@ func main() {
 		err = writePerfetto(*perfetto, spans, os.Stdout)
 	case *tree != "":
 		err = printTrees(os.Stdout, views, *tree)
-	case *critical:
-		err = printCritical(os.Stdout, views)
 	case *fanout:
 		err = printFanOut(os.Stdout, views)
 	default:
@@ -72,39 +86,37 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func readSpans(path string) ([]trace.Span, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
+// open returns the named file to read, or stdin for "-".
+func open(path string) (io.ReadCloser, error) {
+	if path == "-" {
+		return io.NopCloser(os.Stdin), nil
 	}
+	return os.Open(path)
+}
+
+func readSpans(path string) ([]trace.Span, error) {
+	r, err := open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
 	return trace.ReadNDJSON(r)
 }
 
-// printSummary counts traces and spans per lifecycle and previews the
-// detections, so a bare `ddtrace -in` orients before drilling down.
+func readJournal(path string) ([]journal.Event, error) {
+	r, err := open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return journal.ReadNDJSON(r)
+}
+
+// printSummary counts traces and spans, so a bare `ddtrace -in` orients
+// before drilling down.
 func printSummary(w io.Writer, spans []trace.Span, views []trace.TraceView) error {
-	byCat := map[string]int{}
-	for i := range views {
-		byCat[views[i].Kind()]++
-	}
-	fmt.Fprintf(w, "%d spans in %d traces (query %d, detection %d, overload %d)\n",
-		len(spans), len(views), byCat["query"], byCat["detection"], byCat["overload"])
-	paths := trace.DetectionPaths(views)
-	cuts := 0
-	for _, p := range paths {
-		if p.CutSec >= 0 {
-			cuts++
-		}
-	}
-	if len(paths) > 0 {
-		fmt.Fprintf(w, "detections: %d warnings, %d reached a cut\n", len(paths), cuts)
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "%d spans in %d query traces\n", len(spans), len(views))
+	return err
 }
 
 // printTrees renders one trace (or all of them) as ASCII span trees.
@@ -128,28 +140,100 @@ func printTrees(w io.Writer, views []trace.TraceView, id string) error {
 	return nil
 }
 
-// printCritical tabulates the warning->cut stage latencies of every
-// detection trace, the span-level counterpart of the journal's
-// detection-latency analysis.
-func printCritical(w io.Writer, views []trace.TraceView) error {
-	paths := trace.DetectionPaths(views)
-	if len(paths) == 0 {
-		fmt.Fprintln(w, "no detection traces")
-		return nil
+// detection is one warning's way to a verdict, rebuilt from the journal:
+// every stage as seconds after the warning crossed, -1 for a stage it
+// never reached.
+type detection struct {
+	window                               int
+	node, suspect                        int64
+	warnT                                float64
+	request, firstReport, indicator, cut float64
+	reports, timeouts, defers            int
+}
+
+// detections rebuilds the round of every warning in a journal, sorted by
+// warning time, journal order among equal times. A round opens at
+// warning_crossed (node, suspect, window); nt_request, indicator and cut
+// join it by window, so a cut the simulator applies after its sweep
+// still finds its round. nt_report, nt_timeout and nt_defer carry no
+// window: they join the latest round of (node, suspect) that sent its
+// request, since a live node holds one pending round per suspect and
+// the simulator closes each round before the next opens. Records no
+// round takes are skipped (the journal ring may have dropped their
+// warning), as is every other record type.
+func detections(events []journal.Event) []detection {
+	type pair struct{ node, suspect int64 }
+	type key struct {
+		pair
+		window int
+	}
+	var out []detection
+	byWindow := make(map[key]int)
+	pending := make(map[pair]int)
+	for _, e := range events {
+		p := pair{e.Node, e.Peer}
+		var i int
+		var ok bool
+		switch e.Type {
+		case journal.TypeWarning:
+			byWindow[key{p, e.Window}] = len(out)
+			out = append(out, detection{
+				window: e.Window, node: e.Node, suspect: e.Peer, warnT: e.T,
+				request: -1, firstReport: -1, indicator: -1, cut: -1,
+			})
+			continue
+		case journal.TypeNTRequest, journal.TypeIndicator, journal.TypeCut:
+			i, ok = byWindow[key{p, e.Window}]
+		case journal.TypeNTReport, journal.TypeNTTimeout, journal.TypeNTDefer:
+			i, ok = pending[p]
+		}
+		if !ok {
+			continue
+		}
+		d := &out[i]
+		at := e.T - d.warnT
+		switch e.Type {
+		case journal.TypeNTRequest:
+			pending[p] = i
+			d.request = at
+		case journal.TypeNTReport:
+			d.reports++
+			if d.firstReport < 0 || at < d.firstReport {
+				d.firstReport = at
+			}
+		case journal.TypeNTTimeout:
+			d.timeouts++
+		case journal.TypeNTDefer:
+			d.defers++
+		case journal.TypeIndicator:
+			d.indicator = at
+		case journal.TypeCut:
+			d.cut = at
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].warnT < out[j].warnT })
+	return out
+}
+
+// printCritical tabulates the warning->cut stage times of every round.
+func printCritical(w io.Writer, rounds []detection) error {
+	if len(rounds) == 0 {
+		_, err := fmt.Fprintln(w, "no warnings in the journal")
+		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "trace\tnode\tsuspect\twarn_t\treq(s)\tfirst_rep(s)\tindicator(s)\tcut(s)\treports\ttimeouts\tdefers")
+	fmt.Fprintln(tw, "window\tnode\tsuspect\twarn_t\treq(s)\tfirst_rep(s)\tindicator(s)\tcut(s)\treports\ttimeouts\tdefers")
 	stage := func(v float64) string {
 		if v < 0 {
 			return "-"
 		}
 		return fmt.Sprintf("%.1f", v)
 	}
-	for _, p := range paths {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
-			p.Trace, p.Node, p.Suspect, p.WarnT,
-			stage(p.RequestSec), stage(p.FirstRepSec), stage(p.IndicSec), stage(p.CutSec),
-			p.Reports, p.Timeouts, p.Defers)
+	for _, d := range rounds {
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%.0f\t%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
+			d.window, d.node, d.suspect, d.warnT,
+			stage(d.request), stage(d.firstReport), stage(d.indicator), stage(d.cut),
+			d.reports, d.timeouts, d.defers)
 	}
 	return tw.Flush()
 }
@@ -158,13 +242,12 @@ func printCritical(w io.Writer, views []trace.TraceView) error {
 // trace: the shape of the flood front the paper's traffic analysis
 // reasons about.
 func printFanOut(w io.Writer, views []trace.TraceView) error {
+	if len(views) == 0 {
+		_, err := fmt.Fprintln(w, "no query traces")
+		return err
+	}
 	var agg []int
-	queries := 0
 	for _, tv := range views {
-		if tv.Kind() != "query" {
-			continue
-		}
-		queries++
 		for d, n := range trace.FanOut(tv) {
 			for len(agg) <= d {
 				agg = append(agg, 0)
@@ -172,14 +255,10 @@ func printFanOut(w io.Writer, views []trace.TraceView) error {
 			agg[d] += n
 		}
 	}
-	if queries == 0 {
-		fmt.Fprintln(w, "no query traces")
-		return nil
-	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "depth\thops\thops/query")
 	for d, n := range agg {
-		fmt.Fprintf(tw, "%d\t%d\t%.2f\n", d+1, n, float64(n)/float64(queries))
+		fmt.Fprintf(tw, "%d\t%d\t%.2f\n", d+1, n, float64(n)/float64(len(views)))
 	}
 	return tw.Flush()
 }

@@ -288,18 +288,14 @@ var Figures = []Figure{
 			col("degraded_transitions", "degraded", func(p OverloadPoint) any { return p.Degraded }, raw, raw),
 		}, svg("overload.svg", OverloadSVG)),
 	Figure{Keys: []string{"trace"}, Plan: tracePlan, Observe: tracePoint, Build: observed[TracePoint]}.table(
-		"trace_study.csv", "Causal traces: detection critical path and flood fan-out vs agents", []Column{
+		"trace_study.csv", "Causal traces: flood fan-out vs agents", []Column{
 			col("agents", "agents", func(p TracePoint) any { return p.Agents }, raw, raw),
 			col("traces", "traces", func(p TracePoint) any { return p.Traces }, raw, raw),
 			col("spans", "spans", func(p TracePoint) any { return p.Spans }, raw, raw),
-			col("warnings", "warnings", func(p TracePoint) any { return p.Warnings }, raw, raw),
-			col("cuts", "cuts", func(p TracePoint) any { return p.Cuts }, raw, raw),
-			col("mean_request_sec", "req (s)", func(p TracePoint) any { return p.MeanRequest }, raw, orNegative("-", f1)),
-			col("mean_indicator_sec", "indicator (s)", func(p TracePoint) any { return p.MeanIndic }, raw, orNegative("-", f1)),
-			col("mean_cut_sec", "cut (s)", func(p TracePoint) any { return p.MeanCut }, raw, orNegative("-", f1)),
+			col("dropped_spans", "dropped spans", func(p TracePoint) any { return p.Dropped }, raw, raw),
 			col("hops_per_query", "hops/query", func(p TracePoint) any { return p.HopsPerQuery }, raw, f1),
 			col("max_depth", "max depth", func(p TracePoint) any { return p.MaxDepth }, raw, raw),
-		}, svg("trace.svg", TraceSVG)),
+		}),
 	{
 		Keys:  []string{"9", "10", "11"},
 		Plan:  sweepPlan,

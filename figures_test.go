@@ -133,8 +133,8 @@ var renderCases = []renderCase{
 	{key: "overload", rows: 3, cells: map[[2]int]string{{1, 1}: "off", {1, 4}: "-1", {2, 1}: "on", {2, 4}: "60"},
 		text: []string{"3x", "never", "97.5"},
 		data: []OverloadPoint{{Factor: 3, TimeToCutSec: -1}, {Factor: 3, Plane: true, TimeToCutSec: 60, ControlDelivery: 0.975}}},
-	{key: "trace", rows: 2, cells: map[[2]int]string{{1, 5}: "-1", {1, 8}: "192.04"}, text: []string{"-        -", "192.0"},
-		data: []TracePoint{{Traces: 7, MeanRequest: -1, MeanIndic: -1, MeanCut: -1, HopsPerQuery: 192.04}}},
+	{key: "trace", rows: 2, cells: map[[2]int]string{{1, 3}: "5", {1, 4}: "192.04"}, text: []string{"dropped spans", "192.0"},
+		data: []TracePoint{{Traces: 7, Spans: 90, Dropped: 5, HopsPerQuery: 192.04}}},
 	{key: "detect", rows: 3, cells: map[[2]int]string{{1, 1}: "1", {2, 1}: "0", {1, 6}: "60"},
 		text: []string{"true", "false", "journal: 9 events (1 dropped); 2 cuts; 30 NT msgs (15.0 per cut)", "latency p50 0s, p90 0s, max 60s over 2 cut suspects"},
 		data: detectSample},

@@ -181,10 +181,9 @@ func (m *monitor) closeMinute() {
 	}
 }
 
-// newRound returns a round wired to the node's thresholds and sinks; the
-// node id seeds its trace IDs, so two observers' traces stay distinct.
+// newRound returns a round wired to the node's thresholds and journal.
 func (m *monitor) newRound() *police.Round {
-	return police.NewRound(m.cfg, m.n.cfg.Journal, m.n.cfg.Tracer, uint64(uint32(m.n.cfg.NodeID)))
+	return police.NewRound(m.cfg, m.n.cfg.Journal)
 }
 
 // protocolSeconds converts a span of the node's Clock to the protocol's
@@ -209,14 +208,10 @@ func (m *monitor) open(suspect int32, r *police.Round, sinceRound float64) bool 
 	held, ok := m.lists[suspect]
 	own := police.Report{Out: m.prevOut[suspect], In: m.prevIn[suspect]}
 	if !r.Open(own, held.ids, ok, m.protocolSeconds(now.Sub(held.at)), sinceRound) {
-		r.End() // rate-limited, or no buddy-group view yet: defer (paper step 1 is a prerequisite)
-		return false
+		return false // rate-limited, or no buddy-group view yet: defer (paper step 1 is a prerequisite)
 	}
 	m.lastNT[suspect] = now
-	if old, ok := m.pending[suspect]; ok {
-		old.End() // superseded before its verdict
-	}
-	m.pending[suspect] = r
+	m.pending[suspect] = r // supersedes a round still awaiting its verdict
 	nt := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(m.n.cfg.NodeID, 0).IP,
 		SuspectIP: protocol.AddrFromNodeID(suspect, 0).IP,
@@ -396,7 +391,6 @@ func (m *monitor) finishEvaluation(suspect int32) {
 	if !connected {
 		// The suspect left before the deadline: nothing to judge or cut.
 		delete(m.pending, suspect)
-		r.End()
 		return
 	}
 	// The timer can always be armed again, so no deadline is final.
@@ -407,7 +401,6 @@ func (m *monitor) finishEvaluation(suspect int32) {
 		return
 	}
 	delete(m.pending, suspect)
-	defer r.End()
 	if r.Silent() > 0 {
 		m.n.tel.evalTimeoutZero.Inc()
 	}

@@ -96,18 +96,18 @@ type Config struct {
 	Faults *faults.Plan
 	// Journal, when non-nil, receives the node's detection-lifecycle
 	// events (warning_crossed, nt_request/report/defer/timeout,
-	// indicator, cut), peer-drop provenance and reconnect-supervisor
+	// indicator, cut), overload transitions (shed, quarantine,
+	// degraded), peer-drop provenance and reconnect-supervisor
 	// activity, stamped with Unix seconds on Clock. Several nodes may share
 	// one journal; events interleave by arrival. Nil disables recording
 	// at a pointer check per site.
 	Journal *journal.Journal
 	// Tracer, when non-nil, receives causal span traces: per-query
 	// hop/outcome spans keyed by the trace ID riding the Query wire
-	// extension (see protocol.Query.TraceID), per-suspect detection
-	// traces (warning_crossed → NT round → indicator → cut), and
-	// overload annotations (shed/quarantine/degraded). Several nodes
-	// may share one tracer the way they share a Journal. Head sampling
-	// is by trace-ID hash, so every node that sees a query agrees on
+	// extension (see protocol.Query.TraceID). Detections and overload
+	// transitions are Journal records, not spans. Several nodes may
+	// share one tracer the way they share a Journal. Head sampling is
+	// by trace-ID hash, so every node that sees a query agrees on
 	// whether it is traced. Nil disables tracing at a pointer check
 	// per site.
 	Tracer *trace.Tracer
@@ -921,10 +921,9 @@ func (n *Node) stamp() float64 { return float64(n.cfg.Clock.Now().UnixNano()) / 
 
 // traceSpan stamps the node identity and time on s and records it as a
 // standalone span of trace id; a nil-check no-op when the node has no
-// tracer. Query and overload spans come from many nodes, which cannot
-// coordinate span ordinals, so they carry no parent links: the trace ID
-// groups them and timestamps order them. (A detection's spans all come
-// from the observer; police.Round builds that tree.)
+// tracer. A query's spans come from many nodes, which cannot coordinate
+// span ordinals, so they carry no parent links: the trace ID groups them
+// and timestamps order them.
 func (n *Node) traceSpan(id uint64, s trace.Span) {
 	if n.cfg.Tracer == nil || id == 0 {
 		return

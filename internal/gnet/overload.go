@@ -6,7 +6,6 @@ import (
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overload"
-	"ddpolice/internal/trace"
 )
 
 // overloadState is the node's overload-resilience plane, tuned by
@@ -101,10 +100,6 @@ func (n *Node) closeOverloadWindow() {
 				Type: journal.TypeQuarantine, Peer: int64(id),
 				Detail: ev.String(), Value: off, Window: o.windows,
 			})
-			n.overloadSpan(trace.Span{
-				Kind: trace.KindQuarantine, Peer: int64(id),
-				Detail: ev.String(), Value: off,
-			})
 		}
 		if b.State() != overload.StateClosed {
 			open++
@@ -122,10 +117,6 @@ func (n *Node) closeOverloadWindow() {
 		n.journalEvent(journal.Event{
 			Type: journal.TypeShed, Detail: overload.ClassQuery.String(),
 			Value: float64(shed), Window: o.windows,
-		})
-		n.overloadSpan(trace.Span{
-			Kind: trace.KindShed, Detail: overload.ClassQuery.String(),
-			Value: float64(shed),
 		})
 	}
 	if o.detector.CloseWindow(float64(shed), float64(handled)) {
@@ -145,20 +136,7 @@ func (n *Node) closeOverloadWindow() {
 			Type: journal.TypeDegraded, Detail: detail,
 			Value: frac, Window: o.windows,
 		})
-		n.overloadSpan(trace.Span{
-			Kind: trace.KindDegraded, Detail: detail, Value: frac,
-		})
 	}
-}
-
-// overloadSpan annotates this node's per-node overload trace (ID
-// derived from the node identity) with a shed/quarantine/degraded
-// marker; a nil-check no-op without a tracer.
-func (n *Node) overloadSpan(s trace.Span) {
-	if n.cfg.Tracer == nil {
-		return
-	}
-	n.traceSpan(trace.OverloadID(uint64(uint32(n.cfg.NodeID))), s)
 }
 
 // Quarantined returns the ids of peers whose overload breaker is

@@ -24,7 +24,6 @@ import (
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
-	"ddpolice/internal/trace"
 )
 
 // PeerID aliases the overlay peer identifier.
@@ -170,7 +169,7 @@ type Police struct {
 
 	// round is the one bad-peer-recognition round (round.go), reused for
 	// every (observer, suspect) pair of every sweep; it holds the journal
-	// and tracer that SetJournal and SetTracer attach.
+	// SetJournal attaches.
 	round Round
 
 	// Pooled scratch buffers: the minute sweep runs for every online peer
@@ -347,12 +346,3 @@ func (p *Police) ControlLost() uint64 { return p.lostCount }
 // and buddy members in deterministic order, so two identical-seed runs
 // journal identical event sequences. A nil journal disables recording.
 func (p *Police) SetJournal(j *journal.Journal) { p.round.jr = j }
-
-// SetTracer attaches the causal tracing plane: one trace per (observer,
-// suspect, minute window) from warning_crossed to cut, mirroring the
-// journal's lifecycle as a span tree. seed is the run seed the trace IDs
-// derive from; a nil tracer disables tracing. Like the journal, tracing
-// is passive, so traced and untraced runs stay byte-identical.
-func (p *Police) SetTracer(tr *trace.Tracer, seed uint64) {
-	p.round.tracer, p.round.seed = tr, seed
-}

@@ -320,8 +320,6 @@ func (p *Police) EvaluateMinute(now float64) {
 		}
 	}
 	p.cutBuf = cuts // keep the grown capacity for the next minute
-	// Commit this minute's detection traces, after the cuts joined them.
-	r.End()
 }
 
 // recordCut books a disconnect the overlay carried out: the detection

@@ -3,15 +3,14 @@ package police
 // Bad-peer recognition (§3 step 3) written once, with no transport and
 // no clock (DESIGN.md §19). Police.EvaluateMinute drives it from the
 // simulated overlay inside one call, gnet's monitor from TCP links and
-// timers. Every rule of the step and every journal record and trace span
-// of a detection is decided here and nowhere else (`make lint`,
-// detectorhome).
+// timers. Every rule of the step and every journal record of a detection
+// is decided here and nowhere else (`make lint`, detectorhome); the
+// journal is a detection's only record.
 
 import (
 	"slices"
 
 	"ddpolice/internal/journal"
-	"ddpolice/internal/trace"
 )
 
 // Verdict is a round's outcome. Zero G, S and K with Cut set is a
@@ -22,8 +21,6 @@ type Verdict struct {
 	K                 int     // buddy-group size: the observer plus every member asked
 	Window            int
 	Cut               bool
-	tc                *trace.Trace // the detection's open trace, and in it
-	ind               uint32       // the indicator span a cut hangs from
 }
 
 // seat is an asked member's place in the buddy group, filled or not.
@@ -39,13 +36,12 @@ type seat struct {
 // in seconds; its outputs are actions: whom to ask, wait once more, or a
 // Verdict. The durations it compares are protocol seconds, in which a
 // window lasts 60. A Round is reusable: Begin, or a Warn that crosses,
-// starts the next evaluation, and traces stay open until End, so a
-// driver that cuts after a sweep can still attach the cuts.
+// starts the next evaluation; RecordCut reads only its Verdict, so a
+// driver that cuts after a sweep records the cuts after later
+// evaluations began.
 type Round struct {
-	cfg    Config
-	jr     *journal.Journal
-	tracer *trace.Tracer
-	seed   uint64 // of the trace IDs: the run seed, or the live node's id
+	cfg Config
+	jr  *journal.Journal
 
 	observer, suspect PeerID
 	t                 float64 // when the evaluation began
@@ -56,54 +52,37 @@ type Round struct {
 	seated            int
 	next              int // seat after the last one filled
 	deferred          bool
-	tc                *trace.Trace   // nil-safe, like jr
-	req               uint32         // its nt_request span
-	open              []*trace.Trace // begun since the last End, in creation order
-	others            []Report       // Deadline's scratch
+	others            []Report // Deadline's scratch
 }
 
-// NewRound returns a round judging by cfg and recording into jr and tr (nil: off).
-func NewRound(cfg Config, jr *journal.Journal, tr *trace.Tracer, seed uint64) *Round {
-	return &Round{cfg: cfg, jr: jr, tracer: tr, seed: seed}
+// NewRound returns a round judging by cfg and recording into jr (nil: off).
+func NewRound(cfg Config, jr *journal.Journal) *Round {
+	return &Round{cfg: cfg, jr: jr}
 }
 
 // Begin starts an evaluation without the warning gate (benchmark hook, tests).
 func (r *Round) Begin(observer, suspect PeerID, t float64, window int) {
 	r.observer, r.suspect, r.t, r.window = observer, suspect, t, window
 	r.asked, r.seats = r.asked[:0], r.seats[:0]
-	r.seated, r.next, r.deferred, r.tc = 0, 0, false, nil
+	r.seated, r.next, r.deferred = 0, 0, false
 }
 
-// note writes one step to both planes at t: journal event e about the
-// suspect, span s about the suspect or a member. It returns s's ordinal.
-func (r *Round) note(t float64, about PeerID, e journal.Event, s trace.Span) uint32 {
+// note records one step of the evaluation at t: e, stamped with the
+// observer and the suspect.
+func (r *Round) note(t float64, e journal.Event) {
 	e.T, e.Node, e.Peer = t, int64(r.observer), int64(r.suspect)
-	s.T, s.Node, s.Peer = t, e.Node, int64(about)
 	r.jr.Record(e)
-	return r.tc.Add(s)
 }
 
 // Warn is the warning gate: if inbound, what the suspect sent the
 // observer in the closed window, exceeds WarnThreshold it begins the
-// evaluation, opens its trace and reports true.
+// evaluation, records the crossing and reports true.
 func (r *Round) Warn(observer, suspect PeerID, t float64, window int, inbound float64) bool {
 	if inbound <= r.cfg.WarnThreshold {
 		return false
 	}
 	r.Begin(observer, suspect, t, window)
-	r.jr.Record(journal.Event{
-		T: t, Type: journal.TypeWarning, Node: int64(observer), Peer: int64(suspect),
-		Value: inbound, Window: window,
-	})
-	if r.tracer != nil {
-		id := trace.DetectionID(r.seed, uint64(uint32(observer)), uint64(uint32(suspect)), uint64(window))
-		r.tc = r.tracer.Start(id, trace.Span{
-			Kind: trace.KindWarning, T: t, Node: int64(observer), Peer: int64(suspect), Value: inbound,
-		})
-		if r.tc != nil {
-			r.open = append(r.open, r.tc)
-		}
-	}
+	r.note(t, journal.Event{Type: journal.TypeWarning, Value: inbound, Window: window})
 	return true
 }
 
@@ -126,9 +105,7 @@ func (r *Round) Open(own Report, list []PeerID, held bool, listAge, sinceRound f
 		}
 	}
 	r.seats = append(r.seats, make([]seat, len(r.asked))...)
-	r.req = r.note(r.t, r.suspect,
-		journal.Event{Type: journal.TypeNTRequest, K: len(r.asked), Window: r.window},
-		trace.Span{Kind: trace.KindNTRequest, Value: float64(len(r.asked))})
+	r.note(r.t, journal.Event{Type: journal.TypeNTRequest, K: len(r.asked), Window: r.window})
 	return true
 }
 
@@ -171,31 +148,24 @@ func (r *Round) Deadline(t float64, final bool) (v Verdict, done bool) {
 	silent := r.Silent()
 	if !final && !r.deferred && silent > 0 && r.seated == 0 {
 		r.deferred = true
-		r.note(t, r.suspect,
-			journal.Event{Type: journal.TypeNTDefer, Value: float64(silent)},
-			trace.Span{Kind: trace.KindNTDefer, Parent: r.req, Value: float64(silent)})
+		r.note(t, journal.Event{Type: journal.TypeNTDefer, Value: float64(silent)})
 		return Verdict{}, false
 	}
 	others := r.others[:0]
 	for i, m := range r.asked {
 		if st := &r.seats[i]; st.got {
 			others = append(others, st.rep)
-			r.note(st.t, m, journal.Event{Type: journal.TypeNTReport, Member: int64(m)},
-				trace.Span{Kind: trace.KindNTReport, Parent: r.req, Value: st.rep.In})
+			r.note(st.t, journal.Event{Type: journal.TypeNTReport, Member: int64(m)})
 		} else {
-			r.note(t, m, journal.Event{Type: journal.TypeNTTimeout, Member: int64(m)},
-				trace.Span{Kind: trace.KindNTTimeout, Parent: r.req})
+			r.note(t, journal.Event{Type: journal.TypeNTTimeout, Member: int64(m)})
 		}
 	}
 	r.others = others
 	g, s, k := ComputeIndicators(r.cfg.Q0, r.own, others, silent)
-	ind := r.note(t, r.suspect,
-		journal.Event{Type: journal.TypeIndicator, G: g, S: s, K: k, Window: r.window},
-		trace.Span{Kind: trace.KindIndicator, Parent: r.req, Value: max(g, s), Detail: "g_s_max"})
+	r.note(t, journal.Event{Type: journal.TypeIndicator, G: g, S: s, K: k, Window: r.window})
 	return Verdict{
 		Observer: r.observer, Suspect: r.suspect, G: g, S: s, K: k, Window: r.window,
 		Cut: g > r.cfg.CutThreshold || s > r.cfg.CutThreshold,
-		tc:  r.tc, ind: ind,
 	}, true
 }
 
@@ -206,17 +176,4 @@ func (r *Round) RecordCut(t float64, v Verdict) {
 		T: t, Type: journal.TypeCut, Node: int64(v.Observer), Peer: int64(v.Suspect),
 		G: v.G, S: v.S, Window: v.Window,
 	})
-	v.tc.Add(trace.Span{
-		Kind: trace.KindCut, Parent: v.ind, T: t, Node: int64(v.Observer), Peer: int64(v.Suspect),
-		Value: max(v.G, v.S),
-	})
-}
-
-// End commits the traces begun since the last End, in creation order,
-// cut or not: a warning with no verdict is still a complete story.
-func (r *Round) End() {
-	for _, tc := range r.open {
-		tc.End()
-	}
-	r.open = r.open[:0]
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ddpolice/internal/journal"
-	"ddpolice/internal/trace"
 )
 
 // TestRoundLifecycle is the bad-peer-recognition lifecycle as one table:
@@ -149,7 +148,7 @@ func TestRoundLifecycle(t *testing.T) {
 				cfg.StaleAfter = max(tc.staleAfter, 0)
 			}
 			jr := journal.New(64)
-			r := NewRound(cfg, jr, nil, 1)
+			r := NewRound(cfg, jr)
 			inbound := own.In
 			if tc.inbound != 0 {
 				inbound = tc.inbound
@@ -222,7 +221,7 @@ func journalScript(events []journal.Event) string {
 // window on the indicator, however late the reports and the deadline.
 func TestRoundOwnReportIsTheOpeningWindows(t *testing.T) {
 	jr := journal.New(16)
-	r := NewRound(DefaultConfig(), jr, nil, 1)
+	r := NewRound(DefaultConfig(), jr)
 	if !r.Warn(1, 2, 60, 7, 4000) {
 		t.Fatal("4000 inbound did not cross the default warning threshold")
 	}
@@ -244,37 +243,5 @@ func TestRoundOwnReportIsTheOpeningWindows(t *testing.T) {
 	}
 	if rep := events[2]; rep.Type != journal.TypeNTReport || rep.T != 125 {
 		t.Errorf("report record %+v, want its arrival time 125", rep)
-	}
-}
-
-// TestRoundTraceIsOneTree holds the span side of the record: a detection
-// is one Tracer.Start tree — warning root, nt_request under it, every
-// seat and the indicator under the request, the cut under the indicator —
-// committed by End, whichever driver ran the round.
-func TestRoundTraceIsOneTree(t *testing.T) {
-	tr := trace.New(1, 0)
-	r := NewRound(DefaultConfig(), nil, tr, 42)
-	r.Warn(1, 2, 60, 1, 4000)
-	r.Open(Report{In: 4000}, []PeerID{3, 4}, true, 0, math.Inf(1))
-	r.Report(61, 4, Report{In: 4000})
-	v, done := r.Deadline(90, false) // one of two answered: no deferral
-	if !done || !v.Cut {
-		t.Fatalf("verdict %+v done=%v", v, done)
-	}
-	r.RecordCut(90, v)
-	if tr.Len() != 0 {
-		t.Fatal("spans committed before End")
-	}
-	r.End()
-	var got []string
-	for _, s := range tr.Spans() {
-		got = append(got, fmt.Sprintf("%d<-%d:%s", s.ID, s.Parent, s.Kind))
-	}
-	want := "0<-0:warning_crossed 1<-0:nt_request 2<-1:nt_timeout 3<-1:nt_report 4<-1:indicator 5<-4:cut"
-	if strings.Join(got, " ") != want {
-		t.Errorf("trace\n got %s\nwant %s", strings.Join(got, " "), want)
-	}
-	if id := trace.FormatID(trace.DetectionID(42, 1, 2, 1)); tr.Spans()[0].Trace != id {
-		t.Errorf("trace id %s, want %s", tr.Spans()[0].Trace, id)
 	}
 }

@@ -88,7 +88,13 @@ func goldenScenarios() []struct {
 	}
 }
 
-// goldenRun executes cfg with a fully-sampled tracer attached and
+// goldenSample is the head-sampling rate of the pinned trace streams: a
+// quarter of the queries, whole traces only and the same ones every run.
+// The largest scenario (brownout) then keeps about 400,000 spans, well
+// inside the tracer's default cap, so no pinned stream is truncated.
+const goldenSample = 0.25
+
+// goldenRun executes cfg with a tracer attached at goldenSample and
 // renders the run as the text pinned under testdata/golden: one
 // "<stream> <sha256>" line per observable stream, in the order a
 // mismatch is reported. The Result line covers every simulated
@@ -97,11 +103,14 @@ func goldenScenarios() []struct {
 // largest stream — is hashed as it is written instead of being buffered.
 func goldenRun(t *testing.T, cfg Config) (digests string, jrnl []byte) {
 	t.Helper()
-	tr := trace.New(1.0, 0)
+	tr := trace.New(goldenSample, 0)
 	cfg.Trace = tr
 	res, jrnl := runInstrumented(t, cfg)
 	if tr.Len() == 0 {
 		t.Fatal("no spans traced (vacuous)")
+	}
+	if n := tr.Dropped(); n > 0 {
+		t.Fatalf("the tracer dropped %d spans at its cap: the pinned trace stream would be truncated", n)
 	}
 	r := *stripCache(res)
 	r.Stages, r.Telemetry = nil, nil

@@ -142,22 +142,23 @@ type Config struct {
 
 	// Journal, when non-nil, receives the detection-lifecycle event
 	// stream (warning_crossed, nt_request/report/timeout, indicator,
-	// cut) plus attack-onset and fault-plane events, stamped with the
-	// run's logical clock. The tick loop and protocol sweep are fully
-	// deterministic, so identical-seed runs journal identical bytes.
+	// cut), overload transitions (shed, degraded, and a brownout's
+	// overload edges) and attack-onset and fault-plane events, stamped
+	// with the run's logical clock. The tick loop and protocol sweep are
+	// fully deterministic, so identical-seed runs journal identical
+	// bytes.
 	// Nil disables journaling at a pointer check per site.
 	Journal *journal.Journal
 
 	// Trace, when non-nil, receives causal span traces (see
 	// internal/trace): one trace per sampled good-peer query (issue →
-	// per-hop flood traversal → delivery or death), one per detection
-	// evaluation (warning_crossed → NT round → indicator → cut), and a
-	// per-run overload-annotation trace (shed / degraded / brownout
-	// markers). Trace IDs derive from Seed via pure sub-seed hashing,
-	// so identical-seed runs emit byte-identical span streams, cached
-	// or uncached, at any shard count. Tracing is passive: a non-nil
-	// tracer leaves Results and the journal byte-identical to a nil
-	// one. Nil costs a pointer check per site.
+	// per-hop flood traversal → delivery or death). Detections and
+	// overload transitions are Journal records, not spans. Trace IDs
+	// derive from Seed via pure sub-seed hashing, so identical-seed
+	// runs emit byte-identical span streams, cached or uncached, at
+	// any shard count. Tracing is passive: a non-nil tracer leaves
+	// Results and the journal byte-identical to a nil one. Nil costs a
+	// pointer check per site.
 	Trace *trace.Tracer
 }
 
@@ -509,9 +510,7 @@ func newRun(w *World, cfg Config) (*run, error) {
 // observe attaches the run's observation sinks. Each is nil when off,
 // which makes every timer, counter, journal and trace site a nil check.
 // A supplied registry turns instrument recording on even when the stage
-// timers are off. The overload-annotation trace is opened here (its
-// root doubles as a run marker) and committed by result; query and
-// detection traces open and close per unit.
+// timers are off.
 func (r *run) observe() {
 	cfg := &r.cfg
 	r.reg = cfg.Registry
@@ -535,14 +534,6 @@ func (r *run) observe() {
 		r.pol.SetJournal(r.jr)
 	}
 	r.tcr = cfg.Trace
-	if r.tcr != nil {
-		if r.pol != nil {
-			r.pol.SetTracer(r.tcr, cfg.Seed)
-		}
-		r.ovTr = r.tcr.Start(trace.OverloadID(cfg.Seed), trace.Span{
-			Kind: trace.KindOverload, T: 0, Value: float64(cfg.NumPeers),
-		})
-	}
 }
 
 // armOverload sets up the overload plane mirror: the control reserve
@@ -599,7 +590,6 @@ func (r *run) result() *Result {
 		res.Overhead = r.pol.Overhead()
 		res.ControlLost = r.pol.ControlLost()
 	}
-	r.ovTr.EndAt(float64(r.cfg.DurationSec))
 	res.Cache = r.eng.CacheStats()
 	if r.cfg.Telemetry {
 		res.Stages = make([]telemetry.TimerValue, numStages)

@@ -40,7 +40,6 @@ type run struct {
 	timers [noTimer + 1]*telemetry.Timer
 	jr     *journal.Journal
 	tcr    *trace.Tracer
-	ovTr   *trace.Trace
 
 	crashCtr, partCutCtr, partHealCtr, brownoutCtr *telemetry.Counter
 
@@ -153,18 +152,17 @@ func (r *run) faultEvents() {
 	for _, oe := range r.cfg.Faults.Overloads {
 		if r.t == oe.StartSec {
 			r.brownoutCtr.Inc()
-			r.brownout(oe, oe.Factor, "start", "brownout_start")
+			r.brownout(oe, oe.Factor, "start")
 		}
 		if r.t == oe.EndSec {
-			r.brownout(oe, 1, "end", "brownout_end")
+			r.brownout(oe, 1, "end")
 		}
 	}
 }
 
 // brownout sets the listed peers' query budgets to scale times the
-// post-reserve baseline and marks the event's edge in the journal and
-// the overload trace.
-func (r *run) brownout(oe faults.OverloadEvent, scale float64, edge, span string) {
+// post-reserve baseline and marks the event's edge in the journal.
+func (r *run) brownout(oe faults.OverloadEvent, scale float64, edge string) {
 	for _, p := range oe.Peers {
 		r.budget.SetCapacity(overlay.PeerID(p), r.queryPerTick*scale)
 	}
@@ -172,7 +170,6 @@ func (r *run) brownout(oe faults.OverloadEvent, scale float64, edge, span string
 		T: r.now, Type: journal.TypeOverload, Detail: edge,
 		Value: oe.Factor, K: len(oe.Peers),
 	})
-	r.ovTr.Add(trace.Span{Kind: trace.KindOverload, T: r.now, Value: oe.Factor, Detail: span})
 }
 
 // churnTick advances churn and derives the police notifications from its
@@ -303,7 +300,6 @@ func (r *run) markOverload(last metrics.MinuteStats, minute int) {
 			T: at, Type: journal.TypeShed, Detail: class,
 			Value: last.CapacityDrop, Window: minute,
 		})
-		r.ovTr.Add(trace.Span{Kind: trace.KindShed, T: at, Value: last.CapacityDrop, Detail: class})
 	}
 	if !r.degDet.CloseWindow(last.CapacityDrop, last.QueryMsgs) {
 		return
@@ -320,7 +316,6 @@ func (r *run) markOverload(last metrics.MinuteStats, minute int) {
 		T: at, Type: journal.TypeDegraded,
 		Detail: detail, Value: frac, Window: minute,
 	})
-	r.ovTr.Add(trace.Span{Kind: trace.KindDegraded, T: at, Value: frac, Detail: detail})
 }
 
 // controlLoss is the DD-POLICE control-message loss rate for the next

@@ -5,60 +5,44 @@ import (
 	"testing"
 )
 
-// buildDetection assembles a realistic detection trace: warning →
-// nt_request → two reports + one timeout → indicator → cut.
-func buildDetection(tr *Tracer, seed uint64) string {
-	id := DetectionID(seed, 3, 9, 1)
-	tc := tr.Start(id, Span{Kind: KindWarning, T: 60, Node: 3, Peer: 9, Value: 720})
-	req := tc.Add(Span{Kind: KindNTRequest, T: 61, Node: 3, Peer: 9, Value: 3})
-	tc.Add(Span{Kind: KindNTReport, T: 61, Node: 3, Peer: 5, Parent: req, Dur: 0.5})
-	tc.Add(Span{Kind: KindNTReport, T: 61, Node: 3, Peer: 6, Parent: req, Dur: 1.5})
-	tc.Add(Span{Kind: KindNTTimeout, T: 91, Node: 3, Peer: 7, Parent: req})
-	ind := tc.Add(Span{Kind: KindIndicator, T: 91, Node: 3, Peer: 9, Parent: req, Value: 6.3})
-	tc.Add(Span{Kind: KindCut, T: 91, Node: 3, Peer: 9, Parent: ind, Value: 6.3})
-	tc.End()
+// buildQuery assembles a realistic query trace: issue → two depth-1
+// hops, a depth-2 hop under the second and a congestion drop under the
+// first → delivery.
+func buildQuery(tr *Tracer, seed uint64) string {
+	id := QueryID(seed, 3, 0)
+	tc := tr.Start(id, Span{Kind: KindQueryIssue, T: 60, Node: 3, Value: 17})
+	h1 := tc.Add(Span{Kind: KindHop, T: 60, Node: 5, Peer: 3, Depth: 1})
+	h2 := tc.Add(Span{Kind: KindHop, T: 60, Node: 6, Peer: 3, Depth: 1})
+	tc.Add(Span{Kind: KindHop, T: 60, Node: 9, Peer: 6, Parent: h2, Depth: 2})
+	tc.Add(Span{Kind: KindCongestion, T: 60, Node: 7, Peer: 5, Parent: h1, Depth: 2})
+	tc.Add(Span{Kind: KindDelivery, T: 60, Dur: 1.5, Depth: 2, Value: 1})
+	tc.EndAt(61.5)
 	return FormatID(id)
 }
 
 func TestGroupAndRoot(t *testing.T) {
 	tr := New(1.0, 0)
-	buildDetection(tr, 1)
-	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 0, Node: 8})
-	tc.Add(Span{Kind: KindHop, T: 0.5, Node: 9, Depth: 1})
-	tc.End()
+	// A live stream: standalone spans of two queries, interleaved.
+	tr.Record(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 8})
+	tr.Record(QueryID(1, 0, 1), Span{Kind: KindQueryIssue, T: 2, Node: 4})
+	tr.Record(QueryID(1, 0, 0), Span{Kind: KindHop, T: 3, Node: 9, Peer: 8, Depth: 1})
+	id := buildQuery(tr, 1)
 
 	views := Group(tr.Spans())
-	if len(views) != 2 {
-		t.Fatalf("views = %d, want 2", len(views))
+	if len(views) != 3 {
+		t.Fatalf("views = %d, want 3", len(views))
 	}
-	if views[0].Kind() != "detection" || views[1].Kind() != "query" {
-		t.Fatalf("kinds = %q, %q", views[0].Kind(), views[1].Kind())
+	if len(views[0].Spans) != 2 || views[0].Spans[1].Kind != KindHop || len(views[1].Spans) != 1 {
+		t.Fatalf("live traces not regrouped in recorded order: %+v", views[:2])
 	}
-	if r := views[0].Root(); r == nil || r.Kind != KindWarning {
-		t.Fatalf("detection root = %+v", r)
+	if r := views[0].Root(); r == nil || r.Kind != KindQueryIssue || r.Node != 8 {
+		t.Fatalf("live root = %+v", r)
 	}
-	if s := views[0].Find(KindCut); s == nil || s.Value != 6.3 {
-		t.Fatalf("Find(cut) = %+v", s)
+	if views[2].ID != id || len(views[2].Spans) != 6 {
+		t.Fatalf("tree trace = %s with %d spans, want %s with 6", views[2].ID, len(views[2].Spans), id)
 	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	tr := New(1.0, 0)
-	buildDetection(tr, 1)
-	views := Group(tr.Spans())
-	path := CriticalPath(views[0])
-	var kinds []string
-	for _, s := range path {
-		kinds = append(kinds, s.Kind)
-	}
-	want := []string{KindWarning, KindNTRequest, KindIndicator, KindCut}
-	if len(kinds) != len(want) {
-		t.Fatalf("path = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("path = %v, want %v", kinds, want)
-		}
+	if r := views[2].Root(); r == nil || r.Kind != KindQueryIssue || r.Dur != 1.5 {
+		t.Fatalf("tree root = %+v", r)
 	}
 }
 
@@ -87,46 +71,9 @@ func TestFanOut(t *testing.T) {
 	}
 }
 
-func TestDetectionPaths(t *testing.T) {
-	tr := New(1.0, 0)
-	buildDetection(tr, 1)
-	// A query trace in the same stream must be ignored.
-	qc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 0})
-	qc.End()
-
-	paths := DetectionPaths(Group(tr.Spans()))
-	if len(paths) != 1 {
-		t.Fatalf("paths = %d, want 1", len(paths))
-	}
-	p := paths[0]
-	if p.Node != 3 || p.Suspect != 9 || p.WarnT != 60 {
-		t.Fatalf("path = %+v", p)
-	}
-	if p.RequestSec != 1 || p.FirstRepSec != 1.5 || p.IndicSec != 31 || p.CutSec != 31 {
-		t.Fatalf("stages = %+v", p)
-	}
-	if p.Reports != 2 || p.Timeouts != 1 || p.Defers != 0 {
-		t.Fatalf("counts = %+v", p)
-	}
-}
-
-func TestDetectionPathsMissingStages(t *testing.T) {
-	tr := New(1.0, 0)
-	tc := tr.Start(DetectionID(1, 2, 3, 0), Span{Kind: KindWarning, T: 10, Node: 2, Peer: 3})
-	tc.End() // warning that never progressed
-	paths := DetectionPaths(Group(tr.Spans()))
-	if len(paths) != 1 {
-		t.Fatalf("paths = %d", len(paths))
-	}
-	p := paths[0]
-	if p.RequestSec != -1 || p.FirstRepSec != -1 || p.IndicSec != -1 || p.CutSec != -1 {
-		t.Fatalf("missing stages not -1: %+v", p)
-	}
-}
-
 func TestWriteTree(t *testing.T) {
 	tr := New(1.0, 0)
-	id := buildDetection(tr, 1)
+	id := buildQuery(tr, 1)
 	views := Group(tr.Spans())
 	var sb strings.Builder
 	if err := WriteTree(&sb, views[0]); err != nil {
@@ -136,23 +83,24 @@ func TestWriteTree(t *testing.T) {
 	if !strings.Contains(out, "trace "+id) {
 		t.Fatalf("missing header:\n%s", out)
 	}
-	for _, want := range []string{KindWarning, KindNTRequest, KindNTReport, KindIndicator, KindCut, "└─"} {
+	for _, want := range []string{KindQueryIssue, KindHop, KindCongestion, KindDelivery, "dur=1.500", "└─"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("tree missing %q:\n%s", want, out)
 		}
 	}
-	// The cut is a child of the indicator: it must be indented deeper.
+	// The depth-2 hop is a child of node 6's hop, the delivery of the
+	// root: each is indented one level deeper than its parent.
 	lines := strings.Split(out, "\n")
-	indent := func(kind string) int {
+	indent := func(part string) int {
 		for _, l := range lines {
-			if strings.Contains(l, kind) {
+			if strings.Contains(l, part) {
 				return strings.Index(l, "─")
 			}
 		}
 		return -1
 	}
-	if indent(KindCut) <= indent(KindIndicator) {
-		t.Fatalf("cut not nested under indicator:\n%s", out)
+	if indent("node=9") <= indent("node=6") || indent(KindDelivery) != indent("node=6") {
+		t.Fatalf("hops not nested under their parents:\n%s", out)
 	}
 }
 
@@ -160,9 +108,9 @@ func TestWriteTree(t *testing.T) {
 // as a flat list, not an infinite recursion.
 func TestWriteTreeLivePath(t *testing.T) {
 	tr := New(1.0, 0)
-	id := DetectionID(5, 1, 2, 0)
-	tr.Record(id, Span{Kind: KindWarning, T: 1, Node: 1, Peer: 2})
-	tr.Record(id, Span{Kind: KindCut, T: 2, Node: 1, Peer: 2})
+	id := QueryID(5, 1, 2)
+	tr.Record(id, Span{Kind: KindQueryIssue, T: 1, Node: 1})
+	tr.Record(id, Span{Kind: KindHop, T: 2, Node: 2, Peer: 1, Depth: 1})
 	views := Group(tr.Spans())
 	var sb strings.Builder
 	if err := WriteTree(&sb, views[0]); err != nil {

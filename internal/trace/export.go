@@ -67,20 +67,6 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// kindCat buckets span kinds into the three lifecycles for Perfetto's
-// category filter.
-func kindCat(kind string) string {
-	switch kind {
-	case KindWarning, KindNTRequest, KindNTReport, KindNTTimeout,
-		KindNTDefer, KindIndicator, KindCut:
-		return "detection"
-	case KindOverload, KindShed, KindQuarantine, KindDegraded:
-		return "overload"
-	default:
-		return "query"
-	}
-}
-
 // WriteChromeTrace converts spans to Chrome trace-event JSON. Each
 // distinct trace becomes one process row (pid assigned in order of
 // first appearance, so output is deterministic); the acting node is
@@ -100,7 +86,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		}
 		ev := chromeEvent{
 			Name: s.Kind,
-			Cat:  kindCat(s.Kind),
+			Cat:  "query",
 			Ph:   "X",
 			TS:   s.T * 1e6,
 			Dur:  s.Dur * 1e6,

@@ -1,19 +1,20 @@
 // Package trace is the causal tracing plane: span trees that connect
-// the flat counters (telemetry) and flat events (journal) into the two
-// causal stories the paper's evidence rests on — how one query's flood
-// propagated hop by hop until delivery or death, and how one detection
-// went from a crossed warning threshold through the NT round to a cut.
+// the flat counters (telemetry) and flat events (journal) into the one
+// causal story the flat planes cannot tell — how one query's flood
+// propagated hop by hop until delivery or death. A detection and an
+// overload transition are not spans: each is a sequence of journal
+// records (internal/journal), and that is their only home.
 //
 // The package mirrors the journal/telemetry contracts:
 //
 //   - nil-gated: every method on a nil *Tracer or nil *Trace is a
 //     no-op, so instrumentation sites cost one pointer check when
 //     tracing is off and the disabled paths stay byte-identical.
-//   - deterministic: trace IDs are pure functions of the run seed and
-//     the causal coordinates of the traced unit (tick and query index,
-//     or observer/suspect/window), derived with rng.SubSeed, which
-//     consumes no generator state. Identical-seed runs emit
-//     byte-identical span streams.
+//   - deterministic: a simulated query's trace ID is a pure function of
+//     the run seed, the tick and the query's index in it, derived with
+//     rng.SubSeed, which consumes no generator state (a live query's
+//     derives from its GUID). Identical-seed runs emit byte-identical
+//     span streams.
 //   - bounded: the span store has a hard cap; whole traces are dropped
 //     (deterministically, in commit order) once it is full.
 //
@@ -31,32 +32,14 @@ import (
 	"ddpolice/internal/rng"
 )
 
-// Span kinds. Query-trace kinds cover the flood lifecycle; detection
-// kinds reuse the journal's event-type names so the two planes
-// correlate textually; overload kinds annotate shed/quarantine/degraded
-// transitions.
+// Span kinds: the lifecycle of one query's flood.
 const (
-	// Query lifecycle.
 	KindQueryIssue = "query_issue"     // root: a peer issued a search
 	KindHop        = "hop"             // first delivery of the query to one peer
 	KindDelivery   = "delivery"        // a replica holder answered
 	KindTTLDeath   = "ttl_death"       // flood exhausted with no hit
 	KindCongestion = "congestion_drop" // copy discarded at a saturated peer
-
-	// Detection lifecycle (journal-aligned names).
-	KindWarning   = "warning_crossed"
-	KindNTRequest = "nt_request"
-	KindNTReport  = "nt_report"
-	KindNTTimeout = "nt_timeout"
-	KindNTDefer   = "nt_defer"
-	KindIndicator = "indicator"
-	KindCut       = "cut"
-
-	// Overload annotations.
-	KindOverload   = "overload" // root of the per-run annotation trace
-	KindShed       = "shed"
-	KindQuarantine = "quarantine"
-	KindDegraded   = "degraded"
+	KindShed       = "shed"            // copy throttled by a live node's quarantine breaker
 )
 
 // Span is one node of a causal trace tree. IDs are ordinals within
@@ -70,7 +53,7 @@ type Span struct {
 	T      float64 `json:"t"`              // start, seconds (sim time or unix)
 	Dur    float64 `json:"dur,omitempty"`  // duration, seconds; 0 = instant
 	Node   int64   `json:"node,omitempty"` // acting peer/node
-	Peer   int64   `json:"peer,omitempty"` // counterpart (suspect, NT member, hop parent)
+	Peer   int64   `json:"peer,omitempty"` // counterpart: the peer the copy came from
 	Depth  int     `json:"depth,omitempty"`
 	Value  float64 `json:"value,omitempty"`
 	Detail string  `json:"detail,omitempty"`
@@ -220,7 +203,7 @@ func (t *Tracer) Dropped() uint64 {
 
 // Trace accumulates the spans of one trace tree and commits them
 // atomically at End. Not safe for concurrent use; each trace belongs
-// to one goroutine (the sim loop, or one gnet node's run loop).
+// to one goroutine (the sim loop).
 type Trace struct {
 	tr    *Tracer
 	id    string
@@ -271,26 +254,11 @@ func (tc *Trace) ID() string {
 	return tc.id
 }
 
-// Trace-ID derivations. Each lifecycle gets its own leading dimension
-// so IDs never collide across kinds; all are pure functions of the run
-// seed, consuming no generator state.
-
 // QueryID identifies the flood of the index-th query issued at the
-// given tick.
+// given tick: a pure function of the run seed, consuming no generator
+// state.
 func QueryID(seed, tick, index uint64) uint64 {
 	return rng.SubSeed(seed, 1, tick, index)
-}
-
-// DetectionID identifies one observer's evaluation of one suspect in
-// one minute window.
-func DetectionID(seed, observer, suspect, window uint64) uint64 {
-	return rng.SubSeed(seed, 2, observer, suspect, window)
-}
-
-// OverloadID identifies the per-run (or per-node, on the live path)
-// overload annotation trace.
-func OverloadID(seed uint64) uint64 {
-	return rng.SubSeed(seed, 3)
 }
 
 // FormatID renders a trace ID as 16 lowercase hex digits.

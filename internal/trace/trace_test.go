@@ -108,6 +108,9 @@ func TestTracerCapDropsWholeTraces(t *testing.T) {
 	}
 }
 
+// TestIDsDistinctAcrossLifecycles: every query's lifecycle gets its own
+// trace ID — seed, tick and index each move it, and swapping tick and
+// index does not collide — and the ID is a pure function of the three.
 func TestIDsDistinctAcrossLifecycles(t *testing.T) {
 	seen := map[uint64]string{}
 	add := func(id uint64, what string) {
@@ -117,8 +120,8 @@ func TestIDsDistinctAcrossLifecycles(t *testing.T) {
 		seen[id] = what
 	}
 	add(QueryID(7, 1, 2), "query")
-	add(DetectionID(7, 1, 2, 3), "detection")
-	add(OverloadID(7), "overload")
+	add(QueryID(7, 2, 1), "tick and index swapped")
+	add(QueryID(7, 1, 3), "next query of the tick")
 	add(QueryID(8, 1, 2), "query other seed")
 	if QueryID(7, 1, 2) != QueryID(7, 1, 2) {
 		t.Fatal("QueryID not pure")
@@ -190,7 +193,7 @@ func TestChromeTraceExport(t *testing.T) {
 	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 3})
 	tc.Add(Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
 	tc.End()
-	tr.Record(DetectionID(1, 2, 3, 4), Span{Kind: KindCut, T: 9, Node: 2, Peer: 3})
+	tr.Record(QueryID(1, 0, 1), Span{Kind: KindShed, T: 9, Node: 2, Peer: 3, Detail: "quarantine"})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -221,8 +224,8 @@ func TestChromeTraceExport(t *testing.T) {
 	if ev[1].Dur != 1 { // instant span gets the 1 µs floor
 		t.Fatalf("hop dur = %g", ev[1].Dur)
 	}
-	if ev[2].Cat != "detection" || ev[2].PID == ev[0].PID {
-		t.Fatalf("cut event = %+v (pid clash with %+v)", ev[2], ev[0])
+	if ev[2].Cat != "query" || ev[2].PID == ev[0].PID {
+		t.Fatalf("shed event = %+v (pid clash with %+v)", ev[2], ev[0])
 	}
 	if ev[0].PID != ev[1].PID {
 		t.Fatal("same trace split across pids")
