@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build fmt vet ddlint detectorhome stagetimers staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck
+.PHONY: ci lint build fmt vet ddlint detectorhome stagetimers staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck fuzz
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
@@ -9,8 +9,8 @@ GO ?= go
 # paper-scale regeneration against the committed results/, then the
 # repository benchmark's own vet and tests (the nested bench/ module:
 # every workload at smoke size against its pinned Result digests; no
-# timing).
-ci: lint build test race smoke writefail resultscheck benchcheck
+# timing), then a short run of every fuzz target.
+ci: lint build test race smoke writefail resultscheck benchcheck fuzz
 
 build:
 	$(GO) build ./...
@@ -168,3 +168,16 @@ benchpair:
 # flood/overlay/sim is held to "same simulated statistics" (~7 s).
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz runs each decoder's fuzz target for FUZZTIME (default 5 s, about
+# 20 s in all): the wire frames, the two NDJSON readers and the query
+# trace reader, the inputs that arrive from outside the program. `go
+# test` alone runs only their seed corpora. A failing input is written
+# under the package's testdata/fuzz; commit it with the fix, so `go
+# test` replays it from then on.
+FUZZTIME ?= 5s
+fuzz:
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadNDJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadNDJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime $(FUZZTIME)

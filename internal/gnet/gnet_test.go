@@ -1,6 +1,7 @@
 package gnet
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -9,6 +10,8 @@ import (
 
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/police"
+	"ddpolice/internal/protocol"
+	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
 )
 
@@ -162,6 +165,89 @@ func TestQueryFloodAndHit(t *testing.T) {
 	}
 	if got := b.Stats().QueriesForwarded; got == 0 {
 		t.Fatal("b forwarded nothing")
+	}
+}
+
+// TestAnsweredQueriesAreForgotten: an issued query's waiter leaves the
+// node with its first hit, so a long-running node does not keep one
+// entry per query it ever asked.
+func TestAnsweredQueriesAreForgotten(t *testing.T) {
+	a := newTestNode(t, "a", 1, nil)
+	b := newTestNode(t, "b", 2, func(cfg *Config) {
+		cfg.SharedObjects = []string{"ubuntu iso"}
+	})
+	if err := a.Connect(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 }, "b sees a")
+
+	const answered = 20
+	for i := 0; i < answered; i++ {
+		hits, err := a.IssueQuery("ubuntu iso")
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-hits:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("query %d: no QueryHit within deadline", i)
+		}
+	}
+	var waiting int
+	runOnLoop(t, a, func() { waiting = len(a.hits) })
+	if waiting != 0 {
+		t.Fatalf("%d of %d answered queries still hold a waiter", waiting, answered)
+	}
+}
+
+// TestRelayIsTheReceivedFrame puts a node between two pipe peers. A
+// Query written by one peer must come out of the other, and the QueryHit
+// answering it back out of the first, each byte for byte as written
+// except TTL one lower and Hops one higher.
+func TestRelayIsTheReceivedFrame(t *testing.T) {
+	relay := newTestNode(t, "relay", 1, nil)
+	asker, askerEnd := net.Pipe()
+	answerer, answererEnd := net.Pipe()
+	defer askerEnd.Close()
+	defer answererEnd.Close()
+	relay.adoptConn(asker, "pipe-2", 2, true)
+	relay.adoptConn(answerer, "pipe-3", 3, true)
+	waitFor(t, 2*time.Second, func() bool { return len(relay.Neighbors()) == 2 }, "pipe peers adopted")
+	deadline := time.Now().Add(5 * time.Second)
+	askerEnd.SetDeadline(deadline)
+	answererEnd.SetDeadline(deadline)
+	fromAsker := protocol.NewStreamReader(askerEnd, 0)
+	fromAnswerer := protocol.NewStreamReader(answererEnd, 0)
+
+	src := rng.New(7)
+	for _, q := range []protocol.Query{
+		{MinSpeed: 0x1234, Keywords: "legacy with a minimum speed"},
+		{Keywords: "traced", TraceID: 0x00DEADBEEFCAFE01},
+	} {
+		qguid := protocol.NewGUID(src)
+		query := protocol.Encode(nil, qguid, 5, 2, q)
+		expectRelay(t, "query "+q.Keywords, askerEnd, query, fromAnswerer)
+		hit := protocol.QueryHit{Addr: protocol.AddrFromNodeID(3, 6346), HitCount: 2, QueryGUID: qguid}
+		expectRelay(t, "hit for "+q.Keywords, answererEnd, protocol.Encode(nil, protocol.NewGUID(src), 6, 1, hit), fromAsker)
+	}
+}
+
+// expectRelay writes frame into w and reads the next frame from r: it
+// must be frame with TTL one lower and Hops one higher.
+func expectRelay(t *testing.T, what string, w net.Conn, frame []byte, r *protocol.StreamReader) {
+	t.Helper()
+	if _, err := w.Write(frame); err != nil {
+		t.Fatalf("%s: write: %v", what, err)
+	}
+	_, got, err := r.NextFrame()
+	if err != nil {
+		t.Fatalf("%s: read relayed frame: %v", what, err)
+	}
+	want := bytes.Clone(frame)
+	want[17]--
+	want[18]++
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: relayed\n got %x\nwant %x", what, got, want)
 	}
 }
 

@@ -188,7 +188,7 @@ type Node struct {
 	ln       net.Listener
 	src      *rng.Source
 	shared   map[string]bool
-	inbox    chan inboundMsg
+	inbox    chan inboundFrame
 	ctl      chan func()
 	done     chan struct{}
 	closed   chan struct{}
@@ -233,7 +233,7 @@ type Node struct {
 	// queued query traffic, so NT reports and neighbor lists never wait
 	// behind a flood backlog.
 	ovl      *overloadState
-	inboxCtl chan inboundMsg
+	inboxCtl chan inboundFrame
 }
 
 // counters are the node's Stats counters. Each is one atomic, bumped by
@@ -276,10 +276,13 @@ type nodeTelemetry struct {
 	degraded         *telemetry.Gauge   // 1 while the node is in degraded mode
 }
 
-// inboundMsg is one decoded message plus its source connection.
-type inboundMsg struct {
-	from *peerConn
-	msg  protocol.Message
+// inboundFrame is one received frame, validated by the stream reader
+// but not decoded, plus its header and source connection. The handler
+// owns the frame's bytes: a relay patches and forwards them as received.
+type inboundFrame struct {
+	from  *peerConn
+	h     protocol.Header
+	frame []byte
 }
 
 // peerConn is one neighbor link.
@@ -332,8 +335,8 @@ func NewNode(cfg Config) (*Node, error) {
 		ln:           ln,
 		src:          rng.New(cfg.Seed),
 		shared:       make(map[string]bool),
-		inbox:        make(chan inboundMsg, 1024),
-		inboxCtl:     make(chan inboundMsg, 256),
+		inbox:        make(chan inboundFrame, 1024),
+		inboxCtl:     make(chan inboundFrame, 256),
 		ovl:          ovl,
 		ctl:          make(chan func(), 64),
 		done:         make(chan struct{}),
@@ -871,20 +874,20 @@ func (pc *peerConn) readLoop() {
 	sr := protocol.NewStreamReader(pc.conn, 64*1024)
 	sr.Skip = true // survive peers speaking newer payload types
 	for {
-		msg, err := sr.Next()
+		h, frame, err := sr.NextFrame()
 		if err != nil {
 			return
 		}
-		n.count.BytesIn.Add(uint64(protocol.HeaderSize) + uint64(msg.Header.PayloadLen))
+		n.count.BytesIn.Add(uint64(len(frame)))
 		// Control messages bypass the query backlog through the priority
 		// inbox, so a flooded node still sees NT reports and neighbor
 		// lists promptly.
 		dest := n.inboxCtl
-		if frameClass(msg.Header.Type) == faults.ClassQuery {
+		if frameClass(h.Type) == faults.ClassQuery {
 			dest = n.inbox
 		}
 		select {
-		case dest <- inboundMsg{from: pc, msg: msg}:
+		case dest <- inboundFrame{from: pc, h: h, frame: frame}:
 			n.tel.inboxHWM.SetMax(int64(len(n.inbox)))
 		case <-n.done:
 			return

@@ -61,24 +61,32 @@ func (n *Node) drainCtlInbox() {
 	}
 }
 
-// handle dispatches one inbound message (run-loop goroutine only).
+// handle dispatches one inbound frame on its header's type (run-loop
+// goroutine only). Query and QueryHit frames stay bytes: their handlers
+// parse what they need in place. Every other frame is decoded.
 // Processing-heavy control messages (Ping, neighbor lists, NT) draw
 // from the overload plane's protected control reserve —
 // which borrows idle query tokens and so only ever sheds when the node
 // is completely dry. Bye is exempt: it is terminal and dropping it
 // would leak the link's bookkeeping.
-func (n *Node) handle(in inboundMsg) {
-	switch body := in.msg.Body.(type) {
-	case protocol.Query:
-		n.handleQuery(in.from, in.msg.Header, body)
-	case protocol.QueryHit:
-		n.handleQueryHit(in.from, in.msg.Header, body)
+func (n *Node) handle(in inboundFrame) {
+	switch in.h.Type {
+	case protocol.TypeQuery:
+		n.handleQuery(in.from, in.h, in.frame)
+		return
+	case protocol.TypeQueryHit:
+		n.handleQueryHit(in.from, in.h, in.frame)
+		return
+	}
+	// The stream reader accepted the frame, so Decode cannot fail.
+	msg, _, _ := protocol.Decode(in.frame)
+	switch body := msg.Body.(type) {
 	case protocol.Ping:
 		if !n.admitControl() {
 			return
 		}
 		pong := protocol.Pong{Addr: protocol.AddrFromNodeID(0, 0), FileCount: uint32(len(n.shared))}
-		in.from.send(protocol.Encode(nil, in.msg.Header.GUID, 1, 0, pong))
+		in.from.send(protocol.Encode(nil, in.h.GUID, 1, 0, pong))
 	case protocol.Pong:
 		// Liveness only.
 	case protocol.Bye:
@@ -95,7 +103,7 @@ func (n *Node) handle(in inboundMsg) {
 			if !n.admitControl() {
 				return
 			}
-			n.monitor.onNeighborTraffic(in.from, in.msg.Header, body)
+			n.monitor.onNeighborTraffic(in.from, in.h, body)
 		}
 	}
 }
@@ -113,8 +121,10 @@ func (n *Node) admitControl() bool {
 // handleQuery implements the §2.3 peer behaviour: count the arrival,
 // dedup by GUID, consume a processing token ("first look up its local
 // sharing storage index, and then forward the query"), answer if the
-// local index matches, and rebroadcast to every other neighbor.
-func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) {
+// local index matches, and rebroadcast to every other neighbor. A
+// duplicate is dropped on its header alone; only a first copy's payload
+// is parsed, and the rebroadcast is the received frame itself.
+func (n *Node) handleQuery(from *peerConn, h protocol.Header, frame []byte) {
 	n.count.QueriesReceived.Add(1)
 	if _, dup := n.seen[h.GUID]; dup {
 		n.count.DupDropped.Add(1)
@@ -141,6 +151,8 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 	}
 	n.rememberGUID(h.GUID)
 	n.guidRoute[h.GUID] = from
+	// The stream reader accepted the frame, so ParseQuery cannot fail.
+	_, keywords, traceID, _ := protocol.ParseQuery(frame[protocol.HeaderSize:])
 
 	// Quarantine circuit breaker: the offer is counted (above — the
 	// monitor and the breaker both judge offered load), but a
@@ -149,7 +161,7 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 		n.tel.quarantineDrops.Inc()
 		n.ovl.winShed.Add(1)
 		n.count.QuarantineDropped.Add(1)
-		n.traceSpan(q.TraceID, trace.Span{
+		n.traceSpan(traceID, trace.Span{
 			Kind: trace.KindShed, Peer: int64(from.id),
 			Depth: int(h.Hops) + 1, Detail: "quarantine",
 		})
@@ -161,7 +173,7 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 		// A capacity drop is the saturation signal itself: it feeds the
 		// degraded-mode detector alongside the overload plane's sheds.
 		n.ovl.winShed.Add(1)
-		n.traceSpan(q.TraceID, trace.Span{
+		n.traceSpan(traceID, trace.Span{
 			Kind: trace.KindCongestion, Peer: int64(from.id),
 			Depth: int(h.Hops) + 1,
 		})
@@ -169,15 +181,15 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 	}
 	n.ovl.winHandled.Add(1)
 	n.count.QueriesProcessed.Add(1)
-	n.traceSpan(q.TraceID, trace.Span{
+	n.traceSpan(traceID, trace.Span{
 		Kind: trace.KindHop, Peer: int64(from.id), Depth: int(h.Hops) + 1,
 	})
 
-	if n.shared[q.Keywords] {
+	if n.shared[string(keywords)] {
 		hit := protocol.QueryHit{HitCount: 1, QueryGUID: h.GUID}
 		if from.send(protocol.Encode(nil, protocol.NewGUID(n.src), n.cfg.TTL, 0, hit)) {
 			n.count.HitsSent.Add(1)
-			n.traceSpan(q.TraceID, trace.Span{
+			n.traceSpan(traceID, trace.Span{
 				Kind: trace.KindDelivery, Peer: int64(from.id),
 				Depth: int(h.Hops) + 1,
 			})
@@ -186,18 +198,25 @@ func (n *Node) handleQuery(from *peerConn, h protocol.Header, q protocol.Query) 
 	if h.TTL <= 1 {
 		return
 	}
-	wire := protocol.Encode(nil, h.GUID, h.TTL-1, h.Hops+1, q)
+	protocol.NextHop(frame)
+	var fwd []int32
+	if n.monitor != nil {
+		fwd = make([]int32, 0, len(n.peers))
+	}
 	for id, pc := range n.peers {
 		if pc == from {
 			continue
 		}
-		if pc.send(wire) {
+		if pc.send(frame) {
 			n.count.QueriesForwarded.Add(1)
 			if n.monitor != nil {
 				n.monitor.countOut(id)
-				n.forwarded[h.GUID] = append(n.forwarded[h.GUID], id)
+				fwd = append(fwd, id)
 			}
 		}
+	}
+	if len(fwd) > 0 {
+		n.forwarded[h.GUID] = fwd
 	}
 }
 
@@ -220,19 +239,21 @@ func (n *Node) tracedQuery(guid protocol.GUID, keywords string) protocol.Query {
 	return q
 }
 
-// handleQueryHit routes a hit backwards along the query's reverse path;
-// hits addressed to one of our own queries complete the local waiter.
-func (n *Node) handleQueryHit(from *peerConn, h protocol.Header, qh protocol.QueryHit) {
+// handleQueryHit routes a hit backwards along the query's reverse path,
+// relaying the received frame; the first hit addressed to one of our own
+// queries completes the local waiter, and later ones are discarded.
+func (n *Node) handleQueryHit(from *peerConn, h protocol.Header, frame []byte) {
 	n.count.HitsReceived.Add(1)
+	// The stream reader accepted the frame, so ParseQueryHit cannot fail.
+	qh, _ := protocol.ParseQueryHit(frame[protocol.HeaderSize:])
 	if ch, mine := n.hits[qh.QueryGUID]; mine {
-		select {
-		case ch <- qh:
-		default:
-		}
+		delete(n.hits, qh.QueryGUID)
+		ch <- qh // buffered for this one send
 		return
 	}
 	if back, ok := n.guidRoute[qh.QueryGUID]; ok && back != from && h.TTL > 1 {
-		back.send(protocol.Encode(nil, h.GUID, h.TTL-1, h.Hops+1, qh))
+		protocol.NextHop(frame)
+		back.send(frame)
 	}
 }
 
@@ -244,19 +265,21 @@ func (n *Node) rememberGUID(g protocol.GUID) {
 		n.seen = make(map[protocol.GUID]struct{})
 		n.guidRoute = make(map[protocol.GUID]*peerConn)
 		n.forwarded = make(map[protocol.GUID][]int32)
+		n.hits = make(map[protocol.GUID]chan protocol.QueryHit)
 	}
 	n.seen[g] = struct{}{}
 }
 
 // IssueQuery floods a query from this node and returns a channel that
-// yields the first QueryHit (buffered; never blocks the router).
+// yields the first QueryHit (buffered; never blocks the router). The
+// node forgets the query's waiter once that hit is delivered, or when
+// the GUID maps are reset.
 func (n *Node) IssueQuery(keywords string) (<-chan protocol.QueryHit, error) {
 	res := make(chan protocol.QueryHit, 1)
 	errCh := make(chan error, 1)
 	sendErr, err := ctlCall(n, errCh, 0, func() {
 		guid := protocol.NewGUID(n.src)
 		n.rememberGUID(guid)
-		n.hits[guid] = res
 		wire := protocol.Encode(nil, guid, n.cfg.TTL, 0, n.tracedQuery(guid, keywords))
 		sent := 0
 		for id, pc := range n.peers {
@@ -271,6 +294,9 @@ func (n *Node) IssueQuery(keywords string) (<-chan protocol.QueryHit, error) {
 			errCh <- errNoNeighbors
 			return
 		}
+		// No hit can arrive before this closure returns: the run loop
+		// handles frames only between control calls.
+		n.hits[guid] = res
 		errCh <- nil
 	})
 	if err = cmp.Or(err, sendErr); err != nil {

@@ -58,6 +58,8 @@ func (Ping) Type() byte { return TypePing }
 // AppendTo implements Body.
 func (Ping) AppendTo(dst []byte) []byte { return dst }
 
+func (Ping) size() int { return 0 }
+
 func decodePing(payload []byte) (Body, error) {
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("protocol: ping with %d-byte payload", len(payload))
@@ -84,6 +86,8 @@ func (p Pong) AppendTo(dst []byte) []byte {
 	binary.LittleEndian.PutUint32(b[4:8], p.KBShared)
 	return append(dst, b[:]...)
 }
+
+func (Pong) size() int { return 14 }
 
 func decodePong(payload []byte) (Body, error) {
 	if len(payload) != 14 {
@@ -121,6 +125,8 @@ func (b Bye) AppendTo(dst []byte) []byte {
 	dst = append(dst, c[:]...)
 	return append(dst, b.Reason...)
 }
+
+func (b Bye) size() int { return 2 + len(b.Reason) }
 
 func decodeBye(payload []byte) (Body, error) {
 	if len(payload) < 2 {
@@ -169,29 +175,41 @@ func (q Query) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-func decodeQuery(payload []byte) (Body, error) {
-	if len(payload) < 3 {
-		return nil, fmt.Errorf("protocol: query payload %d bytes, want >=3", len(payload))
+func (q Query) size() int {
+	if q.TraceID != 0 {
+		return 2 + len(q.Keywords) + 1 + 9
 	}
+	return 2 + len(q.Keywords) + 1
+}
+
+// ParseQuery parses a Query payload in place and allocates nothing on
+// success: keywords aliases payload. It is the one Query parser — Decode
+// builds its Body from it — so a frame the live relay path parses and
+// one Decode accepts are the same frames.
+func ParseQuery(payload []byte) (minSpeed uint16, keywords []byte, traceID uint64, err error) {
+	if len(payload) < 3 {
+		return 0, nil, 0, fmt.Errorf("protocol: query payload %d bytes, want >=3", len(payload))
+	}
+	minSpeed = binary.LittleEndian.Uint16(payload[0:2])
 	if payload[len(payload)-1] == 0 {
-		return Query{
-			MinSpeed: binary.LittleEndian.Uint16(payload[0:2]),
-			Keywords: string(payload[2 : len(payload)-1]),
-		}, nil
+		return minSpeed, payload[2 : len(payload)-1], 0, nil
 	}
 	// Trace extension: tag byte at the end, trace ID in the 8 bytes
 	// before it, keywords NUL immediately before those.
 	if len(payload) >= 12 && payload[len(payload)-1] == queryTraceTag && payload[len(payload)-10] == 0 {
-		tid := binary.LittleEndian.Uint64(payload[len(payload)-9 : len(payload)-1])
-		if tid != 0 {
-			return Query{
-				MinSpeed: binary.LittleEndian.Uint16(payload[0:2]),
-				Keywords: string(payload[2 : len(payload)-10]),
-				TraceID:  tid,
-			}, nil
+		if tid := binary.LittleEndian.Uint64(payload[len(payload)-9 : len(payload)-1]); tid != 0 {
+			return minSpeed, payload[2 : len(payload)-10], tid, nil
 		}
 	}
-	return nil, fmt.Errorf("protocol: query keywords not NUL-terminated")
+	return 0, nil, 0, fmt.Errorf("protocol: query keywords not NUL-terminated")
+}
+
+func decodeQuery(payload []byte) (Body, error) {
+	minSpeed, keywords, traceID, err := ParseQuery(payload)
+	if err != nil {
+		return nil, err
+	}
+	return Query{MinSpeed: minSpeed, Keywords: string(keywords), TraceID: traceID}, nil
 }
 
 // QueryHit answers a Query along the reverse path (payload type 0x81).
@@ -211,18 +229,28 @@ func (q QueryHit) AppendTo(dst []byte) []byte {
 	return append(dst, q.QueryGUID[:]...)
 }
 
-func decodeQueryHit(payload []byte) (Body, error) {
+func (QueryHit) size() int { return 23 }
+
+// ParseQueryHit parses a QueryHit payload without allocating on success.
+// It is the one QueryHit parser: Decode builds its Body from it.
+func ParseQueryHit(payload []byte) (QueryHit, error) {
 	if len(payload) != 23 {
-		return nil, fmt.Errorf("protocol: queryhit payload %d bytes, want 23", len(payload))
+		return QueryHit{}, fmt.Errorf("protocol: queryhit payload %d bytes, want 23", len(payload))
 	}
 	addr, err := decodeAddr(payload)
 	if err != nil {
+		return QueryHit{}, err
+	}
+	qh := QueryHit{Addr: addr, HitCount: payload[6]}
+	copy(qh.QueryGUID[:], payload[7:23])
+	return qh, nil
+}
+
+func decodeQueryHit(payload []byte) (Body, error) {
+	qh, err := ParseQueryHit(payload)
+	if err != nil {
 		return nil, err
 	}
-	var qh QueryHit
-	qh.Addr = addr
-	qh.HitCount = payload[6]
-	copy(qh.QueryGUID[:], payload[7:23])
 	return qh, nil
 }
 
@@ -246,6 +274,8 @@ func (n NeighborList) AppendTo(dst []byte) []byte {
 	}
 	return dst
 }
+
+func (n NeighborList) size() int { return 2 + 6*len(n.Neighbors) }
 
 func decodeNeighborList(payload []byte) (Body, error) {
 	if len(payload) < 2 {

@@ -51,6 +51,8 @@ func (n NeighborTraffic) AppendTo(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
+func (NeighborTraffic) size() int { return NeighborTrafficBodySize }
+
 func decodeNeighborTraffic(payload []byte) (Body, error) {
 	if len(payload) != NeighborTrafficBodySize {
 		return nil, fmt.Errorf("protocol: neighbor_traffic payload %d bytes, want %d",

@@ -111,14 +111,40 @@ type Body interface {
 	Type() byte
 	// AppendTo appends the payload wire bytes to dst.
 	AppendTo(dst []byte) []byte
+	// size is the number of bytes AppendTo appends.
+	size() int
 }
 
 // Encode serializes header+body, fixing up Type and PayloadLen from body.
+// It grows dst once, to the frame's exact size; PayloadLen is what
+// AppendTo wrote, so a wrong size costs an allocation, never a bad frame.
 func Encode(dst []byte, guid GUID, ttl, hops byte, body Body) []byte {
-	payload := body.AppendTo(nil)
-	h := Header{GUID: guid, Type: body.Type(), TTL: ttl, Hops: hops, PayloadLen: uint32(len(payload))}
-	dst = h.AppendTo(dst)
-	return append(dst, payload...)
+	if need := HeaderSize + body.size(); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	start := len(dst)
+	h := Header{GUID: guid, Type: body.Type(), TTL: ttl, Hops: hops}
+	dst = body.AppendTo(h.AppendTo(dst))
+	binary.LittleEndian.PutUint32(dst[start+offsetPayloadLen:], uint32(len(dst)-start-HeaderSize))
+	return dst
+}
+
+// Byte offsets of the header fields a relay rewrites or a length fix-up
+// patches.
+const (
+	offsetTTL        = 17
+	offsetHops       = 18
+	offsetPayloadLen = 19
+)
+
+// NextHop rewrites a received frame in place for forwarding one hop
+// further: TTL down by one and Hops up by one, every other byte as
+// received. For a frame Decode accepts, the result equals Encode of its
+// decoded body with TTL-1 and Hops+1, because a decoded body re-encodes
+// to the payload it was decoded from (FuzzDecode checks both).
+func NextHop(frame []byte) {
+	frame[offsetTTL]--
+	frame[offsetHops]++
 }
 
 // Decode parses one complete message from buf, returning the message and

@@ -30,33 +30,57 @@ func NewStreamReader(r io.Reader, bufSize int) *StreamReader {
 // Skipped returns the number of undecodable messages dropped (Skip mode).
 func (sr *StreamReader) Skipped() uint64 { return sr.skipped }
 
-// Next reads one complete message. It returns io.EOF at a clean end of
-// stream and io.ErrUnexpectedEOF on truncation.
+// Next reads one complete message: NextFrame, then Decode.
 func (sr *StreamReader) Next() (Message, error) {
+	_, frame, err := sr.NextFrame()
+	if err != nil {
+		return Message{}, err
+	}
+	msg, _, err := Decode(frame)
+	return msg, err
+}
+
+// NextFrame reads one complete frame — header and payload — into a
+// buffer of its own, exactly HeaderSize+PayloadLen bytes long, which the
+// caller owns. It accepts exactly the frames Decode accepts, but builds
+// no Body for a Query or QueryHit: those are checked by ParseQuery and
+// ParseQueryHit, which allocate nothing. It returns io.EOF at a clean
+// end of stream and io.ErrUnexpectedEOF on truncation.
+func (sr *StreamReader) NextFrame() (Header, []byte, error) {
 	for {
 		if _, err := io.ReadFull(sr.br, sr.header[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				return Message{}, io.ErrUnexpectedEOF
-			}
-			return Message{}, err
+			return Header{}, nil, err
 		}
 		h, err := DecodeHeader(sr.header[:])
 		if err != nil {
-			return Message{}, fmt.Errorf("protocol: stream header: %w", err)
+			return Header{}, nil, fmt.Errorf("protocol: stream header: %w", err)
 		}
-		payload := make([]byte, h.PayloadLen)
-		if _, err := io.ReadFull(sr.br, payload); err != nil {
-			return Message{}, io.ErrUnexpectedEOF
+		frame := make([]byte, HeaderSize+int(h.PayloadLen))
+		copy(frame, sr.header[:])
+		if _, err := io.ReadFull(sr.br, frame[HeaderSize:]); err != nil {
+			return Header{}, nil, io.ErrUnexpectedEOF
 		}
-		full := append(sr.header[:], payload...)
-		msg, _, err := Decode(full)
-		if err != nil {
+		if err := checkFrame(h.Type, frame); err != nil {
 			if sr.Skip {
 				sr.skipped++
 				continue
 			}
-			return Message{}, err
+			return Header{}, nil, err
 		}
-		return msg, nil
+		return h, frame, nil
 	}
+}
+
+// checkFrame validates one whole frame of payload type typ.
+func checkFrame(typ byte, frame []byte) error {
+	var err error
+	switch typ {
+	case TypeQuery:
+		_, _, _, err = ParseQuery(frame[HeaderSize:])
+	case TypeQueryHit:
+		_, err = ParseQueryHit(frame[HeaderSize:])
+	default:
+		_, _, err = Decode(frame)
+	}
+	return err
 }
