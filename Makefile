@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build fmt vet ddlint detectorhome stagetimers staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck fuzz
+.PHONY: ci lint build fmt vet ddlint detectorhome stagetimers corepure staticcheck test golden race smoke writefail resultscheck bench benchpair benchcheck fuzz
 
 # ci is the gate: static checks, full build, full tests, then the one
 # race pass (every package with real concurrency, whole suites, under
@@ -17,11 +17,12 @@ build:
 
 # lint is the full static-analysis gate (DESIGN.md §18): gofmt, go vet,
 # then the ddlint determinism analyzers, then the one-home checks of the
-# detector and of the tick's stage timing, then pinned staticcheck. Every leg runs unconditionally —
+# detector and of the tick's stage timing, then the purity of the live
+# node's core, then pinned staticcheck. Every leg runs unconditionally —
 # there is deliberately no PATH-probe-and-skip path left; a static gate
 # that cannot run must fail loudly (the writefail philosophy), never
 # report a clean tree it did not inspect.
-lint: fmt vet ddlint detectorhome stagetimers staticcheck
+lint: fmt vet ddlint detectorhome stagetimers corepure staticcheck
 
 # fmt fails when any tracked Go file (bench/ included) is not gofmt-clean,
 # listing the files; it checks and never rewrites.
@@ -51,6 +52,12 @@ detectorhome:
 # the tick table (DESIGN.md §5, "The tick").
 stagetimers:
 	./scripts/stagetimers.sh
+
+# corepure keeps the live node's protocol a pure value: internal/gnet/core
+# imports no net, os or sync and contains no go statement (DESIGN.md §14);
+# ddclock keeps the wall clock out of it.
+corepure:
+	./scripts/corepure.sh
 
 # staticcheck is hermetic: the release is pinned here (module version
 # and the matching -version string) and executed via `go run

@@ -68,3 +68,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	return n, err
 }
+
+// CloseWrite half-closes the wrapped connection where it can, and closes
+// it where it cannot.
+func (c *Conn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return c.Conn.Close()
+}

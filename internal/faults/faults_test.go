@@ -206,6 +206,44 @@ func TestConnInjectedReset(t *testing.T) {
 	}
 }
 
+// A wrapped TCP connection half-closes: the peer reads every byte
+// written before it sees the end, and can still answer.
+func TestConnCloseWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	wc := Wrap(a, NewPlan(1), 1, 2, nil).(*Conn)
+	if _, err := wc.Write([]byte("bye")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	b.SetDeadline(time.Now().Add(2 * time.Second))
+	if got, err := io.ReadAll(b); err != nil || string(got) != "bye" {
+		t.Fatalf("peer read %q, %v; want the frame, then the end", got, err)
+	}
+	if _, err := b.Write([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	reply := make([]byte, 2)
+	if _, err := io.ReadFull(wc, reply); err != nil || string(reply) != "ok" {
+		t.Fatalf("half-closed side read %q, %v; want the peer's answer", reply, err)
+	}
+}
+
 func TestConnClassifierRoutesRules(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()

@@ -56,10 +56,19 @@ func TestBenchNTRoundCollectsReports(t *testing.T) {
 	// delivered after the priming, as its initial exchange sometimes is:
 	// it used to replace the primed group with one that has nobody to
 	// ask, and every later round collected 0 reports.
-	late := protocol.NeighborList{Neighbors: []protocol.PeerAddr{protocol.AddrFromNodeID(1, 0)}}
-	if err := observer.runOnCtl(func() { observer.monitor.onNeighborList(suspect, late) }); err != nil {
+	late := protocol.Encode(nil, protocol.GUID{9}, 1, 0,
+		protocol.NeighborList{Neighbors: []protocol.PeerAddr{protocol.AddrFromNodeID(1, 0)}})
+	hdr, err := protocol.DecodeHeader(late)
+	if err != nil {
 		t.Fatal(err)
 	}
+	runOnLoop(t, observer, func(now time.Time) {
+		for _, pc := range observer.links {
+			if pc.link.ID == suspect {
+				observer.core.Frame(now, pc.link, hdr, late)
+			}
+		}
+	})
 	rounds("after a late list")
 	// The verdict must not have cut the suspect: the star survives.
 	if nb := observer.Neighbors(); len(nb) != members+1 {

@@ -1,13 +1,12 @@
 package gnet
 
 import (
-	"context"
 	"math"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 
+	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/police"
@@ -103,115 +102,64 @@ func simConformance(t *testing.T) []detectionRecord {
 	return detectionRecords(jr.Events())
 }
 
-// scriptedPeer is a neighbor played by the test: it handshakes as node
-// id with each of nodes and then says only what the test writes. It
-// returns its connections in the order of nodes.
-func scriptedPeer(t *testing.T, id int32, nodes ...*Node) []net.Conn {
-	t.Helper()
-	conns := make([]net.Conn, len(nodes))
-	for i, n := range nodes {
-		conn, err := dialHandshake(context.Background(), n.Addr(), "127.0.0.1:1", id, false, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		if _, _, err := readPeerIdentity(conn); err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = conn
-	}
-	return conns
-}
-
-// liveConformance plays the script through real nodes over loopback TCP
-// on the fake Clock.
+// liveConformance plays the script through node cores on an in-memory
+// mesh, where 5 and 6 are scripted peers that say only what the test
+// injects.
 func liveConformance(t *testing.T) []detectionRecord {
 	t.Helper()
-	clk := newFakeClock()
 	jr := journal.New(256)
 	pcfg := confPolice()
-	nodes := map[int32]*Node{}
+	m := newMesh(t)
+	m.drop = dropQueries
 	for _, id := range []int32{confObserver, confSuspect, 3, 4} {
-		nodes[id] = newTestNode(t, "n", id, func(cfg *Config) {
+		m.add(id, func(cfg *core.Config) {
 			cfg.Police = &pcfg
-			cfg.MinuteLength = time.Hour // the window closes by hand
-			cfg.Clock = clk
+			cfg.MinuteLength = time.Hour
 			cfg.Journal = jr
 		})
 	}
 	for _, e := range confEdges {
-		if from, to := nodes[e[0]], nodes[e[1]]; from != nil && to != nil {
-			if err := from.Connect(to.Addr()); err != nil {
-				t.Fatal(err)
+		m.connect(e[0], e[1])
+	}
+	m.run()
+
+	// The window, as each node counts it: what u sent v is an Out count at
+	// u — a query u issues, which goes to all its neighbors but is counted
+	// only in reports about the suspect — and an In count at v.
+	for uv, q := range confSent {
+		for i := 0; i < int(q); i++ {
+			if c := m.cores[uv[0]]; c != nil {
+				c.SendRaw(m.now, "q")
 			}
 		}
+		if m.cores[uv[1]] != nil {
+			m.flood(uv[1], uv[0], int(q), 1)
+		}
 	}
-	observer := nodes[confObserver]
-	scriptedPeer(t, confSilent, nodes[confSuspect], observer)
-	late := scriptedPeer(t, confLate, nodes[confSuspect], observer)[1]
-	waitFor(t, 2*time.Second, func() bool {
-		n := 0
-		runOnLoop(t, observer, func() { n = len(observer.monitor.lists[confSuspect].members) })
-		return n == 5 && len(observer.Neighbors()) == 5
-	}, "observer holds the suspect's five-member list")
-
-	// The closed window, as each node counted it.
-	for id, n := range nodes {
-		runOnLoop(t, n, func() {
-			out, in := n.monitor.prevOut, n.monitor.prevIn
-			if id == confObserver {
-				out, in = n.monitor.curOut, n.monitor.curIn // closeMinute below rolls these
-			}
-			for uv, q := range confSent {
-				switch id {
-				case uv[0]:
-					out[uv[1]] = q
-				case uv[1]:
-					in[uv[0]] = q
-				}
-			}
-		})
-	}
-	runOnLoop(t, observer, func() { observer.monitor.closeMinute() })
-	waitFor(t, 2*time.Second, func() bool { return seatedReports(t, observer, confSuspect) == 2 },
-		"both honest members' reports seated")
-	clk.Advance(30 * time.Minute) // the verdict deadline
-	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 4 }, "suspect cut")
+	m.advance(time.Hour)     // the window closes: the round asks 3, 4, 5 and 6
+	m.advance(time.Hour / 2) // the verdict
 	verdict := detectionRecords(jr.Events())
+	asked := false
+	for _, b := range m.sent(confObserver, confLate, 0) {
+		_, nt := b.(protocol.NeighborTraffic)
+		asked = asked || nt
+	}
+	if !asked {
+		t.Fatal("the late member was never asked")
+	}
 
 	// The late member answers now, reply-flagged. No round is waiting, so
 	// the observer refuses the reply: it neither answers nor records it.
-	late.SetReadDeadline(time.Now().Add(2 * time.Second))
-	sr := protocol.NewStreamReader(late, 4096)
-	for { // the round's request, which the member never answered in time
-		msg, err := sr.Next()
-		if err != nil {
-			t.Fatalf("late member never received the request: %v", err)
-		}
-		if _, ok := msg.Body.(protocol.NeighborTraffic); ok {
-			break
-		}
-	}
+	since := len(m.log)
 	report := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(confLate, 0).IP,
 		SuspectIP: protocol.AddrFromNodeID(confSuspect, 0).IP,
 		Outgoing:  math.MaxUint32,
 	}
-	if _, err := late.Write(protocol.Encode(nil, protocol.GUID{6}, 1, ntReplyHops, report)); err != nil {
-		t.Fatal(err)
-	}
-	late.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-	for {
-		msg, err := sr.Next()
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			break // the observer stayed silent
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := msg.Body.(protocol.NeighborTraffic); ok {
-			t.Fatal("the observer answered a late reply")
-		}
+	m.inject(confObserver, confLate, protocol.Encode(nil, protocol.GUID{6}, 1, 1, report))
+	m.run()
+	if back := m.sent(confObserver, confLate, since); len(back) != 0 {
+		t.Fatalf("the observer answered a late reply: %+v", back)
 	}
 	if after := detectionRecords(jr.Events()); !reflect.DeepEqual(after, verdict) {
 		t.Errorf("a report after the verdict changed the record\n from %+v\n to   %+v", verdict, after)
@@ -222,8 +170,9 @@ func liveConformance(t *testing.T) []detectionRecord {
 // TestSimLiveConformance is the first slice of sim ↔ live conformance
 // (ROADMAP item 4): one scripted buddy group — two honest members, one
 // silent, one late — driven through the simulator's synchronous driver
-// and through real nodes on the fake Clock. Both are transports of the
-// one police.Round, so their journals must agree record for record.
+// and through node cores wired by an in-memory mesh, on the mesh's time.
+// Both are transports of the one police.Round, so their journals must
+// agree record for record.
 func TestSimLiveConformance(t *testing.T) {
 	sim, live := simConformance(t), liveConformance(t)
 	if len(sim) != 8 { // warning, request, 2 reports, 2 timeouts, indicator, cut

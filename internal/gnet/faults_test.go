@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ddpolice/internal/faults"
+	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
@@ -91,53 +92,45 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 // transport errors moments later.
 func TestPoliceCutNeverReconnects(t *testing.T) {
 	reg := telemetry.New()
-	pcfg := police.DefaultConfig()
-	pcfg.Q0 = 10
-	pcfg.WarnThreshold = 50
-	pcfg.CutThreshold = 5
+	jr := journal.New(64)
 	observer := newTestNode(t, "observer", 1, func(cfg *Config) {
-		cfg.Police = &pcfg
-		cfg.MinuteLength = time.Hour // windows rolled by hand
+		cfg.Police = testPolice()
+		cfg.MinuteLength = time.Hour // rounds are driven by hand
 		cfg.Telemetry = reg
+		cfg.Journal = jr
 		cfg.Reconnect = fastReconnect()
 	})
 	// The suspect gets neither the supervisor nor the observer's
 	// registry: the assertion below is that the OBSERVER never re-dials.
 	suspect := newTestNode(t, "suspect", 2, func(cfg *Config) {
-		cfg.Police = &pcfg
+		cfg.Police = testPolice()
 		cfg.MinuteLength = time.Hour
 	})
 	if err := observer.Connect(suspect.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool {
-		have := false
-		runOnLoop(t, observer, func() { _, have = observer.monitor.lists[2] })
-		return have
-	}, "observer received the suspect's neighbor list")
+	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 1 }, "connected")
 
-	// Flood window -> evaluation -> verdict, all driven by hand.
-	m := observer.monitor
-	runOnLoop(t, observer, func() {
-		m.curIn[2] = 1000
-		m.closeMinute()
-		m.finishEvaluation(2)
-	})
+	// A 1000-query window, a round with no one else to ask, the verdict.
+	if err := observer.BenchPrimeSuspect(2, []int32{1}, 1000, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := observer.BenchNTRound(2, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 0 }, "suspect cut")
 
-	// Give the (wrongly scheduled, if any) reconnect chain ample time.
-	time.Sleep(500 * time.Millisecond)
+	// Give the (wrongly scheduled, if any) reconnect chain ten base delays.
+	time.Sleep(200 * time.Millisecond)
 	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
 		t.Errorf("reconnect_attempts = %d after a DD-POLICE cut, want 0", got)
 	}
 	if len(observer.Neighbors()) != 0 {
 		t.Error("cut neighbor came back")
 	}
-	runOnLoop(t, observer, func() {
-		if !observer.cutPeers[2] {
-			t.Error("cut provenance not recorded in cutPeers")
-		}
-	})
+	if got := journalDetails(jr, journal.TypePeerDrop); len(got) != 1 || got[0] != "cut" {
+		t.Errorf("peer_drop records %v, want the one cut", got)
+	}
 }
 
 // TestCloseDuringReconnectLeaksNoGoroutines is the goroutine-leak
@@ -165,16 +158,10 @@ func TestCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "connected")
 
 	// In-flight evaluation: four dead members, each retried with backoff.
-	runOnLoop(t, a, func() {
-		a.monitor.holdList(7, []protocol.PeerAddr{
-			protocol.AddrFromNodeID(8, 1),
-			protocol.AddrFromNodeID(9, 1),
-			protocol.AddrFromNodeID(10, 1),
-			protocol.AddrFromNodeID(11, 1),
-		}, false)
-		a.monitor.prevIn[7] = 1000
-		a.monitor.startEvaluation(7)
-	})
+	if err := a.BenchPrimeSuspect(7, []int32{8, 9, 10, 11}, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	runOnLoop(t, a, func(now time.Time) { a.core.Evaluate(now, 7) })
 	// Pending reconnect: b dies, a's supervisor starts re-dialing.
 	b.Close()
 	time.Sleep(50 * time.Millisecond)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ddpolice/internal/capacity"
+	"ddpolice/internal/gnet/core"
+	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
@@ -38,7 +41,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 		if cond() {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("timeout: " + msg)
 }
@@ -170,33 +173,43 @@ func TestQueryFloodAndHit(t *testing.T) {
 
 // TestAnsweredQueriesAreForgotten: an issued query's waiter leaves the
 // node with its first hit, so a long-running node does not keep one
-// entry per query it ever asked.
+// entry per query it ever asked — and a later hit for it reaches nobody.
 func TestAnsweredQueriesAreForgotten(t *testing.T) {
-	a := newTestNode(t, "a", 1, nil)
-	b := newTestNode(t, "b", 2, func(cfg *Config) {
-		cfg.SharedObjects = []string{"ubuntu iso"}
-	})
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 }, "b sees a")
+	m := newMesh(t)
+	a := m.add(1, nil)
+	m.add(2, func(cfg *core.Config) { cfg.SharedObjects = []string{"ubuntu iso"} })
+	m.connect(1, 2)
+	m.run()
 
 	const answered = 20
+	var hit chan protocol.QueryHit
 	for i := 0; i < answered; i++ {
-		hits, err := a.IssueQuery("ubuntu iso")
-		if err != nil {
+		hit = make(chan protocol.QueryHit, 1)
+		if err := a.Issue(m.now, "ubuntu iso", hit); err != nil {
 			t.Fatal(err)
 		}
+		m.run()
 		select {
-		case <-hits:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("query %d: no QueryHit within deadline", i)
+		case <-hit:
+		default:
+			t.Fatalf("query %d: no QueryHit", i)
 		}
 	}
-	var waiting int
-	runOnLoop(t, a, func() { waiting = len(a.hits) })
-	if waiting != 0 {
-		t.Fatalf("%d of %d answered queries still hold a waiter", waiting, answered)
+	// The last answer once more: the node counts it, and has no one to
+	// hand it to.
+	var last []byte
+	for _, e := range m.log {
+		if e.from == 2 && e.kind == "send" && e.frame[16] == protocol.TypeQueryHit {
+			last = e.frame
+		}
+	}
+	received := a.Stats().HitsReceived
+	m.inject(1, 2, slices.Clone(last))
+	if got := a.Stats().HitsReceived; got != received+1 {
+		t.Fatalf("HitsReceived %d -> %d, want the repeated hit counted", received, got)
+	}
+	if len(hit) != 0 {
+		t.Fatal("an answered query's waiter got a second hit: the node still held it")
 	}
 }
 
@@ -252,22 +265,18 @@ func expectRelay(t *testing.T, what string, w net.Conn, frame []byte, r *protoco
 }
 
 func TestQueryMissesUnsharedObject(t *testing.T) {
-	a := newTestNode(t, "a", 1, nil)
-	b := newTestNode(t, "b", 2, func(cfg *Config) {
-		cfg.SharedObjects = []string{"something else"}
-	})
-	if err := a.Connect(b.Addr()); err != nil {
+	m := newMesh(t)
+	a := m.add(1, nil)
+	m.add(2, func(cfg *core.Config) { cfg.SharedObjects = []string{"something else"} })
+	m.connect(1, 2)
+	m.run()
+	hit := make(chan protocol.QueryHit, 1)
+	if err := a.Issue(m.now, "ubuntu iso", hit); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "connected")
-	hits, err := a.IssueQuery("ubuntu iso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-hits:
+	m.run()
+	if len(hit) != 0 || m.cores[2].Stats().HitsSent != 0 {
 		t.Fatal("hit for unshared object")
-	case <-time.After(300 * time.Millisecond):
 	}
 }
 
@@ -279,37 +288,30 @@ func TestIssueQueryWithoutNeighbors(t *testing.T) {
 }
 
 func TestTTLBoundsPropagation(t *testing.T) {
-	// Line a-b-c-d with TTL 2 from a: c receives (ttl 1) but must not
-	// forward to d.
-	a := newTestNode(t, "a", 1, func(cfg *Config) { cfg.TTL = 2 })
-	b := newTestNode(t, "b", 2, nil)
-	c := newTestNode(t, "c", 3, nil)
-	d := newTestNode(t, "d", 4, func(cfg *Config) {
-		cfg.SharedObjects = []string{"prize"}
-	})
-	if err := a.Connect(b.Addr()); err != nil {
+	// Line 1-2-3-4 with TTL 2 from 1: 3 receives (ttl 1) but must not
+	// forward to 4.
+	m := newMesh(t)
+	a := m.add(1, func(cfg *core.Config) { cfg.TTL = 2 })
+	m.add(2, nil)
+	m.add(3, nil)
+	d := m.add(4, func(cfg *core.Config) { cfg.SharedObjects = []string{"prize"} })
+	m.connect(1, 2)
+	m.connect(2, 3)
+	m.connect(3, 4)
+	m.run()
+	hit := make(chan protocol.QueryHit, 1)
+	if err := a.Issue(m.now, "prize", hit); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Connect(c.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Connect(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		return len(b.Neighbors()) == 2 && len(c.Neighbors()) == 2
-	}, "line connected")
-	hits, err := a.IssueQuery("prize")
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-hits:
+	m.run()
+	if len(hit) != 0 {
 		t.Fatal("hit beyond TTL")
-	case <-time.After(400 * time.Millisecond):
+	}
+	if got := m.cores[3].Stats().QueriesReceived; got != 1 {
+		t.Fatalf("3 received %d queries, want the one at TTL 1", got)
 	}
 	if got := d.Stats().QueriesReceived; got != 0 {
-		t.Fatalf("d received %d queries despite TTL 2", got)
+		t.Fatalf("4 received %d queries despite TTL 2", got)
 	}
 }
 
@@ -492,20 +494,53 @@ func TestCleanShutdownUnderTraffic(t *testing.T) {
 	// deadlocks or panics.
 }
 
+// TestDisconnectSendsByeAndDrops: the Bye that Disconnect and a
+// DD-POLICE cut queue reaches the peer before the connection closes, so
+// the peer journals the drop as orderly — a cut suspect running the
+// reconnect supervisor does not take it for a crash and re-dial. The link
+// used to close its socket before the write pump drained the control
+// queue, and the peer journaled almost every such drop as transport.
 func TestDisconnectSendsByeAndDrops(t *testing.T) {
-	a := newTestNode(t, "a", 1, nil)
-	b := newTestNode(t, "b", 2, nil)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 }, "connected")
-	if err := a.Disconnect(2, 200, "orderly shutdown"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "a dropped b")
-	// b processes the Bye and drops a too.
-	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 0 }, "b honored the Bye")
-	if err := a.Disconnect(99, 200, "x"); err == nil {
-		t.Fatal("disconnecting unknown neighbor succeeded")
+	for i := 0; i < 40; i++ {
+		cut := i%2 == 1
+		jr := journal.New(64)
+		mutate := func(cfg *Config) {
+			cfg.Journal = jr
+			cfg.Police = testPolice()
+			cfg.MinuteLength = time.Hour
+		}
+		a := newTestNode(t, "a", 1, mutate)
+		b := newTestNode(t, "b", 2, mutate)
+		if err := a.Connect(b.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 && len(a.Neighbors()) == 1 }, "connected")
+		if cut {
+			// a's own 1000-query window judges b, with no one else to ask.
+			if err := a.BenchPrimeSuspect(2, []int32{1}, 1000, 5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.BenchNTRound(2, 2*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if d := a.Stats().Disconnects; len(d) != 1 || d[0].Code != protocol.ByeCodeDDoSSuspect {
+				t.Fatalf("iteration %d: cuts %+v, want b cut", i, d)
+			}
+		} else if err := a.Disconnect(2, 200, "orderly shutdown"); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 && len(b.Neighbors()) == 0 }, "both ends dropped the link")
+		for _, e := range jr.Events() {
+			if e.Node == 2 && e.Type == journal.TypePeerDrop && e.Detail != "orderly" {
+				t.Fatalf("iteration %d (cut %v): b journaled the drop as %q, want orderly: the Bye never arrived", i, cut, e.Detail)
+			}
+		}
+		if i == 0 {
+			if err := a.Disconnect(99, 200, "x"); err == nil {
+				t.Fatal("disconnecting unknown neighbor succeeded")
+			}
+		}
+		a.Close()
+		b.Close()
 	}
 }

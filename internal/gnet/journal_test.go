@@ -2,74 +2,42 @@ package gnet
 
 import (
 	"testing"
-	"time"
 
 	"ddpolice/internal/journal"
-	"ddpolice/internal/police"
+	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
 )
 
-// policeTriangle builds observer(1), suspect(2), buddy(3) with
+// policeTriangle is a mesh of observer(1), suspect(2) and buddy(3) with
 // observer—suspect, buddy—suspect and observer—buddy links, so the
 // suspect's advertised neighbor list gives the observer a real buddy
 // member to collect a Neighbor_Traffic report from.
-func policeTriangle(t *testing.T, jr *journal.Journal, reg *telemetry.Registry) (observer, suspect, buddy *Node) {
+func policeTriangle(t *testing.T, jr *journal.Journal, reg *telemetry.Registry) *mesh {
 	t.Helper()
-	pcfg := police.DefaultConfig()
-	pcfg.Q0 = 10
-	pcfg.WarnThreshold = 50
-	pcfg.CutThreshold = 5
-	mutate := func(cfg *Config) {
-		cfg.Police = &pcfg
-		cfg.MinuteLength = time.Hour // windows roll by hand
-		cfg.Journal = jr
-		cfg.Telemetry = reg
-	}
-	observer = newTestNode(t, "observer", 1, mutate)
-	suspect = newTestNode(t, "suspect", 2, mutate)
-	buddy = newTestNode(t, "buddy", 3, mutate)
-	for _, dial := range []struct{ from, to *Node }{
-		{observer, suspect}, {buddy, suspect}, {observer, buddy},
-	} {
-		if err := dial.from.Connect(dial.to.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		sawBuddy := false
-		runOnLoop(t, observer, func() {
-			for _, m := range observer.monitor.lists[2].members {
-				if m.NodeID() == 3 {
-					sawBuddy = true
-				}
-			}
-		})
-		return sawBuddy
-	}, "observer learned the suspect's buddy group")
-	return observer, suspect, buddy
+	return policeMesh(t, jr, reg, []int32{1, 2, 3}, [2]int32{1, 2}, [2]int32{3, 2}, [2]int32{1, 3})
 }
 
-// TestJournalWarningReportCutOrdering drives a full detection round
-// over real TCP and asserts the journal shows the lifecycle in order:
-// warning_crossed → nt_request → nt_report (from the buddy) →
-// indicator → cut, followed by the cut-provenance peer_drop.
+// TestJournalWarningReportCutOrdering drives a full detection round and
+// asserts the journal shows the lifecycle in order: warning_crossed →
+// nt_request → nt_report (from the buddy) → indicator → cut, followed by
+// the cut-provenance peer_drop.
 func TestJournalWarningReportCutOrdering(t *testing.T) {
 	jr := journal.New(1024)
 	reg := telemetry.New()
-	observer, _, buddy := policeTriangle(t, jr, reg)
+	m := policeTriangle(t, jr, reg)
 
-	// The suspect floods: 1000 inbound queries in the observer's
-	// current window, then the window closes.
-	runOnLoop(t, observer, func() {
-		observer.monitor.curIn[2] = 1000
-		observer.monitor.closeMinute()
-	})
-	// The buddy's report travels over the direct observer—buddy link.
-	waitFor(t, 2*time.Second, func() bool {
-		return seatedReports(t, observer, 2) == 1
-	}, "buddy report arrived")
-	runOnLoop(t, observer, func() { observer.monitor.finishEvaluation(2) })
-	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 1 }, "suspect cut")
+	// The suspect floods: 1000 inbound queries in the observer's window,
+	// then the window closes and the buddy's report comes back over the
+	// observer—buddy link.
+	m.flood(1, 2, 1000, 1)
+	m.advance(window)
+	if seated, _, _ := m.cores[1].Seats(2); seated != 1 {
+		t.Fatalf("seated = %d, want the buddy's report", seated)
+	}
+	m.advance(window / 2)
+	if nb := m.cores[1].Neighbors(); len(nb) != 1 || nb[0] != 3 {
+		t.Fatalf("observer's neighbors %v after the verdict, want the buddy alone", nb)
+	}
 
 	seq := map[string]uint64{}
 	for _, e := range jr.Events() {
@@ -105,32 +73,25 @@ func TestJournalWarningReportCutOrdering(t *testing.T) {
 	if reg.Counter("gnet.evaluations_timeout_zero").Load() != 0 {
 		t.Fatal("full quorum round counted a timeout-as-zero verdict")
 	}
-	_ = buddy
 }
 
 // TestNeighborTrafficNoEchoStorm is the regression test for the NT
 // echo loop: requests and replies share one wire format, and answering
 // a reply used to bounce Neighbor_Traffic between two monitors
-// indefinitely. After an evaluation settles, NT traffic must stop.
+// indefinitely. After an evaluation settles, NT traffic must stop (a
+// storm would also never let the mesh go quiet).
 func TestNeighborTrafficNoEchoStorm(t *testing.T) {
-	jr := journal.New(4096)
-	observer, _, buddy := policeTriangle(t, jr, nil)
-
-	runOnLoop(t, observer, func() {
-		observer.monitor.curIn[2] = 1000
-		observer.monitor.closeMinute()
-	})
-	waitFor(t, 2*time.Second, func() bool {
-		return seatedReports(t, observer, 2) == 1
-	}, "buddy report arrived")
-	runOnLoop(t, observer, func() { observer.monitor.finishEvaluation(2) })
-
-	// With the evaluation settled, the observer↔buddy link must go
-	// quiet; a storm shows up as ever-growing byte counts.
-	settle := func() uint64 { return buddy.Stats().BytesIn }
-	before := settle()
-	time.Sleep(300 * time.Millisecond)
-	if after := settle(); after != before {
-		t.Fatalf("NT traffic still flowing after the round settled: %d -> %d bytes", before, after)
+	m := policeTriangle(t, nil, nil)
+	m.flood(1, 2, 1000, 1)
+	m.advance(window)
+	m.advance(window / 2) // the verdict
+	since := len(m.log)
+	m.advance(window)
+	for _, pair := range [][2]int32{{1, 3}, {3, 1}} {
+		for _, b := range m.sent(pair[0], pair[1], since) {
+			if _, ok := b.(protocol.NeighborTraffic); ok {
+				t.Fatalf("Neighbor_Traffic %d -> %d after the round settled: %+v", pair[0], pair[1], b)
+			}
+		}
 	}
 }

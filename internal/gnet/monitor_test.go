@@ -7,128 +7,121 @@ import (
 	"testing"
 	"time"
 
+	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
 )
 
-// runOnLoop executes fn on n's run-loop goroutine and waits for it, so
-// tests can drive monitor state deterministically (window rolls and
-// verdicts are ordered exactly as the bug scenarios require).
-func runOnLoop(t *testing.T, n *Node, fn func()) {
+// window is the monitoring window of the tests that drive cores: long
+// enough that nothing but the mesh's own clock could close one.
+const window = time.Hour
+
+// runOnLoop executes fn on n's run-loop goroutine, with the time the run
+// loop woke at, and waits for it.
+func runOnLoop(t *testing.T, n *Node, fn func(now time.Time)) {
 	t.Helper()
-	done := make(chan struct{})
-	select {
-	case n.ctl <- func() { fn(); close(done) }:
-	case <-time.After(2 * time.Second):
-		t.Fatal("ctl enqueue timeout")
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("ctl run timeout")
+	if err := n.runOnCtl(func(now time.Time) error { fn(now); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// seatedReports returns how many asked members the pending round about
-// suspect has seated, -1 when no round is pending.
-func seatedReports(t *testing.T, n *Node, suspect int32) int {
-	t.Helper()
-	seated := -1
-	runOnLoop(t, n, func() {
-		if r, ok := n.monitor.pending[suspect]; ok {
-			seated = len(r.Asked()) - r.Silent()
-		}
-	})
-	return seated
-}
-
-// policePair builds observer -> suspect over real TCP with DD-POLICE on
-// both, a MinuteLength long enough that no timer fires during the test,
-// and waits until the observer holds the suspect's neighbor list.
-func policePair(t *testing.T, reg *telemetry.Registry) (observer, suspect *Node) {
-	t.Helper()
+// testPolice is the DD-POLICE configuration of the monitor tests: a
+// 1000-query window is far past every threshold.
+func testPolice() *police.Config {
 	pcfg := police.DefaultConfig()
 	pcfg.Q0 = 10
 	pcfg.WarnThreshold = 50
 	pcfg.CutThreshold = 5
-	mutate := func(cfg *Config) {
-		cfg.Police = &pcfg
-		cfg.MinuteLength = time.Hour // tests roll windows by hand
-		cfg.Telemetry = reg
-	}
-	observer = newTestNode(t, "observer", 1, mutate)
-	suspect = newTestNode(t, "suspect", 2, mutate)
-	if err := observer.Connect(suspect.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		have := false
-		runOnLoop(t, observer, func() {
-			_, have = observer.monitor.lists[2]
+	return &pcfg
+}
+
+// policeMesh starts DD-POLICE cores ids, with testPolice on hour-long
+// windows recording into jr and reg, links edges (an id with no core is a
+// scripted peer) and runs the list exchange. The flood stays off the
+// mesh: the tests inject what each core counts.
+func policeMesh(t *testing.T, jr *journal.Journal, reg *telemetry.Registry, ids []int32, edges ...[2]int32) *mesh {
+	t.Helper()
+	m := newMesh(t)
+	m.drop = dropQueries
+	for _, id := range ids {
+		m.add(id, func(cfg *core.Config) {
+			cfg.Police = testPolice()
+			cfg.MinuteLength = window
+			cfg.Journal = jr
+			cfg.Telemetry = reg
 		})
-		return have
-	}, "observer received the suspect's neighbor list")
-	return observer, suspect
+	}
+	for _, e := range edges {
+		m.connect(e[0], e[1])
+	}
+	m.run()
+	return m
+}
+
+// journalCount counts node's records of type typ.
+func journalCount(jr *journal.Journal, node int64, typ string) int {
+	n := 0
+	for _, e := range jr.Events() {
+		if e.Node == node && e.Type == typ {
+			n++
+		}
+	}
+	return n
 }
 
 // TestEvaluationSurvivesWindowRoll is the regression test for the
-// stale-window verdict bug: the half-window AfterFunc can fire after
-// closeMinute rolls the windows. That the round judges by the opening
-// window's own report is police.TestRoundOwnReportIsTheOpeningWindows';
-// what needs a node is that a quiet window
-// closing in between leaves the pending round alone and the late
-// verdict still cuts.
+// stale-window verdict bug: the verdict can fall due after the window
+// rolls. That the round judges by the opening window's own report is
+// police.TestRoundOwnReportIsTheOpeningWindows'; what needs a node is
+// that a quiet window closing in between leaves the pending round alone
+// and the late verdict still cuts. Here the suspect's buddy group is one
+// silent peer, so the verdict defers once, to the instant the next
+// window closes, and the window goes first.
 func TestEvaluationSurvivesWindowRoll(t *testing.T) {
-	observer, _ := policePair(t, nil)
-	m := observer.monitor
-
-	runOnLoop(t, observer, func() {
-		m.curIn[2] = 1000 // flood window
-		m.closeMinute()   // rolls it, opens the round
-		m.closeMinute()   // the next, quiet window closes BEFORE the verdict
-		m.finishEvaluation(2)
-	})
-	cuts := observer.Stats().Disconnects
+	m := policeMesh(t, nil, nil, []int32{1, 2}, [2]int32{1, 2}, [2]int32{2, 3})
+	m.flood(1, 2, 1000, 1)
+	m.advance(window)     // the flood window closes and the round asks 3
+	m.advance(window / 2) // 3 is silent: the verdict waits one more half window
+	m.advance(window / 2) // the quiet window closes, then the verdict
+	cuts := m.cores[1].Stats().Disconnects
 	if len(cuts) != 1 || cuts[0].Code != protocol.ByeCodeDDoSSuspect || cuts[0].General <= 5 {
 		t.Fatalf("verdict after a window roll: %+v, want one DD-POLICE cut with g > CT", cuts)
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 0 }, "suspect dropped")
+	if nb := m.cores[1].Neighbors(); len(nb) != 0 {
+		t.Fatalf("neighbors %v after the cut, want none", nb)
+	}
 }
 
 // TestDuplicateReportsCountOnce is the regression test for report
 // double-counting. That a round seats each asked member once is
 // police.TestRoundLifecycle's ("duplicate, non-member and suspect
-// reports refused"); what needs a node is that its two channels — the
-// direct link's handler and a transient dial's reply — feed the same
-// seat, and that the refusal is counted.
+// reports refused"); what needs a node is that its two channels — a
+// neighbor link and an out-of-band reply — feed the same seat, and that
+// the refusal is counted.
 func TestDuplicateReportsCountOnce(t *testing.T) {
 	reg := telemetry.New()
-	observer, _ := policePair(t, reg)
-	m := observer.monitor
-
+	m := policeMesh(t, nil, reg, []int32{1, 2}, [2]int32{1, 2})
+	c := m.cores[1]
+	// Buddy-group view of suspect 2: two members besides us, neither
+	// reachable, so every report arrives by hand.
+	if err := c.Prime(m.now, 2, []int32{1, 8, 9}, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Evaluate(m.now, 2); err != nil {
+		t.Fatal(err)
+	}
 	nt := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(8, 0).IP,
 		SuspectIP: protocol.AddrFromNodeID(2, 0).IP,
 		Outgoing:  5,
 		Incoming:  400,
 	}
-	runOnLoop(t, observer, func() {
-		// Buddy-group view of suspect 2: two members besides us, both
-		// unreachable (port 1), so every report arrives by hand.
-		m.holdList(2, []protocol.PeerAddr{
-			protocol.AddrFromNodeID(1, 0), // the observer itself: not asked
-			protocol.AddrFromNodeID(8, 1),
-			protocol.AddrFromNodeID(9, 1),
-		}, false)
-		m.prevIn[2] = 1000
-		m.startEvaluation(2)
-		m.seat(8, nt) // member 8 over a transient dial ...
-		m.seat(8, nt) // ... and again over a second channel
-	})
-	if got := seatedReports(t, observer, 2); got != 1 {
-		t.Errorf("seated = %d after a duplicate Neighbor_Traffic, want 1", got)
+	c.Reply(m.now, 8, nt) // member 8 out of band ...
+	c.Reply(m.now, 8, nt) // ... and again over a second channel
+	if seated, _, _ := c.Seats(2); seated != 1 {
+		t.Errorf("seated = %d after a duplicate Neighbor_Traffic, want 1", seated)
 	}
 	if got := reg.Counter("gnet.nt_reports_refused").Load(); got != 1 {
 		t.Errorf("gnet.nt_reports_refused = %d, want 1", got)
@@ -148,28 +141,26 @@ func TestDuplicateReportsCountOnce(t *testing.T) {
 func TestForgedReportsCannotShieldTheSuspect(t *testing.T) {
 	jr := journal.New(1024)
 	reg := telemetry.New()
-	observer, suspect, _ := policeTriangle(t, jr, reg)
+	m := policeTriangle(t, jr, reg)
 
-	runOnLoop(t, observer, func() {
-		observer.monitor.curIn[2] = 1000
-		observer.monitor.closeMinute()
-	})
+	m.flood(1, 2, 1000, 1)
+	m.advance(window) // the round asks the buddy, whose report is seated
 	sources := []int32{2, 8, 9, 3}
-	runOnLoop(t, suspect, func() {
-		for _, src := range sources {
-			forged := protocol.NeighborTraffic{
-				SourceIP:  protocol.AddrFromNodeID(src, 0).IP,
-				SuspectIP: protocol.AddrFromNodeID(2, 0).IP,
-				Outgoing:  math.MaxUint32,
-			}
-			suspect.peers[1].send(protocol.Encode(nil, protocol.NewGUID(suspect.src), 1, 0, forged))
+	for _, src := range sources {
+		forged := protocol.NeighborTraffic{
+			SourceIP:  protocol.AddrFromNodeID(src, 0).IP,
+			SuspectIP: protocol.AddrFromNodeID(2, 0).IP,
+			Outgoing:  math.MaxUint32,
 		}
-	})
-	refused := reg.Counter("gnet.nt_reports_refused")
-	waitFor(t, 2*time.Second, func() bool {
-		return refused.Load() == uint64(len(sources)) && seatedReports(t, observer, 2) == 1
-	}, "forged reports refused and the buddy's report seated")
-	runOnLoop(t, observer, func() { observer.monitor.finishEvaluation(2) })
+		m.inject(1, 2, protocol.Encode(nil, protocol.NewGUID(m.src), 1, 0, forged))
+	}
+	if got := reg.Counter("gnet.nt_reports_refused").Load(); got != uint64(len(sources)) {
+		t.Errorf("gnet.nt_reports_refused = %d, want %d", got, len(sources))
+	}
+	if seated, _, _ := m.cores[1].Seats(2); seated != 1 {
+		t.Errorf("seated = %d, want the buddy's report only", seated)
+	}
+	m.advance(window / 2)
 
 	var ind, cut *journal.Event
 	for _, e := range jr.Events() {
@@ -198,35 +189,96 @@ func TestForgedReportsCannotShieldTheSuspect(t *testing.T) {
 // for is refused and counted, never answered.
 func TestStrayReplyIsNotAnswered(t *testing.T) {
 	reg := telemetry.New()
-	_, suspect := policePair(t, reg)
-	// Let the neighbor-list exchange of the handshake finish first: the
-	// observer's list has arrived and nothing followed it.
-	last := uint64(0)
-	waitFor(t, 2*time.Second, func() bool {
-		in := suspect.Stats().BytesIn
-		quiet := in != 0 && in == last
-		last = in
-		return quiet
-	}, "link quiet after the handshake")
-
+	m := policeMesh(t, nil, reg, []int32{1, 2}, [2]int32{1, 2})
+	since := len(m.log)
 	stray := protocol.NeighborTraffic{
 		SourceIP:  protocol.AddrFromNodeID(2, 0).IP,
 		SuspectIP: protocol.AddrFromNodeID(9, 0).IP, // no round about 9 anywhere
 		Outgoing:  5,
 	}
-	runOnLoop(t, suspect, func() {
-		suspect.peers[1].send(protocol.Encode(nil, protocol.NewGUID(suspect.src), 1, ntReplyHops, stray))
-	})
-	refused := reg.Counter("gnet.nt_reports_refused")
-	waitFor(t, 2*time.Second, func() bool {
-		return refused.Load() > 0 || suspect.Stats().BytesIn != last
-	}, "the stray reply refused or answered")
-	time.Sleep(300 * time.Millisecond)
-	if in := suspect.Stats().BytesIn; in != last {
-		t.Fatalf("0x83 frames came back for a stray reply: %d -> %d bytes in", last, in)
+	const replyHops = 1 // a Neighbor_Traffic reply's header Hops
+	m.inject(1, 2, protocol.Encode(nil, protocol.NewGUID(m.src), 1, replyHops, stray))
+	m.run()
+	if back := m.sent(1, 2, since); len(back) != 0 {
+		t.Fatalf("the stray reply was answered: %+v", back)
 	}
-	if got := refused.Load(); got != 1 {
+	if got := reg.Counter("gnet.nt_reports_refused").Load(); got != 1 {
 		t.Errorf("gnet.nt_reports_refused = %d, want 1", got)
+	}
+}
+
+// TestMonitorNTRateLimitUsesInputTime holds the §3.3 round suppression to
+// the time the node's inputs carry: ReportRateLimit is in protocol
+// seconds, in which a window lasts 60 whatever MinuteLength is, so with
+// a 100-second limit the round of a hot window suppresses the next
+// window's and not the one after. The comparison itself is
+// police.TestRoundLifecycle's ("rate limited", "rate limit expired");
+// what needs a node is the conversion of its time spans to protocol
+// seconds and its last-round stamp. Read as wall-clock seconds, an
+// hour-long window would never be suppressed.
+func TestMonitorNTRateLimitUsesInputTime(t *testing.T) {
+	jr := journal.New(256)
+	m := newMesh(t)
+	m.drop = dropQueries
+	pcfg := testPolice()
+	pcfg.ReportRateLimit = 100
+	pcfg.CutThreshold = 1e9 // warn, never cut: the suspect stays for every window
+	for _, id := range []int32{1, 2} {
+		m.add(id, func(cfg *core.Config) {
+			cfg.Police = pcfg
+			cfg.MinuteLength = window
+			cfg.Journal = jr
+		})
+	}
+	m.connect(1, 2)
+	m.run()
+	for w, wantRounds := range []int{1, 1, 2} {
+		m.flood(1, 2, 1000, 1)
+		m.advance(window)
+		if got := journalCount(jr, 1, journal.TypeWarning); got != w+1 {
+			t.Fatalf("window %d: %d warnings, want %d", w+1, got, w+1)
+		}
+		if got := journalCount(jr, 1, journal.TypeNTRequest); got != wantRounds {
+			t.Fatalf("window %d: %d rounds opened, want %d", w+1, got, wantRounds)
+		}
+	}
+}
+
+// TestVerdictDeadlineFollowsInputTime pins the half-window verdict
+// deadline to the time the node's inputs carry: due 30 minutes into an
+// hour-long window, it must not fall at 29 and must fall at 30, and the
+// journal, stamped with the same time, must read exactly that half
+// window from warning to cut. The suspect's buddy group is just the
+// observer itself here (asked = 0, so no deferral), and the observer's
+// own 1000-query report is far beyond CT, so the verdict cuts.
+func TestVerdictDeadlineFollowsInputTime(t *testing.T) {
+	jr := journal.New(64)
+	m := policeMesh(t, jr, nil, []int32{1, 2}, [2]int32{1, 2})
+	c := m.cores[1]
+	m.flood(1, 2, 1000, 1)
+	m.advance(window)
+	if _, _, pending := c.Seats(2); !pending {
+		t.Fatal("no evaluation started for the flooding neighbor")
+	}
+	m.advance(window/2 - time.Minute)
+	if _, _, pending := c.Seats(2); !pending || len(c.Stats().Disconnects) != 0 {
+		t.Fatal("verdict fell before its half-window deadline")
+	}
+	m.advance(time.Minute)
+	if cuts := c.Stats().Disconnects; len(cuts) != 1 || cuts[0].Code != protocol.ByeCodeDDoSSuspect {
+		t.Fatalf("deadline verdict: %+v, want the flooding neighbor cut", cuts)
+	}
+	at := map[string]float64{}
+	for _, e := range jr.Events() {
+		if e.Node == 1 {
+			at[e.Type] = e.T
+		}
+	}
+	if d := at[journal.TypeCut] - at[journal.TypeWarning]; d != 1800 {
+		t.Errorf("journal warning -> cut = %v s, want the 1800 s that passed", d)
+	}
+	if d := at[journal.TypePeerDrop] - at[journal.TypeCut]; d != 0 {
+		t.Errorf("peer_drop %v s after the cut, in the same input", d)
 	}
 }
 
@@ -237,25 +289,26 @@ func TestStrayReplyIsNotAnswered(t *testing.T) {
 // target.
 func TestTelemetryConcurrentTransientDials(t *testing.T) {
 	reg := telemetry.New()
-	observer, suspect := policePair(t, reg)
-	m := observer.monitor
+	mutate := func(cfg *Config) {
+		cfg.Police = testPolice()
+		cfg.MinuteLength = window
+		cfg.Telemetry = reg
+	}
+	observer := newTestNode(t, "observer", 1, mutate)
+	suspect := newTestNode(t, "suspect", 2, mutate)
+	if err := observer.Connect(suspect.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(suspect.Neighbors()) == 1 }, "connected")
 
-	// Members advertising dead ports: every evaluation round spawns
+	// Members with no port to dial: every evaluation round spawns
 	// concurrent transient dials that fail and must count.
-	runOnLoop(t, observer, func() {
-		m.holdList(7, []protocol.PeerAddr{
-			protocol.AddrFromNodeID(8, 1),
-			protocol.AddrFromNodeID(9, 1),
-			protocol.AddrFromNodeID(10, 1),
-			protocol.AddrFromNodeID(11, 1),
-		}, false)
-	})
+	if err := observer.BenchPrimeSuspect(7, []int32{8, 9, 10, 11}, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		runOnLoop(t, observer, func() {
-			m.prevIn[7] = 1000
-			m.startEvaluation(7)
-		})
+		runOnLoop(t, observer, func(now time.Time) { observer.core.Evaluate(now, 7) })
 	}
 
 	// Concurrent wire traffic driving inbox/send counters.
@@ -285,14 +338,7 @@ func TestTelemetryConcurrentTransientDials(t *testing.T) {
 			vals["gnet.handshake_failures"] >= 1
 	}, "telemetry counters converged")
 
-	snap := reg.Snapshot()
-	var hwm int64
-	for _, g := range snap.Gauges {
-		if g.Name == "gnet.inbox_high_water" {
-			hwm = g.Value
-		}
-	}
-	if hwm < 1 {
+	if hwm := gaugeValue(reg, "gnet.inbox_high_water"); hwm < 1 {
 		t.Errorf("inbox high-water mark = %d, want >= 1 under load", hwm)
 	}
 }

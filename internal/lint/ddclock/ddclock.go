@@ -3,9 +3,9 @@
 // because simulated time flows from the tick loop; one time.Now in a
 // journal stamp or a trace span breaks replay equality in a way the
 // runtime tests catch late and this analyzer catches at lint time.
-// Code on the live edges that genuinely needs wall time takes it
-// through an injectable Clock (internal/gnet/clock.go) or lives in a
-// package outside the deterministic set.
+// Code on the live edges that genuinely needs wall time reads it outside
+// the deterministic set and passes it in, as gnet's run loop does for
+// its core (internal/gnet/core).
 package ddclock
 
 import (
@@ -34,7 +34,7 @@ var forbidden = map[string]bool{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ddclock",
-	Doc:  "forbid wall-clock reads (time.Now etc.) in the deterministic packages; inject a Clock or thread tick time instead",
+	Doc:  "forbid wall-clock reads (time.Now etc.) in the deterministic packages; pass the time in instead",
 	Run:  run,
 }
 
@@ -54,7 +54,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"wall clock: time.%s in deterministic package %s; use the injectable Clock or the tick's logical time",
+				"wall clock: time.%s in deterministic package %s; take the time as an input or use the tick's logical time",
 				fn.Name(), pass.Pkg.Path())
 			return true
 		})

@@ -10,10 +10,12 @@ import "strings"
 // journals, traces, results) must be byte-identical across replays,
 // shard counts, and plane on/off. Everything here runs on simulated
 // time and seeded randomness; wall clocks and unseeded rand are build
-// errors. The live edges (gnet, telemetry, metricsrv) are deliberately
-// absent — they stamp wall-clock time by design. Root, the figure
-// library whose output is the committed results/csv, is in the set as
-// itself only: every other package is nested under its path.
+// errors. The live node's core is here too: it takes the time with each
+// input, so the same inputs give the same sends and journal. The live
+// edges (gnet's shell, telemetry, metricsrv) are deliberately absent —
+// they read the wall clock by design. Root, the figure library whose
+// output is the committed results/csv, is in the set as itself only:
+// every other package is nested under its path.
 var Deterministic = []string{
 	Root,
 	"ddpolice/internal/sim",
@@ -23,6 +25,7 @@ var Deterministic = []string{
 	"ddpolice/internal/journal",
 	"ddpolice/internal/overlay",
 	"ddpolice/internal/overload",
+	"ddpolice/internal/gnet/core",
 }
 
 // Root is the module's root package.

@@ -11,6 +11,7 @@ func TestInDeterministic(t *testing.T) {
 		"ddpolice/internal/sim":       true,
 		"ddpolice/internal/sim/sub":   true,
 		"ddpolice/internal/gnet":      false,
+		"ddpolice/internal/gnet/core": true,
 		"ddpolice/internal/telemetry": false,
 		"ddpolice/cmd/ddexp":          false,
 		"ddpolice/internal/simulator": false,
