@@ -155,9 +155,10 @@ bench:
 
 # benchpair is the protocol a speed claim rests on, scripted: `make
 # benchpair W=steady-2k [N=10] [SEED=1] [BASE=HEAD~1]` builds the
-# benchmark of BASE (in a temporary git worktree) and of the working
-# tree once each, discards one warm-up run, runs N pairs alternating
-# which side goes first, and prints per end-to-end metric both medians
+# benchmark of BASE (a `git archive` export in a temporary directory,
+# no worktree) and of the working tree once each, discards one warm-up
+# run, runs N pairs alternating which side goes first, and prints per
+# end-to-end metric both medians
 # with quartiles, the change's wins and `claim ok` or `unresolved`
 # (nine tenths of the pairs, and a median gap beyond the base's own
 # interquartile range). About N x 40 s; non-zero exit when a run was not

@@ -111,3 +111,13 @@ func TestBadTraceSampleExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// A duration that is not a whole number of minutes is refused with the
+// rule, instead of running and dropping the partial last minute from
+// every per-minute figure.
+func TestPartialMinuteDurationRefused(t *testing.T) {
+	code, stdout, stderr := ddsim(t, "-peers", "100", "-duration", "90s")
+	if code == 0 || stdout != "" || !strings.Contains(stderr, "multiple of 60") {
+		t.Errorf("-duration 90s: exit = %d, stdout = %q, stderr = %q; want non-zero naming the multiple-of-60 rule", code, stdout, stderr)
+	}
+}

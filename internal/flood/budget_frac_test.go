@@ -114,17 +114,18 @@ func TestBudgetFairShareFractionalEdges(t *testing.T) {
 	}
 }
 
-// The O(touched) refill must be observationally identical to the full
-// scan it replaced: drive a reference implementation and the real one
-// through the same random take/SetCapacity schedule and compare every
-// peer's Remaining and Utilization each tick.
-func TestBudgetTouchedRefillMatchesFullScan(t *testing.T) {
+// Refill must be observationally identical to a plain reference that
+// applies the per-peer rules to every peer every tick: drive the
+// reference and the real one through the same random take/SetCapacity
+// schedule and compare every peer's Remaining and Utilization each
+// tick.
+func TestBudgetRefillMatchesReference(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(7))
 	real := NewBudget(n, 12)
 
-	// Reference: the original semantics, plus the new frac
-	// accumulation rule, applied to every peer every tick.
+	// Reference: whole-token refill plus the sub-1.0 accumulation
+	// rule, applied to every peer every tick.
 	refRemaining := make([]float64, n)
 	refPerTick := make([]float64, n)
 	refPrevUtil := make([]float64, n)

@@ -73,3 +73,29 @@ func TestUtilZeroCapacityIdle(t *testing.T) {
 		t.Fatalf("hop delay = %v through an idle zero-capacity peer, want base %v", d, dm.HopDelay)
 	}
 }
+
+// TestRefillRestoresUnannouncedWrites: Refill restores every peer and
+// every fair-share edge, including cells written directly rather than
+// through take or SetCapacity, as an external capacity model may do.
+// The written peer's last-tick utilization is captured too.
+func TestRefillRestoresUnannouncedWrites(t *testing.T) {
+	ov := star(t, 4) // hub 0 with leaves 1..3
+	b := NewBudget(4, 30)
+	b.EnableFairShare(ov)
+	e, ok := ov.FindEdge(1, 0)
+	if !ok {
+		t.Fatal("edge 1->0 missing")
+	}
+	b.Remaining[2] = 7.5
+	b.edgeRemaining[e] = 4
+	b.Refill()
+	if got := b.Remaining[2]; got != 30 {
+		t.Fatalf("Remaining[2] = %v after Refill, want PerTick 30", got)
+	}
+	if got := b.Utilization(2); got != 0.75 {
+		t.Fatalf("Utilization(2) = %v after Refill, want the ended tick's 0.75", got)
+	}
+	if got := b.edgeRemaining[e]; got != 10 {
+		t.Fatalf("edgeRemaining = %v after Refill, want the edge share 10", got)
+	}
+}

@@ -58,6 +58,13 @@ type cell struct {
 // Budget tracks the per-tick processing tokens of every peer. The
 // simulator refills it each tick from the peers' capacity model.
 //
+// Refill is one dense pass over every peer (and, in fair-share mode,
+// every directed edge), so a direct write to Remaining needs no
+// announcement: the next Refill restores it. A tick's floods charge
+// most of the overlay, so a list of charged peers would save the pass
+// little and cost every charge its upkeep; a charge is two clamped
+// subtractions (see take).
+//
 // By default tokens are taken first-come-first-served. EnableFairShare
 // switches to the related-work baseline the paper contrasts DD-POLICE
 // with (Daswani & Garcia-Molina's application-layer load balancing,
@@ -93,27 +100,6 @@ type Budget struct {
 	// without touching the overlay mutation counter, so version
 	// comparison alone would leave the per-edge split stale.
 	fairDirty bool
-
-	// Touched-peer tracking makes Refill O(touched) instead of O(N):
-	// take/SetCapacity/Touch record each peer (and, in fair mode, each
-	// edge) whose tokens moved this tick, deduplicated by epoch marks.
-	// An untouched peer still holds Remaining == PerTick, so skipping
-	// it at Refill is exactly the full scan's no-op (utilization 0,
-	// reset to the value it already has). ReserveControl flips
-	// refillAll for one full pass. Peers/edges with a sub-1.0 per-tick
-	// allowance live on the frac lists and are refilled every tick so
-	// fractional remainders accumulate (see refillPeer).
-	touched     []PeerID
-	touchedPrev []PeerID
-	mark        []uint32
-	etouched    []overlay.EdgeID
-	emark       []uint32
-	epoch       uint32
-	refillAll   bool
-	prevAll     bool // prevUtil may be nonzero anywhere; clear all next Refill
-	fracPeers   []PeerID
-	fracMark    []bool
-	fracEdges   []overlay.EdgeID
 }
 
 // NewBudget allocates a budget for n peers with a uniform per-tick
@@ -123,49 +109,12 @@ func NewBudget(n int, perTick float64) *Budget {
 		Remaining: make([]float64, n),
 		PerTick:   make([]float64, n),
 		prevUtil:  make([]float64, n),
-		mark:      make([]uint32, n),
-		fracMark:  make([]bool, n),
-		epoch:     1,
 	}
 	for i := range b.Remaining {
 		b.Remaining[i] = perTick
 		b.PerTick[i] = perTick
-		b.noteFrac(PeerID(i))
 	}
 	return b
-}
-
-// noteFrac keeps p's membership in the sub-1.0-allowance list current.
-// Entries are removed lazily (fracMark cleared; the Refill sweep skips
-// them) and may be re-appended after a toggle, so the sweep also
-// deduplicates by epoch mark.
-func (b *Budget) noteFrac(p PeerID) {
-	frac := b.PerTick[p] > 0 && b.PerTick[p] < 1
-	if frac && !b.fracMark[p] {
-		b.fracMark[p] = true
-		b.fracPeers = append(b.fracPeers, p)
-	} else if !frac {
-		b.fracMark[p] = false
-	}
-}
-
-// Touch marks peer p as mutated this tick so the next Refill resets
-// it. take and SetCapacity call it internally; callers that write
-// Remaining directly (tests, external capacity models) must call it
-// themselves or the O(touched) refill will skip the peer.
-func (b *Budget) Touch(p PeerID) {
-	if b.mark[p] != b.epoch {
-		b.mark[p] = b.epoch
-		b.touched = append(b.touched, p)
-	}
-}
-
-// touchEdge is Touch for a fair-share arrival edge.
-func (b *Budget) touchEdge(e overlay.EdgeID) {
-	if b.emark[e] != b.epoch {
-		b.emark[e] = b.epoch
-		b.etouched = append(b.etouched, e)
-	}
 }
 
 // EnableFairShare activates the [21]-style per-connection capacity
@@ -177,7 +126,6 @@ func (b *Budget) EnableFairShare(ov *overlay.Overlay) {
 	b.ov = ov
 	b.edgeRemaining = make([]float64, ov.NumDirectedEdges())
 	b.edgePerTick = make([]float64, ov.NumDirectedEdges())
-	b.emark = make([]uint32, ov.NumDirectedEdges())
 	b.rebuildFairShare()
 	copy(b.edgeRemaining, b.edgePerTick)
 }
@@ -213,14 +161,6 @@ func (b *Budget) rebuildFairShare() {
 			b.edgePerTick[b.ov.Reverse(e)] = share
 		}
 	}
-	// Arrival shares below one token accumulate across ticks (see
-	// edgeRefill); rebuild that list alongside the shares.
-	b.fracEdges = b.fracEdges[:0]
-	for e, p := range b.edgePerTick {
-		if p > 0 && p < 1 {
-			b.fracEdges = append(b.fracEdges, overlay.EdgeID(e))
-		}
-	}
 }
 
 // FairShare reports whether per-connection splitting is active.
@@ -245,10 +185,8 @@ func (b *Budget) ReserveControl(frac float64) {
 		if b.Remaining[i] > b.PerTick[i] {
 			b.Remaining[i] = b.PerTick[i]
 		}
-		b.noteFrac(PeerID(i))
 	}
 	b.fairDirty = true
-	b.refillAll = true // every peer moved; one full pass next Refill
 }
 
 // SetCapacity replaces peer p's per-tick allowance (negative clamps to
@@ -263,8 +201,6 @@ func (b *Budget) SetCapacity(p PeerID, perTick float64) {
 	if b.Remaining[p] > perTick {
 		b.Remaining[p] = perTick
 	}
-	b.noteFrac(p)
-	b.Touch(p)
 	b.fairDirty = true
 }
 
@@ -291,14 +227,12 @@ func (b *Budget) arrivalCap(v PeerID, e overlay.EdgeID) float64 {
 // Remaining/edgeRemaining negative, and the deficit silently steals
 // capacity from the next refill's utilization accounting.
 func (b *Budget) take(v PeerID, e overlay.EdgeID, amount float64) {
-	b.Touch(v)
 	if r := b.Remaining[v] - amount; r > 0 {
 		b.Remaining[v] = r
 	} else {
 		b.Remaining[v] = 0
 	}
 	if b.ov != nil {
-		b.touchEdge(e)
 		if r := b.edgeRemaining[e] - amount; r > 0 {
 			b.edgeRemaining[e] = r
 		} else {
@@ -340,73 +274,27 @@ func (b *Budget) edgeRefill(e overlay.EdgeID) {
 	b.edgeRemaining[e] = p
 }
 
-// Refill captures each touched peer's utilization for the ending tick,
-// then resets its tokens to the per-tick allowance. Untouched peers
-// need no work: their Remaining already equals PerTick, so their
-// utilization is exactly 0 and the reset is the value they hold —
-// which makes Refill O(touched + frac) rather than O(N). Sub-1.0
-// allowances are visited every tick so their remainders accumulate.
+// Refill captures every peer's utilization for the ending tick, then
+// resets its tokens to the per-tick allowance, in one pass in peer
+// order. In fair-share mode every arrival edge is refilled the same
+// way, unless the overlay or a capacity moved since the last Refill, in
+// which case the shares are rebuilt and reset whole.
 func (b *Budget) Refill() {
-	if b.refillAll {
-		// ReserveControl moved every peer's allowance: one full pass.
-		b.refillAll = false
-		for i := range b.Remaining {
-			b.prevUtil[i] = b.utilNow(PeerID(i))
-			b.refillPeer(PeerID(i))
-		}
-		b.touched = b.touched[:0]
-		b.touchedPrev = b.touchedPrev[:0]
-		b.prevAll = true
-	} else {
-		// Clear the previous tick's utilization captures, then fold in
-		// this tick's.
-		if b.prevAll {
-			b.prevAll = false
-			for i := range b.prevUtil {
-				b.prevUtil[i] = 0
-			}
-		} else {
-			for _, v := range b.touchedPrev {
-				b.prevUtil[v] = 0
-			}
-		}
-		for _, v := range b.touched {
-			b.prevUtil[v] = b.utilNow(v)
-			b.refillPeer(v)
-		}
-		// Accumulating peers not touched this tick still gain their
-		// fractional allowance. Marks double as the dedup against both
-		// the touched pass above and stale duplicate list entries.
-		for _, v := range b.fracPeers {
-			if !b.fracMark[v] || b.mark[v] == b.epoch {
-				continue
-			}
-			b.mark[v] = b.epoch
-			b.refillPeer(v)
-		}
-		b.touchedPrev, b.touched = b.touched, b.touchedPrev[:0]
+	for i := range b.Remaining {
+		b.prevUtil[i] = b.utilNow(PeerID(i))
+		b.refillPeer(PeerID(i))
 	}
 	if b.ov != nil {
 		if b.fairDirty || b.fairVersion != b.ov.Version() {
 			b.rebuildFairShare()
 			copy(b.edgeRemaining, b.edgePerTick)
-			b.etouched = b.etouched[:0]
 		} else {
-			for _, e := range b.etouched {
-				b.edgeRefill(e)
-			}
-			b.etouched = b.etouched[:0]
-			for _, e := range b.fracEdges {
-				if b.emark[e] == b.epoch {
-					continue
-				}
-				b.emark[e] = b.epoch
-				b.edgeRefill(e)
+			for e := range b.edgeRemaining {
+				b.edgeRefill(overlay.EdgeID(e))
 			}
 		}
 	}
 	b.fairDirty = false
-	b.epoch++
 }
 
 func (b *Budget) utilNow(p PeerID) float64 {

@@ -241,9 +241,9 @@ func (e *Engine) PrewarmTrees(keys []TreeKey, shards int) int {
 }
 
 // prewarmState is the Engine's proposal-phase scratch, reused across
-// ticks. All fields are touched only from the serial phase (the workers
-// PrewarmTrees spawns receive their builder by value and never look
-// back at the engine).
+// ticks. Only the serial phase reads or writes its fields (the
+// workers PrewarmTrees spawns receive their builder by value and never
+// look back at the engine).
 type prewarmState struct {
 	prewarmSeen   map[treeKey]struct{}
 	prewarmWant   []treeKey

@@ -168,18 +168,23 @@ func (c Config) WithDefaults() Config {
 }
 
 // Validate reports configuration errors on a defaults-completed config.
+// The float comparisons are written so that NaN fails them too
+// (WithDefaults keeps a NaN: it is not <= 0).
 func (c Config) Validate() error {
-	if c.LowWatermark >= c.HighWatermark {
-		return fmt.Errorf("overload: LowWatermark %v >= HighWatermark %v", c.LowWatermark, c.HighWatermark)
+	if !(c.LowWatermark < c.HighWatermark) {
+		return fmt.Errorf("overload: LowWatermark %v, HighWatermark %v (want low < high)", c.LowWatermark, c.HighWatermark)
 	}
-	if c.HighWatermark > 1 {
-		return fmt.Errorf("overload: HighWatermark %v > 1", c.HighWatermark)
+	if !(c.HighWatermark <= 1) {
+		return fmt.Errorf("overload: HighWatermark %v (want <= 1)", c.HighWatermark)
 	}
-	if c.DegradedShedFrac > 1 {
-		return fmt.Errorf("overload: DegradedShedFrac %v > 1", c.DegradedShedFrac)
+	if !(c.ProbeAdmit > 0) {
+		return fmt.Errorf("overload: ProbeAdmit %v (want > 0)", c.ProbeAdmit)
 	}
-	if c.ControlReserveFrac >= 1 {
-		return fmt.Errorf("overload: ControlReserveFrac %v >= 1", c.ControlReserveFrac)
+	if !(c.DegradedShedFrac <= 1) {
+		return fmt.Errorf("overload: DegradedShedFrac %v (want <= 1)", c.DegradedShedFrac)
+	}
+	if !(c.ControlReserveFrac < 1) {
+		return fmt.Errorf("overload: ControlReserveFrac %v (want < 1)", c.ControlReserveFrac)
 	}
 	return nil
 }
@@ -439,14 +444,15 @@ func (p SimPlane) WithDefaults() SimPlane {
 }
 
 // Validate reports configuration errors on a defaults-completed plane.
+// The comparisons are written so that NaN fails them too.
 func (p SimPlane) Validate() error {
-	if p.ControlReserveFrac >= 1 {
+	if !(p.ControlReserveFrac < 1) {
 		return fmt.Errorf("overload: ControlReserveFrac = %v (want < 1)", p.ControlReserveFrac)
 	}
-	if p.ControlLossCap >= 1 {
+	if !(p.ControlLossCap < 1) {
 		return fmt.Errorf("overload: ControlLossCap = %v (want < 1)", p.ControlLossCap)
 	}
-	if p.DegradedLossThreshold > 1 {
+	if !(p.DegradedLossThreshold <= 1) {
 		return fmt.Errorf("overload: DegradedLossThreshold = %v (want <= 1)", p.DegradedLossThreshold)
 	}
 	return nil

@@ -1,6 +1,9 @@
 package overload
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestConfigWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
@@ -25,6 +28,12 @@ func TestConfigValidate(t *testing.T) {
 		{HighWatermark: 1.5},
 		{DegradedShedFrac: 1.5},
 		{ControlReserveFrac: 1},
+		// NaN survives WithDefaults and must fail every float check.
+		{HighWatermark: math.NaN()},
+		{LowWatermark: math.NaN()},
+		{ProbeAdmit: math.NaN()},
+		{DegradedShedFrac: math.NaN()},
+		{ControlReserveFrac: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.WithDefaults().Validate(); err == nil {
@@ -244,8 +253,18 @@ func TestSimPlaneDefaults(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("default plane invalid: %v", err)
 	}
-	if err := (SimPlane{ControlReserveFrac: 1.5}).WithDefaults().Validate(); err == nil {
-		t.Fatal("Validate accepted reserve >= 1")
+	bad := []SimPlane{
+		{ControlReserveFrac: 1.5},
+		{ControlLossCap: 1},
+		{DegradedLossThreshold: 1.5},
+		{ControlReserveFrac: math.NaN()},
+		{ControlLossCap: math.NaN()},
+		{DegradedLossThreshold: math.NaN()},
+	}
+	for i, p := range bad {
+		if err := p.WithDefaults().Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted %+v", i, p)
+		}
 	}
 }
 

@@ -242,6 +242,11 @@ func (c Config) Validate() error {
 	if c.DurationSec < 60 {
 		return fmt.Errorf("sim: DurationSec = %d (need at least one minute)", c.DurationSec)
 	}
+	if c.DurationSec%60 != 0 {
+		// Result.Minutes closes a minute at its last second, so a
+		// partial last minute would drop out of every per-minute figure.
+		return fmt.Errorf("sim: DurationSec = %d (want a whole number of minutes: a multiple of 60)", c.DurationSec)
+	}
 	if c.AttackStartSec < 0 {
 		return fmt.Errorf("sim: AttackStartSec = %d", c.AttackStartSec)
 	}

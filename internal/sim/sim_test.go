@@ -9,6 +9,7 @@ import (
 	"ddpolice/internal/faults"
 	"ddpolice/internal/flood"
 	"ddpolice/internal/metrics"
+	"ddpolice/internal/overload"
 )
 
 // smallConfig returns a fast configuration for unit tests: 1,000 peers
@@ -35,6 +36,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.NumAgents = -1 },
 		func(c *Config) { c.NumAgents = 1000 },
 		func(c *Config) { c.DurationSec = 30 },
+		func(c *Config) { c.DurationSec = 119 },
 		func(c *Config) { c.AttackStartSec = -1 },
 		func(c *Config) { c.PoliceEnabled = true; c.Police.Q0 = 0 },
 		// NaN fails every float check, and ControlLossCap is a probability.
@@ -49,6 +51,7 @@ func TestValidate(t *testing.T) {
 				{StartSec: 60, EndSec: 120, Peers: []int{1}, Factor: math.NaN()},
 			}}
 		},
+		func(c *Config) { c.Overload = &overload.SimPlane{ControlReserveFrac: math.NaN()} },
 	}
 	for i, mutate := range bad {
 		cfg := smallConfig()
@@ -66,6 +69,12 @@ func TestValidate(t *testing.T) {
 	cfg.TTL = flood.MaxTTL
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("TTL %d refused: %v", cfg.TTL, err)
+	}
+	// A partial last minute names the whole-minute rule.
+	cfg = smallConfig()
+	cfg.DurationSec = 119
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "multiple of 60") {
+		t.Errorf("DurationSec %d: err = %v, want one naming the multiple-of-60 rule", cfg.DurationSec, err)
 	}
 }
 
@@ -364,8 +373,8 @@ func runMallocs(t *testing.T, cfg Config) (uint64, *Result) {
 
 // TestTickMarginalAllocsBounded owns the per-peer allocation ceiling of
 // the tick loop, cheap enough for `make race`: with the pooled per-tick
-// buffers (epoch-marked slices, budget touch lists, query-trace pool,
-// treeBuilder capacity hints) the steady tick loop allocates
+// buffers (epoch-marked slices, query-trace pool, treeBuilder
+// capacity hints) the steady tick loop allocates
 // O(workload), not O(peers). Differencing a 240s run against a 120s run
 // cancels setup cost, leaving the per-tick marginal allocation rate,
 // which must stay under 0.10 per peer (steady state measures ~0.03; an

@@ -19,16 +19,16 @@ seed=${3:-1}
 base=${4:-HEAD~1}
 
 root=$(git rev-parse --show-toplevel)
+rev=$(git -C "$root" rev-parse --verify --quiet "$base^{commit}") ||
+	{ echo "benchpair: BASE $base is not a commit" >&2; exit 2; }
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-	git -C "$root" worktree prune
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-git -C "$root" worktree add --quiet --detach "$tmp/base" "$base"
+# BASE is a plain export of its committed files: no worktree, so the
+# repository's git state is the same after a run as before it.
+mkdir "$tmp/base"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 (cd "$tmp/base/bench" && go build -o "$tmp/bench.base" .)
 (cd "$root/bench" && go build -o "$tmp/bench.change" .)
 
@@ -43,7 +43,7 @@ run() {
 	grep -q '"correct":true' "$2" || { bad=1; echo "benchpair: $1 run not correct:"; tail -n 5 "$tmp/run.log"; }
 }
 
-echo "benchpair: $w seed $seed, $n pairs, base $(git -C "$root" rev-parse --short "$base") against the working tree"
+echo "benchpair: $w seed $seed, $n pairs, base $(git -C "$root" rev-parse --short "$rev") against the working tree"
 run base "$tmp/warmup"
 i=1
 while [ "$i" -le "$n" ]; do
