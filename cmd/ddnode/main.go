@@ -27,6 +27,7 @@ import (
 	"ddpolice/internal/journal"
 	"ddpolice/internal/metricsrv"
 	"ddpolice/internal/police"
+	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
 	dtrace "ddpolice/internal/trace"
 	"ddpolice/internal/workload"
@@ -56,6 +57,8 @@ func main() {
 	// A value that cannot mean anything is refused by name, not bent into
 	// one that can: -rate 0 used to flood at the 1 µs ticker floor.
 	switch {
+	case *id < 0 || *id >= protocol.NodeIDs:
+		usage("-id %d: want a node id in [0, %d), what a 10.x.y.z address carries", *id, protocol.NodeIDs)
 	case !(*rate > 0) || math.IsInf(*rate, 0):
 		usage("-rate %v: want a positive number of queries/min", *rate)
 	case *jcap < 1:

@@ -60,6 +60,7 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 	for _, tc := range [][]string{
 		{"-attack", "-rate", "0"}, {"-attack", "-rate", "-5"}, {"-attack", "-rate", "nan"}, {"-attack", "-rate", "+Inf"},
 		{"-journal-cap", "0"}, {"-journal-cap", "-3"},
+		{"-id", "16777216"}, {"-id", "-1"},
 		{"-trace-sample", "-0.1"}, {"-trace-sample", "1.5"}, {"-trace-sample", "nan"},
 	} {
 		flagName, value := tc[len(tc)-2], tc[len(tc)-1]

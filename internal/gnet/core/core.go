@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ddpolice/internal/journal"
-	"ddpolice/internal/overload"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
@@ -53,22 +52,52 @@ type Transport interface {
 	Ask(member protocol.PeerAddr, frame []byte)
 }
 
-// Config is the part of a node's configuration the protocol decides
-// with; gnet.Config documents each field.
+// Config is what a node's protocol decides with; gnet.Config embeds it.
 type Config struct {
-	NodeID         int32
+	// NodeID is the node's overlay identity, carried in handshakes and
+	// encoded as the synthetic 10.x.y.z address in Table 1 messages
+	// (the paper identifies peers by IP; we virtualize that for
+	// single-host deployments), so it must be below protocol.NodeIDs.
+	NodeID int32
+	// CapacityPerMin is the query-processing rate (paper: a dedicated
+	// peer saturates at ~15,000/min; an in-the-wild peer at ~10,000).
 	CapacityPerMin float64
-	Burst          float64
-	TTL            byte
-	SharedObjects  []string
-	Police         *police.Config
-	Seed           uint64
-	MinuteLength   time.Duration
-	Telemetry      *telemetry.Registry
-	Journal        *journal.Journal
-	Tracer         *trace.Tracer
-	Overload       overload.Config
-	Reconnect      *ReconnectConfig
+	// Burst is the token bucket depth; defaults to one second of
+	// capacity.
+	Burst float64
+	// ControlReserveFrac of processing capacity is reserved for the
+	// control plane (zero means 0.05); queries are admitted against the
+	// remainder and can never starve it. The reserve a node needs grows
+	// as its capacity shrinks.
+	ControlReserveFrac float64
+	// TTL for queries this node issues.
+	TTL byte
+	// SharedObjects is the set of object keywords this node answers.
+	SharedObjects []string
+	// Police enables the DD-POLICE monitor with the given parameters;
+	// nil disables it.
+	Police *police.Config
+	// Seed drives GUID generation.
+	Seed uint64
+	// MinuteLength shortens the monitoring window for tests; defaults
+	// to one minute.
+	MinuteLength time.Duration
+	// Telemetry, when non-nil, receives the node's operational counters
+	// under the "gnet." prefix; nodes sharing a registry aggregate.
+	Telemetry *telemetry.Registry
+	// Journal, when non-nil, receives the detection lifecycle, overload
+	// transitions, peer-drop provenance and reconnect activity, stamped
+	// with the input time in Unix seconds. Nodes may share one.
+	Journal *journal.Journal
+	// Tracer, when non-nil, receives per-query hop/outcome spans keyed by
+	// the trace ID riding the Query wire extension (protocol.Query.TraceID).
+	// Nodes may share one; head sampling is by trace-ID hash, so every node
+	// that sees a query agrees on whether it is traced.
+	Tracer *trace.Tracer
+	// Reconnect, when non-nil, re-dials neighbors lost to transport faults
+	// with exponential backoff and jitter — never one this node cut or one
+	// that said Bye. Nil: a lost neighbor stays lost.
+	Reconnect *ReconnectConfig
 }
 
 // ReconnectConfig bounds the reconnect supervisor's retry schedule.
@@ -124,11 +153,8 @@ type Core struct {
 	count  Stats
 	tel    instruments
 
-	peers     []neighbor // ascending id
-	guidRoute map[protocol.GUID]Link
-	seen      map[protocol.GUID]struct{}
-	forwarded map[protocol.GUID][]int32 // neighbors each query was forwarded to
-	hits      map[protocol.GUID]chan<- protocol.QueryHit
+	peers []neighbor // ascending id
+	guids guidTable
 
 	cut     map[int32]bool    // neighbors this node cut: never re-dialed or re-admitted
 	redials map[int32]*redial // lost neighbors being re-dialed
@@ -156,7 +182,7 @@ type redial struct {
 type instruments struct {
 	sendStalls, shedQuery, shedControl, quarantineDrops *telemetry.Counter
 	reconnectAttempts, reconnectOK, reconnectGiveups    *telemetry.Counter
-	evalDeferred, evalTimeoutZero, ntRefused            *telemetry.Counter
+	evalDeferred, evalTimeoutZero, ntRefused, stray     *telemetry.Counter
 	quarantinedPeers, degraded, reconnectBackoff        *telemetry.Gauge
 	ntLatency                                           *telemetry.Histogram
 }
@@ -166,11 +192,20 @@ const refillPeriod = 100 * time.Millisecond
 
 var errNoNeighbors = errors.New("gnet: no neighbors")
 
-// New returns a node's core. Police fields a live node has no mechanism
-// for are refused by name.
+// New returns a node's core. A node id the wire cannot carry, and police
+// fields a live node has no mechanism for, are refused by name.
 func New(cfg Config, tr Transport) (*Core, error) {
 	if cfg.CapacityPerMin <= 0 {
 		return nil, fmt.Errorf("gnet: capacity %v", cfg.CapacityPerMin)
+	}
+	if cfg.NodeID < 0 || cfg.NodeID >= protocol.NodeIDs {
+		return nil, fmt.Errorf("gnet: NodeID %d outside [0, %d): a 10.x.y.z address cannot carry it", cfg.NodeID, protocol.NodeIDs)
+	}
+	if cfg.ControlReserveFrac == 0 {
+		cfg.ControlReserveFrac = 0.05
+	}
+	if !(cfg.ControlReserveFrac > 0 && cfg.ControlReserveFrac < 1) {
+		return nil, fmt.Errorf("gnet: ControlReserveFrac %v outside (0, 1)", cfg.ControlReserveFrac)
 	}
 	if cfg.TTL == 0 {
 		cfg.TTL = protocol.DefaultTTL
@@ -180,13 +215,10 @@ func New(cfg Config, tr Transport) (*Core, error) {
 	}
 	c := &Core{
 		cfg: cfg, tr: tr, src: rng.New(cfg.Seed),
-		shared:    make(map[string]bool),
-		guidRoute: make(map[protocol.GUID]Link),
-		seen:      make(map[protocol.GUID]struct{}),
-		forwarded: make(map[protocol.GUID][]int32),
-		hits:      make(map[protocol.GUID]chan<- protocol.QueryHit),
-		cut:       make(map[int32]bool),
-		redials:   make(map[int32]*redial),
+		shared:  make(map[string]bool),
+		guids:   newGUIDTable(),
+		cut:     make(map[int32]bool),
+		redials: make(map[int32]*redial),
 	}
 	if err := c.ovl.init(cfg); err != nil {
 		return nil, err
@@ -220,6 +252,7 @@ func New(cfg Config, tr Transport) (*Core, error) {
 		evalDeferred:      reg.Counter("gnet.evaluations_deferred"),
 		evalTimeoutZero:   reg.Counter("gnet.evaluations_timeout_zero"),
 		ntRefused:         reg.Counter("gnet.nt_reports_refused"),
+		stray:             reg.Counter("gnet.stray_frames"),
 		quarantinedPeers:  reg.Gauge("gnet.quarantined_peers"),
 		degraded:          reg.Gauge("gnet.degraded"),
 		reconnectBackoff:  reg.Gauge("gnet.reconnect_backoff_max_ms"),
@@ -227,6 +260,9 @@ func New(cfg Config, tr Transport) (*Core, error) {
 	}
 	return c, nil
 }
+
+// Config returns the configuration the core runs with, defaults filled in.
+func (c *Core) Config() Config { return c.cfg }
 
 // at takes the time of an input; the first starts the refill and window clocks.
 func (c *Core) at(now time.Time) {
@@ -323,7 +359,6 @@ func (c *Core) Up(now time.Time, l Link, addr string) {
 		old := c.peers[i].link
 		c.peers[i] = neighbor{l, addr}
 		c.tr.Close(old)
-		c.forget(old)
 	} else {
 		c.peers = slices.Insert(c.peers, i, neighbor{l, addr})
 	}
@@ -372,18 +407,8 @@ func (c *Core) drop(l Link, cause string) {
 				c.scheduleReconnect(l.ID, addr, 0)
 			}
 		}
-		c.forget(l)
 	}
 	c.tr.Close(l)
-}
-
-// forget drops the reverse routes through a link that went away.
-func (c *Core) forget(l Link) {
-	for guid, route := range c.guidRoute {
-		if route == l {
-			delete(c.guidRoute, guid)
-		}
-	}
 }
 
 // scheduleReconnect arms a lost neighbor's next re-dial: exponential

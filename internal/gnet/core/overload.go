@@ -9,7 +9,6 @@ import (
 // overloadState is the overload plane's admission side: the class-split
 // processing budget, quarantine breakers and the degraded detector.
 type overloadState struct {
-	cfg   overload.Config
 	cproc *capacity.ClassedProcessor
 
 	// One breaker per peer ever heard from: it survives reconnects, so a
@@ -25,19 +24,19 @@ type overloadState struct {
 	winShed, winHandled int64
 }
 
+// degradedShedFrac is the window shed fraction at which the node marks
+// itself degraded; it exits degraded mode below half of it.
+const degradedShedFrac = 0.5
+
 func (o *overloadState) init(cfg Config) error {
-	o.cfg = cfg.Overload.WithDefaults()
-	if err := o.cfg.Validate(); err != nil {
-		return err
-	}
-	cproc, err := capacity.NewClassedProcessor(cfg.CapacityPerMin, cfg.Burst, o.cfg.ControlReserveFrac)
+	cproc, err := capacity.NewClassedProcessor(cfg.CapacityPerMin, cfg.Burst, cfg.ControlReserveFrac)
 	if err != nil {
 		return err
 	}
 	o.cproc = cproc
 	o.breakers = make(map[int32]*overload.Breaker)
 	o.offered = make(map[int32]float64)
-	o.detector = overload.NewDetector(o.cfg)
+	o.detector = overload.NewDetector(degradedShedFrac)
 	return nil
 }
 
@@ -53,7 +52,7 @@ func (o *overloadState) admitQuery(id int32) bool {
 	o.offered[id]++
 	b, ok := o.breakers[id]
 	if !ok {
-		b = overload.NewBreaker(o.cfg)
+		b = overload.NewBreaker()
 		o.breakers[id] = b
 	}
 	return b.Admit()

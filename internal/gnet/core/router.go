@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"ddpolice/internal/protocol"
@@ -12,10 +13,17 @@ import (
 // accepted it; the core owns its bytes and relays them as received. Query
 // and QueryHit frames are parsed in place, others decoded. Control
 // messages but Bye draw on the overload plane's protected reserve, which
-// borrows idle query tokens and so sheds only when the node is dry.
+// borrows idle query tokens and so sheds only when the node is dry. A
+// link that is not a current neighbor's — an out-of-band channel, or one
+// already replaced — carries Neighbor_Traffic only; anything else on it
+// is dropped and counted.
 func (c *Core) Frame(now time.Time, from Link, h protocol.Header, frame []byte) {
 	c.at(now)
 	c.count.BytesIn += uint64(len(frame))
+	if i, ok := c.peer(from.ID); (!ok || c.peers[i].link != from) && h.Type != protocol.TypeNeighborTraffic {
+		c.tel.stray.Inc()
+		return
+	}
 	switch h.Type {
 	case protocol.TypeQuery:
 		c.query(from, h, frame)
@@ -60,7 +68,7 @@ func (c *Core) admitControl() bool {
 // is parsed, and the rebroadcast is the received frame itself.
 func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 	c.count.QueriesReceived++
-	if _, dup := c.seen[h.GUID]; dup {
+	if e, gen := c.guids.find(h.GUID); gen != nil {
 		c.count.DupDropped++
 		if c.mon != nil {
 			// The sender evidently had this query already: if we had
@@ -68,13 +76,10 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 			// monitors implement the paper's no-duplication accounting
 			// (duplicate copies exist on the wire but are never counted
 			// by Out_query/In_query; Fig 2).
-			fwd := c.forwarded[h.GUID]
-			for i, id := range fwd {
-				if id == from.ID {
-					c.uncountOut(id)
-					c.forwarded[h.GUID] = append(fwd[:i], fwd[i+1:]...)
-					break
-				}
+			if i := slices.Index(e.fwd, from.ID); i >= 0 {
+				c.uncountOut(from.ID)
+				e.fwd = slices.Delete(e.fwd, i, i+1)
+				gen[h.GUID] = e
 			}
 		}
 		return
@@ -83,8 +88,7 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 	if c.mon != nil {
 		c.mon.curIn[from.ID]++ // first copies only (no-dup accounting)
 	}
-	c.remember(h.GUID)
-	c.guidRoute[h.GUID] = from
+	c.guids.add(h.GUID, guidEntry{from: from})
 
 	// Quarantine circuit breaker: the offer is counted (above — the
 	// monitor and the breaker both judge offered load), but a
@@ -135,7 +139,7 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 		}
 	}
 	if len(fwd) > 0 {
-		c.forwarded[h.GUID] = fwd
+		c.guids.cur[h.GUID] = guidEntry{from: from, fwd: fwd} // where add put it
 	}
 }
 
@@ -145,27 +149,60 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 func (c *Core) queryHit(from Link, h protocol.Header, frame []byte) {
 	c.count.HitsReceived++
 	qh, _ := protocol.ParseQueryHit(frame[protocol.HeaderSize:]) // cannot fail either
-	if ch, mine := c.hits[qh.QueryGUID]; mine {
-		delete(c.hits, qh.QueryGUID)
-		ch <- qh // buffered for this one send
-		return
-	}
-	if back, ok := c.guidRoute[qh.QueryGUID]; ok && back != from && h.TTL > 1 {
+	e, gen := c.guids.find(qh.QueryGUID)
+	switch {
+	case e.hit != nil:
+		e.hit <- qh // buffered for this one send
+		e.hit = nil
+		gen[qh.QueryGUID] = e
+	case gen != nil && e.from != (Link{}) && e.from != from && h.TTL > 1:
 		protocol.NextHop(frame)
-		c.send(back, frame)
+		c.send(e.from, frame)
 	}
 }
 
-// remember records a GUID in the dedup set, reset wholesale past 2^17: a
-// coarse, allocation-friendly LRU stand-in.
-func (c *Core) remember(g protocol.GUID) {
-	if len(c.seen) > 1<<17 {
-		c.seen = make(map[protocol.GUID]struct{})
-		c.guidRoute = make(map[protocol.GUID]Link)
-		c.forwarded = make(map[protocol.GUID][]int32)
-		c.hits = make(map[protocol.GUID]chan<- protocol.QueryHit)
+// guidGeneration is how many GUIDs one generation of a guidTable holds.
+const guidGeneration = 1 << 17
+
+// guidTable remembers the GUIDs this node has seen, in two generations of
+// up to guidGeneration each: when the current one fills, it becomes the
+// older one and the older one is dropped. A flood of new GUIDs therefore
+// evicts only what came before the last guidGeneration of them, never
+// the whole table, so queries in flight keep their reverse routes.
+type guidTable struct {
+	cur, old map[protocol.GUID]guidEntry
+}
+
+// guidEntry is what the node knows about one GUID.
+type guidEntry struct {
+	from Link                     // the link the first copy came on; zero for the node's own query
+	fwd  []int32                  // neighbors it was forwarded to, with DD-POLICE on
+	hit  chan<- protocol.QueryHit // the waiter of the node's own query, until its first hit
+}
+
+func newGUIDTable() guidTable {
+	return guidTable{cur: make(map[protocol.GUID]guidEntry), old: make(map[protocol.GUID]guidEntry)}
+}
+
+// find returns g's entry and the generation that holds it: nil if neither
+// does. An updated entry is stored back into that generation.
+func (t *guidTable) find(g protocol.GUID) (guidEntry, map[protocol.GUID]guidEntry) {
+	if e, ok := t.cur[g]; ok {
+		return e, t.cur
 	}
-	c.seen[g] = struct{}{}
+	if e, ok := t.old[g]; ok {
+		return e, t.old
+	}
+	return guidEntry{}, nil
+}
+
+// add records a GUID that neither generation holds, in the current one.
+func (t *guidTable) add(g protocol.GUID, e guidEntry) {
+	if len(t.cur) >= guidGeneration {
+		clear(t.old) // keeps its buckets for the next generation
+		t.cur, t.old = t.old, t.cur
+	}
+	t.cur[g] = e
 }
 
 // Issue floods a query; the first hit is sent on hit, which must have
@@ -176,7 +213,7 @@ func (c *Core) Issue(now time.Time, keywords string, hit chan<- protocol.QueryHi
 	if sent == 0 {
 		return errNoNeighbors
 	}
-	c.hits[guid] = hit
+	c.guids.cur[guid] = guidEntry{hit: hit} // where flood's add put it
 	return nil
 }
 
@@ -190,7 +227,7 @@ func (c *Core) SendRaw(now time.Time, keywords string) {
 // how many took it.
 func (c *Core) flood(keywords string) (protocol.GUID, int) {
 	guid := protocol.NewGUID(c.src)
-	c.remember(guid)
+	c.guids.add(guid, guidEntry{})
 	wire := protocol.Encode(nil, guid, c.cfg.TTL, 0, c.tracedQuery(guid, keywords))
 	sent := 0
 	for _, p := range c.peers {

@@ -3,6 +3,7 @@ package gnet
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -63,13 +64,40 @@ func TestHandshakeAndNeighbors(t *testing.T) {
 }
 
 // badNodeIDs are the Node-ID header lines a handshake must refuse:
-// absent, not a number, and past int32 — 2^32 used to truncate to 0.
-var badNodeIDs = []string{"", "Node-ID: zero\r\n", "Node-ID: 4294967296\r\n", "Node-ID: \r\n"}
+// absent, not a number, past int32 — 2^32 used to truncate to 0 — and
+// outside the 24 bits a 10.x.y.z address carries: 2^24 used to name
+// node 0 in every report and list, and -1 node 2^24-1.
+var badNodeIDs = []string{"", "Node-ID: zero\r\n", "Node-ID: 4294967296\r\n", "Node-ID: \r\n",
+	"Node-ID: 16777216\r\n", "Node-ID: -1\r\n"}
+
+// badListenAddrs are the Listen-Addr header lines a handshake must
+// refuse: absent, not host:port, and no port to dial. "nonsense" used to
+// be advertised in neighbor lists as port 0, so out-of-band asks to the
+// peer failed and counted as zero.
+var badListenAddrs = []string{"", "Listen-Addr: nonsense\r\n", "Listen-Addr: 127.0.0.1:\r\n",
+	"Listen-Addr: 127.0.0.1:0\r\n", "Listen-Addr: 127.0.0.1:65536\r\n"}
+
+// badIdentity is one refused handshake: its identity header lines and
+// the header the refusal names.
+type badIdentity struct{ headers, field string }
+
+// badIdentities pairs every bad line with a good line of the other header.
+func badIdentities() []badIdentity {
+	var rows []badIdentity
+	for _, id := range badNodeIDs {
+		rows = append(rows, badIdentity{"Listen-Addr: 127.0.0.1:1\r\n" + id, "Node-ID"})
+	}
+	for _, addr := range badListenAddrs {
+		rows = append(rows, badIdentity{addr + "Node-ID: 7\r\n", "Listen-Addr"})
+	}
+	return rows
+}
 
 // A dialer that omits or garbles Node-ID used to be adopted as node 0,
 // and adoptConn closed the real neighbor 0 to make room for it. The
 // acceptor must hang up without an OK, count the failure and keep its
-// neighbor.
+// neighbor; so too for an identity the wire cannot carry or an address
+// nobody can dial.
 func TestAcceptorRejectsBadNodeID(t *testing.T) {
 	reg := telemetry.New()
 	hub := newTestNode(t, "hub", 5, func(cfg *Config) { cfg.Telemetry = reg })
@@ -78,21 +106,21 @@ func TestAcceptorRejectsBadNodeID(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(hub.Neighbors()) == 1 }, "hub sees node 0")
-	for i, header := range badNodeIDs {
+	for i, bad := range badIdentities() {
 		conn, err := net.Dial("tcp", hub.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if _, err := conn.Write([]byte(helloLine + "\r\nListen-Addr: 127.0.0.1:1\r\n" + header + "\r\n")); err != nil {
+		if _, err := conn.Write([]byte(helloLine + "\r\n" + bad.headers + "\r\n")); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		if reply, _ := io.ReadAll(conn); strings.Contains(string(reply), okLine) {
-			t.Errorf("hello with %q was answered %q", header, reply)
+			t.Errorf("hello with %q was answered %q", bad.headers, reply)
 		}
 		if got := counterValue(reg, "gnet.handshake_failures"); got != uint64(i+1) {
-			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", header, got, i+1)
+			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", bad.headers, got, i+1)
 		}
 	}
 	// Every dialer was counted as refused, so none was adopted in node 0's place.
@@ -102,32 +130,33 @@ func TestAcceptorRejectsBadNodeID(t *testing.T) {
 }
 
 // The same rule on the dialing side: a responder whose OK carries no
-// usable Node-ID is not a neighbor.
+// usable Node-ID or Listen-Addr is not a neighbor.
 func TestDialerRejectsBadNodeID(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	bads := badIdentities()
 	go func() {
-		for _, header := range badNodeIDs {
+		for _, bad := range bads {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
 			readHandshake(conn)
-			conn.Write([]byte(okLine + "\r\nListen-Addr: " + ln.Addr().String() + "\r\n" + header + "\r\n"))
+			conn.Write([]byte(okLine + "\r\n" + bad.headers + "\r\n"))
 			conn.Close()
 		}
 	}()
 	reg := telemetry.New()
 	a := newTestNode(t, "a", 1, func(cfg *Config) { cfg.Telemetry = reg })
-	for i, header := range badNodeIDs {
-		if err := a.Connect(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "Node-ID") {
-			t.Errorf("Connect to a responder sending %q: err = %v, want a Node-ID error", header, err)
+	for i, bad := range bads {
+		if err := a.Connect(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), bad.field) {
+			t.Errorf("Connect to a responder sending %q: err = %v, want a %s error", bad.headers, err, bad.field)
 		}
 		if got := counterValue(reg, "gnet.handshake_failures"); got != uint64(i+1) {
-			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", header, got, i+1)
+			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", bad.headers, got, i+1)
 		}
 	}
 	if got := a.Neighbors(); len(got) != 0 {
@@ -210,6 +239,97 @@ func TestAnsweredQueriesAreForgotten(t *testing.T) {
 	}
 	if len(hit) != 0 {
 		t.Fatal("an answered query's waiter got a second hit: the node still held it")
+	}
+}
+
+// TestGUIDFloodKeepsInFlightRoutes puts relay 2 between issuer 1 and
+// scripted holder 3, and floods 2 with fresh GUIDs while 1's query is in
+// flight. The relay's GUID maps used to be cleared together once they
+// held 2^17 GUIDs, and the query's reverse route with them: the holder's
+// hit was lost. Now the flood only ages the query into the older of two
+// generations, and its hit still reaches the issuer.
+func TestGUIDFloodKeepsInFlightRoutes(t *testing.T) {
+	m := newMesh(t)
+	a := m.add(1, nil)
+	m.add(2, nil)
+	m.connect(1, 2)
+	m.connect(2, 3)
+	m.run()
+	hit := make(chan protocol.QueryHit, 1)
+	if err := a.Issue(m.now, "ubuntu iso", hit); err != nil {
+		t.Fatal(err)
+	}
+	m.run()
+	var guid protocol.GUID
+	if sent := m.sent(2, 3, 0); len(sent) != 1 {
+		t.Fatalf("the relay sent the holder %v, want the query", sent)
+	}
+	for _, e := range m.log {
+		if e.from == 2 && e.to == 3 {
+			copy(guid[:], e.frame)
+		}
+	}
+	m.flood(2, 3, 1<<17+1, 1) // one past the old bound; TTL 1, so nothing is relayed
+	m.inject(2, 3, protocol.Encode(nil, protocol.NewGUID(m.src), 7, 0, protocol.QueryHit{HitCount: 1, QueryGUID: guid}))
+	m.run()
+	if len(hit) != 1 {
+		t.Fatal("the holder's hit did not reach the issuer: the flood erased the relay's reverse route")
+	}
+}
+
+// TestOnlyNeighborLinksCarryTheFlood delivers frames on a link the core
+// was never told is up: the out-of-band channel a buddy-group member
+// opens, which the shell adopts without Up. Anything on it used to reach
+// the core as if a neighbor had sent it, so a peer that never became a
+// neighbor could flood through the node, and its list was held as the
+// list of whatever Node-ID it claimed. Now such a link carries
+// Neighbor_Traffic only: the rest is dropped and counted, nothing is
+// relayed, and a request on it is still answered on it.
+func TestOnlyNeighborLinksCarryTheFlood(t *testing.T) {
+	reg := telemetry.New()
+	m := newMesh(t)
+	a := m.add(1, func(cfg *core.Config) {
+		cfg.Police = testPolice()
+		cfg.MinuteLength = window
+		cfg.Telemetry = reg
+	})
+	m.connect(1, 2) // 2 is scripted
+	m.run()
+	stranger := core.Link{ID: 9, Conn: meshAsk}
+	deliver := func(body protocol.Body) {
+		frame := protocol.Encode(nil, protocol.NewGUID(m.src), 3, 0, body)
+		h, err := protocol.DecodeHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Frame(m.now, stranger, h, frame)
+	}
+	since := len(m.log)
+	strays := []protocol.Body{
+		protocol.Query{Keywords: "junk"},
+		protocol.QueryHit{HitCount: 1},
+		protocol.NeighborList{Neighbors: []protocol.PeerAddr{protocol.AddrFromNodeID(2, 7002)}},
+		protocol.Ping{},
+	}
+	for _, body := range strays {
+		deliver(body)
+	}
+	m.run()
+	if len(m.log) != since {
+		t.Fatalf("frames on a non-neighbor link made the node send %+v", m.log[since:])
+	}
+	if st := a.Stats(); st.QueriesReceived != 0 || st.HitsReceived != 0 {
+		t.Errorf("the core counted frames from a non-neighbor link: %+v", st)
+	}
+	if got := counterValue(reg, "gnet.stray_frames"); got != uint64(len(strays)) {
+		t.Errorf("gnet.stray_frames = %d, want %d", got, len(strays))
+	}
+	deliver(protocol.NeighborTraffic{
+		SourceIP:  protocol.AddrFromNodeID(9, 0).IP,
+		SuspectIP: protocol.AddrFromNodeID(2, 0).IP,
+	})
+	if back := m.sent(1, 9, since); len(back) != 1 {
+		t.Errorf("a Neighbor_Traffic request on an out-of-band link was answered with %v, want one report", back)
 	}
 }
 
@@ -450,30 +570,42 @@ func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(cfg); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	// A police.Config field the live node cannot honour is refused by
-	// name, not accepted and ignored.
+	// A value the live node cannot honour is refused by name, not
+	// accepted and ignored or wrapped into another.
+	policed := func(set func(*police.Config)) func(*Config) {
+		return func(cfg *Config) {
+			pcfg := police.DefaultConfig()
+			set(&pcfg)
+			cfg.Police = &pcfg
+		}
+	}
 	for _, tc := range []struct {
 		field string // "": must be accepted
-		set   func(*police.Config)
+		set   func(*Config)
 	}{
-		{"", func(*police.Config) {}}, // what ddnode, live_overlay and bench/live.go pass
-		{"Q0", func(c *police.Config) { c.Q0 = 0 }},
-		{"Radius", func(c *police.Config) { c.Radius = 2 }},
-		{"VerifyLists", func(c *police.Config) { c.VerifyLists = true }},
+		{"", policed(func(*police.Config) {})}, // what ddnode, live_overlay and bench/live.go pass
+		{"Q0", policed(func(c *police.Config) { c.Q0 = 0 })},
+		{"Radius", policed(func(c *police.Config) { c.Radius = 2 })},
+		{"VerifyLists", policed(func(c *police.Config) { c.VerifyLists = true })},
+		{"", func(cfg *Config) { cfg.NodeID = protocol.NodeIDs - 1 }},
+		{"NodeID", func(cfg *Config) { cfg.NodeID = protocol.NodeIDs }},
+		{"NodeID", func(cfg *Config) { cfg.NodeID = -1 }},
+		{"", func(cfg *Config) { cfg.ControlReserveFrac = 0.2 }},
+		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = 1 }},
+		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = -0.1 }},
+		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = math.NaN() }},
 	} {
-		pcfg := police.DefaultConfig()
-		tc.set(&pcfg)
 		cfg := DefaultConfig("x")
-		cfg.Police = &pcfg
+		tc.set(&cfg)
 		n, err := NewNode(cfg)
 		switch {
 		case err == nil:
 			n.Close()
 			if tc.field != "" {
-				t.Errorf("%s: unsupported value accepted: %+v", tc.field, pcfg)
+				t.Errorf("%s: unsupported value accepted: %+v", tc.field, cfg)
 			}
 		case tc.field == "":
-			t.Errorf("police.DefaultConfig() refused: %v", err)
+			t.Errorf("a supported config refused: %v", err)
 		case !strings.Contains(err.Error(), tc.field):
 			t.Errorf("%s: error does not name the field: %v", tc.field, err)
 		}

@@ -145,7 +145,7 @@ func (n *Node) Degraded() bool { return n.Stats().Degraded }
 // IssueQuery floods a query from this node and returns a channel that
 // yields the first QueryHit (buffered; never blocks the router). The
 // node forgets the query's waiter once that hit is delivered, or when
-// the GUID maps are reset.
+// 2^17 newer GUIDs have pushed the query out of its GUID table.
 func (n *Node) IssueQuery(keywords string) (<-chan protocol.QueryHit, error) {
 	hit := make(chan protocol.QueryHit, 1)
 	issueErr, err := ctlCall(n, 0, func(now time.Time) error { return n.core.Issue(now, keywords, hit) })

@@ -212,23 +212,20 @@ func (t meshTransport) Ask(member protocol.PeerAddr, frame []byte) {
 func dropQueries(f []byte) bool { return classifyFrame(f) == faults.ClassQuery }
 
 // TestCoreIsDeterministic runs one scripted input sequence twice: two
-// suspects flood the same observer in the same window, so the observer
-// warns about both, opens two rounds and trips two breakers at one
-// window close, and the flood spreads through a five-node overlay. The
-// journals and the send logs must be byte-identical, and what a window
-// close records about several peers must come in ascending peer id —
-// map order used to decide it.
+// suspects flood the same observer past the breaker's trip threshold in
+// two windows running, so the observer warns about both and opens two
+// rounds at the first window close, cuts both at their verdicts, and
+// trips two breakers at the second close; the flood spreads through a
+// five-node overlay. The journals and the send logs must be
+// byte-identical, and what a window close records about several peers
+// must come in ascending peer id — map order used to decide it.
 func TestCoreIsDeterministic(t *testing.T) {
 	run := func() (journalBytes []byte, sends []logged, jr *journal.Journal) {
 		jr = journal.New(4096)
-		ocfg := overload.DefaultConfig()
-		ocfg.TripThreshold = 50
-		ocfg.TripWindows = 1
 		m := newMesh(t)
 		for id := int32(1); id <= 5; id++ {
 			m.add(id, func(cfg *core.Config) {
 				cfg.Police = testPolice()
-				cfg.Overload = ocfg
 				cfg.MinuteLength = window
 				cfg.Journal = jr
 			})
@@ -237,11 +234,16 @@ func TestCoreIsDeterministic(t *testing.T) {
 			m.connect(e[0], e[1])
 		}
 		m.run()
-		m.flood(1, 4, 200, 3)
-		m.flood(1, 2, 200, 3)
-		m.run()
-		m.advance(window)
-		m.advance(window / 2)
+		flood := func() {
+			m.flood(1, 4, overload.TripThreshold+100, 3)
+			m.flood(1, 2, overload.TripThreshold+100, 3)
+			m.run()
+		}
+		flood()
+		m.advance(window)     // strike one: two warnings, two rounds
+		flood()               // lands before the verdicts
+		m.advance(window / 2) // the verdicts cut both suspects
+		m.advance(window / 2) // strike two (overload.TripWindows): both breakers trip
 		var buf bytes.Buffer
 		if err := jr.WriteNDJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -15,7 +15,6 @@
 package gnet
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -30,13 +29,10 @@ import (
 	"ddpolice/internal/capacity"
 	"ddpolice/internal/faults"
 	"ddpolice/internal/gnet/core"
-	"ddpolice/internal/journal"
 	"ddpolice/internal/overload"
-	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/trace"
 )
 
 // handshake strings (Gnutella 0.6 flavor).
@@ -55,60 +51,31 @@ const maxTransientDials = 8
 // control frames — the Bye that tells the peer the drop was orderly.
 const closeGrace = time.Second
 
-// Config parameterizes a Node.
+// Each link's send queues hold queryQueueDepth query frames and
+// controlQueueDepth control frames. Control traffic is sparse, so a
+// shallow queue of its own keeps its worst-case latency small. Query
+// sends shed from highWatermark of the depth until the queue drains to
+// lowWatermark; the band keeps them from flapping at the boundary.
+const (
+	queryQueueDepth   = 256
+	controlQueueDepth = 64
+	highWatermark     = 0.75
+	lowWatermark      = 0.5
+)
+
+// Config parameterizes a Node: the protocol's configuration, which
+// core.Config documents, and the shell's own.
 type Config struct {
+	core.Config
 	// Name labels the node in logs and errors.
 	Name string
-	// NodeID is the node's overlay identity, carried in handshakes and
-	// encoded as the synthetic 10.x.y.z address in Table 1 messages
-	// (the paper identifies peers by IP; we virtualize that for
-	// single-host deployments).
-	NodeID int32
 	// ListenAddr is the TCP listen address ("127.0.0.1:0" for tests).
 	ListenAddr string
-	// CapacityPerMin is the query-processing rate (paper: a dedicated
-	// peer saturates at ~15,000/min; an in-the-wild peer at ~10,000).
-	CapacityPerMin float64
-	// Burst is the token bucket depth; defaults to one second of
-	// capacity.
-	Burst float64
-	// TTL for queries this node issues.
-	TTL byte
-	// SharedObjects is the set of object keywords this node answers.
-	SharedObjects []string
-	// Police enables the DD-POLICE monitor with the given parameters;
-	// nil disables it.
-	Police *police.Config
-	// Seed drives GUID generation.
-	Seed uint64
-	// MinuteLength shortens the monitoring window for tests; defaults
-	// to one minute.
-	MinuteLength time.Duration
-	// Telemetry, when non-nil, receives the node's operational counters
-	// under the "gnet." prefix; nodes sharing a registry aggregate.
-	Telemetry *telemetry.Registry
 	// Faults, when non-nil, wraps every post-handshake connection in the
 	// fault-injection plane (internal/faults): seeded drop / delay /
 	// duplicate / reset by message class plus partitions. Nodes may share
 	// a plan so a harness fails from one schedule.
 	Faults *faults.Plan
-	// Journal, when non-nil, receives the detection lifecycle, overload
-	// transitions, peer-drop provenance and reconnect activity, stamped
-	// with the run loop's wall time in Unix seconds. Nodes may share one.
-	Journal *journal.Journal
-	// Tracer, when non-nil, receives per-query hop/outcome spans keyed by
-	// the trace ID riding the Query wire extension (protocol.Query.TraceID).
-	// Nodes may share one; head sampling is by trace-ID hash, so every node
-	// that sees a query agrees on whether it is traced.
-	Tracer *trace.Tracer
-	// Overload tunes the overload-resilience plane every node runs:
-	// class-split send queues and processing budget, quarantine breakers
-	// and degraded-mode detection. Zero fields take overload.DefaultConfig's.
-	Overload overload.Config
-	// Reconnect, when non-nil, re-dials neighbors lost to transport faults
-	// with exponential backoff and jitter — never one this node cut or one
-	// that said Bye. Nil: a lost neighbor stays lost.
-	Reconnect *ReconnectConfig
 }
 
 type (
@@ -123,11 +90,13 @@ type (
 // DefaultConfig returns a node config matching the paper's testbed.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:           name,
-		ListenAddr:     "127.0.0.1:0",
-		CapacityPerMin: capacity.TestbedSaturationPerMin,
-		TTL:            protocol.DefaultTTL,
-		Seed:           1,
+		Config: core.Config{
+			CapacityPerMin: capacity.TestbedSaturationPerMin,
+			TTL:            protocol.DefaultTTL,
+			Seed:           1,
+		},
+		Name:       name,
+		ListenAddr: "127.0.0.1:0",
 	}
 }
 
@@ -135,7 +104,6 @@ func DefaultConfig(name string) Config {
 // owned by the run loop goroutine; callers reach them through ctl.
 type Node struct {
 	cfg      Config
-	queues   overload.Config // cfg.Overload with defaults: the send queues' sizes
 	ln       net.Listener
 	core     *core.Core
 	inbox    chan inboundFrame
@@ -198,12 +166,8 @@ type peerConn struct {
 
 // NewNode starts a node listening on cfg.ListenAddr.
 func NewNode(cfg Config) (*Node, error) {
-	if cfg.MinuteLength == 0 {
-		cfg.MinuteLength = time.Minute
-	}
 	n := &Node{
-		cfg:    cfg,
-		queues: cfg.Overload.WithDefaults(),
+		cfg: cfg,
 		// The buffers absorb bursts: a read loop blocks on a full inbox, a
 		// poster on a full ctl, until the run loop catches up.
 		inbox:        make(chan inboundFrame, 1024),
@@ -216,16 +180,10 @@ func NewNode(cfg Config) (*Node, error) {
 		links:        make(map[uint32]*peerConn),
 	}
 	var err error
-	n.core, err = core.New(core.Config{
-		NodeID: cfg.NodeID, CapacityPerMin: cfg.CapacityPerMin, Burst: cfg.Burst,
-		TTL: cfg.TTL, SharedObjects: cfg.SharedObjects, Police: cfg.Police,
-		Seed: cfg.Seed, MinuteLength: cfg.MinuteLength, Telemetry: cfg.Telemetry,
-		Journal: cfg.Journal, Tracer: cfg.Tracer, Overload: cfg.Overload,
-		Reconnect: cfg.Reconnect,
-	}, transport{n})
-	if err != nil {
+	if n.core, err = core.New(cfg.Config, transport{n}); err != nil {
 		return nil, err
 	}
+	n.cfg.Config = n.core.Config() // with the defaults core.New filled in: MinuteLength bounds transient asks
 	if n.ln, err = net.Listen("tcp", cfg.ListenAddr); err != nil {
 		return nil, fmt.Errorf("gnet: listen: %w", err)
 	}
@@ -273,7 +231,7 @@ func (n *Node) Connect(addr string) error {
 		n.tel.handshakeFail.Inc()
 		return err
 	}
-	n.adoptConn(conn, cmp.Or(raddr, addr), id, true)
+	n.adoptConn(conn, raddr, id, true)
 	return nil
 }
 
@@ -335,18 +293,28 @@ func readPeerIdentity(conn net.Conn) (int32, string, error) {
 	if !strings.HasPrefix(resp, okLine) {
 		return 0, "", fmt.Errorf("gnet: handshake rejected: %q", firstLine(resp))
 	}
-	id, err := parseNodeID(resp)
-	return id, headerValue(resp, "Listen-Addr"), err
+	return parseIdentity(resp)
 }
 
-// parseNodeID reads a handshake block's Node-ID. A peer that omits or garbles
-// it is refused: adopted as node 0 it would displace the real neighbor 0.
-func parseNodeID(block string) (int32, error) {
-	id, err := strconv.ParseInt(headerValue(block, "Node-ID"), 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("gnet: handshake Node-ID: %w", err)
+// parseIdentity reads a handshake block's Node-ID and Listen-Addr, and
+// refuses a peer whose identity the wire cannot carry or whose address
+// nobody can dial. A missing or garbled Node-ID, adopted as node 0, would
+// displace the real neighbor 0; one at or past protocol.NodeIDs wraps to
+// another node's 10.x.y.z address in every report and list. A
+// Listen-Addr is advertised in neighbor lists and dialed for out-of-band
+// reports and re-dials, so it must be host:port with a port in 1-65535.
+func parseIdentity(block string) (int32, string, error) {
+	raw := headerValue(block, "Node-ID")
+	id, err := strconv.ParseInt(raw, 10, 32)
+	if err != nil || id < 0 || id >= protocol.NodeIDs {
+		return 0, "", fmt.Errorf("gnet: handshake Node-ID %q: want an integer in [0, %d)", raw, protocol.NodeIDs)
 	}
-	return int32(id), nil
+	addr := headerValue(block, "Listen-Addr")
+	_, port, err := net.SplitHostPort(addr)
+	if p, perr := strconv.ParseUint(port, 10, 16); err != nil || perr != nil || p == 0 {
+		return 0, "", fmt.Errorf("gnet: handshake Listen-Addr %q: want host:port with a port in 1-65535", addr)
+	}
+	return int32(id), addr, nil
 }
 
 // serverHandshake runs the acceptor side: the remote's identity, listen
@@ -361,11 +329,7 @@ func (n *Node) serverHandshake(conn net.Conn) (int32, string, bool, error) {
 	if !strings.HasPrefix(req, helloLine) {
 		return 0, "", false, fmt.Errorf("gnet: bad hello: %q", firstLine(req))
 	}
-	remote := headerValue(req, "Listen-Addr")
-	if remote == "" {
-		remote = conn.RemoteAddr().String()
-	}
-	id, err := parseNodeID(req)
+	id, remote, err := parseIdentity(req)
 	if err != nil {
 		return 0, "", false, err
 	}
@@ -475,9 +439,9 @@ func (n *Node) adoptConn(conn net.Conn, addr string, id int32, register bool) {
 	pc := &peerConn{
 		conn:    faults.Wrap(conn, n.cfg.Faults, n.cfg.NodeID, id, classifyFrame),
 		node:    n,
-		sendCtl: make(chan []byte, n.queues.ControlQueueDepth),
-		sendQry: make(chan []byte, n.queues.QueryQueueDepth),
-		shedder: overload.NewShedder(n.queues.QueryQueueDepth, n.queues.HighWatermark, n.queues.LowWatermark),
+		sendCtl: make(chan []byte, controlQueueDepth),
+		sendQry: make(chan []byte, queryQueueDepth),
+		shedder: overload.NewShedder(queryQueueDepth, highWatermark, lowWatermark),
 	}
 	if !n.post(func(now time.Time) {
 		n.lastConn++
@@ -633,7 +597,7 @@ func (t transport) Dial(id int32, addr string) {
 			n.post(func(now time.Time) { n.core.Down(now, core.Link{ID: id}) })
 			return
 		}
-		n.adoptConn(conn, cmp.Or(raddr, addr), rid, true)
+		n.adoptConn(conn, raddr, rid, true)
 	}()
 }
 

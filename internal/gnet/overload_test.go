@@ -122,14 +122,8 @@ func TestControlFrameJumpsQueryBacklog(t *testing.T) {
 func TestOverloadBreakerLifecycle(t *testing.T) {
 	reg := telemetry.New()
 	jr := journal.New(256)
-	ocfg := overload.DefaultConfig()
-	ocfg.TripThreshold = 50
-	ocfg.TripWindows = 2
-	ocfg.QuarantineWindows = 2
-	ocfg.ProbeAdmit = 2
 	m := newMesh(t)
 	a := m.add(1, func(cfg *core.Config) {
-		cfg.Overload = ocfg
 		cfg.MinuteLength = window
 		cfg.Telemetry = reg
 		cfg.Journal = jr
@@ -147,10 +141,11 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 	}
 
 	// Two consecutive hot windows (> TripThreshold offered) trip the breaker.
-	m.flood(1, 2, 100, 1)
+	const hot = overload.TripThreshold + 100
+	m.flood(1, 2, hot, 1)
 	m.advance(window)
 	quarantined(0)
-	m.flood(1, 2, 100, 1)
+	m.flood(1, 2, hot, 1)
 	m.advance(window)
 	quarantined(1)
 	// The link is still up — quarantine throttles, it does not cut.
@@ -158,16 +153,17 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 		t.Fatal("quarantine tore the connection down; it must only throttle")
 	}
 
-	// 8 queries from the quarantined peer: ProbeAdmit=2 pass, 6 shed.
-	m.flood(1, 2, 8, 1)
+	// ProbeAdmit+6 queries from the quarantined peer: ProbeAdmit pass, 6 shed.
+	m.flood(1, 2, overload.ProbeAdmit+6, 1)
 	if got := a.Stats().QuarantineDropped; got != 6 {
-		t.Fatalf("QuarantineDropped = %d, want 6 of 8 throttled", got)
+		t.Fatalf("QuarantineDropped = %d, want 6 of %d throttled", got, overload.ProbeAdmit+6)
 	}
 
-	// Serve the quarantine term (2 windows) -> half-open probe, then a
-	// quiet probe window -> restore.
-	m.advance(window)
-	m.advance(window)
+	// Serve the quarantine term (QuarantineWindows) -> half-open probe,
+	// then a quiet probe window -> restore.
+	for i := 0; i < overload.QuarantineWindows; i++ {
+		m.advance(window)
+	}
 	quarantined(1)
 	m.advance(window)
 	quarantined(0)
@@ -196,12 +192,8 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	reg := telemetry.New()
-	ocfg := overload.DefaultConfig()
-	ocfg.TripThreshold = 10
-	ocfg.TripWindows = 1
 	a := NewNodeMust(t, func(cfg *Config) {
-		cfg.Overload = ocfg
-		cfg.MinuteLength = 100 * time.Millisecond // quarantine lasts QuarantineWindows: 3 of them
+		cfg.MinuteLength = 200 * time.Millisecond // quarantine lasts QuarantineWindows: 3 of them
 		cfg.Telemetry = reg
 		cfg.Reconnect = fastReconnect()
 	})
@@ -211,11 +203,24 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 && len(b.Neighbors()) == 1 }, "connected")
 
-	// One hot window quarantines b on a.
-	for i := 0; i < 100; i++ {
-		b.SendRawQuery(fmt.Sprintf("q-%d", i))
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(a.Quarantined()) == 1 }, "b quarantined")
+	// b floods a until TripWindows hot windows in a row quarantine it.
+	stop := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				b.SendRawQuery(fmt.Sprintf("q-%d", i))
+			}
+		}
+	}()
+	func() {
+		defer func() { close(stop); <-flooded }() // on a failed wait too
+		waitFor(t, 10*time.Second, func() bool { return len(a.Quarantined()) == 1 }, "b quarantined")
+	}()
 
 	// The quarantined peer's transport dies. A non-quarantined peer
 	// would be re-dialed (TestReconnectAfterInjectedReset); this one
@@ -272,17 +277,15 @@ func TestOverloadFloodBoundedCut(t *testing.T) {
 	pcfg.Q0 = 10
 	pcfg.WarnThreshold = 40
 	pcfg.CutThreshold = 5
-	ocfg := overload.DefaultConfig()
-	// A fifth of capacity reserved for control: 600/min against the
-	// handful of control messages per window an 8-node overlay sends.
-	ocfg.ControlReserveFrac = 0.2
 	const agentIdx = 7
 	reg := telemetry.New()
 	h, err := NewHarness(g, func(i int, cfg *Config) {
 		cfg.Police = &pcfg
 		cfg.MinuteLength = 400 * time.Millisecond
 		cfg.CapacityPerMin = 3000 // 50/s; the agent offers ~333/s
-		cfg.Overload = ocfg
+		// A fifth of capacity reserved for control: 600/min against the
+		// handful of control messages per window an 8-node overlay sends.
+		cfg.ControlReserveFrac = 0.2
 		cfg.Telemetry = reg
 	})
 	if err != nil {
@@ -359,11 +362,8 @@ func TestOverloadFloodBoundedCut(t *testing.T) {
 func TestOverloadDegradedMode(t *testing.T) {
 	reg := telemetry.New()
 	jr := journal.New(512)
-	ocfg := overload.DefaultConfig()
-	ocfg.TripThreshold = 1e9 // keep the breaker out of this test
 	m := newMesh(t)
 	a := m.add(1, func(cfg *core.Config) {
-		cfg.Overload = ocfg
 		cfg.CapacityPerMin = 60 // ~1 query/s: any flood saturates it
 		cfg.Burst = 2
 		cfg.MinuteLength = window

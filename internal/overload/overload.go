@@ -66,129 +66,6 @@ func (c Class) String() string {
 	return "query"
 }
 
-// Config parameterizes one node's overload plane. The zero value is
-// not usable directly; call WithDefaults (or start from
-// DefaultConfig) so unset fields get their documented defaults.
-type Config struct {
-	// QueryQueueDepth bounds the per-peer outbound query queue
-	// (default 256, the historical single-queue depth).
-	QueryQueueDepth int
-	// ControlQueueDepth bounds the per-peer outbound control queue
-	// (default 64). Control traffic is sparse; a shallow dedicated
-	// queue keeps its worst-case latency small.
-	ControlQueueDepth int
-	// HighWatermark is the query-queue fill fraction above which query
-	// sends start shedding (default 0.75).
-	HighWatermark float64
-	// LowWatermark is the fill fraction below which shedding stops
-	// (default 0.5). The hysteresis band prevents shed/send flapping
-	// at the boundary.
-	LowWatermark float64
-
-	// TripThreshold is the per-window inbound query count from one
-	// peer that counts as a strike (default 500, the paper's warning
-	// threshold).
-	TripThreshold float64
-	// TripWindows is how many consecutive strikes quarantine the peer
-	// (default 2: a single hot window may be a legitimate burst).
-	TripWindows int
-	// QuarantineWindows is how many windows a quarantined peer stays
-	// throttled before the breaker half-opens for a probe (default 3).
-	QuarantineWindows int
-	// ProbeAdmit is the per-window query allowance of a quarantined or
-	// probing peer (default 100, the paper's q0 — a good peer's
-	// legitimate traffic fits through the throttle).
-	ProbeAdmit float64
-
-	// DegradedShedFrac is the per-window shed fraction at which the
-	// node marks itself degraded (default 0.5); it exits degraded mode
-	// below half that (hysteresis).
-	DegradedShedFrac float64
-
-	// ControlReserveFrac of processing capacity is reserved for the
-	// control plane (default 0.05); queries are admitted against the
-	// remainder and can never starve it. Mirrors SimPlane's field of
-	// the same name so the live node and the simulator split capacity
-	// identically.
-	ControlReserveFrac float64
-}
-
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config {
-	return Config{
-		QueryQueueDepth:   256,
-		ControlQueueDepth: 64,
-		HighWatermark:     0.75,
-		LowWatermark:      0.5,
-		TripThreshold:     500,
-		TripWindows:       2,
-		QuarantineWindows: 3,
-		ProbeAdmit:        100,
-		DegradedShedFrac:  0.5,
-
-		ControlReserveFrac: 0.05,
-	}
-}
-
-// WithDefaults fills unset (zero) fields with their defaults and
-// returns the completed config.
-func (c Config) WithDefaults() Config {
-	d := DefaultConfig()
-	if c.QueryQueueDepth <= 0 {
-		c.QueryQueueDepth = d.QueryQueueDepth
-	}
-	if c.ControlQueueDepth <= 0 {
-		c.ControlQueueDepth = d.ControlQueueDepth
-	}
-	if c.HighWatermark <= 0 {
-		c.HighWatermark = d.HighWatermark
-	}
-	if c.LowWatermark <= 0 {
-		c.LowWatermark = d.LowWatermark
-	}
-	if c.TripThreshold <= 0 {
-		c.TripThreshold = d.TripThreshold
-	}
-	if c.TripWindows <= 0 {
-		c.TripWindows = d.TripWindows
-	}
-	if c.QuarantineWindows <= 0 {
-		c.QuarantineWindows = d.QuarantineWindows
-	}
-	if c.ProbeAdmit <= 0 {
-		c.ProbeAdmit = d.ProbeAdmit
-	}
-	if c.DegradedShedFrac <= 0 {
-		c.DegradedShedFrac = d.DegradedShedFrac
-	}
-	if c.ControlReserveFrac <= 0 {
-		c.ControlReserveFrac = d.ControlReserveFrac
-	}
-	return c
-}
-
-// Validate reports configuration errors on a defaults-completed config.
-// The float comparisons are written so that NaN fails them too
-// (WithDefaults keeps a NaN: it is not <= 0).
-func (c Config) Validate() error {
-	if !(c.LowWatermark < c.HighWatermark) {
-		return fmt.Errorf("overload: LowWatermark %v, HighWatermark %v (want low < high)", c.LowWatermark, c.HighWatermark)
-	}
-	if !(c.HighWatermark <= 1) {
-		return fmt.Errorf("overload: HighWatermark %v (want <= 1)", c.HighWatermark)
-	}
-	if !(c.ProbeAdmit > 0) {
-		return fmt.Errorf("overload: ProbeAdmit %v (want > 0)", c.ProbeAdmit)
-	}
-	if !(c.DegradedShedFrac <= 1) {
-		return fmt.Errorf("overload: DegradedShedFrac %v (want <= 1)", c.DegradedShedFrac)
-	}
-	if !(c.ControlReserveFrac < 1) {
-		return fmt.Errorf("overload: ControlReserveFrac %v (want < 1)", c.ControlReserveFrac)
-	}
-	return nil
-}
-
 // Shedder implements high/low watermark hysteresis over a bounded
 // queue: once the observed depth crosses the high watermark, ShouldShed
 // reports true until the depth drains below the low watermark. Not safe
@@ -284,20 +161,38 @@ func (e BreakerEvent) String() string {
 	}
 }
 
+// The breaker's operating point is the paper's: a strike is a window
+// over the warning threshold, and a quarantined peer keeps the query
+// rate a good peer issues.
+const (
+	// TripThreshold is the per-window inbound query count from one peer
+	// that counts as a strike: the paper's warning threshold.
+	TripThreshold = 500
+	// TripWindows consecutive strikes quarantine the peer: a single hot
+	// window may be a legitimate burst.
+	TripWindows = 2
+	// QuarantineWindows is how many windows a quarantined peer stays
+	// throttled before the breaker half-opens for a probe.
+	QuarantineWindows = 3
+	// ProbeAdmit is the per-window query allowance of a quarantined or
+	// probing peer: the paper's q0, so a good peer's legitimate traffic
+	// fits through the throttle.
+	ProbeAdmit = 100
+)
+
 // Breaker is one peer's quarantine circuit breaker. All methods are
 // deterministic functions of the call sequence; the owner (gnet's run
 // loop) serializes access.
 type Breaker struct {
-	cfg      Config
 	state    BreakerState
 	strikes  int     // consecutive hot windows while closed
 	served   int     // windows spent in the current quarantine term
 	admitted float64 // queries admitted in the current window
 }
 
-// NewBreaker returns a closed breaker under cfg (defaults-completed).
-func NewBreaker(cfg Config) *Breaker {
-	return &Breaker{cfg: cfg}
+// NewBreaker returns a closed breaker.
+func NewBreaker() *Breaker {
+	return &Breaker{}
 }
 
 // State returns the current breaker position.
@@ -310,7 +205,7 @@ func (b *Breaker) Admit() bool {
 	if b.state == StateClosed {
 		return true
 	}
-	if b.admitted < b.cfg.ProbeAdmit {
+	if b.admitted < ProbeAdmit {
 		b.admitted++
 		return true
 	}
@@ -325,9 +220,9 @@ func (b *Breaker) CloseWindow(offered float64) BreakerEvent {
 	b.admitted = 0
 	switch b.state {
 	case StateClosed:
-		if offered > b.cfg.TripThreshold {
+		if offered > TripThreshold {
 			b.strikes++
-			if b.strikes >= b.cfg.TripWindows {
+			if b.strikes >= TripWindows {
 				b.state = StateQuarantined
 				b.served = 0
 				return EventQuarantine
@@ -337,12 +232,12 @@ func (b *Breaker) CloseWindow(offered float64) BreakerEvent {
 		}
 	case StateQuarantined:
 		b.served++
-		if b.served >= b.cfg.QuarantineWindows {
+		if b.served >= QuarantineWindows {
 			b.state = StateProbing
 			return EventProbe
 		}
 	case StateProbing:
-		if offered > b.cfg.TripThreshold {
+		if offered > TripThreshold {
 			b.state = StateQuarantined
 			b.served = 0
 			return EventQuarantine
@@ -358,13 +253,14 @@ func (b *Breaker) CloseWindow(offered float64) BreakerEvent {
 // fractions, with enter-at-threshold / exit-at-half-threshold
 // hysteresis. The owner journals the transitions it reports.
 type Detector struct {
-	cfg      Config
-	degraded bool
+	threshold float64 // the shed fraction that enters degraded mode
+	degraded  bool
 }
 
-// NewDetector returns a healthy detector under cfg (defaults-completed).
-func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg}
+// NewDetector returns a healthy detector that enters degraded mode at
+// the given shed fraction and exits below half of it.
+func NewDetector(threshold float64) *Detector {
+	return &Detector{threshold: threshold}
 }
 
 // Degraded reports the current mode.
@@ -386,11 +282,11 @@ func (d *Detector) CloseWindow(shed, handled float64) (changed bool) {
 	}
 	frac := shed / total
 	if d.degraded {
-		if frac < d.cfg.DegradedShedFrac/2 {
+		if frac < d.threshold/2 {
 			d.degraded = false
 			return true
 		}
-	} else if frac >= d.cfg.DegradedShedFrac {
+	} else if frac >= d.threshold {
 		d.degraded = true
 		return true
 	}

@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-func TestConfigWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c != DefaultConfig() {
-		t.Fatalf("zero config with defaults = %+v, want %+v", c, DefaultConfig())
-	}
-	c = Config{QueryQueueDepth: 16, TripThreshold: 50}.WithDefaults()
-	if c.QueryQueueDepth != 16 || c.TripThreshold != 50 {
-		t.Fatalf("explicit fields overwritten: %+v", c)
-	}
-	if c.ControlQueueDepth != 64 || c.TripWindows != 2 {
-		t.Fatalf("unset fields not defaulted: %+v", c)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("defaults-completed config invalid: %v", err)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{HighWatermark: 0.4, LowWatermark: 0.5},
-		{HighWatermark: 1.5},
-		{DegradedShedFrac: 1.5},
-		{ControlReserveFrac: 1},
-		// NaN survives WithDefaults and must fail every float check.
-		{HighWatermark: math.NaN()},
-		{LowWatermark: math.NaN()},
-		{ProbeAdmit: math.NaN()},
-		{DegradedShedFrac: math.NaN()},
-		{ControlReserveFrac: math.NaN()},
-	}
-	for i, c := range bad {
-		if err := c.WithDefaults().Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, c)
-		}
-	}
-}
-
 func TestShedderHysteresis(t *testing.T) {
 	s := NewShedder(100, 0.75, 0.5)
 	if s.ShouldShed(0) {
@@ -86,8 +49,7 @@ func TestShedderTinyQueue(t *testing.T) {
 }
 
 func TestBreakerQuarantineLifecycle(t *testing.T) {
-	cfg := DefaultConfig()
-	b := NewBreaker(cfg)
+	b := NewBreaker()
 	if b.State() != StateClosed {
 		t.Fatalf("new breaker state = %v", b.State())
 	}
@@ -112,11 +74,11 @@ func TestBreakerQuarantineLifecycle(t *testing.T) {
 			admitted++
 		}
 	}
-	if admitted != int(cfg.ProbeAdmit) {
-		t.Fatalf("quarantined admits = %d, want %v", admitted, cfg.ProbeAdmit)
+	if admitted != int(ProbeAdmit) {
+		t.Fatalf("quarantined admits = %d, want %v", admitted, ProbeAdmit)
 	}
 	// Quarantine term: QuarantineWindows windows, then half-open.
-	for i := 0; i < cfg.QuarantineWindows-1; i++ {
+	for i := 0; i < QuarantineWindows-1; i++ {
 		if ev := b.CloseWindow(10_000); ev != EventNone {
 			t.Fatalf("quarantine window %d event = %v", i, ev)
 		}
@@ -132,13 +94,13 @@ func TestBreakerQuarantineLifecycle(t *testing.T) {
 		t.Fatalf("failed probe event = %v", ev)
 	}
 	// Serve the term again, probe, and this time behave.
-	for i := 0; i < cfg.QuarantineWindows; i++ {
+	for i := 0; i < QuarantineWindows; i++ {
 		b.CloseWindow(0)
 	}
 	if b.State() != StateProbing {
 		t.Fatalf("state after second term = %v", b.State())
 	}
-	if ev := b.CloseWindow(cfg.TripThreshold); ev != EventRestore {
+	if ev := b.CloseWindow(TripThreshold); ev != EventRestore {
 		t.Fatalf("clean probe event = %v", ev)
 	}
 	if b.State() != StateClosed {
@@ -150,7 +112,7 @@ func TestBreakerQuarantineLifecycle(t *testing.T) {
 }
 
 func TestBreakerStrikesResetOnQuietWindow(t *testing.T) {
-	b := NewBreaker(DefaultConfig())
+	b := NewBreaker()
 	b.CloseWindow(10_000) // strike 1
 	b.CloseWindow(0)      // quiet: strikes reset
 	b.CloseWindow(10_000) // strike 1 again
@@ -164,11 +126,10 @@ func TestBreakerStrikesResetOnQuietWindow(t *testing.T) {
 }
 
 func TestBreakerAdmitResetsPerWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	b := NewBreaker(cfg)
+	b := NewBreaker()
 	b.CloseWindow(10_000)
 	b.CloseWindow(10_000)
-	for i := 0; i < int(cfg.ProbeAdmit); i++ {
+	for i := 0; i < int(ProbeAdmit); i++ {
 		if !b.Admit() {
 			t.Fatalf("admit %d denied under allowance", i)
 		}
@@ -186,7 +147,7 @@ func TestBreakerDeterministic(t *testing.T) {
 	// Same call sequence, same transitions — the breaker has no clock
 	// and no randomness.
 	run := func() []BreakerEvent {
-		b := NewBreaker(DefaultConfig())
+		b := NewBreaker()
 		offered := []float64{600, 700, 9000, 9000, 9000, 9000, 100, 100, 100, 100, 400}
 		evs := make([]BreakerEvent, 0, len(offered))
 		for _, o := range offered {
@@ -203,7 +164,7 @@ func TestBreakerDeterministic(t *testing.T) {
 }
 
 func TestDetectorHysteresis(t *testing.T) {
-	d := NewDetector(DefaultConfig())
+	d := NewDetector(0.5)
 	if d.Degraded() {
 		t.Fatal("new detector degraded")
 	}
@@ -229,7 +190,7 @@ func TestDetectorHysteresis(t *testing.T) {
 }
 
 func TestDetectorIdleWindowRecovers(t *testing.T) {
-	d := NewDetector(DefaultConfig())
+	d := NewDetector(0.5)
 	d.CloseWindow(100, 0)
 	if !d.Degraded() {
 		t.Fatal("all-shed window did not degrade")

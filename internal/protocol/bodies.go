@@ -12,6 +12,10 @@ type PeerAddr struct {
 	Port uint16
 }
 
+// NodeIDs is how many node ids a synthetic 10.x.y.z address can carry:
+// ids run from 0 to NodeIDs-1, and AddrFromNodeID wraps any other.
+const NodeIDs = 1 << 24
+
 // AddrFromNodeID maps a simulator node id into a stable synthetic
 // address in 10.0.0.0/8 so wire traces remain readable.
 func AddrFromNodeID(id int32, port uint16) PeerAddr {

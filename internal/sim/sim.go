@@ -554,9 +554,7 @@ func (r *run) armOverload() {
 	r.ovp = &p
 	r.budget.ReserveControl(p.ControlReserveFrac)
 	r.queryPerTick *= 1 - p.ControlReserveFrac
-	r.degDet = overload.NewDetector(overload.Config{
-		DegradedShedFrac: p.DegradedLossThreshold,
-	}.WithDefaults())
+	r.degDet = overload.NewDetector(p.DegradedLossThreshold)
 }
 
 // result assembles the Result of the finished run: a copy, so that a
