@@ -119,7 +119,8 @@ race:
 
 # The smoke pass boots a real ddnode with the exposition plane on and
 # asserts /metrics serves non-empty Prometheus text and /healthz is ok,
-# then runs the five in-process examples (~2 s together), failing on a
+# and that a second ddnode's SIGTERM reaches it as an orderly drop with
+# no re-dial, then runs the five in-process examples (~2 s together), failing on a
 # non-zero exit; examples/live_overlay (real TCP, ~6 s) stays out.
 smoke:
 	./scripts/metrics_smoke.sh

@@ -9,7 +9,7 @@
 //	ddtrace -in run.trace
 //
 // One trace as an ASCII tree, per-depth flood fan-out, Perfetto
-// conversion:
+// conversion (at most one of -critical, -tree, -fanout, -perfetto):
 //
 //	ddtrace -in run.trace -tree <id>
 //	ddtrace -in run.trace -fanout
@@ -43,6 +43,19 @@ func main() {
 		perfetto = flag.String("perfetto", "", "convert the stream to Chrome trace-event JSON at this path")
 	)
 	flag.Parse()
+	var modes []string
+	for _, m := range []struct {
+		flag string
+		on   bool
+	}{{"-critical", *critical != ""}, {"-tree", *tree != ""}, {"-fanout", *fanout}, {"-perfetto", *perfetto != ""}} {
+		if m.on {
+			modes = append(modes, m.flag)
+		}
+	}
+	if len(modes) > 1 {
+		fmt.Fprintf(os.Stderr, "ddtrace: %s and %s are exclusive: give at most one of -critical, -tree, -fanout, -perfetto\n", modes[0], modes[1])
+		os.Exit(2)
+	}
 	if *critical != "" {
 		if *in != "" {
 			fmt.Fprintln(os.Stderr, "ddtrace: -critical reads a journal; it takes no -in trace stream")

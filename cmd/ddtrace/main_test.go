@@ -225,3 +225,52 @@ func TestPerfettoConversion(t *testing.T) {
 		t.Fatalf("perfetto output prefix = %q", data[:40])
 	}
 }
+
+// TestConflictingModesExitTwo: -critical, -tree, -fanout and -perfetto
+// each pick what ddtrace prints, so two of them at once exit 2 naming
+// both instead of running one and ignoring the other.
+func TestConflictingModesExitTwo(t *testing.T) {
+	dir := t.TempDir()
+	tr := trace.New(1.0, 0)
+	tr.Record(7, trace.Span{Kind: trace.KindQueryIssue, Node: 1})
+	tr.Record(7, trace.Span{Kind: trace.KindHop, Node: 2, Peer: 1, Depth: 1})
+	spans := filepath.Join(dir, "run.trace")
+	f, err := os.Create(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteNDJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	perfetto := filepath.Join(dir, "run.json")
+	for _, tc := range []struct {
+		args       []string
+		mode, also string
+	}{
+		{[]string{"-in", spans, "-tree", "all", "-fanout"}, "-tree", "-fanout"},
+		{[]string{"-in", spans, "-fanout", "-perfetto", perfetto}, "-fanout", "-perfetto"},
+		{[]string{"-critical", spans, "-fanout"}, "-critical", "-fanout"},
+		{[]string{"-in", spans, "-tree", "7", "-perfetto", perfetto}, "-tree", "-perfetto"},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "DDTRACE_RUN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("ddtrace %v: err = %v, want exit 2", tc.args, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.mode) || !strings.Contains(msg, tc.also) {
+			t.Errorf("ddtrace %v: stderr %q names neither or only one of %s, %s", tc.args, msg, tc.mode, tc.also)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("ddtrace %v printed %q", tc.args, stdout.String())
+		}
+		if _, err := os.Stat(perfetto); err == nil {
+			t.Fatalf("ddtrace %v wrote %s", tc.args, perfetto)
+		}
+	}
+}

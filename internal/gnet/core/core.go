@@ -46,7 +46,8 @@ type Transport interface {
 	Send(to Link, frame []byte) Sent
 	// Close ends l once its queued control frames (a Bye) are written.
 	Close(l Link)
-	// Dial connects to neighbor id: Up on success, Down(Link{ID: id}) not.
+	// Dial connects to neighbor id within the shell's fixed dial timeout:
+	// Up on success, Down(Link{ID: id}) not.
 	Dial(id int32, addr string)
 	// Ask sends member a Neighbor_Traffic request out of band: Reply answers.
 	Ask(member protocol.PeerAddr, frame []byte)
@@ -70,8 +71,6 @@ type Config struct {
 	// remainder and can never starve it. The reserve a node needs grows
 	// as its capacity shrinks.
 	ControlReserveFrac float64
-	// TTL for queries this node issues.
-	TTL byte
 	// SharedObjects is the set of object keywords this node answers.
 	SharedObjects []string
 	// Police enables the DD-POLICE monitor with the given parameters;
@@ -94,24 +93,6 @@ type Config struct {
 	// Nodes may share one; head sampling is by trace-ID hash, so every node
 	// that sees a query agrees on whether it is traced.
 	Tracer *trace.Tracer
-	// Reconnect, when non-nil, re-dials neighbors lost to transport faults
-	// with exponential backoff and jitter — never one this node cut or one
-	// that said Bye. Nil: a lost neighbor stays lost.
-	Reconnect *ReconnectConfig
-}
-
-// ReconnectConfig bounds the reconnect supervisor's retry schedule.
-type ReconnectConfig struct {
-	// MaxAttempts is the number of re-dials before giving a neighbor up.
-	MaxAttempts int
-	// BaseDelay is the first backoff step; attempt k waits
-	// BaseDelay·2^k plus up to 50% uniform jitter, capped at MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth.
-	MaxDelay time.Duration
-	// DialTimeout bounds each re-dial attempt (and each transient
-	// Neighbor_Traffic dial when set): the shell's.
-	DialTimeout time.Duration
 }
 
 // Stats is a snapshot of a node's counters.
@@ -206,9 +187,6 @@ func New(cfg Config, tr Transport) (*Core, error) {
 	}
 	if !(cfg.ControlReserveFrac > 0 && cfg.ControlReserveFrac < 1) {
 		return nil, fmt.Errorf("gnet: ControlReserveFrac %v outside (0, 1)", cfg.ControlReserveFrac)
-	}
-	if cfg.TTL == 0 {
-		cfg.TTL = protocol.DefaultTTL
 	}
 	if cfg.MinuteLength == 0 {
 		cfg.MinuteLength = time.Minute
@@ -378,9 +356,9 @@ func (c *Core) Down(now time.Time, l Link) {
 }
 
 // Why a neighbor link went away: the provenance the reconnect policy keys
-// on, journaled with the drop. Only a transport fault is re-dialed: after
-// an orderly Bye the peer chose to leave, and a DD-POLICE cut must stay
-// cut or the defense would undo itself.
+// on, journaled with the drop. Only a transport fault is re-dialed, by the
+// lower id: after a Bye the peer chose to leave, and a DD-POLICE cut must
+// stay cut or the defense would undo itself.
 const (
 	dropTransport = "transport" // read/write error, injected reset
 	dropOrderly   = "orderly"   // peer sent Bye, or local Disconnect
@@ -401,9 +379,9 @@ func (c *Core) drop(l Link, cause string) {
 		case dropCut:
 			c.cut[l.ID] = true
 		case dropTransport:
-			// Nor is a quarantined peer, which the breaker judged a flooder;
-			// if it dials back it is admitted, breaker intact.
-			if c.cfg.Reconnect != nil && !c.ovl.isQuarantined(l.ID) && c.redials[l.ID] == nil {
+			// The higher id waits: two re-dials would close each other's link.
+			// Nor is a quarantined peer, judged a flooder, re-dialed.
+			if c.cfg.NodeID < l.ID && !c.ovl.isQuarantined(l.ID) && c.redials[l.ID] == nil {
 				c.scheduleReconnect(l.ID, addr, 0)
 			}
 		}
@@ -411,20 +389,24 @@ func (c *Core) drop(l Link, cause string) {
 	c.tr.Close(l)
 }
 
-// scheduleReconnect arms a lost neighbor's next re-dial: exponential
-// backoff, capped at MaxDelay, plus up to 50% uniform jitter.
+// The reconnect schedule, one for every node: attempt k waits
+// ReconnectBase·2^k, capped at ReconnectMax, plus up to 50% uniform
+// jitter; after ReconnectAttempts failed dials the neighbor is given up.
+const (
+	ReconnectBase     = 50 * time.Millisecond
+	ReconnectMax      = 2 * time.Second
+	ReconnectAttempts = 6
+)
+
+// scheduleReconnect arms a lost neighbor's next re-dial on the schedule.
 func (c *Core) scheduleReconnect(id int32, addr string, attempt int) {
-	rc := c.cfg.Reconnect
-	if attempt >= rc.MaxAttempts {
+	if attempt >= ReconnectAttempts {
 		c.tel.reconnectGiveups.Inc()
 		c.journal(journal.Event{Type: journal.TypeReconnect, Peer: int64(id), Detail: "giveup", Value: float64(attempt)})
 		delete(c.redials, id)
 		return
 	}
-	delay := rc.BaseDelay << attempt
-	if delay > rc.MaxDelay || delay <= 0 {
-		delay = rc.MaxDelay
-	}
+	delay := min(ReconnectBase<<attempt, ReconnectMax)
 	delay += time.Duration(c.src.Float64() * float64(delay) / 2)
 	c.tel.reconnectBackoff.SetMax(int64(delay / time.Millisecond))
 	c.redials[id] = &redial{addr: addr, attempt: attempt, at: c.now.Add(delay)}
@@ -508,7 +490,24 @@ func (c *Core) Disconnect(now time.Time, id int32, code uint16, reason string) e
 		return fmt.Errorf("gnet: no neighbor %d", id)
 	}
 	l := c.peers[i].link
-	c.send(l, protocol.Encode(nil, protocol.NewGUID(c.src), 1, 0, protocol.Bye{Code: code, Reason: reason}))
+	c.bye(l, code, reason)
 	c.drop(l, dropOrderly)
 	return nil
+}
+
+// Shutdown says an orderly Bye to every neighbor and closes its link: the
+// node is going away, and a neighbor told so does not re-dial it. The
+// core takes no input after it.
+func (c *Core) Shutdown(now time.Time) {
+	c.at(now)
+	for _, p := range c.peers {
+		c.bye(p.link, protocol.ByeCodeShutdown, "shutdown")
+		c.tr.Close(p.link)
+	}
+	c.peers = nil
+}
+
+// bye queues an orderly Bye on link l.
+func (c *Core) bye(l Link, code uint16, reason string) {
+	c.send(l, protocol.Encode(nil, protocol.NewGUID(c.src), 1, 0, protocol.Bye{Code: code, Reason: reason}))
 }

@@ -285,8 +285,7 @@ func (c *Core) finishEvaluation(suspect int32) {
 	}
 	nb := c.peers[i]
 	reason := fmt.Sprintf("DD-POLICE: g=%.1f s=%.1f > CT=%.1f", v.G, v.S, m.cfg.CutThreshold)
-	c.send(nb.link, protocol.Encode(nil, protocol.NewGUID(c.src), 1, 0,
-		protocol.Bye{Code: protocol.ByeCodeDDoSSuspect, Reason: reason}))
+	c.bye(nb.link, protocol.ByeCodeDDoSSuspect, reason)
 	c.count.Disconnects = append(c.count.Disconnects, Disconnect{
 		Peer: nb.addr, Code: protocol.ByeCodeDDoSSuspect, Reason: reason,
 		General: v.G, Single: v.S,

@@ -83,7 +83,7 @@ func (c *Core) closeOverloadWindow() {
 	o.winShed, o.winHandled = 0, 0
 	if shed > 0 {
 		c.journal(journal.Event{
-			Type: journal.TypeShed, Detail: overload.ClassQuery.String(),
+			Type: journal.TypeShed, Detail: journal.ShedQuery,
 			Value: float64(shed), Window: o.windows,
 		})
 	}

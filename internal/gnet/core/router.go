@@ -115,7 +115,7 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 
 	if c.shared[string(keywords)] {
 		hit := protocol.QueryHit{HitCount: 1, QueryGUID: h.GUID}
-		if c.send(from, protocol.Encode(nil, protocol.NewGUID(c.src), c.cfg.TTL, 0, hit)) {
+		if c.send(from, protocol.Encode(nil, protocol.NewGUID(c.src), protocol.DefaultTTL, 0, hit)) {
 			c.count.HitsSent++
 			c.traceSpan(traceID, trace.Span{Kind: trace.KindDelivery, Peer: int64(from.ID), Depth: depth})
 		}
@@ -228,7 +228,7 @@ func (c *Core) SendRaw(now time.Time, keywords string) {
 func (c *Core) flood(keywords string) (protocol.GUID, int) {
 	guid := protocol.NewGUID(c.src)
 	c.guids.add(guid, guidEntry{})
-	wire := protocol.Encode(nil, guid, c.cfg.TTL, 0, c.tracedQuery(guid, keywords))
+	wire := protocol.Encode(nil, guid, protocol.DefaultTTL, 0, c.tracedQuery(guid, keywords))
 	sent := 0
 	for _, p := range c.peers {
 		if c.send(p.link, wire) {

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ddpolice/internal/faults"
+	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
@@ -18,17 +20,6 @@ import (
 	"ddpolice/internal/topology"
 )
 
-// fastReconnect keeps supervisor tests quick without changing the
-// schedule's shape.
-func fastReconnect() *ReconnectConfig {
-	return &ReconnectConfig{
-		MaxAttempts: 10,
-		BaseDelay:   20 * time.Millisecond,
-		MaxDelay:    200 * time.Millisecond,
-		DialTimeout: 2 * time.Second,
-	}
-}
-
 func counterValue(reg *telemetry.Registry, name string) uint64 {
 	for _, c := range reg.Snapshot().Counters {
 		if c.Name == name {
@@ -36,6 +27,19 @@ func counterValue(reg *telemetry.Registry, name string) uint64 {
 		}
 	}
 	return 0
+}
+
+// resetLink tears down the link from n by an injected TCP reset on n's
+// next query frame: a transport fault at both ends. n must run plan.
+func resetLink(t *testing.T, n *Node, plan *faults.Plan, reg *telemetry.Registry) {
+	t.Helper()
+	before := counterValue(reg, "faults.injected_resets")
+	plan.SetRule(faults.ClassQuery, faults.Rule{Reset: 1})
+	n.SendRawQuery("boom")
+	waitFor(t, 2*time.Second, func() bool {
+		return counterValue(reg, "faults.injected_resets") > before
+	}, "reset injected")
+	plan.SetRule(faults.ClassQuery, faults.Rule{})
 }
 
 // TestReconnectAfterInjectedReset is the acceptance test for the
@@ -47,7 +51,6 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 	plan := faults.NewPlan(1)
 	a := newTestNode(t, "a", 1, func(cfg *Config) {
 		cfg.Faults = plan
-		cfg.Reconnect = fastReconnect()
 		cfg.Telemetry = reg
 	})
 	b := newTestNode(t, "b", 2, nil)
@@ -55,14 +58,7 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "a sees b")
-
-	// Every query frame now tears the connection down.
-	plan.SetRule(faults.ClassQuery, faults.Rule{Reset: 1})
-	a.SendRawQuery("boom")
-	waitFor(t, 2*time.Second, func() bool {
-		return counterValue(reg, "faults.injected_resets") >= 1
-	}, "reset injected")
-	plan.SetRule(faults.ClassQuery, faults.Rule{})
+	resetLink(t, a, plan, reg)
 
 	waitFor(t, 5*time.Second, func() bool {
 		ns := a.Neighbors()
@@ -75,22 +71,72 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 		t.Errorf("reconnect_successes = %d, want >= 1", got)
 	}
 	// Backoff must have been observable in telemetry.
-	var backoff int64
-	for _, g := range reg.Snapshot().Gauges {
-		if g.Name == "gnet.reconnect_backoff_max_ms" {
-			backoff = g.Value
-		}
-	}
-	if backoff < int64(fastReconnect().BaseDelay/time.Millisecond) {
+	if backoff := gaugeValue(reg, "gnet.reconnect_backoff_max_ms"); backoff < int64(core.ReconnectBase/time.Millisecond) {
 		t.Errorf("reconnect_backoff_max_ms = %d, want >= base delay", backoff)
 	}
 }
 
+// TestCrossedRedialsKeepOneLink: a transport fault drops a link at both
+// ends at once. Were both ends to re-dial, each would keep the link it
+// dialed and close the other's whenever the dials cross — over TCP the
+// acceptor adopts a link half a round trip before its dialer does — and
+// the pair would flap on every fault. Only the lower id re-dials, so one
+// link survives and neither end journals a second drop.
+func TestCrossedRedialsKeepOneLink(t *testing.T) {
+	jr := journal.New(64)
+	m := newMesh(t)
+	for id := int32(1); id <= 2; id++ {
+		m.add(id, func(cfg *core.Config) { cfg.Journal = jr })
+	}
+	m.connect(1, 2)
+	m.run()
+	m.cores[1].Down(m.now, core.Link{ID: 2, Conn: meshLink})
+	m.cores[2].Down(m.now, core.Link{ID: 1, Conn: meshLink})
+	m.run()
+
+	since := len(m.log)
+	dialed := func() (out []logged) {
+		for _, e := range m.log[since:] {
+			if e.kind == "dial" {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	m.advance(2 * core.ReconnectBase) // attempt 0 is due, jitter included
+	dials := dialed()
+	// Every dial connects, crossed: each acceptor adopts its link before
+	// any dialer adopts its own.
+	conn := func(i int) uint32 { return meshAsk + 1 + uint32(i) }
+	for i, d := range dials {
+		m.cores[d.to].Up(m.now, core.Link{ID: d.from, Conn: conn(i)}, fmt.Sprintf("127.0.0.1:%d", 7000+d.from))
+	}
+	for i, d := range dials {
+		m.cores[d.from].Up(m.now, core.Link{ID: d.to, Conn: conn(i)}, string(d.frame))
+	}
+	m.run()
+	for i := 0; i < core.ReconnectAttempts; i++ {
+		m.advance(2 * core.ReconnectMax) // any later re-dial, left unanswered
+	}
+
+	if all := dialed(); len(all) != 1 || all[0].from != 1 {
+		t.Errorf("dials after the fault %+v, want one, by node 1", all)
+	}
+	if a, b := m.cores[1].Neighbors(), m.cores[2].Neighbors(); !slices.Equal(a, []int32{2}) || !slices.Equal(b, []int32{1}) {
+		t.Errorf("neighbors %v and %v, want the link back at both ends", a, b)
+	}
+	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"transport", "transport"}) {
+		t.Errorf("peer_drop records %v, want one transport drop per end", got)
+	}
+}
+
 // TestPoliceCutNeverReconnects is the provenance half: a neighbor this
-// node disconnected via DD-POLICE must never be re-dialed, even with
-// the supervisor enabled and the dying connection producing the usual
-// transport errors moments later.
+// node disconnected via DD-POLICE must never be re-dialed, although the
+// supervisor runs on every node and the dying connection produces the
+// usual transport errors moments later. The suspect, told why by the
+// cut's Bye, must not re-dial either.
 func TestPoliceCutNeverReconnects(t *testing.T) {
+	t.Parallel() // it mostly waits out the re-dial it must not see
 	reg := telemetry.New()
 	jr := journal.New(64)
 	observer := newTestNode(t, "observer", 1, func(cfg *Config) {
@@ -98,13 +144,11 @@ func TestPoliceCutNeverReconnects(t *testing.T) {
 		cfg.MinuteLength = time.Hour // rounds are driven by hand
 		cfg.Telemetry = reg
 		cfg.Journal = jr
-		cfg.Reconnect = fastReconnect()
 	})
-	// The suspect gets neither the supervisor nor the observer's
-	// registry: the assertion below is that the OBSERVER never re-dials.
 	suspect := newTestNode(t, "suspect", 2, func(cfg *Config) {
 		cfg.Police = testPolice()
 		cfg.MinuteLength = time.Hour
+		cfg.Telemetry = reg
 	})
 	if err := observer.Connect(suspect.Addr()); err != nil {
 		t.Fatal(err)
@@ -121,7 +165,7 @@ func TestPoliceCutNeverReconnects(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 0 }, "suspect cut")
 
 	// Give the (wrongly scheduled, if any) reconnect chain ten base delays.
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(10 * core.ReconnectBase)
 	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
 		t.Errorf("reconnect_attempts = %d after a DD-POLICE cut, want 0", got)
 	}
@@ -145,26 +189,37 @@ func TestCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 	pcfg := police.DefaultConfig()
 	pcfg.Q0 = 10
 	pcfg.WarnThreshold = 50
-	mutate := func(cfg *Config) {
+	reg, breg := telemetry.New(), telemetry.New()
+	plan := faults.NewPlan(1)
+	a := newTestNode(t, "a", 1, func(cfg *Config) {
 		cfg.Police = &pcfg
 		cfg.MinuteLength = time.Hour
-		cfg.Reconnect = fastReconnect()
-	}
-	a := newTestNode(t, "a", 1, mutate)
-	b := newTestNode(t, "b", 2, mutate)
+		cfg.Telemetry = reg
+	})
+	b := newTestNode(t, "b", 2, func(cfg *Config) {
+		cfg.Police = &pcfg
+		cfg.MinuteLength = time.Hour
+		cfg.Faults = plan
+		cfg.Telemetry = breg
+	})
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "connected")
+	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 && len(b.Neighbors()) == 1 }, "connected")
 
 	// In-flight evaluation: four dead members, each retried with backoff.
 	if err := a.BenchPrimeSuspect(7, []int32{8, 9, 10, 11}, 1000, 0); err != nil {
 		t.Fatal(err)
 	}
 	runOnLoop(t, a, func(now time.Time) { a.core.Evaluate(now, 7) })
-	// Pending reconnect: b dies, a's supervisor starts re-dialing.
+	// Pending reconnect: b's transport dies and b goes with it, so a's
+	// supervisor (a has the lower id) re-dials a node that is gone. The
+	// reset closed b's socket: its Bye cannot reach a.
+	resetLink(t, b, plan, breg)
 	b.Close()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 5*time.Second, func() bool {
+		return counterValue(reg, "gnet.reconnect_attempts") >= 1
+	}, "a re-dialing b")
 	a.Close()
 
 	waitFor(t, 5*time.Second, func() bool {
@@ -194,7 +249,6 @@ func TestChaosDetectionConverges(t *testing.T) {
 		cfg.Police = &pcfg
 		cfg.MinuteLength = 400 * time.Millisecond
 		cfg.Faults = plan
-		cfg.Reconnect = fastReconnect()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -408,16 +408,16 @@ func TestIssueQueryWithoutNeighbors(t *testing.T) {
 }
 
 func TestTTLBoundsPropagation(t *testing.T) {
-	// Line 1-2-3-4 with TTL 2 from 1: 3 receives (ttl 1) but must not
-	// forward to 4.
+	// Line 1-2-...-9 with protocol.DefaultTTL (7) from 1: 8 receives
+	// (ttl 1) but must not forward to 9.
 	m := newMesh(t)
-	a := m.add(1, func(cfg *core.Config) { cfg.TTL = 2 })
-	m.add(2, nil)
-	m.add(3, nil)
-	d := m.add(4, func(cfg *core.Config) { cfg.SharedObjects = []string{"prize"} })
-	m.connect(1, 2)
-	m.connect(2, 3)
-	m.connect(3, 4)
+	a := m.add(1, nil)
+	for id := int32(2); id <= 8; id++ {
+		m.add(id, nil)
+		m.connect(id-1, id)
+	}
+	d := m.add(9, func(cfg *core.Config) { cfg.SharedObjects = []string{"prize"} })
+	m.connect(8, 9)
 	m.run()
 	hit := make(chan protocol.QueryHit, 1)
 	if err := a.Issue(m.now, "prize", hit); err != nil {
@@ -427,11 +427,11 @@ func TestTTLBoundsPropagation(t *testing.T) {
 	if len(hit) != 0 {
 		t.Fatal("hit beyond TTL")
 	}
-	if got := m.cores[3].Stats().QueriesReceived; got != 1 {
-		t.Fatalf("3 received %d queries, want the one at TTL 1", got)
+	if got := m.cores[8].Stats().QueriesReceived; got != 1 {
+		t.Fatalf("8 received %d queries, want the one at TTL 1", got)
 	}
 	if got := d.Stats().QueriesReceived; got != 0 {
-		t.Fatalf("4 received %d queries despite TTL 2", got)
+		t.Fatalf("9 received %d queries despite TTL 7", got)
 	}
 }
 
@@ -674,5 +674,32 @@ func TestDisconnectSendsByeAndDrops(t *testing.T) {
 		}
 		a.Close()
 		b.Close()
+	}
+}
+
+// TestCloseSaysBye: a node that shuts down tells its neighbors with a
+// Bye, so they journal an orderly drop, not a transport fault, and their
+// supervisors never re-dial it.
+func TestCloseSaysBye(t *testing.T) {
+	t.Parallel() // it mostly waits out the re-dial it must not see
+	reg := telemetry.New()
+	jr := journal.New(64)
+	a := newTestNode(t, "a", 1, func(cfg *Config) {
+		cfg.Telemetry = reg
+		cfg.Journal = jr
+	})
+	b := newTestNode(t, "b", 2, nil)
+	if err := a.Connect(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 && len(a.Neighbors()) == 1 }, "connected")
+	b.Close()
+	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "a dropped b")
+	time.Sleep(10 * core.ReconnectBase)
+	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"orderly"}) {
+		t.Errorf("a's peer_drop records %v, want one orderly drop", got)
+	}
+	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
+		t.Errorf("reconnect_attempts = %d after b shut down, want 0", got)
 	}
 }

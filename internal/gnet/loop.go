@@ -11,11 +11,14 @@ import (
 
 // runLoop owns the core and the link table. It reads the wall clock once
 // per wake-up, hands that time to the frame, closure or deadline it runs,
-// and keeps one timer at the core's next deadline.
+// and keeps one timer at the core's next deadline. When the node closes,
+// the core says Bye to every neighbor before the links close, so the
+// neighbors drop it as orderly and do not re-dial.
 func (n *Node) runLoop() {
 	defer n.wg.Done()
 	defer close(n.closed)
 	defer func() {
+		n.core.Shutdown(time.Now())
 		n.final = n.core.Stats()
 		for _, pc := range n.links {
 			pc.close()

@@ -28,14 +28,21 @@ type mesh struct {
 	cores  map[int32]*core.Core
 	queue  []delivery
 	log    []logged            // every Send, Ask and Dial, in order
-	closed map[[2]int32]bool   // {from, to} links a core closed
+	closed map[end]bool        // link ends a core closed
 	drop   func(f []byte) bool // frames to log but not deliver; nil delivers all
 	src    *rng.Source         // GUIDs of the frames the test injects
 }
 
 // The core.Link.Conn of a neighbor link, and of the out-of-band channel
-// Ask opens: a frame sent on one is a Neighbor_Traffic reply.
+// Ask opens: a frame sent on one is a Neighbor_Traffic reply. A test may
+// bring a second link between two cores up under another Conn.
 const meshLink, meshAsk = 1, 2
+
+// end is core from's end of its link to to.
+type end struct {
+	from, to int32
+	conn     uint32
+}
 
 // logged is one thing a core asked of its transport.
 type logged struct {
@@ -54,7 +61,7 @@ type delivery struct {
 func newMesh(t *testing.T) *mesh {
 	return &mesh{
 		t: t, now: time.Unix(1_700_000_000, 0),
-		cores: map[int32]*core.Core{}, closed: map[[2]int32]bool{}, src: rng.New(99),
+		cores: map[int32]*core.Core{}, closed: map[end]bool{}, src: rng.New(99),
 	}
 }
 
@@ -77,7 +84,7 @@ func (m *mesh) add(id int32, mutate func(*core.Config)) *core.Core {
 // connect brings up the link between u and v on whichever ends have a core.
 func (m *mesh) connect(u, v int32) {
 	for _, e := range [][2]int32{{u, v}, {v, u}} {
-		delete(m.closed, e)
+		delete(m.closed, end{e[0], e[1], meshLink})
 		if c := m.cores[e[0]]; c != nil {
 			c.Up(m.now, core.Link{ID: e[1], Conn: meshLink}, fmt.Sprintf("127.0.0.1:%d", 7000+e[1]))
 		}
@@ -95,7 +102,7 @@ func (m *mesh) run() {
 		m.queue = m.queue[1:]
 		c := m.cores[d.to]
 		switch {
-		case c == nil, d.frame != nil && d.from.Conn == meshLink && m.closed[[2]int32{d.to, d.from.ID}]:
+		case c == nil, d.frame != nil && d.from.Conn != meshAsk && m.closed[end{d.to, d.from.ID, d.from.Conn}]:
 			// A scripted peer, or a link its receiver closed: the bytes vanish.
 		case d.frame == nil:
 			c.Down(m.now, d.from)
@@ -175,7 +182,7 @@ type meshTransport struct {
 
 func (t meshTransport) Send(to core.Link, frame []byte) core.Sent {
 	m := t.m
-	if m.closed[[2]int32{t.id, to.ID}] {
+	if m.closed[end{t.id, to.ID, to.Conn}] {
 		return core.Gone
 	}
 	m.log = append(m.log, logged{t.id, to.ID, "send", slices.Clone(frame)})
@@ -189,9 +196,9 @@ func (t meshTransport) Send(to core.Link, frame []byte) core.Sent {
 }
 
 func (t meshTransport) Close(l core.Link) {
-	if l.Conn == meshLink && !t.m.closed[[2]int32{t.id, l.ID}] {
-		t.m.closed[[2]int32{t.id, l.ID}] = true
-		t.m.queue = append(t.m.queue, delivery{to: l.ID, from: core.Link{ID: t.id, Conn: meshLink}})
+	if e := (end{t.id, l.ID, l.Conn}); l.Conn != meshAsk && !t.m.closed[e] {
+		t.m.closed[e] = true
+		t.m.queue = append(t.m.queue, delivery{to: l.ID, from: core.Link{ID: t.id, Conn: l.Conn}})
 	}
 }
 

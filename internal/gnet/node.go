@@ -47,6 +47,10 @@ const (
 // used to spawn one unbounded goroutine per member.
 const maxTransientDials = 8
 
+// handshakeTimeout bounds every dial and handshake, either side: a
+// neighbor's, a re-dial's and an out-of-band Neighbor_Traffic exchange's.
+const handshakeTimeout = 5 * time.Second
+
 // closeGrace bounds how long a closing link may take to write its queued
 // control frames — the Bye that tells the peer the drop was orderly.
 const closeGrace = time.Second
@@ -79,8 +83,6 @@ type Config struct {
 }
 
 type (
-	// ReconnectConfig bounds the reconnect supervisor's retry schedule.
-	ReconnectConfig = core.ReconnectConfig
 	// Stats is a snapshot of a node's counters.
 	Stats = core.Stats
 	// Disconnect records a DD-POLICE cut performed by this node.
@@ -92,7 +94,6 @@ func DefaultConfig(name string) Config {
 	return Config{
 		Config: core.Config{
 			CapacityPerMin: capacity.TestbedSaturationPerMin,
-			TTL:            protocol.DefaultTTL,
 			Seed:           1,
 		},
 		Name:       name,
@@ -235,18 +236,10 @@ func (n *Node) Connect(addr string) error {
 	return nil
 }
 
-// dialTimeout is the per-attempt dial budget: Reconnect's, or 5 seconds.
-func (n *Node) dialTimeout() time.Duration {
-	if rc := n.cfg.Reconnect; rc != nil && rc.DialTimeout > 0 {
-		return rc.DialTimeout
-	}
-	return 5 * time.Second
-}
-
 // dialPeer dials addr, handshakes, and reads the responder's identity;
 // the whole exchange aborts when the node closes.
 func (n *Node) dialPeer(addr string, transient bool) (conn net.Conn, id int32, raddr string, err error) {
-	conn, err = dialHandshake(n.ctx, addr, n.Addr(), n.cfg.NodeID, transient, n.dialTimeout())
+	conn, err = dialHandshake(n.ctx, addr, n.Addr(), n.cfg.NodeID, transient, handshakeTimeout)
 	if err != nil {
 		return nil, 0, "", err
 	}
@@ -284,7 +277,7 @@ func dialHandshake(ctx context.Context, addr, listenAddr string, nodeID int32, t
 
 // readPeerIdentity reads the responder's handshake block.
 func readPeerIdentity(conn net.Conn) (int32, string, error) {
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
 	resp, err := readHandshake(conn)
 	if err != nil {
@@ -320,7 +313,7 @@ func parseIdentity(block string) (int32, string, error) {
 // serverHandshake runs the acceptor side: the remote's identity, listen
 // address, and whether the connection is transient.
 func (n *Node) serverHandshake(conn net.Conn) (int32, string, bool, error) {
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
 	req, err := readHandshake(conn)
 	if err != nil {
@@ -562,6 +555,10 @@ func (pc *peerConn) readLoop() {
 		case dest <- inboundFrame{from: pc, h: h, frame: frame}:
 			n.tel.inboxHWM.SetMax(int64(len(n.inbox)))
 		case <-n.done:
+			// Read on, discarding, until the peer hangs up or the close
+			// grace runs out: closing with input unread resets the
+			// connection and can discard the Bye at the peer.
+			io.Copy(io.Discard, pc.conn)
 			return
 		}
 		if err != nil {

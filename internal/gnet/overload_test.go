@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ddpolice/internal/faults"
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overload"
@@ -184,20 +185,27 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 
 // TestChaosOverloadQuarantineNoRedial is the reconnect-supervisor-
 // under-overload case: when a quarantined peer's transport dies, the
-// supervisor must NOT re-dial it (re-dialing a flooder reopens the
-// hose), and the whole arrangement must not leak goroutines.
+// supervisor must NOT re-dial it, nor even schedule a re-dial
+// (re-dialing a flooder reopens the hose), and the whole arrangement
+// must not leak goroutines.
 func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	runtime.GC()
 	time.Sleep(50 * time.Millisecond)
 	baseline := runtime.NumGoroutine()
 
-	reg := telemetry.New()
+	reg, breg := telemetry.New(), telemetry.New()
+	jr := journal.New(1024)
+	plan := faults.NewPlan(1)
 	a := NewNodeMust(t, func(cfg *Config) {
 		cfg.MinuteLength = 200 * time.Millisecond // quarantine lasts QuarantineWindows: 3 of them
 		cfg.Telemetry = reg
-		cfg.Reconnect = fastReconnect()
+		cfg.Journal = jr
 	})
-	b := NewNodeMust(t, func(cfg *Config) { cfg.NodeID = 2; cfg.Seed = 3 })
+	b := NewNodeMust(t, func(cfg *Config) {
+		cfg.NodeID, cfg.Seed = 2, 3
+		cfg.Faults = plan
+		cfg.Telemetry = breg
+	})
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +232,20 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 
 	// The quarantined peer's transport dies. A non-quarantined peer
 	// would be re-dialed (TestReconnectAfterInjectedReset); this one
-	// must not be.
+	// must not be. b has the higher id, so it does not dial back; b
+	// closed its socket at the reset, so its Bye cannot reach a.
+	resetLink(t, b, plan, breg)
 	b.Close()
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "b dropped")
-	time.Sleep(200 * time.Millisecond) // ten fastReconnect base delays
+	time.Sleep(10 * core.ReconnectBase)
 	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
 		t.Errorf("reconnect_attempts = %d for a quarantined peer, want 0", got)
+	}
+	if got := gaugeValue(reg, "gnet.reconnect_backoff_max_ms"); got != 0 {
+		t.Errorf("reconnect_backoff_max_ms = %d: a re-dial of a quarantined peer was scheduled", got)
+	}
+	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"transport"}) {
+		t.Errorf("peer_drop records %v, want the one transport drop", got)
 	}
 	if len(a.Neighbors()) != 0 {
 		t.Error("quarantined peer was re-established")

@@ -64,9 +64,12 @@ const (
 	TypePartition = "partition"
 	// TypeHeal: a timed partition healed (Value = edges restored).
 	TypeHeal = "heal"
-	// TypeShed: a node shed messages under overload (Detail = class
-	// "query"/"control", Window = minute, Value = messages shed).
+	// TypeShed: a node shed queries under overload (Detail = ShedQuery,
+	// Window = minute, Value = messages shed).
 	TypeShed = "shed"
+	// ShedQuery is a TypeShed record's Detail: the query plane, the only
+	// one a node journals shedding from.
+	ShedQuery = "query"
 	// TypeDegraded: a node entered or left degraded mode (Detail =
 	// "enter"/"exit", Window = minute, Value = shed fraction).
 	TypeDegraded = "degraded"

@@ -1,5 +1,6 @@
-// Package overload is the overload-resilience control plane shared by
-// the live TCP node (internal/gnet) and the simulator (internal/sim).
+// Package overload holds the overload plane's state machines: the live
+// TCP node (internal/gnet) runs the Shedder, Breaker and Detector, and
+// the simulator (internal/sim) runs the Detector and SimPlane.
 //
 // DD-POLICE's premise is that detection keeps running *while the
 // overlay is being flooded*: the per-minute Out_query/In_query
@@ -32,39 +33,16 @@
 //     overload is attributable to saturation rather than to the
 //     indicators.
 //
-// SimPlane mirrors the same class-split budget in the simulator's
-// fluid model (internal/sim wiring): a capacity fraction is reserved
-// for the control plane, which bounds the control-message loss rate a
-// saturated overlay can inflict, while the query plane sees the
-// remaining capacity and sheds accordingly.
+// Which messages are query-class and which control-class is the
+// caller's to say: the live node classes frames by payload type
+// (gnet's frameClass). SimPlane mirrors the same class-split budget in
+// the simulator's fluid model (internal/sim wiring): a capacity fraction
+// is reserved for the control plane, which bounds the control-message
+// loss rate a saturated overlay can inflict, while the query plane sees
+// the remaining capacity and sheds accordingly.
 package overload
 
 import "fmt"
-
-// Class buckets messages for admission and backpressure. The split
-// follows the paper's message taxonomy: the control plane carries
-// everything detection depends on (Neighbor_Traffic, neighbor lists,
-// handshake-adjacent Ping/Pong and the orderly Bye); the query plane
-// carries the flood (Query/QueryHit) — the traffic an attacker can
-// inflate without bound.
-type Class uint8
-
-// Message classes.
-const (
-	// ClassControl: NT, neighbor-list, Ping/Pong, Bye — sparse but
-	// load-bearing; shed only as a last resort.
-	ClassControl Class = iota
-	// ClassQuery: Query and QueryHit — bulk flood traffic; shed first.
-	ClassQuery
-)
-
-// String names the class for telemetry and journal details.
-func (c Class) String() string {
-	if c == ClassControl {
-		return "control"
-	}
-	return "query"
-}
 
 // Shedder implements high/low watermark hysteresis over a bounded
 // queue: once the observed depth crosses the high watermark, ShouldShed

@@ -229,10 +229,7 @@ func TestSimPlaneDefaults(t *testing.T) {
 	}
 }
 
-func TestClassString(t *testing.T) {
-	if ClassControl.String() != "control" || ClassQuery.String() != "query" {
-		t.Fatalf("class strings: %q %q", ClassControl, ClassQuery)
-	}
+func TestBreakerStrings(t *testing.T) {
 	if StateQuarantined.String() != "quarantined" || EventRestore.String() != "restore" {
 		t.Fatalf("state/event strings: %q %q", StateQuarantined, EventRestore)
 	}

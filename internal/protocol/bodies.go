@@ -116,8 +116,11 @@ type Bye struct {
 	Reason string
 }
 
-// ByeCodeDDoSSuspect is the Bye reason code of a DD-POLICE cut.
-const ByeCodeDDoSSuspect uint16 = 451
+// Bye reason codes: a DD-POLICE cut, and a node shutting down.
+const (
+	ByeCodeDDoSSuspect uint16 = 451
+	ByeCodeShutdown    uint16 = 200
+)
 
 // Type implements Body.
 func (Bye) Type() byte { return TypeBye }

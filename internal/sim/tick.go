@@ -294,10 +294,9 @@ func (r *run) closeMinute() {
 // degraded-mode detector, so late cuts are attributable to saturation.
 func (r *run) markOverload(last metrics.MinuteStats, minute int) {
 	at := r.now + 1
-	class := overload.ClassQuery.String()
 	if last.CapacityDrop > 0 {
 		r.jr.Record(journal.Event{
-			T: at, Type: journal.TypeShed, Detail: class,
+			T: at, Type: journal.TypeShed, Detail: journal.ShedQuery,
 			Value: last.CapacityDrop, Window: minute,
 		})
 	}
