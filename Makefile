@@ -163,12 +163,13 @@ bench:
 # with quartiles, the change's wins and `claim ok` or `unresolved`
 # (nine tenths of the pairs, and a median gap beyond the base's own
 # interquartile range). About N x 40 s; non-zero exit when a run was not
-# correct. Run it again with SEED=2 before claiming anything.
+# correct. A claim needs the held-out seed too: SEED="1 2" builds once
+# and prints one table per seed.
 N ?= 10
 SEED ?= 1
 BASE ?= HEAD~1
 benchpair:
-	./scripts/benchpair.sh "$(W)" $(N) $(SEED) $(BASE)
+	./scripts/benchpair.sh "$(W)" $(N) "$(SEED)" $(BASE)
 
 # benchcheck vets and tests the repository benchmark in bench/, a module
 # of its own that the root `go vet ./...` and `go test ./...` cannot

@@ -75,6 +75,7 @@ func TestJournalFileIsTheRecordOfTheRun(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("detections:            %d\n", count[journal.TypeCut]),
 		fmt.Sprintf("journal: %d events -> %s\n", len(events), path),
+		"flood cache:",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)

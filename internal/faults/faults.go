@@ -232,8 +232,10 @@ type PartitionEvent struct {
 // OverloadEvent browns out the listed peers' processing capacity
 // between StartSec (inclusive) and EndSec (exclusive): each peer's
 // per-tick query budget is scaled by Factor (0 = total brownout, 0.5 =
-// half capacity) and restored at EndSec. Overlapping events on the
-// same peer are not supported — the later restore wins.
+// half capacity) and restored at EndSec. Two events that brown out
+// the same peer over intersecting windows are rejected by
+// sim.Config.Validate: the earlier end would restore full capacity
+// mid-way through the later event.
 type OverloadEvent struct {
 	StartSec int
 	EndSec   int

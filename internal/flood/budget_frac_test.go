@@ -33,7 +33,7 @@ func TestBudgetFractionalAccumulation(t *testing.T) {
 	for tick := 0; tick < 50; tick++ {
 		b.Refill()
 	}
-	if got := b.Remaining[1]; got != 1 {
+	if got := b.remaining[1]; got != 1 {
 		t.Fatalf("idle frac peer banked %v tokens, want cap 1", got)
 	}
 }
@@ -48,9 +48,9 @@ func TestBudgetWholeTokenRefillUnchanged(t *testing.T) {
 		b.take(1, 0, 3.25)
 	}
 	b.Refill()
-	for i := range b.Remaining {
-		if b.Remaining[i] != 16.7 {
-			t.Fatalf("peer %d: Remaining = %v after refill, want exactly 16.7", i, b.Remaining[i])
+	for i := range b.remaining {
+		if b.remaining[i] != 16.7 {
+			t.Fatalf("peer %d: Remaining = %v after refill, want exactly 16.7", i, b.remaining[i])
 		}
 	}
 }
@@ -66,16 +66,16 @@ func TestBudgetFracMembershipFollowsSetCapacity(t *testing.T) {
 	}
 	// 3 refills * 0.25 accrued on top of the clamped 0.25 remaining,
 	// capped at 1.
-	if got := b.Remaining[0]; got != 1 {
+	if got := b.remaining[0]; got != 1 {
 		t.Fatalf("after 3 frac refills Remaining = %v, want 1", got)
 	}
 	b.SetCapacity(0, 10)
 	b.Refill()
-	if got := b.Remaining[0]; got != 10 {
+	if got := b.remaining[0]; got != 10 {
 		t.Fatalf("restored peer Remaining = %v, want 10", got)
 	}
 	b.Refill()
-	if got := b.Remaining[0]; got != 10 {
+	if got := b.remaining[0]; got != 10 {
 		t.Fatalf("restored peer stopped accumulating? Remaining = %v, want 10", got)
 	}
 }
@@ -166,8 +166,8 @@ func TestBudgetRefillMatchesReference(t *testing.T) {
 		real.Refill()
 		refRefill()
 		for i := 0; i < n; i++ {
-			if real.Remaining[i] != refRemaining[i] {
-				t.Fatalf("tick %d peer %d: Remaining %v != ref %v", tick, i, real.Remaining[i], refRemaining[i])
+			if real.remaining[i] != refRemaining[i] {
+				t.Fatalf("tick %d peer %d: Remaining %v != ref %v", tick, i, real.remaining[i], refRemaining[i])
 			}
 			ru := refUtilNow(i)
 			if refPrevUtil[i] > ru {

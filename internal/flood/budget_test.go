@@ -18,7 +18,7 @@ func TestTakeClampsAtZero(t *testing.T) {
 	}
 	b.take(1, 0, 8)    // sibling arrival
 	b.take(1, 0, room) // stale take: 10 into a cell holding 2
-	if got := b.Remaining[1]; got != 0 {
+	if got := b.remaining[1]; got != 0 {
 		t.Fatalf("Remaining[1] = %v after overdraw, want 0 (clamped)", got)
 	}
 	if got := b.arrivalCap(1, 0); got != 0 {
@@ -48,7 +48,7 @@ func TestTakeClampsFairShareEdges(t *testing.T) {
 	if got := b.edgeRemaining[e]; got != 0 {
 		t.Fatalf("edgeRemaining = %v after overdraw, want 0", got)
 	}
-	if got := b.Remaining[0]; got != 5 {
+	if got := b.remaining[0]; got != 5 {
 		t.Fatalf("Remaining[0] = %v, want 5", got)
 	}
 	if got := b.arrivalCap(0, e); got != 0 {
@@ -86,10 +86,10 @@ func TestRefillRestoresUnannouncedWrites(t *testing.T) {
 	if !ok {
 		t.Fatal("edge 1->0 missing")
 	}
-	b.Remaining[2] = 7.5
+	b.remaining[2] = 7.5
 	b.edgeRemaining[e] = 4
 	b.Refill()
-	if got := b.Remaining[2]; got != 30 {
+	if got := b.remaining[2]; got != 30 {
 		t.Fatalf("Remaining[2] = %v after Refill, want PerTick 30", got)
 	}
 	if got := b.Utilization(2); got != 0.75 {

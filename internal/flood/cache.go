@@ -11,7 +11,10 @@
 // budgets only fall within a tick, so the peer that clipped it would
 // fail the replay precheck of a separately built tree until the next
 // refill, and under churn the cache is flushed by then. The key stays
-// eligible and the next use records again at no extra cost.
+// eligible and the next use records again at no extra cost. A key is
+// recorded on its second sighting within a connectivity version, never
+// its first: a source that floods once costs one seenOnce entry, not a
+// copy of its tree.
 // overlay.Version() keys validity: any join/leave or cut/uncut
 // (including partition apply/heal) bumps it and flushes the trees.
 //
@@ -26,8 +29,10 @@
 //     directed edge is charged at most once per flood, so budget cells
 //     read before any take of this flood keep their values until their
 //     own visit) and falls back to the live BFS if any visit would
-//     clip. Floating-point accumulation per visit mirrors the live
-//     event order exactly — same adds, same values, same sequence.
+//     clip. A query replay skips it while Budget.floor proves that no
+//     peer has fewer than one token. Floating-point accumulation per
+//     visit mirrors the live event order exactly — same adds, same
+//     values, same sequence.
 package flood
 
 import "ddpolice/internal/overlay"
@@ -36,14 +41,8 @@ import "ddpolice/internal/overlay"
 // entry < 0) in the tree cache.
 const noEntry PeerID = -1
 
-// Cache tuning. Exposed as vars only to the package tests.
-var (
-	// cacheBuildAfterFloods: once the overlay version has been stable
-	// for this many floods, trees are built on first use; below it, a
-	// (src, entry, ttl) key must be requested twice before its tree is
-	// built, so a churn-heavy run does not pay build costs for trees it
-	// will never replay.
-	cacheBuildAfterFloods uint64 = 192
+// Cache limits.
+const (
 	// cacheSkipAfterFails: consecutive physical-mode precheck failures
 	// before a tree stops attempting replay until the next version
 	// change (saturated regions fail the precheck every tick).
@@ -126,8 +125,7 @@ type travCache struct {
 
 	trees        map[treeKey]*travTree
 	seenOnce     map[treeKey]struct{}
-	floodsStable uint64 // floods since the last version change
-	cachedVisits int    // Σ len(visits)+len(nodes) over trees
+	cachedVisits int // Σ len(visits)+len(nodes) over trees
 
 	stats CacheStats
 }
@@ -140,18 +138,10 @@ func newTravCache(ov *overlay.Overlay) *travCache {
 	}
 }
 
-// sync revalidates the cache against the overlay, flushing the trees
-// and refreshing the adjacency snapshot if connectivity changed. Called
-// once per flood.
-func (c *travCache) sync() {
-	c.floodsStable++
-	c.ensure()
-}
-
-// ensure revalidates without advancing the flood counter: the sharded
-// proposal phase (Engine.PrewarmTrees) calls it once per tick, and
-// counting those calls as floods would make the build-policy heuristics
-// diverge between serial and sharded runs of the same seed.
+// ensure revalidates the cache against the overlay, flushing the trees
+// and refreshing the adjacency snapshot if connectivity changed. Every
+// flood calls it, and so does the sharded proposal phase
+// (Engine.PrewarmTrees) once per tick.
 //
 // Only the adjacency rows the overlay's change log names are rewritten;
 // when the log does not reach back to c.version (or on first use) the
@@ -161,7 +151,6 @@ func (c *travCache) ensure() {
 	if c.synced && c.version == c.ov.Version() {
 		return
 	}
-	c.floodsStable = 0
 	c.flush()
 	ok := false
 	if c.synced {
@@ -220,9 +209,8 @@ func (c *travCache) adj(u PeerID) ([]PeerID, []overlay.EdgeID) {
 }
 
 // lookup returns the replayable tree for key, or nil with build=true
-// when the caller should construct (and store) one now. Build policy:
-// second use by default, first use once the topology has been stable
-// for cacheBuildAfterFloods floods.
+// when the caller should construct (and store) one now: on the key's
+// second sighting since the last flush.
 func (c *travCache) lookup(k treeKey) (tr *travTree, build bool) {
 	if tr, ok := c.trees[k]; ok {
 		if tr.skip {
@@ -232,9 +220,6 @@ func (c *travCache) lookup(k treeKey) (tr *travTree, build bool) {
 		return tr, false
 	}
 	c.stats.Misses++
-	if c.floodsStable >= cacheBuildAfterFloods {
-		return nil, true
-	}
 	if _, ok := c.seenOnce[k]; ok {
 		return nil, true
 	}

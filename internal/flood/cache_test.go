@@ -41,9 +41,9 @@ func assertOverlayTrafficEqual(t *testing.T, step int, ovA, ovB *overlay.Overlay
 
 func assertBudgetsEqual(t *testing.T, step int, ba, bb *Budget) {
 	t.Helper()
-	for i := range ba.Remaining {
-		if ba.Remaining[i] != bb.Remaining[i] {
-			t.Fatalf("step %d: peer %d budget diverged: cached=%v uncached=%v", step, i, ba.Remaining[i], bb.Remaining[i])
+	for i := range ba.remaining {
+		if ba.remaining[i] != bb.remaining[i] {
+			t.Fatalf("step %d: peer %d budget diverged: cached=%v uncached=%v", step, i, ba.remaining[i], bb.remaining[i])
 		}
 	}
 }
@@ -80,6 +80,66 @@ func TestCachedQueryByteIdentical(t *testing.T) {
 		if st.Builds == 0 || st.Hits == 0 {
 			t.Fatalf("mode %v: cache never engaged: %+v", mode, st)
 		}
+	}
+}
+
+// TestCachedReplayFloorByteIdentical holds the precheck skip to the
+// uncached engine: a per-tick allowance of a few floods lets
+// Budget.floor cross one between refills, so physical query replays run
+// both without the precheck and with it; every key is prewarmed, so
+// replays start at the first flood. Each change to the cells under the
+// floor lands just after a refill, while replays still skip: the
+// control reserve halves every allowance once, a hub browns out below
+// one token and is restored, and fluid batches charge fractions.
+// Results, edge counters and budgets must stay bit-equal.
+func TestCachedReplayFloorByteIdentical(t *testing.T) {
+	const n = 300
+	_, _, engA, engB := cachePair(t, 17, n, 3)
+	ovA, ovB := engA.ov, engB.ov
+	ba, bb := NewBudget(n, 8), NewBudget(n, 8)
+	dm := DefaultDelayModel()
+	holders := []topology.NodeID{9, 150, 280}
+	var keys []TreeKey
+	for src := PeerID(0); src < 12; src++ { // replays from the first flood on
+		keys = append(keys, TreeKey{Src: src, Entry: -1, TTL: 4}, TreeKey{Src: src, Entry: -1, TTL: 3})
+	}
+	engA.PrewarmTrees(keys, 1)
+	r := rng.New(3)
+	hub := PeerID(0)
+	for step := 0; step < 2000; step++ {
+		switch {
+		case step%8 == 0:
+			ba.Refill()
+			bb.Refill()
+		case step == 9:
+			ba.ReserveControl(0.5) // every allowance 8 -> 4
+			bb.ReserveControl(0.5)
+		case step%96 == 33:
+			hub = PeerID(r.Intn(12)) // the low ids are BA hubs
+			ba.SetCapacity(hub, 0.5)
+			bb.SetCapacity(hub, 0.5)
+		case step%96 == 65:
+			ba.SetCapacity(hub, 4)
+			bb.SetCapacity(hub, 4)
+		}
+		src := PeerID(r.Intn(12))
+		if step%5 == 4 {
+			w := 0.25 + r.Float64()
+			ra, rb := engA.FloodBatch(src, -1, 3, w, ba), engB.FloodBatch(src, -1, 3, w, bb)
+			if ra != rb {
+				t.Fatalf("step %d src %d: batch diverged:\ncached:   %+v\nuncached: %+v", step, src, ra, rb)
+			}
+		} else {
+			ra, rb := engA.FloodQuery(src, 4, holders, ba, dm), engB.FloodQuery(src, 4, holders, bb, dm)
+			if ra != rb {
+				t.Fatalf("step %d src %d: query diverged:\ncached:   %+v\nuncached: %+v", step, src, ra, rb)
+			}
+		}
+		assertOverlayTrafficEqual(t, step, ovA, ovB)
+		assertBudgetsEqual(t, step, ba, bb)
+	}
+	if st := engA.CacheStats(); st.Hits == 0 || st.Fallbacks == 0 {
+		t.Fatalf("replays never ran both with and without a failing precheck: %+v", st)
 	}
 }
 
@@ -173,27 +233,37 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	}
 }
 
-// TestCacheEagerBuildAfterStability verifies the adaptive build policy:
-// under a stable topology the engine switches from build-on-second-use
-// to build-on-first-use once cacheBuildAfterFloods floods pass.
-func TestCacheEagerBuildAfterStability(t *testing.T) {
-	ov := lineGraph(t, 12)
-	eng := NewEngine(ov)
-	b := bigBudget(12)
+// TestCacheRecordsOnSecondSighting holds the build policy on a stable
+// topology long past any warm-up: a key's tree is recorded on its
+// second sighting and replayed from its third, and a source that floods
+// once records nothing however long connectivity has held still.
+func TestCacheRecordsOnSecondSighting(t *testing.T) {
+	const n = 400
+	_, _, eng, _ := cachePair(t, 31, n, 3)
+	b := bigBudget(n)
 	dm := DefaultDelayModel()
-	// Burn past the stability threshold with one repeating source.
-	for i := uint64(0); i < cacheBuildAfterFloods+1; i++ {
+	for i := 0; i < 500; i++ { // one repeating source, well past 192 floods
 		eng.FloodQuery(0, 3, nil, b, dm)
 	}
 	before := eng.CacheStats()
-	eng.FloodQuery(5, 3, nil, b, dm) // first use of a fresh key
-	eng.FloodQuery(5, 3, nil, b, dm)
-	after := eng.CacheStats()
-	if after.Builds != before.Builds+1 {
-		t.Fatalf("expected eager build on first use after stability, stats before=%+v after=%+v", before, after)
+	if before.Builds != 1 || before.Hits != 498 {
+		t.Fatalf("repeating source: want 1 build and 498 replays, got %+v", before)
 	}
-	if after.Hits <= before.Hits {
-		t.Fatalf("expected replay hit on second use, stats before=%+v after=%+v", before, after)
+	for src := PeerID(1); src <= 300; src++ { // 300 one-shot sources
+		eng.FloodQuery(src, 3, nil, b, dm)
+	}
+	if st := eng.CacheStats(); st.Builds != before.Builds || st.Hits != before.Hits || st.Trees != 1 {
+		t.Fatalf("one-shot sources recorded trees: before %+v after %+v", before, st)
+	}
+	for use, want := range []CacheStats{
+		{Builds: 1, Hits: 498}, // first sighting: marked seen only
+		{Builds: 2, Hits: 498}, // second: recorded
+		{Builds: 2, Hits: 499}, // third: replayed
+	} {
+		eng.FloodQuery(350, 3, nil, b, dm)
+		if st := eng.CacheStats(); st.Builds != want.Builds || st.Hits != want.Hits {
+			t.Fatalf("use %d of a fresh key: want builds=%d hits=%d, got %+v", use+1, want.Builds, want.Hits, st)
+		}
 	}
 }
 
@@ -223,8 +293,8 @@ func linePair(t *testing.T) (engA *Engine, flood func(step int, ba, bb *Budget))
 func starvedBudget() *Budget {
 	b := NewBudget(8, 0)
 	for i := 0; i < 4; i++ {
-		b.PerTick[i] = 5
-		b.Remaining[i] = 5
+		b.perTick[i] = 5
+		b.remaining[i] = 5
 	}
 	return b
 }

@@ -59,11 +59,10 @@ type cell struct {
 // simulator refills it each tick from the peers' capacity model.
 //
 // Refill is one dense pass over every peer (and, in fair-share mode,
-// every directed edge), so a direct write to Remaining needs no
-// announcement: the next Refill restores it. A tick's floods charge
-// most of the overlay, so a list of charged peers would save the pass
-// little and cost every charge its upkeep; a charge is two clamped
-// subtractions (see take).
+// every directed edge). A tick's floods charge most of the overlay, so
+// a list of charged peers would save the pass little and cost every
+// charge its upkeep; a charge is two clamped subtractions (see take).
+// Every write to remaining goes through a method that keeps floor true.
 //
 // By default tokens are taken first-come-first-served. EnableFairShare
 // switches to the related-work baseline the paper contrasts DD-POLICE
@@ -72,11 +71,16 @@ type cell struct {
 // incoming connections, so one flooding neighbor can only exhaust its
 // own share and "clients get a fair share of available resources".
 type Budget struct {
-	// Remaining tokens this tick, indexed by peer.
-	Remaining []float64
-	// PerTick is the full refill amount, used for utilization-based
+	// remaining tokens this tick, indexed by peer.
+	remaining []float64
+	// perTick is the full refill amount, used for utilization-based
 	// queueing delay.
-	PerTick []float64
+	perTick []float64
+	// floor bounds every remaining cell from below: their minimum at
+	// Refill, lowered with any cell SetCapacity or ReserveControl lowers
+	// and by each flood's largest charge. -Inf until the first Refill and
+	// in fair-share mode, whose zero-share inactive edges clip any peer.
+	floor float64
 	// prevUtil is each peer's utilization over the last completed tick,
 	// captured at Refill. Queueing delay uses it because mid-tick
 	// utilization systematically understates a tick's true load.
@@ -84,7 +88,7 @@ type Budget struct {
 
 	// Fair-share mode: per-directed-edge sub-budgets for the receiving
 	// endpoint of each edge. edgeRemaining[e] caps what may arrive over
-	// e this tick; the peer-level Remaining still applies on top.
+	// e this tick; the peer-level remaining still applies on top.
 	// fairVersion keys the shares to the overlay mutation counter:
 	// churn and cuts change each peer's active connection count, so the
 	// per-connection split is recomputed at the first Refill after any
@@ -96,7 +100,7 @@ type Budget struct {
 	edgePerTick   []float64
 	fairVersion   uint64
 	// fairDirty forces a share rebuild at the next Refill after a
-	// capacity change (ReserveControl, SetCapacity): those move PerTick
+	// capacity change (ReserveControl, SetCapacity): those move perTick
 	// without touching the overlay mutation counter, so version
 	// comparison alone would leave the per-edge split stale.
 	fairDirty bool
@@ -106,13 +110,14 @@ type Budget struct {
 // token allowance.
 func NewBudget(n int, perTick float64) *Budget {
 	b := &Budget{
-		Remaining: make([]float64, n),
-		PerTick:   make([]float64, n),
+		remaining: make([]float64, n),
+		perTick:   make([]float64, n),
+		floor:     math.Inf(-1),
 		prevUtil:  make([]float64, n),
 	}
-	for i := range b.Remaining {
-		b.Remaining[i] = perTick
-		b.PerTick[i] = perTick
+	for i := range b.remaining {
+		b.remaining[i] = perTick
+		b.perTick[i] = perTick
 	}
 	return b
 }
@@ -124,6 +129,7 @@ func NewBudget(n int, perTick float64) *Budget {
 // counter has moved.
 func (b *Budget) EnableFairShare(ov *overlay.Overlay) {
 	b.ov = ov
+	b.floor = math.Inf(-1)
 	b.edgeRemaining = make([]float64, ov.NumDirectedEdges())
 	b.edgePerTick = make([]float64, ov.NumDirectedEdges())
 	b.rebuildFairShare()
@@ -148,7 +154,7 @@ func (b *Budget) rebuildFairShare() {
 		if deg == 0 {
 			continue
 		}
-		share := b.PerTick[v] / float64(deg)
+		share := b.perTick[v] / float64(deg)
 		for k, w := range g.Neighbors(id) {
 			// Edge id of v->neighbor; the *incoming* share for v over
 			// that link is tracked on the reverse edge, but since the
@@ -180,11 +186,12 @@ func (b *Budget) ReserveControl(frac float64) {
 	if frac > 1 {
 		frac = 1
 	}
-	for i := range b.PerTick {
-		b.PerTick[i] *= 1 - frac
-		if b.Remaining[i] > b.PerTick[i] {
-			b.Remaining[i] = b.PerTick[i]
+	for i := range b.perTick {
+		b.perTick[i] *= 1 - frac
+		if b.remaining[i] > b.perTick[i] {
+			b.remaining[i] = b.perTick[i]
 		}
+		b.floor = min(b.floor, b.remaining[i])
 	}
 	b.fairDirty = true
 }
@@ -197,10 +204,11 @@ func (b *Budget) SetCapacity(p PeerID, perTick float64) {
 	if perTick < 0 {
 		perTick = 0
 	}
-	b.PerTick[p] = perTick
-	if b.Remaining[p] > perTick {
-		b.Remaining[p] = perTick
+	b.perTick[p] = perTick
+	if b.remaining[p] > perTick {
+		b.remaining[p] = perTick
 	}
+	b.floor = min(b.floor, b.remaining[p])
 	b.fairDirty = true
 }
 
@@ -210,7 +218,7 @@ func (b *Budget) SetCapacity(p PeerID, perTick float64) {
 // overdrawn (see take) reports zero room, not negative room that would
 // push a caller's accepted mass below zero.
 func (b *Budget) arrivalCap(v PeerID, e overlay.EdgeID) float64 {
-	room := b.Remaining[v]
+	room := b.remaining[v]
 	if b.ov != nil && b.edgeRemaining[e] < room {
 		room = b.edgeRemaining[e]
 	}
@@ -224,13 +232,13 @@ func (b *Budget) arrivalCap(v PeerID, e overlay.EdgeID) float64 {
 // clamping at zero. Callers cap amount by arrivalCap first, but a
 // precomputed cap can go stale when a same-tick sibling arrival lands
 // between the read and the take; without the clamp that drives
-// Remaining/edgeRemaining negative, and the deficit silently steals
+// remaining/edgeRemaining negative, and the deficit silently steals
 // capacity from the next refill's utilization accounting.
 func (b *Budget) take(v PeerID, e overlay.EdgeID, amount float64) {
-	if r := b.Remaining[v] - amount; r > 0 {
-		b.Remaining[v] = r
+	if r := b.remaining[v] - amount; r > 0 {
+		b.remaining[v] = r
 	} else {
-		b.Remaining[v] = 0
+		b.remaining[v] = 0
 	}
 	if b.ov != nil {
 		if r := b.edgeRemaining[e] - amount; r > 0 {
@@ -247,17 +255,18 @@ func (b *Budget) take(v PeerID, e overlay.EdgeID, amount float64) {
 // remainder up to one whole token, so a peer granted 0.5 tokens/tick
 // admits a query every other tick instead of rounding to zero and
 // starving forever (the discrete flood path needs arrivalCap >= 1).
-func (b *Budget) refillPeer(v PeerID) {
-	p := b.PerTick[v]
+// It returns the refilled tokens.
+func (b *Budget) refillPeer(v PeerID) float64 {
+	p := b.perTick[v]
 	if p > 0 && p < 1 {
-		if r := b.Remaining[v] + p; r < 1 {
-			b.Remaining[v] = r
+		if r := b.remaining[v] + p; r < 1 {
+			p = r
 		} else {
-			b.Remaining[v] = 1
+			p = 1
 		}
-		return
 	}
-	b.Remaining[v] = p
+	b.remaining[v] = p
+	return p
 }
 
 // edgeRefill is refillPeer for a fair-share arrival edge.
@@ -276,15 +285,19 @@ func (b *Budget) edgeRefill(e overlay.EdgeID) {
 
 // Refill captures every peer's utilization for the ending tick, then
 // resets its tokens to the per-tick allowance, in one pass in peer
-// order. In fair-share mode every arrival edge is refilled the same
-// way, unless the overlay or a capacity moved since the last Refill, in
-// which case the shares are rebuilt and reset whole.
+// order that also takes their minimum as floor. In fair-share mode
+// every arrival edge is refilled the same way, unless the overlay or a
+// capacity moved since the last Refill, in which case the shares are
+// rebuilt and reset whole.
 func (b *Budget) Refill() {
-	for i := range b.Remaining {
+	floor := math.Inf(1)
+	for i := range b.remaining {
 		b.prevUtil[i] = b.utilNow(PeerID(i))
-		b.refillPeer(PeerID(i))
+		floor = min(floor, b.refillPeer(PeerID(i)))
 	}
+	b.floor = floor
 	if b.ov != nil {
+		b.floor = math.Inf(-1)
 		if b.fairDirty || b.fairVersion != b.ov.Version() {
 			b.rebuildFairShare()
 			copy(b.edgeRemaining, b.edgePerTick)
@@ -298,14 +311,14 @@ func (b *Budget) Refill() {
 }
 
 func (b *Budget) utilNow(p PeerID) float64 {
-	full := b.PerTick[p]
+	full := b.perTick[p]
 	if full <= 0 {
 		// A zero-capacity peer that processes nothing is idle, not
 		// saturated: reporting u=1 here used to charge every flood path
 		// through it the maximum queueing delay despite zero traffic.
 		return 0
 	}
-	u := 1 - b.Remaining[p]/full
+	u := 1 - b.remaining[p]/full
 	if u < 0 {
 		return 0
 	}
@@ -589,8 +602,10 @@ func (e *Engine) resetRec() *travTree {
 // visit without deciding anything again. The ideal plane has no
 // precheck (a clipped peer keeps forwarding for the counters, so the
 // tree always holds) and therefore owns the only deciding replay loop.
+// Nor does a physical one while budget.floor >= 1 proves no visit can
+// clip (negated, so a NaN floor keeps the precheck).
 func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *QueryResult) bool {
-	if e.mode == CounterPhysical {
+	if e.mode == CounterPhysical && !(budget.floor >= 1) {
 		for i := range tr.visits {
 			vt := &tr.visits[i]
 			if budget.arrivalCap(vt.v, vt.eid) < 1 {
@@ -665,28 +680,34 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 		panic("flood: FloodQuery ttl exceeds MaxTTL")
 	}
 	e.telFloods.Inc()
+	e.query(src, ttl, budget, &res)
+	budget.floor-- // the flood charged each peer at most one token
+	e.scoreHolders(src, holders, budget, dm, &res)
+	return res
+}
+
+// query runs FloodQuery's traversal: a replay of the cached tree when
+// it holds, else the live BFS, recording the tree when the build policy
+// asks for one.
+func (e *Engine) query(src PeerID, ttl int, budget *Budget, res *QueryResult) {
 	if e.cache != nil {
-		e.cache.sync()
+		e.cache.ensure()
 		k := treeKey{src: src, entry: noEntry, ttl: int32(ttl)}
 		tr, build := e.cache.lookup(k)
-		if tr != nil && e.replayQuery(tr, src, budget, &res) {
+		if tr != nil && e.replayQuery(tr, src, budget, res) {
 			e.cache.stats.Hits++
-			e.scoreHolders(src, holders, budget, dm, &res)
-			return res
+			return
 		}
 		if tr == nil && build {
 			rec := e.resetRec()
-			e.liveQuery(src, ttl, budget, &res, rec)
-			e.scoreHolders(src, holders, budget, dm, &res)
+			e.liveQuery(src, ttl, budget, res, rec)
 			// A capacity-dropped peer stopped forwarding, so in the
 			// physical plane a clipped traversal was not structural.
 			e.cache.keep(k, rec, e.mode == CounterIdeal || res.CapacityDrops == 0)
-			return res
+			return
 		}
 	}
-	e.liveQuery(src, ttl, budget, &res, nil)
-	e.scoreHolders(src, holders, budget, dm, &res)
-	return res
+	e.liveQuery(src, ttl, budget, res, nil)
 }
 
 // liveQuery is the uncached BFS; it still reads the CSR adjacency
@@ -797,8 +818,8 @@ func (e *Engine) scoreHolders(src PeerID, holders []topology.NodeID, budget *Bud
 // chain, summed from the source down, each at the utilization the peer
 // had when the copy reached it. Computing that after the flood is exact
 // because a flood charges each peer at most once (the seen mark), so
-// Remaining[v] is still what v's own take left, and prevUtil and
-// PerTick move only at Refill, SetCapacity and ReserveControl, none of
+// remaining[v] is still what v's own take left, and prevUtil and
+// perTick move only at Refill, SetCapacity and ReserveControl, none of
 // which runs inside a flood.
 func (e *Engine) pathDelay(h PeerID, budget *Budget, dm DelayModel) float64 {
 	var path [MaxTTL]PeerID
@@ -831,8 +852,9 @@ func (e *Engine) FloodBatch(src PeerID, entry PeerID, ttl int, weight float64, b
 		return res
 	}
 	e.telFloods.Inc()
+	budget.floor -= weight // it charges each peer at most once, at most weight
 	if e.cache != nil {
-		e.cache.sync()
+		e.cache.ensure()
 		key := entry
 		if key < 0 {
 			key = noEntry // normalize "any negative = unrestricted"

@@ -122,7 +122,7 @@ func TestCapacityDropsTruncateFlood(t *testing.T) {
 	ov := lineGraph(t, 10)
 	e := NewEngine(ov)
 	budget := bigBudget(10)
-	budget.Remaining[3] = 0 // peer 3 saturated
+	budget.remaining[3] = 0 // peer 3 saturated
 	res := e.FloodQuery(0, 9, []topology.NodeID{5}, budget, DefaultDelayModel())
 	if res.Processed != 2 { // peers 1, 2
 		t.Fatalf("processed = %d, want 2", res.Processed)
@@ -139,7 +139,7 @@ func TestSaturatedHolderDoesNotRespond(t *testing.T) {
 	ov := lineGraph(t, 5)
 	e := NewEngine(ov)
 	budget := bigBudget(5)
-	budget.Remaining[2] = 0
+	budget.remaining[2] = 0
 	res := e.FloodQuery(0, 7, []topology.NodeID{2}, budget, DefaultDelayModel())
 	if res.Hit {
 		t.Fatal("a peer that dropped the query cannot answer it")
@@ -152,34 +152,34 @@ func TestBudgetConsumption(t *testing.T) {
 	budget := NewBudget(6, 10)
 	e.FloodQuery(1, 7, nil, budget, DefaultDelayModel())
 	// Flood from leaf 1: hub 0 processes (9 left), leaves 2-5 process.
-	if budget.Remaining[0] != 9 {
-		t.Fatalf("hub budget = %v", budget.Remaining[0])
+	if budget.remaining[0] != 9 {
+		t.Fatalf("hub budget = %v", budget.remaining[0])
 	}
 	for p := 2; p < 6; p++ {
-		if budget.Remaining[p] != 9 {
-			t.Fatalf("leaf %d budget = %v", p, budget.Remaining[p])
+		if budget.remaining[p] != 9 {
+			t.Fatalf("leaf %d budget = %v", p, budget.remaining[p])
 		}
 	}
-	if budget.Remaining[1] != 10 {
+	if budget.remaining[1] != 10 {
 		t.Fatal("issuer consumed its own budget")
 	}
 	budget.Refill()
-	if budget.Remaining[0] != 10 {
+	if budget.remaining[0] != 10 {
 		t.Fatal("refill failed")
 	}
 }
 
 func TestUtilization(t *testing.T) {
 	b := NewBudget(2, 10)
-	b.Remaining[0] = 2.5
+	b.remaining[0] = 2.5
 	if got := b.Utilization(0); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("utilization = %v", got)
 	}
-	b.Remaining[1] = 15 // over-full clamps to 0
+	b.remaining[1] = 15 // over-full clamps to 0
 	if got := b.Utilization(1); got != 0 {
 		t.Fatalf("overfull utilization = %v", got)
 	}
-	b.PerTick[1] = 0
+	b.perTick[1] = 0
 	if got := b.Utilization(1); got != 0 {
 		t.Fatalf("idle zero-capacity utilization = %v, want 0", got)
 	}
@@ -249,7 +249,7 @@ func TestFloodBatchCapacityClippingPhysical(t *testing.T) {
 	e := NewEngine(ov)
 	e.SetCounterMode(CounterPhysical)
 	budget := NewBudget(5, 1e9)
-	budget.Remaining[2] = 30 // clip point
+	budget.remaining[2] = 30 // clip point
 	res := e.FloodBatch(0, -1, 7, 100, budget)
 	// Peer 1 processes 100, peer 2 processes 30, peers 3, 4 process 30.
 	if math.Abs(res.ProcessedMass-(100+30+30+30)) > 1e-9 {
@@ -362,7 +362,7 @@ func TestFloodBatchIdealCountersUnclipped(t *testing.T) {
 	}
 	e.SetCounterMode(CounterIdeal)
 	budget := NewBudget(5, 1e9)
-	budget.Remaining[2] = 30
+	budget.remaining[2] = 30
 	res := e.FloodBatch(0, -1, 7, 100, budget)
 	// Ideal plane: every edge on the line carries the full 100.
 	if res.QueryMessages != 400 {
@@ -386,7 +386,7 @@ func TestFloodQueryIdealCountersPastSaturation(t *testing.T) {
 	e := NewEngine(ov)
 	e.SetCounterMode(CounterIdeal)
 	budget := bigBudget(6)
-	budget.Remaining[2] = 0
+	budget.remaining[2] = 0
 	res := e.FloodQuery(0, 7, []topology.NodeID{4}, budget, DefaultDelayModel())
 	if res.Hit {
 		t.Fatal("query answered past a saturated peer")
@@ -419,7 +419,7 @@ func TestFairShareProtectsOtherLinks(t *testing.T) {
 	}
 	// Hub capacity 40, degree 4: each inbound link may deliver 10.
 	e.FloodBatch(1, -1, 7, 1000, budget)
-	if got := budget.Remaining[0]; got != 30 {
+	if got := budget.remaining[0]; got != 30 {
 		t.Fatalf("hub remaining = %v, want 30 (one link's share consumed)", got)
 	}
 	res := e.FloodQuery(2, 7, []topology.NodeID{3}, budget, DefaultDelayModel())
@@ -435,7 +435,7 @@ func TestFairShareVsFCFS(t *testing.T) {
 	e := NewEngine(ov)
 	budget := NewBudget(5, 40)
 	e.FloodBatch(1, -1, 7, 1000, budget)
-	if got := budget.Remaining[0]; got != 0 {
+	if got := budget.remaining[0]; got != 0 {
 		t.Fatalf("hub remaining = %v, want 0 under FCFS", got)
 	}
 	res := e.FloodQuery(2, 7, []topology.NodeID{3}, budget, DefaultDelayModel())

@@ -254,8 +254,8 @@ func budgetConservation(t *testing.T, seed uint64) {
 	processed, clean := 0.0, true
 	check := func(step int, op string) {
 		t.Helper()
-		for v := range b.Remaining {
-			rem, per := b.Remaining[v], b.PerTick[v]
+		for v := range b.remaining {
+			rem, per := b.remaining[v], b.perTick[v]
 			if rem < 0 || rem > math.Max(per, 1) {
 				fail(step, "after %s: Remaining[%d] = %v outside [0, max(PerTick=%v, 1)]", op, v, rem, per)
 			}
@@ -274,8 +274,8 @@ func budgetConservation(t *testing.T, seed uint64) {
 		// the floods report as processed.
 		if mode == CounterPhysical && !frac && clean {
 			spent := 0.0
-			for v := range b.Remaining {
-				spent += b.PerTick[v] - b.Remaining[v]
+			for v := range b.remaining {
+				spent += b.perTick[v] - b.remaining[v]
 			}
 			if math.Abs(spent-processed) > 1e-6*(1+processed) {
 				fail(step, "after %s: peers are short %v tokens, floods processed %v", op, spent, processed)

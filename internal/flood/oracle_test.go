@@ -2,7 +2,6 @@ package flood
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"ddpolice/internal/overlay"
@@ -175,9 +174,6 @@ func floodThrice[R comparable](t *testing.T, e *Engine, name string, want R, flo
 // cache on and off, in both counter planes, on the intact overlay and a
 // damaged one.
 func TestFloodMatchesHopDistanceOracle(t *testing.T) {
-	defer func(old uint64) { cacheBuildAfterFloods = old }(cacheBuildAfterFloods)
-	cacheBuildAfterFloods = math.MaxUint64 // a key records on its second use, never its first
-
 	holders := []topology.NodeID{42, 77, 130}
 	dm := DelayModel{HopDelay: 0.05}
 	for _, damaged := range []bool{false, true} {

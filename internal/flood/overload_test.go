@@ -8,22 +8,22 @@ func TestReserveControlScalesBudget(t *testing.T) {
 	b := NewBudget(2, 100)
 	b.ReserveControl(0.05)
 	for i := 0; i < 2; i++ {
-		if got := b.PerTick[i]; got != 95 {
+		if got := b.perTick[i]; got != 95 {
 			t.Fatalf("PerTick[%d] = %v after 5%% reserve, want 95", i, got)
 		}
-		if got := b.Remaining[i]; got != 95 {
+		if got := b.remaining[i]; got != 95 {
 			t.Fatalf("Remaining[%d] = %v after 5%% reserve, want 95", i, got)
 		}
 	}
 	// Zero and negative fractions are no-ops.
 	b.ReserveControl(0)
 	b.ReserveControl(-1)
-	if got := b.PerTick[0]; got != 95 {
+	if got := b.perTick[0]; got != 95 {
 		t.Fatalf("PerTick[0] = %v after no-op reserves, want 95", got)
 	}
 	// Fractions above 1 clamp: all capacity reserved, query plane gets 0.
 	b.ReserveControl(2)
-	if got := b.PerTick[0]; got != 0 {
+	if got := b.perTick[0]; got != 0 {
 		t.Fatalf("PerTick[0] = %v after full reserve, want 0", got)
 	}
 }
@@ -31,24 +31,24 @@ func TestReserveControlScalesBudget(t *testing.T) {
 func TestSetCapacityClampsAndAppliesImmediately(t *testing.T) {
 	b := NewBudget(2, 100)
 	b.SetCapacity(0, 40)
-	if got := b.PerTick[0]; got != 40 {
+	if got := b.perTick[0]; got != 40 {
 		t.Fatalf("PerTick[0] = %v, want 40", got)
 	}
 	// The current tick's remaining tokens are clipped down immediately.
-	if got := b.Remaining[0]; got != 40 {
+	if got := b.remaining[0]; got != 40 {
 		t.Fatalf("Remaining[0] = %v, want 40 (clipped to new capacity)", got)
 	}
 	b.SetCapacity(1, -5)
-	if got, rem := b.PerTick[1], b.Remaining[1]; got != 0 || rem != 0 {
+	if got, rem := b.perTick[1], b.remaining[1]; got != 0 || rem != 0 {
 		t.Fatalf("PerTick[1]/Remaining[1] = %v/%v after negative capacity, want 0/0", got, rem)
 	}
 	// Raising capacity does not mint tokens mid-tick; the refill does.
 	b.SetCapacity(0, 200)
-	if got := b.Remaining[0]; got != 40 {
+	if got := b.remaining[0]; got != 40 {
 		t.Fatalf("Remaining[0] = %v after raise, want 40 until refill", got)
 	}
 	b.Refill()
-	if got := b.Remaining[0]; got != 200 {
+	if got := b.remaining[0]; got != 200 {
 		t.Fatalf("Remaining[0] = %v after refill, want 200", got)
 	}
 }

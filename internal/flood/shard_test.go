@@ -52,7 +52,7 @@ func TestPrewarmTreesMatchOrganicBuilds(t *testing.T) {
 	}
 	// Reference builds on B: one treeBuilder, serially, over B's own
 	// snapshot.
-	engB.cache.sync()
+	engB.cache.ensure()
 	tb := newTreeBuilder(n)
 	tb.cache = engB.cache
 	for _, k := range keys {
@@ -146,7 +146,7 @@ func TestPrewarmedFloodByteIdentical(t *testing.T) {
 				t.Fatalf("tick %d: query results diverge:\nprewarmed: %+v\nserial:    %+v", tick, ra, rb)
 			}
 		}
-		if !reflect.DeepEqual(budA.Remaining, budB.Remaining) {
+		if !reflect.DeepEqual(budA.remaining, budB.remaining) {
 			t.Fatalf("tick %d: budget state diverges", tick)
 		}
 	}

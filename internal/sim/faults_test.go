@@ -97,6 +97,39 @@ func TestValidateFaultPeersInRange(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOverlappingBrownouts: an overload event's end
+// restores full capacity, so two events that brown out one peer over
+// intersecting windows would cut the later one short. Validate must
+// name both events and the peer; windows that only touch, and
+// concurrent events on different peers, stay valid.
+func TestValidateRejectsOverlappingBrownouts(t *testing.T) {
+	ev := func(start, end int, peers ...int) faults.OverloadEvent {
+		return faults.OverloadEvent{StartSec: start, EndSec: end, Peers: peers, Factor: 0.5}
+	}
+	cfg := smallConfig()
+	for _, tc := range []struct {
+		name string
+		oes  []faults.OverloadEvent
+		want string // "" = valid
+	}{
+		{"overlapping windows, shared peer", []faults.OverloadEvent{ev(0, 120, 5), {StartSec: 60, EndSec: 180, Peers: []int{5}, Factor: 0.25}},
+			"Faults.Overloads[0] and Faults.Overloads[1] both brown out peer 5 in [60,120)"},
+		{"nested window among others", []faults.OverloadEvent{ev(0, 60, 1), ev(60, 300, 2, 3), ev(120, 180, 4, 3)},
+			"Faults.Overloads[1] and Faults.Overloads[2] both brown out peer 3 in [120,180)"},
+		{"disjoint windows, shared peer", []faults.OverloadEvent{ev(0, 120, 5), ev(120, 180, 5)}, ""},
+		{"overlapping windows, disjoint peers", []faults.OverloadEvent{ev(0, 120, 5, 6), ev(60, 180, 7)}, ""},
+	} {
+		cfg.Faults = &faults.Schedule{Overloads: tc.oes}
+		err := cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v, want valid", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestPartitionApplyAndHeal: a timed partition severs exactly the
 // boundary edges of its member set, the heal restores all of them, and
 // none of it is billed to the defense's CutEdges.

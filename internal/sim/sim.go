@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"ddpolice/internal/attack"
 	"ddpolice/internal/capacity"
@@ -290,6 +291,9 @@ func (c Config) Validate() error {
 				return fmt.Errorf("sim: Faults.Overloads[%d].Factor = %v (want [0, 1))", i, oe.Factor)
 			}
 		}
+		if err := c.checkOverloadOverlap(); err != nil {
+			return err
+		}
 	}
 	if c.Overload != nil {
 		if err := c.Overload.WithDefaults().Validate(); err != nil {
@@ -306,6 +310,27 @@ func (c Config) checkFaultPeers(list string, event int, peers []int) error {
 	for _, p := range peers {
 		if p < 0 || p >= c.NumPeers {
 			return fmt.Errorf("sim: Faults.%s[%d] names peer %d, outside [0, %d)", list, event, p, c.NumPeers)
+		}
+	}
+	return nil
+}
+
+// checkOverloadOverlap rejects two brownouts of one peer whose windows
+// intersect: an event's end restores full capacity, so the earlier end
+// would cancel the later event mid-way.
+func (c Config) checkOverloadOverlap() error {
+	oes := c.Faults.Overloads
+	for j, b := range oes {
+		for i, a := range oes[:j] {
+			if a.StartSec >= b.EndSec || b.StartSec >= a.EndSec {
+				continue
+			}
+			for _, p := range a.Peers {
+				if slices.Contains(b.Peers, p) {
+					return fmt.Errorf("sim: Faults.Overloads[%d] and Faults.Overloads[%d] both brown out peer %d in [%d,%d)",
+						i, j, p, max(a.StartSec, b.StartSec), min(a.EndSec, b.EndSec))
+				}
+			}
 		}
 	}
 	return nil
