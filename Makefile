@@ -54,8 +54,9 @@ stagetimers:
 	./scripts/stagetimers.sh
 
 # corepure keeps the live node's protocol a pure value: internal/gnet/core
-# imports no net, os or sync and contains no go statement (DESIGN.md §14);
-# ddclock keeps the wall clock out of it.
+# and its in-memory mesh internal/gnet/core/vnet import no net, os or sync
+# and contain no go statement (DESIGN.md §14); ddclock keeps the wall clock
+# out of both.
 corepure:
 	./scripts/corepure.sh
 

@@ -11,7 +11,7 @@ package chord
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ddpolice/internal/rng"
 )
@@ -34,20 +34,14 @@ func DefaultConfig() Config {
 	return Config{SuccessorListLen: 8, CapacityPerMin: 1000}
 }
 
-// node is one ring participant.
-type node struct {
-	id      NodeID
-	online  bool
-	fingers []int // indexes into Ring.nodes, for id + 2^i
-	succ    []int // successor list indexes
-}
-
-// Ring is a static Chord ring over n nodes.
+// Ring is a static Chord ring over n nodes. A node's external index is
+// its position on the ring: ids ascend with it.
 type Ring struct {
 	cfg     Config
-	nodes   []node    // sorted by id
-	index   []int     // peer p (external index) -> position in nodes
-	perMin  []float64 // remaining capacity tokens per tick, by position
+	ids     []NodeID
+	online  []bool
+	fingers [][64]int32 // position of the successor of id + 2^b
+	perMin  []float64   // remaining capacity tokens per tick
 	perTick float64
 
 	// Stats.
@@ -68,70 +62,45 @@ func New(n int, cfg Config, src *rng.Source) (*Ring, error) {
 	if cfg.CapacityPerMin <= 0 {
 		return nil, fmt.Errorf("chord: capacity %v", cfg.CapacityPerMin)
 	}
-	r := &Ring{cfg: cfg}
+	r := &Ring{cfg: cfg, perTick: cfg.CapacityPerMin / 60}
 	seen := make(map[NodeID]bool, n)
-	for len(r.nodes) < n {
+	for len(r.ids) < n {
 		id := NodeID(src.Uint64())
 		if seen[id] {
 			continue
 		}
 		seen[id] = true
-		r.nodes = append(r.nodes, node{id: id, online: true})
+		r.ids = append(r.ids, id)
 	}
-	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].id < r.nodes[j].id })
-	r.index = make([]int, n)
-	for i := range r.index {
-		r.index[i] = i
-	}
-	r.buildTables()
-	r.perTick = cfg.CapacityPerMin / 60
+	slices.Sort(r.ids)
+	r.online = make([]bool, n)
+	r.fingers = make([][64]int32, n)
 	r.perMin = make([]float64, n)
-	for i := range r.perMin {
+	for i, id := range r.ids {
+		r.online[i] = true
+		for b := range r.fingers[i] {
+			r.fingers[i][b] = int32(r.successorOf(id + NodeID(1)<<b))
+		}
 		r.perMin[i] = r.perTick
 	}
 	return r, nil
 }
 
-// buildTables computes finger tables and successor lists.
-func (r *Ring) buildTables() {
-	n := len(r.nodes)
-	for i := range r.nodes {
-		nd := &r.nodes[i]
-		nd.fingers = nd.fingers[:0]
-		for b := 0; b < 64; b++ {
-			target := nd.id + (NodeID(1) << b)
-			nd.fingers = append(nd.fingers, r.successorOf(target))
-		}
-		nd.succ = nd.succ[:0]
-		for s := 1; s <= r.cfg.SuccessorListLen && s < n; s++ {
-			nd.succ = append(nd.succ, (i+s)%n)
-		}
-	}
-}
-
 // successorOf returns the position of the first node with id >= target
 // (wrapping).
 func (r *Ring) successorOf(target NodeID) int {
-	lo, hi := 0, len(r.nodes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.nodes[mid].id < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.nodes) {
+	pos, _ := slices.BinarySearch(r.ids, target)
+	if pos == len(r.ids) {
 		return 0
 	}
-	return lo
+	return pos
 }
 
-// SetOnline toggles node p (external index).
-func (r *Ring) SetOnline(p int, on bool) { r.nodes[r.index[p]].online = on }
+// SetOnline toggles node p.
+func (r *Ring) SetOnline(p int, on bool) { r.online[p] = on }
 
 // Online reports node p's state.
-func (r *Ring) Online(p int) bool { return r.nodes[r.index[p]].online }
+func (r *Ring) Online(p int) bool { return r.online[p] }
 
 // Tick refills every node's per-tick lookup budget.
 func (r *Ring) Tick() {
@@ -140,45 +109,40 @@ func (r *Ring) Tick() {
 	}
 }
 
-// distance returns the clockwise distance from a to b on the ring.
-func distance(a, b NodeID) NodeID { return b - a }
-
 // LookupResult reports one routed lookup.
 type LookupResult struct {
 	OK    bool
 	Hops  int
-	Owner int // position of the responsible node (valid when OK)
+	Owner int // the responsible node (valid when OK)
 }
 
-// Lookup routes a key from origin (external index) to the key's
-// successor, consuming one capacity token per intermediate node. It
-// fails when routing stalls (all candidate hops offline) or a node on
-// the path is saturated.
+// Lookup routes a key from origin to the key's successor, consuming one
+// capacity token per intermediate node. It fails when routing stalls
+// (all candidate hops offline) or a node on the path is saturated.
 func (r *Ring) Lookup(origin int, key NodeID) LookupResult {
 	r.lookups++
-	cur := r.index[origin]
-	if !r.nodes[cur].online {
+	cur := origin
+	if !r.online[cur] {
 		r.failures++
 		return LookupResult{}
 	}
-	ownerPos := r.successorOf(key)
-	// Owner may be offline: its first online successor takes over.
-	ownerPos, ok := r.firstOnlineFrom(ownerPos)
+	succ := r.successorOf(key)
+	// The successor may be offline: its first online successor takes over.
+	owner, ok := r.firstOnlineFrom(succ)
 	if !ok {
 		r.failures++
 		return LookupResult{}
 	}
-	owner := r.nodes[ownerPos].id
 	hops := 0
-	for r.nodes[cur].id != owner {
-		next, ok := r.nextHop(cur, key)
+	for cur != owner {
+		next, ok := r.nextHop(cur, r.ids[succ])
 		if !ok {
 			r.failures++
 			return LookupResult{Hops: hops}
 		}
 		cur = next
 		hops++
-		if hops > 2*len(r.nodes) {
+		if hops > 2*len(r.ids) {
 			r.failures++ // routing loop guard; cannot happen with sane tables
 			return LookupResult{Hops: hops}
 		}
@@ -195,33 +159,25 @@ func (r *Ring) Lookup(origin int, key NodeID) LookupResult {
 	return LookupResult{OK: true, Hops: hops, Owner: cur}
 }
 
-// nextHop picks the closest preceding online finger, falling back to
-// the successor list.
-func (r *Ring) nextHop(cur int, key NodeID) (int, bool) {
-	nd := &r.nodes[cur]
-	target := r.nodes[r.successorOf(key)].id
-	bestDist := distance(nd.id, target)
-	best := -1
+// nextHop picks cur's closest online finger preceding target, falling
+// back to the first online of the SuccessorListLen nodes after cur.
+func (r *Ring) nextHop(cur int, target NodeID) (int, bool) {
+	id := r.ids[cur]
+	bestDist := target - id // distances are clockwise: unsigned, wrapping
 	// Closest preceding finger: maximize progress without overshooting.
 	for b := 63; b >= 0; b-- {
-		f := nd.fingers[b]
-		fn := &r.nodes[f]
-		if !fn.online || f == cur {
+		f := int(r.fingers[cur][b])
+		if !r.online[f] || f == cur {
 			continue
 		}
-		d := distance(nd.id, fn.id)
-		if d > 0 && d <= bestDist {
-			best = f
-			break
+		if d := r.ids[f] - id; d > 0 && d <= bestDist {
+			return f, true
 		}
 	}
-	if best >= 0 {
-		return best, true
-	}
-	// Fall back to the first online successor.
-	for _, s := range nd.succ {
-		if r.nodes[s].online {
-			return s, true
+	n := len(r.ids)
+	for s := 1; s <= r.cfg.SuccessorListLen && s < n; s++ {
+		if p := (cur + s) % n; r.online[p] {
+			return p, true
 		}
 	}
 	return 0, false
@@ -229,10 +185,9 @@ func (r *Ring) nextHop(cur int, key NodeID) (int, bool) {
 
 // firstOnlineFrom scans clockwise for an online node.
 func (r *Ring) firstOnlineFrom(pos int) (int, bool) {
-	n := len(r.nodes)
-	for i := 0; i < n; i++ {
-		p := (pos + i) % n
-		if r.nodes[p].online {
+	n := len(r.ids)
+	for i := range n {
+		if p := (pos + i) % n; r.online[p] {
 			return p, true
 		}
 	}

@@ -99,7 +99,7 @@ func TestLookupSurvivesOfflineNodes(t *testing.T) {
 		}
 		if res := r.Lookup(origin, NodeID(src.Uint64())); res.OK {
 			okCount++
-			if !r.Online(indexOf(r, res.Owner)) {
+			if !r.Online(res.Owner) {
 				t.Fatal("lookup resolved to an offline owner")
 			}
 		}
@@ -107,16 +107,6 @@ func TestLookupSurvivesOfflineNodes(t *testing.T) {
 	if okCount < 250 {
 		t.Fatalf("only %d lookups survived 25%% churn", okCount)
 	}
-}
-
-// indexOf maps a ring position back to the external index.
-func indexOf(r *Ring, pos int) int {
-	for p, q := range r.index {
-		if q == pos {
-			return p
-		}
-	}
-	return -1
 }
 
 func TestSaturationDropsLookups(t *testing.T) {

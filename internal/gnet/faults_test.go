@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -20,24 +19,15 @@ import (
 	"ddpolice/internal/topology"
 )
 
-func counterValue(reg *telemetry.Registry, name string) uint64 {
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
 // resetLink tears down the link from n by an injected TCP reset on n's
 // next query frame: a transport fault at both ends. n must run plan.
 func resetLink(t *testing.T, n *Node, plan *faults.Plan, reg *telemetry.Registry) {
 	t.Helper()
-	before := counterValue(reg, "faults.injected_resets")
+	before := reg.Counter("faults.injected_resets").Load()
 	plan.SetRule(faults.ClassQuery, faults.Rule{Reset: 1})
 	n.SendRawQuery("boom")
 	waitFor(t, 2*time.Second, func() bool {
-		return counterValue(reg, "faults.injected_resets") > before
+		return reg.Counter("faults.injected_resets").Load() > before
 	}, "reset injected")
 	plan.SetRule(faults.ClassQuery, faults.Rule{})
 }
@@ -54,9 +44,7 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 		cfg.Telemetry = reg
 	})
 	b := newTestNode(t, "b", 2, nil)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "a sees b")
 	resetLink(t, a, plan, reg)
 
@@ -64,69 +52,15 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 		ns := a.Neighbors()
 		return len(ns) == 1 && ns[0] == 2
 	}, "supervisor re-established the neighbor")
-	if got := counterValue(reg, "gnet.reconnect_attempts"); got < 1 {
+	if got := reg.Counter("gnet.reconnect_attempts").Load(); got < 1 {
 		t.Errorf("reconnect_attempts = %d, want >= 1", got)
 	}
-	if got := counterValue(reg, "gnet.reconnect_successes"); got < 1 {
+	if got := reg.Counter("gnet.reconnect_successes").Load(); got < 1 {
 		t.Errorf("reconnect_successes = %d, want >= 1", got)
 	}
 	// Backoff must have been observable in telemetry.
-	if backoff := gaugeValue(reg, "gnet.reconnect_backoff_max_ms"); backoff < int64(core.ReconnectBase/time.Millisecond) {
+	if backoff := reg.Gauge("gnet.reconnect_backoff_max_ms").Load(); backoff < int64(core.ReconnectBase/time.Millisecond) {
 		t.Errorf("reconnect_backoff_max_ms = %d, want >= base delay", backoff)
-	}
-}
-
-// TestCrossedRedialsKeepOneLink: a transport fault drops a link at both
-// ends at once. Were both ends to re-dial, each would keep the link it
-// dialed and close the other's whenever the dials cross — over TCP the
-// acceptor adopts a link half a round trip before its dialer does — and
-// the pair would flap on every fault. Only the lower id re-dials, so one
-// link survives and neither end journals a second drop.
-func TestCrossedRedialsKeepOneLink(t *testing.T) {
-	jr := journal.New(64)
-	m := newMesh(t)
-	for id := int32(1); id <= 2; id++ {
-		m.add(id, func(cfg *core.Config) { cfg.Journal = jr })
-	}
-	m.connect(1, 2)
-	m.run()
-	m.cores[1].Down(m.now, core.Link{ID: 2, Conn: meshLink})
-	m.cores[2].Down(m.now, core.Link{ID: 1, Conn: meshLink})
-	m.run()
-
-	since := len(m.log)
-	dialed := func() (out []logged) {
-		for _, e := range m.log[since:] {
-			if e.kind == "dial" {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	m.advance(2 * core.ReconnectBase) // attempt 0 is due, jitter included
-	dials := dialed()
-	// Every dial connects, crossed: each acceptor adopts its link before
-	// any dialer adopts its own.
-	conn := func(i int) uint32 { return meshAsk + 1 + uint32(i) }
-	for i, d := range dials {
-		m.cores[d.to].Up(m.now, core.Link{ID: d.from, Conn: conn(i)}, fmt.Sprintf("127.0.0.1:%d", 7000+d.from))
-	}
-	for i, d := range dials {
-		m.cores[d.from].Up(m.now, core.Link{ID: d.to, Conn: conn(i)}, string(d.frame))
-	}
-	m.run()
-	for i := 0; i < core.ReconnectAttempts; i++ {
-		m.advance(2 * core.ReconnectMax) // any later re-dial, left unanswered
-	}
-
-	if all := dialed(); len(all) != 1 || all[0].from != 1 {
-		t.Errorf("dials after the fault %+v, want one, by node 1", all)
-	}
-	if a, b := m.cores[1].Neighbors(), m.cores[2].Neighbors(); !slices.Equal(a, []int32{2}) || !slices.Equal(b, []int32{1}) {
-		t.Errorf("neighbors %v and %v, want the link back at both ends", a, b)
-	}
-	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"transport", "transport"}) {
-		t.Errorf("peer_drop records %v, want one transport drop per end", got)
 	}
 }
 
@@ -150,9 +84,7 @@ func TestPoliceCutNeverReconnects(t *testing.T) {
 		cfg.MinuteLength = time.Hour
 		cfg.Telemetry = reg
 	})
-	if err := observer.Connect(suspect.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, observer, suspect)
 	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 1 }, "connected")
 
 	// A 1000-query window, a round with no one else to ask, the verdict.
@@ -166,7 +98,7 @@ func TestPoliceCutNeverReconnects(t *testing.T) {
 
 	// Give the (wrongly scheduled, if any) reconnect chain ten base delays.
 	time.Sleep(10 * core.ReconnectBase)
-	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
+	if got := reg.Counter("gnet.reconnect_attempts").Load(); got != 0 {
 		t.Errorf("reconnect_attempts = %d after a DD-POLICE cut, want 0", got)
 	}
 	if len(observer.Neighbors()) != 0 {
@@ -202,9 +134,7 @@ func TestCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 		cfg.Faults = plan
 		cfg.Telemetry = breg
 	})
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 && len(b.Neighbors()) == 1 }, "connected")
 
 	// In-flight evaluation: four dead members, each retried with backoff.
@@ -218,7 +148,7 @@ func TestCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 	resetLink(t, b, plan, breg)
 	b.Close()
 	waitFor(t, 5*time.Second, func() bool {
-		return counterValue(reg, "gnet.reconnect_attempts") >= 1
+		return reg.Counter("gnet.reconnect_attempts").Load() >= 1
 	}, "a re-dialing b")
 	a.Close()
 

@@ -2,11 +2,13 @@ package gnet
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +37,14 @@ func newTestNode(t *testing.T, name string, id int32, mutate func(*Config)) *Nod
 	return n
 }
 
+// connect makes b a's neighbor over TCP.
+func connect(t *testing.T, a, b *Node) {
+	t.Helper()
+	if err := a.Connect(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -47,12 +57,29 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 	t.Fatal("timeout: " + msg)
 }
 
+// runOnLoop executes fn on n's run-loop goroutine, with the time the run
+// loop woke at, and waits for it.
+func runOnLoop(t *testing.T, n *Node, fn func(now time.Time)) {
+	t.Helper()
+	if err := n.runOnCtl(func(now time.Time) error { fn(now); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testPolice is the DD-POLICE configuration of the shell tests: a
+// 1000-query window is far past every threshold.
+func testPolice() *police.Config {
+	pcfg := police.DefaultConfig()
+	pcfg.Q0 = 10
+	pcfg.WarnThreshold = 50
+	pcfg.CutThreshold = 5
+	return &pcfg
+}
+
 func TestHandshakeAndNeighbors(t *testing.T) {
 	a := newTestNode(t, "a", 1, nil)
 	b := newTestNode(t, "b", 2, nil)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "a sees b")
 	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 }, "b sees a")
 	if got := a.Neighbors()[0]; got != 2 {
@@ -102,9 +129,7 @@ func TestAcceptorRejectsBadNodeID(t *testing.T) {
 	reg := telemetry.New()
 	hub := newTestNode(t, "hub", 5, func(cfg *Config) { cfg.Telemetry = reg })
 	zero := newTestNode(t, "zero", 0, nil)
-	if err := zero.Connect(hub.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, zero, hub)
 	waitFor(t, 2*time.Second, func() bool { return len(hub.Neighbors()) == 1 }, "hub sees node 0")
 	for i, bad := range badIdentities() {
 		conn, err := net.Dial("tcp", hub.Addr())
@@ -119,7 +144,7 @@ func TestAcceptorRejectsBadNodeID(t *testing.T) {
 		if reply, _ := io.ReadAll(conn); strings.Contains(string(reply), okLine) {
 			t.Errorf("hello with %q was answered %q", bad.headers, reply)
 		}
-		if got := counterValue(reg, "gnet.handshake_failures"); got != uint64(i+1) {
+		if got := reg.Counter("gnet.handshake_failures").Load(); got != uint64(i+1) {
 			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", bad.headers, got, i+1)
 		}
 	}
@@ -155,7 +180,7 @@ func TestDialerRejectsBadNodeID(t *testing.T) {
 		if err := a.Connect(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), bad.field) {
 			t.Errorf("Connect to a responder sending %q: err = %v, want a %s error", bad.headers, err, bad.field)
 		}
-		if got := counterValue(reg, "gnet.handshake_failures"); got != uint64(i+1) {
+		if got := reg.Counter("gnet.handshake_failures").Load(); got != uint64(i+1) {
 			t.Errorf("after %q: gnet.handshake_failures = %d, want %d", bad.headers, got, i+1)
 		}
 	}
@@ -172,12 +197,8 @@ func TestQueryFloodAndHit(t *testing.T) {
 	c := newTestNode(t, "c", 3, func(cfg *Config) {
 		cfg.SharedObjects = []string{"ubuntu iso"}
 	})
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Connect(c.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
+	connect(t, b, c)
 	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 2 }, "b fully connected")
 
 	hits, err := a.IssueQuery("ubuntu iso")
@@ -197,139 +218,6 @@ func TestQueryFloodAndHit(t *testing.T) {
 	}
 	if got := b.Stats().QueriesForwarded; got == 0 {
 		t.Fatal("b forwarded nothing")
-	}
-}
-
-// TestAnsweredQueriesAreForgotten: an issued query's waiter leaves the
-// node with its first hit, so a long-running node does not keep one
-// entry per query it ever asked — and a later hit for it reaches nobody.
-func TestAnsweredQueriesAreForgotten(t *testing.T) {
-	m := newMesh(t)
-	a := m.add(1, nil)
-	m.add(2, func(cfg *core.Config) { cfg.SharedObjects = []string{"ubuntu iso"} })
-	m.connect(1, 2)
-	m.run()
-
-	const answered = 20
-	var hit chan protocol.QueryHit
-	for i := 0; i < answered; i++ {
-		hit = make(chan protocol.QueryHit, 1)
-		if err := a.Issue(m.now, "ubuntu iso", hit); err != nil {
-			t.Fatal(err)
-		}
-		m.run()
-		select {
-		case <-hit:
-		default:
-			t.Fatalf("query %d: no QueryHit", i)
-		}
-	}
-	// The last answer once more: the node counts it, and has no one to
-	// hand it to.
-	var last []byte
-	for _, e := range m.log {
-		if e.from == 2 && e.kind == "send" && e.frame[16] == protocol.TypeQueryHit {
-			last = e.frame
-		}
-	}
-	received := a.Stats().HitsReceived
-	m.inject(1, 2, slices.Clone(last))
-	if got := a.Stats().HitsReceived; got != received+1 {
-		t.Fatalf("HitsReceived %d -> %d, want the repeated hit counted", received, got)
-	}
-	if len(hit) != 0 {
-		t.Fatal("an answered query's waiter got a second hit: the node still held it")
-	}
-}
-
-// TestGUIDFloodKeepsInFlightRoutes puts relay 2 between issuer 1 and
-// scripted holder 3, and floods 2 with fresh GUIDs while 1's query is in
-// flight. The relay's GUID maps used to be cleared together once they
-// held 2^17 GUIDs, and the query's reverse route with them: the holder's
-// hit was lost. Now the flood only ages the query into the older of two
-// generations, and its hit still reaches the issuer.
-func TestGUIDFloodKeepsInFlightRoutes(t *testing.T) {
-	m := newMesh(t)
-	a := m.add(1, nil)
-	m.add(2, nil)
-	m.connect(1, 2)
-	m.connect(2, 3)
-	m.run()
-	hit := make(chan protocol.QueryHit, 1)
-	if err := a.Issue(m.now, "ubuntu iso", hit); err != nil {
-		t.Fatal(err)
-	}
-	m.run()
-	var guid protocol.GUID
-	if sent := m.sent(2, 3, 0); len(sent) != 1 {
-		t.Fatalf("the relay sent the holder %v, want the query", sent)
-	}
-	for _, e := range m.log {
-		if e.from == 2 && e.to == 3 {
-			copy(guid[:], e.frame)
-		}
-	}
-	m.flood(2, 3, 1<<17+1, 1) // one past the old bound; TTL 1, so nothing is relayed
-	m.inject(2, 3, protocol.Encode(nil, protocol.NewGUID(m.src), 7, 0, protocol.QueryHit{HitCount: 1, QueryGUID: guid}))
-	m.run()
-	if len(hit) != 1 {
-		t.Fatal("the holder's hit did not reach the issuer: the flood erased the relay's reverse route")
-	}
-}
-
-// TestOnlyNeighborLinksCarryTheFlood delivers frames on a link the core
-// was never told is up: the out-of-band channel a buddy-group member
-// opens, which the shell adopts without Up. Anything on it used to reach
-// the core as if a neighbor had sent it, so a peer that never became a
-// neighbor could flood through the node, and its list was held as the
-// list of whatever Node-ID it claimed. Now such a link carries
-// Neighbor_Traffic only: the rest is dropped and counted, nothing is
-// relayed, and a request on it is still answered on it.
-func TestOnlyNeighborLinksCarryTheFlood(t *testing.T) {
-	reg := telemetry.New()
-	m := newMesh(t)
-	a := m.add(1, func(cfg *core.Config) {
-		cfg.Police = testPolice()
-		cfg.MinuteLength = window
-		cfg.Telemetry = reg
-	})
-	m.connect(1, 2) // 2 is scripted
-	m.run()
-	stranger := core.Link{ID: 9, Conn: meshAsk}
-	deliver := func(body protocol.Body) {
-		frame := protocol.Encode(nil, protocol.NewGUID(m.src), 3, 0, body)
-		h, err := protocol.DecodeHeader(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Frame(m.now, stranger, h, frame)
-	}
-	since := len(m.log)
-	strays := []protocol.Body{
-		protocol.Query{Keywords: "junk"},
-		protocol.QueryHit{HitCount: 1},
-		protocol.NeighborList{Neighbors: []protocol.PeerAddr{protocol.AddrFromNodeID(2, 7002)}},
-		protocol.Ping{},
-	}
-	for _, body := range strays {
-		deliver(body)
-	}
-	m.run()
-	if len(m.log) != since {
-		t.Fatalf("frames on a non-neighbor link made the node send %+v", m.log[since:])
-	}
-	if st := a.Stats(); st.QueriesReceived != 0 || st.HitsReceived != 0 {
-		t.Errorf("the core counted frames from a non-neighbor link: %+v", st)
-	}
-	if got := counterValue(reg, "gnet.stray_frames"); got != uint64(len(strays)) {
-		t.Errorf("gnet.stray_frames = %d, want %d", got, len(strays))
-	}
-	deliver(protocol.NeighborTraffic{
-		SourceIP:  protocol.AddrFromNodeID(9, 0).IP,
-		SuspectIP: protocol.AddrFromNodeID(2, 0).IP,
-	})
-	if back := m.sent(1, 9, since); len(back) != 1 {
-		t.Errorf("a Neighbor_Traffic request on an out-of-band link was answered with %v, want one report", back)
 	}
 }
 
@@ -384,54 +272,10 @@ func expectRelay(t *testing.T, what string, w net.Conn, frame []byte, r *protoco
 	}
 }
 
-func TestQueryMissesUnsharedObject(t *testing.T) {
-	m := newMesh(t)
-	a := m.add(1, nil)
-	m.add(2, func(cfg *core.Config) { cfg.SharedObjects = []string{"something else"} })
-	m.connect(1, 2)
-	m.run()
-	hit := make(chan protocol.QueryHit, 1)
-	if err := a.Issue(m.now, "ubuntu iso", hit); err != nil {
-		t.Fatal(err)
-	}
-	m.run()
-	if len(hit) != 0 || m.cores[2].Stats().HitsSent != 0 {
-		t.Fatal("hit for unshared object")
-	}
-}
-
 func TestIssueQueryWithoutNeighbors(t *testing.T) {
 	a := newTestNode(t, "a", 1, nil)
 	if _, err := a.IssueQuery("x"); err == nil {
 		t.Fatal("expected error with no neighbors")
-	}
-}
-
-func TestTTLBoundsPropagation(t *testing.T) {
-	// Line 1-2-...-9 with protocol.DefaultTTL (7) from 1: 8 receives
-	// (ttl 1) but must not forward to 9.
-	m := newMesh(t)
-	a := m.add(1, nil)
-	for id := int32(2); id <= 8; id++ {
-		m.add(id, nil)
-		m.connect(id-1, id)
-	}
-	d := m.add(9, func(cfg *core.Config) { cfg.SharedObjects = []string{"prize"} })
-	m.connect(8, 9)
-	m.run()
-	hit := make(chan protocol.QueryHit, 1)
-	if err := a.Issue(m.now, "prize", hit); err != nil {
-		t.Fatal(err)
-	}
-	m.run()
-	if len(hit) != 0 {
-		t.Fatal("hit beyond TTL")
-	}
-	if got := m.cores[8].Stats().QueriesReceived; got != 1 {
-		t.Fatalf("8 received %d queries, want the one at TTL 1", got)
-	}
-	if got := d.Stats().QueriesReceived; got != 0 {
-		t.Fatalf("9 received %d queries despite TTL 7", got)
 	}
 }
 
@@ -446,12 +290,8 @@ func TestFig5PipelineSaturation(t *testing.T) {
 		cfg.Burst = 5
 	})
 	c := newTestNode(t, "C", 3, nil)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Connect(c.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
+	connect(t, b, c)
 	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 2 }, "pipeline connected")
 
 	// Offer ~3x B's capacity for two seconds.
@@ -509,9 +349,7 @@ func TestLiveDDPoliceDetection(t *testing.T) {
 	// it participates in the list exchange like everyone else.
 	attacker := newTestNode(t, "attacker", 66, withPolice)
 	for _, n := range []*Node{good1, good2, attacker} {
-		if err := n.Connect(hub.Addr()); err != nil {
-			t.Fatal(err)
-		}
+		connect(t, n, hub)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(hub.Neighbors()) == 3 }, "star connected")
 
@@ -615,9 +453,7 @@ func TestNodeConfigValidation(t *testing.T) {
 func TestCleanShutdownUnderTraffic(t *testing.T) {
 	a := newTestNode(t, "a", 1, nil)
 	b := newTestNode(t, "b", 2, nil)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "connected")
 	for i := 0; i < 100; i++ {
 		a.SendRawQuery("load")
@@ -643,9 +479,7 @@ func TestDisconnectSendsByeAndDrops(t *testing.T) {
 		}
 		a := newTestNode(t, "a", 1, mutate)
 		b := newTestNode(t, "b", 2, mutate)
-		if err := a.Connect(b.Addr()); err != nil {
-			t.Fatal(err)
-		}
+		connect(t, a, b)
 		waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 && len(a.Neighbors()) == 1 }, "connected")
 		if cut {
 			// a's own 1000-query window judges b, with no one else to ask.
@@ -689,9 +523,7 @@ func TestCloseSaysBye(t *testing.T) {
 		cfg.Journal = jr
 	})
 	b := newTestNode(t, "b", 2, nil)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 && len(a.Neighbors()) == 1 }, "connected")
 	b.Close()
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "a dropped b")
@@ -699,7 +531,66 @@ func TestCloseSaysBye(t *testing.T) {
 	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"orderly"}) {
 		t.Errorf("a's peer_drop records %v, want one orderly drop", got)
 	}
-	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
+	if got := reg.Counter("gnet.reconnect_attempts").Load(); got != 0 {
 		t.Errorf("reconnect_attempts = %d after b shut down, want 0", got)
+	}
+}
+
+// TestTelemetryConcurrentTransientDials exercises the gnet telemetry
+// hooks from every goroutine that records them — transient dial
+// failures, handshake failures, inbox high-water, send stalls — while
+// another goroutine snapshots the registry. Run under -race by the CI
+// target.
+func TestTelemetryConcurrentTransientDials(t *testing.T) {
+	reg := telemetry.New()
+	mutate := func(cfg *Config) {
+		cfg.Police = testPolice()
+		cfg.MinuteLength = time.Hour
+		cfg.Telemetry = reg
+	}
+	observer := newTestNode(t, "observer", 1, mutate)
+	suspect := newTestNode(t, "suspect", 2, mutate)
+	connect(t, observer, suspect)
+	waitFor(t, 2*time.Second, func() bool { return len(suspect.Neighbors()) == 1 }, "connected")
+
+	// Members with no port to dial: every evaluation round spawns
+	// concurrent transient dials that fail and must count.
+	if err := observer.BenchPrimeSuspect(7, []int32{8, 9, 10, 11}, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		runOnLoop(t, observer, func(now time.Time) { observer.core.Evaluate(now, 7) })
+	}
+
+	// Concurrent wire traffic driving inbox/send counters.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				suspect.SendRawQuery(fmt.Sprintf("load-%d-%d", w, i))
+			}
+		}(w)
+	}
+	// A failed outbound handshake must count too.
+	if err := observer.Connect("127.0.0.1:1"); err == nil {
+		t.Error("connect to a dead port succeeded")
+	}
+	wg.Wait()
+
+	waitFor(t, 5*time.Second, func() bool {
+		snap := reg.Snapshot()
+		vals := map[string]uint64{}
+		for _, c := range snap.Counters {
+			vals[c.Name] = c.Value
+		}
+		return vals["gnet.transient_dial_errors"] >= rounds*4 &&
+			vals["gnet.handshake_failures"] >= 1
+	}, "telemetry counters converged")
+
+	if hwm := reg.Gauge("gnet.inbox_high_water").Load(); hwm < 1 {
+		t.Errorf("inbox high-water mark = %d, want >= 1 under load", hwm)
 	}
 }

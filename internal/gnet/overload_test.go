@@ -11,22 +11,12 @@ import (
 	"ddpolice/internal/faults"
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
-	"ddpolice/internal/overload"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
 )
-
-func gaugeValue(reg *telemetry.Registry, name string) int64 {
-	for _, g := range reg.Snapshot().Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
 
 // journalTypes returns the Detail strings of every event of the given
 // type, in order.
@@ -100,7 +90,7 @@ func TestControlFrameJumpsQueryBacklog(t *testing.T) {
 	if ntAt < 0 || ntAt > 1 {
 		t.Fatalf("NT frame at position %d, want 0 or 1 (behind at most the query in flight)", ntAt)
 	}
-	if got := counterValue(reg, "gnet.shed_query"); got != shed {
+	if got := reg.Counter("gnet.shed_query").Load(); got != shed {
 		t.Errorf("gnet.shed_query = %d, Stats().ShedQuery = %d", got, shed)
 	}
 	journaled := func() (n float64) {
@@ -113,74 +103,6 @@ func TestControlFrameJumpsQueryBacklog(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return journaled() == float64(shed) },
 		fmt.Sprintf("shed journal records sum to Stats().ShedQuery = %d", shed))
-}
-
-// TestOverloadBreakerLifecycle drives the full quarantine circuit
-// breaker state machine: two hot windows trip the breaker, the
-// quarantined peer's queries are throttled to the probe trickle while
-// the link stays up, the quarantine term elapses into a half-open probe,
-// and a quiet probe window restores the peer.
-func TestOverloadBreakerLifecycle(t *testing.T) {
-	reg := telemetry.New()
-	jr := journal.New(256)
-	m := newMesh(t)
-	a := m.add(1, func(cfg *core.Config) {
-		cfg.MinuteLength = window
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
-	m.connect(1, 2) // 2 is the test's: it floods 1 by injection
-	m.run()
-	quarantined := func(want int) {
-		t.Helper()
-		if q := a.Quarantined(); len(q) != want || want == 1 && q[0] != 2 {
-			t.Fatalf("quarantined = %v, want %d of [2]", q, want)
-		}
-		if got := gaugeValue(reg, "gnet.quarantined_peers"); got != int64(want) {
-			t.Fatalf("quarantined_peers gauge = %d, want %d", got, want)
-		}
-	}
-
-	// Two consecutive hot windows (> TripThreshold offered) trip the breaker.
-	const hot = overload.TripThreshold + 100
-	m.flood(1, 2, hot, 1)
-	m.advance(window)
-	quarantined(0)
-	m.flood(1, 2, hot, 1)
-	m.advance(window)
-	quarantined(1)
-	// The link is still up — quarantine throttles, it does not cut.
-	if len(a.Neighbors()) != 1 {
-		t.Fatal("quarantine tore the connection down; it must only throttle")
-	}
-
-	// ProbeAdmit+6 queries from the quarantined peer: ProbeAdmit pass, 6 shed.
-	m.flood(1, 2, overload.ProbeAdmit+6, 1)
-	if got := a.Stats().QuarantineDropped; got != 6 {
-		t.Fatalf("QuarantineDropped = %d, want 6 of %d throttled", got, overload.ProbeAdmit+6)
-	}
-
-	// Serve the quarantine term (QuarantineWindows) -> half-open probe,
-	// then a quiet probe window -> restore.
-	for i := 0; i < overload.QuarantineWindows; i++ {
-		m.advance(window)
-	}
-	quarantined(1)
-	m.advance(window)
-	quarantined(0)
-
-	// Restored peers are admitted freely again.
-	before := a.Stats()
-	m.flood(1, 2, 1, 1)
-	if after := a.Stats(); after.QuarantineDropped != before.QuarantineDropped || after.QueriesProcessed != before.QueriesProcessed+1 {
-		t.Fatalf("after restore: %+v -> %+v, want the query processed", before, after)
-	}
-
-	// The journal recorded the full transition sequence.
-	want := []string{"quarantine", "probe", "restore"}
-	if got := journalDetails(jr, journal.TypeQuarantine); !slices.Equal(got, want) {
-		t.Fatalf("quarantine journal = %v, want %v", got, want)
-	}
 }
 
 // TestChaosOverloadQuarantineNoRedial is the reconnect-supervisor-
@@ -196,19 +118,16 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	reg, breg := telemetry.New(), telemetry.New()
 	jr := journal.New(1024)
 	plan := faults.NewPlan(1)
-	a := NewNodeMust(t, func(cfg *Config) {
+	a := newTestNode(t, "a", 1, func(cfg *Config) {
 		cfg.MinuteLength = 200 * time.Millisecond // quarantine lasts QuarantineWindows: 3 of them
 		cfg.Telemetry = reg
 		cfg.Journal = jr
 	})
-	b := NewNodeMust(t, func(cfg *Config) {
-		cfg.NodeID, cfg.Seed = 2, 3
+	b := newTestNode(t, "b", 2, func(cfg *Config) {
 		cfg.Faults = plan
 		cfg.Telemetry = breg
 	})
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 && len(b.Neighbors()) == 1 }, "connected")
 
 	// b floods a until TripWindows hot windows in a row quarantine it.
@@ -238,10 +157,10 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	b.Close()
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "b dropped")
 	time.Sleep(10 * core.ReconnectBase)
-	if got := counterValue(reg, "gnet.reconnect_attempts"); got != 0 {
+	if got := reg.Counter("gnet.reconnect_attempts").Load(); got != 0 {
 		t.Errorf("reconnect_attempts = %d for a quarantined peer, want 0", got)
 	}
-	if got := gaugeValue(reg, "gnet.reconnect_backoff_max_ms"); got != 0 {
+	if got := reg.Gauge("gnet.reconnect_backoff_max_ms").Load(); got != 0 {
 		t.Errorf("reconnect_backoff_max_ms = %d: a re-dial of a quarantined peer was scheduled", got)
 	}
 	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"transport"}) {
@@ -256,24 +175,6 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= baseline+3
 	}, fmt.Sprintf("goroutines back to baseline %d (now %d)", baseline, runtime.NumGoroutine()))
-}
-
-// NewNodeMust builds a node with explicit Close handled by the caller
-// (the goroutine-leak test closes by hand before counting).
-func NewNodeMust(t *testing.T, mutate func(*Config)) *Node {
-	t.Helper()
-	cfg := DefaultConfig("n")
-	cfg.NodeID = 1
-	cfg.Seed = 2
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	n, err := NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Close)
-	return n
 }
 
 // TestOverloadFloodBoundedCut is the 3x offered-over-capacity
@@ -364,61 +265,9 @@ func TestOverloadFloodBoundedCut(t *testing.T) {
 	if queryDrops == 0 {
 		t.Error("no query traffic shed or dropped under a 3x flood")
 	}
-	if got := counterValue(reg, "gnet.shed_control"); got > 0 {
+	if got := reg.Counter("gnet.shed_control").Load(); got > 0 {
 		// The control queues and reserve are sized for this overlay;
 		// last-resort control sheds mean the reserve failed.
 		t.Errorf("gnet.shed_control = %d, want 0", got)
-	}
-}
-
-// TestOverloadDegradedMode saturates a nearly-zero-capacity node and
-// asserts it detects its own degradation (shed fraction over the
-// threshold), journals the transition, keeps serving control traffic on
-// its protected reserve, and recovers once the flood stops.
-func TestOverloadDegradedMode(t *testing.T) {
-	reg := telemetry.New()
-	jr := journal.New(512)
-	m := newMesh(t)
-	a := m.add(1, func(cfg *core.Config) {
-		cfg.CapacityPerMin = 60 // ~1 query/s: any flood saturates it
-		cfg.Burst = 2
-		cfg.MinuteLength = window
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
-	m.connect(1, 2)
-	m.run()
-
-	m.flood(1, 2, 100, 1)
-	m.advance(window)
-	if !a.Stats().Degraded {
-		t.Fatal("a window that shed 98 of 100 queries left the node healthy")
-	}
-	if got := gaugeValue(reg, "gnet.degraded"); got != 1 {
-		t.Errorf("gnet.degraded gauge = %d while degraded, want 1", got)
-	}
-	if a.Stats().QueriesDropped == 0 {
-		t.Error("degraded with no recorded capacity drops")
-	}
-	// The degraded node still answers control traffic on the protected
-	// reserve.
-	since := len(m.log)
-	m.inject(1, 2, protocol.Encode(nil, protocol.NewGUID(m.src), 1, 0, protocol.Ping{}))
-	if back := m.sent(1, 2, since); len(back) != 1 {
-		t.Errorf("a degraded node answered a Ping with %v, want one Pong", back)
-	}
-
-	m.advance(window) // the flood has stopped
-	if a.Stats().Degraded {
-		t.Fatal("node still degraded after a quiet window")
-	}
-	if got := gaugeValue(reg, "gnet.degraded"); got != 0 {
-		t.Errorf("gnet.degraded gauge = %d after recovery, want 0", got)
-	}
-	if got := journalDetails(jr, journal.TypeDegraded); !slices.Equal(got, []string{"enter", "exit"}) {
-		t.Errorf("degraded journal = %v, want enter, exit", got)
-	}
-	if len(journalDetails(jr, journal.TypeShed)) == 0 {
-		t.Error("no shed events journaled for a saturated window")
 	}
 }

@@ -55,7 +55,8 @@ type Config struct {
 	Links          attack.LinkModel
 	AttackStartSec int // agents stay quiet before this
 	// AttackSlices interleaves each tick's attack volume to model fair
-	// capacity sharing among competing floods (see attack.TickSliced).
+	// capacity sharing among competing floods (see attack.TickSliced);
+	// at least 2.
 	AttackSlices int
 
 	// Defense. PoliceEnabled=false leaves the system undefended.
@@ -250,6 +251,9 @@ func (c Config) Validate() error {
 	}
 	if c.AttackStartSec < 0 {
 		return fmt.Errorf("sim: AttackStartSec = %d", c.AttackStartSec)
+	}
+	if c.AttackSlices < 2 {
+		return fmt.Errorf("sim: AttackSlices = %d (want at least 2)", c.AttackSlices)
 	}
 	if c.Shards < 0 || c.Shards > 256 {
 		return fmt.Errorf("sim: Shards = %d (want 0..256)", c.Shards)
@@ -472,7 +476,7 @@ func newRun(w *World, cfg Config) (*run, error) {
 	root := rng.New(cfg.Seed)
 	root.Split() // the topology's stream and the catalog's, spent building w:
 	root.Split() // every later stream stays where Run has always had it
-	r := &run{cfg: cfg, cat: w.cat, ov: overlay.New(w.graph), slices: max(cfg.AttackSlices, 2)}
+	r := &run{cfg: cfg, cat: w.cat, ov: overlay.New(w.graph)}
 	var err error
 	if r.qgen, err = workload.NewQueryGen(w.cat, cfg.QueriesPerMin, root.Split()); err != nil {
 		return nil, err

@@ -38,6 +38,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.DurationSec = 30 },
 		func(c *Config) { c.DurationSec = 119 },
 		func(c *Config) { c.AttackStartSec = -1 },
+		func(c *Config) { c.AttackSlices = 0 },
+		func(c *Config) { c.AttackSlices = 1 },
+		func(c *Config) { c.AttackSlices = -1 },
 		func(c *Config) { c.PoliceEnabled = true; c.Police.Q0 = 0 },
 		// NaN fails every float check, and ControlLossCap is a probability.
 		func(c *Config) { c.QueriesPerMin = math.NaN() },
@@ -75,6 +78,12 @@ func TestValidate(t *testing.T) {
 	cfg.DurationSec = 119
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "multiple of 60") {
 		t.Errorf("DurationSec %d: err = %v, want one naming the multiple-of-60 rule", cfg.DurationSec, err)
+	}
+	// Too few attack slices name the field: no run falls back to 2.
+	cfg = smallConfig()
+	cfg.AttackSlices = 1
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "AttackSlices = 1") {
+		t.Errorf("AttackSlices 1: err = %v, want one naming AttackSlices = 1", err)
 	}
 }
 

@@ -33,7 +33,6 @@ type run struct {
 	budget  *flood.Budget
 	coll    *metrics.Collector
 	lossSrc *rng.Source
-	slices  int // attack slices per tick, at least 2
 
 	// Observation sinks, each nil when off. timers[noTimer] stays nil.
 	reg    *telemetry.Registry
@@ -235,8 +234,8 @@ func (r *run) propose() {
 	r.eng.PrewarmTrees(r.keys, r.cfg.Shards)
 }
 
-func (r *run) attackFirstHalf()  { r.attackSlices(r.slices/2, 2*r.t) }
-func (r *run) attackSecondHalf() { r.attackSlices(r.slices-r.slices/2, 2*r.t+1) }
+func (r *run) attackFirstHalf()  { r.attackSlices(r.cfg.AttackSlices/2, 2*r.t) }
+func (r *run) attackSecondHalf() { r.attackSlices(r.cfg.AttackSlices-r.cfg.AttackSlices/2, 2*r.t+1) }
 
 // attackSlices floods half the tick's attack volume in n slices.
 func (r *run) attackSlices(n, phase int) {
