@@ -128,8 +128,8 @@ func main() {
 	fmt.Printf("mean traffic cost:     %.0f msgs/min\n", res.MeanTraffic)
 	fmt.Printf("attack volume:         %.0f msgs\n", res.AttackVolume)
 	c := res.Cache
-	fmt.Printf("flood cache:           %d hits (%.1f%% of floods), %d builds, %d fallbacks, %d discarded, %d flushes\n",
-		c.Hits, 100*float64(c.Hits)/max(1, float64(c.Hits+c.Misses)), c.Builds, c.Fallbacks, c.Discarded, c.Flushes)
+	fmt.Printf("flood cache:           %d hits (%.1f%% of floods), %d builds, %d fallbacks, %d discarded, %d flushes, peak %.1f MB of trees\n",
+		c.Hits, 100*float64(c.Hits)/max(1, float64(c.Hits+c.Misses)), c.Builds, c.Fallbacks, c.Discarded, c.Flushes, float64(c.PeakTreeBytes)/1e6)
 	if *policeOn {
 		fmt.Printf("detections:            %d\n", res.Detections)
 		fmt.Printf("false negatives:       %d (good peers wrongly cut)\n", res.FalseNegatives)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -75,11 +76,13 @@ func TestJournalFileIsTheRecordOfTheRun(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("detections:            %d\n", count[journal.TypeCut]),
 		fmt.Sprintf("journal: %d events -> %s\n", len(events), path),
-		"flood cache:",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
+	}
+	if !regexp.MustCompile(`\nflood cache: .* flushes, peak \d+\.\d MB of trees\n`).MatchString(stdout) {
+		t.Errorf("stdout lacks a flood cache line ending in the trees' peak size:\n%s", stdout)
 	}
 	_, table, ok := strings.Cut(stdout, "\nminute ")
 	if !ok {

@@ -94,7 +94,7 @@ func NewFleet(count, numPeers int, cfg AgentConfig, links LinkModel, src *rng.So
 	if count < 0 || count > numPeers {
 		return nil, fmt.Errorf("attack: %d agents among %d peers", count, numPeers)
 	}
-	if cfg.RatePerMin <= 0 || cfg.TTL <= 0 {
+	if !(cfg.RatePerMin > 0) || cfg.TTL <= 0 {
 		return nil, fmt.Errorf("attack: agent config rate=%v ttl=%d", cfg.RatePerMin, cfg.TTL)
 	}
 	f := &Fleet{}

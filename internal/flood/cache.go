@@ -35,7 +35,11 @@
 //     values, same sequence.
 package flood
 
-import "ddpolice/internal/overlay"
+import (
+	"unsafe"
+
+	"ddpolice/internal/overlay"
+)
 
 // noEntry keys an unrestricted flood (FloodQuery, or FloodBatch with
 // entry < 0) in the tree cache.
@@ -47,8 +51,10 @@ const (
 	// before a tree stops attempting replay until the next version
 	// change (saturated regions fail the precheck every tick).
 	cacheSkipAfterFails = 2
-	// cacheMaxVisits bounds total cached tree memory (visit + node
-	// entries across all trees); exceeding it flushes the whole cache.
+	// cacheMaxVisits bounds total cached tree memory, counted in entries
+	// (visits + nodes across all trees); exceeding it flushes the whole
+	// cache. At 8 bytes a visit and 20 a node that is 16–40 MiB, about
+	// 19 MiB at the one node per 7.7 visits of a BA(m=3) tree.
 	cacheMaxVisits = 1 << 21
 )
 
@@ -59,25 +65,26 @@ type treeKey struct {
 	ttl   int32
 }
 
-// visit is one first-visit event: peer v first reached at hop depth via
-// directed edge eid from parent.
+// visit is one first-visit event: peer v first reached via directed
+// edge eid. It stores only what replay cannot derive (8 bytes): its
+// parent is the travNode that owns it, and its hop one more than that
+// node's.
 type visit struct {
-	v      PeerID
-	parent PeerID
-	eid    overlay.EdgeID
-	depth  int32
+	v   PeerID
+	eid overlay.EdgeID
 }
 
-// travNode is one forwarding peer in frontier order, with its edge
-// events: edges counts every copy it puts on a link (first visits +
-// duplicates), dups the duplicate-suppressed subset, and
-// visits[vStart:vStart+vCount] its first-visit children.
+// travNode is one forwarding peer u in frontier order, first reached at
+// hop, with its edge events: edges counts every copy it puts on a link
+// (first visits + duplicates), dups the duplicate-suppressed subset, and
+// its first-visit children are the visits from the previous node's end
+// up to its own (visits[nodes[i-1].end:nodes[i].end]). 20 bytes.
 type travNode struct {
-	u      PeerID
-	vStart int32
-	vCount int32
-	edges  int32
-	dups   int32
+	u     PeerID
+	hop   int32
+	end   int32
+	edges int32
+	dups  int32
 }
 
 // travTree is the memoized first-visit tree of one (src, entry, ttl).
@@ -103,6 +110,9 @@ type CacheStats struct {
 	Discarded uint64 `json:",omitempty"`
 	Flushes   uint64 // whole-cache invalidations (version change or size cap)
 	Trees     int    // trees currently cached
+	// PeakTreeBytes is the most memory the cached trees' visits and nodes
+	// held at once (omitempty, as Discarded).
+	PeakTreeBytes uint64 `json:",omitempty"`
 }
 
 // travCache holds the version-keyed derived views: a snapshot of the
@@ -125,7 +135,8 @@ type travCache struct {
 
 	trees        map[treeKey]*travTree
 	seenOnce     map[treeKey]struct{}
-	cachedVisits int // Σ len(visits)+len(nodes) over trees
+	cachedVisits int    // Σ len(visits)+len(nodes) over trees
+	cachedBytes  uint64 // Σ bytes() over trees
 
 	stats CacheStats
 }
@@ -180,6 +191,7 @@ func (c *travCache) flush() {
 	clear(c.trees)
 	clear(c.seenOnce)
 	c.cachedVisits = 0
+	c.cachedBytes = 0
 }
 
 // rebuildRow rewrites v's row of the active-adjacency snapshot, so
@@ -237,6 +249,8 @@ func (c *travCache) store(k treeKey, tr *travTree) {
 	}
 	c.trees[k] = tr
 	c.cachedVisits += sz
+	c.cachedBytes += tr.bytes()
+	c.stats.PeakTreeBytes = max(c.stats.PeakTreeBytes, c.cachedBytes)
 }
 
 // keep ends a recording flood: a structural recording is cloned into
@@ -260,6 +274,12 @@ func (tr *travTree) clone() *travTree {
 		edgeEvents: tr.edgeEvents,
 		dupEvents:  tr.dupEvents,
 	}
+}
+
+// bytes is the memory tr's visits and nodes occupy.
+func (tr *travTree) bytes() uint64 {
+	return uint64(len(tr.visits))*uint64(unsafe.Sizeof(visit{})) +
+		uint64(len(tr.nodes))*uint64(unsafe.Sizeof(travNode{}))
 }
 
 // replayFailed records a physical-mode precheck failure; after

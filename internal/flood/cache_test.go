@@ -2,6 +2,7 @@ package flood
 
 import (
 	"testing"
+	"unsafe"
 
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
@@ -465,5 +466,146 @@ func TestAdjacencyRowsMatchFullRebuild(t *testing.T) {
 		if _, ok := ov.ChangedSince(0, nil); ok {
 			t.Fatalf("seed %d: the change log never wrapped, so the laggard never lagged", seed)
 		}
+	}
+}
+
+// TestReplayLeavesTheLiveCells holds the per-peer state a replay leaves
+// to the live BFS's. A query's cells carry no parent or hop in the tree
+// (replay derives both from the visit's node), so after every flood each
+// peer must agree on whether this flood visited it, its hop, its parent
+// and whether the copy is alive there. A batch replay writes no cells
+// (nothing reads them after a batch); the state it leaves is the mass
+// that reached each peer, which it reads from the node's peer. Every
+// source floods three times: once to be seen, once to record, once to
+// replay.
+func TestReplayLeavesTheLiveCells(t *testing.T) {
+	const n = 400
+	for _, tc := range []struct {
+		name    string
+		mode    CounterMode
+		batch   bool
+		perTick float64
+		refill  int                      // floods between refills; 0 = never
+		replay  func(b *Budget)          // run before the replaying round
+		check   func(st CacheStats) bool // the path was exercised
+	}{
+		{"physical, floor >= 1", CounterPhysical, false, 1e9, 0, nil,
+			func(st CacheStats) bool { return st.Hits == n && st.Fallbacks == 0 }},
+		// A peer browned out after recording fails the precheck of
+		// every tree through it, and the rest pass it.
+		{"physical, floor < 1", CounterPhysical, false, 1e9, 0, func(b *Budget) { b.SetCapacity(n-1, 0.5) },
+			func(st CacheStats) bool { return st.Hits > 0 && st.Fallbacks > 0 }},
+		{"ideal, clipping", CounterIdeal, false, 6, 8, nil,
+			func(st CacheStats) bool { return st.Hits == n }},
+		{"batch", CounterPhysical, true, 0, 1, nil,
+			func(st CacheStats) bool { return st.Hits == n }},
+	} {
+		_, _, engA, engB := cachePair(t, 41, n, 3)
+		engA.SetCounterMode(tc.mode)
+		engB.SetCounterMode(tc.mode)
+		ba, bb := NewBudget(n, tc.perTick), NewBudget(n, tc.perTick)
+		if tc.batch {
+			// Uneven capacities make each peer's mass depend on its path.
+			r := rng.New(8)
+			for v := PeerID(0); v < n; v++ {
+				c := 0.5 + 2*r.Float64()
+				ba.SetCapacity(v, c)
+				bb.SetCapacity(v, c)
+			}
+		}
+		ba.Refill()
+		bb.Refill()
+		dm := DefaultDelayModel()
+		holders := []topology.NodeID{3, 77, 250, 390}
+		clipped := false
+		for round := 0; round < 3; round++ {
+			if round == 2 {
+				engA.cache.stats = CacheStats{}
+				if tc.replay != nil {
+					tc.replay(ba)
+					tc.replay(bb)
+				}
+			}
+			for src := PeerID(0); src < n; src++ {
+				step := round*n + int(src)
+				if tc.refill > 0 && step%tc.refill == 0 {
+					ba.Refill()
+					bb.Refill()
+				}
+				if tc.batch {
+					w := 1 + float64(src%3)
+					ra, rb := engA.FloodBatch(src, -1, 3, w, ba), engB.FloodBatch(src, -1, 3, w, bb)
+					if ra != rb {
+						t.Fatalf("%s: flood %d: batch diverged:\ncached:   %+v\nuncached: %+v", tc.name, step, ra, rb)
+					}
+					clipped = clipped || ra.CapacityDrops > 0
+					for v, c := range engB.cells {
+						if c.seen == engB.epoch && engA.mass[v] != engB.mass[v] {
+							t.Fatalf("%s: flood %d: peer %d mass %v, live %v", tc.name, step, v, engA.mass[v], engB.mass[v])
+						}
+					}
+				} else {
+					ra, rb := engA.FloodQuery(src, 3, holders, ba, dm), engB.FloodQuery(src, 3, holders, bb, dm)
+					if ra != rb {
+						t.Fatalf("%s: flood %d: query diverged:\ncached:   %+v\nuncached: %+v", tc.name, step, ra, rb)
+					}
+					clipped = clipped || ra.CapacityDrops > 0
+					assertCellsEqual(t, tc.name, step, engA, engB)
+				}
+				assertBudgetsEqual(t, step, ba, bb)
+			}
+		}
+		if st := engA.CacheStats(); !tc.check(st) {
+			t.Errorf("%s: the replaying round did not take its path: %+v", tc.name, st)
+		}
+		if (tc.mode == CounterIdeal || tc.batch) && !clipped {
+			t.Errorf("%s: no flood clipped", tc.name)
+		}
+	}
+}
+
+// assertCellsEqual compares every peer's state after one flood on two
+// engines: visited by this flood, and if so its hop, parent and liveness.
+func assertCellsEqual(t *testing.T, name string, step int, a, b *Engine) {
+	t.Helper()
+	for v := range a.cells {
+		ca, cb := a.cells[v], b.cells[v]
+		seen := ca.seen == a.epoch
+		if seen != (cb.seen == b.epoch) || seen && (ca.hop != cb.hop || ca.parent != cb.parent || ca.alive != cb.alive) {
+			t.Fatalf("%s: flood %d: peer %d left %+v (seen %v), live %+v (seen %v)",
+				name, step, v, ca, seen, cb, cb.seen == b.epoch)
+		}
+	}
+}
+
+// TestCachedTreeBytesPerVisit is the ceiling on what the cache stores:
+// with every source of a BA(2000, 3) overlay recorded at TTL 3, its
+// visits and nodes take at most 12 bytes per visit (a 16-byte visit
+// alone took more), and PeakTreeBytes reports exactly that sum.
+func TestCachedTreeBytesPerVisit(t *testing.T) {
+	const n = 2000
+	g, err := topology.BarabasiAlbert(rng.New(1), n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(overlay.New(g))
+	keys := make([]TreeKey, n)
+	for src := range keys {
+		keys[src] = TreeKey{Src: PeerID(src), Entry: -1, TTL: 3}
+	}
+	if built := e.PrewarmTrees(keys, 1); built != n {
+		t.Fatalf("recorded %d trees, want %d", built, n)
+	}
+	var visits, nodes uint64
+	for _, tr := range e.cache.trees {
+		visits += uint64(len(tr.visits))
+		nodes += uint64(len(tr.nodes))
+	}
+	bytes := visits*uint64(unsafe.Sizeof(visit{})) + nodes*uint64(unsafe.Sizeof(travNode{}))
+	if per := float64(bytes) / float64(visits); per > 12 {
+		t.Errorf("%d trees: %d visits, %d nodes, %d bytes: %.1f B per visit, want at most 12", n, visits, nodes, bytes, per)
+	}
+	if st := e.CacheStats(); st.Flushes != 0 || st.PeakTreeBytes != bytes {
+		t.Errorf("PeakTreeBytes = %d after %d flushes, want the %d bytes cached", st.PeakTreeBytes, st.Flushes, bytes)
 	}
 }

@@ -222,6 +222,35 @@ func TestZeroTTLIsNoop(t *testing.T) {
 	}
 }
 
+// TestFloodRefusesTTLAboveMax: both entry points refuse a TTL the wire
+// header cannot carry, and accept MaxTTL itself. A batch keys its tree
+// by int32(ttl), so an unchecked TTL of 2^32+3 would record and replay
+// under TTL 3's key.
+func TestFloodRefusesTTLAboveMax(t *testing.T) {
+	e := NewEngine(lineGraph(t, 5))
+	b, dm := bigBudget(5), DefaultDelayModel()
+	for _, tc := range []struct {
+		name  string
+		flood func(ttl int)
+	}{
+		{"FloodQuery", func(ttl int) { e.FloodQuery(0, ttl, nil, b, dm) }},
+		{"FloodBatch", func(ttl int) { e.FloodBatch(0, -1, ttl, 1, b) }},
+	} {
+		tc.flood(MaxTTL)
+		for _, ttl := range []int{MaxTTL + 1, 1<<32 + 3} {
+			func() {
+				defer func() {
+					want := "flood: " + tc.name + " ttl exceeds MaxTTL"
+					if r := recover(); r != want {
+						t.Errorf("%s at TTL %d: recovered %v, want panic %q", tc.name, ttl, r, want)
+					}
+				}()
+				tc.flood(ttl)
+			}()
+		}
+	}
+}
+
 func TestFloodBatchMatchesUnitFlood(t *testing.T) {
 	// On an uncongested network, a batch of weight W produces exactly
 	// W times the messages of a unit query (identical routing).

@@ -101,7 +101,7 @@ func (tb *treeBuilder) build(src, entry PeerID, ttl int) *travTree {
 		tb.next = tb.next[:0]
 		for _, u := range tb.frontier {
 			nbrs, eids := tb.cache.adj(u)
-			nd := travNode{u: u, vStart: int32(len(tr.visits))}
+			nd := travNode{u: u}
 			for k, v := range nbrs {
 				if v == tb.parent[u] {
 					continue
@@ -116,11 +116,11 @@ func (tb *treeBuilder) build(src, entry PeerID, ttl int) *travTree {
 				}
 				tb.seen[v] = tb.epoch
 				tb.parent[v] = u
-				tr.visits = append(tr.visits, visit{v: v, parent: u, eid: eids[k], depth: int32(depth)})
+				tr.visits = append(tr.visits, visit{v: v, eid: eids[k]})
 				tb.next = append(tb.next, v)
 			}
-			nd.vCount = int32(len(tr.visits)) - nd.vStart
 			if nd.edges > 0 {
+				nd.hop, nd.end = int32(depth-1), int32(len(tr.visits))
 				tr.nodes = append(tr.nodes, nd)
 				tr.edgeEvents += uint64(nd.edges)
 				tr.dupEvents += uint64(nd.dups)

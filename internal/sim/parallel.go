@@ -189,6 +189,7 @@ func mergeResults(rs []*Result) *Result {
 		out.Cache.Discarded += r.Cache.Discarded
 		out.Cache.Flushes += r.Cache.Flushes
 		out.Cache.Trees += r.Cache.Trees
+		out.Cache.PeakTreeBytes += r.Cache.PeakTreeBytes
 		for i := range out.SuccessSeries {
 			if i < len(r.SuccessSeries) {
 				out.SuccessSeries[i] += r.SuccessSeries[i]
@@ -219,6 +220,7 @@ func mergeResults(rs []*Result) *Result {
 	out.Cache.Discarded = roundDivU64(out.Cache.Discarded, n)
 	out.Cache.Flushes = roundDivU64(out.Cache.Flushes, n)
 	out.Cache.Trees = roundDiv(out.Cache.Trees, n)
+	out.Cache.PeakTreeBytes = roundDivU64(out.Cache.PeakTreeBytes, n)
 	for i := range out.SuccessSeries {
 		out.SuccessSeries[i] /= n
 	}

@@ -217,7 +217,7 @@ func TestAveragedMatchesSingleRuns(t *testing.T) {
 func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	first := &Result{
 		ControlLost: 100,
-		Cache:       flood.CacheStats{Builds: 40, Discarded: 10},
+		Cache:       flood.CacheStats{Builds: 40, Discarded: 10, PeakTreeBytes: 1001},
 		Minutes: []metrics.MinuteStats{
 			{Issued: 10, Succeeded: 10, QueryMsgs: 200, OnlinePeers: 50},
 			{Issued: 20, Succeeded: 0, QueryMsgs: 100, OnlinePeers: 60},
@@ -225,7 +225,7 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	}
 	second := &Result{
 		ControlLost: 50,
-		Cache:       flood.CacheStats{Builds: 20, Discarded: 5},
+		Cache:       flood.CacheStats{Builds: 20, Discarded: 5, PeakTreeBytes: 500},
 		Minutes: []metrics.MinuteStats{
 			{Issued: 30, Succeeded: 11, QueryMsgs: 100, OnlinePeers: 50},
 			{Issued: 40, Succeeded: 1, QueryMsgs: 300, OnlinePeers: 70},
@@ -236,7 +236,7 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 	if merged.ControlLost != 75 {
 		t.Errorf("merged ControlLost = %d, want mean 75", merged.ControlLost)
 	}
-	if want := (flood.CacheStats{Builds: 30, Discarded: 8}); merged.Cache != want {
+	if want := (flood.CacheStats{Builds: 30, Discarded: 8, PeakTreeBytes: 751}); merged.Cache != want {
 		t.Errorf("merged Cache = %+v, want rounded means %+v", merged.Cache, want)
 	}
 	wantMinutes := []metrics.MinuteStats{

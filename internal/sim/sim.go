@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 
@@ -260,6 +261,24 @@ func (c Config) Validate() error {
 	}
 	if !(c.ControlLossCap >= 0 && c.ControlLossCap <= 1) {
 		return fmt.Errorf("sim: ControlLossCap = %v (want [0, 1])", c.ControlLossCap)
+	}
+	if !(c.Agent.RatePerMin > 0) {
+		return fmt.Errorf("sim: Agent.RatePerMin = %v (want > 0)", c.Agent.RatePerMin)
+	}
+	if c.Agent.TTL < 1 || c.Agent.TTL > flood.MaxTTL {
+		return fmt.Errorf("sim: Agent.TTL = %d (want 1..%d)", c.Agent.TTL, flood.MaxTTL)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HopDelay", c.Delay.HopDelay},
+		{"QueueFactor", c.Delay.QueueFactor},
+		{"MaxQueue", c.Delay.MaxQueue},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("sim: Delay.%s = %v (want finite and >= 0)", f.name, f.v)
+		}
 	}
 	if c.PoliceEnabled {
 		if err := c.Police.Validate(); err != nil {

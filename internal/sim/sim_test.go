@@ -85,6 +85,38 @@ func TestValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "AttackSlices = 1") {
 		t.Errorf("AttackSlices 1: err = %v, want one naming AttackSlices = 1", err)
 	}
+	// Agent and delay settings a run cannot use are refused by name,
+	// before Run: a NaN rate or hop delay would run to a NaN result, an
+	// agent TTL past the wire's one byte would flood anyway, and a zero
+	// TTL or negative rate would fail only inside attack.NewFleet.
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string // "" = valid
+	}{
+		{func(c *Config) { c.Agent.RatePerMin = math.NaN() }, "Agent.RatePerMin = NaN"},
+		{func(c *Config) { c.Agent.RatePerMin = -5 }, "Agent.RatePerMin = -5"},
+		{func(c *Config) { c.Agent.RatePerMin = 0 }, "Agent.RatePerMin = 0"},
+		{func(c *Config) { c.Agent.TTL = 0 }, "Agent.TTL = 0"},
+		{func(c *Config) { c.Agent.TTL = 1000 }, "Agent.TTL = 1000"},
+		{func(c *Config) { c.Agent.TTL = flood.MaxTTL + 1 }, "Agent.TTL = 256"},
+		{func(c *Config) { c.Delay.HopDelay = math.NaN() }, "Delay.HopDelay = NaN"},
+		{func(c *Config) { c.Delay.HopDelay = math.Inf(1) }, "Delay.HopDelay = +Inf"},
+		{func(c *Config) { c.Delay.QueueFactor = -0.3 }, "Delay.QueueFactor = -0.3"},
+		{func(c *Config) { c.Delay.MaxQueue = math.Inf(-1) }, "Delay.MaxQueue = -Inf"},
+		{func(c *Config) { c.Delay.MaxQueue = math.NaN() }, "Delay.MaxQueue = NaN"},
+		{func(c *Config) { c.Agent.TTL = flood.MaxTTL }, ""},
+		{func(c *Config) { c.Delay = flood.DelayModel{} }, ""},
+	} {
+		cfg := smallConfig()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v %+v refused: %v", cfg.Agent, cfg.Delay, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("err = %v, want one containing %q", err, tc.want)
+		}
+	}
 }
 
 func TestBaselineHealthy(t *testing.T) {
