@@ -109,14 +109,13 @@ golden:
 # where figure-level concurrency is driven from (Figure.Execute hands a
 # whole plan to the grid) and workload owns the shared Catalog, so a
 # write to either from a run shows up here; gnet is the live TCP node — monitor, transient dials, the
-# overload and fault-injection chaos cases (injected resets with
-# reconnect backoff, cut-vs-crash provenance, goroutine-leak regression,
-# the 8-node lossy overlay, quarantine under flood, dual-queue send
-# pumps); metricsrv scrapes while instruments churn; telemetry and
-# journal hammer their instruments from many writers; faults wraps the
-# conns gnet's chaos cases inject into.
+# overload and socket-fault cases (a reset socket's reconnect backoff,
+# cut-vs-crash provenance, goroutine-leak regression, quarantine under
+# flood, dual-queue send pumps); metricsrv scrapes while instruments
+# churn; telemetry and journal hammer their instruments from many
+# writers.
 race:
-	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/ ./internal/faults/
+	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/
 
 # The smoke pass boots a real ddnode with the exposition plane on and
 # asserts /metrics serves non-empty Prometheus text and /healthz is ok,

@@ -8,8 +8,8 @@
 // Every figure is one entry of the table ddpolice.Figures; this command
 // is flag parsing, a check of the selected entries' plans, and one loop
 // over them. At -scale paper the full
-// regeneration takes about a minute on two cores (measured: 51-65 s);
-// -scale quick replays every experiment at reduced size in about 5 s.
+// regeneration takes about 40 s on two cores (measured: 40-44 s);
+// -scale quick replays every experiment at reduced size in about 2 s.
 package main
 
 import (

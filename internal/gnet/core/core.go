@@ -173,11 +173,18 @@ const refillPeriod = 100 * time.Millisecond
 
 var errNoNeighbors = errors.New("gnet: no neighbors")
 
-// New returns a node's core. A node id the wire cannot carry, and police
-// fields a live node has no mechanism for, are refused by name.
+// New returns a node's core. A capacity, burst or window it cannot run
+// on, a node id the wire cannot carry, and police fields a live node has
+// no mechanism for, are refused by name; the float checks fail NaN too.
 func New(cfg Config, tr Transport) (*Core, error) {
-	if cfg.CapacityPerMin <= 0 {
-		return nil, fmt.Errorf("gnet: capacity %v", cfg.CapacityPerMin)
+	if !(cfg.CapacityPerMin > 0) {
+		return nil, fmt.Errorf("gnet: CapacityPerMin = %v (want > 0)", cfg.CapacityPerMin)
+	}
+	if !(cfg.Burst >= 0) {
+		return nil, fmt.Errorf("gnet: Burst = %v (want >= 0; 0 means one second of capacity)", cfg.Burst)
+	}
+	if cfg.MinuteLength < 0 {
+		return nil, fmt.Errorf("gnet: MinuteLength = %v (want >= 0; 0 means one minute)", cfg.MinuteLength)
 	}
 	if cfg.NodeID < 0 || cfg.NodeID >= protocol.NodeIDs {
 		return nil, fmt.Errorf("gnet: NodeID %d outside [0, %d): a 10.x.y.z address cannot carry it", cfg.NodeID, protocol.NodeIDs)

@@ -54,7 +54,9 @@ func (m mesh) flood(to, from int32, n int, ttl byte) { m.t.Helper(); m.must(m.Fl
 
 // dropQueries keeps the flood off the mesh: the tests that use it count
 // queries by injecting them, so a relayed copy would count twice.
-func dropQueries(typ byte) bool { return typ == protocol.TypeQuery || typ == protocol.TypeQueryHit }
+func dropQueries(_, _ int32, typ byte) bool {
+	return typ == protocol.TypeQuery || typ == protocol.TypeQueryHit
+}
 
 // window is the monitoring window of the tests: long enough that
 // nothing but the mesh's own clock could close one.

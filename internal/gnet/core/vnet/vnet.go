@@ -3,9 +3,11 @@
 // when the caller runs the mesh: no socket, no goroutine, no wall clock.
 // Time is the mesh's Now, which moves only when the caller advances it. A
 // link to an id with no core is a scripted peer: what is sent to it is
-// only logged. Like the core it drives, vnet imports no net, os or sync
-// and starts no goroutine (`make corepure`), so one input sequence gives
-// one send log and one journal.
+// only logged. Faults are injected here, not on a live node's sockets:
+// Mesh.Drop loses or partitions frames, and a seeded source in its closure
+// makes the loss replay exactly. Like the core it drives, vnet imports no
+// net, os or sync and starts no goroutine (`make corepure`), so one input
+// sequence gives one send log and one journal.
 package vnet
 
 import (
@@ -37,9 +39,10 @@ type Mesh struct {
 	Now   time.Time
 	Cores map[int32]*core.Core
 	Log   []Logged // every Send, Ask and Dial, in order
-	// Drop, when set, picks by header payload type the frames to log but
-	// not deliver.
-	Drop func(typ byte) bool
+	// Drop, when set, picks the frames to log but not deliver, by sender,
+	// receiver and header payload type: a Send's and an Ask's alike. A
+	// test injects seeded loss or a partition through it.
+	Drop func(from, to int32, typ byte) bool
 	// Src draws the GUIDs of the frames Flood injects.
 	Src *rng.Source
 
@@ -199,13 +202,18 @@ func (t transport) Send(to core.Link, frame []byte) core.Sent {
 		return core.Gone
 	}
 	m.Log = append(m.Log, Logged{t.id, to.ID, "send", slices.Clone(frame)})
-	if m.Drop == nil || !m.Drop(frame[16]) {
+	if !m.dropped(t.id, to.ID, frame) {
 		m.queue = append(m.queue, delivery{
 			to: to.ID, from: core.Link{ID: t.id, Conn: to.Conn},
 			frame: slices.Clone(frame), reply: to.Conn == AskConn,
 		})
 	}
 	return core.Queued
+}
+
+// dropped is Drop's verdict on frame from from to to.
+func (m *Mesh) dropped(from, to int32, frame []byte) bool {
+	return m.Drop != nil && m.Drop(from, to, frame[16])
 }
 
 func (t transport) Close(l core.Link) {
@@ -222,7 +230,9 @@ func (t transport) Dial(id int32, addr string) {
 func (t transport) Ask(member protocol.PeerAddr, frame []byte) {
 	m := t.m
 	m.Log = append(m.Log, Logged{t.id, member.NodeID(), "ask", slices.Clone(frame)})
-	m.queue = append(m.queue, delivery{
-		to: member.NodeID(), from: core.Link{ID: t.id, Conn: AskConn}, frame: slices.Clone(frame),
-	})
+	if !m.dropped(t.id, member.NodeID(), frame) {
+		m.queue = append(m.queue, delivery{
+			to: member.NodeID(), from: core.Link{ID: t.id, Conn: AskConn}, frame: slices.Clone(frame),
+		})
+	}
 }

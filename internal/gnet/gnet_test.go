@@ -432,6 +432,11 @@ func TestNodeConfigValidation(t *testing.T) {
 		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = 1 }},
 		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = -0.1 }},
 		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = math.NaN() }},
+		{"CapacityPerMin", func(cfg *Config) { cfg.CapacityPerMin = math.NaN() }},
+		{"CapacityPerMin", func(cfg *Config) { cfg.CapacityPerMin = -1 }},
+		{"Burst", func(cfg *Config) { cfg.Burst = math.NaN() }},
+		{"Burst", func(cfg *Config) { cfg.Burst = -1 }},
+		{"MinuteLength", func(cfg *Config) { cfg.MinuteLength = -time.Second }},
 	} {
 		cfg := DefaultConfig("x")
 		tc.set(&cfg)

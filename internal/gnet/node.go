@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"ddpolice/internal/capacity"
-	"ddpolice/internal/faults"
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/overload"
 	"ddpolice/internal/protocol"
@@ -75,11 +74,6 @@ type Config struct {
 	Name string
 	// ListenAddr is the TCP listen address ("127.0.0.1:0" for tests).
 	ListenAddr string
-	// Faults, when non-nil, wraps every post-handshake connection in the
-	// fault-injection plane (internal/faults): seeded drop / delay /
-	// duplicate / reset by message class plus partitions. Nodes may share
-	// a plan so a harness fails from one schedule.
-	Faults *faults.Plan
 }
 
 type (
@@ -196,9 +190,6 @@ func NewNode(cfg Config) (*Node, error) {
 		transientOK:       cfg.Telemetry.Counter("gnet.transient_reports"),
 		transientRejected: cfg.Telemetry.Counter("gnet.transient_rejected"),
 		transientRetries:  cfg.Telemetry.Counter("gnet.transient_retries"),
-	}
-	if cfg.Faults != nil && cfg.Telemetry != nil {
-		cfg.Faults.AttachTelemetry(cfg.Telemetry)
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -396,27 +387,10 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// frameClass classes a payload type: Query/QueryHit the flood, lists and
-// Neighbor_Traffic the control plane, anything else ClassOther. Fault
-// plans match all three; queues and inboxes take all but ClassQuery as
-// control.
-func frameClass(typ byte) faults.Class {
-	switch typ {
-	case protocol.TypeQuery, protocol.TypeQueryHit:
-		return faults.ClassQuery
-	case protocol.TypeNeighborList, protocol.TypeNeighborTraffic:
-		return faults.ClassControl
-	default:
-		return faults.ClassOther
-	}
-}
-
-// classifyFrame is frameClass of one outbound frame.
-func classifyFrame(frame []byte) faults.Class {
-	if len(frame) < protocol.HeaderSize {
-		return faults.ClassOther
-	}
-	return frameClass(frame[16])
+// isQuery reports whether a payload type is the flood's: Query or
+// QueryHit. Send queues and inboxes take every other type as control.
+func isQuery(typ byte) bool {
+	return typ == protocol.TypeQuery || typ == protocol.TypeQueryHit
 }
 
 // adoptConn hands a handshaked connection to the run loop, which numbers
@@ -430,7 +404,7 @@ func (n *Node) adoptConn(conn net.Conn, addr string, id int32, register bool) {
 	default:
 	}
 	pc := &peerConn{
-		conn:    faults.Wrap(conn, n.cfg.Faults, n.cfg.NodeID, id, classifyFrame),
+		conn:    conn,
 		node:    n,
 		sendCtl: make(chan []byte, controlQueueDepth),
 		sendQry: make(chan []byte, queryQueueDepth),
@@ -469,7 +443,7 @@ func (pc *peerConn) close() {
 // queue is full; query frames shed from the high watermark until the
 // queue drains below the low one — backpressure costs the flood first.
 func (pc *peerConn) send(wire []byte) core.Sent {
-	if classifyFrame(wire) != faults.ClassQuery {
+	if !isQuery(wire[16]) { // the header's payload type
 		select {
 		case pc.sendCtl <- wire:
 			return core.Queued
@@ -548,7 +522,7 @@ func (pc *peerConn) readLoop() {
 		dest := n.inboxCtl
 		if err != nil {
 			frame = nil
-		} else if frameClass(h.Type) == faults.ClassQuery {
+		} else if isQuery(h.Type) {
 			dest = n.inbox
 		}
 		select {
@@ -654,7 +628,6 @@ func (n *Node) transientAttempt(member protocol.PeerAddr, wire []byte) bool {
 		return false
 	}
 	defer conn.Close()
-	conn = faults.Wrap(conn, n.cfg.Faults, n.cfg.NodeID, member.NodeID(), classifyFrame)
 	conn.SetDeadline(time.Now().Add(n.cfg.MinuteLength / 2))
 	if _, err := conn.Write(wire); err != nil {
 		return false

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ddpolice/internal/faults"
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
@@ -115,18 +114,14 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	baseline := runtime.NumGoroutine()
 
-	reg, breg := telemetry.New(), telemetry.New()
+	reg := telemetry.New()
 	jr := journal.New(1024)
-	plan := faults.NewPlan(1)
 	a := newTestNode(t, "a", 1, func(cfg *Config) {
 		cfg.MinuteLength = 200 * time.Millisecond // quarantine lasts QuarantineWindows: 3 of them
 		cfg.Telemetry = reg
 		cfg.Journal = jr
 	})
-	b := newTestNode(t, "b", 2, func(cfg *Config) {
-		cfg.Faults = plan
-		cfg.Telemetry = breg
-	})
+	b := newTestNode(t, "b", 2, nil)
 	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 && len(b.Neighbors()) == 1 }, "connected")
 
@@ -153,7 +148,7 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	// would be re-dialed (TestReconnectAfterInjectedReset); this one
 	// must not be. b has the higher id, so it does not dial back; b
 	// closed its socket at the reset, so its Bye cannot reach a.
-	resetLink(t, b, plan, breg)
+	resetLink(t, b, 1)
 	b.Close()
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "b dropped")
 	time.Sleep(10 * core.ReconnectBase)

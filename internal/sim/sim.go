@@ -227,8 +227,8 @@ func (c Config) Validate() error {
 	if c.TopologyM < 1 {
 		return fmt.Errorf("sim: TopologyM = %d", c.TopologyM)
 	}
-	if !(c.QueriesPerMin >= 0) {
-		return fmt.Errorf("sim: QueriesPerMin = %v", c.QueriesPerMin)
+	if !(c.QueriesPerMin >= 0) || math.IsInf(c.QueriesPerMin, 1) {
+		return fmt.Errorf("sim: QueriesPerMin = %v (want finite and >= 0)", c.QueriesPerMin)
 	}
 	if c.TTL < 1 {
 		return fmt.Errorf("sim: TTL = %d", c.TTL)
@@ -272,13 +272,33 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"HopDelay", c.Delay.HopDelay},
-		{"QueueFactor", c.Delay.QueueFactor},
-		{"MaxQueue", c.Delay.MaxQueue},
+		{"Delay.HopDelay", c.Delay.HopDelay},
+		{"Delay.QueueFactor", c.Delay.QueueFactor},
+		{"Delay.MaxQueue", c.Delay.MaxQueue},
+		{"Links.SlowCapMinPerMin", c.Links.SlowCapMinPerMin},
+		{"Links.SlowCapPerMin", c.Links.SlowCapPerMin},
+		{"Links.FastCapPerMin", c.Links.FastCapPerMin},
+		{"Churn.StddevLifetime", c.Churn.StddevLifetime},
+		{"Churn.MeanOffline", c.Churn.MeanOffline}, // 0: a departed peer never rejoins
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("sim: Delay.%s = %v (want finite and >= 0)", f.name, f.v)
+			return fmt.Errorf("sim: %s = %v (want finite and >= 0)", f.name, f.v)
 		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Links.SlowFraction", c.Links.SlowFraction},
+		{"Churn.CrashFraction", c.Churn.CrashFraction},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("sim: %s = %v (want [0, 1])", f.name, f.v)
+		}
+	}
+	// A zero ChurnConfig is legal while churn is off.
+	if ml := c.Churn.MeanLifetime; c.ChurnEnabled && (!(ml > 0) || math.IsInf(ml, 1)) {
+		return fmt.Errorf("sim: Churn.MeanLifetime = %v (want finite and > 0)", ml)
 	}
 	if c.PoliceEnabled {
 		if err := c.Police.Validate(); err != nil {

@@ -106,6 +106,20 @@ func TestValidate(t *testing.T) {
 		{func(c *Config) { c.Delay.MaxQueue = math.NaN() }, "Delay.MaxQueue = NaN"},
 		{func(c *Config) { c.Agent.TTL = flood.MaxTTL }, ""},
 		{func(c *Config) { c.Delay = flood.DelayModel{} }, ""},
+		// Churn and link-model values a run cannot draw from: NaN lifetimes
+		// stall churn, a negative mean panics inside rng, a negative link
+		// capacity silently turns the attack off.
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.MeanLifetime = math.NaN() }, "Churn.MeanLifetime = NaN"},
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.MeanLifetime = -600 }, "Churn.MeanLifetime = -600"},
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.StddevLifetime = math.Inf(1) }, "Churn.StddevLifetime = +Inf"},
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.MeanOffline = math.NaN() }, "Churn.MeanOffline = NaN"},
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.CrashFraction = 3 }, "Churn.CrashFraction = 3"},
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.CrashFraction = math.NaN() }, "Churn.CrashFraction = NaN"},
+		{func(c *Config) { c.ChurnEnabled = true; c.Churn.MeanOffline = 0 }, ""}, // no rejoin
+		{func(c *Config) { c.Links.FastCapPerMin = -1 }, "Links.FastCapPerMin = -1"},
+		{func(c *Config) { c.Links.SlowCapPerMin = math.NaN() }, "Links.SlowCapPerMin = NaN"},
+		{func(c *Config) { c.Links.SlowFraction = 1.5 }, "Links.SlowFraction = 1.5"},
+		{func(c *Config) { c.QueriesPerMin = math.Inf(1) }, "QueriesPerMin = +Inf"},
 	} {
 		cfg := smallConfig()
 		tc.mutate(&cfg)
