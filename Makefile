@@ -108,12 +108,14 @@ golden:
 # worker pool, whose jobs share a World read-only; the root package is
 # where figure-level concurrency is driven from (Figure.Execute hands a
 # whole plan to the grid) and workload owns the shared Catalog, so a
-# write to either from a run shows up here; gnet is the live TCP node — monitor, transient dials, the
-# overload and socket-fault cases (a reset socket's reconnect backoff,
-# cut-vs-crash provenance, goroutine-leak regression, quarantine under
-# flood, dual-queue send pumps); metricsrv scrapes while instruments
-# churn; telemetry and journal hammer their instruments from many
-# writers.
+# write to either from a run shows up here; gnet is the live TCP
+# node's shell — handshakes, transient dials, a reset socket's re-dial,
+# goroutine-leak regressions (one under a quarantining flood),
+# dual-queue send pumps; the protocol's tests, the no-re-dial rules for
+# cut, shut-down and quarantined peers among them, run on virtual time
+# in gnet/core, which starts no goroutine to race; metricsrv scrapes
+# while instruments churn; telemetry and journal hammer their
+# instruments from many writers.
 race:
 	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/
 

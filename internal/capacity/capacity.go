@@ -45,10 +45,10 @@ type Processor struct {
 // a sub-60/min rate used to default burst to ratePerSec < 1, so the
 // bucket could never hold a whole token and TryProcess starved the
 // peer forever despite its positive sustained rate (the paper's slow
-// 100 Kbps class must process slowly, not never). The same floor
-// applies to explicit sub-1.0 bursts — e.g. a classed processor's
-// control reserve sized as a small fraction of a modest burst — so a
-// discrete consumer drains slowly instead of rounding to zero.
+// 100 Kbps class, or a classed processor's control reserve at a modest
+// rate, must process slowly, not never). The same floor applies to
+// explicit sub-1.0 bursts, so a discrete consumer drains slowly instead
+// of rounding to zero.
 func NewProcessor(ratePerMin, burst float64) (*Processor, error) {
 	if ratePerMin < 0 {
 		ratePerMin = 0
@@ -142,17 +142,17 @@ type ClassedProcessor struct {
 }
 
 // NewClassedProcessor splits ratePerMin into a controlFrac reserve and
-// a (1-controlFrac) query budget, each its own token bucket. Burst
-// follows the same split; controlFrac must be in (0, 1).
-func NewClassedProcessor(ratePerMin, burst, controlFrac float64) (*ClassedProcessor, error) {
+// a (1-controlFrac) query budget, each its own token bucket holding one
+// second of its rate; controlFrac must be in (0, 1).
+func NewClassedProcessor(ratePerMin, controlFrac float64) (*ClassedProcessor, error) {
 	if controlFrac <= 0 || controlFrac >= 1 {
 		return nil, fmt.Errorf("capacity: control fraction %v outside (0, 1)", controlFrac)
 	}
-	ctl, err := NewProcessor(ratePerMin*controlFrac, burst*controlFrac)
+	ctl, err := NewProcessor(ratePerMin*controlFrac, 0)
 	if err != nil {
 		return nil, err
 	}
-	qry, err := NewProcessor(ratePerMin*(1-controlFrac), burst*(1-controlFrac))
+	qry, err := NewProcessor(ratePerMin*(1-controlFrac), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -187,28 +187,6 @@ func (cp *ClassedProcessor) TryProcessControl() bool {
 	}
 	cp.control.dropped++
 	return false
-}
-
-// QueryDropRate returns the query bucket's drop rate.
-func (cp *ClassedProcessor) QueryDropRate() float64 { return cp.query.DropRate() }
-
-// ControlDropRate returns the control plane's drop rate (drops only
-// when reserve and borrowable query tokens are both exhausted).
-func (cp *ClassedProcessor) ControlDropRate() float64 { return cp.control.DropRate() }
-
-// QueryDropped returns the cumulative shed query count.
-func (cp *ClassedProcessor) QueryDropped() float64 { return cp.query.dropped }
-
-// ControlDropped returns the cumulative shed control count.
-func (cp *ClassedProcessor) ControlDropped() float64 { return cp.control.dropped }
-
-// DropRate aggregates both classes: dropped/(processed+dropped), 0 idle.
-func (cp *ClassedProcessor) DropRate() float64 {
-	total := cp.control.processed + cp.control.dropped + cp.query.processed + cp.query.dropped
-	if total == 0 {
-		return 0
-	}
-	return (cp.control.dropped + cp.query.dropped) / total
 }
 
 // SaturationPoint measures one offered-load level: it simulates

@@ -122,9 +122,9 @@ func TestOfferClampedAtZero(t *testing.T) {
 }
 
 func TestClassedProcessorPriority(t *testing.T) {
-	// 600/min with burst 100 and a 10% reserve: control bucket holds
-	// 10 tokens, query bucket 90.
-	cp, err := NewClassedProcessor(600, 100, 0.1)
+	// 6,000/min with a 10% reserve: each bucket holds one second of its
+	// rate, the control bucket 10 tokens, the query bucket 90.
+	cp, err := NewClassedProcessor(6000, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,22 +148,19 @@ func TestClassedProcessorPriority(t *testing.T) {
 	if ctl != 10 {
 		t.Fatalf("control accepted = %d, want reserve of 10", ctl)
 	}
-	if cp.QueryDropped() != 110 || cp.ControlDropped() != 40 {
-		t.Fatalf("dropped: query=%v control=%v", cp.QueryDropped(), cp.ControlDropped())
+	if cp.query.dropped != 110 || cp.control.dropped != 40 {
+		t.Fatalf("dropped: query=%v control=%v", cp.query.dropped, cp.control.dropped)
 	}
-	if got, want := cp.QueryDropRate(), 110.0/200; math.Abs(got-want) > 1e-12 {
+	if got, want := cp.query.DropRate(), 110.0/200; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("query drop rate = %v, want %v", got, want)
 	}
-	if got, want := cp.ControlDropRate(), 40.0/50; math.Abs(got-want) > 1e-12 {
+	if got, want := cp.control.DropRate(), 40.0/50; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("control drop rate = %v, want %v", got, want)
-	}
-	if got, want := cp.DropRate(), 150.0/250; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("aggregate drop rate = %v, want %v", got, want)
 	}
 }
 
 func TestClassedProcessorControlBorrowsQuery(t *testing.T) {
-	cp, err := NewClassedProcessor(600, 100, 0.1)
+	cp, err := NewClassedProcessor(6000, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +174,8 @@ func TestClassedProcessorControlBorrowsQuery(t *testing.T) {
 	if !cp.TryProcessControl() {
 		t.Fatal("control could not borrow an idle query token")
 	}
-	if cp.ControlDropped() != 0 {
-		t.Fatalf("control dropped = %v while query tokens idle", cp.ControlDropped())
+	if cp.control.dropped != 0 {
+		t.Fatalf("control dropped = %v while query tokens idle", cp.control.dropped)
 	}
 	// The borrowed token is gone from the query budget.
 	accepted := 0
@@ -191,7 +188,7 @@ func TestClassedProcessorControlBorrowsQuery(t *testing.T) {
 }
 
 func TestClassedProcessorTickRefillsBoth(t *testing.T) {
-	cp, err := NewClassedProcessor(600, 100, 0.1) // 10/sec total
+	cp, err := NewClassedProcessor(6000, 0.1) // 100/sec total
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,7 @@ func TestClassedProcessorTickRefillsBoth(t *testing.T) {
 	}
 	for cp.TryProcessControl() {
 	}
-	cp.Tick(1) // +1 control, +9 query
+	cp.Tick(0.1) // +1 control, +9 query
 	ctl, qry := 0, 0
 	for cp.TryProcessControl() {
 		ctl++
@@ -207,7 +204,7 @@ func TestClassedProcessorTickRefillsBoth(t *testing.T) {
 	for cp.TryProcessQuery() {
 		qry++
 	}
-	// The refilled second splits 10%/90%; control's single token plus
+	// The refilled tenth of a second splits 10%/90%; control's single token plus
 	// nothing borrowable (queries drained after) — drain order matters,
 	// so drain control first: 1 reserve token, then borrows 9 query.
 	if ctl != 10 || qry != 0 {
@@ -217,7 +214,7 @@ func TestClassedProcessorTickRefillsBoth(t *testing.T) {
 
 func TestNewClassedProcessorErrors(t *testing.T) {
 	for _, frac := range []float64{0, -0.1, 1, 1.5} {
-		if _, err := NewClassedProcessor(600, 10, frac); err == nil {
+		if _, err := NewClassedProcessor(600, frac); err == nil {
 			t.Errorf("control fraction %v accepted", frac)
 		}
 	}
@@ -324,9 +321,7 @@ func TestProcessorSubMinuteRateNotStarved(t *testing.T) {
 }
 
 // The floor also applies to explicit sub-1.0 bursts with a positive
-// rate (a classed processor's control reserve sized as a small
-// fraction of a modest burst), but never resurrects a zero-rate
-// processor.
+// rate, but never resurrects a zero-rate processor.
 func TestProcessorBurstFloor(t *testing.T) {
 	p, err := NewProcessor(600, 0.2)
 	if err != nil {

@@ -1,95 +1,12 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
-	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
-	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/topology"
 )
-
-// TestChaosDetectionConverges: an 8-node overlay that loses 20% of its
-// Query, QueryHit, Neighbor_List and Neighbor_Traffic frames, and holds
-// two honest nodes apart from the rest for two windows, must still cut
-// a flooding agent. A report that never comes back counts as zero
-// (§3.3), so loss slows the verdict but cannot stop it.
-func TestChaosDetectionConverges(t *testing.T) {
-	g, err := topology.BarabasiAlbert(rng.New(11), 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := police.DefaultConfig()
-	pcfg.Q0 = 10
-	pcfg.WarnThreshold = 40
-	pcfg.CutThreshold = 5
-	const agent = 8 // vertex 7; vertex i is node i+1
-
-	m := newMesh(t)
-	start := m.Now
-	loss, lost := rng.New(77), 0
-	isolated := func(id int32) bool { return id == 2 || id == 3 } // vertices 1 and 2
-	m.Drop = func(from, to int32, typ byte) bool {
-		if at := m.Now.Sub(start); at >= time.Second && at < 1800*time.Millisecond && isolated(from) != isolated(to) {
-			return true
-		}
-		switch typ {
-		case protocol.TypeQuery, protocol.TypeQueryHit, protocol.TypeNeighborList, protocol.TypeNeighborTraffic:
-			if loss.Bool(0.2) {
-				lost++
-				return true
-			}
-		}
-		return false
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		m.add(int32(i+1), func(cfg *core.Config) {
-			cfg.Police = &pcfg
-			cfg.MinuteLength = 400 * time.Millisecond
-			cfg.Seed = uint64(i + 1)
-		})
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.Neighbors(topology.NodeID(u)) {
-			if int(v) > u {
-				m.Connect(int32(u+1), int32(v+1))
-			}
-		}
-	}
-	m.run()
-
-	cut := func() bool {
-		for id, c := range m.Cores {
-			if id == agent {
-				continue
-			}
-			for _, d := range c.Stats().Disconnects {
-				if d.Code == protocol.ByeCodeDDoSSuspect {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	// The agent floods a distinct query every 3 ms.
-	for i := 0; m.Now.Sub(start) < 20*time.Second; i++ {
-		m.advance(3 * time.Millisecond)
-		m.Cores[agent].SendRaw(m.Now, fmt.Sprintf("junk-%d", i))
-		m.run()
-		if cut() {
-			if lost == 0 {
-				t.Fatal("the agent was cut, but the mesh lost no frame")
-			}
-			return
-		}
-	}
-	t.Fatal("no observer cut the agent in 20 s despite 20% loss and a partition")
-}
 
 // TestDroppedAskIsAMissingSeat: the observer asks the suspect's two
 // other neighbors out of band, and the ask to one of them is lost. That

@@ -62,10 +62,8 @@ type Config struct {
 	NodeID int32
 	// CapacityPerMin is the query-processing rate (paper: a dedicated
 	// peer saturates at ~15,000/min; an in-the-wild peer at ~10,000).
+	// The token bucket holds one second of it.
 	CapacityPerMin float64
-	// Burst is the token bucket depth; defaults to one second of
-	// capacity.
-	Burst float64
 	// ControlReserveFrac of processing capacity is reserved for the
 	// control plane (zero means 0.05); queries are admitted against the
 	// remainder and can never starve it. The reserve a node needs grows
@@ -173,15 +171,12 @@ const refillPeriod = 100 * time.Millisecond
 
 var errNoNeighbors = errors.New("gnet: no neighbors")
 
-// New returns a node's core. A capacity, burst or window it cannot run
-// on, a node id the wire cannot carry, and police fields a live node has
-// no mechanism for, are refused by name; the float checks fail NaN too.
+// New returns a node's core. A capacity or window it cannot run on, a
+// node id the wire cannot carry, and police fields a live node has no
+// mechanism for, are refused by name; the float checks fail NaN too.
 func New(cfg Config, tr Transport) (*Core, error) {
 	if !(cfg.CapacityPerMin > 0) {
 		return nil, fmt.Errorf("gnet: CapacityPerMin = %v (want > 0)", cfg.CapacityPerMin)
-	}
-	if !(cfg.Burst >= 0) {
-		return nil, fmt.Errorf("gnet: Burst = %v (want >= 0; 0 means one second of capacity)", cfg.Burst)
 	}
 	if cfg.MinuteLength < 0 {
 		return nil, fmt.Errorf("gnet: MinuteLength = %v (want >= 0; 0 means one minute)", cfg.MinuteLength)

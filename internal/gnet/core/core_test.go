@@ -16,6 +16,7 @@ import (
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
+	"ddpolice/internal/topology"
 )
 
 // mesh is a vnet.Mesh that fails the test on an error vnet returns.
@@ -44,6 +45,21 @@ func (m mesh) sent(from, to int32, since int) []protocol.Body {
 	m.t.Helper()
 	out, err := m.Sent(from, to, since)
 	m.must(err)
+	return out
+}
+
+func (m mesh) build(g *topology.Graph, mutate func(int, *core.Config)) {
+	m.t.Helper()
+	m.must(m.Build(g, mutate))
+}
+
+// dialed returns the dials in the mesh's log since entry since.
+func (m mesh) dialed(since int) (out []vnet.Logged) {
+	for _, e := range m.Log[since:] {
+		if e.Kind == "dial" {
+			out = append(out, e)
+		}
+	}
 	return out
 }
 
@@ -207,16 +223,8 @@ func TestCrossedRedialsKeepOneLink(t *testing.T) {
 	m.run()
 
 	since := len(m.Log)
-	dialed := func() (out []vnet.Logged) {
-		for _, e := range m.Log[since:] {
-			if e.Kind == "dial" {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
 	m.advance(2 * core.ReconnectBase) // attempt 0 is due, jitter included
-	dials := dialed()
+	dials := m.dialed(since)
 	// Every dial connects, crossed: each acceptor adopts its link before
 	// any dialer adopts its own.
 	conn := func(i int) uint32 { return vnet.AskConn + 1 + uint32(i) }
@@ -231,7 +239,7 @@ func TestCrossedRedialsKeepOneLink(t *testing.T) {
 		m.advance(2 * core.ReconnectMax) // any later re-dial, left unanswered
 	}
 
-	if all := dialed(); len(all) != 1 || all[0].From != 1 {
+	if all := m.dialed(since); len(all) != 1 || all[0].From != 1 {
 		t.Errorf("dials after the fault %+v, want one, by node 1", all)
 	}
 	if a, b := m.Cores[1].Neighbors(), m.Cores[2].Neighbors(); !slices.Equal(a, []int32{2}) || !slices.Equal(b, []int32{1}) {
@@ -320,7 +328,6 @@ func TestOverloadDegradedMode(t *testing.T) {
 	m := newMesh(t)
 	a := m.add(1, func(cfg *core.Config) {
 		cfg.CapacityPerMin = 60 // ~1 query/s: any flood saturates it
-		cfg.Burst = 2
 		cfg.MinuteLength = window
 		cfg.Telemetry = reg
 		cfg.Journal = jr
@@ -331,7 +338,7 @@ func TestOverloadDegradedMode(t *testing.T) {
 	m.flood(1, 2, 100, 1)
 	m.advance(window)
 	if !a.Stats().Degraded {
-		t.Fatal("a window that shed 98 of 100 queries left the node healthy")
+		t.Fatal("a window that shed 99 of 100 queries left the node healthy")
 	}
 	if got := reg.Gauge("gnet.degraded").Load(); got != 1 {
 		t.Errorf("gnet.degraded gauge = %d while degraded, want 1", got)

@@ -29,7 +29,7 @@ type overloadState struct {
 const degradedShedFrac = 0.5
 
 func (o *overloadState) init(cfg Config) error {
-	cproc, err := capacity.NewClassedProcessor(cfg.CapacityPerMin, cfg.Burst, cfg.ControlReserveFrac)
+	cproc, err := capacity.NewClassedProcessor(cfg.CapacityPerMin, cfg.ControlReserveFrac)
 	if err != nil {
 		return err
 	}

@@ -20,6 +20,7 @@ import (
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
+	"ddpolice/internal/topology"
 )
 
 // The core.Link.Conn of a neighbor link, and of the out-of-band channel
@@ -102,6 +103,31 @@ func (m *Mesh) Connect(u, v int32) {
 			c.Up(m.Now, core.Link{ID: e[1], Conn: LinkConn}, fmt.Sprintf("127.0.0.1:%d", 7000+e[1]))
 		}
 	}
+}
+
+// Build starts one core per vertex of g, vertex i as node i+1 with seed
+// i+1 (gnet.Harness's numbering, so both run the same cores over one
+// graph), connects every edge and runs the mesh. mutate, when set, adjusts
+// vertex i's config.
+func (m *Mesh) Build(g *topology.Graph, mutate func(i int, cfg *core.Config)) error {
+	for i := 0; i < g.NumNodes(); i++ {
+		if _, err := m.Add(int32(i+1), func(cfg *core.Config) {
+			cfg.Seed = uint64(i + 1)
+			if mutate != nil {
+				mutate(i, cfg)
+			}
+		}); err != nil {
+			return err
+		}
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, v := range g.Neighbors(topology.NodeID(u)) {
+			if int(v) > u {
+				m.Connect(int32(u+1), int32(v+1))
+			}
+		}
+	}
+	return m.Run()
 }
 
 // Run delivers until nothing is in flight. It fails with ErrStorm past

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ddpolice/internal/gnet/core"
-	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/telemetry"
 )
@@ -64,51 +63,6 @@ func TestReconnectAfterInjectedReset(t *testing.T) {
 	// Backoff must have been observable in telemetry.
 	if backoff := reg.Gauge("gnet.reconnect_backoff_max_ms").Load(); backoff < int64(core.ReconnectBase/time.Millisecond) {
 		t.Errorf("reconnect_backoff_max_ms = %d, want >= base delay", backoff)
-	}
-}
-
-// TestPoliceCutNeverReconnects is the provenance half: a neighbor this
-// node disconnected via DD-POLICE must never be re-dialed, although the
-// supervisor runs on every node and the dying connection produces the
-// usual transport errors moments later. The suspect, told why by the
-// cut's Bye, must not re-dial either.
-func TestPoliceCutNeverReconnects(t *testing.T) {
-	t.Parallel() // it mostly waits out the re-dial it must not see
-	reg := telemetry.New()
-	jr := journal.New(64)
-	observer := newTestNode(t, "observer", 1, func(cfg *Config) {
-		cfg.Police = testPolice()
-		cfg.MinuteLength = time.Hour // rounds are driven by hand
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
-	suspect := newTestNode(t, "suspect", 2, func(cfg *Config) {
-		cfg.Police = testPolice()
-		cfg.MinuteLength = time.Hour
-		cfg.Telemetry = reg
-	})
-	connect(t, observer, suspect)
-	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 1 }, "connected")
-
-	// A 1000-query window, a round with no one else to ask, the verdict.
-	if err := observer.BenchPrimeSuspect(2, []int32{1}, 1000, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := observer.BenchNTRound(2, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(observer.Neighbors()) == 0 }, "suspect cut")
-
-	// Give the (wrongly scheduled, if any) reconnect chain ten base delays.
-	time.Sleep(10 * core.ReconnectBase)
-	if got := reg.Counter("gnet.reconnect_attempts").Load(); got != 0 {
-		t.Errorf("reconnect_attempts = %d after a DD-POLICE cut, want 0", got)
-	}
-	if len(observer.Neighbors()) != 0 {
-		t.Error("cut neighbor came back")
-	}
-	if got := journalDetails(jr, journal.TypePeerDrop); len(got) != 1 || got[0] != "cut" {
-		t.Errorf("peer_drop records %v, want the one cut", got)
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ddpolice/internal/capacity"
-	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
@@ -189,38 +187,6 @@ func TestDialerRejectsBadNodeID(t *testing.T) {
 	}
 }
 
-func TestQueryFloodAndHit(t *testing.T) {
-	// a - b - c, with c sharing the object: a's query must traverse two
-	// hops and the hit must route back along the reverse path.
-	a := newTestNode(t, "a", 1, nil)
-	b := newTestNode(t, "b", 2, nil)
-	c := newTestNode(t, "c", 3, func(cfg *Config) {
-		cfg.SharedObjects = []string{"ubuntu iso"}
-	})
-	connect(t, a, b)
-	connect(t, b, c)
-	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 2 }, "b fully connected")
-
-	hits, err := a.IssueQuery("ubuntu iso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case hit := <-hits:
-		if hit.HitCount != 1 {
-			t.Fatalf("hit count = %d", hit.HitCount)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no QueryHit within deadline")
-	}
-	if got := c.Stats().HitsSent; got != 1 {
-		t.Fatalf("c sent %d hits", got)
-	}
-	if got := b.Stats().QueriesForwarded; got == 0 {
-		t.Fatal("b forwarded nothing")
-	}
-}
-
 // TestRelayIsTheReceivedFrame puts a node between two pipe peers. A
 // Query written by one peer must come out of the other, and the QueryHit
 // answering it back out of the first, each byte for byte as written
@@ -279,129 +245,6 @@ func TestIssueQueryWithoutNeighbors(t *testing.T) {
 	}
 }
 
-// TestFig5PipelineSaturation reproduces the paper's A -> B -> C testbed
-// at reduced rate: when A offers more than B's capacity, B processes at
-// capacity and drops the excess (Figures 5 and 6).
-func TestFig5PipelineSaturation(t *testing.T) {
-	const capPerMin = 1200 // 20/s processing capacity at B
-	a := newTestNode(t, "A", 1, nil)
-	b := newTestNode(t, "B", 2, func(cfg *Config) {
-		cfg.CapacityPerMin = capPerMin
-		cfg.Burst = 5
-	})
-	c := newTestNode(t, "C", 3, nil)
-	connect(t, a, b)
-	connect(t, b, c)
-	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 2 }, "pipeline connected")
-
-	// Offer ~3x B's capacity for two seconds.
-	stop := time.After(2 * time.Second)
-	ticker := time.NewTicker(time.Second / 60) // 60/s offered vs 20/s capacity
-	defer ticker.Stop()
-	offered := 0
-offerLoop:
-	for {
-		select {
-		case <-ticker.C:
-			a.SendRawQuery("bogus query")
-			offered++
-		case <-stop:
-			break offerLoop
-		}
-	}
-	waitFor(t, 3*time.Second, func() bool {
-		st := b.Stats()
-		return st.QueriesProcessed+st.QueriesDropped >= uint64(offered)
-	}, "B accounted for all offered queries")
-
-	st := b.Stats()
-	if st.QueriesDropped == 0 {
-		t.Fatalf("B dropped nothing at 3x capacity (processed %d of %d)", st.QueriesProcessed, offered)
-	}
-	dropRate := float64(st.QueriesDropped) / float64(st.QueriesProcessed+st.QueriesDropped)
-	if dropRate < 0.4 || dropRate > 0.9 {
-		t.Errorf("drop rate = %.2f, want roughly 1 - capacity/offered (~0.67)", dropRate)
-	}
-	// C receives what B processed and forwarded, not what A offered.
-	if got := c.Stats().QueriesReceived; got > st.QueriesProcessed {
-		t.Errorf("C received %d, more than B processed (%d)", got, st.QueriesProcessed)
-	}
-}
-
-// TestLiveDDPoliceDetection: a star of good peers around a hub; an
-// attacker node floods bogus queries; the hub's DD-POLICE monitor must
-// disconnect it within a few (shortened) minutes.
-func TestLiveDDPoliceDetection(t *testing.T) {
-	pcfg := police.DefaultConfig()
-	pcfg.WarnThreshold = 50 // scaled down with the attack rate
-	pcfg.CutThreshold = 5
-	pcfg.Q0 = 10
-	short := 400 * time.Millisecond
-	withPolice := func(cfg *Config) {
-		cfg.Police = &pcfg
-		cfg.MinuteLength = short
-		cfg.CapacityPerMin = capacity.TestbedSaturationPerMin
-	}
-	hub := newTestNode(t, "hub", 1, withPolice)
-	good1 := newTestNode(t, "good1", 2, withPolice)
-	good2 := newTestNode(t, "good2", 3, withPolice)
-	// The agent is a stock client with an added flooding thread (§2.3):
-	// it participates in the list exchange like everyone else.
-	attacker := newTestNode(t, "attacker", 66, withPolice)
-	for _, n := range []*Node{good1, good2, attacker} {
-		connect(t, n, hub)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(hub.Neighbors()) == 3 }, "star connected")
-
-	// The attacker floods distinct bogus queries far above q0.
-	done := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(2 * time.Millisecond)
-		defer ticker.Stop()
-		i := 0
-		for {
-			select {
-			case <-ticker.C:
-				attacker.SendRawQuery("bogus " + time.Now().String())
-				i++
-			case <-done:
-				return
-			}
-		}
-	}()
-	defer close(done)
-
-	waitFor(t, 15*time.Second, func() bool {
-		for _, d := range hub.Stats().Disconnects {
-			if d.Code == 451 {
-				return true
-			}
-		}
-		return false
-	}, "hub disconnected the attacker")
-	// The attacker must be gone from the hub's neighbor set.
-	waitFor(t, 2*time.Second, func() bool {
-		for _, id := range hub.Neighbors() {
-			if id == 66 {
-				return false
-			}
-		}
-		return true
-	}, "attacker removed")
-	// Good peers must still be connected.
-	for _, id := range []int32{2, 3} {
-		found := false
-		for _, got := range hub.Neighbors() {
-			if got == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("good peer %d was disconnected", id)
-		}
-	}
-}
-
 func TestNodeConfigValidation(t *testing.T) {
 	cfg := DefaultConfig("x")
 	cfg.CapacityPerMin = 0
@@ -434,8 +277,6 @@ func TestNodeConfigValidation(t *testing.T) {
 		{"ControlReserveFrac", func(cfg *Config) { cfg.ControlReserveFrac = math.NaN() }},
 		{"CapacityPerMin", func(cfg *Config) { cfg.CapacityPerMin = math.NaN() }},
 		{"CapacityPerMin", func(cfg *Config) { cfg.CapacityPerMin = -1 }},
-		{"Burst", func(cfg *Config) { cfg.Burst = math.NaN() }},
-		{"Burst", func(cfg *Config) { cfg.Burst = -1 }},
 		{"MinuteLength", func(cfg *Config) { cfg.MinuteLength = -time.Second }},
 	} {
 		cfg := DefaultConfig("x")
@@ -517,27 +358,19 @@ func TestDisconnectSendsByeAndDrops(t *testing.T) {
 }
 
 // TestCloseSaysBye: a node that shuts down tells its neighbors with a
-// Bye, so they journal an orderly drop, not a transport fault, and their
-// supervisors never re-dial it.
+// Bye before its sockets close, so they journal an orderly drop, not a
+// transport fault. That such a drop is never re-dialed is the core's
+// TestShutdownIsNeverRedialed.
 func TestCloseSaysBye(t *testing.T) {
-	t.Parallel() // it mostly waits out the re-dial it must not see
-	reg := telemetry.New()
 	jr := journal.New(64)
-	a := newTestNode(t, "a", 1, func(cfg *Config) {
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
+	a := newTestNode(t, "a", 1, func(cfg *Config) { cfg.Journal = jr })
 	b := newTestNode(t, "b", 2, nil)
 	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 && len(a.Neighbors()) == 1 }, "connected")
 	b.Close()
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "a dropped b")
-	time.Sleep(10 * core.ReconnectBase)
 	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"orderly"}) {
 		t.Errorf("a's peer_drop records %v, want one orderly drop", got)
-	}
-	if got := reg.Counter("gnet.reconnect_attempts").Load(); got != 0 {
-		t.Errorf("reconnect_attempts = %d after b shut down, want 0", got)
 	}
 }
 

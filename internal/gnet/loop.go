@@ -134,16 +134,6 @@ func (n *Node) Neighbors() []int32 {
 	return out
 }
 
-// Quarantined returns the ids of peers whose overload breaker is
-// currently open (quarantined or probing), ascending.
-func (n *Node) Quarantined() []int32 {
-	out, _ := ctlCall(n, 0, func(time.Time) []int32 { return n.core.Quarantined() })
-	return out
-}
-
-// Degraded reports whether the node is currently in degraded mode.
-func (n *Node) Degraded() bool { return n.Stats().Degraded }
-
 // IssueQuery floods a query from this node and returns a channel that
 // yields the first QueryHit (buffered; never blocks the router). The
 // node forgets the query's waiter once that hit is delivered, or when

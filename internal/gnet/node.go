@@ -9,9 +9,10 @@
 // out-of-band goroutines, and the run loop that feeds the core.
 //
 // It reproduces the paper's real-machine experiments: the A -> B -> C
-// pipeline behind Figures 5-6 (examples/live_overlay,
-// TestFig5PipelineSaturation and the root package's Fig5And6) and the
-// DDoS-agent prototype of Figure 4, which replays a query trace.
+// pipeline behind Figures 5-6 (examples/live_overlay over TCP,
+// core.TestFig5PipelineSaturation on virtual time, and the root
+// package's Fig5And6) and the DDoS-agent prototype of Figure 4, which
+// replays a query trace.
 package gnet
 
 import (
