@@ -115,9 +115,10 @@ golden:
 # cut, shut-down and quarantined peers among them, run on virtual time
 # in gnet/core, which starts no goroutine to race; metricsrv scrapes
 # while instruments churn; telemetry and journal hammer their
-# instruments from many writers.
+# instruments from many writers. overload and capacity start no
+# goroutine either: `make test` runs them.
 race:
-	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/overload/ ./internal/capacity/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/
+	$(GO) test -race . ./internal/flood/ ./internal/sim/ ./internal/workload/ ./internal/gnet/ ./internal/metricsrv/ ./internal/telemetry/ ./internal/journal/
 
 # The smoke pass boots a real ddnode with the exposition plane on and
 # asserts /metrics serves non-empty Prometheus text and /healthz is ok,

@@ -106,9 +106,6 @@ func (p *Processor) TryProcess() bool {
 	return false
 }
 
-// Tokens returns the currently available tokens.
-func (p *Processor) Tokens() float64 { return p.tokens }
-
 // Processed returns the cumulative accepted count.
 func (p *Processor) Processed() float64 { return p.processed }
 
@@ -122,12 +119,6 @@ func (p *Processor) DropRate() float64 {
 		return 0
 	}
 	return p.dropped / total
-}
-
-// Reset clears counters and refills the bucket.
-func (p *Processor) Reset() {
-	p.tokens = p.burst
-	p.processed, p.dropped = 0, 0
 }
 
 // ClassedProcessor splits one peer's processing capacity into a small

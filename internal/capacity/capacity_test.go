@@ -20,11 +20,11 @@ func TestProcessorBasics(t *testing.T) {
 		t.Fatalf("dropped = %v", p.Dropped())
 	}
 	p.Tick(1) // +10 tokens
-	if got := p.Tokens(); got != 10 {
+	if got := p.tokens; got != 10 {
 		t.Fatalf("tokens after tick = %v", got)
 	}
 	p.Tick(100) // bucket must cap at burst
-	if got := p.Tokens(); got != 10 {
+	if got := p.tokens; got != 10 {
 		t.Fatalf("tokens capped = %v", got)
 	}
 }
@@ -61,15 +61,6 @@ func TestOfferNonPositive(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p, _ := NewProcessor(600, 5)
-	p.Offer(100)
-	p.Reset()
-	if p.Processed() != 0 || p.Dropped() != 0 || p.Tokens() != 5 {
-		t.Fatalf("reset incomplete: %+v", *p)
-	}
-}
-
 // TestZeroRateClamp is the regression test for the zero-rate boundary:
 // a non-positive rate clamps to 0 (mirroring flood.Budget.take), the
 // processor stays valid, and Offer/TryProcess accounting agrees with
@@ -80,8 +71,8 @@ func TestZeroRateClamp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rate %v: %v", rate, err)
 		}
-		if p.Tokens() != 0 {
-			t.Fatalf("rate %v: tokens = %v, want 0", rate, p.Tokens())
+		if p.tokens != 0 {
+			t.Fatalf("rate %v: tokens = %v, want 0", rate, p.tokens)
 		}
 		if p.DropRate() != 0 {
 			t.Fatalf("rate %v: idle drop rate = %v, want 0", rate, p.DropRate())
@@ -93,8 +84,8 @@ func TestZeroRateClamp(t *testing.T) {
 			t.Fatalf("rate %v: TryProcess succeeded", rate)
 		}
 		p.Tick(1000) // accrues nothing at rate 0
-		if p.Tokens() != 0 {
-			t.Fatalf("rate %v: tokens after tick = %v", rate, p.Tokens())
+		if p.tokens != 0 {
+			t.Fatalf("rate %v: tokens after tick = %v", rate, p.tokens)
 		}
 		if p.Processed() != 0 || p.Dropped() != 11 {
 			t.Fatalf("rate %v: processed=%v dropped=%v", rate, p.Processed(), p.Dropped())
@@ -327,8 +318,8 @@ func TestProcessorBurstFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Tokens() != 1 {
-		t.Fatalf("explicit 0.2 burst with positive rate: tokens = %v, want floored 1", p.Tokens())
+	if p.tokens != 1 {
+		t.Fatalf("explicit 0.2 burst with positive rate: tokens = %v, want floored 1", p.tokens)
 	}
 	z, err := NewProcessor(0, 0)
 	if err != nil {
@@ -347,7 +338,7 @@ func TestProcessorDefaultBurstUnchangedAtWholeRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Tokens() != 100 {
-		t.Fatalf("default burst = %v, want 100", p.Tokens())
+	if p.tokens != 100 {
+		t.Fatalf("default burst = %v, want 100", p.tokens)
 	}
 }

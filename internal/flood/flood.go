@@ -913,7 +913,8 @@ func (e *Engine) FloodBatch(src PeerID, entry PeerID, ttl int, weight float64, b
 // bails out if any visit would be clipped to zero — a zero-mass peer
 // stops forwarding and the tree would diverge. Pass 2 applies the
 // mutations in the live event order, add for add, so floating-point
-// accumulation is byte-identical to the uncached path.
+// accumulation is byte-identical to the uncached path, and leaves each
+// visit's cell as liveBatch does.
 func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *Budget, res *BatchResult) bool {
 	if cap(e.accBuf) < len(tr.visits) {
 		e.accBuf = make([]float64, len(tr.visits))
@@ -945,11 +946,13 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 	}
 	tr.failStreak = 0
 	e.bump(src)
+	ep, cells := e.epoch, e.cells
 	var drops uint64
 	j = 0
 	for n := range tr.nodes {
 		nd := &tr.nodes[n]
 		s := mass[nd.u]
+		hop := nd.hop + 1
 		counted := weight
 		if e.mode == CounterPhysical {
 			counted = s
@@ -969,6 +972,7 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 			a := acc[j]
 			e.ov.AddTraffic(vt.eid, counted)
 			budget.take(vt.v, vt.eid, a)
+			cells[vt.v] = cell{seen: ep, hop: hop, parent: nd.u, alive: a > 0}
 			if a < s {
 				drops++
 			}

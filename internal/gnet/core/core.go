@@ -1,7 +1,7 @@
 // Package core is a live node's protocol without its sockets: forwarding,
 // duplicate suppression, hit routing, the DD-POLICE monitor, the overload
 // plane, cut-versus-crash provenance and the reconnect policy. Its inputs
-// carry the time — Frame, Tick, Up, Down, Reply and the local calls — and
+// carry the time — Frame, Tick, Up, Down and the local calls — and
 // it acts only through the Transport its shell implements. It starts no
 // goroutine, imports no net, os or sync and reads no clock (`make lint`),
 // so the same inputs give the same sends and journal on a live node as in
@@ -24,7 +24,9 @@ import (
 )
 
 // Link is one connection: the remote's overlay identity and the shell's
-// number for the connection (0 only in a failed Dial's Down).
+// number for the connection (0 only in a failed Dial's Down). A member's
+// answer to an Ask arrives on a link of the member's own, which Up never
+// reported: it carries Neighbor_Traffic only.
 type Link struct {
 	ID   int32
 	Conn uint32
@@ -49,7 +51,8 @@ type Transport interface {
 	// Dial connects to neighbor id within the shell's fixed dial timeout:
 	// Up on success, Down(Link{ID: id}) not.
 	Dial(id int32, addr string)
-	// Ask sends member a Neighbor_Traffic request out of band: Reply answers.
+	// Ask sends member a Neighbor_Traffic request out of band: the answer
+	// arrives as a Frame on the member's out-of-band link.
 	Ask(member protocol.PeerAddr, frame []byte)
 }
 
@@ -436,7 +439,7 @@ func (c *Core) send(to Link, frame []byte) bool {
 	case Queued:
 		return true
 	case Shed:
-		if t := frame[16]; t == protocol.TypeQuery || t == protocol.TypeQueryHit {
+		if protocol.IsQuery(protocol.FrameType(frame)) {
 			c.tel.sendStalls.Inc()
 			c.tel.shedQuery.Inc()
 			c.count.ShedQuery++

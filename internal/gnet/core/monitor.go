@@ -229,17 +229,9 @@ func (c *Core) onNeighborTraffic(from Link, h protocol.Header, nt protocol.Neigh
 	c.send(from, protocol.Encode(nil, protocol.NewGUID(c.src), 1, ntReplyHops, reply))
 }
 
-// Reply hands over the Neighbor_Traffic report member sent back out of band.
-func (c *Core) Reply(now time.Time, member int32, nt protocol.NeighborTraffic) {
-	c.at(now)
-	if c.mon != nil {
-		c.seat(member, nt)
-	}
-}
-
 // seat offers nt to the pending round about its suspect. The report must
-// name as its source the peer that demonstrably sent it — the neighbor
-// whose link carried it, or the member Ask reached — and the round then
+// name as its source the peer whose link carried it — a neighbor's, or
+// the out-of-band link of the member Ask reached — and the round then
 // seats it or refuses it.
 func (c *Core) seat(sender int32, nt protocol.NeighborTraffic) {
 	p, ok := c.mon.pending[protocol.PeerAddr{IP: nt.SuspectIP}.NodeID()]

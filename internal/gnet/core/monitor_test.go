@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ddpolice/internal/gnet/core"
+	"ddpolice/internal/gnet/core/vnet"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/police"
@@ -84,9 +85,8 @@ func TestEvaluationSurvivesWindowRoll(t *testing.T) {
 // TestDuplicateReportsCountOnce is the regression test for report
 // double-counting. That a round seats each asked member once is
 // police.TestRoundLifecycle's ("duplicate, non-member and suspect
-// reports refused"); what needs a node is that its two channels — a
-// neighbor link and an out-of-band reply — feed the same seat, and that
-// the refusal is counted.
+// reports refused"); what needs a node is that two out-of-band links of
+// one member feed the same seat, and that the refusal is counted.
 func TestDuplicateReportsCountOnce(t *testing.T) {
 	reg := telemetry.New()
 	m := policeMesh(t, nil, reg, []int32{1, 2}, [2]int32{1, 2})
@@ -105,13 +105,105 @@ func TestDuplicateReportsCountOnce(t *testing.T) {
 		Outgoing:  5,
 		Incoming:  400,
 	}
-	c.Reply(m.Now, 8, nt) // member 8 out of band ...
-	c.Reply(m.Now, 8, nt) // ... and again over a second channel
+	wire := protocol.Encode(nil, protocol.NewGUID(m.Src), 1, 1, nt)
+	m.frame(1, core.Link{ID: 8, Conn: vnet.AskConn}, wire)     // member 8 out of band ...
+	m.frame(1, core.Link{ID: 8, Conn: vnet.AskConn + 1}, wire) // ... and again over a second channel
 	if seated, _, _ := c.Seats(2); seated != 1 {
 		t.Errorf("seated = %d after a duplicate Neighbor_Traffic, want 1", seated)
 	}
 	if got := reg.Counter("gnet.nt_reports_refused").Load(); got != 1 {
 		t.Errorf("gnet.nt_reports_refused = %d, want 1", got)
+	}
+}
+
+// TestOutOfBandReportIsAdmittedLikeADirectOne: a member that is not the
+// observer's neighbor answers the Ask on its own out-of-band link, and
+// the frame draws on the control plane's admission like a neighbor's. With
+// the observer's query tokens and control reserve both spent, the
+// out-of-band report is shed and counted exactly as the direct report
+// beside it is, and the verdict journals both members nt_timeout.
+func TestOutOfBandReportIsAdmittedLikeADirectOne(t *testing.T) {
+	jr := journal.New(1024)
+	reg := telemetry.New()
+	// Observer 1, suspect 2 (scripted), member 3 the observer's neighbor
+	// and member 4 not.
+	m := policeMesh(t, jr, reg, []int32{1, 3, 4}, [2]int32{1, 2}, [2]int32{1, 3})
+	c := m.Cores[1]
+	m.flood(1, 2, 1000, 1) // far past the query bucket; no Tick refills it
+	shed := reg.Counter("gnet.shed_control")
+	for i := 0; shed.Load() == 0; i++ { // pings draw the reserve, then any query token left, until one is shed
+		if i == 1000 {
+			t.Fatal("1000 pings never spent the control reserve")
+		}
+		m.inject(1, 2, protocol.Encode(nil, protocol.NewGUID(m.Src), 1, 0, protocol.Ping{}))
+	}
+	before := shed.Load()
+	if err := c.Prime(m.Now, 2, []int32{1, 3, 4}, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Evaluate(m.Now, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.run()
+	kinds := map[int32]string{}
+	for _, e := range m.Log {
+		if e.From == 1 && e.Kind != "dial" && protocol.FrameType(e.Frame) == protocol.TypeNeighborTraffic {
+			kinds[e.To] = e.Kind
+		}
+	}
+	if kinds[3] != "send" || kinds[4] != "ask" {
+		t.Fatalf("requests %v, want 3 asked on its link and 4 out of band", kinds)
+	}
+	if got := shed.Load() - before; got != 2 {
+		t.Errorf("gnet.shed_control grew by %d, want 2: both reports shed", got)
+	}
+	if seated, _, _ := c.Seats(2); seated != 0 {
+		t.Errorf("seated = %d with the control plane dry, want 0", seated)
+	}
+	c.Verdict(m.Now, 2) // every member silent: one more half window
+	c.Verdict(m.Now, 2)
+	timeouts := map[int64]bool{}
+	for _, e := range jr.Events() {
+		switch {
+		case e.Node != 1:
+		case e.Type == journal.TypeNTReport:
+			t.Errorf("member %d's report was seated", e.Member)
+		case e.Type == journal.TypeNTTimeout:
+			timeouts[e.Member] = true
+		}
+	}
+	if !timeouts[3] || !timeouts[4] {
+		t.Errorf("nt_timeout members %v, want 3 and 4", timeouts)
+	}
+}
+
+// TestOutOfBandReportCountsItsBytes: the frame a member answers an Ask
+// with is counted in the observer's BytesIn, like every frame it reads.
+func TestOutOfBandReportCountsItsBytes(t *testing.T) {
+	m := policeMesh(t, nil, nil, []int32{1, 4}, [2]int32{1, 2})
+	c := m.Cores[1]
+	if err := c.Prime(m.Now, 2, []int32{1, 4}, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Evaluate(m.Now, 2); err != nil {
+		t.Fatal(err)
+	}
+	before, since := c.Stats().BytesIn, len(m.Log)
+	m.run()
+	var answer []byte
+	for _, e := range m.Log[since:] {
+		if e.From == 4 && e.To == 1 {
+			answer = e.Frame
+		}
+	}
+	if answer == nil {
+		t.Fatal("member 4 never answered the Ask")
+	}
+	if got := c.Stats().BytesIn - before; got != uint64(len(answer)) {
+		t.Errorf("BytesIn grew by %d, want the %d bytes of the out-of-band report", got, len(answer))
+	}
+	if seated, _, _ := c.Seats(2); seated != 1 {
+		t.Errorf("seated = %d, want member 4's report", seated)
 	}
 }
 

@@ -288,8 +288,13 @@ func TestQuarantinedPeerIsNeverRedialed(t *testing.T) {
 		m.flood(1, 2, overload.TripThreshold+100, 1)
 		m.advance(window)
 	}
-	if q := a.Quarantined(); !slices.Equal(q, []int32{2}) {
-		t.Fatalf("quarantined %v, want [2]", q)
+	if got := reg.Gauge("gnet.quarantined_peers").Load(); got != 1 {
+		t.Fatalf("quarantined_peers gauge = %d, want 1", got)
+	}
+	for _, e := range jr.Events() {
+		if e.Type == journal.TypeQuarantine && (e.Peer != 2 || e.Detail != "quarantine") {
+			t.Fatalf("quarantine record %+v, want only peer 2 quarantined", e)
+		}
 	}
 	a.Down(m.Now, core.Link{ID: 2, Conn: vnet.LinkConn})
 	m.run()

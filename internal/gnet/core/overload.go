@@ -100,15 +100,3 @@ func (c *Core) closeOverloadWindow() {
 		c.journal(journal.Event{Type: journal.TypeDegraded, Detail: detail, Value: frac, Window: o.windows})
 	}
 }
-
-// Quarantined returns the ids of peers whose overload breaker is open
-// (quarantined or probing), ascending.
-func (c *Core) Quarantined() []int32 {
-	var out []int32
-	for _, id := range sortedIDs(c.ovl.breakers) {
-		if c.ovl.isQuarantined(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}

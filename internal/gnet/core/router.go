@@ -14,9 +14,9 @@ import (
 // and QueryHit frames are parsed in place, others decoded. Control
 // messages but Bye draw on the overload plane's protected reserve, which
 // borrows idle query tokens and so sheds only when the node is dry. A
-// link that is not a current neighbor's — an out-of-band channel, or one
-// already replaced — carries Neighbor_Traffic only; anything else on it
-// is dropped and counted.
+// link that is not a current neighbor's — an out-of-band channel, the
+// request's or the answer's, or one already replaced — carries
+// Neighbor_Traffic only; anything else on it is dropped and counted.
 func (c *Core) Frame(now time.Time, from Link, h protocol.Header, frame []byte) {
 	c.at(now)
 	c.count.BytesIn += uint64(len(frame))

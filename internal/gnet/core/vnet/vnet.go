@@ -24,8 +24,9 @@ import (
 )
 
 // The core.Link.Conn of a neighbor link, and of the out-of-band channel
-// Ask opens: a frame sent on one is a Neighbor_Traffic reply. A caller may
-// bring a second link between two cores up under another Conn.
+// Ask opens: the member hears the request from Link{asker, AskConn}, and
+// the asker its answer, as a frame, from Link{member, AskConn}. A caller
+// may bring a second link between two cores up under another Conn.
 const LinkConn, AskConn = 1, 2
 
 // MaxDeliveries bounds one Run: a mesh that still has frames in flight
@@ -68,7 +69,6 @@ type delivery struct {
 	to    int32
 	from  core.Link
 	frame []byte // nil: from's link went down
-	reply bool
 }
 
 // New returns a mesh with no core, its clock at Unix second 1.7e9.
@@ -145,12 +145,6 @@ func (m *Mesh) Run() error {
 			// A scripted peer, or a link its receiver closed: the bytes vanish.
 		case d.frame == nil:
 			c.Down(m.Now, d.from)
-		case d.reply:
-			msg, _, err := protocol.Decode(d.frame)
-			if err != nil {
-				return fmt.Errorf("vnet: %d -> %d: %w", d.from.ID, d.to, err)
-			}
-			c.Reply(m.Now, d.from.ID, msg.Body.(protocol.NeighborTraffic))
 		default:
 			h, err := protocol.DecodeHeader(d.frame)
 			if err != nil {
@@ -229,17 +223,14 @@ func (t transport) Send(to core.Link, frame []byte) core.Sent {
 	}
 	m.Log = append(m.Log, Logged{t.id, to.ID, "send", slices.Clone(frame)})
 	if !m.dropped(t.id, to.ID, frame) {
-		m.queue = append(m.queue, delivery{
-			to: to.ID, from: core.Link{ID: t.id, Conn: to.Conn},
-			frame: slices.Clone(frame), reply: to.Conn == AskConn,
-		})
+		m.queue = append(m.queue, delivery{to: to.ID, from: core.Link{ID: t.id, Conn: to.Conn}, frame: slices.Clone(frame)})
 	}
 	return core.Queued
 }
 
 // dropped is Drop's verdict on frame from from to to.
 func (m *Mesh) dropped(from, to int32, frame []byte) bool {
-	return m.Drop != nil && m.Drop(from, to, frame[16])
+	return m.Drop != nil && m.Drop(from, to, protocol.FrameType(frame))
 }
 
 func (t transport) Close(l core.Link) {

@@ -432,3 +432,42 @@ func TestTelemetryConcurrentTransientDials(t *testing.T) {
 		t.Errorf("inbox high-water mark = %d, want >= 1 under load", hwm)
 	}
 }
+
+// TestOutOfBandReportIsSeated runs the out-of-band exchange over TCP. The
+// suspect's other neighbor is not the observer's, so the round dials it
+// transiently, and its answer, handed to the core as a frame on a link of
+// the member's own, is seated.
+func TestOutOfBandReportIsSeated(t *testing.T) {
+	reg := telemetry.New()
+	mutate := func(cfg *Config) {
+		cfg.Police = testPolice()
+		cfg.MinuteLength = time.Hour
+		cfg.Telemetry = reg
+	}
+	observer := newTestNode(t, "observer", 1, mutate)
+	suspect := newTestNode(t, "suspect", 2, mutate)
+	member := newTestNode(t, "member", 3, mutate)
+	connect(t, observer, suspect)
+	connect(t, member, suspect)
+	seats := func() (seated, asked int) {
+		runOnLoop(t, observer, func(time.Time) {
+			var silent int
+			seated, silent, _ = observer.core.Seats(2)
+			asked = seated + silent
+		})
+		return seated, asked
+	}
+	// A round asks the member once the suspect's list naming it arrived.
+	waitFor(t, 2*time.Second, func() bool {
+		runOnLoop(t, observer, func(now time.Time) { observer.core.Evaluate(now, 2) })
+		_, asked := seats()
+		return asked == 1
+	}, "a round asked the member")
+	waitFor(t, 2*time.Second, func() bool { seated, _ := seats(); return seated == 1 }, "the member's report seated")
+	if got := reg.Counter("gnet.transient_reports").Load(); got != 1 {
+		t.Errorf("gnet.transient_reports = %d, want 1", got)
+	}
+	if got := reg.Counter("gnet.stray_frames").Load(); got != 0 {
+		t.Errorf("gnet.stray_frames = %d, want 0", got)
+	}
+}

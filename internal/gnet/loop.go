@@ -42,7 +42,7 @@ func (n *Node) runLoop() {
 		case fn != nil:
 			fn(now)
 		case in.from != nil:
-			if in.frame != nil && isQuery(in.h.Type) {
+			if in.frame != nil && protocol.IsQuery(in.h.Type) {
 				// Strict priority inbound too: control frames that arrived
 				// while this query was queued go first.
 				for len(n.inboxCtl) > 0 {

@@ -388,12 +388,6 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// isQuery reports whether a payload type is the flood's: Query or
-// QueryHit. Send queues and inboxes take every other type as control.
-func isQuery(typ byte) bool {
-	return typ == protocol.TypeQuery || typ == protocol.TypeQueryHit
-}
-
 // adoptConn hands a handshaked connection to the run loop, which numbers
 // it, starts its pumps and — unless it is a transient control channel
 // (register false) — tells the core the neighbor is up.
@@ -444,7 +438,7 @@ func (pc *peerConn) close() {
 // queue is full; query frames shed from the high watermark until the
 // queue drains below the low one — backpressure costs the flood first.
 func (pc *peerConn) send(wire []byte) core.Sent {
-	if !isQuery(wire[16]) { // the header's payload type
+	if !protocol.IsQuery(protocol.FrameType(wire)) {
 		select {
 		case pc.sendCtl <- wire:
 			return core.Queued
@@ -523,7 +517,7 @@ func (pc *peerConn) readLoop() {
 		dest := n.inboxCtl
 		if err != nil {
 			frame = nil
-		} else if isQuery(h.Type) {
+		} else if protocol.IsQuery(h.Type) {
 			dest = n.inbox
 		}
 		select {
@@ -633,15 +627,14 @@ func (n *Node) transientAttempt(member protocol.PeerAddr, wire []byte) bool {
 	if _, err := conn.Write(wire); err != nil {
 		return false
 	}
-	msg, err := protocol.NewStreamReader(conn, 4096).Next()
-	if err != nil {
-		return false
-	}
-	nt, ok := msg.Body.(protocol.NeighborTraffic)
-	if !ok {
+	h, frame, err := protocol.NewStreamReader(conn, 4096).NextFrame()
+	if err != nil || h.Type != protocol.TypeNeighborTraffic {
 		return false
 	}
 	n.tel.transientOK.Inc()
-	n.post(func(now time.Time) { n.core.Reply(now, member.NodeID(), nt) })
+	n.post(func(now time.Time) {
+		n.lastConn++ // the member's out-of-band link: never registered, so nothing is sent on it
+		n.core.Frame(now, core.Link{ID: member.NodeID(), Conn: n.lastConn}, h, frame)
+	})
 	return true
 }

@@ -35,7 +35,7 @@
 //
 // Which messages are query-class and which control-class is the
 // caller's to say: the live node classes frames by payload type
-// (gnet's isQuery). SimPlane mirrors the same class-split budget in
+// (protocol.IsQuery). SimPlane mirrors the same class-split budget in
 // the simulator's fluid model (internal/sim wiring): a capacity fraction
 // is reserved for the control plane, which bounds the control-message
 // loss rate a saturated overlay can inflict, while the query plane sees

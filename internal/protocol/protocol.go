@@ -89,10 +89,10 @@ func DecodeHeader(buf []byte) (Header, error) {
 		return h, ErrShortBuffer
 	}
 	copy(h.GUID[:], buf[0:16])
-	h.Type = buf[16]
-	h.TTL = buf[17]
-	h.Hops = buf[18]
-	h.PayloadLen = binary.LittleEndian.Uint32(buf[19:23])
+	h.Type = FrameType(buf)
+	h.TTL = buf[offsetTTL]
+	h.Hops = buf[offsetHops]
+	h.PayloadLen = binary.LittleEndian.Uint32(buf[offsetPayloadLen:HeaderSize])
 	if h.PayloadLen > MaxPayload {
 		return h, ErrPayloadTooLarge
 	}
@@ -129,13 +129,23 @@ func Encode(dst []byte, guid GUID, ttl, hops byte, body Body) []byte {
 	return dst
 }
 
-// Byte offsets of the header fields a relay rewrites or a length fix-up
-// patches.
+// Byte offsets of the header fields a frame is classed by, a relay
+// rewrites or a length fix-up patches.
 const (
+	offsetType       = 16
 	offsetTTL        = 17
 	offsetHops       = 18
 	offsetPayloadLen = 19
 )
+
+// FrameType returns the payload type in the header of frame, which holds
+// at least the header.
+func FrameType(frame []byte) byte { return frame[offsetType] }
+
+// IsQuery reports whether payload type typ is the flood's, Query or
+// QueryHit. Send queues, inboxes and the overload plane class every
+// other type as control.
+func IsQuery(typ byte) bool { return typ == TypeQuery || typ == TypeQueryHit }
 
 // NextHop rewrites a received frame in place for forwarding one hop
 // further: TTL down by one and Hops up by one, every other byte as

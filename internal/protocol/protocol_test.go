@@ -49,6 +49,27 @@ func TestHeaderLayout(t *testing.T) {
 	}
 }
 
+// TestFrameClass: FrameType reads back the type a header was written
+// with, and only the flood's two types are query-class.
+func TestFrameClass(t *testing.T) {
+	for _, tc := range []struct {
+		typ   byte
+		query bool
+	}{
+		{TypePing, false}, {TypePong, false}, {TypeBye, false},
+		{TypeQuery, true}, {TypeQueryHit, true},
+		{TypeNeighborTraffic, false}, {TypeNeighborList, false},
+	} {
+		h := Header{Type: tc.typ, TTL: 7, Hops: 2}
+		if got := FrameType(h.AppendTo(nil)); got != tc.typ {
+			t.Errorf("FrameType = %#x, want %#x", got, tc.typ)
+		}
+		if IsQuery(tc.typ) != tc.query {
+			t.Errorf("IsQuery(%#x) = %v, want %v", tc.typ, !tc.query, tc.query)
+		}
+	}
+}
+
 // TestNeighborTrafficTable1Layout verifies the exact byte layout of the
 // paper's Table 1: five 4-byte fields at offsets 0, 4, 8, 12, 16.
 func TestNeighborTrafficTable1Layout(t *testing.T) {
