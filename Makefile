@@ -110,9 +110,9 @@ golden:
 # whole plan to the grid) and workload owns the shared Catalog, so a
 # write to either from a run shows up here; gnet is the live TCP
 # node's shell — handshakes, transient dials, a reset socket's re-dial,
-# goroutine-leak regressions (one under a quarantining flood),
+# goroutine-leak regressions (one after a reset mid-flood),
 # dual-queue send pumps; the protocol's tests, the no-re-dial rules for
-# cut, shut-down and quarantined peers among them, run on virtual time
+# cut and shut-down peers among them, run on virtual time
 # in gnet/core, which starts no goroutine to race; metricsrv scrapes
 # while instruments churn; telemetry and journal hammer their
 # instruments from many writers. overload and capacity start no

@@ -109,7 +109,6 @@ func main() {
 					"node_id":   *id,
 					"neighbors": len(node.Neighbors()),
 					"cuts":      len(st.Disconnects),
-					"degraded":  st.Degraded,
 				}
 			},
 		})

@@ -118,7 +118,7 @@ func TestMetricsBootsAndAnswersHealthz(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`"status":"ok"`, `"node_id":7`, `"neighbors":0`, `"degraded":false`} {
+	for _, want := range []string{`"status":"ok"`, `"node_id":7`, `"neighbors":0`, `"cuts":0`} {
 		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
 			t.Errorf("/healthz = %d %s; want 200 with %s", resp.StatusCode, body, want)
 		}

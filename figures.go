@@ -285,7 +285,6 @@ var Figures = []Figure{
 			col("query_shed_rate", "query shed (%)", func(p OverloadPoint) any { return p.QueryShedRate }, raw, pct),
 			col("time_to_cut_sec", "time to cut (s)", func(p OverloadPoint) any { return p.TimeToCutSec }, raw, orNegative("never", f0)),
 			col("detections", "detections", func(p OverloadPoint) any { return p.Detections }, raw, raw),
-			col("degraded_transitions", "degraded", func(p OverloadPoint) any { return p.Degraded }, raw, raw),
 		}, svg("overload.svg", OverloadSVG)),
 	Figure{Keys: []string{"trace"}, Plan: tracePlan, Observe: tracePoint, Build: observed[TracePoint]}.table(
 		"trace_study.csv", "Causal traces: flood fan-out vs agents", []Column{

@@ -110,10 +110,8 @@ type Stats struct {
 	Disconnects      []Disconnect
 
 	// Overload-plane counters.
-	ShedQuery         uint64 // query-class messages shed (send watermark / full queue)
-	ShedControl       uint64 // control-class messages shed (last resort)
-	QuarantineDropped uint64 // inbound queries throttled by a peer's breaker
-	Degraded          bool   // node currently in degraded mode
+	ShedQuery   uint64 // query-class messages shed (send watermark / full queue)
+	ShedControl uint64 // control-class messages shed (last resort)
 }
 
 // Disconnect records a DD-POLICE cut performed by this node.
@@ -162,11 +160,11 @@ type redial struct {
 // instruments are the core's telemetry; all nil without a registry, and
 // recording through nil is a no-op.
 type instruments struct {
-	sendStalls, shedQuery, shedControl, quarantineDrops *telemetry.Counter
-	reconnectAttempts, reconnectOK, reconnectGiveups    *telemetry.Counter
-	evalDeferred, evalTimeoutZero, ntRefused, stray     *telemetry.Counter
-	quarantinedPeers, degraded, reconnectBackoff        *telemetry.Gauge
-	ntLatency                                           *telemetry.Histogram
+	sendStalls, shedQuery, shedControl               *telemetry.Counter
+	reconnectAttempts, reconnectOK, reconnectGiveups *telemetry.Counter
+	evalDeferred, evalTimeoutZero, ntRefused, stray  *telemetry.Counter
+	reconnectBackoff                                 *telemetry.Gauge
+	ntLatency                                        *telemetry.Histogram
 }
 
 // refillPeriod is how often the processing budget accrues tokens.
@@ -228,7 +226,6 @@ func New(cfg Config, tr Transport) (*Core, error) {
 		sendStalls:        reg.Counter("gnet.send_queue_stalls"),
 		shedQuery:         reg.Counter("gnet.shed_query"),
 		shedControl:       reg.Counter("gnet.shed_control"),
-		quarantineDrops:   reg.Counter("gnet.quarantine_dropped"),
 		reconnectAttempts: reg.Counter("gnet.reconnect_attempts"),
 		reconnectOK:       reg.Counter("gnet.reconnect_successes"),
 		reconnectGiveups:  reg.Counter("gnet.reconnect_giveups"),
@@ -236,8 +233,6 @@ func New(cfg Config, tr Transport) (*Core, error) {
 		evalTimeoutZero:   reg.Counter("gnet.evaluations_timeout_zero"),
 		ntRefused:         reg.Counter("gnet.nt_reports_refused"),
 		stray:             reg.Counter("gnet.stray_frames"),
-		quarantinedPeers:  reg.Gauge("gnet.quarantined_peers"),
-		degraded:          reg.Gauge("gnet.degraded"),
 		reconnectBackoff:  reg.Gauge("gnet.reconnect_backoff_max_ms"),
 		ntLatency:         reg.Histogram("gnet.nt_report_latency_ms"),
 	}
@@ -385,8 +380,7 @@ func (c *Core) drop(l Link, cause string) {
 			c.cut[l.ID] = true
 		case dropTransport:
 			// The higher id waits: two re-dials would close each other's link.
-			// Nor is a quarantined peer, judged a flooder, re-dialed.
-			if c.cfg.NodeID < l.ID && !c.ovl.isQuarantined(l.ID) && c.redials[l.ID] == nil {
+			if c.cfg.NodeID < l.ID && c.redials[l.ID] == nil {
 				c.scheduleReconnect(l.ID, addr, 0)
 			}
 		}
@@ -418,11 +412,10 @@ func (c *Core) scheduleReconnect(id int32, addr string, attempt int) {
 	c.arm(c.now.Add(delay))
 }
 
-// tryReconnect re-dials a lost neighbor unless it is back, cut or
-// quarantined since.
+// tryReconnect re-dials a lost neighbor unless it is back or cut since.
 func (c *Core) tryReconnect(id int32) {
 	r := c.redials[id]
-	if _, back := c.peer(id); back || c.cut[id] || c.ovl.isQuarantined(id) {
+	if _, back := c.peer(id); back || c.cut[id] {
 		delete(c.redials, id)
 		return
 	}
@@ -433,7 +426,7 @@ func (c *Core) tryReconnect(id int32) {
 }
 
 // send hands frame to the transport and counts a frame its queue shed,
-// by class: a query shed also feeds the degraded-mode detector's window.
+// by class: a query shed also counts toward the window's shed record.
 func (c *Core) send(to Link, frame []byte) bool {
 	switch c.tr.Send(to, frame) {
 	case Queued:
@@ -474,7 +467,6 @@ func (c *Core) journal(e journal.Event) {
 func (c *Core) Stats() Stats {
 	st := c.count
 	st.Disconnects = slices.Clone(c.count.Disconnects)
-	st.Degraded = c.ovl.detector.Degraded()
 	return st
 }
 

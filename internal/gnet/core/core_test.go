@@ -12,7 +12,6 @@ import (
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/gnet/core/vnet"
 	"ddpolice/internal/journal"
-	"ddpolice/internal/overload"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
@@ -154,11 +153,10 @@ func TestMeshStormIsAnError(t *testing.T) {
 }
 
 // TestCoreIsDeterministic runs one scripted input sequence twice: two
-// suspects flood the same observer past the breaker's trip threshold in
-// two windows running, so the observer warns about both and opens two
-// rounds at the first window close, cuts both at their verdicts, and
-// trips two breakers at the second close; the flood spreads through a
-// five-node overlay. The journals and the send logs must be
+// suspects flood the same observer past the warning threshold in two
+// windows running, so the observer warns about both and opens two rounds
+// at the first window close and cuts both at their verdicts; the flood
+// spreads through a five-node overlay. The journals and the send logs must be
 // byte-identical, and what a window close records about several peers
 // must come in ascending peer id — map order used to decide it.
 func TestCoreIsDeterministic(t *testing.T) {
@@ -177,15 +175,15 @@ func TestCoreIsDeterministic(t *testing.T) {
 		}
 		m.run()
 		flood := func() {
-			m.flood(1, 4, overload.TripThreshold+100, 3)
-			m.flood(1, 2, overload.TripThreshold+100, 3)
+			m.flood(1, 4, 600, 3)
+			m.flood(1, 2, 600, 3)
 			m.run()
 		}
 		flood()
-		m.advance(window)     // strike one: two warnings, two rounds
+		m.advance(window)     // two warnings, two rounds
 		flood()               // lands before the verdicts
 		m.advance(window / 2) // the verdicts cut both suspects
-		m.advance(window / 2) // strike two (overload.TripWindows): both breakers trip
+		m.advance(window / 2) // the second window closes
 		var buf bytes.Buffer
 		if err := jr.WriteNDJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -206,7 +204,7 @@ func TestCoreIsDeterministic(t *testing.T) {
 			peers[e.Type] = append(peers[e.Type], e.Peer)
 		}
 	}
-	for _, typ := range []string{journal.TypeWarning, journal.TypeNTRequest, journal.TypeQuarantine, journal.TypeCut} {
+	for _, typ := range []string{journal.TypeWarning, journal.TypeNTRequest, journal.TypeCut} {
 		if got := peers[typ]; !slices.Equal(got, []int64{2, 4}) {
 			t.Errorf("observer's %s records name %v, want [2 4]", typ, got)
 		}
@@ -259,124 +257,60 @@ func TestCrossedRedialsKeepOneLink(t *testing.T) {
 	}
 }
 
-// TestOverloadBreakerLifecycle drives the full quarantine circuit
-// breaker state machine: two hot windows trip the breaker, the
-// quarantined peer's queries are throttled to the probe trickle while
-// the link stays up, the quarantine term elapses into a half-open probe,
-// and a quiet probe window restores the peer.
-func TestOverloadBreakerLifecycle(t *testing.T) {
-	reg := telemetry.New()
-	jr := journal.New(256)
-	m := newMesh(t)
-	a := m.add(1, func(cfg *core.Config) {
-		cfg.MinuteLength = window
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
-	m.Connect(1, 2) // 2 is the test's: it floods 1 by injection
-	m.run()
-	quarantined := func(want int) {
-		t.Helper()
-		if got := reg.Gauge("gnet.quarantined_peers").Load(); got != int64(want) {
-			t.Fatalf("quarantined_peers gauge = %d, want %d", got, want)
-		}
-	}
+// sheddingTransport refuses every query-class frame, as a link whose
+// send queue is full does.
+type sheddingTransport struct{ core.Transport }
 
-	// Two consecutive hot windows (> TripThreshold offered) trip the breaker.
-	const hot = overload.TripThreshold + 100
-	m.flood(1, 2, hot, 1)
-	m.advance(window)
-	quarantined(0)
-	m.flood(1, 2, hot, 1)
-	m.advance(window)
-	quarantined(1)
-	// The link is still up — quarantine throttles, it does not cut.
-	if len(a.Neighbors()) != 1 {
-		t.Fatal("quarantine tore the connection down; it must only throttle")
+func (t sheddingTransport) Send(to core.Link, frame []byte) core.Sent {
+	if protocol.IsQuery(protocol.FrameType(frame)) {
+		return core.Shed
 	}
-
-	// ProbeAdmit+6 queries from the quarantined peer: ProbeAdmit pass, 6 shed.
-	m.flood(1, 2, overload.ProbeAdmit+6, 1)
-	if got := a.Stats().QuarantineDropped; got != 6 {
-		t.Fatalf("QuarantineDropped = %d, want 6 of %d throttled", got, overload.ProbeAdmit+6)
-	}
-
-	// Serve the quarantine term (QuarantineWindows) -> half-open probe,
-	// then a quiet probe window -> restore.
-	for i := 0; i < overload.QuarantineWindows; i++ {
-		m.advance(window)
-	}
-	quarantined(1)
-	m.advance(window)
-	quarantined(0)
-
-	// Restored peers are admitted freely again.
-	before := a.Stats()
-	m.flood(1, 2, 1, 1)
-	if after := a.Stats(); after.QuarantineDropped != before.QuarantineDropped || after.QueriesProcessed != before.QueriesProcessed+1 {
-		t.Fatalf("after restore: %+v -> %+v, want the query processed", before, after)
-	}
-
-	// The journal recorded the full transition sequence, all of it peer 2's.
-	want := []string{"quarantine", "probe", "restore"}
-	if got := journalDetails(jr, journal.TypeQuarantine); !slices.Equal(got, want) {
-		t.Fatalf("quarantine journal = %v, want %v", got, want)
-	}
-	for _, e := range jr.Events() {
-		if e.Type == journal.TypeQuarantine && e.Peer != 2 {
-			t.Fatalf("quarantine record %+v, want peer 2", e)
-		}
-	}
+	return t.Transport.Send(to, frame)
 }
 
-// TestOverloadDegradedMode saturates a nearly-zero-capacity node and
-// asserts it detects its own degradation (shed fraction over the
-// threshold), journals the transition, keeps serving control traffic on
-// its protected reserve, and recovers once the flood stops.
-func TestOverloadDegradedMode(t *testing.T) {
-	reg := telemetry.New()
+// TestShedRecordsCountEveryDroppedQuery saturates a node whose send queues
+// refuse every relay: a window's shed record counts both of its losses,
+// capacity drops and send-queue sheds, so the records sum to the Stats
+// counters. The saturated node still answers control traffic on its
+// protected reserve.
+func TestShedRecordsCountEveryDroppedQuery(t *testing.T) {
 	jr := journal.New(512)
 	m := newMesh(t)
-	a := m.add(1, func(cfg *core.Config) {
-		cfg.CapacityPerMin = 60 // ~1 query/s: any flood saturates it
-		cfg.MinuteLength = window
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
-	m.Connect(1, 2)
+	a, err := core.New(core.Config{
+		NodeID: 1, Seed: 2, CapacityPerMin: 600, MinuteLength: window, Journal: jr,
+	}, sheddingTransport{m.Transport(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Tick(m.Now)
+	m.Cores[1] = a
+	m.Connect(1, 2) // 2 floods, 3 is the relay's only other neighbor
+	m.Connect(1, 3)
 	m.run()
 
-	m.flood(1, 2, 100, 1)
-	m.advance(window)
-	if !a.Stats().Degraded {
-		t.Fatal("a window that shed 99 of 100 queries left the node healthy")
+	for i := 0; i < 3; i++ {
+		m.flood(1, 2, 100, 2)
+		m.advance(window)
 	}
-	if got := reg.Gauge("gnet.degraded").Load(); got != 1 {
-		t.Errorf("gnet.degraded gauge = %d while degraded, want 1", got)
+	st := a.Stats()
+	if st.QueriesDropped == 0 || st.ShedQuery == 0 {
+		t.Fatalf("capacity drops %d, send-queue sheds %d: want both", st.QueriesDropped, st.ShedQuery)
 	}
-	if a.Stats().QueriesDropped == 0 {
-		t.Error("degraded with no recorded capacity drops")
+	var shed float64
+	for _, e := range jr.Events() {
+		if e.Type == journal.TypeShed {
+			shed += e.Value
+		}
 	}
-	// The degraded node still answers control traffic on the protected
-	// reserve.
+	if want := float64(st.QueriesDropped + st.ShedQuery); shed != want {
+		t.Errorf("shed records sum to %v, want QueriesDropped + ShedQuery = %v", shed, want)
+	}
+
+	m.flood(1, 2, 100, 1) // saturated again
 	since := len(m.Log)
 	m.inject(1, 2, protocol.Encode(nil, protocol.NewGUID(m.Src), 1, 0, protocol.Ping{}))
 	if back := m.sent(1, 2, since); len(back) != 1 {
-		t.Errorf("a degraded node answered a Ping with %v, want one Pong", back)
-	}
-
-	m.advance(window) // the flood has stopped
-	if a.Stats().Degraded {
-		t.Fatal("node still degraded after a quiet window")
-	}
-	if got := reg.Gauge("gnet.degraded").Load(); got != 0 {
-		t.Errorf("gnet.degraded gauge = %d after recovery, want 0", got)
-	}
-	if got := journalDetails(jr, journal.TypeDegraded); !slices.Equal(got, []string{"enter", "exit"}) {
-		t.Errorf("degraded journal = %v, want enter, exit", got)
-	}
-	if len(journalDetails(jr, journal.TypeShed)) == 0 {
-		t.Error("no shed events journaled for a saturated window")
+		t.Errorf("a saturated node answered a Ping with %v, want one Pong", back)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"ddpolice/internal/gnet/core"
 	"ddpolice/internal/gnet/core/vnet"
 	"ddpolice/internal/journal"
-	"ddpolice/internal/overload"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
@@ -269,44 +268,34 @@ func TestShutdownIsNeverRedialed(t *testing.T) {
 	}
 }
 
-// TestQuarantinedPeerIsNeverRedialed: when a peer quarantined for
-// flooding loses its link to a transport fault, the node neither re-dials
-// it nor schedules a re-dial, though it has the lower id: re-dialing a
-// flooder reopens the hose.
-func TestQuarantinedPeerIsNeverRedialed(t *testing.T) {
-	reg := telemetry.New()
-	jr := journal.New(256)
+// TestHotUncutPeerIsRedialed: a neighbor that sends well past the
+// warning threshold, window after window, is still a neighbor until a
+// DD-POLICE verdict cuts it: a good relay of an agent's flood sends as
+// much. With ample capacity every copy it sends is processed, and when
+// its link is lost to a transport fault the node, the lower id, dials it
+// again.
+func TestHotUncutPeerIsRedialed(t *testing.T) {
 	m := newMesh(t)
 	a := m.add(1, func(cfg *core.Config) {
+		cfg.CapacityPerMin = 1e12
 		cfg.MinuteLength = window
-		cfg.Telemetry = reg
-		cfg.Journal = jr
 	})
 	m.Connect(1, 2) // 2 is scripted: it floods 1 by injection
 	m.run()
-	for i := 0; i < overload.TripWindows; i++ {
-		m.flood(1, 2, overload.TripThreshold+100, 1)
+	const hot, windows = 600, 4 // past the paper's 500-query warning threshold
+	for i := 0; i < windows; i++ {
+		m.flood(1, 2, hot, 1)
 		m.advance(window)
 	}
-	if got := reg.Gauge("gnet.quarantined_peers").Load(); got != 1 {
-		t.Fatalf("quarantined_peers gauge = %d, want 1", got)
-	}
-	for _, e := range jr.Events() {
-		if e.Type == journal.TypeQuarantine && (e.Peer != 2 || e.Detail != "quarantine") {
-			t.Fatalf("quarantine record %+v, want only peer 2 quarantined", e)
-		}
+	if st := a.Stats(); st.QueriesProcessed != hot*windows || st.QueriesDropped != 0 || st.ShedQuery != 0 {
+		t.Fatalf("processed %d, dropped %d, shed %d of %d copies; want every copy processed",
+			st.QueriesProcessed, st.QueriesDropped, st.ShedQuery, hot*windows)
 	}
 	a.Down(m.Now, core.Link{ID: 2, Conn: vnet.LinkConn})
 	m.run()
-	m.advance(2 * core.ReconnectMax)
-	if d := m.dialed(0); len(d) != 0 {
-		t.Errorf("dials of a quarantined peer: %+v, want none", d)
-	}
-	if got := reg.Gauge("gnet.reconnect_backoff_max_ms").Load(); got != 0 {
-		t.Errorf("reconnect_backoff_max_ms = %d: a re-dial of a quarantined peer was scheduled", got)
-	}
-	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"transport"}) {
-		t.Errorf("peer_drop records %v, want the one transport drop", got)
+	m.advance(core.ReconnectMax)
+	if d := m.dialed(0); len(d) != 1 || d[0].To != 2 {
+		t.Errorf("dials after the fault %+v, want one, of peer 2", d)
 	}
 }
 
@@ -438,7 +427,7 @@ var floodedRows = []floodedRow{{
 		for id, c := range f.Cores {
 			if id != floodAgent {
 				st := c.Stats()
-				queryDrops += st.QueriesDropped + st.ShedQuery + st.QuarantineDropped
+				queryDrops += st.QueriesDropped + st.ShedQuery
 			}
 		}
 		if queryDrops == 0 {

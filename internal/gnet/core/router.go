@@ -90,26 +90,13 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 	}
 	c.guids.add(h.GUID, guidEntry{from: from})
 
-	// Quarantine circuit breaker: the offer is counted (above — the
-	// monitor and the breaker both judge offered load), but a
-	// quarantined or probing peer only gets its per-window trickle.
 	depth := int(h.Hops) + 1
-	if !c.ovl.admitQuery(from.ID) {
-		c.tel.quarantineDrops.Inc()
-		c.ovl.winShed++
-		c.count.QuarantineDropped++
-		c.traceSpan(traceID, trace.Span{Kind: trace.KindShed, Peer: int64(from.ID), Depth: depth, Detail: "quarantine"})
-		return
-	}
 	if !c.ovl.cproc.TryProcessQuery() {
 		c.count.QueriesDropped++
-		// A capacity drop is the saturation signal itself: it feeds the
-		// degraded-mode detector alongside the overload plane's sheds.
 		c.ovl.winShed++
 		c.traceSpan(traceID, trace.Span{Kind: trace.KindCongestion, Peer: int64(from.ID), Depth: depth})
 		return
 	}
-	c.ovl.winHandled++
 	c.count.QueriesProcessed++
 	c.traceSpan(traceID, trace.Span{Kind: trace.KindHop, Peer: int64(from.ID), Depth: depth})
 

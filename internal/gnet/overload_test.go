@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 	"ddpolice/internal/telemetry"
 )
 
-// journalTypes returns the Detail strings of every event of the given
+// journalDetails returns the Detail strings of every event of the given
 // type, in order.
 func journalDetails(jr *journal.Journal, typ string) []string {
 	var out []string
@@ -101,29 +100,21 @@ func TestControlFrameJumpsQueryBacklog(t *testing.T) {
 		fmt.Sprintf("shed journal records sum to Stats().ShedQuery = %d", shed))
 }
 
-// TestChaosOverloadQuarantineNoRedial is the reconnect-supervisor-
-// under-overload case on real sockets: when a quarantined peer's
-// transport dies, the node does not even schedule a re-dial (re-dialing a
-// flooder reopens the hose), and the whole arrangement leaks no
-// goroutine. That no re-dial follows later is the core's
-// TestQuarantinedPeerIsNeverRedialed, on virtual time.
-func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
+// TestFloodThenResetLeaksNoGoroutines is the goroutine-leak regression
+// under overload on real sockets: b floods a until a drops queries, the
+// link resets mid-flood with both send queues full, and closing both
+// nodes, a's re-dial of b included, returns the process to its baseline
+// goroutine count.
+func TestFloodThenResetLeaksNoGoroutines(t *testing.T) {
 	runtime.GC()
 	time.Sleep(50 * time.Millisecond)
 	baseline := runtime.NumGoroutine()
 
-	reg := telemetry.New()
-	jr := journal.New(1024)
-	a := newTestNode(t, "a", 1, func(cfg *Config) {
-		cfg.MinuteLength = 200 * time.Millisecond // quarantine lasts QuarantineWindows: 3 of them
-		cfg.Telemetry = reg
-		cfg.Journal = jr
-	})
+	a := newTestNode(t, "a", 1, func(cfg *Config) { cfg.MinuteLength = 200 * time.Millisecond })
 	b := newTestNode(t, "b", 2, nil)
 	connect(t, a, b)
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 && len(b.Neighbors()) == 1 }, "connected")
 
-	// b floods a until TripWindows hot windows in a row quarantine it.
 	stop := make(chan struct{})
 	flooded := make(chan struct{})
 	go func() {
@@ -139,25 +130,13 @@ func TestChaosOverloadQuarantineNoRedial(t *testing.T) {
 	}()
 	func() {
 		defer func() { close(stop); <-flooded }() // on a failed wait too
-		waitFor(t, 10*time.Second, func() bool { return a.Stats().QuarantineDropped > 0 }, "b quarantined")
+		waitFor(t, 10*time.Second, func() bool { return a.Stats().QueriesDropped > 0 }, "a dropping b's queries")
 	}()
 
-	// The quarantined peer's transport dies. A non-quarantined peer
-	// would be re-dialed (TestReconnectAfterInjectedReset); this one
-	// must not be. b has the higher id, so it does not dial back; b
-	// closed its socket at the reset, so its Bye cannot reach a. A drop
-	// schedules its re-dial at once, so once a has dropped b the gauge
-	// would show one.
+	// b closed its socket at the reset, so its Bye cannot reach a.
 	resetLink(t, b, 1)
 	b.Close()
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 0 }, "b dropped")
-	if got := reg.Gauge("gnet.reconnect_backoff_max_ms").Load(); got != 0 {
-		t.Errorf("reconnect_backoff_max_ms = %d: a re-dial of a quarantined peer was scheduled", got)
-	}
-	if got := journalDetails(jr, journal.TypePeerDrop); !slices.Equal(got, []string{"transport"}) {
-		t.Errorf("peer_drop records %v, want the one transport drop", got)
-	}
-
 	a.Close()
 	waitFor(t, 5*time.Second, func() bool {
 		runtime.GC()

@@ -64,19 +64,15 @@ const (
 	TypePartition = "partition"
 	// TypeHeal: a timed partition healed (Value = edges restored).
 	TypeHeal = "heal"
-	// TypeShed: a node shed queries under overload (Detail = ShedQuery,
-	// Window = minute, Value = messages shed).
+	// TypeShed: a node dropped queries under overload in one window
+	// (Detail = ShedQuery, Window = minute). Value is every query the
+	// window lost: on a live core, its capacity drops plus its
+	// send-queue sheds (Stats QueriesDropped + ShedQuery); in the
+	// simulator, the minute's CapacityDrop.
 	TypeShed = "shed"
 	// ShedQuery is a TypeShed record's Detail: the query plane, the only
 	// one a node journals shedding from.
 	ShedQuery = "query"
-	// TypeDegraded: a node entered or left degraded mode (Detail =
-	// "enter"/"exit", Window = minute, Value = shed fraction).
-	TypeDegraded = "degraded"
-	// TypeQuarantine: a peer's overload circuit breaker transitioned
-	// (Peer = subject, Detail = "quarantine"/"probe"/"restore",
-	// Value = offered inbound queries that window).
-	TypeQuarantine = "quarantine"
 	// TypeOverload: a scheduled capacity brownout started or ended
 	// (Detail = "start"/"end", Value = capacity factor, K = peers).
 	TypeOverload = "overload"

@@ -158,15 +158,14 @@ func TestServeTrace(t *testing.T) {
 	}
 }
 
-// TestPrometheusOverloadMetrics: the PR 7 overload instruments must
-// surface in the exposition with legal names and HELP/TYPE preambles,
+// TestPrometheusOverloadMetrics: the live node's overload and reconnect
+// instruments must surface in the exposition with legal names and HELP/TYPE preambles,
 // since dashboards key on them during incident response.
 func TestPrometheusOverloadMetrics(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("gnet.shed_query").Add(17)
 	reg.Counter("gnet.shed_control").Add(2)
-	reg.Gauge("gnet.quarantined_peers").Set(3)
-	reg.Gauge("gnet.degraded").Set(1)
+	reg.Gauge("gnet.reconnect_backoff_max_ms").Set(3)
 
 	srv, err := Serve("127.0.0.1:0", Config{Registry: reg})
 	if err != nil {
@@ -179,10 +178,9 @@ func TestPrometheusOverloadMetrics(t *testing.T) {
 		t.Fatalf("metrics code = %d", code)
 	}
 	for name, typ := range map[string]string{
-		"gnet_shed_query":        "counter",
-		"gnet_shed_control":      "counter",
-		"gnet_quarantined_peers": "gauge",
-		"gnet_degraded":          "gauge",
+		"gnet_shed_query":               "counter",
+		"gnet_shed_control":             "counter",
+		"gnet_reconnect_backoff_max_ms": "gauge",
 	} {
 		if !strings.Contains(body, "# HELP "+name+" ") {
 			t.Fatalf("missing HELP for %s:\n%s", name, body)
@@ -227,7 +225,7 @@ func TestConcurrentScrape(t *testing.T) {
 	go func() { // writer: mutate all three data sources
 		defer wg.Done()
 		ctr := reg.Counter("gnet.shed_query")
-		gauge := reg.Gauge("gnet.degraded")
+		gauge := reg.Gauge("gnet.reconnect_backoff_max_ms")
 		for i := 0; i < iters*4; i++ {
 			ctr.Add(1)
 			gauge.Set(int64(i % 2))

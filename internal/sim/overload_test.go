@@ -79,10 +79,7 @@ func TestOverloadPlaneControlDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The degraded threshold is over the *global* fluid drop fraction;
-	// 10 attacked neighborhoods among 1000 peers dilute to ~0.22 during
-	// the saturated minute, so the default node-local 0.5 is lowered.
-	cfg.Overload = &overload.SimPlane{DegradedLossThreshold: 0.2}
+	cfg.Overload = &overload.SimPlane{}
 	on, jrnl := runInstrumented(t, cfg)
 
 	dOn, dOff := controlDelivery(on), controlDelivery(off)
@@ -113,13 +110,9 @@ func TestOverloadPlaneControlDelivery(t *testing.T) {
 		t.Errorf("first cut at t=%vs, want <= %vs", first, bound)
 	}
 
-	// Saturation is visible in the journal: query-plane shed markers
-	// and at least one degraded-minute transition.
+	// Saturation is visible in the journal: query-plane shed markers.
 	if len(journalEvents(t, jrnl, journal.TypeShed)) == 0 {
 		t.Error("no shed events journaled under a 20x flood")
-	}
-	if len(journalEvents(t, jrnl, journal.TypeDegraded)) == 0 {
-		t.Error("no degraded transitions journaled under a 20x flood")
 	}
 }
 
@@ -132,10 +125,7 @@ func TestOverloadPlaneNilKeepsHistoricalStream(t *testing.T) {
 	cfg.NumAgents = 10
 	cfg.PoliceEnabled = true
 	_, jrnl := runInstrumented(t, cfg)
-	for _, typ := range []string{
-		journal.TypeShed, journal.TypeDegraded,
-		journal.TypeQuarantine, journal.TypeOverload,
-	} {
+	for _, typ := range []string{journal.TypeShed, journal.TypeOverload} {
 		if got := journalEvents(t, jrnl, typ); len(got) != 0 {
 			t.Errorf("nil overload plane journaled %d %q events, want 0", len(got), typ)
 		}

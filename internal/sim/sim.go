@@ -79,7 +79,7 @@ type Config struct {
 	// congestion-derived control-message loss is capped at the plane's
 	// much tighter ControlLossCap (the reserve protects the control
 	// plane from congestion — injected fault loss still adds on top),
-	// and per-minute shed/degraded markers are journaled. Zero fields
+	// and per-minute shed markers are journaled. Zero fields
 	// take their defaults. Nil keeps the historical behaviour exactly:
 	// identical-seed runs produce byte-identical Results and journals.
 	Overload *overload.SimPlane
@@ -145,8 +145,8 @@ type Config struct {
 
 	// Journal, when non-nil, receives the detection-lifecycle event
 	// stream (warning_crossed, nt_request/report/timeout, indicator,
-	// cut), overload transitions (shed, degraded, and a brownout's
-	// overload edges) and attack-onset and fault-plane events, stamped
+	// cut), overload transitions (shed, and a brownout's overload
+	// edges) and attack-onset and fault-plane events, stamped
 	// with the run's logical clock. The tick loop and protocol sweep are
 	// fully deterministic, so identical-seed runs journal identical
 	// bytes.
@@ -610,9 +610,8 @@ func (r *run) observe() {
 }
 
 // armOverload sets up the overload plane mirror: the control reserve
-// carved out of every peer's query budget, and the degraded-mode
-// detector. queryPerTick, the post-reserve baseline, is also what
-// brownout events scale and restore.
+// carved out of every peer's query budget. queryPerTick, the post-reserve
+// baseline, is also what brownout events scale and restore.
 func (r *run) armOverload() {
 	r.queryPerTick = r.cfg.GoodCapacityPerMin / 60
 	if r.cfg.Overload == nil {
@@ -622,7 +621,6 @@ func (r *run) armOverload() {
 	r.ovp = &p
 	r.budget.ReserveControl(p.ControlReserveFrac)
 	r.queryPerTick *= 1 - p.ControlReserveFrac
-	r.degDet = overload.NewDetector(p.DegradedLossThreshold)
 }
 
 // result assembles the Result of the finished run: a copy, so that a

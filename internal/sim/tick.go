@@ -46,7 +46,6 @@ type run struct {
 	// scheduled partitions.
 	queryPerTick float64 // per-peer query budget after the control reserve
 	ovp          *overload.SimPlane
-	degDet       *overload.Detector
 	parts        []partitionState
 
 	t   int     // the tick being walked
@@ -289,31 +288,15 @@ func (r *run) closeMinute() {
 	}
 }
 
-// markOverload journals the minute's query-plane shedding and rolls the
-// degraded-mode detector, so late cuts are attributable to saturation.
+// markOverload journals the minute's query-plane shedding, so late cuts
+// are attributable to saturation.
 func (r *run) markOverload(last metrics.MinuteStats, minute int) {
-	at := r.now + 1
 	if last.CapacityDrop > 0 {
 		r.jr.Record(journal.Event{
-			T: at, Type: journal.TypeShed, Detail: journal.ShedQuery,
+			T: r.now + 1, Type: journal.TypeShed, Detail: journal.ShedQuery,
 			Value: last.CapacityDrop, Window: minute,
 		})
 	}
-	if !r.degDet.CloseWindow(last.CapacityDrop, last.QueryMsgs) {
-		return
-	}
-	detail := "exit"
-	if r.degDet.Degraded() {
-		detail = "enter"
-	}
-	frac := 0.0
-	if total := last.QueryMsgs + last.CapacityDrop; total > 0 {
-		frac = last.CapacityDrop / total
-	}
-	r.jr.Record(journal.Event{
-		T: at, Type: journal.TypeDegraded,
-		Detail: detail, Value: frac, Window: minute,
-	})
 }
 
 // controlLoss is the DD-POLICE control-message loss rate for the next

@@ -39,7 +39,6 @@ const (
 	KindDelivery   = "delivery"        // a replica holder answered
 	KindTTLDeath   = "ttl_death"       // flood exhausted with no hit
 	KindCongestion = "congestion_drop" // copy discarded at a saturated peer
-	KindShed       = "shed"            // copy throttled by a live node's quarantine breaker
 )
 
 // Span is one node of a causal trace tree. IDs are ordinals within

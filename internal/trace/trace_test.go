@@ -19,7 +19,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tc := tr.Start(42, Span{Kind: KindQueryIssue}); tc != nil {
 		t.Fatal("nil tracer started a trace")
 	}
-	tr.Record(42, Span{Kind: KindShed}) // must not panic
+	tr.Record(42, Span{Kind: KindCongestion}) // must not panic
 	if tr.Len() != 0 || tr.TraceCount() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer not inert")
 	}
@@ -193,7 +193,7 @@ func TestChromeTraceExport(t *testing.T) {
 	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 3})
 	tc.Add(Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
 	tc.End()
-	tr.Record(QueryID(1, 0, 1), Span{Kind: KindShed, T: 9, Node: 2, Peer: 3, Detail: "quarantine"})
+	tr.Record(QueryID(1, 0, 1), Span{Kind: KindCongestion, T: 9, Node: 2, Peer: 3})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -225,7 +225,7 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatalf("hop dur = %g", ev[1].Dur)
 	}
 	if ev[2].Cat != "query" || ev[2].PID == ev[0].PID {
-		t.Fatalf("shed event = %+v (pid clash with %+v)", ev[2], ev[0])
+		t.Fatalf("congestion event = %+v (pid clash with %+v)", ev[2], ev[0])
 	}
 	if ev[0].PID != ev[1].PID {
 		t.Fatal("same trace split across pids")

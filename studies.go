@@ -399,7 +399,6 @@ type OverloadPoint struct {
 	QueryShedRate   float64 // query messages dropped / offered
 	TimeToCutSec    float64 // first cut after attack start; -1 = never
 	Detections      int
-	Degraded        int // degraded-minute transitions journaled
 }
 
 // overloadPlan sweeps the attack's offered-over-capacity factor with
@@ -444,13 +443,8 @@ func overloadPoint(r Row) any {
 		p.ControlDelivery = 1 - float64(res.ControlLost)/float64(sent)
 	}
 	for _, e := range cfg.Journal.Events() {
-		switch e.Type {
-		case journal.TypeCut:
-			if t := e.T - float64(cfg.AttackStartSec); p.TimeToCutSec < 0 || t < p.TimeToCutSec {
-				p.TimeToCutSec = t
-			}
-		case journal.TypeDegraded:
-			p.Degraded++
+		if t := e.T - float64(cfg.AttackStartSec); e.Type == journal.TypeCut && (p.TimeToCutSec < 0 || t < p.TimeToCutSec) {
+			p.TimeToCutSec = t
 		}
 	}
 	return p
