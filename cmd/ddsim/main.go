@@ -18,7 +18,6 @@ import (
 	"ddpolice/internal/metricsrv"
 	"ddpolice/internal/outfile"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/trace"
 )
 
 func main() {
@@ -34,16 +33,10 @@ func main() {
 		churn    = flag.Bool("churn", true, "enable peer churn")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		perMin   = flag.Bool("minutes", false, "print the per-minute table")
-		metrics  = flag.String("metrics", "", "serve /metrics, /healthz, /journal and /trace on this address while the run executes")
+		metrics  = flag.String("metrics", "", "serve /metrics, /healthz and /journal on this address while the run executes")
 		jfile    = flag.String("journal", "", "stream the detection-event journal (NDJSON, every record) to this file")
-		traceOut = flag.String("trace-out", "", "write causal traces to this file (.json = Chrome/Perfetto, else NDJSON)")
-		traceSmp = flag.Float64("trace-sample", 1.0, "head-sampling rate for traces (0..1)")
 	)
 	flag.Parse()
-	if !(*traceSmp >= 0 && *traceSmp <= 1) { // NaN too: trace.New would turn it into an undefined threshold
-		fmt.Fprintf(os.Stderr, "ddsim: -trace-sample %v: want a rate in [0, 1]\n", *traceSmp)
-		os.Exit(2)
-	}
 
 	cfg := ddpolice.DefaultConfig()
 	cfg.NumPeers = *peers
@@ -70,9 +63,6 @@ func main() {
 		cfg.Journal.Tee(f)
 		journalFile = f
 	}
-	if *traceOut != "" || *metrics != "" {
-		cfg.Trace = trace.New(*traceSmp, 0)
-	}
 	if *metrics != "" {
 		// Telemetry puts the tick's stage timers in the served registry.
 		cfg.Registry = telemetry.New()
@@ -81,7 +71,6 @@ func main() {
 		srv, err := metricsrv.Serve(*metrics, metricsrv.Config{
 			Registry: cfg.Registry,
 			Journal:  cfg.Journal,
-			Tracer:   cfg.Trace,
 			Health: func() map[string]any {
 				return map[string]any{"peers": *peers, "agents": *agents, "seed": *seed}
 			},
@@ -109,13 +98,6 @@ func main() {
 		}
 		fmt.Printf("journal: %d events -> %s\n",
 			uint64(cfg.Journal.Len())+cfg.Journal.Dropped(), *jfile)
-	}
-	if *traceOut != "" {
-		if err := cfg.Trace.WriteFile(*traceOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: %d spans in %d traces -> %s (%d dropped)\n",
-			cfg.Trace.Len(), cfg.Trace.TraceCount(), *traceOut, cfg.Trace.Dropped())
 	}
 
 	fmt.Printf("peers=%d agents=%d police=%v duration=%s seed=%d\n",

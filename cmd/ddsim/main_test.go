@@ -94,24 +94,14 @@ func TestJournalFileIsTheRecordOfTheRun(t *testing.T) {
 }
 
 // The second homes are gone from the command line, not hidden: -events
-// (the journal is the record) and -shards (measured slower) are unknown
-// flags.
+// (the journal is the record), -shards (measured slower) and -trace-out
+// with -trace-sample (flood fan-out is `ddexp -fig fanout`, exact; spans
+// come from live nodes) are unknown flags.
 func TestRemovedFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{{"-events", "x"}, {"-shards", "2"}} {
+	for _, args := range [][]string{{"-events", "x"}, {"-shards", "2"}, {"-trace-out", "x"}, {"-trace-sample", "0.5"}} {
 		code, stdout, stderr := ddsim(t, args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined") {
 			t.Errorf("%v: exit = %d, stdout = %q, stderr = %q; want 2 and an unknown-flag error", args, code, stdout, stderr)
-		}
-	}
-}
-
-// -trace-sample is a rate: anything outside [0, 1], NaN included, is
-// refused by name before the run starts.
-func TestBadTraceSampleExitsTwo(t *testing.T) {
-	for _, v := range []string{"-0.1", "1.5", "nan"} {
-		code, stdout, stderr := ddsim(t, "-peers", "100", "-duration", "1m", "-trace-sample", v)
-		if code != 2 || stdout != "" || !strings.Contains(stderr, "-trace-sample") {
-			t.Errorf("-trace-sample %s: exit = %d, stdout = %q, stderr = %q; want 2 naming the flag", v, code, stdout, stderr)
 		}
 	}
 }

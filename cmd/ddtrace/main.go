@@ -1,8 +1,8 @@
-// Command ddtrace analyzes what ddsim and ddnode record. From a causal
-// trace stream (-trace-out) it reconstructs what route one query's flood
-// actually took; from a journal (ddsim -journal, or a ddnode's
-// /journal?n=) it tabulates where the time went between each warning
-// crossing and the cut.
+// Command ddtrace analyzes what ddsim and ddnode record. From a live
+// node's causal trace stream (ddnode -trace-out, or its /trace) it
+// reconstructs what route one query's flood actually took; from a
+// journal (ddsim -journal, or a ddnode's /journal?n=) it tabulates where
+// the time went between each warning crossing and the cut.
 //
 // Summary of a trace stream:
 //
@@ -134,20 +134,16 @@ func printSummary(w io.Writer, spans []trace.Span, views []trace.TraceView) erro
 
 // printTrees renders one trace (or all of them) as ASCII span trees.
 func printTrees(w io.Writer, views []trace.TraceView, id string) error {
+	printed := false
 	for _, tv := range views {
-		if id != "all" && tv.ID != id {
-			continue
-		}
-		if err := trace.WriteTree(w, tv); err != nil {
-			return err
+		if id == "all" || tv.ID == id {
+			if err := trace.WriteTree(w, tv); err != nil {
+				return err
+			}
+			printed = true
 		}
 	}
-	if id != "all" {
-		for _, tv := range views {
-			if tv.ID == id {
-				return nil
-			}
-		}
+	if !printed && id != "all" {
 		return fmt.Errorf("trace %s not found", id)
 	}
 	return nil

@@ -24,10 +24,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// tracedRun executes a small police+attack simulation with full
-// sampling and the journal on, and writes the span NDJSON and the
-// journal NDJSON to temp files.
-func tracedRun(t *testing.T) (tracePath, journalPath string) {
+// journalRun executes a small police+attack simulation with the journal
+// on and writes the journal NDJSON to a temp file.
+func journalRun(t *testing.T) string {
 	t.Helper()
 	cfg := ddpolice.DefaultConfig()
 	cfg.NumPeers = 600
@@ -36,8 +35,6 @@ func tracedRun(t *testing.T) (tracePath, journalPath string) {
 	cfg.ChurnEnabled = false
 	cfg.PoliceEnabled = true
 	cfg.NumAgents = 4
-	tr := trace.New(1.0, 0)
-	cfg.Trace = tr
 	cfg.Journal = journal.New(1 << 16)
 	if _, err := ddpolice.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -45,32 +42,33 @@ func tracedRun(t *testing.T) (tracePath, journalPath string) {
 	if n := cfg.Journal.Dropped(); n > 0 {
 		t.Fatalf("journal ring dropped %d records", n)
 	}
-	dir := t.TempDir()
-	tracePath, journalPath = filepath.Join(dir, "run.trace"), filepath.Join(dir, "run.journal")
-	for path, write := range map[string]func(*os.File) error{
-		tracePath:   func(f *os.File) error { return tr.WriteNDJSON(f) },
-		journalPath: func(f *os.File) error { return cfg.Journal.WriteNDJSON(f) },
-	} {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "run.journal")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tracePath, journalPath
+	if err := cfg.Journal.WriteNDJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
+
+// twoQueries is a hand-built span stream as live nodes record it:
+// standalone spans of two interleaved query traces, the first reaching
+// two peers at depth 1 and two at depth 2 (one answers), the second two
+// at depth 1, one at depth 2 (and a congestion drop there) and one at
+// depth 3.
+const twoQueries = "testdata/two_queries.trace"
 
 // TestCriticalPathEndToEnd is the acceptance check: from the journal of
 // a police+attack sim run, `ddtrace -critical FILE` prints one row per
 // cut with every stage filled in, each cut joined to its round although
 // the simulator records the sweep's cuts after every round of the sweep.
 func TestCriticalPathEndToEnd(t *testing.T) {
-	_, journalPath := tracedRun(t)
+	journalPath := journalRun(t)
 	cmd := exec.Command(os.Args[0], "-critical", journalPath)
 	cmd.Env = append(os.Environ(), "DDTRACE_RUN_MAIN=1")
 	var stdout, stderr bytes.Buffer
@@ -174,8 +172,7 @@ func TestDetectionsFromJournal(t *testing.T) {
 }
 
 func TestSummaryAndFanOut(t *testing.T) {
-	path, _ := tracedRun(t)
-	spans, err := readSpans(path)
+	spans, err := readSpans(twoQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,30 +182,36 @@ func TestSummaryAndFanOut(t *testing.T) {
 	if err := printSummary(&sum, spans, views); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sum.String(), "spans in") || !strings.Contains(sum.String(), "query traces") {
-		t.Fatalf("summary = %q", sum.String())
+	if got, want := sum.String(), "12 spans in 2 query traces\n"; got != want {
+		t.Fatalf("summary = %q, want %q", got, want)
 	}
 
 	var fo strings.Builder
 	if err := printFanOut(&fo, views); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fo.String(), "depth") || strings.Contains(fo.String(), "no query traces") {
-		t.Fatalf("fanout = %q", fo.String())
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(fo.String()), "\n") {
+		rows = append(rows, strings.Join(strings.Fields(line), " "))
+	}
+	if want := []string{"depth hops hops/query", "1 4 2.00", "2 3 1.50", "3 1 0.50"}; !slices.Equal(rows, want) {
+		t.Fatalf("fanout rows = %q, want %q", rows, want)
 	}
 
 	var tree strings.Builder
 	if err := printTrees(&tree, views, views[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tree.String(), "└─ "+trace.KindQueryIssue) {
-		t.Fatalf("tree of %s lacks its query_issue root:\n%s", views[0].ID, tree.String())
+	// Live spans are standalone: the tree lists the trace's six in
+	// recorded order, its query_issue first.
+	lines := strings.Split(strings.TrimSpace(tree.String()), "\n")
+	if len(lines) != 7 || lines[0] != "trace "+views[0].ID || !strings.Contains(lines[1], "─ "+trace.KindQueryIssue+" ") {
+		t.Fatalf("tree of %s is not its six spans under the query_issue:\n%s", views[0].ID, tree.String())
 	}
 }
 
 func TestPerfettoConversion(t *testing.T) {
-	path, _ := tracedRun(t)
-	spans, err := readSpans(path)
+	spans, err := readSpans(twoQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,27 +227,16 @@ func TestPerfettoConversion(t *testing.T) {
 	if !strings.HasPrefix(string(data), `{"displayTimeUnit":"ms","traceEvents":[`) {
 		t.Fatalf("perfetto output prefix = %q", data[:40])
 	}
+	if !strings.HasPrefix(status.String(), "wrote 12 events to ") {
+		t.Fatalf("perfetto status = %q", status.String())
+	}
 }
 
 // TestConflictingModesExitTwo: -critical, -tree, -fanout and -perfetto
 // each pick what ddtrace prints, so two of them at once exit 2 naming
 // both instead of running one and ignoring the other.
 func TestConflictingModesExitTwo(t *testing.T) {
-	dir := t.TempDir()
-	tr := trace.New(1.0, 0)
-	tr.Record(7, trace.Span{Kind: trace.KindQueryIssue, Node: 1})
-	tr.Record(7, trace.Span{Kind: trace.KindHop, Node: 2, Peer: 1, Depth: 1})
-	spans := filepath.Join(dir, "run.trace")
-	f, err := os.Create(spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteNDJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir, spans := t.TempDir(), twoQueries
 	perfetto := filepath.Join(dir, "run.json")
 	for _, tc := range []struct {
 		args       []string
@@ -253,7 +245,7 @@ func TestConflictingModesExitTwo(t *testing.T) {
 		{[]string{"-in", spans, "-tree", "all", "-fanout"}, "-tree", "-fanout"},
 		{[]string{"-in", spans, "-fanout", "-perfetto", perfetto}, "-fanout", "-perfetto"},
 		{[]string{"-critical", spans, "-fanout"}, "-critical", "-fanout"},
-		{[]string{"-in", spans, "-tree", "7", "-perfetto", perfetto}, "-tree", "-perfetto"},
+		{[]string{"-in", spans, "-tree", "all", "-perfetto", perfetto}, "-tree", "-perfetto"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "DDTRACE_RUN_MAIN=1")

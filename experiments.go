@@ -77,7 +77,7 @@ type Row struct {
 	Config   Config
 	Result   *Result
 	Against  *Result // the study's no-attack run, or for an ablation the same variant without DD-POLICE; nil: compared with nothing
-	Observed any     // what the figure's Observe made of the run's Journal or Trace
+	Observed any     // what the figure's Observe made of the run's Journal, Trace or Telemetry
 }
 
 // Execute runs the figure's plan at scale and builds its data. Outside
@@ -85,9 +85,9 @@ type Row struct {
 // whole plan is one sim.Grid — every row on every one of scale.Seeds (none:
 // on its own Config.Seed) as flat jobs on one worker pool, a seed's rows
 // sharing its world — and the data is what running them in declared order
-// would give. Under Observe a Journal or Trace narrates one run, so those
-// rows execute one at a time on their own Config.Seed and are condensed as
-// they end (a full trace is ~100 MB; a study of seven holds one at a time).
+// would give. Under Observe a Journal, Trace or registry narrates one run,
+// so those rows execute one at a time on their own Config.Seed and are
+// condensed as they end (a study of seven holds one journal at a time).
 func (f Figure) Execute(scale Scale) (any, error) {
 	var rows []Row
 	if f.Plan != nil {

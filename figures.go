@@ -32,9 +32,9 @@ type Figure struct {
 	// in the order they run: each Row a label, unique within the figure,
 	// and the Config to run. nil: the figure runs none.
 	Plan func(Scale) []Row
-	// Observe, when set, condenses a run's Journal or Trace into
-	// Row.Observed as soon as that run ends. Its runs execute once each,
-	// on their own Config.Seed, at every scale.
+	// Observe, when set, condenses a run's Journal, Trace or Telemetry
+	// into Row.Observed as soon as that run ends. Its runs execute once
+	// each, on their own Config.Seed, at every scale.
 	Observe func(Row) any
 	// Build turns the finished rows into the data everything below
 	// renders; nil: the rows themselves.
@@ -124,6 +124,20 @@ func (f Figure) table(csvName, title string, cols []Column, svgs ...SVG) Figure 
 	f.Tables = []Table{{CSV: csvName, Sections: []Section{{Title: title}}, Columns: cols}}
 	f.SVGs = svgs
 	return f
+}
+
+// fanoutColumns declares the fan-out study's columns, one per hop of the
+// TTL every run of its plan floods with.
+func fanoutColumns() []Column {
+	cols := []Column{
+		col("agents", "agents", func(p FanoutPoint) any { return p.Agents }, raw, raw),
+		col("queries", "good queries", func(p FanoutPoint) any { return p.Queries }, raw, raw),
+	}
+	for d := range DefaultConfig().TTL {
+		cols = append(cols, col(fmt.Sprintf("depth_%d", d+1), fmt.Sprintf("hop %d", d+1),
+			func(p FanoutPoint) any { return p.Depth[d] }, raw, f1))
+	}
+	return append(cols, col("total_per_query", "peers/query", func(p FanoutPoint) any { return p.Total }, raw, f1))
 }
 
 // svg adapts a typed chart builder to the table's signature.
@@ -286,15 +300,8 @@ var Figures = []Figure{
 			col("time_to_cut_sec", "time to cut (s)", func(p OverloadPoint) any { return p.TimeToCutSec }, raw, orNegative("never", f0)),
 			col("detections", "detections", func(p OverloadPoint) any { return p.Detections }, raw, raw),
 		}, svg("overload.svg", OverloadSVG)),
-	Figure{Keys: []string{"trace"}, Plan: tracePlan, Observe: tracePoint, Build: observed[TracePoint]}.table(
-		"trace_study.csv", "Causal traces: flood fan-out vs agents", []Column{
-			col("agents", "agents", func(p TracePoint) any { return p.Agents }, raw, raw),
-			col("traces", "traces", func(p TracePoint) any { return p.Traces }, raw, raw),
-			col("spans", "spans", func(p TracePoint) any { return p.Spans }, raw, raw),
-			col("dropped_spans", "dropped spans", func(p TracePoint) any { return p.Dropped }, raw, raw),
-			col("hops_per_query", "hops/query", func(p TracePoint) any { return p.HopsPerQuery }, raw, f1),
-			col("max_depth", "max depth", func(p TracePoint) any { return p.MaxDepth }, raw, raw),
-		}),
+	Figure{Keys: []string{"fanout"}, Plan: fanoutPlan, Observe: fanoutPoint, Build: observed[FanoutPoint]}.table(
+		"fanout_study.csv", "Flood fan-out: peers processing a good query, by hop, vs agents", fanoutColumns()),
 	{
 		Keys:  []string{"9", "10", "11"},
 		Plan:  sweepPlan,

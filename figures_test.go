@@ -133,8 +133,8 @@ var renderCases = []renderCase{
 	{key: "overload", rows: 3, cells: map[[2]int]string{{1, 1}: "off", {1, 4}: "-1", {2, 1}: "on", {2, 4}: "60"},
 		text: []string{"3x", "never", "97.5"},
 		data: []OverloadPoint{{Factor: 3, TimeToCutSec: -1}, {Factor: 3, Plane: true, TimeToCutSec: 60, ControlDelivery: 0.975}}},
-	{key: "trace", rows: 2, cells: map[[2]int]string{{1, 3}: "5", {1, 4}: "192.04"}, text: []string{"dropped spans", "192.0"},
-		data: []TracePoint{{Traces: 7, Spans: 90, Dropped: 5, HopsPerQuery: 192.04}}},
+	{key: "fanout", rows: 2, cells: map[[2]int]string{{1, 1}: "698", {1, 3}: "37.5", {1, 5}: "192.04"}, text: []string{"hop 3", "150.0", "192.0"},
+		data: []FanoutPoint{{Agents: 0, Queries: 698, Depth: []float64{4.54, 37.5, 150}, Total: 192.04}}},
 	{key: "detect", rows: 3, cells: map[[2]int]string{{1, 1}: "1", {2, 1}: "0", {1, 6}: "60"},
 		text: []string{"true", "false", "journal: 9 events (1 dropped); 2 cuts; 30 NT msgs (15.0 per cut)", "latency p50 0s, p90 0s, max 60s over 2 cut suspects"},
 		data: detectSample},
@@ -235,7 +235,7 @@ var detectSample = &DetectReport{
 func TestFigureRenderersEmptyInput(t *testing.T) {
 	empty := map[string]any{ // the entries whose data is not a []Row
 		"5": []capacity.SaturationPoint(nil), "structured": []StructuredPoint(nil), "detect": &DetectReport{},
-		"overload": []OverloadPoint(nil), "trace": []TracePoint(nil), "9": []SweepPoint(nil), "12": []Timeline(nil),
+		"overload": []OverloadPoint(nil), "fanout": []FanoutPoint(nil), "9": []SweepPoint(nil), "12": []Timeline(nil),
 	}
 	for _, fig := range Figures {
 		data, ok := empty[fig.Keys[0]]
@@ -403,7 +403,7 @@ func TestFigurePlansValid(t *testing.T) {
 	runs := map[string][2]int{ // first -fig key -> runs at quick, at paper scale
 		"table1": {0, 0}, "5": {0, 0}, "radius": {3, 3}, "liar": {3, 3}, "ablate": {12, 12}, "baseline": {4, 4},
 		"structured": {4, 7}, "faults": {12, 12}, "detect": {1, 1}, "overload": {6, 6},
-		"trace": {4, 7}, "9": {7, 13}, "12": {5, 5}, "13": {7, 9}, "freq": {7, 7}, "cheat": {4, 4},
+		"fanout": {4, 7}, "9": {7, 13}, "12": {5, 5}, "13": {7, 9}, "freq": {7, 7}, "cheat": {4, 4},
 	}
 	for _, fig := range Figures {
 		want, ok := runs[fig.Keys[0]]
@@ -428,7 +428,8 @@ func TestFigurePlansValid(t *testing.T) {
 				if r.Config.NumPeers != scale.NumPeers || r.Config.DurationSec != scale.DurationSec || r.Config.Seed != scale.Seed {
 					t.Errorf("-fig %s, run %q: not at the scale's size, length and seed", fig.Keys[0], r.Label)
 				}
-				if (r.Config.Journal != nil || r.Config.Trace != nil) != (fig.Observe != nil) {
+				sink := r.Config.Journal != nil || r.Config.Trace != nil || r.Config.Registry != nil || r.Config.Telemetry
+				if sink != (fig.Observe != nil) {
 					t.Errorf("-fig %s, run %q: a sink without Observe, or Observe without a sink", fig.Keys[0], r.Label)
 				}
 			}

@@ -27,6 +27,7 @@
 package flood
 
 import (
+	"fmt"
 	"math"
 
 	"ddpolice/internal/overlay"
@@ -441,6 +442,10 @@ type Engine struct {
 	telHitHops *telemetry.Histogram // hops to the nearest responder
 	telDelay   *telemetry.Histogram // first-response delay, ms
 
+	// depths tallies discrete query floods by hop depth; nil until
+	// AttachTelemetry, so detached it costs a nil check per flood level.
+	depths *depthTally
+
 	epoch    uint32
 	cells    []cell    // per-peer visit state of the flood numbered epoch
 	mass     []float64 // batch mode: surviving (processed) weight at peer
@@ -546,6 +551,33 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry) {
 	e.telDelay = reg.Histogram("flood.response_delay_ms")
 	e.telPrewarm = reg.Counter("flood.prewarm_trees")
 	e.telPrewarmVisits = reg.Counter("flood.prewarm_visits")
+	e.depths = nil
+	if reg != nil {
+		e.depths = &depthTally{reg: reg}
+	}
+}
+
+// depthTally counts one discrete query flood's processed peers by hop
+// depth (n[depth-1]), then flushes each count to the registry counter
+// flood.processed_depth_<d> in one Add.
+type depthTally struct {
+	reg  *telemetry.Registry
+	n    [MaxTTL]uint64
+	ctrs [MaxTTL]*telemetry.Counter // made when a flood first reaches the depth
+}
+
+// flush ends a flood of the given TTL: its counts go to the registry.
+func (t *depthTally) flush(ttl int) {
+	for d, n := range t.n[:ttl] {
+		if n == 0 {
+			continue
+		}
+		if t.ctrs[d] == nil {
+			t.ctrs[d] = t.reg.Counter(fmt.Sprintf("flood.processed_depth_%d", d+1))
+		}
+		t.ctrs[d].Add(n)
+		t.n[d] = 0
+	}
 }
 
 // SetCounterMode switches the counter accounting plane.
@@ -641,12 +673,20 @@ func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *Quer
 		if e.tv != nil {
 			e.traceForwarded(tr)
 		}
+		if e.depths != nil { // every cached visit was processed, at its node's hop plus one
+			k := int32(0)
+			for n := range tr.nodes {
+				e.depths.n[tr.nodes[n].hop] += uint64(tr.nodes[n].end - k)
+				k = tr.nodes[n].end
+			}
+		}
 		res.Processed = len(visits)
 		return true
 	}
 	for n := range tr.nodes {
 		nd := &tr.nodes[n]
 		u, hop, upstream := nd.u, nd.hop+1, cells[nd.u].alive
+		processed := res.Processed
 		for end := nd.end; j < end; j++ {
 			vt := visits[j]
 			ov.AddTraffic(vt.eid, 1)
@@ -655,6 +695,9 @@ func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *Quer
 			if e.tv != nil {
 				e.tv(vt.v, u, hop, outcome)
 			}
+		}
+		if e.depths != nil {
+			e.depths.n[nd.hop] += uint64(res.Processed - processed)
 		}
 	}
 	e.telDrops.Add(uint64(res.CapacityDrops))
@@ -707,6 +750,9 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 	}
 	e.telFloods.Inc()
 	e.query(src, ttl, budget, &res)
+	if e.depths != nil {
+		e.depths.flush(ttl)
+	}
 	budget.floor-- // the flood charged each peer at most one token
 	e.scoreHolders(src, holders, budget, dm, &res)
 	return res
@@ -748,6 +794,7 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult
 
 	for depth := int32(1); int(depth) <= ttl && len(e.frontier) > 0; depth++ {
 		e.next = e.next[:0]
+		processed := res.Processed
 		for _, u := range e.frontier {
 			nbrs, eids := e.activeAdj(u)
 			cu := cells[u]
@@ -793,6 +840,9 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult
 				nd.hop, nd.end = depth-1, int32(len(rec.visits))
 				rec.nodes = append(rec.nodes, nd)
 			}
+		}
+		if e.depths != nil {
+			e.depths.n[depth-1] += uint64(res.Processed - processed)
 		}
 		e.frontier, e.next = e.next, e.frontier
 	}

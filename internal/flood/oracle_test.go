@@ -6,6 +6,7 @@ import (
 
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
+	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
 )
 
@@ -172,7 +173,9 @@ func floodThrice[R comparable](t *testing.T, e *Engine, name string, want R, flo
 // 130}, batch TTL 1..5 unrestricted and through each active neighbour,
 // each key flooded three times (live, build, replay), with the traversal
 // cache on and off, in both counter planes, on the intact overlay and a
-// damaged one.
+// damaged one. Each query flood also moves flood.processed_depth_<d> by
+// the number of peers at hop distance d <= TTL, Processed in all, and no
+// batch moves it.
 func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 	holders := []topology.NodeID{42, 77, 130}
 	dm := DelayModel{HopDelay: 0.05}
@@ -188,6 +191,12 @@ func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 					eng := NewEngine(ov)
 					eng.SetCounterMode(mode)
 					eng.SetTraversalCache(cached)
+					reg := telemetry.New()
+					eng.AttachTelemetry(reg)
+					var depthCtrs [8]*telemetry.Counter // by depth; [0] unused
+					for d := 1; d <= 7; d++ {
+						depthCtrs[d] = reg.Counter(fmt.Sprintf("flood.processed_depth_%d", d))
+					}
 					budget := NewBudget(ov.NumPeers(), 1e9)
 					for src := range PeerID(ov.NumPeers()) {
 						if !ov.Online(src) {
@@ -195,6 +204,12 @@ func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 						}
 						if !batch {
 							d := hopDistances(ov, src, -1)
+							var layer [8]int // peers at each hop distance 1..7
+							for _, dv := range d {
+								if dv >= 1 && dv <= 7 {
+									layer[dv]++
+								}
+							}
 							for ttl := 1; ttl <= 7; ttl++ {
 								name := fmt.Sprintf("damaged=%v mode=%d cache=%v query src=%d ttl=%d", damaged, mode, cached, src, ttl)
 								want := oracleQuery(ov, d, src, ttl, holders, dm)
@@ -204,7 +219,26 @@ func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 									misses++
 								}
 								floodThrice(t, eng, name, want, func() QueryResult {
-									return eng.FloodQuery(src, ttl, holders, budget, dm)
+									var before [8]uint64
+									for dd := 1; dd <= 7; dd++ {
+										before[dd] = depthCtrs[dd].Load()
+									}
+									qr := eng.FloodQuery(src, ttl, holders, budget, dm)
+									sum := 0
+									for dd := 1; dd <= 7; dd++ {
+										got, want := int(depthCtrs[dd].Load()-before[dd]), 0
+										if dd <= ttl {
+											want = layer[dd]
+										}
+										if got != want {
+											t.Fatalf("%s: flood.processed_depth_%d moved by %d, want %d", name, dd, got, want)
+										}
+										sum += got
+									}
+									if sum != qr.Processed {
+										t.Fatalf("%s: depth counters moved by %d in all, Processed = %d", name, sum, qr.Processed)
+									}
+									return qr
 								})
 							}
 							continue
@@ -217,6 +251,11 @@ func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 									return eng.FloodBatch(src, entry, ttl, 1, budget)
 								})
 							}
+						}
+					}
+					for dd := 1; batch && dd <= 7; dd++ {
+						if n := depthCtrs[dd].Load(); n != 0 {
+							t.Fatalf("damaged=%v mode=%d cache=%v: batches moved flood.processed_depth_%d by %d", damaged, mode, cached, dd, n)
 						}
 					}
 					if st := eng.CacheStats(); cached && (st.Builds == 0 || st.Hits == 0) {

@@ -16,6 +16,7 @@ import (
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
+	"ddpolice/internal/trace"
 )
 
 // TestMeshBuild: Build gives vertex i the core of node i+1, seeded i+1,
@@ -43,6 +44,91 @@ func TestMeshBuild(t *testing.T) {
 		if got := c.Neighbors(); len(got) != g.Degree(topology.NodeID(i)) || !slices.Equal(got, want) {
 			t.Errorf("vertex %d: neighbors %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestLiveSpansTraceTheFlood: the spans the live cores record of one
+// query are its whole flood. Every node of a BA overlay shares one
+// tracer that keeps everything, and node 1 issues once. The trace has
+// one query_issue root, at node 1; a hop span per peer at the depth of
+// its first copy, which came by a shortest path because the mesh
+// delivers in send order, so FanOut is the graph's hop-distance layers
+// from node 1 within the TTL; and one delivery per node sharing the
+// object.
+func TestLiveSpansTraceTheFlood(t *testing.T) {
+	g, err := topology.BarabasiAlbert(rng.New(21), 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(1, 0)
+	sharer := func(v int) bool { return v > 0 && v%4 == 0 }
+	m := newMesh(t)
+	m.build(g, func(i int, cfg *core.Config) {
+		cfg.Tracer = tr
+		cfg.CapacityPerMin *= 1000 // no copy is shed
+		if sharer(i) {
+			cfg.SharedObjects = []string{"prize"}
+		}
+	})
+	if err := m.Cores[1].Issue(m.Now, "prize", make(chan protocol.QueryHit, g.NumNodes())); err != nil {
+		t.Fatal(err)
+	}
+	m.run()
+
+	dist := make([]int, g.NumNodes()) // hop distance from vertex 0 (node 1)
+	for v := range dist {
+		dist[v] = -1
+	}
+	dist[0] = 0
+	for frontier := []topology.NodeID{0}; len(frontier) > 0; {
+		var next []topology.NodeID
+		for _, u := range frontier {
+			for _, v := range g.Neighbors(u) {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	var layers []int
+	var sharers []int64
+	for v, d := range dist {
+		if d < 1 || d > protocol.DefaultTTL {
+			continue
+		}
+		for len(layers) < d {
+			layers = append(layers, 0)
+		}
+		layers[d-1]++
+		if sharer(v) {
+			sharers = append(sharers, int64(v+1))
+		}
+	}
+
+	views := trace.Group(tr.Spans())
+	if len(views) != 1 {
+		t.Fatalf("%d traces, want the one query's", len(views))
+	}
+	var roots, deliveries []int64
+	for _, s := range views[0].Spans {
+		switch s.Kind {
+		case trace.KindQueryIssue:
+			roots = append(roots, s.Node)
+		case trace.KindDelivery:
+			deliveries = append(deliveries, s.Node)
+		}
+	}
+	if !slices.Equal(roots, []int64{1}) {
+		t.Errorf("query_issue spans at nodes %v, want one at node 1", roots)
+	}
+	if got := trace.FanOut(views[0]); !slices.Equal(got, layers) {
+		t.Errorf("FanOut = %v, want the hop-distance layers %v", got, layers)
+	}
+	slices.Sort(deliveries)
+	if len(sharers) == 0 || !slices.Equal(deliveries, sharers) {
+		t.Errorf("delivery spans at nodes %v, want one per sharing node %v", deliveries, sharers)
 	}
 }
 

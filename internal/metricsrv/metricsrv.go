@@ -7,14 +7,15 @@
 //	GET /journal  — NDJSON tail of the event journal (?n= bounds it;
 //	                ?since=<seq> returns only events newer than seq,
 //	                the incremental-poll cursor)
-//	GET /trace    — NDJSON snapshot of the causal trace buffer
+//	GET /trace    — NDJSON snapshot of the causal trace buffer, served
+//	                only when there is a tracer (ddnode's)
 //
 // All inputs are optional: a nil registry exposes an empty metrics
-// page, a nil journal or tracer an empty stream — so ddnode and ddsim
-// can enable the plane piecemeal. The server owns only a listener and
-// handlers; rendering lives with the data types (telemetry.Snapshot,
-// journal.Journal, trace.Tracer), keeping those packages free of
-// net/http.
+// page, a nil journal an empty tail and a nil tracer no /trace at all
+// (404) — so ddnode and ddsim can enable the plane piecemeal. The
+// server owns only a listener and handlers; rendering lives with the
+// data types (telemetry.Snapshot, journal.Journal, trace.Tracer),
+// keeping those packages free of net/http.
 package metricsrv
 
 import (
@@ -38,8 +39,8 @@ type Config struct {
 	// Journal backs /journal and the healthz occupancy fields; nil
 	// serves an empty tail.
 	Journal *journal.Journal
-	// Tracer backs /trace and the healthz span fields; nil serves an
-	// empty stream.
+	// Tracer backs /trace and the healthz span fields; nil leaves
+	// /trace unregistered.
 	Tracer *trace.Tracer
 	// Health, when non-nil, contributes extra fields to the /healthz
 	// document (merged over the defaults).
@@ -69,7 +70,9 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/journal", s.handleJournal)
-	mux.HandleFunc("/trace", s.handleTrace)
+	if cfg.Tracer != nil {
+		mux.HandleFunc("/trace", s.handleTrace)
+	}
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln)
 	return s, nil
@@ -142,8 +145,5 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.cfg.Tracer == nil {
-		return
-	}
 	_ = s.cfg.Tracer.WriteNDJSON(w)
 }

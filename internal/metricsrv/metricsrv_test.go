@@ -275,7 +275,25 @@ func TestServeNilInputs(t *testing.T) {
 	if code, body, _ := get(t, base+"/journal"); code != 200 || strings.TrimSpace(body) != "" {
 		t.Fatalf("nil journal: code=%d body=%q", code, body)
 	}
-	if code, body, ctype := get(t, base+"/trace"); code != 200 || body != "" || ctype != "application/x-ndjson" {
-		t.Fatalf("nil trace: code=%d body=%q type=%q", code, body, ctype)
+}
+
+// TestTraceNeedsATracer: a server without a tracer (ddsim's) has no
+// /trace route, so a scrape of it is a 404 rather than an empty stream
+// that reads as a tracer with nothing in it; the rest of the plane is
+// served as usual.
+func TestTraceNeedsATracer(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", Config{Registry: telemetry.New(), Journal: journal.New(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+	if code, _, _ := get(t, base+"/trace"); code != 404 {
+		t.Errorf("/trace without a tracer: code=%d, want 404", code)
+	}
+	for _, path := range []string{"/metrics", "/healthz", "/journal"} {
+		if code, _, _ := get(t, base+path); code != 200 {
+			t.Errorf("%s without a tracer: code=%d, want 200", path, code)
+		}
 	}
 }

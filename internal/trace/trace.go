@@ -67,7 +67,6 @@ type Tracer struct {
 	threshold uint64 // keep a trace when sampleHash(id) < threshold
 	limit     int    // max retained spans
 	spans     []Span
-	traces    int
 	dropped   uint64 // spans discarded at the cap
 }
 
@@ -131,15 +130,14 @@ func (t *Tracer) Record(id uint64, s Span) {
 		return
 	}
 	s.Trace = FormatID(id)
-	t.commit([]Span{s}, false)
+	t.commit([]Span{s})
 }
 
 // commit appends a finished trace's spans, dropping the whole batch if
-// it would exceed the cap. newTrace counts it toward TraceCount. A nil
-// receiver is inert: callers reach commit through Sampled, which
-// rejects nil tracers, but the nil-gate contract (ddnilgate) holds on
-// the guard, not on that coincidence.
-func (t *Tracer) commit(spans []Span, newTrace bool) {
+// it would exceed the cap. A nil receiver is inert: callers reach
+// commit through Sampled, which rejects nil tracers, but the nil-gate
+// contract (ddnilgate) holds on the guard, not on that coincidence.
+func (t *Tracer) commit(spans []Span) {
 	if t == nil {
 		return
 	}
@@ -150,9 +148,6 @@ func (t *Tracer) commit(spans []Span, newTrace bool) {
 		return
 	}
 	t.spans = append(t.spans, spans...)
-	if newTrace {
-		t.traces++
-	}
 }
 
 // Spans returns a snapshot copy of every committed span, in commit
@@ -176,17 +171,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// TraceCount returns the number of committed whole traces (standalone
-// Record spans are not counted).
-func (t *Tracer) TraceCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traces
 }
 
 // Dropped returns the number of spans discarded because the store was
@@ -229,7 +213,7 @@ func (tc *Trace) End() {
 	if tc == nil || tc.tr == nil {
 		return
 	}
-	tc.tr.commit(tc.spans, true)
+	tc.tr.commit(tc.spans)
 	tc.tr = nil
 }
 
@@ -243,14 +227,6 @@ func (tc *Trace) EndAt(t float64) {
 		tc.spans[0].Dur = d
 	}
 	tc.End()
-}
-
-// ID returns the formatted trace ID ("" on nil).
-func (tc *Trace) ID() string {
-	if tc == nil {
-		return ""
-	}
-	return tc.id
 }
 
 // QueryID identifies the flood of the index-th query issued at the

@@ -29,12 +29,10 @@ must_fail() {
 	fi
 }
 
-tiny="-peers 60 -duration 1m"
 # The journal streams during the run and only fails if there is
 # something to write; a policed attack run produces thousands of events.
 busy="-peers 100 -agents 5 -police -duration 6m -attack-start 1m"
 
-must_fail ddsim-trace "$workdir/ddsim" $tiny -trace-out /dev/full
 must_fail ddsim-journal "$workdir/ddsim" $busy -journal /dev/full
 must_fail tracegen "$workdir/tracegen" -out /dev/full -peers 10 -rate 1 -duration 1m
 
@@ -44,9 +42,8 @@ mkdir -p "$workdir/csv"
 ln -s /dev/full "$workdir/csv/fig5_6_saturation.csv"
 must_fail ddexp "$workdir/ddexp" -scale quick -fig 5 -csv "$workdir/csv"
 
-# ddtrace -perfetto converts a trace; generate a tiny real one first.
-"$workdir/ddsim" $tiny -trace-out "$workdir/run.trace" >/dev/null
-must_fail ddtrace "$workdir/ddtrace" -in "$workdir/run.trace" -perfetto /dev/full
+# ddtrace -perfetto converts a trace: the committed two-query stream.
+must_fail ddtrace "$workdir/ddtrace" -in cmd/ddtrace/testdata/two_queries.trace -perfetto /dev/full
 
 # ddnode dumps its trace on shutdown; a failed dump must not exit 0.
 # An isolated node records no spans (and an empty dump legitimately

@@ -450,6 +450,42 @@ func overloadPoint(r Row) any {
 	return p
 }
 
+// FanoutPoint is one row of the flood fan-out study (-fig fanout): the
+// peers that process a good query at each hop (§2.3, Fig 2), from the
+// flood engine's per-depth counters, so over every good query of a run.
+type FanoutPoint struct {
+	Agents  int
+	Queries uint64    // good queries issued
+	Depth   []float64 // mean processed peers per query at hop 1..TTL
+	Total   float64   // mean processed peers per query over every hop
+}
+
+// fanoutPlan is one policed run per agent count with the flood engine's
+// counters in Result.Telemetry.
+func fanoutPlan(s Scale) []Row {
+	rows := perAgentCount(s, true)
+	for i := range rows {
+		rows[i].Config.Telemetry = true
+	}
+	return rows
+}
+
+// fanoutPoint reads one run's flood.processed_depth_<d> counters back as
+// means over its good queries.
+func fanoutPoint(r Row) any {
+	p := FanoutPoint{Agents: r.Config.NumAgents, Queries: r.Result.QueriesIssued, Depth: make([]float64, r.Config.TTL)}
+	q, total := float64(p.Queries), uint64(0)
+	for _, c := range r.Result.Telemetry.Counters {
+		var d int
+		if _, err := fmt.Sscanf(c.Name, "flood.processed_depth_%d", &d); err == nil && d <= len(p.Depth) {
+			p.Depth[d-1] = float64(c.Value) / q
+			total += c.Value
+		}
+	}
+	p.Total = float64(total) / q
+	return p
+}
+
 // observed is the row builder of a figure whose Observe yields one T
 // per run.
 func observed[T any](_ Scale, rows []Row) (any, error) {
