@@ -43,7 +43,9 @@ ddlint:
 # detectorhome keeps bad-peer recognition in one place: the seven
 # detection journal types are constructed, and police.ComputeIndicators
 # is called, only in internal/police/round.go. The journal is a
-# detection's only record; no span kind mirrors it.
+# detection's only record; no span kind mirrors it. Its monitors have
+# one home too: overlay.CountTraffic, which turns the per-edge query
+# counters on, is called outside tests only in police.New.
 detectorhome:
 	./scripts/detectorhome.sh
 

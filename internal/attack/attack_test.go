@@ -113,6 +113,7 @@ func TestFleetErrors(t *testing.T) {
 
 func TestTickEmitsExpectedVolume(t *testing.T) {
 	ov := baOverlay(t, 300, 4)
+	ov.CountTraffic()
 	eng := flood.NewEngine(ov)
 	budget := flood.NewBudget(300, 1e12)
 	links := LinkModel{SlowFraction: 0, FastCapPerMin: 75000}
@@ -152,6 +153,7 @@ func TestSprayVsBroadcastSignature(t *testing.T) {
 	// puts the full generation rate on every source edge.
 	sourceEdges := func(mode Mode) (min, max float64) {
 		ov := baOverlay(t, 300, 6)
+		ov.CountTraffic()
 		cfg := DefaultAgentConfig()
 		cfg.Mode = mode
 		cfg.TTL = 1 // isolates the source-edge signature

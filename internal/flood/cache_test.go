@@ -9,9 +9,9 @@ import (
 	"ddpolice/internal/topology"
 )
 
-// cachePair builds two independent overlays over the same static graph
-// and one engine on each: A with the traversal cache, B without. Graphs
-// are immutable, so sharing one is safe.
+// cachePair builds two independent overlays over the same static graph,
+// both counting traffic, and one engine on each: A with the traversal
+// cache, B without. Graphs are immutable, so sharing one is safe.
 func cachePair(t *testing.T, seed uint64, n, m int) (ovA, ovB *overlay.Overlay, engA, engB *Engine) {
 	t.Helper()
 	g, err := topology.BarabasiAlbert(rng.New(seed), n, m)
@@ -19,6 +19,8 @@ func cachePair(t *testing.T, seed uint64, n, m int) (ovA, ovB *overlay.Overlay, 
 		t.Fatal(err)
 	}
 	ovA, ovB = overlay.New(g), overlay.New(g)
+	ovA.CountTraffic()
+	ovB.CountTraffic()
 	engA, engB = NewEngine(ovA), NewEngine(ovB)
 	engB.SetTraversalCache(false)
 	if !engA.TraversalCacheEnabled() || engB.TraversalCacheEnabled() {
@@ -28,15 +30,21 @@ func cachePair(t *testing.T, seed uint64, n, m int) (ovA, ovB *overlay.Overlay, 
 }
 
 // assertOverlayTrafficEqual compares the accumulating per-edge counters
-// bit for bit.
+// bit for bit, and fails when every counter reads zero: two planes that
+// counted nothing agree without proving anything.
 func assertOverlayTrafficEqual(t *testing.T, step int, ovA, ovB *overlay.Overlay) {
 	t.Helper()
+	counted := false
 	for e := 0; e < ovA.NumDirectedEdges(); e++ {
 		a := ovA.CurrentMinuteEdge(overlay.EdgeID(e))
 		b := ovB.CurrentMinuteEdge(overlay.EdgeID(e))
 		if a != b {
 			t.Fatalf("step %d: edge %d traffic diverged: cached=%v uncached=%v", step, e, a, b)
 		}
+		counted = counted || a != 0
+	}
+	if !counted {
+		t.Fatalf("step %d: no edge counted any traffic", step)
 	}
 }
 

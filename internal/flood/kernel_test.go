@@ -121,6 +121,7 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 				setup := rng.New(seed * 977)
 				for l := range ovs {
 					ovs[l] = overlay.New(g)
+					ovs[l].CountTraffic()
 					buds[l] = NewBudget(n, perTick)
 					if l > 0 {
 						engs[l] = NewEngine(ovs[l])

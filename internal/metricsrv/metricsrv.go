@@ -40,7 +40,7 @@ type Config struct {
 	// serves an empty tail.
 	Journal *journal.Journal
 	// Tracer backs /trace and the healthz span fields; nil leaves
-	// /trace unregistered.
+	// /trace unregistered and the span fields out of /healthz.
 	Tracer *trace.Tracer
 	// Health, when non-nil, contributes extra fields to the /healthz
 	// document (merged over the defaults).
@@ -99,8 +99,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"uptime_seconds":  time.Since(s.start).Seconds(),
 		"journal_events":  s.cfg.Journal.Len(),
 		"journal_dropped": s.cfg.Journal.Dropped(),
-		"trace_spans":     s.cfg.Tracer.Len(),
-		"trace_dropped":   s.cfg.Tracer.Dropped(),
+	}
+	// A server without a tracer (ddsim's) has no span counts to report;
+	// zeros would read as a tracer that recorded nothing.
+	if s.cfg.Tracer != nil {
+		doc["trace_spans"] = s.cfg.Tracer.Len()
+		doc["trace_dropped"] = s.cfg.Tracer.Dropped()
 	}
 	if s.cfg.Health != nil {
 		for k, v := range s.cfg.Health() {

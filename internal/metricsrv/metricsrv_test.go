@@ -267,9 +267,14 @@ func TestServeNilInputs(t *testing.T) {
 	if code != 200 || !strings.Contains(body, `"status":"ok"`) {
 		t.Fatalf("nil healthz: code=%d body=%q", code, body)
 	}
-	for _, want := range []string{`"journal_events":0`, `"journal_dropped":0`, `"trace_spans":0`, `"trace_dropped":0`} {
+	for _, want := range []string{`"journal_events":0`, `"journal_dropped":0`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("nil healthz lacks %s: %s", want, body)
+		}
+	}
+	for _, absent := range []string{`"trace_spans"`, `"trace_dropped"`} {
+		if strings.Contains(body, absent) {
+			t.Errorf("healthz without a tracer reports %s: %s", absent, body)
 		}
 	}
 	if code, body, _ := get(t, base+"/journal"); code != 200 || strings.TrimSpace(body) != "" {

@@ -3,7 +3,10 @@
 // (the paper "simulates the joining and leaving behavior of peers via
 // turning on/off logical peers"), which logical connections have been
 // cut by DD-POLICE, and the per-directed-edge per-minute query counters
-// Q_{i->h}(t) that Definitions 2.1-2.3 are computed from.
+// Q_{i->h}(t) that Definitions 2.1-2.3 are computed from. The counters
+// exist only on an overlay that asked for them (CountTraffic): DD-POLICE
+// is their one reader, and a run without it pays neither their memory
+// nor a write per flood visit.
 package overlay
 
 import (
@@ -28,6 +31,8 @@ type Overlay struct {
 	reverse  []EdgeID // reverse[e] = id of the opposite direction
 	slot     []int32  // slot[e] = k such that e is (u -> adj[u][k]); for lookups
 	cut      []bool   // per directed edge, symmetric
+	// curQ and prevQ are the counter plane: the accumulating and the last
+	// closed minute, per directed edge. Both are nil until CountTraffic.
 	curQ     []float64
 	prevQ    []float64
 	numEdges int
@@ -60,7 +65,8 @@ type change struct {
 	peer PeerID
 }
 
-// New creates an overlay over g with every peer online and no cuts.
+// New creates an overlay over g with every peer online, no cuts and no
+// traffic counters (see CountTraffic).
 func New(g *topology.Graph) *Overlay {
 	n := g.NumNodes()
 	o := &Overlay{g: g, online: make([]bool, n), edgeBase: make([]EdgeID, n+1), onlineCount: n}
@@ -75,8 +81,6 @@ func New(g *topology.Graph) *Overlay {
 	o.reverse = make([]EdgeID, total)
 	o.slot = make([]int32, total)
 	o.cut = make([]bool, total)
-	o.curQ = make([]float64, total)
-	o.prevQ = make([]float64, total)
 	// Reverse edges by cursor, not search: rows are sorted and v ascends,
 	// so the j-th time w is met as a neighbour, v must be adj[w][j]; a
 	// mismatch is an asymmetric graph. Each directed edge advances one
@@ -187,8 +191,8 @@ func (o *Overlay) ChangedSince(since uint64, buf []PeerID) (_ []PeerID, ok bool)
 }
 
 // SetOnline toggles peer v. Transitioning in either direction clears
-// all cuts and traffic counters on v's edges: a leaving peer tears its
-// connections down, and a (re)joining peer establishes fresh
+// all cuts and any traffic counters on v's edges: a leaving peer tears
+// its connections down, and a (re)joining peer establishes fresh
 // connections — which is also how a disconnected DDoS agent "joins the
 // system again and launches another round of attacks" (§3.7.2).
 func (o *Overlay) SetOnline(v PeerID, on bool) {
@@ -210,8 +214,10 @@ func (o *Overlay) SetOnline(v PeerID, on bool) {
 		re := o.reverse[e]
 		o.cut[e] = false
 		o.cut[re] = false
-		o.curQ[e], o.prevQ[e] = 0, 0
-		o.curQ[re], o.prevQ[re] = 0, 0
+		if o.curQ != nil {
+			o.curQ[e], o.prevQ[e] = 0, 0
+			o.curQ[re], o.prevQ[re] = 0, 0
+		}
 	}
 }
 
@@ -334,14 +340,44 @@ func (o *Overlay) CutCount() int {
 	return c / 2
 }
 
+// CountTraffic turns the per-edge query counters on: from here on
+// AddTraffic counts, RollMinute closes windows, and LastMinute and
+// CurrentMinuteEdge may be read. Every counter starts at zero; a second
+// call is a no-op. Call it before the first flood that should be
+// counted. police.New is the one caller outside tests, so a run counts
+// exactly when DD-POLICE is there to read the counts.
+func (o *Overlay) CountTraffic() {
+	if o.curQ == nil {
+		o.curQ = make([]float64, o.numEdges)
+		o.prevQ = make([]float64, o.numEdges)
+	}
+}
+
+// mustCount panics on an overlay without counters: reading one would
+// return zeros that look like a quiet minute.
+func (o *Overlay) mustCount() {
+	if o.curQ == nil {
+		panic("overlay: traffic counters read before CountTraffic")
+	}
+}
+
 // AddTraffic records amount queries flowing over directed edge e in the
 // current minute window. Fractional amounts arise from attacker batch
-// floods.
-func (o *Overlay) AddTraffic(e EdgeID, amount float64) { o.curQ[e] += amount }
+// floods. Without CountTraffic it does nothing.
+func (o *Overlay) AddTraffic(e EdgeID, amount float64) {
+	if o.curQ != nil {
+		o.curQ[e] += amount
+	}
+}
 
-// AddTrafficBetween records traffic on the directed edge u->w; it is a
-// convenience for tests and the message-level simulator.
+// AddTrafficBetween records traffic on the directed edge u->w, for
+// callers that hold endpoints rather than an edge id (tests that stage
+// a minute's counts). It is an error on a non-edge and on an overlay
+// without counters.
 func (o *Overlay) AddTrafficBetween(u, w PeerID, amount float64) error {
+	if o.curQ == nil {
+		return fmt.Errorf("overlay: traffic on (%d,%d) before CountTraffic", u, w)
+	}
 	e, ok := o.lookupEdge(u, w)
 	if !ok {
 		return fmt.Errorf("overlay: traffic on non-edge (%d,%d)", u, w)
@@ -352,16 +388,22 @@ func (o *Overlay) AddTrafficBetween(u, w PeerID, amount float64) error {
 
 // RollMinute closes the current per-minute counter window: current
 // counts become the "past one minute" values that Neighbor_Traffic
-// messages report, and the current window resets.
+// messages report, and the current window resets. Without CountTraffic
+// it does nothing.
 func (o *Overlay) RollMinute() {
+	if o.curQ == nil {
+		return
+	}
 	o.prevQ, o.curQ = o.curQ, o.prevQ
 	for i := range o.curQ {
 		o.curQ[i] = 0
 	}
 }
 
-// LastMinute returns Q_{u->w} for the most recently closed minute.
+// LastMinute returns Q_{u->w} for the most recently closed minute, 0 on
+// a non-edge. It panics without CountTraffic.
 func (o *Overlay) LastMinute(u, w PeerID) float64 {
+	o.mustCount()
 	e, ok := o.lookupEdge(u, w)
 	if !ok {
 		return 0
@@ -370,4 +412,8 @@ func (o *Overlay) LastMinute(u, w PeerID) float64 {
 }
 
 // CurrentMinuteEdge returns the accumulating count for a directed edge.
-func (o *Overlay) CurrentMinuteEdge(e EdgeID) float64 { return o.curQ[e] }
+// It panics without CountTraffic.
+func (o *Overlay) CurrentMinuteEdge(e EdgeID) float64 {
+	o.mustCount()
+	return o.curQ[e]
+}

@@ -132,6 +132,7 @@ func TestCutSymmetricAndCount(t *testing.T) {
 
 func TestRejoinClearsCutsAndCounters(t *testing.T) {
 	o := New(ring(t, 10, 2))
+	o.CountTraffic()
 	if err := o.Cut(3, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +166,7 @@ func TestSetOnlineIdempotent(t *testing.T) {
 
 func TestTrafficWindows(t *testing.T) {
 	o := New(ring(t, 10, 2))
+	o.CountTraffic()
 	e, _ := o.FindEdge(0, 1)
 	o.AddTraffic(e, 30)
 	o.AddTraffic(e, 12.5)
@@ -190,6 +192,44 @@ func TestTrafficWindows(t *testing.T) {
 	}
 	if err := o.AddTrafficBetween(0, 5, 1); err == nil {
 		t.Fatal("traffic on non-edge accepted")
+	}
+	o.AddTraffic(e, 7)
+	o.CountTraffic() // a second call keeps the counts
+	if got := o.CurrentMinuteEdge(e); got != 7 {
+		t.Fatalf("second CountTraffic reset the window: %v", got)
+	}
+}
+
+// TestUncountedOverlay: an overlay that never called CountTraffic
+// holds no counters. Writes are no-ops or errors, and a read panics
+// rather than return a zero that looks like a quiet minute.
+func TestUncountedOverlay(t *testing.T) {
+	o := New(ring(t, 10, 2))
+	e, _ := o.FindEdge(0, 1)
+	o.AddTraffic(e, 5)
+	o.RollMinute()
+	o.SetOnline(0, false)
+	o.SetOnline(0, true)
+	if err := o.AddTrafficBetween(0, 1, 5); err == nil {
+		t.Fatal("AddTrafficBetween accepted on an uncounted overlay")
+	}
+	for name, read := range map[string]func(){
+		"LastMinute":         func() { o.LastMinute(0, 1) },
+		"LastMinute/nonedge": func() { o.LastMinute(0, 5) },
+		"CurrentMinuteEdge":  func() { o.CurrentMinuteEdge(e) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s read an uncounted overlay without panicking", name)
+				}
+			}()
+			read()
+		}()
+	}
+	o.CountTraffic()
+	if o.CurrentMinuteEdge(e) != 0 || o.LastMinute(0, 1) != 0 {
+		t.Fatal("CountTraffic did not start every counter at zero")
 	}
 }
 
@@ -266,6 +306,7 @@ func BenchmarkRollMinute2000(b *testing.B) {
 		b.Fatal(err)
 	}
 	o := New(g)
+	o.CountTraffic()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.RollMinute()
@@ -280,6 +321,7 @@ func TestRandomOpSequenceInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(g)
+	o.CountTraffic()
 	src := rng.New(78)
 	check := func(step int) {
 		for v := 0; v < 150; v++ {
@@ -334,6 +376,7 @@ func TestRandomOpSequenceInvariants(t *testing.T) {
 // and no-op mutations leave it alone.
 func TestVersionCountsConnectivityMutations(t *testing.T) {
 	o := New(ring(t, 10, 2))
+	o.CountTraffic()
 	v0 := o.Version()
 
 	o.SetOnline(3, false)

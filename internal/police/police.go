@@ -219,6 +219,9 @@ func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// DD-POLICE is what reads the per-edge counters (LastMinute), so it
+	// is what turns them on; an undefended run never allocates them.
+	ov.CountTraffic()
 	n, ne := ov.NumPeers(), ov.NumDirectedEdges()
 	p := &Police{
 		cfg:          cfg,

@@ -176,6 +176,36 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestCountersOnlyUnderPolice: the per-edge query counters exist to be
+// read by DD-POLICE, so a run builds them exactly when police is on. A
+// police-off run that allocated them would pay their memory and one
+// write per flood visit for nothing.
+func TestCountersOnlyUnderPolice(t *testing.T) {
+	for _, police := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.DurationSec = 120
+		cfg.NumAgents = 3
+		cfg.PoliceEnabled = police
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := newRun(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sec := 0; sec < cfg.DurationSec; sec++ {
+			r.step(sec)
+		}
+		// AddTrafficBetween errors only on an overlay without counters; a
+		// zero amount leaves a counting one as it was.
+		counting := r.ov.AddTrafficBetween(0, r.ov.Graph().Neighbors(0)[0], 0) == nil
+		if counting != police {
+			t.Errorf("police %v: overlay counting = %v", police, counting)
+		}
+	}
+}
+
 // TestAttackDegradesSystem verifies the §3.6 findings at reduced scale:
 // agents inflate traffic and depress success rate and response time.
 func TestAttackDegradesSystem(t *testing.T) {

@@ -29,20 +29,6 @@ func Group(spans []Span) []TraceView {
 	return out
 }
 
-// Root returns the root span (ordinal 0), or the first span when the
-// stream has no explicit root (live-path standalone spans).
-func (tv *TraceView) Root() *Span {
-	for i := range tv.Spans {
-		if tv.Spans[i].ID == 0 {
-			return &tv.Spans[i]
-		}
-	}
-	if len(tv.Spans) == 0 {
-		return nil
-	}
-	return &tv.Spans[0]
-}
-
 // FanOut returns the number of hop spans at each depth of the trace
 // (index 0 is depth 1). Non-hop spans are ignored.
 func FanOut(tv TraceView) []int {

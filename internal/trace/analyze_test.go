@@ -20,7 +20,7 @@ func buildQuery(tr *Tracer, seed uint64) string {
 	return FormatID(id)
 }
 
-func TestGroupAndRoot(t *testing.T) {
+func TestGroup(t *testing.T) {
 	tr := New(1.0, 0)
 	// A live stream: standalone spans of two queries, interleaved.
 	tr.Record(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 8})
@@ -35,14 +35,8 @@ func TestGroupAndRoot(t *testing.T) {
 	if len(views[0].Spans) != 2 || views[0].Spans[1].Kind != KindHop || len(views[1].Spans) != 1 {
 		t.Fatalf("live traces not regrouped in recorded order: %+v", views[:2])
 	}
-	if r := views[0].Root(); r == nil || r.Kind != KindQueryIssue || r.Node != 8 {
-		t.Fatalf("live root = %+v", r)
-	}
 	if views[2].ID != id || len(views[2].Spans) != 6 {
 		t.Fatalf("tree trace = %s with %d spans, want %s with 6", views[2].ID, len(views[2].Spans), id)
-	}
-	if r := views[2].Root(); r == nil || r.Kind != KindQueryIssue || r.Dur != 1.5 {
-		t.Fatalf("tree root = %+v", r)
 	}
 }
 
