@@ -105,9 +105,11 @@ golden:
 	$(call regen_paper,results)
 
 # race is the one race pass: the full suites of every package with real
-# concurrency, under the race detector. flood and sim run whole ticks
-# (the sharded proposal phase only races then) and sim.Grid, the one
-# worker pool, whose jobs share a World read-only; the root package is
+# concurrency, under the race detector. flood and sim run whole ticks:
+# the sharded proposal phase's workers read overlay state, the active
+# rows (overlay.Active), concurrently, so an overlay write during a
+# proposal shows up there; sim also runs sim.Grid, the one worker pool,
+# whose jobs share a World read-only; the root package is
 # where figure-level concurrency is driven from (Figure.Execute hands a
 # whole plan to the grid) and workload owns the shared Catalog, so a
 # write to either from a run shows up here; gnet is the live TCP

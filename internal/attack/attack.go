@@ -156,18 +156,17 @@ func (f *Fleet) TickSliced(eng *flood.Engine, ov *overlay.Overlay, budget *flood
 	if n == 0 {
 		return total
 	}
-	var nbuf []PeerID
 	for s := 0; s < slices; s++ {
 		start := (round*slices + s) % n
 		for i := 0; i < n; i++ {
 			a := f.agents[(start+i)%n]
-			f.emit(eng, ov, budget, a, dt/float64(slices), &total, &nbuf)
+			f.emit(eng, ov, budget, a, dt/float64(slices), &total)
 		}
 	}
 	return total
 }
 
-func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budget, a Agent, dt float64, total *flood.BatchResult, nbuf *[]PeerID) {
+func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budget, a Agent, dt float64, total *flood.BatchResult) {
 	if !ov.Online(a.ID) {
 		return
 	}
@@ -175,8 +174,9 @@ func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budge
 	if weight <= 0 {
 		return
 	}
-	*nbuf = ov.ActiveNeighbors(a.ID, (*nbuf)[:0])
-	if len(*nbuf) == 0 {
+	// The overlay's own row: FloodBatch never changes connectivity.
+	nbrs, _ := ov.Active(a.ID)
+	if len(nbrs) == 0 {
 		return
 	}
 	switch a.cfg.Mode {
@@ -193,8 +193,8 @@ func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budge
 		// same, but each source edge carries only rate/k, and no
 		// duplicate suppression ever cancels the sub-streams against
 		// each other.
-		per := weight / float64(len(*nbuf))
-		for _, v := range *nbuf {
+		per := weight / float64(len(nbrs))
+		for _, v := range nbrs {
 			r := eng.FloodBatch(a.ID, v, a.cfg.TTL, per, budget)
 			accumulate(total, r)
 		}
@@ -209,20 +209,19 @@ func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budge
 // to flood.Engine.PrewarmTrees so the commit-phase batches replay
 // cached trees instead of re-traversing.
 func (f *Fleet) FloodKeys(ov *overlay.Overlay, buf []flood.TreeKey) []flood.TreeKey {
-	var nbuf []PeerID
 	for _, a := range f.agents {
 		if !ov.Online(a.ID) || a.EffectivePerMin <= 0 {
 			continue
 		}
-		nbuf = ov.ActiveNeighbors(a.ID, nbuf[:0])
-		if len(nbuf) == 0 {
+		nbrs, _ := ov.Active(a.ID)
+		if len(nbrs) == 0 {
 			continue
 		}
 		switch a.cfg.Mode {
 		case ModeBroadcast:
 			buf = append(buf, flood.TreeKey{Src: a.ID, Entry: -1, TTL: int32(a.cfg.TTL)})
 		case ModeSpray:
-			for _, v := range nbuf {
+			for _, v := range nbrs {
 				buf = append(buf, flood.TreeKey{Src: a.ID, Entry: v, TTL: int32(a.cfg.TTL)})
 			}
 		}

@@ -37,10 +37,7 @@ func TestTakeClampsFairShareEdges(t *testing.T) {
 	b := NewBudget(4, 30)
 	b.EnableFairShare(ov)
 	// Hub has 3 active connections: 10 tokens per inbound edge.
-	e, ok := ov.FindEdge(1, 0)
-	if !ok {
-		t.Fatal("edge 1->0 missing")
-	}
+	e := ov.EdgeID(1, 0) // leaf 1's one edge, to the hub
 	if room := b.arrivalCap(0, e); room != 10 {
 		t.Fatalf("edge share = %v, want 10", room)
 	}
@@ -82,10 +79,7 @@ func TestRefillRestoresUnannouncedWrites(t *testing.T) {
 	ov := star(t, 4) // hub 0 with leaves 1..3
 	b := NewBudget(4, 30)
 	b.EnableFairShare(ov)
-	e, ok := ov.FindEdge(1, 0)
-	if !ok {
-		t.Fatal("edge 1->0 missing")
-	}
+	e := ov.EdgeID(1, 0) // leaf 1's one edge, to the hub
 	b.remaining[2] = 7.5
 	b.edgeRemaining[e] = 4
 	b.Refill()

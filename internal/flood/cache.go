@@ -15,7 +15,9 @@
 // recorded on its second sighting within a connectivity version, never
 // its first: a source that floods once costs one seenOnce entry, not a
 // copy of its tree.
-// overlay.Version() keys validity: any join/leave or cut/uncut
+// Trees are built from the overlay's active rows (overlay.Active), which
+// each join/leave and cut/uncut rewrites itself; the cache keeps only
+// trees. overlay.Version() keys their validity: any of those mutations
 // (including partition apply/heal) bumps it and flushes the trees.
 //
 // Replay is only attempted when it provably reproduces the uncached
@@ -115,23 +117,11 @@ type CacheStats struct {
 	PeakTreeBytes uint64 `json:",omitempty"`
 }
 
-// travCache holds the version-keyed derived views: a snapshot of the
-// active adjacency (online, uncut neighbors with their directed edge
-// ids — shared by every traversal, cached and live) and the memoized
-// first-visit trees.
+// travCache holds the memoized first-visit trees, valid for one
+// overlay.Version().
 type travCache struct {
 	ov      *overlay.Overlay
 	version uint64
-	synced  bool
-
-	// Active adjacency, laid out at the static edge base so one row can
-	// be rewritten without moving the others: row v occupies
-	// adjPeer/adjEdge[EdgeID(v,0) : EdgeID(v,0)+adjCount[v]] and lists
-	// v's reachable neighbors in static neighbor order.
-	adjCount []int32
-	adjPeer  []PeerID
-	adjEdge  []overlay.EdgeID
-	changed  []PeerID // scratch for overlay.ChangedSince
 
 	trees        map[treeKey]*travTree
 	seenOnce     map[treeKey]struct{}
@@ -144,44 +134,23 @@ type travCache struct {
 func newTravCache(ov *overlay.Overlay) *travCache {
 	return &travCache{
 		ov:       ov,
+		version:  ov.Version(),
 		trees:    make(map[treeKey]*travTree),
 		seenOnce: make(map[treeKey]struct{}),
 	}
 }
 
-// ensure revalidates the cache against the overlay, flushing the trees
-// and refreshing the adjacency snapshot if connectivity changed. Every
-// flood calls it, and so does the sharded proposal phase
-// (Engine.PrewarmTrees) once per tick.
-//
-// Only the adjacency rows the overlay's change log names are rewritten;
-// when the log does not reach back to c.version (or on first use) the
-// changed set is every peer. Either way the rows are current before any
-// traversal starts, so PrewarmTrees' workers see a read-only snapshot.
+// ensure flushes the trees when connectivity changed since they were
+// built. Every flood calls it, and so does the sharded proposal phase
+// (Engine.PrewarmTrees) once per tick. The adjacency the trees are
+// built from is the overlay's own (overlay.Active), which every mutation
+// keeps current, so there is nothing else to refresh.
 func (c *travCache) ensure() {
-	if c.synced && c.version == c.ov.Version() {
+	if c.version == c.ov.Version() {
 		return
 	}
 	c.flush()
-	ok := false
-	if c.synced {
-		c.changed, ok = c.ov.ChangedSince(c.version, c.changed[:0])
-	} else {
-		c.adjCount = make([]int32, c.ov.NumPeers())
-		c.adjPeer = make([]PeerID, c.ov.NumDirectedEdges())
-		c.adjEdge = make([]overlay.EdgeID, c.ov.NumDirectedEdges())
-	}
-	if ok {
-		for _, v := range c.changed {
-			c.rebuildRow(v)
-		}
-	} else {
-		for v := range c.adjCount {
-			c.rebuildRow(PeerID(v))
-		}
-	}
 	c.version = c.ov.Version()
-	c.synced = true
 }
 
 func (c *travCache) flush() {
@@ -192,32 +161,6 @@ func (c *travCache) flush() {
 	clear(c.seenOnce)
 	c.cachedVisits = 0
 	c.cachedBytes = 0
-}
-
-// rebuildRow rewrites v's row of the active-adjacency snapshot, so
-// traversals read a flat slice instead of re-filtering (and
-// binary-searching edge ids from) the static graph on every hop.
-func (c *travCache) rebuildRow(v PeerID) {
-	base := c.ov.EdgeID(v, 0)
-	n := overlay.EdgeID(0)
-	if c.ov.Online(v) {
-		for k, w := range c.ov.Graph().Neighbors(v) {
-			e := base + overlay.EdgeID(k)
-			if c.ov.Online(w) && !c.ov.EdgeCut(e) {
-				c.adjPeer[base+n] = w
-				c.adjEdge[base+n] = e
-				n++
-			}
-		}
-	}
-	c.adjCount[v] = int32(n)
-}
-
-// adj returns u's active neighbors and their directed edge ids.
-func (c *travCache) adj(u PeerID) ([]PeerID, []overlay.EdgeID) {
-	lo := c.ov.EdgeID(u, 0)
-	hi := lo + overlay.EdgeID(c.adjCount[u])
-	return c.adjPeer[lo:hi], c.adjEdge[lo:hi]
 }
 
 // lookup returns the replayable tree for key, or nil with build=true

@@ -370,7 +370,7 @@ func TestFairShareTracksChurn(t *testing.T) {
 	b := NewBudget(5, 8)
 	b.EnableFairShare(ov)
 	hub := PeerID(0)
-	e1, _ := ov.FindEdge(1, hub) // arrival edge 1 -> hub
+	e1 := ov.EdgeID(1, 0) // arrival edge 1 -> hub, leaf 1's one edge
 	if got := b.arrivalCap(hub, e1); got != 2 {
 		t.Fatalf("initial share: got %v, want capacity/degree = 8/4 = 2", got)
 	}
@@ -385,7 +385,7 @@ func TestFairShareTracksChurn(t *testing.T) {
 	// at a stale value.
 	ov.SetOnline(3, true)
 	b.Refill()
-	e3, _ := ov.FindEdge(3, hub)
+	e3 := ov.EdgeID(3, 0)
 	if got := b.arrivalCap(hub, e3); got != 8.0/3 {
 		t.Fatalf("rejoined link share: got %v, want 8/3", got)
 	}
@@ -399,81 +399,6 @@ func TestFairShareTracksChurn(t *testing.T) {
 	b.Refill()
 	if got := b.arrivalCap(hub, e3); got != 4 {
 		t.Fatalf("share after cut: got %v, want 8/2 = 4", got)
-	}
-}
-
-// TestAdjacencyRowsMatchFullRebuild is the property test for the
-// changed-row snapshot: across seeded random SetOnline/Cut/Uncut
-// sequences (rejoins clearing cuts, a partition applied and healed), a
-// cache that revalidates every step and one that lags past the
-// overlay's change-log bound both hold, row for row, exactly what a
-// cache built from scratch on the same overlay holds.
-func TestAdjacencyRowsMatchFullRebuild(t *testing.T) {
-	const n = 300
-	for seed := uint64(1); seed <= 3; seed++ {
-		g, err := topology.BarabasiAlbert(rng.New(seed), n, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov := overlay.New(g)
-		prompt, laggard := newTravCache(ov), newTravCache(ov)
-		prompt.ensure()
-		laggard.ensure()
-		src := rng.New(500 + seed)
-		var partition [][2]PeerID
-		for step := 1; step <= 1200; step++ {
-			v := PeerID(src.Intn(n))
-			ns := g.Neighbors(v)
-			switch src.Intn(7) {
-			case 0, 1, 2:
-				ov.SetOnline(v, !ov.Online(v))
-			case 3, 4:
-				if err := ov.Cut(v, ns[src.Intn(len(ns))]); err != nil {
-					t.Fatal(err)
-				}
-			case 5:
-				ov.Uncut(v, ns[src.Intn(len(ns))])
-			case 6:
-				if len(partition) > 0 {
-					for _, e := range partition {
-						ov.Uncut(e[0], e[1])
-					}
-					partition = partition[:0]
-					break
-				}
-				for _, w := range ns { // isolate v, as a one-peer partition does
-					if err := ov.Cut(v, w); err != nil {
-						t.Fatal(err)
-					}
-					partition = append(partition, [2]PeerID{v, w})
-				}
-			}
-			caches := []*travCache{prompt}
-			if step%150 == 0 {
-				caches = append(caches, laggard)
-			}
-			fresh := newTravCache(ov)
-			fresh.ensure()
-			for _, c := range caches {
-				c.ensure()
-				for u := PeerID(0); u < n; u++ {
-					gotP, gotE := c.adj(u)
-					wantP, wantE := fresh.adj(u)
-					if len(gotP) != len(wantP) {
-						t.Fatalf("seed %d step %d: row %d has %d entries, full rebuild %d", seed, step, u, len(gotP), len(wantP))
-					}
-					for i := range wantP {
-						if gotP[i] != wantP[i] || gotE[i] != wantE[i] {
-							t.Fatalf("seed %d step %d: row %d entry %d = (%d, e%d), full rebuild (%d, e%d)",
-								seed, step, u, i, gotP[i], gotE[i], wantP[i], wantE[i])
-						}
-					}
-				}
-			}
-		}
-		if _, ok := ov.ChangedSince(0, nil); ok {
-			t.Fatalf("seed %d: the change log never wrapped, so the laggard never lagged", seed)
-		}
 	}
 }
 

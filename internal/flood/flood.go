@@ -148,23 +148,15 @@ func (b *Budget) rebuildFairShare() {
 	for i := range b.edgePerTick {
 		b.edgePerTick[i] = 0
 	}
-	g := b.ov.Graph()
 	for v := 0; v < b.ov.NumPeers(); v++ {
-		id := PeerID(v)
-		deg := b.ov.ActiveDegree(id)
-		if deg == 0 {
+		_, edges := b.ov.Active(PeerID(v))
+		if len(edges) == 0 {
 			continue
 		}
-		share := b.perTick[v] / float64(deg)
-		for k, w := range g.Neighbors(id) {
-			// Edge id of v->neighbor; the *incoming* share for v over
-			// that link is tracked on the reverse edge, but since the
-			// share is symmetric per endpoint we track arrival budget
-			// on the edge pointing *to* v: reverse of v's k-th edge.
-			e := b.ov.EdgeID(id, k)
-			if !b.ov.Online(w) || b.ov.EdgeCut(e) {
-				continue
-			}
+		share := b.perTick[v] / float64(len(edges))
+		for _, e := range edges {
+			// e is v->neighbor; the arrival budget for v over that link
+			// is tracked on the edge pointing *to* v, its reverse.
 			b.edgePerTick[b.ov.Reverse(e)] = share
 		}
 	}
@@ -451,7 +443,6 @@ type Engine struct {
 	mass     []float64 // batch mode: surviving (processed) weight at peer
 	frontier []PeerID
 	next     []PeerID
-	nbuf     []PeerID
 
 	// cache is the topology-versioned traversal cache (see cache.go);
 	// nil when disabled. accBuf carries per-visit accepted mass from a
@@ -595,17 +586,6 @@ func (e *Engine) bump(src PeerID) {
 		e.epoch = 1
 	}
 	e.cells[src] = cell{seen: e.epoch, parent: noParent, alive: true}
-}
-
-// activeAdj returns u's active neighbors, plus their directed edge ids
-// when the traversal cache's CSR snapshot is available (nil eids means
-// the caller must FindEdge).
-func (e *Engine) activeAdj(u PeerID) ([]PeerID, []overlay.EdgeID) {
-	if e.cache != nil {
-		return e.cache.adj(u)
-	}
-	e.nbuf = e.ov.ActiveNeighbors(u, e.nbuf[:0])
-	return e.nbuf, nil
 }
 
 // resetRec clears and returns the engine's scratch recording tree.
@@ -782,10 +762,9 @@ func (e *Engine) query(src PeerID, ttl int, budget *Budget, res *QueryResult) {
 	e.liveQuery(src, ttl, budget, res, nil)
 }
 
-// liveQuery is the uncached BFS; it still reads the CSR adjacency
-// snapshot when the cache is enabled (the snapshot is connectivity
-// state, not traversal memoization, so it is always sound). A non-nil
-// rec collects the first-visit tree in traversal order as it runs.
+// liveQuery is the uncached BFS over the overlay's active rows
+// (overlay.Active), with or without the cache. A non-nil rec collects
+// the first-visit tree in traversal order as it runs.
 func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult, rec *travTree) {
 	e.bump(src)
 	ep, cells := e.epoch, e.cells
@@ -796,7 +775,7 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult
 		e.next = e.next[:0]
 		processed := res.Processed
 		for _, u := range e.frontier {
-			nbrs, eids := e.activeAdj(u)
+			nbrs, eids := e.ov.Active(u)
 			cu := cells[u]
 			nd := travNode{u: u}
 			for k, v := range nbrs {
@@ -811,12 +790,7 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult
 					nd.dups++
 					continue
 				}
-				eid := overlay.EdgeID(0)
-				if eids != nil {
-					eid = eids[k]
-				} else {
-					eid, _ = e.ov.FindEdge(u, v)
-				}
+				eid := eids[k]
 				if rec != nil {
 					rec.visits = append(rec.visits, visit{v: v, eid: eid})
 				}
@@ -1039,9 +1013,9 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 	return true
 }
 
-// liveBatch is the uncached fluid BFS (CSR-accelerated when the cache
-// is enabled). A non-nil rec collects the first-visit tree in
-// traversal order; the return reports whether any first visit was
+// liveBatch is the uncached fluid BFS over the overlay's active rows,
+// with or without the cache. A non-nil rec collects the first-visit tree
+// in traversal order; the return reports whether any first visit was
 // capacity-clipped to zero, which in the physical plane prunes a
 // subtree and makes the recording non-structural.
 func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, budget *Budget, res *BatchResult, rec *travTree) (zeroClip bool) {
@@ -1062,7 +1036,7 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 					continue
 				}
 			}
-			nbrs, eids := e.activeAdj(u)
+			nbrs, eids := e.ov.Active(u)
 			parent := cells[u].parent
 			nd := travNode{u: u}
 			for k, v := range nbrs {
@@ -1079,12 +1053,7 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 					nd.dups++
 					continue
 				}
-				eid := overlay.EdgeID(0)
-				if eids != nil {
-					eid = eids[k]
-				} else {
-					eid, _ = e.ov.FindEdge(u, v)
-				}
+				eid := eids[k]
 				if rec != nil {
 					rec.visits = append(rec.visits, visit{v: v, eid: eid})
 				}

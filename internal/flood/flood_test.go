@@ -480,7 +480,7 @@ func TestFairShareRefill(t *testing.T) {
 	e := NewEngine(ov)
 	e.FloodBatch(1, -1, 7, 100, budget)
 	budget.Refill()
-	eid, _ := ov.FindEdge(1, 0)
+	eid := ov.EdgeID(1, 0) // leaf 1's one edge, to the hub
 	if got := budget.arrivalCap(0, eid); got != 10 {
 		t.Fatalf("per-link share after refill = %v, want 10", got)
 	}

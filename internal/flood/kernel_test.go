@@ -33,7 +33,8 @@ func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, tt
 	for depth := int32(1); int(depth) <= ttl && len(frontier) > 0; depth++ {
 		var next []PeerID
 		for _, u := range frontier {
-			for _, v := range ov.ActiveNeighbors(u, nil) {
+			nbrs, eids := ov.Active(u)
+			for k, v := range nbrs {
 				if v == parent[u] {
 					continue
 				}
@@ -42,7 +43,7 @@ func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, tt
 					res.DupMessages++
 					continue
 				}
-				eid, _ := ov.FindEdge(u, v)
+				eid := eids[k]
 				ov.AddTraffic(eid, 1)
 				seen[v], hop[v], parent[v], delay[v] = true, depth, u, -1
 				outcome := VisitForwarded

@@ -64,7 +64,8 @@ func oracleCounts(ov *overlay.Overlay, d []int, ttl int, entry PeerID) (processe
 			processed++
 		}
 		if dv <= ttl-1 {
-			sent := ov.ActiveDegree(PeerID(v))
+			nbrs, _ := ov.Active(PeerID(v))
+			sent := len(nbrs)
 			switch {
 			case dv > 0:
 				sent--

@@ -4,8 +4,9 @@
 // The key observation (DESIGN.md §13) is that a flood's first-visit
 // tree is a pure function of overlay connectivity — not of budgets,
 // delays, or any other per-tick state — so the expensive traversal work
-// of a tick can run ahead of time, in parallel, against the immutable
-// CSR snapshot, as long as every *stateful* effect (capacity clipping,
+// of a tick can run ahead of time, in parallel, against the overlay's
+// active rows (overlay.Active), which nothing mutates during the
+// proposal phase, as long as every *stateful* effect (capacity clipping,
 // queueing delay, fair-share accounting, telemetry, journaling) is
 // applied later by the serial commit phase in the exact order the
 // serial engine would have produced it. PrewarmTrees is that proposal
@@ -26,6 +27,7 @@ package flood
 import (
 	"sync"
 
+	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
 )
@@ -44,10 +46,10 @@ type TreeKey struct {
 const shardSalt = 0xddb01ce5eed5a17e
 
 // treeBuilder is one shard's private structural-BFS scratch. Builders
-// share the read-only CSR adjacency snapshot but nothing mutable, so
-// any number of them may run concurrently.
+// share the overlay's active rows, read-only while they run, but
+// nothing mutable, so any number of them may run concurrently.
 type treeBuilder struct {
-	cache    *travCache
+	ov       *overlay.Overlay
 	epoch    uint32
 	seen     []uint32
 	parent   []PeerID
@@ -71,17 +73,18 @@ type treeBuilder struct {
 	visits uint64
 }
 
-func newTreeBuilder(n int) *treeBuilder {
+func newTreeBuilder(ov *overlay.Overlay) *treeBuilder {
 	return &treeBuilder{
-		seen:   make([]uint32, n),
-		parent: make([]PeerID, n),
+		ov:     ov,
+		seen:   make([]uint32, ov.NumPeers()),
+		parent: make([]PeerID, ov.NumPeers()),
 	}
 }
 
 // build runs the purely structural TTL-bounded BFS (parent skip +
 // duplicate suppression, no budgets) and records the first-visit tree
-// in frontier order. It reads only the CSR snapshot and its own
-// scratch.
+// in frontier order. It reads only the overlay's active rows and its
+// own scratch.
 func (tb *treeBuilder) build(src, entry PeerID, ttl int) *travTree {
 	tr := &travTree{
 		visits: make([]visit, 0, tb.visitHint),
@@ -100,7 +103,7 @@ func (tb *treeBuilder) build(src, entry PeerID, ttl int) *travTree {
 	for depth := 1; depth <= ttl && len(tb.frontier) > 0; depth++ {
 		tb.next = tb.next[:0]
 		for _, u := range tb.frontier {
-			nbrs, eids := tb.cache.adj(u)
+			nbrs, eids := tb.ov.Active(u)
 			nd := travNode{u: u}
 			for k, v := range nbrs {
 				if v == tb.parent[u] {
@@ -202,16 +205,15 @@ func (e *Engine) PrewarmTrees(keys []TreeKey, shards int) int {
 	}
 
 	// Parallel proposal: each shard builds its keys into private
-	// scratch; built[i] cells are disjoint per shard, the CSR snapshot
-	// is read-only, and nothing else is shared.
+	// scratch; built[i] cells are disjoint per shard, the overlay's rows
+	// are only read, and nothing else is shared.
 	for len(e.builders) < shards {
-		e.builders = append(e.builders, newTreeBuilder(e.ov.NumPeers()))
+		e.builders = append(e.builders, newTreeBuilder(e.ov))
 	}
 	built := make([]*travTree, len(want))
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		tb := e.builders[s]
-		tb.cache = c
 		wg.Add(1)
 		go func(s int, tb *treeBuilder) {
 			defer wg.Done()

@@ -51,10 +51,9 @@ func TestPrewarmTreesMatchOrganicBuilds(t *testing.T) {
 		t.Fatal("prewarm built nothing")
 	}
 	// Reference builds on B: one treeBuilder, serially, over B's own
-	// snapshot.
+	// rows.
 	engB.cache.ensure()
-	tb := newTreeBuilder(n)
-	tb.cache = engB.cache
+	tb := newTreeBuilder(ovB)
 	for _, k := range keys {
 		entry := k.Entry
 		if entry < 0 {

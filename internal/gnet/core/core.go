@@ -261,8 +261,8 @@ func (c *Core) arm(t time.Time) {
 func (c *Core) Next() time.Time { return c.next }
 
 // Tick runs every deadline that has passed by now, in a fixed order: the
-// processing-token refill; the window close (the monitor's minute, then
-// the overload plane's window); the verdicts due, by suspect id; the
+// processing-token refill; the window close (the monitor's minute, the
+// overload plane's window, then a GUID-table rotation); the verdicts due, by suspect id; the
 // re-dials due, by peer id.
 func (c *Core) Tick(now time.Time) {
 	c.at(now)
@@ -279,6 +279,7 @@ func (c *Core) Tick(now time.Time) {
 			c.closeMinute()
 		}
 		c.closeOverloadWindow()
+		c.guids.rotate()
 	}
 	c.next = c.refillAt
 	c.arm(c.windowAt)

@@ -391,6 +391,40 @@ func TestGUIDFloodKeepsInFlightRoutes(t *testing.T) {
 	}
 }
 
+// TestGUIDExpiresAfterTwoQuietWindows relays one query through node 2,
+// between scripted peers 1 and 3, and delivers the same frame again
+// after one quiet window and after a second. The GUID table used to
+// rotate only when a generation filled, so a quiet node kept a GUID for
+// good and dropped the late copy as a duplicate forever. Now every
+// window close rotates it: a GUID is remembered for at least one window
+// and forgotten after two, and the late copy is relayed again.
+func TestGUIDExpiresAfterTwoQuietWindows(t *testing.T) {
+	const minute = time.Second
+	m := newMesh(t)
+	relay := m.add(2, func(cfg *core.Config) { cfg.MinuteLength = minute })
+	m.Connect(1, 2)
+	m.Connect(2, 3)
+	m.run()
+	guid := protocol.NewGUID(m.Src)
+	deliver := func() (relayed int) {
+		since := len(m.Log)
+		m.inject(2, 1, protocol.Encode(nil, guid, 3, 0, protocol.Query{Keywords: "late"}))
+		m.run()
+		return len(m.sent(2, 3, since))
+	}
+	if got := deliver(); got != 1 {
+		t.Fatalf("first copy: relayed %d, want 1", got)
+	}
+	m.advance(minute)
+	if got := deliver(); got != 0 || relay.Stats().DupDropped != 1 {
+		t.Fatalf("after one window: relayed %d, %d duplicates dropped; want 0 and 1", got, relay.Stats().DupDropped)
+	}
+	m.advance(minute)
+	if got := deliver(); got != 1 || relay.Stats().DupDropped != 1 {
+		t.Fatalf("after two windows: relayed %d, %d duplicates dropped; want 1 and 1 (the GUID forgotten)", got, relay.Stats().DupDropped)
+	}
+}
+
 // TestOnlyNeighborLinksCarryTheFlood delivers frames on a link the core
 // was never told is up: the out-of-band channel a buddy-group member
 // opens, which the shell adopts without Up. Anything on it used to reach

@@ -152,10 +152,13 @@ func (c *Core) queryHit(from Link, h protocol.Header, frame []byte) {
 const guidGeneration = 1 << 17
 
 // guidTable remembers the GUIDs this node has seen, in two generations of
-// up to guidGeneration each: when the current one fills, it becomes the
-// older one and the older one is dropped. A flood of new GUIDs therefore
-// evicts only what came before the last guidGeneration of them, never
-// the whole table, so queries in flight keep their reverse routes.
+// up to guidGeneration each. The generations rotate — the current one
+// becomes the older one and the older one is dropped — when the current
+// one fills and at every window close (Core.Tick), so a GUID is kept
+// for at least one window and at most two, however quiet the node. A
+// flood of new GUIDs therefore evicts only what came before the last
+// guidGeneration of them, never the whole table, so queries in flight
+// keep their reverse routes.
 type guidTable struct {
 	cur, old map[protocol.GUID]guidEntry
 }
@@ -186,10 +189,15 @@ func (t *guidTable) find(g protocol.GUID) (guidEntry, map[protocol.GUID]guidEntr
 // add records a GUID that neither generation holds, in the current one.
 func (t *guidTable) add(g protocol.GUID, e guidEntry) {
 	if len(t.cur) >= guidGeneration {
-		clear(t.old) // keeps its buckets for the next generation
-		t.cur, t.old = t.old, t.cur
+		t.rotate()
 	}
 	t.cur[g] = e
+}
+
+// rotate drops the older generation and starts a new current one.
+func (t *guidTable) rotate() {
+	clear(t.old) // keeps its buckets for the next generation
+	t.cur, t.old = t.old, t.cur
 }
 
 // Issue floods a query; the first hit is sent on hit, which must have

@@ -31,6 +31,16 @@ type Overlay struct {
 	reverse  []EdgeID // reverse[e] = id of the opposite direction
 	slot     []int32  // slot[e] = k such that e is (u -> adj[u][k]); for lookups
 	cut      []bool   // per directed edge, symmetric
+	// The active adjacency, laid out at the static edge base so one row
+	// can be rewritten without moving the others: row v is
+	// actPeer/actEdge[edgeBase[v] : edgeBase[v]+actCount[v]], v's online
+	// neighbours over uncut edges with their directed edge ids, in static
+	// neighbour order. Every mutation that changes connectivity rewrites
+	// the rows it touched before it returns (rebuildRow), so Active is
+	// always current.
+	actCount []int32
+	actPeer  []PeerID
+	actEdge  []EdgeID
 	// curQ and prevQ are the counter plane: the accumulating and the last
 	// closed minute, per directed edge. Both are nil until CountTraffic.
 	curQ     []float64
@@ -47,22 +57,6 @@ type Overlay struct {
 	// no-op mutations (cutting an already-cut edge, re-onlining an
 	// online peer) deliberately do not bump it.
 	version uint64
-	// changes is the bounded, version-keyed change log behind
-	// ChangedSince: one entry per peer whose active-neighbour row a
-	// mutation may have changed, tagged with the version that mutation
-	// produced, in mutation order. It covers versions in (changesFrom,
-	// version]; once it holds NumPeers entries it is emptied and
-	// changesFrom moves up, because a consumer that far behind is
-	// better served by rebuilding every row.
-	changes     []change
-	changesFrom uint64
-}
-
-// change is one change-log entry: peer's active row may differ from
-// what it was before the mutation that produced version ver.
-type change struct {
-	ver  uint64
-	peer PeerID
 }
 
 // New creates an overlay over g with every peer online, no cuts and no
@@ -81,6 +75,9 @@ func New(g *topology.Graph) *Overlay {
 	o.reverse = make([]EdgeID, total)
 	o.slot = make([]int32, total)
 	o.cut = make([]bool, total)
+	o.actCount = make([]int32, n)
+	o.actPeer = make([]PeerID, total)
+	o.actEdge = make([]EdgeID, total)
 	// Reverse edges by cursor, not search: rows are sorted and v ascends,
 	// so the j-th time w is met as a neighbour, v must be adj[w][j]; a
 	// mismatch is an asymmetric graph. Each directed edge advances one
@@ -96,7 +93,10 @@ func New(g *topology.Graph) *Overlay {
 			}
 			cursor[w]++
 			o.reverse[e] = o.edgeBase[w] + EdgeID(j)
+			// Everyone is online and nothing is cut: each row is whole.
+			o.actPeer[e], o.actEdge[e] = w, e
 		}
+		o.actCount[v] = int32(g.Degree(PeerID(v)))
 	}
 	return o
 }
@@ -154,42 +154,6 @@ func (o *Overlay) AppendOnline(buf []PeerID) []PeerID {
 	return buf
 }
 
-// logChange records that the mutation which just produced o.version may
-// have changed the active rows of peers and of nbrs. A full log is
-// emptied first, so the mutation being logged is always covered.
-func (o *Overlay) logChange(nbrs []PeerID, peers ...PeerID) {
-	if len(o.changes)+len(nbrs)+len(peers) > len(o.online) {
-		o.changes = o.changes[:0]
-		o.changesFrom = o.version - 1
-	}
-	for _, p := range peers {
-		o.changes = append(o.changes, change{o.version, p})
-	}
-	for _, p := range nbrs {
-		o.changes = append(o.changes, change{o.version, p})
-	}
-}
-
-// ChangedSince appends to buf every peer whose set of active neighbours
-// (online, edge not cut) may differ between version since and now, and
-// returns the extended slice; a peer may appear more than once. ok is
-// false when the log no longer reaches back to since — the caller lags
-// by more than about NumPeers row changes — and then every peer must be
-// taken as changed. since must be a value Version returned earlier.
-func (o *Overlay) ChangedSince(since uint64, buf []PeerID) (_ []PeerID, ok bool) {
-	if since < o.changesFrom {
-		return buf, false
-	}
-	i := len(o.changes)
-	for i > 0 && o.changes[i-1].ver > since {
-		i--
-	}
-	for _, c := range o.changes[i:] {
-		buf = append(buf, c.peer)
-	}
-	return buf, true
-}
-
 // SetOnline toggles peer v. Transitioning in either direction clears
 // all cuts and any traffic counters on v's edges: a leaving peer tears
 // its connections down, and a (re)joining peer establishes fresh
@@ -206,9 +170,6 @@ func (o *Overlay) SetOnline(v PeerID, on bool) {
 	} else {
 		o.onlineCount--
 	}
-	// v's own row and, because v appears in or vanishes from theirs and
-	// the cuts on its edges are cleared, every static neighbour's.
-	o.logChange(o.g.Neighbors(v), v)
 	for k := range o.g.Neighbors(v) {
 		e := o.edgeBase[v] + EdgeID(k)
 		re := o.reverse[e]
@@ -219,6 +180,29 @@ func (o *Overlay) SetOnline(v PeerID, on bool) {
 			o.curQ[re], o.prevQ[re] = 0, 0
 		}
 	}
+	// v's own row and, because v appears in or vanishes from theirs and
+	// the cuts on its edges are cleared, every static neighbour's.
+	o.rebuildRow(v)
+	for _, w := range o.g.Neighbors(v) {
+		o.rebuildRow(w)
+	}
+}
+
+// rebuildRow rewrites v's row of the active adjacency from the online
+// flags and the cuts.
+func (o *Overlay) rebuildRow(v PeerID) {
+	base := o.edgeBase[v]
+	n := base
+	if o.online[v] {
+		for k, w := range o.g.Neighbors(v) {
+			e := base + EdgeID(k)
+			if o.online[w] && !o.cut[e] {
+				o.actPeer[n], o.actEdge[n] = w, e
+				n++
+			}
+		}
+	}
+	o.actCount[v] = int32(n - base)
 }
 
 // EdgeID returns the directed edge id for u's k-th static neighbor.
@@ -256,34 +240,24 @@ func (o *Overlay) Connected(u, w PeerID) bool {
 	return ok && !o.cut[e]
 }
 
-// ActiveNeighbors appends to buf the currently reachable neighbors of v
-// (online, edge not cut) and returns the extended slice. buf may be nil.
-func (o *Overlay) ActiveNeighbors(v PeerID, buf []PeerID) []PeerID {
-	if !o.online[v] {
-		return buf
-	}
-	base := o.edgeBase[v]
-	for k, w := range o.g.Neighbors(v) {
-		if o.online[w] && !o.cut[base+EdgeID(k)] {
-			buf = append(buf, w)
-		}
-	}
-	return buf
+// Active returns v's row of the active adjacency: its currently
+// reachable neighbors (online, edge not cut) in static neighbor order,
+// and the directed edge id of v to each. An offline peer's row is empty.
+// The slices are the overlay's own, read-only, and valid until the next
+// SetOnline, Cut or Uncut; callers that mutate while iterating copy first
+// (ActiveNeighbors).
+func (o *Overlay) Active(v PeerID) (peers []PeerID, edges []EdgeID) {
+	lo := o.edgeBase[v]
+	hi := lo + EdgeID(o.actCount[v])
+	return o.actPeer[lo:hi:hi], o.actEdge[lo:hi:hi]
 }
 
-// ActiveDegree returns the number of active neighbors of v.
-func (o *Overlay) ActiveDegree(v PeerID) int {
-	if !o.online[v] {
-		return 0
-	}
-	base := o.edgeBase[v]
-	d := 0
-	for k, w := range o.g.Neighbors(v) {
-		if o.online[w] && !o.cut[base+EdgeID(k)] {
-			d++
-		}
-	}
-	return d
+// ActiveNeighbors appends v's active row (see Active) to buf and returns
+// the extended slice: a copy that stays valid across mutations. buf may
+// be nil.
+func (o *Overlay) ActiveNeighbors(v PeerID, buf []PeerID) []PeerID {
+	peers, _ := o.Active(v)
+	return append(buf, peers...)
 }
 
 // Cut severs the logical connection {u,w} in both directions. It
@@ -295,10 +269,11 @@ func (o *Overlay) Cut(u, w PeerID) error {
 	}
 	if !o.cut[e] {
 		o.version++
-		o.logChange(nil, u, w)
+		o.cut[e] = true
+		o.cut[o.reverse[e]] = true
+		o.rebuildRow(u)
+		o.rebuildRow(w)
 	}
-	o.cut[e] = true
-	o.cut[o.reverse[e]] = true
 	return nil
 }
 
@@ -313,10 +288,11 @@ func (o *Overlay) Uncut(u, w PeerID) {
 	}
 	if o.cut[e] {
 		o.version++
-		o.logChange(nil, u, w)
+		o.cut[e] = false
+		o.cut[o.reverse[e]] = false
+		o.rebuildRow(u)
+		o.rebuildRow(w)
 	}
-	o.cut[e] = false
-	o.cut[o.reverse[e]] = false
 }
 
 // EdgeCut reports whether directed edge e has been severed. It is the

@@ -99,8 +99,8 @@ func TestActiveNeighborsRespectOnlineAndCuts(t *testing.T) {
 	if len(ns) != 2 || ns[0] != 8 || ns[1] != 9 {
 		t.Fatalf("after offline+cut: %v", ns)
 	}
-	if o.ActiveDegree(0) != 2 {
-		t.Fatalf("active degree = %d", o.ActiveDegree(0))
+	if peers, edges := o.Active(0); len(peers) != 2 || len(edges) != 2 {
+		t.Fatalf("active row = %v %v", peers, edges)
 	}
 	if o.Connected(0, 2) || o.Connected(0, 1) || !o.Connected(0, 9) {
 		t.Fatal("Connected wrong")
@@ -109,8 +109,8 @@ func TestActiveNeighborsRespectOnlineAndCuts(t *testing.T) {
 	if got := o.ActiveNeighbors(1, nil); len(got) != 0 {
 		t.Fatalf("offline peer neighbors = %v", got)
 	}
-	if o.ActiveDegree(1) != 0 {
-		t.Fatal("offline peer degree != 0")
+	if peers, _ := o.Active(1); len(peers) != 0 {
+		t.Fatal("offline peer has an active row")
 	}
 }
 
@@ -326,7 +326,8 @@ func TestRandomOpSequenceInvariants(t *testing.T) {
 	check := func(step int) {
 		for v := 0; v < 150; v++ {
 			id := PeerID(v)
-			ad := o.ActiveDegree(id)
+			row, _ := o.Active(id)
+			ad := len(row)
 			if ad < 0 || ad > g.Degree(id) {
 				t.Fatalf("step %d: active degree %d outside [0,%d]", step, ad, g.Degree(id))
 			}

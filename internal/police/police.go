@@ -174,13 +174,11 @@ type Police struct {
 
 	// Pooled scratch buffers: the minute sweep runs for every online peer
 	// every simulated minute. Each buffer is owned by exactly one
-	// (non-reentrant) call path; the exchange walks static slots and
-	// needs none but advertised's.
+	// (non-reentrant) call path; the sweep reads each observer's suspects
+	// from the overlay's active row, and the exchange walks static slots.
 	cutBuf  []Verdict // EvaluateMinute's deferred cut decisions
-	evalBuf []PeerID  // EvaluateMinute's per-observer suspect scan
 	obsBuf  []PeerID  // EvaluateMinute's online-observer sweep list
 	joinBuf []PeerID  // NotifyJoin's event-driven exchange list
-	advBuf  []PeerID  // advertised's recompute, compared before publishing
 
 	// Published neighbor lists, one per owner (advertised): snap[v] is
 	// the last list v published and is never written again; snapVer[v] is

@@ -78,6 +78,8 @@ func (p *Police) NotifyJoin(v PeerID, now float64) {
 		}
 	}
 	if p.cfg.EventDriven {
+		// A copy, not the overlay's row: a VerifyLists cut inside
+		// exchangeFrom rewrites the rows mid-loop.
 		p.joinBuf = p.ov.ActiveNeighbors(v, p.joinBuf[:0])
 		for _, w := range p.joinBuf {
 			p.exchangeFrom(w, now)
@@ -122,19 +124,18 @@ func (p *Police) exchangeFrom(v PeerID, now float64) {
 // advertised returns v's active-neighbor list as a published snapshot:
 // a slice that is never written again, so every receiver stores its
 // header instead of a copy. While the overlay's version is unchanged it
-// is returned as is; otherwise the list is recomputed into scratch and
-// republished, as a fresh clone, only if its contents changed. A
-// VerifyLists cut in mid-exchange bumps the version, so the next push
-// re-reads the list.
+// is returned as is; otherwise it is compared with v's active row and
+// republished, as a fresh clone of the row, only if its contents
+// changed. A VerifyLists cut in mid-exchange bumps the version, so the
+// next push re-reads the list.
 func (p *Police) advertised(v PeerID) []PeerID {
 	ver := p.ov.Version() + 1 // snapVer 0 = never computed
 	if p.snapVer[v] == ver {
 		return p.snap[v]
 	}
 	p.snapVer[v] = ver
-	p.advBuf = p.ov.ActiveNeighbors(v, p.advBuf[:0])
-	if !slices.Equal(p.advBuf, p.snap[v]) {
-		p.snap[v] = slices.Clip(slices.Clone(p.advBuf))
+	if row, _ := p.ov.Active(v); !slices.Equal(row, p.snap[v]) {
+		p.snap[v] = slices.Clip(slices.Clone(row))
 	}
 	return p.snap[v]
 }
@@ -295,13 +296,14 @@ func (p *Police) EvaluateMinute(now float64) {
 	// Online observers, in ascending order.
 	p.obsBuf = p.ov.AppendOnline(p.obsBuf[:0])
 	for _, observer := range p.obsBuf {
-		p.evalBuf = p.ov.ActiveNeighbors(observer, p.evalBuf[:0])
-		for _, suspect := range p.evalBuf {
+		// The overlay's own row: nothing in the sweep mutates the
+		// overlay, since the cuts wait for its end.
+		suspects, edges := p.ov.Active(observer)
+		for i, suspect := range suspects {
 			if !r.Warn(observer, suspect, now, window, p.ov.LastMinute(suspect, observer)) {
 				continue
 			}
-			// An active neighbor is a static one: the lookup cannot miss.
-			e, _ := p.ov.FindEdge(observer, suspect)
+			e := edges[i]
 			v, opened := p.collect(e, now, now-p.lastNT[e])
 			if !opened {
 				continue
