@@ -541,3 +541,93 @@ func TestCachedTreeBytesPerVisit(t *testing.T) {
 		t.Errorf("PeakTreeBytes = %d after %d flushes, want the %d bytes cached", st.PeakTreeBytes, st.Flushes, bytes)
 	}
 }
+
+// rebuiltOverlay builds a fresh overlay over ov's graph and brings it to
+// ov's state: the offline peers leave first (a leave clears the cuts on
+// a peer's edges), then every cut edge is cut. Its rows carry none of
+// ov's mutation history.
+func rebuiltOverlay(t *testing.T, ov *overlay.Overlay) *overlay.Overlay {
+	t.Helper()
+	g := ov.Graph()
+	fresh := overlay.New(g)
+	for v := PeerID(0); v < PeerID(ov.NumPeers()); v++ {
+		if !ov.Online(v) {
+			fresh.SetOnline(v, false)
+		}
+	}
+	for v := PeerID(0); v < PeerID(ov.NumPeers()); v++ {
+		for k, w := range g.Neighbors(v) {
+			if v < w && ov.EdgeCut(ov.EdgeID(v, k)) {
+				if err := fresh.Cut(v, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return fresh
+}
+
+// TestAdjacencyRowsMatchFullRebuild checks the rows every flood BFS,
+// replay and prewarm build walks (overlay.Active) against a full
+// rebuild: after each step of a random sequence of flips, cuts, uncuts
+// and one-peer partitions, each row, peers and edge ids in order,
+// equals the row of a fresh overlay brought to the same state.
+func TestAdjacencyRowsMatchFullRebuild(t *testing.T) {
+	const n = 300
+	for seed := uint64(1); seed <= 3; seed++ {
+		g, err := topology.BarabasiAlbert(rng.New(seed), n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov := overlay.New(g)
+		src := rng.New(500 + seed)
+		var partition [][2]PeerID
+		cuts := 0
+		for step := 1; step <= 1200; step++ {
+			v := PeerID(src.Intn(n))
+			ns := g.Neighbors(v)
+			switch src.Intn(7) {
+			case 0, 1, 2:
+				ov.SetOnline(v, !ov.Online(v))
+			case 3, 4:
+				if err := ov.Cut(v, ns[src.Intn(len(ns))]); err != nil {
+					t.Fatal(err)
+				}
+			case 5:
+				ov.Uncut(v, ns[src.Intn(len(ns))])
+			case 6:
+				if len(partition) > 0 {
+					for _, e := range partition {
+						ov.Uncut(e[0], e[1])
+					}
+					partition = partition[:0]
+					break
+				}
+				for _, w := range ns { // isolate v, as a one-peer partition does
+					if err := ov.Cut(v, w); err != nil {
+						t.Fatal(err)
+					}
+					partition = append(partition, [2]PeerID{v, w})
+				}
+			}
+			cuts = max(cuts, ov.CutCount())
+			fresh := rebuiltOverlay(t, ov)
+			for u := PeerID(0); u < n; u++ {
+				gotP, gotE := ov.Active(u)
+				wantP, wantE := fresh.Active(u)
+				if len(gotP) != len(wantP) {
+					t.Fatalf("seed %d step %d: row %d has %d entries, full rebuild %d", seed, step, u, len(gotP), len(wantP))
+				}
+				for i := range wantP {
+					if gotP[i] != wantP[i] || gotE[i] != wantE[i] {
+						t.Fatalf("seed %d step %d: row %d entry %d = (%d, e%d), full rebuild (%d, e%d)",
+							seed, step, u, i, gotP[i], gotE[i], wantP[i], wantE[i])
+					}
+				}
+			}
+		}
+		if cuts == 0 {
+			t.Fatalf("seed %d: no edge was ever cut, so the rebuild never replayed a cut", seed)
+		}
+	}
+}

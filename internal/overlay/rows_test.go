@@ -47,13 +47,15 @@ func mutate(o *Overlay, src *rng.Source, partition *[][2]PeerID) {
 	}
 }
 
-// TestActiveRowsAndOnlineIndexMatchRescan is the property test for the
+// TestChangeLogAndOnlineIndexMatchRescan is the property test for the
 // overlay's incremental views: after every step of a seeded random
 // mutation sequence, every peer's active row (Active: peers and edge
 // ids) equals a rescan of its static row against the online flags and
-// the cuts, and AppendOnline/OnlineCount equal an ascending scan of
-// Online.
-func TestActiveRowsAndOnlineIndexMatchRescan(t *testing.T) {
+// the cuts, a step that leaves Version unchanged leaves every row as it
+// was, and AppendOnline/OnlineCount equal an ascending scan of Online.
+// The rows replaced the change log its readers rebuilt them from, and
+// Version is the change record that traversal caches key on.
+func TestChangeLogAndOnlineIndexMatchRescan(t *testing.T) {
 	const n = 400
 	for seed := uint64(1); seed <= 4; seed++ {
 		g, err := topology.BarabasiAlbert(rng.New(seed), n, 3)
@@ -65,8 +67,15 @@ func TestActiveRowsAndOnlineIndexMatchRescan(t *testing.T) {
 		var partition [][2]PeerID
 		var online, wantP []PeerID
 		var wantE []EdgeID
+		prevP, prevE := make([][]PeerID, n), make([][]EdgeID, n)
+		for v := PeerID(0); v < n; v++ {
+			p, e := o.Active(v)
+			prevP[v], prevE[v] = slices.Clone(p), slices.Clone(e)
+		}
 		for step := 1; step <= 1500; step++ {
+			ver := o.Version()
 			mutate(o, src, &partition)
+			unchanged := o.Version() == ver
 
 			var scan []PeerID
 			for v := 0; v < n; v++ {
@@ -94,6 +103,12 @@ func TestActiveRowsAndOnlineIndexMatchRescan(t *testing.T) {
 				if !slices.Equal(gotP, wantP) || !slices.Equal(gotE, wantE) {
 					t.Fatalf("seed %d step %d: row %d = %v %v, rescan = %v %v", seed, step, v, gotP, gotE, wantP, wantE)
 				}
+				if unchanged && (!slices.Equal(gotP, prevP[v]) || !slices.Equal(gotE, prevE[v])) {
+					t.Fatalf("seed %d step %d: row %d changed to %v %v without a version bump (was %v %v)",
+						seed, step, v, gotP, gotE, prevP[v], prevE[v])
+				}
+				prevP[v] = append(prevP[v][:0], gotP...)
+				prevE[v] = append(prevE[v][:0], gotE...)
 			}
 		}
 	}
