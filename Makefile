@@ -92,7 +92,7 @@ test:
 regen_paper = $(GO) run ./cmd/ddexp -scale paper -fig all -csv $(1)/csv -svg $(1)/svg > $(1)/paper_results.txt
 
 # golden re-pins everything that is pinned: internal/sim/testdata/golden/
-# *.sha256 — the digests of each scenario's Result, journal and trace
+# *.sha256 — the digests of each scenario's Result and journal
 # streams that `test` holds the one tick engine to (DESIGN.md §16)
 # — then cmd/ddexp/testdata/quick, the quick-scale stdout, CSVs and SVGs
 # of every figure, then the committed paper-scale results/ (~40 s). Run

@@ -77,7 +77,7 @@ type Row struct {
 	Config   Config
 	Result   *Result
 	Against  *Result // the study's no-attack run, or for an ablation the same variant without DD-POLICE; nil: compared with nothing
-	Observed any     // what the figure's Observe made of the run's Journal, Trace or Telemetry
+	Observed any     // what the figure's Observe made of the run's Journal or Telemetry
 }
 
 // Execute runs the figure's plan at scale and builds its data. Outside
@@ -85,7 +85,7 @@ type Row struct {
 // whole plan is one sim.Grid — every row on every one of scale.Seeds (none:
 // on its own Config.Seed) as flat jobs on one worker pool, a seed's rows
 // sharing its world — and the data is what running them in declared order
-// would give. Under Observe a Journal, Trace or registry narrates one run,
+// would give. Under Observe a Journal or registry narrates one run,
 // so those rows execute one at a time on their own Config.Seed and are
 // condensed as they end (a study of seven holds one journal at a time).
 func (f Figure) Execute(scale Scale) (any, error) {
@@ -113,7 +113,7 @@ func (f Figure) Execute(scale Scale) (any, error) {
 			r.Result = results[i]
 			if f.Observe != nil {
 				r.Observed = f.Observe(*r)
-				r.Config.Journal, r.Config.Trace = nil, nil
+				r.Config.Journal = nil
 			}
 		}
 	}

@@ -32,7 +32,7 @@ type Figure struct {
 	// in the order they run: each Row a label, unique within the figure,
 	// and the Config to run. nil: the figure runs none.
 	Plan func(Scale) []Row
-	// Observe, when set, condenses a run's Journal, Trace or Telemetry
+	// Observe, when set, condenses a run's Journal or Telemetry
 	// into Row.Observed as soon as that run ends. Its runs execute once
 	// each, on their own Config.Seed, at every scale.
 	Observe func(Row) any
@@ -419,7 +419,7 @@ func FigureKeys() []string {
 // column without both headers, or a section showing a column its table
 // does not declare. It then checks every plan, at quick and at paper
 // scale, without running it: run labels unique, every Config valid, and
-// no Journal or Trace on a run that will be seed-averaged.
+// no Journal, Registry or Telemetry on a run that will be seed-averaged.
 func ValidateFigures(figs []Figure) error {
 	seen := map[string]bool{"-fig key all": true}
 	for i, f := range figs {
@@ -484,8 +484,8 @@ func (f Figure) planErrors(name string, scale Scale) (bad []string) {
 		if err := r.Config.Validate(); err != nil {
 			bad = append(bad, at+err.Error())
 		}
-		if f.Observe == nil && (r.Config.Journal != nil || r.Config.Trace != nil || r.Config.Registry != nil || r.Config.Telemetry) {
-			bad = append(bad, at+"carries a Journal, Trace, Registry or Telemetry but a plan's runs are concurrent; declare Observe")
+		if f.Observe == nil && (r.Config.Journal != nil || r.Config.Registry != nil || r.Config.Telemetry) {
+			bad = append(bad, at+"carries a Journal, Registry or Telemetry but a plan's runs are concurrent; declare Observe")
 		}
 	}
 	return bad

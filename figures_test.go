@@ -311,13 +311,13 @@ func TestFigureTableValid(t *testing.T) {
 		},
 		// A per-run sink without Observe, at the scale that has no seeds
 		// too: a plan's rows run concurrently whatever the seed count.
-		`entry 1 [b]: run "narrated" at quick scale: carries a Journal, Trace, Registry or Telemetry`: func(f *Figure) {
+		`entry 1 [b]: run "narrated" at quick scale: carries a Journal, Registry or Telemetry`: func(f *Figure) {
 			f.Plan = planned(variant{"narrated", func(c *Config) { c.Journal = journal.New(1) }})
 		},
-		`run "timed" at paper scale: carries a Journal, Trace, Registry or Telemetry`: func(f *Figure) {
+		`run "timed" at paper scale: carries a Journal, Registry or Telemetry`: func(f *Figure) {
 			f.Plan = planned(variant{label: "plain"}, variant{"timed", func(c *Config) { c.Telemetry = true }})
 		},
-		`run "metered" at quick scale: carries a Journal, Trace, Registry or Telemetry`: func(f *Figure) {
+		`run "metered" at quick scale: carries a Journal, Registry or Telemetry`: func(f *Figure) {
 			f.Plan = planned(variant{"metered", func(c *Config) { c.Registry = telemetry.New() }})
 		},
 	}
@@ -428,7 +428,7 @@ func TestFigurePlansValid(t *testing.T) {
 				if r.Config.NumPeers != scale.NumPeers || r.Config.DurationSec != scale.DurationSec || r.Config.Seed != scale.Seed {
 					t.Errorf("-fig %s, run %q: not at the scale's size, length and seed", fig.Keys[0], r.Label)
 				}
-				sink := r.Config.Journal != nil || r.Config.Trace != nil || r.Config.Registry != nil || r.Config.Telemetry
+				sink := r.Config.Journal != nil || r.Config.Registry != nil || r.Config.Telemetry
 				if sink != (fig.Observe != nil) {
 					t.Errorf("-fig %s, run %q: a sink without Observe, or Observe without a sink", fig.Keys[0], r.Label)
 				}

@@ -138,8 +138,8 @@ func TestTickEmitsExpectedVolume(t *testing.T) {
 	ov.RollMinute()
 	for _, a := range f.Agents() {
 		var out float64
-		for _, w := range ov.Graph().Neighbors(a.ID) {
-			out += ov.LastMinute(a.ID, w)
+		for k := range ov.Graph().Neighbors(a.ID) {
+			out += ov.LastMinute(ov.EdgeID(a.ID, k))
 		}
 		if math.Abs(out-20000) > 1e-6 {
 			t.Fatalf("agent %d counted emission %v, want 20000", a.ID, out)
@@ -166,8 +166,8 @@ func TestSprayVsBroadcastSignature(t *testing.T) {
 		ov.RollMinute()
 		a := f.Agents()[0]
 		min = math.Inf(1)
-		for _, w := range ov.Graph().Neighbors(a.ID) {
-			v := ov.LastMinute(a.ID, w)
+		for k := range ov.Graph().Neighbors(a.ID) {
+			v := ov.LastMinute(ov.EdgeID(a.ID, k))
 			min, max = math.Min(min, v), math.Max(max, v)
 		}
 		return min, max

@@ -456,40 +456,7 @@ type Engine struct {
 	// prewarmState is the sharded proposal phase's scratch and
 	// counters (see shard.go).
 	prewarmState
-
-	// tv, when non-nil, receives every first-visit event of discrete
-	// query floods (see SetTraceVisitor). One pointer check per visit
-	// when disarmed; the cached replay and the live BFS emit identical
-	// visit sequences, so traces are byte-identical across cache
-	// hits and misses.
-	tv TraceVisitFn
 }
-
-// VisitOutcome classifies one first visit of a traced flood.
-type VisitOutcome uint8
-
-// Visit outcomes.
-const (
-	// VisitForwarded: the peer processed the query and keeps flooding.
-	VisitForwarded VisitOutcome = iota
-	// VisitDropped: the copy was discarded at this saturated peer.
-	VisitDropped
-	// VisitDead: the copy's upstream path had already died; the visit
-	// exists only in the ideal counter plane's accounting.
-	VisitDead
-)
-
-// TraceVisitFn receives one first-visit event: the visited peer, its
-// BFS parent, the hop depth, and what happened to the copy. Duplicate
-// copies are not reported (the cached replay cannot re-enumerate
-// them); their counts live in QueryResult.DupMessages.
-type TraceVisitFn func(v, parent PeerID, depth int32, outcome VisitOutcome)
-
-// SetTraceVisitor arms (or, with nil, disarms) the per-visit trace
-// hook for subsequent discrete query floods. The caller owns the
-// arming window — typically around a single FloodQuery of a sampled
-// query. Batch floods are not traced.
-func (e *Engine) SetTraceVisitor(fn TraceVisitFn) { e.tv = fn }
 
 // NewEngine creates a flood engine over ov using the physical counter
 // plane (the experiments' default); use SetCounterMode to switch to the
@@ -650,9 +617,6 @@ func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *Quer
 				budget.take(vt.v, vt.eid, 1)
 			}
 		}
-		if e.tv != nil {
-			e.traceForwarded(tr)
-		}
 		if e.depths != nil { // every cached visit was processed, at its node's hop plus one
 			k := int32(0)
 			for n := range tr.nodes {
@@ -670,11 +634,8 @@ func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *Quer
 		for end := nd.end; j < end; j++ {
 			vt := visits[j]
 			ov.AddTraffic(vt.eid, 1)
-			alive, outcome := e.decide(upstream, vt.v, vt.eid, budget, res)
+			alive := e.decide(upstream, vt.v, vt.eid, budget, res)
 			cells[vt.v] = cell{seen: ep, hop: hop, parent: u, alive: alive}
-			if e.tv != nil {
-				e.tv(vt.v, u, hop, outcome)
-			}
 		}
 		if e.depths != nil {
 			e.depths.n[nd.hop] += uint64(res.Processed - processed)
@@ -684,34 +645,21 @@ func (e *Engine) replayQuery(tr *travTree, src PeerID, budget *Budget, res *Quer
 	return true
 }
 
-// traceForwarded reports a physical replay's visits to the trace
-// visitor after its commit loop, in the cached order: every one
-// forwarded, so the loop need not carry the call.
-func (e *Engine) traceForwarded(tr *travTree) {
-	j := int32(0)
-	for n := range tr.nodes {
-		nd := &tr.nodes[n]
-		for end := nd.end; j < end; j++ {
-			e.tv(tr.visits[j].v, nd.u, nd.hop+1, VisitForwarded)
-		}
-	}
-}
-
 // decide settles one first visit of a discrete flood whose outcome is
 // not known in advance: a copy whose upstream path died is dead, one
 // arriving at a saturated peer is dropped there, and any other is
 // charged one token and forwards.
-func (e *Engine) decide(upstream bool, v PeerID, eid overlay.EdgeID, budget *Budget, res *QueryResult) (alive bool, outcome VisitOutcome) {
+func (e *Engine) decide(upstream bool, v PeerID, eid overlay.EdgeID, budget *Budget, res *QueryResult) bool {
 	if !upstream {
-		return false, VisitDead
+		return false
 	}
 	if budget.arrivalCap(v, eid) < 1 {
 		res.CapacityDrops++
-		return false, VisitDropped
+		return false
 	}
 	budget.take(v, eid, 1)
 	res.Processed++
-	return true, VisitForwarded
+	return true
 }
 
 // FloodQuery floods one discrete query from src with the given TTL (at
@@ -795,11 +743,8 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, res *QueryResult
 					rec.visits = append(rec.visits, visit{v: v, eid: eid})
 				}
 				e.ov.AddTraffic(eid, 1)
-				alive, outcome := e.decide(cu.alive, v, eid, budget, res)
+				alive := e.decide(cu.alive, v, eid, budget, res)
 				cells[v] = cell{seen: ep, hop: depth, parent: u, alive: alive}
-				if e.tv != nil {
-					e.tv(v, u, depth, outcome)
-				}
 				// A copy that died upstream or here stops in the physical
 				// plane; in the ideal counter plane the message flow
 				// continues for accounting.

@@ -10,21 +10,25 @@ import (
 	"ddpolice/internal/topology"
 )
 
-// tracedVisit is one TraceVisitFn call, kept for sequence comparison.
-type tracedVisit struct {
-	v, parent PeerID
-	depth     int32
-	outcome   VisitOutcome
+// eagerTree is the reference's per-peer first-visit tree: whether the
+// query reached each peer, at which hop, from which parent, and whether
+// the copy was processed there (a dead or dropped copy has delay -1).
+type eagerTree struct {
+	seen   []bool
+	hop    []int32
+	parent []PeerID
+	delay  []float64
 }
 
 // eagerQuery is the reference the on-demand delay is held to: a plain
 // BFS that computes delay[v] = delay[parent] + hopDelay(Utilization(v))
 // at every visit, the way the engine did before pathDelay, and scores
-// the holders from those arrays. It is the only eager copy left.
-func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, ttl int, holders []topology.NodeID, dm DelayModel, tv TraceVisitFn) QueryResult {
+// the holders from those arrays. It is the only eager copy left. The
+// tree is nil when the query never left src.
+func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, ttl int, holders []topology.NodeID, dm DelayModel) (QueryResult, *eagerTree) {
 	res := QueryResult{FirstHitHops: -1}
 	if ttl <= 0 || !ov.Online(src) {
-		return res
+		return res, nil
 	}
 	n := ov.NumPeers()
 	seen, hop, parent, delay := make([]bool, n), make([]int32, n), make([]PeerID, n), make([]float64, n)
@@ -46,17 +50,12 @@ func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, tt
 				eid := eids[k]
 				ov.AddTraffic(eid, 1)
 				seen[v], hop[v], parent[v], delay[v] = true, depth, u, -1
-				outcome := VisitForwarded
-				if delay[u] < 0 {
-					outcome = VisitDead
-				} else if b.arrivalCap(v, eid) < 1 {
-					outcome = VisitDropped
+				forwarded := delay[u] >= 0
+				if forwarded && b.arrivalCap(v, eid) < 1 {
+					forwarded = false
 					res.CapacityDrops++
 				}
-				if tv != nil {
-					tv(v, u, depth, outcome)
-				}
-				if outcome == VisitForwarded {
+				if forwarded {
 					b.take(v, eid, 1)
 					res.Processed++
 					delay[v] = delay[u] + dm.hopDelay(b.Utilization(v))
@@ -79,7 +78,25 @@ func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, tt
 			res.ResponseDelay = delay[h] + float64(hop[h])*dm.HopDelay
 		}
 	}
-	return res
+	return res, &eagerTree{seen, hop, parent, delay}
+}
+
+// assertCellsMatchTree holds the engine's cells of its last flood to
+// the reference tree, peer by peer: visited, hop, parent and alive.
+func assertCellsMatchTree(t *testing.T, at string, e *Engine, ref *eagerTree) {
+	t.Helper()
+	for v, c := range e.cells {
+		seen := c.seen == e.epoch
+		if seen != ref.seen[v] {
+			t.Fatalf("%s: peer %d visited = %v, want %v", at, v, seen, ref.seen[v])
+		}
+		if !seen {
+			continue
+		}
+		if want := (cell{seen: c.seen, hop: ref.hop[v], parent: ref.parent[v], alive: ref.delay[v] >= 0}); c != want {
+			t.Fatalf("%s: peer %d cell = %+v, want %+v", at, v, c, want)
+		}
+	}
 }
 
 // TestQueryResultMatchesEagerReference: the lazy delay is the eager
@@ -92,15 +109,15 @@ func eagerQuery(ov *overlay.Overlay, mode CounterMode, b *Budget, src PeerID, tt
 // below one token or to zero (in the physical plane every flood through
 // them then clips, so the second half is recordings discarded and live
 // floods). Whole QueryResults are compared with == (floats bitwise),
-// and with the trace visitor armed (every other case) the visit
-// sequences must be the reference's.
+// and after every flood each engine's per-peer cells (visited, hop,
+// parent, alive) must be the reference's tree: the replay writes them
+// as the live BFS does.
 func TestQueryResultMatchesEagerReference(t *testing.T) {
 	const n, ticks, floodsPerTick = 300, 12, 60
 	dm := DefaultDelayModel()
 	for _, mode := range []CounterMode{CounterPhysical, CounterIdeal} {
 		for _, fair := range []bool{false, true} {
 			for seed := uint64(3); seed <= 4; seed++ {
-				armed := seed%2 == 0
 				name := fmt.Sprintf("mode=%d fair=%v seed=%d", mode, fair, seed)
 				g, err := topology.BarabasiAlbert(rng.New(seed), n, 3)
 				if err != nil {
@@ -111,7 +128,6 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 				var ovs [3]*overlay.Overlay
 				var buds [3]*Budget
 				var engs [3]*Engine
-				var seqs [3][]tracedVisit
 				// Fair-share splits an allowance over the peer's links: give
 				// hubs a share above one token, or every flood clips there.
 				perTick := 20.0
@@ -164,32 +180,15 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 							holders[i] = topology.NodeID(r.Intn(n))
 						}
 						var res [3]QueryResult
-						for l := range ovs {
-							seqs[l] = seqs[l][:0]
-							var tv TraceVisitFn
-							if armed {
-								tv = func(v, parent PeerID, depth int32, outcome VisitOutcome) {
-									seqs[l] = append(seqs[l], tracedVisit{v, parent, depth, outcome})
-								}
-							}
-							if l == 0 {
-								res[l] = eagerQuery(ovs[l], mode, buds[l], src, ttl, holders, dm, tv)
-								continue
-							}
-							engs[l].SetTraceVisitor(tv)
-							res[l] = engs[l].FloodQuery(src, ttl, holders, buds[l], dm)
-						}
+						var ref *eagerTree
+						res[0], ref = eagerQuery(ovs[0], mode, buds[0], src, ttl, holders, dm)
 						for l := 1; l < 3; l++ {
+							res[l] = engs[l].FloodQuery(src, ttl, holders, buds[l], dm)
 							if res[l] != res[0] {
 								t.Fatalf("%s tick %d flood %d src %d lane %d:\n got %+v\nwant %+v", name, tick, f, src, l, res[l], res[0])
 							}
-							if len(seqs[l]) != len(seqs[0]) {
-								t.Fatalf("%s tick %d flood %d lane %d: %d visits traced, want %d", name, tick, f, l, len(seqs[l]), len(seqs[0]))
-							}
-							for i := range seqs[0] {
-								if seqs[l][i] != seqs[0][i] {
-									t.Fatalf("%s tick %d flood %d lane %d: visit %d = %+v, want %+v", name, tick, f, l, i, seqs[l][i], seqs[0][i])
-								}
+							if ref != nil {
+								assertCellsMatchTree(t, fmt.Sprintf("%s tick %d flood %d lane %d", name, tick, f, l), engs[l], ref)
 							}
 						}
 					}

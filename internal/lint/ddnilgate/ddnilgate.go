@@ -1,6 +1,6 @@
 // Package ddnilgate enforces the nil-gated plane contract on the
-// optional observation planes (*journal.Journal, *trace.Tracer,
-// *trace.Trace). The engine threads these as possibly-nil fields so a
+// optional observation planes (*journal.Journal, *trace.Tracer). The
+// engine threads these as possibly-nil fields so a
 // disabled plane costs one pointer check and — critically — so plane
 // on/off cannot perturb the committed byte streams. That only holds if
 // every exported method of a plane type is nil-receiver-safe: callers
@@ -38,12 +38,12 @@ import (
 // planeTypes names the nil-gated types per defining package.
 var planeTypes = map[string]map[string]bool{
 	"ddpolice/internal/journal": {"Journal": true},
-	"ddpolice/internal/trace":   {"Tracer": true, "Trace": true},
+	"ddpolice/internal/trace":   {"Tracer": true},
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ddnilgate",
-	Doc:  "exported methods on the nil-gated plane types (journal.Journal, trace.Tracer/Trace) must be nil-receiver-safe",
+	Doc:  "exported methods on the nil-gated plane types (journal.Journal, trace.Tracer) must be nil-receiver-safe",
 	Run:  run,
 }
 

@@ -38,7 +38,7 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	tr := trace.New(1.0, 3) // room for three spans: two of five are lost
 	for i := 0; i < 5; i++ {
-		tr.Record(trace.QueryID(1, uint64(i), 0), trace.Span{Kind: trace.KindHop, T: float64(i)})
+		tr.Record(uint64(i+1), trace.Span{Kind: trace.KindHop, T: float64(i)})
 	}
 	srv, err := Serve("127.0.0.1:0", Config{
 		Registry: reg,
@@ -129,10 +129,9 @@ func TestServeEndpoints(t *testing.T) {
 
 func TestServeTrace(t *testing.T) {
 	tr := trace.New(1.0, 0)
-	id := trace.QueryID(42, 0, 0)
-	tc := tr.Start(id, trace.Span{Kind: trace.KindQueryIssue, T: 1, Node: 5})
-	tc.Add(trace.Span{Kind: trace.KindHop, T: 1.5, Node: 6, Depth: 1})
-	tc.End()
+	const id = 42
+	tr.Record(id, trace.Span{Kind: trace.KindQueryIssue, T: 1, Node: 5})
+	tr.Record(id, trace.Span{Kind: trace.KindHop, T: 1.5, Node: 6, Depth: 1})
 
 	srv, err := Serve("127.0.0.1:0", Config{Tracer: tr})
 	if err != nil {
@@ -230,11 +229,8 @@ func TestConcurrentScrape(t *testing.T) {
 			ctr.Add(1)
 			gauge.Set(int64(i % 2))
 			jr.Record(journal.Event{T: float64(i), Type: journal.TypeShed, Value: 1})
-			id := trace.QueryID(1, uint64(i), 0)
-			if tc := tr.Start(id, trace.Span{Kind: trace.KindQueryIssue, T: float64(i)}); tc != nil {
-				tc.Add(trace.Span{Kind: trace.KindHop, T: float64(i), Depth: 1})
-				tc.End()
-			}
+			tr.Record(uint64(i+1), trace.Span{Kind: trace.KindQueryIssue, T: float64(i)})
+			tr.Record(uint64(i+1), trace.Span{Kind: trace.KindHop, T: float64(i), Depth: 1})
 		}
 	}()
 	go func() { // scraper: read every endpoint repeatedly

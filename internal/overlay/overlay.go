@@ -376,14 +376,10 @@ func (o *Overlay) RollMinute() {
 	}
 }
 
-// LastMinute returns Q_{u->w} for the most recently closed minute, 0 on
-// a non-edge. It panics without CountTraffic.
-func (o *Overlay) LastMinute(u, w PeerID) float64 {
+// LastMinute returns the count of a directed edge for the most recently
+// closed minute. It panics without CountTraffic.
+func (o *Overlay) LastMinute(e EdgeID) float64 {
 	o.mustCount()
-	e, ok := o.lookupEdge(u, w)
-	if !ok {
-		return 0
-	}
 	return o.prevQ[e]
 }
 

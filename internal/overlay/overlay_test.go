@@ -140,7 +140,8 @@ func TestRejoinClearsCutsAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.RollMinute()
-	if o.LastMinute(3, 4) != 100 {
+	e, _ := o.FindEdge(3, 4)
+	if o.LastMinute(e) != 100 {
 		t.Fatal("counter lost before rejoin")
 	}
 	o.SetOnline(3, false)
@@ -148,7 +149,7 @@ func TestRejoinClearsCutsAndCounters(t *testing.T) {
 	if o.IsCut(3, 4) {
 		t.Fatal("cut survived rejoin")
 	}
-	if o.LastMinute(3, 4) != 0 {
+	if o.LastMinute(e) != 0 {
 		t.Fatal("counters survived rejoin")
 	}
 }
@@ -173,22 +174,19 @@ func TestTrafficWindows(t *testing.T) {
 	if got := o.CurrentMinuteEdge(e); got != 42.5 {
 		t.Fatalf("current = %v", got)
 	}
-	if got := o.LastMinute(0, 1); got != 0 {
+	if got := o.LastMinute(e); got != 0 {
 		t.Fatalf("last before roll = %v", got)
 	}
 	o.RollMinute()
-	if got := o.LastMinute(0, 1); got != 42.5 {
+	if got := o.LastMinute(e); got != 42.5 {
 		t.Fatalf("last after roll = %v", got)
 	}
 	if got := o.CurrentMinuteEdge(e); got != 0 {
 		t.Fatalf("current after roll = %v", got)
 	}
 	o.RollMinute()
-	if got := o.LastMinute(0, 1); got != 0 {
+	if got := o.LastMinute(e); got != 0 {
 		t.Fatalf("stale count survived second roll: %v", got)
-	}
-	if o.LastMinute(0, 5) != 0 {
-		t.Fatal("non-edge traffic must read 0")
 	}
 	if err := o.AddTrafficBetween(0, 5, 1); err == nil {
 		t.Fatal("traffic on non-edge accepted")
@@ -214,9 +212,8 @@ func TestUncountedOverlay(t *testing.T) {
 		t.Fatal("AddTrafficBetween accepted on an uncounted overlay")
 	}
 	for name, read := range map[string]func(){
-		"LastMinute":         func() { o.LastMinute(0, 1) },
-		"LastMinute/nonedge": func() { o.LastMinute(0, 5) },
-		"CurrentMinuteEdge":  func() { o.CurrentMinuteEdge(e) },
+		"LastMinute":        func() { o.LastMinute(e) },
+		"CurrentMinuteEdge": func() { o.CurrentMinuteEdge(e) },
 	} {
 		func() {
 			defer func() {
@@ -228,7 +225,7 @@ func TestUncountedOverlay(t *testing.T) {
 		}()
 	}
 	o.CountTraffic()
-	if o.CurrentMinuteEdge(e) != 0 || o.LastMinute(0, 1) != 0 {
+	if o.CurrentMinuteEdge(e) != 0 || o.LastMinute(e) != 0 {
 		t.Fatal("CountTraffic did not start every counter at zero")
 	}
 }
@@ -334,14 +331,14 @@ func TestRandomOpSequenceInvariants(t *testing.T) {
 			if !o.Online(id) && ad != 0 {
 				t.Fatalf("step %d: offline peer %d has active degree %d", step, v, ad)
 			}
-			for _, w := range g.Neighbors(id) {
+			for k, w := range g.Neighbors(id) {
 				if o.IsCut(id, w) != o.IsCut(w, id) {
 					t.Fatalf("step %d: asymmetric cut (%d,%d)", step, v, w)
 				}
 				if o.Connected(id, w) != o.Connected(w, id) {
 					t.Fatalf("step %d: asymmetric connectivity (%d,%d)", step, v, w)
 				}
-				if o.LastMinute(id, w) < 0 {
+				if o.LastMinute(o.EdgeID(id, k)) < 0 {
 					t.Fatalf("step %d: negative counter", step)
 				}
 			}

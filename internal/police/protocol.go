@@ -235,14 +235,15 @@ func (p *Police) report(m, suspect PeerID, now float64) (out, in float64, ok boo
 	if !p.ov.Online(m) || !p.ov.Online(suspect) {
 		return 0, 0, false
 	}
-	if _, isEdge := p.ov.FindEdge(m, suspect); !isEdge {
+	e, isEdge := p.ov.FindEdge(m, suspect)
+	if !isEdge {
 		return 0, 0, false
 	}
 	if p.lost() {
 		return 0, 0, false // report lost on a congested link
 	}
-	out = p.ov.LastMinute(m, suspect)
-	in = p.ov.LastMinute(suspect, m)
+	out = p.ov.LastMinute(e)
+	in = p.ov.LastMinute(p.ov.Reverse(e))
 	if p.isBad[m] {
 		switch p.cheat[m] {
 		case CheatSilent:
@@ -266,8 +267,8 @@ func (p *Police) report(m, suspect PeerID, now float64) (out, in float64, ok boo
 func (p *Police) collect(e overlay.EdgeID, now, sinceRound float64) (v Verdict, opened bool) {
 	r := &p.round
 	own := Report{
-		Out: p.ov.LastMinute(r.observer, r.suspect), // Q_{i->j}
-		In:  p.ov.LastMinute(r.suspect, r.observer), // Q_{j->i}
+		Out: p.ov.LastMinute(e),               // Q_{i->j}
+		In:  p.ov.LastMinute(p.ov.Reverse(e)), // Q_{j->i}
 	}
 	if !r.Open(own, p.listMem[e], p.listAt[e] != listNone, now-p.listAt[e], sinceRound) {
 		return Verdict{}, false
@@ -300,10 +301,10 @@ func (p *Police) EvaluateMinute(now float64) {
 		// overlay, since the cuts wait for its end.
 		suspects, edges := p.ov.Active(observer)
 		for i, suspect := range suspects {
-			if !r.Warn(observer, suspect, now, window, p.ov.LastMinute(suspect, observer)) {
+			e := edges[i]
+			if !r.Warn(observer, suspect, now, window, p.ov.LastMinute(p.ov.Reverse(e))) {
 				continue
 			}
-			e := edges[i]
 			v, opened := p.collect(e, now, now-p.lastNT[e])
 			if !opened {
 				continue

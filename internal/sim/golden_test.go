@@ -13,7 +13,6 @@ import (
 	"ddpolice/internal/faults"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/overload"
-	"ddpolice/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false,
@@ -88,43 +87,21 @@ func goldenScenarios() []struct {
 	}
 }
 
-// goldenSample is the head-sampling rate of the pinned trace streams: a
-// quarter of the queries, whole traces only and the same ones every run.
-// The largest scenario (brownout) then keeps about 400,000 spans, well
-// inside the tracer's default cap, so no pinned stream is truncated.
-const goldenSample = 0.25
-
-// goldenRun executes cfg with a tracer attached at goldenSample and
-// renders the run as the text pinned under testdata/golden: one
-// "<stream> <sha256>" line per observable stream, in the order a
-// mismatch is reported. The Result line covers every simulated
-// statistic; Cache, Stages and Telemetry describe how the run executed,
-// not what it simulated, and are left out. The trace NDJSON — by far the
-// largest stream — is hashed as it is written instead of being buffered.
+// goldenRun executes cfg and renders the run as the text pinned under
+// testdata/golden: one "<stream> <sha256>" line per observable stream,
+// in the order a mismatch is reported. The Result line covers every
+// simulated statistic; Cache, Stages and Telemetry describe how the run
+// executed, not what it simulated, and are left out.
 func goldenRun(t *testing.T, cfg Config) (digests string, jrnl []byte) {
 	t.Helper()
-	tr := trace.New(goldenSample, 0)
-	cfg.Trace = tr
 	res, jrnl := runInstrumented(t, cfg)
-	if tr.Len() == 0 {
-		t.Fatal("no spans traced (vacuous)")
-	}
-	if n := tr.Dropped(); n > 0 {
-		t.Fatalf("the tracer dropped %d spans at its cap: the pinned trace stream would be truncated", n)
-	}
 	r := *stripCache(res)
 	r.Stages, r.Telemetry = nil, nil
 	resJSON, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := sha256.New()
-	if err := tr.WriteNDJSON(spans); err != nil {
-		t.Fatal(err)
-	}
-	sum := func(b []byte) []byte { s := sha256.Sum256(b); return s[:] }
-	return fmt.Sprintf("result %x\njournal %x\ntrace %x\n",
-		sum(resJSON), sum(jrnl), spans.Sum(nil)), jrnl
+	return fmt.Sprintf("result %x\njournal %x\n", sha256.Sum256(resJSON), sha256.Sum256(jrnl)), jrnl
 }
 
 func goldenPath(scenario string) string {
@@ -163,10 +140,13 @@ func checkGolden(t *testing.T, scenario, got string) {
 				scenario, stream, path, got, buf)
 		}
 	}
+	if string(buf) != got {
+		t.Fatalf("%s: %s pins a stream the run no longer produces\ngot:\n%swant:\n%s", scenario, path, got, buf)
+	}
 }
 
 // TestGoldenDigests checks the one engine against pinned artifacts:
-// each scenario's Result, journal and trace streams must hash to
+// each scenario's Result and journal streams must hash to
 // the digests committed under testdata/golden, so any change that
 // reorders an iteration, drops an update or shifts a random draw
 // anywhere in the tick shows up here as the first stream it reaches.

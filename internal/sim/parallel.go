@@ -78,7 +78,6 @@ func Grid(cfgs []Config, seeds []uint64) ([]*Result, error) {
 			set   bool
 		}{
 			{"Journal", cfg.Journal != nil},
-			{"Trace", cfg.Trace != nil},
 			{"Registry", cfg.Registry != nil},
 			{"Telemetry", cfg.Telemetry},
 		} {

@@ -258,20 +258,25 @@ func TestMergeResultsAveragesDeepFields(t *testing.T) {
 // TestAveragedRejectsPerRunSinks: the jobs of a grid execute
 // concurrently, so every field that is a per-run sink must be refused by
 // name when there is more than one job — replicas of one Config or
-// different Configs on their own seeds — and only then.
+// different Configs on their own seeds — and only then. Config.Trace is
+// no sink: the simulator emits no spans, so a set Trace is refused by
+// name even for a single run.
 func TestAveragedRejectsPerRunSinks(t *testing.T) {
-	sinks := map[string]func(*Config){
-		"Journal":   func(c *Config) { c.Journal = journal.New(16) },
-		"Trace":     func(c *Config) { c.Trace = trace.New(1, 0) },
-		"Registry":  func(c *Config) { c.Registry = telemetry.New() },
-		"Telemetry": func(c *Config) { c.Telemetry = true },
-	}
-	for field, set := range sinks {
+	tiny := func() Config {
 		cfg := smallConfig()
 		cfg.NumPeers = 50
 		cfg.TopologyM = 2
 		cfg.DurationSec = 60
 		cfg.Catalog.NumObjects = 100
+		return cfg
+	}
+	sinks := map[string]func(*Config){
+		"Journal":   func(c *Config) { c.Journal = journal.New(16) },
+		"Registry":  func(c *Config) { c.Registry = telemetry.New() },
+		"Telemetry": func(c *Config) { c.Telemetry = true },
+	}
+	for field, set := range sinks {
+		cfg := tiny()
 		plain := cfg
 		set(&cfg)
 		_, err := Averaged(cfg, []uint64{1, 2})
@@ -285,6 +290,11 @@ func TestAveragedRejectsPerRunSinks(t *testing.T) {
 		if _, err := Averaged(cfg, []uint64{1}); err != nil {
 			t.Errorf("one seed with %s set: %v, want a plain run", field, err)
 		}
+	}
+	traced := tiny()
+	traced.Trace = trace.New(1, 0)
+	if _, err := Averaged(traced, []uint64{1}); err == nil || !strings.Contains(err.Error(), "Config.Trace ") {
+		t.Errorf("one seed with Trace set: err = %v, want one naming Config.Trace", err)
 	}
 }
 

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -153,15 +154,10 @@ type Config struct {
 	// Nil disables journaling at a pointer check per site.
 	Journal *journal.Journal
 
-	// Trace, when non-nil, receives causal span traces (see
-	// internal/trace): one trace per sampled good-peer query (issue →
-	// per-hop flood traversal → delivery or death). Detections and
-	// overload transitions are Journal records, not spans. Trace IDs
-	// derive from Seed via pure sub-seed hashing, so identical-seed
-	// runs emit byte-identical span streams, cached or uncached, at
-	// any shard count. Tracing is passive: a non-nil tracer leaves
-	// Results and the journal byte-identical to a nil one. Nil costs a
-	// pointer check per site.
+	// Trace must be nil: the simulator emits no spans (a flood's
+	// per-hop reach is the flood.processed_depth_<d> counters). The
+	// field is declared only because the benchmark module's driver
+	// names it; Validate refuses any other value.
 	Trace *trace.Tracer
 }
 
@@ -221,6 +217,9 @@ func DefaultConfig() Config {
 // Validate reports configuration errors. The float comparisons are
 // written so that NaN fails them too.
 func (c Config) Validate() error {
+	if c.Trace != nil {
+		return errors.New("sim: Config.Trace is set, but the simulator emits no spans (read flood.processed_depth_<d> from Telemetry)")
+	}
 	if c.NumPeers < 10 {
 		return fmt.Errorf("sim: NumPeers = %d", c.NumPeers)
 	}
@@ -581,7 +580,7 @@ func newRun(w *World, cfg Config) (*run, error) {
 }
 
 // observe attaches the run's observation sinks. Each is nil when off,
-// which makes every timer, counter, journal and trace site a nil check.
+// which makes every timer, counter and journal site a nil check.
 // A supplied registry turns instrument recording on even when the stage
 // timers are off.
 func (r *run) observe() {
@@ -606,7 +605,6 @@ func (r *run) observe() {
 	if r.pol != nil {
 		r.pol.SetJournal(r.jr)
 	}
-	r.tcr = cfg.Trace
 }
 
 // armOverload sets up the overload plane mirror: the control reserve

@@ -10,6 +10,7 @@ import (
 	"ddpolice/internal/flood"
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/overload"
+	"ddpolice/internal/trace"
 )
 
 // smallConfig returns a fast configuration for unit tests: 1,000 peers
@@ -120,6 +121,8 @@ func TestValidate(t *testing.T) {
 		{func(c *Config) { c.Links.SlowCapPerMin = math.NaN() }, "Links.SlowCapPerMin = NaN"},
 		{func(c *Config) { c.Links.SlowFraction = 1.5 }, "Links.SlowFraction = 1.5"},
 		{func(c *Config) { c.QueriesPerMin = math.Inf(1) }, "QueriesPerMin = +Inf"},
+		// The simulator emits no spans: any tracer is refused by name.
+		{func(c *Config) { c.Trace = trace.New(1, 0) }, "Config.Trace"},
 	} {
 		cfg := smallConfig()
 		tc.mutate(&cfg)
@@ -458,8 +461,8 @@ func runMallocs(t *testing.T, cfg Config) (uint64, *Result) {
 
 // TestTickMarginalAllocsBounded owns the per-peer allocation ceiling of
 // the tick loop, cheap enough for `make race`: with the pooled per-tick
-// buffers (epoch-marked slices, query-trace pool, treeBuilder
-// capacity hints) the steady tick loop allocates
+// buffers (epoch-marked slices, treeBuilder capacity hints) the steady
+// tick loop allocates
 // O(workload), not O(peers). Differencing a 240s run against a 120s run
 // cancels setup cost, leaving the per-tick marginal allocation rate,
 // which must stay under 0.10 per peer (steady state measures ~0.03; an

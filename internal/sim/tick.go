@@ -14,7 +14,6 @@ import (
 	"ddpolice/internal/police"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/trace"
 	"ddpolice/internal/workload"
 )
 
@@ -38,7 +37,6 @@ type run struct {
 	reg    *telemetry.Registry
 	timers [noTimer + 1]*telemetry.Timer
 	jr     *journal.Journal
-	tcr    *trace.Tracer
 
 	crashCtr, partCutCtr, partHealCtr, brownoutCtr *telemetry.Counter
 
@@ -56,7 +54,6 @@ type run struct {
 	onlineInit bool
 	queries    []workload.Query
 	keys       []flood.TreeKey
-	tracePool  *queryTracePool
 	overheadAt uint64 // police overhead already charged to a minute
 
 	res Result
@@ -243,22 +240,10 @@ func (r *run) attackSlices(n, phase int) {
 	r.res.AttackVolume += br.QueryMessages
 }
 
-// floodQueries floods the tick's good-peer queries, tracing the sampled
-// ones hop by hop.
+// floodQueries floods the tick's good-peer queries.
 func (r *run) floodQueries() {
-	for qi, q := range r.queries {
-		var tc *trace.Trace
-		if r.tcr != nil {
-			if r.tracePool == nil {
-				r.tracePool = newQueryTracePool(r.cfg.NumPeers)
-			}
-			tc = startQueryTrace(r.tcr, r.eng, r.tracePool, r.cfg.Seed, uint64(r.t), uint64(qi), q, r.now)
-		}
+	for _, q := range r.queries {
 		qr := r.eng.FloodQuery(q.Issuer, r.cfg.TTL, r.cat.Holders(q.Object), r.budget, r.cfg.Delay)
-		if tc != nil {
-			r.eng.SetTraceVisitor(nil)
-			endQueryTrace(tc, r.now, qr)
-		}
 		r.coll.RecordQuery(qr)
 	}
 }

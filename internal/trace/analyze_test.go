@@ -5,30 +5,29 @@ import (
 	"testing"
 )
 
-// buildQuery assembles a realistic query trace: issue → two depth-1
-// hops, a depth-2 hop under the second and a congestion drop under the
-// first → delivery.
-func buildQuery(tr *Tracer, seed uint64) string {
-	id := QueryID(seed, 3, 0)
-	tc := tr.Start(id, Span{Kind: KindQueryIssue, T: 60, Node: 3, Value: 17})
-	h1 := tc.Add(Span{Kind: KindHop, T: 60, Node: 5, Peer: 3, Depth: 1})
-	h2 := tc.Add(Span{Kind: KindHop, T: 60, Node: 6, Peer: 3, Depth: 1})
-	tc.Add(Span{Kind: KindHop, T: 60, Node: 9, Peer: 6, Parent: h2, Depth: 2})
-	tc.Add(Span{Kind: KindCongestion, T: 60, Node: 7, Peer: 5, Parent: h1, Depth: 2})
-	tc.Add(Span{Kind: KindDelivery, T: 60, Dur: 1.5, Depth: 2, Value: 1})
-	tc.EndAt(61.5)
-	return FormatID(id)
+// treeQuery is a span tree as a span file may carry it, with ordinals
+// and parents: issue → two depth-1 hops, a depth-2 hop under the second
+// and a congestion drop under the first → delivery.
+func treeQuery(id string) []Span {
+	return []Span{
+		{Trace: id, ID: 0, Kind: KindQueryIssue, T: 60, Dur: 1.5, Node: 3, Value: 17},
+		{Trace: id, ID: 1, Kind: KindHop, T: 60, Node: 5, Peer: 3, Depth: 1},
+		{Trace: id, ID: 2, Kind: KindHop, T: 60, Node: 6, Peer: 3, Depth: 1},
+		{Trace: id, ID: 3, Parent: 2, Kind: KindHop, T: 60, Node: 9, Peer: 6, Depth: 2},
+		{Trace: id, ID: 4, Parent: 1, Kind: KindCongestion, T: 60, Node: 7, Peer: 5, Depth: 2},
+		{Trace: id, ID: 5, Kind: KindDelivery, T: 60, Dur: 1.5, Depth: 2, Value: 1},
+	}
 }
 
 func TestGroup(t *testing.T) {
 	tr := New(1.0, 0)
 	// A live stream: standalone spans of two queries, interleaved.
-	tr.Record(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 8})
-	tr.Record(QueryID(1, 0, 1), Span{Kind: KindQueryIssue, T: 2, Node: 4})
-	tr.Record(QueryID(1, 0, 0), Span{Kind: KindHop, T: 3, Node: 9, Peer: 8, Depth: 1})
-	id := buildQuery(tr, 1)
+	tr.Record(1, Span{Kind: KindQueryIssue, T: 1, Node: 8})
+	tr.Record(2, Span{Kind: KindQueryIssue, T: 2, Node: 4})
+	tr.Record(1, Span{Kind: KindHop, T: 3, Node: 9, Peer: 8, Depth: 1})
+	id := FormatID(3)
 
-	views := Group(tr.Spans())
+	views := Group(append(tr.Spans(), treeQuery(id)...))
 	if len(views) != 3 {
 		t.Fatalf("views = %d, want 3", len(views))
 	}
@@ -42,16 +41,15 @@ func TestGroup(t *testing.T) {
 
 func TestFanOut(t *testing.T) {
 	tr := New(1.0, 0)
-	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 0})
+	tr.Record(1, Span{Kind: KindQueryIssue, T: 0})
 	for i := 0; i < 3; i++ {
-		tc.Add(Span{Kind: KindHop, T: 0.5, Depth: 1})
+		tr.Record(1, Span{Kind: KindHop, T: 0.5, Depth: 1})
 	}
 	for i := 0; i < 5; i++ {
-		tc.Add(Span{Kind: KindHop, T: 1, Depth: 2})
+		tr.Record(1, Span{Kind: KindHop, T: 1, Depth: 2})
 	}
-	tc.Add(Span{Kind: KindCongestion, T: 1, Depth: 2}) // not a hop
-	tc.Add(Span{Kind: KindHop, T: 1.5, Depth: 4})      // gap at depth 3
-	tc.End()
+	tr.Record(1, Span{Kind: KindCongestion, T: 1, Depth: 2}) // not a hop
+	tr.Record(1, Span{Kind: KindHop, T: 1.5, Depth: 4})      // gap at depth 3
 	views := Group(tr.Spans())
 	got := FanOut(views[0])
 	want := []int{3, 5, 0, 1}
@@ -66,9 +64,8 @@ func TestFanOut(t *testing.T) {
 }
 
 func TestWriteTree(t *testing.T) {
-	tr := New(1.0, 0)
-	id := buildQuery(tr, 1)
-	views := Group(tr.Spans())
+	id := FormatID(3)
+	views := Group(treeQuery(id))
 	var sb strings.Builder
 	if err := WriteTree(&sb, views[0]); err != nil {
 		t.Fatal(err)
@@ -102,7 +99,7 @@ func TestWriteTree(t *testing.T) {
 // as a flat list, not an infinite recursion.
 func TestWriteTreeLivePath(t *testing.T) {
 	tr := New(1.0, 0)
-	id := QueryID(5, 1, 2)
+	const id = 0x5a5a
 	tr.Record(id, Span{Kind: KindQueryIssue, T: 1, Node: 1})
 	tr.Record(id, Span{Kind: KindHop, T: 2, Node: 2, Peer: 1, Depth: 1})
 	views := Group(tr.Spans())

@@ -4,44 +4,35 @@ import (
 	"bytes"
 	"testing"
 
-	"ddpolice/internal/sim"
 	"ddpolice/internal/trace"
 )
 
 // FuzzReadNDJSON drives the span reader — ddtrace's input, read from
 // files it did not write — with arbitrary bytes: it must never panic,
 // and any stream it accepts must survive write → read unchanged, span
-// for span. The seeds are the first line of each span kind in one real
-// traced run, each alone and all together, then a few malformed streams;
-// a whole run makes a seed too large for the fuzzer to mutate well. `go
-// test` runs the seed corpus; `go test -fuzz=FuzzReadNDJSON
-// ./internal/trace` explores further.
+// for span. The seeds are one span of each kind a live node records and
+// one tree-shaped span (ordinal and parent set), each alone and all
+// together, then a few malformed streams. `go test` runs the seed
+// corpus; `go test -fuzz=FuzzReadNDJSON ./internal/trace` explores
+// further.
 func FuzzReadNDJSON(f *testing.F) {
-	cfg := sim.DefaultConfig()
-	cfg.NumPeers, cfg.NumAgents, cfg.AttackStartSec, cfg.DurationSec = 60, 2, 0, 60
+	const id = 0x1a2b3c4d5e6f7081
 	tr := trace.New(1, 0)
-	cfg.Trace = tr
-	if _, err := sim.Run(cfg); err != nil {
+	tr.Record(id, trace.Span{Kind: trace.KindQueryIssue, T: 1700000000, Node: 1})
+	tr.Record(id, trace.Span{Kind: trace.KindHop, T: 1700000000.01, Node: 2, Peer: 1, Depth: 1})
+	tr.Record(id, trace.Span{Kind: trace.KindCongestion, T: 1700000000.011, Node: 3, Peer: 1, Depth: 1, Detail: "saturated"})
+	tr.Record(id, trace.Span{Kind: trace.KindDelivery, T: 1700000000.02, Dur: 0.5, Node: 4, Peer: 2, Depth: 2, Value: 1})
+	spans := append(tr.Spans(), trace.Span{Trace: trace.FormatID(id), ID: 3, Parent: 2, Kind: trace.KindHop, T: 60, Node: 9, Peer: 6, Depth: 2})
+	var all bytes.Buffer
+	if err := trace.WriteNDJSON(&all, spans); err != nil {
 		f.Fatal(err)
 	}
-	var run bytes.Buffer
-	if err := tr.WriteNDJSON(&run); err != nil {
-		f.Fatal(err)
-	}
-	spans := tr.Spans()
-	kinds := map[string]bool{}
-	var firsts []byte
-	for i, line := range bytes.SplitAfter(run.Bytes(), []byte("\n")) {
-		if i < len(spans) && !kinds[spans[i].Kind] {
-			kinds[spans[i].Kind] = true
+	for _, line := range bytes.SplitAfter(all.Bytes(), []byte("\n")) {
+		if len(line) > 0 {
 			f.Add(line)
-			firsts = append(firsts, line...)
 		}
 	}
-	if len(kinds) < 5 {
-		f.Fatalf("the seed run traced only the span kinds %v", kinds)
-	}
-	f.Add(firsts)
+	f.Add(all.Bytes())
 	f.Add([]byte("\r\n{\"trace\":\"00\",\"id\":1,\"kind\":\"hop\",\"t\":-1e308,\"detail\":\"\\u00e9\"}\r\n"))
 	f.Add([]byte("{\"trace\":\"x\"}\nnot json\n"))
 	f.Add([]byte("null\n{\"id\":4294967296}\n"))

@@ -16,50 +16,36 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Sampled(42) {
 		t.Fatal("nil tracer sampled")
 	}
-	if tc := tr.Start(42, Span{Kind: KindQueryIssue}); tc != nil {
-		t.Fatal("nil tracer started a trace")
-	}
 	tr.Record(42, Span{Kind: KindCongestion}) // must not panic
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer not inert")
 	}
 }
 
-func TestNilTraceIsInert(t *testing.T) {
-	var tc *Trace
-	if got := tc.Add(Span{Kind: KindHop}); got != 0 {
-		t.Fatalf("nil Add = %d", got)
-	}
-	tc.End()
-	tc.EndAt(5)
-}
-
+// TestTraceLifecycle: a recorded span is sampled on its trace ID,
+// stamped with the formatted ID, committed at once and snapshotted in
+// commit order; a sampled-out ID records nothing.
 func TestTraceLifecycle(t *testing.T) {
 	tr := New(1.0, 0)
-	id := QueryID(7, 3, 0)
-	tc := tr.Start(id, Span{Kind: KindQueryIssue, T: 3, Node: 12})
-	if tc == nil {
-		t.Fatal("sample=1 must keep every trace")
-	}
-	if tr.Len() != 0 {
-		t.Fatal("spans visible before End")
-	}
-	h1 := tc.Add(Span{Kind: KindHop, T: 3.1, Node: 20, Depth: 1})
-	h2 := tc.Add(Span{Kind: KindHop, T: 3.2, Node: 21, Parent: h1, Depth: 2})
-	if h1 != 1 || h2 != 2 {
-		t.Fatalf("ordinals = %d, %d", h1, h2)
-	}
-	tc.EndAt(5)
-	tc.End() // idempotent
+	const id = 0x1a2b3c4d5e6f7081
+	tr.Record(id, Span{Kind: KindQueryIssue, T: 3, Node: 12})
+	tr.Record(id, Span{Trace: "ignored", Kind: KindHop, T: 3.1, Node: 20, Peer: 12, Depth: 1})
 	spans := tr.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("spans=%d, want 3", len(spans))
+	if len(spans) != 2 || tr.Len() != 2 {
+		t.Fatalf("spans = %d, Len = %d, want 2", len(spans), tr.Len())
 	}
-	if spans[0].ID != 0 || spans[0].Dur != 2 {
-		t.Fatalf("root = %+v", spans[0])
-	}
-	if spans[0].Trace != FormatID(id) || spans[2].Parent != h1 {
+	want := Span{Trace: FormatID(id), Kind: KindHop, T: 3.1, Node: 20, Peer: 12, Depth: 1}
+	if spans[0].Trace != FormatID(id) || spans[0].Kind != KindQueryIssue || spans[1] != want {
 		t.Fatalf("spans = %+v", spans)
+	}
+	spans[0].Node = 99
+	if tr.Spans()[0].Node != 12 {
+		t.Fatal("Spans returned the store, not a copy")
+	}
+	off := New(0, 0)
+	off.Record(id, Span{Kind: KindHop})
+	if off.Len() != 0 || off.Dropped() != 0 {
+		t.Fatal("rate 0 recorded a span")
 	}
 }
 
@@ -68,7 +54,7 @@ func TestSamplingDeterministic(t *testing.T) {
 	tr2 := New(0.3, 0)
 	kept := 0
 	for i := uint64(0); i < 1000; i++ {
-		id := QueryID(99, i, 0)
+		id := i
 		if tr1.Sampled(id) != tr2.Sampled(id) {
 			t.Fatalf("sampling disagrees for id %d", id)
 		}
@@ -88,40 +74,19 @@ func TestSamplingDeterministic(t *testing.T) {
 	}
 }
 
-func TestTracerCapDropsWholeTraces(t *testing.T) {
-	tr := New(1.0, 4)
-	tc := tr.Start(1, Span{Kind: KindQueryIssue})
-	tc.Add(Span{Kind: KindHop})
-	tc.End() // 2 spans committed
-	tc2 := tr.Start(2, Span{Kind: KindQueryIssue})
-	tc2.Add(Span{Kind: KindHop})
-	tc2.Add(Span{Kind: KindHop}) // 3 spans: would exceed the cap of 4
-	tc2.End()
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d, want 2 (second trace dropped whole)", tr.Len())
+// TestTracerCapDropsSpans: past the cap every span is dropped and
+// counted, and the ones already kept stay.
+func TestTracerCapDropsSpans(t *testing.T) {
+	tr := New(1.0, 2)
+	tr.Record(1, Span{Kind: KindQueryIssue})
+	tr.Record(1, Span{Kind: KindHop, Depth: 1})
+	tr.Record(1, Span{Kind: KindDelivery, Depth: 1}) // over the cap of 2
+	tr.Record(2, Span{Kind: KindQueryIssue})
+	if tr.Len() != 2 || tr.Spans()[1].Kind != KindHop {
+		t.Fatalf("kept %+v, want the first two spans", tr.Spans())
 	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
-	}
-}
-
-// TestIDsDistinctAcrossLifecycles: every query's lifecycle gets its own
-// trace ID — seed, tick and index each move it, and swapping tick and
-// index does not collide — and the ID is a pure function of the three.
-func TestIDsDistinctAcrossLifecycles(t *testing.T) {
-	seen := map[uint64]string{}
-	add := func(id uint64, what string) {
-		if prev, ok := seen[id]; ok {
-			t.Fatalf("id collision: %s vs %s", prev, what)
-		}
-		seen[id] = what
-	}
-	add(QueryID(7, 1, 2), "query")
-	add(QueryID(7, 2, 1), "tick and index swapped")
-	add(QueryID(7, 1, 3), "next query of the tick")
-	add(QueryID(8, 1, 2), "query other seed")
-	if QueryID(7, 1, 2) != QueryID(7, 1, 2) {
-		t.Fatal("QueryID not pure")
+	if tr.Dropped() != 2 {
+		t.Fatalf("dropped = %d, want 2", tr.Dropped())
 	}
 }
 
@@ -146,10 +111,9 @@ func TestFormatParseID(t *testing.T) {
 
 func TestNDJSONRoundTrip(t *testing.T) {
 	tr := New(1.0, 0)
-	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 3, Value: 17})
-	tc.Add(Span{Kind: KindHop, T: 1.5, Node: 4, Peer: 3, Depth: 1})
-	tc.Add(Span{Kind: KindTTLDeath, T: 2, Detail: "saturated"})
-	tc.End()
+	tr.Record(1, Span{Kind: KindQueryIssue, T: 1, Node: 3, Value: 17})
+	tr.Record(1, Span{Kind: KindHop, T: 1.5, Node: 4, Peer: 3, Depth: 1})
+	tr.Record(1, Span{Kind: KindCongestion, T: 2, Node: 5, Peer: 4, Depth: 2, Detail: "saturated"})
 
 	var buf bytes.Buffer
 	if err := tr.WriteNDJSON(&buf); err != nil {
@@ -187,10 +151,9 @@ func TestNDJSONRoundTrip(t *testing.T) {
 
 func TestChromeTraceExport(t *testing.T) {
 	tr := New(1.0, 0)
-	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 3})
-	tc.Add(Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
-	tc.End()
-	tr.Record(QueryID(1, 0, 1), Span{Kind: KindCongestion, T: 9, Node: 2, Peer: 3})
+	tr.Record(1, Span{Kind: KindQueryIssue, T: 1, Node: 3})
+	tr.Record(1, Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
+	tr.Record(2, Span{Kind: KindCongestion, T: 9, Node: 2, Peer: 3})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -216,7 +179,7 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	ev := doc.TraceEvents
 	if ev[0].Ph != "X" || ev[0].TS != 1e6 || ev[0].Cat != "query" {
-		t.Fatalf("root event = %+v", ev[0])
+		t.Fatalf("issue event = %+v", ev[0])
 	}
 	if ev[1].Dur != 1 { // instant span gets the 1 µs floor
 		t.Fatalf("hop dur = %g", ev[1].Dur)
@@ -234,9 +197,8 @@ func TestChromeTraceExport(t *testing.T) {
 // each byte-identical to its writer — and a failed write is an error.
 func TestWriteFileByExtension(t *testing.T) {
 	tr := New(1.0, 0)
-	tc := tr.Start(QueryID(1, 0, 0), Span{Kind: KindQueryIssue, T: 1, Node: 3})
-	tc.Add(Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
-	tc.End()
+	tr.Record(1, Span{Kind: KindQueryIssue, T: 1, Node: 3})
+	tr.Record(1, Span{Kind: KindHop, T: 1.5, Node: 4, Depth: 1})
 	dir := t.TempDir()
 	for name, write := range map[string]func(io.Writer) error{
 		"run.json":   tr.WriteChromeTrace,
