@@ -162,21 +162,24 @@ bench:
 	done
 
 # benchpair is the protocol a speed claim rests on, scripted: `make
-# benchpair W=steady-2k [N=10] [SEED=1] [BASE=HEAD~1]` builds the
-# benchmark of BASE (a `git archive` export in a temporary directory,
-# no worktree) and of the working tree once each, discards one warm-up
-# run, runs N pairs alternating which side goes first, and prints per
-# end-to-end metric both medians
-# with quartiles, the change's wins and `claim ok` or `unresolved`
-# (nine tenths of the pairs, and a median gap beyond the base's own
-# interquartile range). About N x 40 s; non-zero exit when a run was not
-# correct. A claim needs the held-out seed too: SEED="1 2" builds once
-# and prints one table per seed.
+# benchpair W=steady-2k [N=10] [SEED=1] [BASE=HEAD~1] [LAYOUTS=3]`
+# builds the benchmark of BASE (a `git archive` export in a temporary
+# directory, no worktree) and of the working tree under LAYOUTS code
+# layouts each (the default link and `-ldflags=-randlayout=J`, the same
+# on both sides), discards one warm-up run, runs N pairs alternating
+# which side goes first and cycling through the layouts, and prints per
+# end-to-end metric both medians with quartiles, the change's wins,
+# both medians under each layout, and `claim ok` or `unresolved` (nine
+# tenths of the pairs, a median gap beyond the base's own interquartile
+# range, and the change ahead under every layout). About N x 40 s;
+# non-zero exit when a run was not correct. A claim needs the held-out
+# seed too: SEED="1 2" builds once and prints one table per seed.
 N ?= 10
 SEED ?= 1
 BASE ?= HEAD~1
+LAYOUTS ?= 3
 benchpair:
-	./scripts/benchpair.sh "$(W)" $(N) "$(SEED)" $(BASE)
+	./scripts/benchpair.sh "$(W)" $(N) "$(SEED)" $(BASE) $(LAYOUTS)
 
 # benchcheck vets and tests the repository benchmark in bench/, a module
 # of its own that the root `go vet ./...` and `go test ./...` cannot

@@ -406,10 +406,13 @@ func TestFairShareTracksChurn(t *testing.T) {
 // to the live BFS's. A query's cells carry no parent or hop in the tree
 // (replay derives both from the visit's node), so after every flood each
 // peer must agree on whether this flood visited it, its hop, its parent
-// and whether the copy is alive there. A batch also leaves the mass that
-// reached each peer, which its replay reads from the node's peer. Every
-// source floods three times: once to be seen, once to record, once to
-// replay.
+// and whether the copy is alive there. A batch's cells are compared as
+// well, although nothing reads cells after a batch (FloodBatch), so the
+// two paths stay interchangeable. Its masses are compared too: the
+// replay derives the mass that reached each peer from its node's peer,
+// as the live BFS does, and the per-peer masses can differ where the
+// result's sums agree. Every source floods three times: once to be
+// seen, once to record, once to replay.
 func TestReplayLeavesTheLiveCells(t *testing.T) {
 	const n = 400
 	for _, tc := range []struct {

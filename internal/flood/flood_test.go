@@ -443,9 +443,6 @@ func TestFairShareProtectsOtherLinks(t *testing.T) {
 	e := NewEngine(ov)
 	budget := NewBudget(5, 40)
 	budget.EnableFairShare(ov)
-	if !budget.FairShare() {
-		t.Fatal("fair share not enabled")
-	}
 	// Hub capacity 40, degree 4: each inbound link may deliver 10.
 	e.FloodBatch(1, -1, 7, 1000, budget)
 	if got := budget.remaining[0]; got != 30 {

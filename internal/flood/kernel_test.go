@@ -112,6 +112,14 @@ func assertCellsMatchTree(t *testing.T, at string, e *Engine, ref *eagerTree) {
 // and after every flood each engine's per-peer cells (visited, hop,
 // parent, alive) must be the reference's tree: the replay writes them
 // as the live BFS does.
+//
+// A flood searches either six random peers or one of three lists kept
+// for the whole run, since the engine indexes a list by its identity at
+// the visits side's second want of it: half the peers, every peer, and
+// every peer plus one repeated, which the engine must refuse to index
+// (the visits side would count the repeat once). The long lists outnumber
+// most floods' visits, so each lane must score floods from the visits
+// side, and the cached lane must do it on a replay too.
 func TestQueryResultMatchesEagerReference(t *testing.T) {
 	const n, ticks, floodsPerTick = 300, 12, 60
 	dm := DefaultDelayModel()
@@ -136,6 +144,13 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 				}
 				r := rng.New(seed * 101)
 				setup := rng.New(seed * 977)
+				kinds := rng.New(seed * 31)
+				perm := make([]topology.NodeID, n)
+				for i, v := range setup.Perm(n) {
+					perm[i] = topology.NodeID(v)
+				}
+				lists := [][]topology.NodeID{perm[:n/2], perm, append(perm[:n:n], perm[n/3])}
+				replayVisits := 0
 				for l := range ovs {
 					ovs[l] = overlay.New(g)
 					ovs[l].CountTraffic()
@@ -179,11 +194,18 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 						for i := range holders {
 							holders[i] = topology.NodeID(r.Intn(n))
 						}
+						if k := kinds.Intn(len(lists) + 1); k < len(lists) {
+							holders = lists[k]
+						}
 						var res [3]QueryResult
 						var ref *eagerTree
 						res[0], ref = eagerQuery(ovs[0], mode, buds[0], src, ttl, holders, dm)
 						for l := 1; l < 3; l++ {
+							hits, scored := engs[l].CacheStats().Hits, engs[l].visitScores
 							res[l] = engs[l].FloodQuery(src, ttl, holders, buds[l], dm)
+							if engs[l].CacheStats().Hits > hits && engs[l].visitScores > scored {
+								replayVisits++
+							}
 							if res[l] != res[0] {
 								t.Fatalf("%s tick %d flood %d src %d lane %d:\n got %+v\nwant %+v", name, tick, f, src, l, res[l], res[0])
 							}
@@ -202,6 +224,15 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 				c := engs[1].CacheStats()
 				if c.Hits == 0 || c.Builds == 0 || (mode == CounterPhysical && c.Fallbacks == 0) {
 					t.Fatalf("%s: the cached lane missed a path: %+v", name, c)
+				}
+				if engs[2].visitScores == 0 || replayVisits == 0 {
+					t.Fatalf("%s: the visits side scored %d live floods and %d replays", name, engs[2].visitScores, replayVisits)
+				}
+				repeated := lists[2]
+				for l := 1; l < 3; l++ {
+					if off, ok := engs[l].memo.at[listKey{&repeated[0], len(repeated)}]; !ok || off != notIndexed {
+						t.Fatalf("%s lane %d: the list with a repeated peer is held as %d (present %v), want %d", name, l, off, ok, notIndexed)
+					}
 				}
 			}
 		}

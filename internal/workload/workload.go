@@ -94,14 +94,14 @@ func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, err
 	return c, nil
 }
 
-// Holders returns the peers storing object o. Callers must not mutate.
+// Holders returns the peers storing object o, each once. The list is
+// never written after NewCatalog returns, and callers must not write it
+// either: flood.Engine memoizes a bitset per list by the list's identity
+// (flood.FloodQuery states the contract).
 func (c *Catalog) Holders(o ObjectID) []topology.NodeID { return c.holders[o] }
 
 // NumObjects returns the catalog size.
 func (c *Catalog) NumObjects() int { return len(c.holders) }
-
-// Popularity returns the query probability of object o.
-func (c *Catalog) Popularity(o ObjectID) float64 { return c.popularity[o] }
 
 // Sampler draws objects according to popularity from its own copy of
 // the catalog's stream: every Sampler of one catalog emits the same

@@ -62,7 +62,7 @@ func TestReplicationFollowsPopularity(t *testing.T) {
 	if len(c.Holders(0)) <= len(c.Holders(999)) {
 		t.Fatalf("top object %d replicas <= tail %d", len(c.Holders(0)), len(c.Holders(999)))
 	}
-	if c.Popularity(0) <= c.Popularity(999) {
+	if c.popularity[0] <= c.popularity[999] {
 		t.Fatal("popularity not rank ordered")
 	}
 }
@@ -109,7 +109,7 @@ func TestSampleObjectDistribution(t *testing.T) {
 		counts[objects.Object()]++
 	}
 	for _, o := range []ObjectID{0, 10, 50} {
-		want := c.Popularity(o)
+		want := c.popularity[o]
 		got := float64(counts[o]) / draws
 		if math.Abs(got-want) > 4*math.Sqrt(want/draws)+0.002 {
 			t.Errorf("object %d: freq %.5f, want %.5f", o, got, want)

@@ -1,25 +1,40 @@
 #!/bin/sh
 # benchpair.sh — the paired-run protocol a speed claim rests on
-# (`make benchpair W=<workload> [N=10] [SEED=1] [BASE=HEAD~1]`): the
-# repository benchmark of BASE against that of the working tree, each
-# built once from its own bench/, one discarded warm-up (the first run
-# after an idle spell reads about half: the ruler mis-scales it), then N
-# pairs alternating which side goes first. Per end-to-end metric of
-# BENCHMARK.json it prints each side's median and quartiles, the
-# change's wins out of N, and `claim ok` when there are at least ten
-# pairs, the change wins at least nine tenths of them and the medians
-# differ by more than the distance between the base's own quartiles —
-# `unresolved` otherwise. SEED may list several seeds ("1 2"): both
-# binaries are built once, and each seed gets its own warm-up, pairs and
-# table.
+# (`make benchpair W=<workload> [N=10] [SEED=1] [BASE=HEAD~1]
+# [LAYOUTS=3]`): the repository benchmark of BASE against that of the
+# working tree, one discarded warm-up (the first run after an idle spell
+# reads about half: the ruler mis-scales it), then N pairs alternating
+# which side goes first.
+#
+# Code layout alone moves end-to-end times by several per cent
+# (Mytkowicz et al., "Producing Wrong Data Without Doing Anything
+# Obviously Wrong!", ASPLOS 2009; Curtsinger & Berger, "STABILIZER",
+# ASPLOS 2013), so each side is built under LAYOUTS linker layouts, the
+# same on both sides: the default layout and `-ldflags=-randlayout=J`
+# for J = 1 .. LAYOUTS-1. Pair i runs both sides under layout
+# (i-1) mod LAYOUTS.
+#
+# Per end-to-end metric of BENCHMARK.json it prints each side's median
+# and quartiles over all pairs, the change's wins out of N, and
+# `claim ok` when there are at least ten pairs, the change wins at least
+# nine tenths of them, the medians differ by more than the distance
+# between the base's own quartiles, and the change's median beats the
+# base's under every layout — `unresolved` otherwise. A second line per
+# metric gives both medians under each layout. SEED may list several
+# seeds ("1 2"): the binaries are built once, and each seed gets its own
+# warm-up, pairs and table.
 # Exits non-zero when any run reports correct=false.
 set -eu
 
-w=${1:?usage: benchpair.sh WORKLOAD [N] [SEED...] [BASE]}
+w=${1:?usage: benchpair.sh WORKLOAD [N] [SEED...] [BASE] [LAYOUTS]}
 n=${2:-10}
 seeds=${3:-1}
 base=${4:-HEAD~1}
+layouts=${5:-3}
 
+case $layouts in
+'' | *[!0-9]* | 0*) echo "benchpair: LAYOUTS $layouts is not a positive integer" >&2; exit 2 ;;
+esac
 root=$(git rev-parse --show-toplevel)
 rev=$(git -C "$root" rev-parse --verify --quiet "$base^{commit}") ||
 	{ echo "benchpair: BASE $base is not a commit" >&2; exit 2; }
@@ -31,18 +46,26 @@ trap 'exit 130' INT TERM
 # repository's git state is the same after a run as before it.
 mkdir "$tmp/base"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
-(cd "$tmp/base/bench" && go build -o "$tmp/bench.base" .)
-(cd "$root/bench" && go build -o "$tmp/bench.change" .)
+# Layout 0 is the default build; layout J > 0 links with -randlayout=J.
+j=0
+while [ "$j" -lt "$layouts" ]; do
+	flags=
+	[ "$j" -gt 0 ] && flags=-ldflags=-randlayout=$j
+	(cd "$tmp/base/bench" && go build $flags -o "$tmp/bench.base.$j" .)
+	(cd "$root/bench" && go build $flags -o "$tmp/bench.change.$j" .)
+	j=$((j + 1))
+done
 
 bad=0
-# run SIDE OUT: one benchmark run of SIDE from its own bench/ (flags and
-# golden/ are relative to it); the JSON summary line goes to OUT.
+# run SIDE LAYOUT OUT: one benchmark run of SIDE's LAYOUT build from its
+# own bench/ (flags and golden/ are relative to it); the JSON summary
+# line goes to OUT.
 run() {
 	dir=$root/bench
 	[ "$1" = base ] && dir=$tmp/base/bench
-	(cd "$dir" && "$tmp/bench.$1" -workload "$w" -seed "$seed") >"$tmp/run.log" 2>&1 || bad=1
-	tail -n 1 "$tmp/run.log" >"$2"
-	grep -q '"correct":true' "$2" || { bad=1; echo "benchpair: $1 run not correct:"; tail -n 5 "$tmp/run.log"; }
+	(cd "$dir" && "$tmp/bench.$1.$2" -workload "$w" -seed "$seed") >"$tmp/run.log" 2>&1 || bad=1
+	tail -n 1 "$tmp/run.log" >"$3"
+	grep -q '"correct":true' "$3" || { bad=1; echo "benchpair: $1 run not correct:"; tail -n 5 "$tmp/run.log"; }
 }
 
 # The end-to-end metrics and their better direction, from BENCHMARK.json
@@ -57,16 +80,17 @@ value() {
 }
 
 for seed in $seeds; do
-	echo "benchpair: $w seed $seed, $n pairs, base $(git -C "$root" rev-parse --short "$rev") against the working tree"
-	run base "$tmp/warmup"
+	echo "benchpair: $w seed $seed, $n pairs over $layouts layouts, base $(git -C "$root" rev-parse --short "$rev") against the working tree"
+	run base 0 "$tmp/warmup"
 	i=1
 	while [ "$i" -le "$n" ]; do
+		l=$(((i - 1) % layouts))
 		if [ $((i % 2)) -eq 1 ]; then
-			run base "$tmp/base.$i"; run change "$tmp/change.$i"
+			run base "$l" "$tmp/base.$i"; run change "$l" "$tmp/change.$i"
 		else
-			run change "$tmp/change.$i"; run base "$tmp/base.$i"
+			run change "$l" "$tmp/change.$i"; run base "$l" "$tmp/base.$i"
 		fi
-		echo "  pair $i/$n done"
+		echo "  pair $i/$n (layout $l) done"
 		i=$((i + 1))
 	done
 
@@ -74,22 +98,36 @@ for seed in $seeds; do
 	while read -r m better; do
 		i=1
 		while [ "$i" -le "$n" ]; do
-			echo "$(value "$tmp/base.$i" "$m") $(value "$tmp/change.$i" "$m")"
+			echo "$(value "$tmp/base.$i" "$m") $(value "$tmp/change.$i" "$m") $(((i - 1) % layouts))"
 			i=$((i + 1))
-		done | awk -v m="$m" -v better="$better" '
+		done | awk -v m="$m" -v better="$better" -v layouts="$layouts" '
 			# q(x, n, p): quantile p of sorted x[1..n], linear interpolation.
 			function q(x, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? x[n] : x[lo] + (h - lo) * (x[lo + 1] - x[lo]) }
 			function sort(x, n,    i, j, t) { for (i = 2; i <= n; i++) for (j = i; j > 1 && x[j - 1] > x[j]; j--) { t = x[j]; x[j] = x[j - 1]; x[j - 1] = t } }
-			NF == 2 { n++; b[n] = $1; c[n] = $2; s = better == "lower" ? 1 : -1; if (s * $2 < s * $1) wins++ }
+			# median(v, l): the median of v[l, 1..k[l]], the values under layout l.
+			function median(v, l,    x, i) { for (i = 1; i <= k[l]; i++) x[i] = v[l, i]; sort(x, k[l]); return q(x, k[l], .5) }
+			NF == 3 {
+				n++; b[n] = $1; c[n] = $2; s = better == "lower" ? 1 : -1; if (s * $2 < s * $1) wins++
+				k[$3]++; lb[$3, k[$3]] = $1; lc[$3, k[$3]] = $2
+			}
 			END {
 				if (n == 0) { printf "%-20s no samples\n", m; exit }
+				# The effect must point the same way under every layout.
+				same = 1; per = ""
+				for (l = 0; l < layouts; l++) {
+					if (k[l] == 0) { same = 0; continue }
+					mb = median(lb, l); mc = median(lc, l)
+					if (!(s * mc < s * mb)) same = 0
+					per = per sprintf("  %s %.5g -> %.5g", l == 0 ? "default" : "randlayout=" l, mb, mc)
+				}
 				sort(b, n); sort(c, n)
-				gap = (q(b, n, .5) - q(c, n, .5)) * (better == "lower" ? 1 : -1)
-				ok = n >= 10 && wins * 10 >= n * 9 && gap > q(b, n, .75) - q(b, n, .25)
+				gap = (q(b, n, .5) - q(c, n, .5)) * s
+				ok = n >= 10 && wins * 10 >= n * 9 && gap > q(b, n, .75) - q(b, n, .25) && same
 				printf "%-20s %-34s %-34s %-6s %s\n", m,
 					sprintf("%.5g (%.5g-%.5g)", q(b, n, .5), q(b, n, .25), q(b, n, .75)),
 					sprintf("%.5g (%.5g-%.5g)", q(c, n, .5), q(c, n, .25), q(c, n, .75)),
 					wins + 0 "/" n, ok ? "claim ok" : "unresolved"
+				printf "%-20s per layout, base -> change:%s\n", "", per
 			}'
 	done <"$tmp/metrics"
 done
