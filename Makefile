@@ -190,8 +190,8 @@ benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs each decoder's fuzz target for FUZZTIME (default 5 s, about
-# 20 s in all): the wire frames, the two NDJSON readers and the query
-# trace reader, the inputs that arrive from outside the program. `go
+# 15 s in all): the wire frames, the journal's NDJSON reader and the
+# query trace reader, the inputs that arrive from outside the program. `go
 # test` alone runs only their seed corpora. A failing input is written
 # under the package's testdata/fuzz; commit it with the fix, so `go
 # test` replays it from then on.
@@ -199,5 +199,4 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadNDJSON$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadNDJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime $(FUZZTIME)

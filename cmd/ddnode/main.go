@@ -26,10 +26,10 @@ import (
 	"ddpolice/internal/gnet"
 	"ddpolice/internal/journal"
 	"ddpolice/internal/metricsrv"
+	"ddpolice/internal/outfile"
 	"ddpolice/internal/police"
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/telemetry"
-	dtrace "ddpolice/internal/trace"
 	"ddpolice/internal/workload"
 )
 
@@ -48,10 +48,10 @@ func main() {
 		stats    = flag.Duration("stats", 10*time.Second, "stats print interval")
 		query    = flag.String("query", "", "periodically search for this keyword")
 		queryIv  = flag.Duration("query-interval", 10*time.Second, "interval between -query searches")
-		metrics  = flag.String("metrics", "", "serve /metrics, /healthz, /journal and /trace on this address")
+		metrics  = flag.String("metrics", "", "serve /metrics, /healthz and /journal on this address")
 		jcap     = flag.Int("journal-cap", 4096, "event journal ring capacity")
-		traceOut = flag.String("trace-out", "", "dump causal traces here on shutdown (.json = Chrome/Perfetto, else NDJSON)")
-		traceSmp = flag.Float64("trace-sample", 1.0, "head-sampling rate for traces (0..1)")
+		jout     = flag.String("journal-out", "", "stream the event journal (NDJSON, every record) to this file")
+		floodSmp = flag.Float64("flood-sample", 0, "share of queries whose flood is journaled (0..1)")
 	)
 	flag.Parse()
 	// A value that cannot mean anything is refused by name, not bent into
@@ -63,20 +63,25 @@ func main() {
 		usage("-rate %v: want a positive number of queries/min", *rate)
 	case *jcap < 1:
 		usage("-journal-cap %d: want at least 1", *jcap)
-	case !(*traceSmp >= 0 && *traceSmp <= 1):
-		usage("-trace-sample %v: want a rate in [0, 1]", *traceSmp)
+	case !(*floodSmp >= 0 && *floodSmp <= 1):
+		usage("-flood-sample %v: want a rate in [0, 1]", *floodSmp)
 	}
 
 	// Registered before anything is printed: whoever reads the addresses
 	// below may signal at once and still gets the orderly shutdown.
+	// The main loop alone receives the signal, and closes done to stop the
+	// searcher and the agent: a goroutine that took the signal itself would
+	// leave the node running.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
 
 	cfg := gnet.DefaultConfig(fmt.Sprintf("node-%d", *id))
 	cfg.NodeID = int32(*id)
 	cfg.ListenAddr = *listen
 	cfg.CapacityPerMin = *capacity
 	cfg.Seed = uint64(*id)
+	cfg.FloodSample = *floodSmp
 	if *share != "" {
 		cfg.SharedObjects = strings.Split(*share, ",")
 	}
@@ -85,13 +90,23 @@ func main() {
 		pc.CutThreshold = *ct
 		cfg.Police = &pc
 	}
+	if *metrics != "" || *jout != "" {
+		cfg.Journal = journal.New(*jcap)
+	}
+	// The file is teed from the first record on, so it holds every record
+	// the ring has since overwritten.
+	var journalFile *outfile.File
+	if *jout != "" {
+		f, err := outfile.Create(*jout)
+		if err != nil {
+			fatal(err)
+		}
+		cfg.Journal.Tee(f)
+		journalFile = f
+	}
 	if *metrics != "" {
 		cfg.Telemetry = telemetry.New()
-		cfg.Journal = journal.New(*jcap)
 		cfg.Journal.AttachTelemetry(cfg.Telemetry)
-	}
-	if *traceOut != "" || *metrics != "" {
-		cfg.Tracer = dtrace.New(*traceSmp, 0)
 	}
 	node, err := gnet.NewNode(cfg)
 	if err != nil {
@@ -102,7 +117,6 @@ func main() {
 		srv, err := metricsrv.Serve(*metrics, metricsrv.Config{
 			Registry: cfg.Telemetry,
 			Journal:  cfg.Journal,
-			Tracer:   cfg.Tracer,
 			Health: func() map[string]any {
 				st := node.Stats()
 				return map[string]any{
@@ -132,10 +146,10 @@ func main() {
 	}
 
 	if *attack {
-		go runAgent(node, *rate, *trace, stop)
+		go runAgent(node, *rate, *trace, done)
 	}
 	if *query != "" {
-		go runSearcher(node, *query, *queryIv, stop)
+		go runSearcher(node, *query, *queryIv, done)
 	}
 
 	ticker := time.NewTicker(*stats)
@@ -143,15 +157,20 @@ func main() {
 	for {
 		select {
 		case <-stop:
+			close(done)
 			fmt.Println("shutting down")
-			if *traceOut != "" {
-				if err := cfg.Tracer.WriteFile(*traceOut); err != nil {
-					// A truncated trace reported as success poisons
-					// every later analysis step; die loudly instead.
-					node.Close()
-					fatal(fmt.Errorf("trace dump: %w", err))
+			if journalFile != nil {
+				// The node records nothing once closed. A truncated journal
+				// reported as success poisons every later analysis step;
+				// die loudly instead.
+				node.Close()
+				if err := cfg.Journal.Err(); err != nil {
+					fatal(fmt.Errorf("journal: %w", err))
 				}
-				fmt.Printf("trace: %d spans -> %s (%d dropped)\n", cfg.Tracer.Len(), *traceOut, cfg.Tracer.Dropped())
+				if err := journalFile.Close(); err != nil {
+					fatal(fmt.Errorf("journal: %w", err))
+				}
+				fmt.Printf("journal: %d events -> %s\n", uint64(cfg.Journal.Len())+cfg.Journal.Dropped(), *jout)
 			}
 			return
 		case <-ticker.C:
@@ -179,12 +198,12 @@ func usage(format string, args ...any) {
 }
 
 // runSearcher periodically issues a search and reports the outcome.
-func runSearcher(node *gnet.Node, keywords string, interval time.Duration, stop <-chan os.Signal) {
+func runSearcher(node *gnet.Node, keywords string, interval time.Duration, done <-chan struct{}) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-done:
 			return
 		case <-ticker.C:
 			start := time.Now()
@@ -206,7 +225,7 @@ func runSearcher(node *gnet.Node, keywords string, interval time.Duration, stop 
 // runAgent floods bogus queries at the configured rate, replaying a
 // trace file if given (the paper's agent "reads queries from the log
 // file collected by the monitoring node and issues these queries").
-func runAgent(node *gnet.Node, ratePerMin float64, tracePath string, stop <-chan os.Signal) {
+func runAgent(node *gnet.Node, ratePerMin float64, tracePath string, done <-chan struct{}) {
 	var keywords []string
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
@@ -240,7 +259,7 @@ func runAgent(node *gnet.Node, ratePerMin float64, tracePath string, stop <-chan
 	i := 0
 	for {
 		select {
-		case <-stop:
+		case <-done:
 			return
 		case <-ticker.C:
 			kw := fmt.Sprintf("bogus-%d", i)

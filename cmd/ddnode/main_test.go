@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"ddpolice/internal/journal"
 )
 
 // TestMain re-executes the test binary as ddnode itself when asked to,
@@ -55,13 +58,13 @@ func ddnode(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // A flag value that cannot mean anything exits 2 naming the flag and the
 // value before the node listens. -rate 0 used to land on the 1 µs ticker
 // floor and flood at full speed until signalled; -journal-cap 0 was
-// silently clamped to 1; -trace-sample nan became an undefined threshold.
+// silently clamped to 1; a NaN sample rate would be an undefined threshold.
 func TestBadFlagValuesExitTwo(t *testing.T) {
 	for _, tc := range [][]string{
 		{"-attack", "-rate", "0"}, {"-attack", "-rate", "-5"}, {"-attack", "-rate", "nan"}, {"-attack", "-rate", "+Inf"},
 		{"-journal-cap", "0"}, {"-journal-cap", "-3"},
 		{"-id", "16777216"}, {"-id", "-1"},
-		{"-trace-sample", "-0.1"}, {"-trace-sample", "1.5"}, {"-trace-sample", "nan"},
+		{"-flood-sample", "-0.1"}, {"-flood-sample", "1.5"}, {"-flood-sample", "nan"},
 	} {
 		flagName, value := tc[len(tc)-2], tc[len(tc)-1]
 		code, stdout, stderr := ddnode(t, tc...)
@@ -86,10 +89,11 @@ func TestUnreadableTraceExitsOne(t *testing.T) {
 
 // -metrics boots the exposition plane beside the node: /healthz answers
 // ok with the node's identity, and SIGTERM shuts both down cleanly,
-// dumping the trace with its loss count.
+// closing the -journal-out file with every record the node journaled.
 func TestMetricsBootsAndAnswersHealthz(t *testing.T) {
-	traceOut := filepath.Join(t.TempDir(), "node.trace")
-	cmd := ddnodeCmd("-id", "7", "-listen", "127.0.0.1:0", "-police", "-metrics", "127.0.0.1:0", "-trace-out", traceOut)
+	journalOut := filepath.Join(t.TempDir(), "node.journal")
+	cmd := ddnodeCmd("-id", "7", "-listen", "127.0.0.1:0", "-police", "-metrics", "127.0.0.1:0",
+		"-journal-out", journalOut, "-flood-sample", "1", "-query", "prize", "-query-interval", "10ms")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +135,57 @@ func TestMetricsBootsAndAnswersHealthz(t *testing.T) {
 	if err := cmd.Wait(); err != nil || !strings.Contains(string(rest), "shutting down") {
 		t.Fatalf("after SIGTERM: err = %v, stdout = %q, stderr = %q; want a clean shutdown", err, rest, stderr.String())
 	}
-	if want := "-> " + traceOut + " (0 dropped)"; !strings.Contains(string(rest), want) {
-		t.Errorf("shutdown stdout = %q, want the trace dump line ending %q", rest, want)
+	var n int
+	_, line, _ := strings.Cut(string(rest), "journal: ")
+	if _, err := fmt.Sscanf(line, "%d events -> "+journalOut+"\n", &n); err != nil {
+		t.Fatalf("shutdown stdout = %q, want the journal dump line naming %s: %v", rest, journalOut, err)
+	}
+	f, err := os.Open(journalOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := journal.ReadNDJSON(f)
+	if err != nil || len(events) != n {
+		t.Fatalf("%s: %d events, %v; want the %d the dump line counts", journalOut, len(events), err, n)
+	}
+	for i, e := range events {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("%s: record %d has seq %d: the file lost records", journalOut, i, e.Seq)
+		}
+	}
+}
+
+// TestSignalStopsTheNode: SIGTERM shuts the node down even while a
+// searcher waits out its interval. The searcher and the agent used to
+// receive from the signal channel themselves, and a searcher that took
+// the signal left the node running, about one boot in three. Each boot
+// here may lose that race, so the test boots several.
+func TestSignalStopsTheNode(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		cmd := ddnodeCmd("-id", "8", "-listen", "127.0.0.1:0", "-query", "prize", "-query-interval", "1h")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		kill := time.AfterFunc(3*time.Second, func() { cmd.Process.Kill() })
+		lines := bufio.NewScanner(stdout)
+		if !lines.Scan() || !strings.Contains(lines.Text(), "listening on") {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("boot %d: first line %q, want the listening line", i, lines.Text())
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		rest, _ := io.ReadAll(stdout)
+		err = cmd.Wait()
+		kill.Stop()
+		if err != nil || !strings.Contains(string(rest), "shutting down") {
+			t.Fatalf("boot %d: after SIGTERM err = %v, stdout = %q; want a clean shutdown", i, err, rest)
+		}
 	}
 }

@@ -1,27 +1,28 @@
-// Command ddtrace analyzes what ddsim and ddnode record. From a live
-// node's causal trace stream (ddnode -trace-out, or its /trace) it
-// reconstructs what route one query's flood actually took; from a
-// journal (ddsim -journal, or a ddnode's /journal?n=) it tabulates where
-// the time went between each warning crossing and the cut.
+// Command ddtrace analyzes a journal: ddsim -journal, ddnode
+// -journal-out, or a node's /journal?n=. A live node's journal holds its
+// detection lifecycle and, under -flood-sample, the flood records of the
+// queries it saw (query_issue, hop, delivery, congestion_drop), each
+// naming its query ID; join several nodes' journals to see one query's
+// whole flood.
 //
-// Summary of a trace stream:
+// Summary of a journal:
 //
-//	ddtrace -in run.trace
+//	ddtrace -in run.journal
 //
-// One trace as an ASCII tree, per-depth flood fan-out, Perfetto
-// conversion (at most one of -critical, -tree, -fanout, -perfetto):
+// One query's flood as an ASCII tree, each hop under the record of the
+// node that sent the copy; per-depth flood fan-out; the detection
+// critical path (warning -> nt_request -> first report -> indicator ->
+// cut stage times, one row per warning); Perfetto conversion of every
+// record (at most one of -tree, -fanout, -critical, -perfetto):
 //
-//	ddtrace -in run.trace -tree <id>
-//	ddtrace -in run.trace -fanout
-//	ddtrace -in run.trace -perfetto run.json
-//
-// Detection critical path (warning -> nt_request -> first report ->
-// indicator -> cut stage times, one row per warning), from a journal:
-//
-//	ddtrace -critical run.journal
+//	ddtrace -in run.journal -tree <query id>
+//	ddtrace -in run.journal -fanout
+//	ddtrace -in run.journal -critical
+//	ddtrace -in run.journal -perfetto run.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,23 +32,22 @@ import (
 
 	"ddpolice/internal/journal"
 	"ddpolice/internal/outfile"
-	"ddpolice/internal/trace"
 )
 
 func main() {
 	var (
-		in       = flag.String("in", "", "trace NDJSON file ('-' = stdin)")
-		tree     = flag.String("tree", "", "print this trace ID as an ASCII span tree ('all' = every trace)")
-		critical = flag.String("critical", "", "print the detection critical-path table of this journal NDJSON file ('-' = stdin)")
-		fanout   = flag.Bool("fanout", false, "print per-depth flood fan-out across query traces")
-		perfetto = flag.String("perfetto", "", "convert the stream to Chrome trace-event JSON at this path")
+		in       = flag.String("in", "", "journal NDJSON file ('-' = stdin)")
+		tree     = flag.String("tree", "", "print this query's flood as an ASCII tree ('all' = every query)")
+		critical = flag.Bool("critical", false, "print the detection critical-path table")
+		fanout   = flag.Bool("fanout", false, "print per-depth flood fan-out across queries")
+		perfetto = flag.String("perfetto", "", "convert every record to Chrome trace-event JSON at this path")
 	)
 	flag.Parse()
 	var modes []string
 	for _, m := range []struct {
 		flag string
 		on   bool
-	}{{"-critical", *critical != ""}, {"-tree", *tree != ""}, {"-fanout", *fanout}, {"-perfetto", *perfetto != ""}} {
+	}{{"-critical", *critical}, {"-tree", *tree != ""}, {"-fanout", *fanout}, {"-perfetto", *perfetto != ""}} {
 		if m.on {
 			modes = append(modes, m.flag)
 		}
@@ -56,38 +56,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ddtrace: %s and %s are exclusive: give at most one of -critical, -tree, -fanout, -perfetto\n", modes[0], modes[1])
 		os.Exit(2)
 	}
-	if *critical != "" {
-		if *in != "" {
-			fmt.Fprintln(os.Stderr, "ddtrace: -critical reads a journal; it takes no -in trace stream")
-			os.Exit(2)
-		}
-		events, err := readJournal(*critical)
-		if err == nil {
-			err = printCritical(os.Stdout, detections(events))
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	spans, err := readSpans(*in)
+	events, err := readJournal(*in)
 	if err != nil {
 		fatal(err)
 	}
-	views := trace.Group(spans)
 	switch {
+	case *critical:
+		err = printCritical(os.Stdout, detections(events))
 	case *perfetto != "":
-		err = writePerfetto(*perfetto, spans, os.Stdout)
+		err = writePerfetto(*perfetto, events, os.Stdout)
 	case *tree != "":
-		err = printTrees(os.Stdout, views, *tree)
+		err = printTrees(os.Stdout, floods(events), *tree)
 	case *fanout:
-		err = printFanOut(os.Stdout, views)
+		err = printFanOut(os.Stdout, floods(events))
 	default:
-		err = printSummary(os.Stdout, spans, views)
+		err = printSummary(os.Stdout, events, floods(events))
 	}
 	if err != nil {
 		fatal(err)
@@ -99,54 +86,180 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// open returns the named file to read, or stdin for "-".
-func open(path string) (io.ReadCloser, error) {
-	if path == "-" {
-		return io.NopCloser(os.Stdin), nil
-	}
-	return os.Open(path)
-}
-
-func readSpans(path string) ([]trace.Span, error) {
-	r, err := open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return trace.ReadNDJSON(r)
-}
-
 func readJournal(path string) ([]journal.Event, error) {
-	r, err := open(path)
-	if err != nil {
-		return nil, err
+	r := io.ReadCloser(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		r = f
 	}
 	defer r.Close()
 	return journal.ReadNDJSON(r)
 }
 
-// printSummary counts traces and spans, so a bare `ddtrace -in` orients
-// before drilling down.
-func printSummary(w io.Writer, spans []trace.Span, views []trace.TraceView) error {
-	_, err := fmt.Fprintf(w, "%d spans in %d query traces\n", len(spans), len(views))
+// flood is one query's flood records, in journal order.
+type flood struct {
+	id      string
+	records []journal.Event
+}
+
+// floods groups a journal's flood records by query ID, ordered by each
+// query's first appearance; every other record is left out.
+func floods(events []journal.Event) []flood {
+	idx := make(map[string]int)
+	var out []flood
+	for _, e := range events {
+		if !isFlood(e.Type) {
+			continue
+		}
+		i, ok := idx[e.Detail]
+		if !ok {
+			i = len(out)
+			idx[e.Detail] = i
+			out = append(out, flood{id: e.Detail})
+		}
+		out[i].records = append(out[i].records, e)
+	}
+	return out
+}
+
+// isFlood reports whether typ is one of a live query's flood records.
+func isFlood(typ string) bool {
+	switch typ {
+	case journal.TypeQueryIssue, journal.TypeHop, journal.TypeDelivery, journal.TypeCongestionDrop:
+		return true
+	}
+	return false
+}
+
+// printSummary counts records and flooded queries, so a bare `ddtrace
+// -in` orients before drilling down.
+func printSummary(w io.Writer, events []journal.Event, fl []flood) error {
+	n := 0
+	for _, f := range fl {
+		n += len(f.records)
+	}
+	_, err := fmt.Fprintf(w, "%d records: %d flood records of %d queries\n", len(events), n, len(fl))
 	return err
 }
 
-// printTrees renders one trace (or all of them) as ASCII span trees.
-func printTrees(w io.Writer, views []trace.TraceView, id string) error {
+// printTrees renders one query's flood (or every query's) as an ASCII
+// tree.
+func printTrees(w io.Writer, fl []flood, id string) error {
 	printed := false
-	for _, tv := range views {
-		if id == "all" || tv.ID == id {
-			if err := trace.WriteTree(w, tv); err != nil {
+	for _, f := range fl {
+		if id == "all" || f.id == id {
+			if err := writeTree(w, f); err != nil {
 				return err
 			}
 			printed = true
 		}
 	}
 	if !printed && id != "all" {
-		return fmt.Errorf("trace %s not found", id)
+		return fmt.Errorf("query %s not found", id)
 	}
 	return nil
+}
+
+// writeTree prints a flood as a tree. A node's own record is its
+// query_issue or its hop, the record of the copy it processed: a hop or
+// a congestion_drop nests under its sender's own record one depth up, a
+// delivery under its node's own record at the same depth. A record whose
+// parent is not in the journal (another node's file, a sampled-out or
+// overwritten record) is a root. Parents sit strictly higher, so the
+// tree has no cycle whatever the input.
+func writeTree(w io.Writer, f flood) error {
+	own := make(map[int64]int) // node -> index of its own record
+	for i, e := range f.records {
+		if _, ok := own[e.Node]; !ok && (e.Type == journal.TypeQueryIssue || e.Type == journal.TypeHop) {
+			own[e.Node] = i
+		}
+	}
+	children := make(map[int][]int)
+	var roots []int
+	for i, e := range f.records {
+		from, depth := e.Peer, e.Depth-1
+		if e.Type == journal.TypeDelivery {
+			from, depth = e.Node, e.Depth
+		}
+		p, ok := own[from]
+		if e.Type == journal.TypeQueryIssue || !ok || f.records[p].Depth != depth {
+			roots = append(roots, i)
+			continue
+		}
+		children[p] = append(children[p], i)
+	}
+	if _, err := fmt.Fprintf(w, "query %s\n", f.id); err != nil {
+		return err
+	}
+	var rec func(i int, prefix string, last bool) error
+	rec = func(i int, prefix string, last bool) error {
+		e := f.records[i]
+		branch, cont := "├─ ", "│  "
+		if last {
+			branch, cont = "└─ ", "   "
+		}
+		line := fmt.Sprintf("%s%s%s t=%.3f node=%d", prefix, branch, e.Type, e.T, e.Node)
+		if e.Peer != 0 {
+			line += fmt.Sprintf(" peer=%d", e.Peer)
+		}
+		if e.Depth != 0 {
+			line += fmt.Sprintf(" depth=%d", e.Depth)
+		}
+		if _, err := fmt.Fprintln(w, line); err != nil {
+			return err
+		}
+		kids := children[i]
+		for k, c := range kids {
+			if err := rec(c, prefix+cont, k == len(kids)-1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for k, r := range roots {
+		if err := rec(r, "", k == len(roots)-1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// maxDepth is the deepest a copy can travel: its header counts hops in
+// one byte.
+const maxDepth = 256
+
+// printFanOut aggregates hop records per flood depth across every query:
+// the shape of the flood front the paper's traffic analysis reasons
+// about.
+func printFanOut(w io.Writer, fl []flood) error {
+	if len(fl) == 0 {
+		_, err := fmt.Fprintln(w, "no flood records")
+		return err
+	}
+	var agg []int
+	for _, f := range fl {
+		for _, e := range f.records {
+			if e.Type != journal.TypeHop || e.Depth < 1 {
+				continue
+			}
+			if e.Depth > maxDepth {
+				return fmt.Errorf("query %s: hop record at depth %d; a header's hop count allows %d", f.id, e.Depth, maxDepth)
+			}
+			for len(agg) < e.Depth {
+				agg = append(agg, 0)
+			}
+			agg[e.Depth-1]++
+		}
+	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "depth\thops\thops/query")
+	for d, n := range agg {
+		fmt.Fprintf(tw, "%d\t%d\t%.2f\n", d+1, n, float64(n)/float64(len(fl)))
+	}
+	return tw.Flush()
 }
 
 // detection is one warning's way to a verdict, rebuilt from the journal:
@@ -247,38 +360,46 @@ func printCritical(w io.Writer, rounds []detection) error {
 	return tw.Flush()
 }
 
-// printFanOut aggregates hop counts per flood depth across every query
-// trace: the shape of the flood front the paper's traffic analysis
-// reasons about.
-func printFanOut(w io.Writer, views []trace.TraceView) error {
-	if len(views) == 0 {
-		_, err := fmt.Fprintln(w, "no query traces")
-		return err
-	}
-	var agg []int
-	for _, tv := range views {
-		for d, n := range trace.FanOut(tv) {
-			for len(agg) <= d {
-				agg = append(agg, 0)
-			}
-			agg[d] += n
-		}
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "depth\thops\thops/query")
-	for d, n := range agg {
-		fmt.Fprintf(tw, "%d\t%d\t%.2f\n", d+1, n, float64(n)/float64(len(views)))
-	}
-	return tw.Flush()
+// chromeEvent is one Chrome trace-event ("X" complete events only), the
+// JSON dialect Perfetto and chrome://tracing load directly.
+type chromeEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	TS   float64 `json:"ts"`  // microseconds
+	Dur  float64 `json:"dur"` // microseconds
+	PID  int     `json:"pid"`
+	TID  int64   `json:"tid"`
+	Args any     `json:"args"` // the record itself
 }
 
-func writePerfetto(path string, spans []trace.Span, status io.Writer) error {
-	err := outfile.Write(path, func(w io.Writer) error {
-		return trace.WriteChromeTrace(w, spans)
-	})
+// writePerfetto converts every record to Chrome trace-event JSON at
+// path. A query's flood records are one process row (pid in order of
+// first appearance, so output is deterministic) and every other record
+// shares pid 0; the recording node is the thread. A record is instant,
+// drawn 1 µs wide so it stays visible.
+func writePerfetto(path string, events []journal.Event, status io.Writer) error {
+	doc := struct {
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+		TraceEvents     []chromeEvent `json:"traceEvents"`
+	}{"ms", make([]chromeEvent, len(events))}
+	pids := make(map[string]int)
+	for i, e := range events {
+		ev := chromeEvent{Name: e.Type, Cat: "journal", Ph: "X", TS: e.T * 1e6, Dur: 1, TID: e.Node, Args: e}
+		if isFlood(e.Type) {
+			pid, ok := pids[e.Detail]
+			if !ok {
+				pid = len(pids) + 1
+				pids[e.Detail] = pid
+			}
+			ev.Cat, ev.PID = "query", pid
+		}
+		doc.TraceEvents[i] = ev
+	}
+	err := outfile.Write(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(&doc) })
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(status, "wrote %d events to %s (load at https://ui.perfetto.dev)\n", len(spans), path)
+	fmt.Fprintf(status, "wrote %d events to %s (load at https://ui.perfetto.dev)\n", len(events), path)
 	return nil
 }

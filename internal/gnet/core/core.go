@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -20,7 +21,6 @@ import (
 	"ddpolice/internal/protocol"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/trace"
 )
 
 // Link is one connection: the remote's overlay identity and the shell's
@@ -89,11 +89,12 @@ type Config struct {
 	// transitions, peer-drop provenance and reconnect activity, stamped
 	// with the input time in Unix seconds. Nodes may share one.
 	Journal *journal.Journal
-	// Tracer, when non-nil, receives per-query hop/outcome spans keyed by
-	// the trace ID riding the Query wire extension (protocol.Query.TraceID).
-	// Nodes may share one; head sampling is by trace-ID hash, so every node
-	// that sees a query agrees on whether it is traced.
-	Tracer *trace.Tracer
+	// FloodSample is the share of queries, in [0, 1], whose flood this
+	// node journals: its query_issue, hop, delivery and congestion_drop
+	// records. Zero records none. The decision hashes the query's GUID, so
+	// nodes at one rate keep the same queries, and a lower rate keeps a
+	// subset of what a higher one keeps.
+	FloodSample float64
 }
 
 // Stats is a snapshot of a node's counters.
@@ -141,6 +142,10 @@ type Core struct {
 
 	mon *monitor // nil: DD-POLICE off
 	ovl overloadState
+
+	// floodKeep is FloodSample as a hash threshold: floodRecord keeps a
+	// query whose rehashed ID falls below it, and every query at MaxUint64.
+	floodKeep uint64
 
 	// The deadlines; next, the earliest, may be early but never late.
 	lastRefill, refillAt, windowAt, next time.Time
@@ -191,6 +196,9 @@ func New(cfg Config, tr Transport) (*Core, error) {
 	if !(cfg.ControlReserveFrac > 0 && cfg.ControlReserveFrac < 1) {
 		return nil, fmt.Errorf("gnet: ControlReserveFrac %v outside (0, 1)", cfg.ControlReserveFrac)
 	}
+	if !(cfg.FloodSample >= 0 && cfg.FloodSample <= 1) {
+		return nil, fmt.Errorf("gnet: FloodSample %v outside [0, 1]", cfg.FloodSample)
+	}
 	if cfg.MinuteLength == 0 {
 		cfg.MinuteLength = time.Minute
 	}
@@ -200,6 +208,11 @@ func New(cfg Config, tr Transport) (*Core, error) {
 		guids:   newGUIDTable(),
 		cut:     make(map[int32]bool),
 		redials: make(map[int32]*redial),
+	}
+	if cfg.FloodSample == 1 {
+		c.floodKeep = math.MaxUint64
+	} else {
+		c.floodKeep = uint64(cfg.FloodSample * math.MaxUint64)
 	}
 	if err := c.ovl.init(cfg); err != nil {
 		return nil, err
@@ -452,7 +465,7 @@ func (c *Core) shedControl() {
 	c.count.ShedControl++
 }
 
-// stamp is the time on journal records and trace spans: Unix seconds.
+// stamp is the time on journal records: Unix seconds.
 func (c *Core) stamp() float64 { return float64(c.now.UnixNano()) / 1e9 }
 
 // journal stamps the node and the time on e and records it.

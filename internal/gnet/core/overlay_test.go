@@ -16,7 +16,6 @@ import (
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
-	"ddpolice/internal/trace"
 )
 
 // TestMeshBuild: Build gives vertex i the core of node i+1, seeded i+1,
@@ -47,24 +46,25 @@ func TestMeshBuild(t *testing.T) {
 	}
 }
 
-// TestLiveSpansTraceTheFlood: the spans the live cores record of one
-// query are its whole flood. Every node of a BA overlay shares one
-// tracer that keeps everything, and node 1 issues once. The trace has
-// one query_issue root, at node 1; a hop span per peer at the depth of
-// its first copy, which came by a shortest path because the mesh
-// delivers in send order, so FanOut is the graph's hop-distance layers
-// from node 1 within the TTL; and one delivery per node sharing the
-// object.
-func TestLiveSpansTraceTheFlood(t *testing.T) {
+// TestFloodRecordsTraceTheFlood: the flood records the live cores journal
+// of one query are its whole flood. Every node of a BA overlay shares one
+// journal and keeps every query, and node 1 issues once. The query has
+// one query_issue record, at node 1; a hop record per peer at the depth
+// of its first copy, which came by a shortest path because the mesh
+// delivers in send order, so the hops per depth are the graph's
+// hop-distance layers from node 1 within the TTL; and one delivery per
+// node sharing the object. Every record names the one query.
+func TestFloodRecordsTraceTheFlood(t *testing.T) {
 	g, err := topology.BarabasiAlbert(rng.New(21), 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New(1, 0)
+	jr := journal.New(1 << 12)
 	sharer := func(v int) bool { return v > 0 && v%4 == 0 }
 	m := newMesh(t)
 	m.build(g, func(i int, cfg *core.Config) {
-		cfg.Tracer = tr
+		cfg.Journal = jr
+		cfg.FloodSample = 1
 		cfg.CapacityPerMin *= 1000 // no copy is shed
 		if sharer(i) {
 			cfg.SharedObjects = []string{"prize"}
@@ -75,26 +75,9 @@ func TestLiveSpansTraceTheFlood(t *testing.T) {
 	}
 	m.run()
 
-	dist := make([]int, g.NumNodes()) // hop distance from vertex 0 (node 1)
-	for v := range dist {
-		dist[v] = -1
-	}
-	dist[0] = 0
-	for frontier := []topology.NodeID{0}; len(frontier) > 0; {
-		var next []topology.NodeID
-		for _, u := range frontier {
-			for _, v := range g.Neighbors(u) {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
 	var layers []int
 	var sharers []int64
-	for v, d := range dist {
+	for v, d := range hopDistances(g, 0) {
 		if d < 1 || d > protocol.DefaultTTL {
 			continue
 		}
@@ -107,29 +90,138 @@ func TestLiveSpansTraceTheFlood(t *testing.T) {
 		}
 	}
 
-	views := trace.Group(tr.Spans())
-	if len(views) != 1 {
-		t.Fatalf("%d traces, want the one query's", len(views))
-	}
 	var roots, deliveries []int64
-	for _, s := range views[0].Spans {
-		switch s.Kind {
-		case trace.KindQueryIssue:
-			roots = append(roots, s.Node)
-		case trace.KindDelivery:
-			deliveries = append(deliveries, s.Node)
+	var hops []int
+	ids := map[string]bool{}
+	for _, e := range jr.Events() {
+		ids[e.Detail] = true
+		switch e.Type {
+		case journal.TypeQueryIssue:
+			roots = append(roots, e.Node)
+		case journal.TypeHop:
+			for len(hops) < e.Depth {
+				hops = append(hops, 0)
+			}
+			hops[e.Depth-1]++
+		case journal.TypeDelivery:
+			deliveries = append(deliveries, e.Node)
+		default:
+			t.Errorf("unexpected record %+v", e)
 		}
 	}
-	if !slices.Equal(roots, []int64{1}) {
-		t.Errorf("query_issue spans at nodes %v, want one at node 1", roots)
+	if len(ids) != 1 {
+		t.Errorf("records name %d query IDs, want the one query's", len(ids))
 	}
-	if got := trace.FanOut(views[0]); !slices.Equal(got, layers) {
-		t.Errorf("FanOut = %v, want the hop-distance layers %v", got, layers)
+	if !slices.Equal(roots, []int64{1}) {
+		t.Errorf("query_issue records at nodes %v, want one at node 1", roots)
+	}
+	if !slices.Equal(hops, layers) {
+		t.Errorf("hop records per depth = %v, want the hop-distance layers %v", hops, layers)
 	}
 	slices.Sort(deliveries)
 	if len(sharers) == 0 || !slices.Equal(deliveries, sharers) {
-		t.Errorf("delivery spans at nodes %v, want one per sharing node %v", deliveries, sharers)
+		t.Errorf("delivery records at nodes %v, want one per sharing node %v", deliveries, sharers)
 	}
+}
+
+// TestFloodSampleNeedsNoWire: each node decides on its own, from the
+// query's GUID, whether it journals a flood, and nodes at one rate agree.
+// At rate 0.5, of queries from sixteen origins some are recorded and some
+// not, and each recorded one at its origin and at every node it reached
+// (all of them, within the TTL) and nowhere else. At rate 0 the same
+// queries leave no flood record.
+func TestFloodSampleNeedsNoWire(t *testing.T) {
+	g, err := topology.BarabasiAlbert(rng.New(5), 30, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const origins = 16
+	flood := func(rate float64) []journal.Event {
+		jr := journal.New(1 << 12)
+		m := newMesh(t)
+		m.build(g, func(_ int, cfg *core.Config) {
+			cfg.Journal = jr
+			cfg.FloodSample = rate
+			cfg.CapacityPerMin *= 1000
+		})
+		for id := int32(1); id <= origins; id++ {
+			m.Cores[id].SendRaw(m.Now, fmt.Sprintf("q%d", id))
+		}
+		m.run()
+		if jr.Dropped() > 0 {
+			t.Fatalf("journal dropped %d records", jr.Dropped())
+		}
+		return jr.Events()
+	}
+
+	type record struct {
+		origin int64
+		nodes  []int64 // nodes with a hop record
+	}
+	byID := map[string]*record{}
+	for _, e := range flood(0.5) {
+		r := byID[e.Detail]
+		if r == nil {
+			r = &record{}
+			byID[e.Detail] = r
+		}
+		switch e.Type {
+		case journal.TypeQueryIssue:
+			if r.origin != 0 {
+				t.Errorf("query %s issued at nodes %d and %d", e.Detail, r.origin, e.Node)
+			}
+			r.origin = e.Node
+		case journal.TypeHop:
+			r.nodes = append(r.nodes, e.Node)
+		default:
+			t.Errorf("unexpected record %+v", e)
+		}
+	}
+	if len(byID) == 0 || len(byID) == origins {
+		t.Fatalf("rate 0.5 recorded %d of %d queries: the test needs both outcomes", len(byID), origins)
+	}
+	for id, r := range byID {
+		if r.origin == 0 {
+			t.Errorf("query %s recorded by relays %v but not by its origin", id, r.nodes)
+			continue
+		}
+		var reached []int64
+		for v, d := range hopDistances(g, topology.NodeID(r.origin-1)) {
+			if d >= 1 && d <= protocol.DefaultTTL {
+				reached = append(reached, int64(v+1))
+			}
+		}
+		slices.Sort(r.nodes)
+		if !slices.Equal(r.nodes, reached) {
+			t.Errorf("query %s from node %d: hop records at %v, want every node it reached %v", id, r.origin, r.nodes, reached)
+		}
+	}
+	if ev := flood(0); len(ev) != 0 {
+		t.Errorf("rate 0 journaled %d flood records, first %+v", len(ev), ev[0])
+	}
+}
+
+// hopDistances returns every vertex's hop distance from src, -1 where
+// src cannot reach it.
+func hopDistances(g *topology.Graph, src topology.NodeID) []int {
+	dist := make([]int, g.NumNodes())
+	for v := range dist {
+		dist[v] = -1
+	}
+	dist[src] = 0
+	for frontier := []topology.NodeID{src}; len(frontier) > 0; {
+		var next []topology.NodeID
+		for _, u := range frontier {
+			for _, v := range g.Neighbors(u) {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
 }
 
 // TestQueryFloodAndHit: on the line 1 - 2 - 3, with 3 sharing the object,

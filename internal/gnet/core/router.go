@@ -2,11 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"slices"
 	"time"
 
+	"ddpolice/internal/journal"
 	"ddpolice/internal/protocol"
-	"ddpolice/internal/trace"
+	"ddpolice/internal/rng"
 )
 
 // Frame handles one frame read from link from, as StreamReader.NextFrame
@@ -84,7 +87,7 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 		}
 		return
 	}
-	_, keywords, traceID, _ := protocol.ParseQuery(frame[protocol.HeaderSize:]) // cannot fail either
+	_, keywords, _ := protocol.ParseQuery(frame[protocol.HeaderSize:]) // cannot fail either
 	if c.mon != nil {
 		c.mon.curIn[from.ID]++ // first copies only (no-dup accounting)
 	}
@@ -94,17 +97,17 @@ func (c *Core) query(from Link, h protocol.Header, frame []byte) {
 	if !c.ovl.cproc.TryProcessQuery() {
 		c.count.QueriesDropped++
 		c.ovl.winShed++
-		c.traceSpan(traceID, trace.Span{Kind: trace.KindCongestion, Peer: int64(from.ID), Depth: depth})
+		c.floodRecord(journal.TypeCongestionDrop, h.GUID, from.ID, depth)
 		return
 	}
 	c.count.QueriesProcessed++
-	c.traceSpan(traceID, trace.Span{Kind: trace.KindHop, Peer: int64(from.ID), Depth: depth})
+	c.floodRecord(journal.TypeHop, h.GUID, from.ID, depth)
 
 	if c.shared[string(keywords)] {
 		hit := protocol.QueryHit{HitCount: 1, QueryGUID: h.GUID}
 		if c.send(from, protocol.Encode(nil, protocol.NewGUID(c.src), protocol.DefaultTTL, 0, hit)) {
 			c.count.HitsSent++
-			c.traceSpan(traceID, trace.Span{Kind: trace.KindDelivery, Peer: int64(from.ID), Depth: depth})
+			c.floodRecord(journal.TypeDelivery, h.GUID, from.ID, depth)
 		}
 	}
 	if h.TTL <= 1 {
@@ -223,7 +226,8 @@ func (c *Core) SendRaw(now time.Time, keywords string) {
 func (c *Core) flood(keywords string) (protocol.GUID, int) {
 	guid := protocol.NewGUID(c.src)
 	c.guids.add(guid, guidEntry{})
-	wire := protocol.Encode(nil, guid, protocol.DefaultTTL, 0, c.tracedQuery(guid, keywords))
+	c.floodRecord(journal.TypeQueryIssue, guid, 0, 0)
+	wire := protocol.Encode(nil, guid, protocol.DefaultTTL, 0, protocol.Query{Keywords: keywords})
 	sent := 0
 	for _, p := range c.peers {
 		if c.send(p.link, wire) {
@@ -236,31 +240,17 @@ func (c *Core) flood(keywords string) (protocol.GUID, int) {
 	return guid, sent
 }
 
-// tracedQuery builds a local search's Query body. When the trace ID, which
-// derives from the seeded GUID, is head-sampled in, it rides the wire
-// extension and the origin records the root span; otherwise the body is
-// the untraced encoding, byte for byte.
-func (c *Core) tracedQuery(guid protocol.GUID, keywords string) protocol.Query {
-	q := protocol.Query{Keywords: keywords}
-	if c.cfg.Tracer == nil {
-		return q
-	}
-	tid := binary.LittleEndian.Uint64(guid[0:8])
-	if tid == 0 || !c.cfg.Tracer.Sampled(tid) {
-		return q
-	}
-	q.TraceID = tid
-	c.traceSpan(tid, trace.Span{Kind: trace.KindQueryIssue})
-	return q
-}
-
-// traceSpan records s as a standalone span of trace id, stamped with the
-// node and the time: a query's spans come from many nodes, which share no
-// span ordinals, so the trace ID groups them and timestamps order them.
-func (c *Core) traceSpan(id uint64, s trace.Span) {
-	if c.cfg.Tracer == nil || id == 0 {
+// floodRecord journals one record of query guid's flood if this node's
+// sample keeps the query. The query ID is the GUID's first 8 bytes; the
+// decision rehashes it, so every node at one rate decides alike from the
+// header alone.
+func (c *Core) floodRecord(typ string, guid protocol.GUID, from int32, depth int) {
+	if c.floodKeep == 0 || c.cfg.Journal == nil {
 		return
 	}
-	s.Node, s.T = int64(c.cfg.NodeID), c.stamp()
-	c.cfg.Tracer.Record(id, s)
+	id := binary.LittleEndian.Uint64(guid[0:8])
+	if c.floodKeep != math.MaxUint64 && rng.SubSeed(id, 0x7ace) >= c.floodKeep {
+		return
+	}
+	c.journal(journal.Event{Type: typ, Peer: int64(from), Depth: depth, Detail: fmt.Sprintf("%016x", id)})
 }

@@ -207,16 +207,11 @@ func TestRelayIsTheReceivedFrame(t *testing.T) {
 	fromAnswerer := protocol.NewStreamReader(answererEnd, 0)
 
 	src := rng.New(7)
-	for _, q := range []protocol.Query{
-		{MinSpeed: 0x1234, Keywords: "legacy with a minimum speed"},
-		{Keywords: "traced", TraceID: 0x00DEADBEEFCAFE01},
-	} {
-		qguid := protocol.NewGUID(src)
-		query := protocol.Encode(nil, qguid, 5, 2, q)
-		expectRelay(t, "query "+q.Keywords, askerEnd, query, fromAnswerer)
-		hit := protocol.QueryHit{Addr: protocol.AddrFromNodeID(3, 6346), HitCount: 2, QueryGUID: qguid}
-		expectRelay(t, "hit for "+q.Keywords, answererEnd, protocol.Encode(nil, protocol.NewGUID(src), 6, 1, hit), fromAsker)
-	}
+	qguid := protocol.NewGUID(src)
+	query := protocol.Encode(nil, qguid, 5, 2, protocol.Query{MinSpeed: 0x1234, Keywords: "with a minimum speed"})
+	expectRelay(t, "query", askerEnd, query, fromAnswerer)
+	hit := protocol.QueryHit{Addr: protocol.AddrFromNodeID(3, 6346), HitCount: 2, QueryGUID: qguid}
+	expectRelay(t, "hit", answererEnd, protocol.Encode(nil, protocol.NewGUID(src), 6, 1, hit), fromAsker)
 }
 
 // expectRelay writes frame into w and reads the next frame from r: it
@@ -278,6 +273,10 @@ func TestNodeConfigValidation(t *testing.T) {
 		{"CapacityPerMin", func(cfg *Config) { cfg.CapacityPerMin = math.NaN() }},
 		{"CapacityPerMin", func(cfg *Config) { cfg.CapacityPerMin = -1 }},
 		{"MinuteLength", func(cfg *Config) { cfg.MinuteLength = -time.Second }},
+		{"", func(cfg *Config) { cfg.FloodSample = 1 }},
+		{"FloodSample", func(cfg *Config) { cfg.FloodSample = 1.5 }},
+		{"FloodSample", func(cfg *Config) { cfg.FloodSample = -0.1 }},
+		{"FloodSample", func(cfg *Config) { cfg.FloodSample = math.NaN() }},
 	} {
 		cfg := DefaultConfig("x")
 		tc.set(&cfg)

@@ -15,6 +15,10 @@ func FuzzReadNDJSON(f *testing.F) {
 	j.Record(Event{T: 61, Type: TypeWarning, Node: 3, Peer: 9, Value: 720, Window: 1})
 	j.Record(Event{T: 61, Type: TypeIndicator, Node: 3, Peer: 9, G: 12.5, S: 0.8, K: 5, Window: 1})
 	j.Record(Event{T: 61, Type: TypeCut, Node: 3, Peer: 9, G: 12.5, S: 0.8})
+	j.Record(Event{T: 1.7e9, Type: TypeQueryIssue, Node: 1, Detail: "1a2b3c4d5e6f7081"})
+	j.Record(Event{T: 1.7e9 + 0.01, Type: TypeHop, Node: 2, Peer: 1, Depth: 1, Detail: "1a2b3c4d5e6f7081"})
+	j.Record(Event{T: 1.7e9 + 0.02, Type: TypeDelivery, Node: 2, Peer: 1, Depth: 1, Detail: "1a2b3c4d5e6f7081"})
+	j.Record(Event{T: 1.7e9 + 0.03, Type: TypeCongestionDrop, Node: 4, Peer: 2, Depth: 2, Detail: "1a2b3c4d5e6f7081"})
 	var seed bytes.Buffer
 	if err := j.WriteNDJSON(&seed); err != nil {
 		f.Fatal(err)

@@ -76,6 +76,21 @@ const (
 	// TypeOverload: a scheduled capacity brownout started or ended
 	// (Detail = "start"/"end", Value = capacity factor, K = peers).
 	TypeOverload = "overload"
+
+	// The flood of one live query (§2.3), recorded only by a node whose
+	// flood sample keeps the query. Node is the recording node, Peer the
+	// neighbor the copy came from, Detail the query ID (the GUID's first
+	// 8 bytes, little-endian, as 16 hex digits) and Depth the copy's hops
+	// from the origin.
+	//
+	// TypeQueryIssue: the origin issued the query (Depth 0, no Peer).
+	TypeQueryIssue = "query_issue"
+	// TypeHop: a node processed the query's first copy.
+	TypeHop = "hop"
+	// TypeDelivery: a node sharing the object queued its hit.
+	TypeDelivery = "delivery"
+	// TypeCongestionDrop: a saturated node discarded the first copy.
+	TypeCongestionDrop = "congestion_drop"
 )
 
 // Event is one journal entry. Node is the acting/observing peer, Peer
@@ -93,6 +108,7 @@ type Event struct {
 	S      float64 `json:"s,omitempty"`
 	K      int     `json:"k,omitempty"`
 	Window int     `json:"window,omitempty"`
+	Depth  int     `json:"depth,omitempty"`
 	Value  float64 `json:"value,omitempty"`
 	Detail string  `json:"detail,omitempty"`
 }

@@ -2,20 +2,17 @@
 //
 //	GET /metrics  — Prometheus text exposition rendered from a
 //	                telemetry.Registry snapshot
-//	GET /healthz  — JSON liveness with uptime, journal and tracer
-//	                occupancy and what each has dropped
+//	GET /healthz  — JSON liveness with uptime, journal occupancy and
+//	                what the journal has dropped
 //	GET /journal  — NDJSON tail of the event journal (?n= bounds it;
 //	                ?since=<seq> returns only events newer than seq,
 //	                the incremental-poll cursor)
-//	GET /trace    — NDJSON snapshot of the causal trace buffer, served
-//	                only when there is a tracer (ddnode's)
 //
 // All inputs are optional: a nil registry exposes an empty metrics
-// page, a nil journal an empty tail and a nil tracer no /trace at all
-// (404) — so ddnode and ddsim can enable the plane piecemeal. The
-// server owns only a listener and handlers; rendering lives with the
-// data types (telemetry.Snapshot, journal.Journal, trace.Tracer),
-// keeping those packages free of net/http.
+// page and a nil journal an empty tail — so ddnode and ddsim can enable
+// the plane piecemeal. The server owns only a listener and handlers;
+// rendering lives with the data types (telemetry.Snapshot,
+// journal.Journal), keeping those packages free of net/http.
 package metricsrv
 
 import (
@@ -28,7 +25,6 @@ import (
 
 	"ddpolice/internal/journal"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/trace"
 )
 
 // Config selects what the server exposes.
@@ -39,9 +35,6 @@ type Config struct {
 	// Journal backs /journal and the healthz occupancy fields; nil
 	// serves an empty tail.
 	Journal *journal.Journal
-	// Tracer backs /trace and the healthz span fields; nil leaves
-	// /trace unregistered and the span fields out of /healthz.
-	Tracer *trace.Tracer
 	// Health, when non-nil, contributes extra fields to the /healthz
 	// document (merged over the defaults).
 	Health func() map[string]any
@@ -70,9 +63,6 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/journal", s.handleJournal)
-	if cfg.Tracer != nil {
-		mux.HandleFunc("/trace", s.handleTrace)
-	}
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln)
 	return s, nil
@@ -99,12 +89,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"uptime_seconds":  time.Since(s.start).Seconds(),
 		"journal_events":  s.cfg.Journal.Len(),
 		"journal_dropped": s.cfg.Journal.Dropped(),
-	}
-	// A server without a tracer (ddsim's) has no span counts to report;
-	// zeros would read as a tracer that recorded nothing.
-	if s.cfg.Tracer != nil {
-		doc["trace_spans"] = s.cfg.Tracer.Len()
-		doc["trace_dropped"] = s.cfg.Tracer.Dropped()
 	}
 	if s.cfg.Health != nil {
 		for k, v := range s.cfg.Health() {
@@ -145,9 +129,4 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = s.cfg.Tracer.WriteNDJSON(w)
 }

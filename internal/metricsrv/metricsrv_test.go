@@ -11,7 +11,6 @@ import (
 
 	"ddpolice/internal/journal"
 	"ddpolice/internal/telemetry"
-	"ddpolice/internal/trace"
 )
 
 func get(t *testing.T, url string) (int, string, string) {
@@ -36,14 +35,9 @@ func TestServeEndpoints(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		jr.Record(journal.Event{T: float64(i), Type: journal.TypeNTReport, Peer: 7})
 	}
-	tr := trace.New(1.0, 3) // room for three spans: two of five are lost
-	for i := 0; i < 5; i++ {
-		tr.Record(uint64(i+1), trace.Span{Kind: trace.KindHop, T: float64(i)})
-	}
 	srv, err := Serve("127.0.0.1:0", Config{
 		Registry: reg,
 		Journal:  jr,
-		Tracer:   tr,
 		Health:   func() map[string]any { return map[string]any{"node_id": 42} },
 	})
 	if err != nil {
@@ -78,9 +72,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if doc["journal_events"] != float64(8) || doc["journal_dropped"] != float64(4) {
 		t.Fatalf("healthz journal fields = %v", doc)
-	}
-	if doc["trace_spans"] != float64(3) || doc["trace_dropped"] != float64(2) {
-		t.Fatalf("healthz tracer fields = %v", doc)
 	}
 
 	code, body, ctype = get(t, base+"/journal?n=3")
@@ -124,36 +115,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if code, _, _ := get(t, base+"/journal?since=-1"); code != 400 {
 		t.Fatalf("bad since accepted: %d", code)
-	}
-}
-
-func TestServeTrace(t *testing.T) {
-	tr := trace.New(1.0, 0)
-	const id = 42
-	tr.Record(id, trace.Span{Kind: trace.KindQueryIssue, T: 1, Node: 5})
-	tr.Record(id, trace.Span{Kind: trace.KindHop, T: 1.5, Node: 6, Depth: 1})
-
-	srv, err := Serve("127.0.0.1:0", Config{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	code, body, ctype := get(t, base+"/trace")
-	if code != 200 || ctype != "application/x-ndjson" {
-		t.Fatalf("trace: code=%d type=%q", code, ctype)
-	}
-	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("trace lines = %d:\n%s", len(lines), body)
-	}
-	spans, err := trace.ReadNDJSON(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spans[0].Trace != trace.FormatID(id) || spans[1].Kind != trace.KindHop {
-		t.Fatalf("trace spans = %+v", spans)
 	}
 }
 
@@ -204,14 +165,13 @@ func TestPrometheusOverloadMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrape hammers every endpoint while the registry,
-// journal, and tracer churn underneath — the race detector turns any
+// TestConcurrentScrape hammers every endpoint while the registry and
+// journal churn underneath — the race detector turns any
 // unsynchronized snapshot path into a failure.
 func TestConcurrentScrape(t *testing.T) {
 	reg := telemetry.New()
 	jr := journal.New(64)
-	tr := trace.New(1.0, 0)
-	srv, err := Serve("127.0.0.1:0", Config{Registry: reg, Journal: jr, Tracer: tr})
+	srv, err := Serve("127.0.0.1:0", Config{Registry: reg, Journal: jr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +181,7 @@ func TestConcurrentScrape(t *testing.T) {
 	const iters = 40
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // writer: mutate all three data sources
+	go func() { // writer: mutate both data sources
 		defer wg.Done()
 		ctr := reg.Counter("gnet.shed_query")
 		gauge := reg.Gauge("gnet.reconnect_backoff_max_ms")
@@ -229,14 +189,12 @@ func TestConcurrentScrape(t *testing.T) {
 			ctr.Add(1)
 			gauge.Set(int64(i % 2))
 			jr.Record(journal.Event{T: float64(i), Type: journal.TypeShed, Value: 1})
-			tr.Record(uint64(i+1), trace.Span{Kind: trace.KindQueryIssue, T: float64(i)})
-			tr.Record(uint64(i+1), trace.Span{Kind: trace.KindHop, T: float64(i), Depth: 1})
 		}
 	}()
 	go func() { // scraper: read every endpoint repeatedly
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			for _, path := range []string{"/metrics", "/healthz", "/journal", "/journal?since=5", "/trace"} {
+			for _, path := range []string{"/metrics", "/healthz", "/journal", "/journal?since=5"} {
 				if code, _, _ := get(t, base+path); code != 200 {
 					t.Errorf("%s code = %d", path, code)
 					return
@@ -248,7 +206,8 @@ func TestConcurrentScrape(t *testing.T) {
 }
 
 // TestServeNilInputs: the plane must degrade to empty documents, not
-// panic, when a binary enables only part of it.
+// panic, when a binary enables only part of it. The journal is the one
+// record stream: there is no trace_* health field.
 func TestServeNilInputs(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", Config{})
 	if err != nil {
@@ -270,7 +229,7 @@ func TestServeNilInputs(t *testing.T) {
 	}
 	for _, absent := range []string{`"trace_spans"`, `"trace_dropped"`} {
 		if strings.Contains(body, absent) {
-			t.Errorf("healthz without a tracer reports %s: %s", absent, body)
+			t.Errorf("healthz reports %s: %s", absent, body)
 		}
 	}
 	if code, body, _ := get(t, base+"/journal"); code != 200 || strings.TrimSpace(body) != "" {
@@ -278,10 +237,9 @@ func TestServeNilInputs(t *testing.T) {
 	}
 }
 
-// TestTraceNeedsATracer: a server without a tracer (ddsim's) has no
-// /trace route, so a scrape of it is a 404 rather than an empty stream
-// that reads as a tracer with nothing in it; the rest of the plane is
-// served as usual.
+// TestTraceNeedsATracer: flood records are journal records, so even a
+// server with every input set has no /trace route; the journal serves
+// them.
 func TestTraceNeedsATracer(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", Config{Registry: telemetry.New(), Journal: journal.New(8)})
 	if err != nil {
@@ -290,11 +248,11 @@ func TestTraceNeedsATracer(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 	if code, _, _ := get(t, base+"/trace"); code != 404 {
-		t.Errorf("/trace without a tracer: code=%d, want 404", code)
+		t.Errorf("/trace: code=%d, want 404", code)
 	}
 	for _, path := range []string{"/metrics", "/healthz", "/journal"} {
 		if code, _, _ := get(t, base+path); code != 200 {
-			t.Errorf("%s without a tracer: code=%d, want 200", path, code)
+			t.Errorf("%s: code=%d, want 200", path, code)
 		}
 	}
 }

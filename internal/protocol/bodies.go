@@ -146,22 +146,11 @@ func decodeBye(payload []byte) (Body, error) {
 }
 
 // Query is a flooded keyword search (payload type 0x80): minimum-speed
-// field then a NUL-terminated search string, optionally followed by
-// the causal-tracing extension — 8 little-endian bytes of trace ID
-// plus the tag byte 'T' appended after the NUL. The extension is
-// emitted only when TraceID is nonzero, so untraced queries stay
-// byte-identical to the legacy encoding, and the two forms are
-// unambiguous: legacy payloads always end in NUL, extended payloads
-// always end in the tag.
+// field then a NUL-terminated search string, and nothing after it.
 type Query struct {
 	MinSpeed uint16
 	Keywords string
-	TraceID  uint64 // causal trace ID; 0 = untraced (no wire bytes)
 }
-
-// queryTraceTag terminates the trace-ID extension; never 0, so an
-// extended payload cannot be mistaken for a legacy NUL-terminated one.
-const queryTraceTag = 'T'
 
 // Type implements Body.
 func (Query) Type() byte { return TypeQuery }
@@ -172,51 +161,31 @@ func (q Query) AppendTo(dst []byte) []byte {
 	binary.LittleEndian.PutUint16(s[:], q.MinSpeed)
 	dst = append(dst, s[:]...)
 	dst = append(dst, q.Keywords...)
-	dst = append(dst, 0)
-	if q.TraceID != 0 {
-		var tid [8]byte
-		binary.LittleEndian.PutUint64(tid[:], q.TraceID)
-		dst = append(dst, tid[:]...)
-		dst = append(dst, queryTraceTag)
-	}
-	return dst
+	return append(dst, 0)
 }
 
-func (q Query) size() int {
-	if q.TraceID != 0 {
-		return 2 + len(q.Keywords) + 1 + 9
-	}
-	return 2 + len(q.Keywords) + 1
-}
+func (q Query) size() int { return 2 + len(q.Keywords) + 1 }
 
 // ParseQuery parses a Query payload in place and allocates nothing on
 // success: keywords aliases payload. It is the one Query parser — Decode
 // builds its Body from it — so a frame the live relay path parses and
 // one Decode accepts are the same frames.
-func ParseQuery(payload []byte) (minSpeed uint16, keywords []byte, traceID uint64, err error) {
+func ParseQuery(payload []byte) (minSpeed uint16, keywords []byte, err error) {
 	if len(payload) < 3 {
-		return 0, nil, 0, fmt.Errorf("protocol: query payload %d bytes, want >=3", len(payload))
+		return 0, nil, fmt.Errorf("protocol: query payload %d bytes, want >=3", len(payload))
 	}
-	minSpeed = binary.LittleEndian.Uint16(payload[0:2])
-	if payload[len(payload)-1] == 0 {
-		return minSpeed, payload[2 : len(payload)-1], 0, nil
+	if payload[len(payload)-1] != 0 {
+		return 0, nil, fmt.Errorf("protocol: query keywords not NUL-terminated")
 	}
-	// Trace extension: tag byte at the end, trace ID in the 8 bytes
-	// before it, keywords NUL immediately before those.
-	if len(payload) >= 12 && payload[len(payload)-1] == queryTraceTag && payload[len(payload)-10] == 0 {
-		if tid := binary.LittleEndian.Uint64(payload[len(payload)-9 : len(payload)-1]); tid != 0 {
-			return minSpeed, payload[2 : len(payload)-10], tid, nil
-		}
-	}
-	return 0, nil, 0, fmt.Errorf("protocol: query keywords not NUL-terminated")
+	return binary.LittleEndian.Uint16(payload[0:2]), payload[2 : len(payload)-1], nil
 }
 
 func decodeQuery(payload []byte) (Body, error) {
-	minSpeed, keywords, traceID, err := ParseQuery(payload)
+	minSpeed, keywords, err := ParseQuery(payload)
 	if err != nil {
 		return nil, err
 	}
-	return Query{MinSpeed: minSpeed, Keywords: string(keywords), TraceID: traceID}, nil
+	return Query{MinSpeed: minSpeed, Keywords: string(keywords)}, nil
 }
 
 // QueryHit answers a Query along the reverse path (payload type 0x81).

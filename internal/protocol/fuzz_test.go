@@ -13,7 +13,8 @@ import (
 // received frame through NextHop sends what re-encoding would. The
 // stream reader's NextFrame, which parses the flood types in place, must
 // accept exactly what Decode accepts, and ParseQuery/ParseQueryHit must
-// read the fields Decode does. `go test` runs the seed corpus; `make
+// read the fields Decode does. An accepted Query is the legacy form: its
+// payload ends in the keywords' NUL. `go test` runs the seed corpus; `make
 // fuzz` or `go test -fuzz=FuzzDecode ./internal/protocol` explores
 // further.
 func FuzzDecode(f *testing.F) {
@@ -23,10 +24,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode(nil, NewGUID(src), 1, 0, NeighborTraffic{Outgoing: 20000, Incoming: 3}))
 	f.Add(Encode(nil, NewGUID(src), 1, 0, NeighborList{Neighbors: []PeerAddr{AddrFromNodeID(7, 6346)}}))
 	f.Add(Encode(nil, NewGUID(src), 3, 2, Bye{Code: 451, Reason: "g>CT"}))
-	// The 'T' trace extension: the smallest trace ID, and one whose top
-	// byte is zero, so the NUL-then-tag check sees a 0 right before 'T'.
-	f.Add(Encode(nil, NewGUID(src), 7, 0, Query{Keywords: "traced", TraceID: 1}))
-	f.Add(Encode(nil, NewGUID(src), 7, 0, Query{Keywords: "traced", TraceID: 0x00DEADBEEFCAFE01}))
+	// The retired trace-ID trailer, refused: the smallest ID, and one whose
+	// top byte is zero, so a 0 sits right before the 'T'.
+	f.Add(withTrailer(Encode(nil, NewGUID(src), 7, 0, Query{Keywords: "traced"}), 1))
+	f.Add(withTrailer(Encode(nil, NewGUID(src), 7, 0, Query{Keywords: "traced"}), 0x00DEADBEEFCAFE01))
 	f.Add(Encode(nil, NewGUID(src), 5, 2, QueryHit{Addr: AddrFromNodeID(11, 6346), HitCount: 1, QueryGUID: NewGUID(src)}))
 	f.Add(Encode(nil, NewGUID(src), 1, 1, Pong{Addr: AddrFromNodeID(3, 6346), FileCount: 12, KBShared: 4096}))
 	f.Add([]byte{})
@@ -58,9 +59,12 @@ func FuzzDecode(f *testing.F) {
 		payload := data[HeaderSize:n]
 		switch body := msg.Body.(type) {
 		case Query:
-			minSpeed, keywords, traceID, err := ParseQuery(payload)
-			if err != nil || minSpeed != body.MinSpeed || string(keywords) != body.Keywords || traceID != body.TraceID {
-				t.Fatalf("ParseQuery = %d %q %d %v, Decode %+v", minSpeed, keywords, traceID, err, body)
+			minSpeed, keywords, err := ParseQuery(payload)
+			if err != nil || minSpeed != body.MinSpeed || string(keywords) != body.Keywords {
+				t.Fatalf("ParseQuery = %d %q %v, Decode %+v", minSpeed, keywords, err, body)
+			}
+			if payload[len(payload)-1] != 0 {
+				t.Fatalf("accepted Query payload %x does not end in NUL", payload)
 			}
 		case QueryHit:
 			if qh, err := ParseQueryHit(payload); err != nil || qh != body {

@@ -164,45 +164,37 @@ func TestQueryEmptyKeywords(t *testing.T) {
 	}
 }
 
-// TestQueryTraceIDRoundTrip: the optional trace-ID trailer must survive
-// the wire, and its absence must leave the legacy encoding untouched
-// byte-for-byte so untraced nodes interoperate.
-func TestQueryTraceIDRoundTrip(t *testing.T) {
-	q := Query{MinSpeed: 64, Keywords: "free mp3 music", TraceID: 0xDEADBEEFCAFE0123}
-	msg := roundTrip(t, q, 7, 0)
-	if got := msg.Body.(Query); got != q {
-		t.Fatalf("traced query = %+v, want %+v", got, q)
-	}
-
-	// TraceID 0 (untraced) encodes exactly as the legacy format: the
-	// extension adds zero bytes.
-	legacy := Query{MinSpeed: 64, Keywords: "free mp3 music"}
+// TestQueryTrailerRefused: a Query is the legacy form only — minimum
+// speed, keywords, NUL — and ParseQuery and Decode alike refuse any byte
+// after the NUL, the retired trace-ID trailer (8 ID bytes and the tag
+// 'T') included.
+func TestQueryTrailerRefused(t *testing.T) {
+	q := Query{MinSpeed: 64, Keywords: "free mp3 music"}
 	wantWire := append([]byte{64, 0}, append([]byte("free mp3 music"), 0)...)
-	if got := legacy.AppendTo(nil); !bytes.Equal(got, wantWire) {
-		t.Fatalf("legacy wire = %v, want %v", got, wantWire)
+	if got := q.AppendTo(nil); !bytes.Equal(got, wantWire) {
+		t.Fatalf("query wire = %v, want %v", got, wantWire)
 	}
-	if got := roundTrip(t, legacy, 7, 0).Body.(Query); got != legacy {
-		t.Fatalf("legacy query = %+v, want %+v", got, legacy)
+	for _, q := range []Query{q, {}} {
+		for _, id := range []uint64{0xDEADBEEFCAFE0123, 1, 0x00DEADBEEFCAFE01} {
+			frame := withTrailer(Encode(nil, GUID{1}, 7, 0, q), id)
+			if _, _, err := ParseQuery(frame[HeaderSize:]); err == nil {
+				t.Errorf("ParseQuery accepted %+v with the trailer of ID %#x", q, id)
+			}
+			if _, _, err := Decode(frame); err == nil {
+				t.Errorf("Decode accepted %+v with the trailer of ID %#x", q, id)
+			}
+		}
 	}
+}
 
-	// The traced payload is legacy + 8 little-endian trace-ID bytes +
-	// the tag byte.
-	wire := q.AppendTo(nil)
-	if len(wire) != len(wantWire)+9 {
-		t.Fatalf("traced wire len = %d, want %d", len(wire), len(wantWire)+9)
-	}
-	if wire[len(wire)-1] != 'T' {
-		t.Fatalf("traced wire tag = %q", wire[len(wire)-1])
-	}
-	if !bytes.Equal(wire[:len(wantWire)], wantWire) {
-		t.Fatalf("traced wire prefix differs: %v", wire)
-	}
-
-	// Empty keywords with a trace ID must also survive.
-	qe := Query{TraceID: 7}
-	if got := roundTrip(t, qe, 7, 0).Body.(Query); got != qe {
-		t.Fatalf("empty-keywords traced query = %+v, want %+v", got, qe)
-	}
+// withTrailer appends the retired trace-ID trailer to a Query frame: the
+// ID's 8 little-endian bytes and the tag 'T', the payload length grown
+// to match.
+func withTrailer(frame []byte, id uint64) []byte {
+	frame = binary.LittleEndian.AppendUint64(frame, id)
+	frame = append(frame, 'T')
+	binary.LittleEndian.PutUint32(frame[offsetPayloadLen:], uint32(len(frame)-HeaderSize))
+	return frame
 }
 
 func TestQueryHitRoundTrip(t *testing.T) {

@@ -76,7 +76,7 @@ func checkFrame(typ byte, frame []byte) error {
 	var err error
 	switch typ {
 	case TypeQuery:
-		_, _, _, err = ParseQuery(frame[HeaderSize:])
+		_, _, err = ParseQuery(frame[HeaderSize:])
 	case TypeQueryHit:
 		_, err = ParseQueryHit(frame[HeaderSize:])
 	default:

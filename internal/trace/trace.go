@@ -1,25 +1,10 @@
-// Package trace is the live overlay's causal tracing plane: spans that
-// connect the flat counters (telemetry) and flat events (journal) into
-// the one causal story the flat planes cannot tell — how one query's
-// flood propagated across live nodes hop by hop until delivery or
-// death. A detection and an overload transition are not spans: each is
-// a sequence of journal records (internal/journal), and that is their
-// only home. The simulator emits no spans: its per-hop flood reach is
-// the flood.processed_depth_<d> counters.
+// Package trace survives only for bench/live.go's trace.span_ns, until
+// ROADMAP item 1a retires it from the benchmark: a live node journals its
+// floods (internal/journal's query_issue, hop, delivery and
+// congestion_drop records), and nothing else records a span.
 //
-// The package mirrors the journal/telemetry contracts:
-//
-//   - nil-gated: every method on a nil *Tracer is a no-op, so
-//     instrumentation sites cost one pointer check when tracing is off.
-//   - deterministic in the ID: a live query's trace ID derives from its
-//     GUID, so every node that sees the query files its spans under
-//     the same trace.
-//   - bounded: the span store has a hard cap; spans past it are
-//     dropped and counted.
-//
-// Sampling is head-based on the trace ID: a trace is either recorded
-// in full or not at all, decided by hashing the ID against a
-// configurable rate, so every node keeps the same subset.
+// A nil *Tracer is inert; the store has a hard cap and counts the spans
+// dropped past it; sampling is head-based on a hash of the trace ID.
 package trace
 
 import (
@@ -38,26 +23,17 @@ const (
 	KindCongestion = "congestion_drop" // copy discarded at a saturated peer
 )
 
-// Span is one recorded event of a query's flood. Record leaves ID and
-// Parent 0: a live node cannot coordinate ordinals across processes.
-// A span file may still carry them, and WriteTree nests by them. Field
-// order is part of the NDJSON determinism contract — do not reorder.
+// Span is one recorded event of a query's flood.
 type Span struct {
-	Trace  string  `json:"trace"`            // 16-hex-digit trace ID
-	ID     uint32  `json:"id"`               // ordinal within the trace; 0 = root
-	Parent uint32  `json:"parent,omitempty"` // parent ordinal (0 for root/children of root)
-	Kind   string  `json:"kind"`
-	T      float64 `json:"t"`              // start, seconds on the recording node's clock
-	Dur    float64 `json:"dur,omitempty"`  // duration, seconds; 0 = instant
-	Node   int64   `json:"node,omitempty"` // acting peer/node
-	Peer   int64   `json:"peer,omitempty"` // counterpart: the peer the copy came from
-	Depth  int     `json:"depth,omitempty"`
-	Value  float64 `json:"value,omitempty"`
-	Detail string  `json:"detail,omitempty"`
+	Trace string // 16-hex-digit trace ID
+	Kind  string
+	T     float64 // seconds on the recording node's clock
+	Node  int64   // acting peer/node
+	Peer  int64   // counterpart: the peer the copy came from
+	Depth int
 }
 
-// Tracer collects committed spans. It is safe for concurrent use: live
-// gnet nodes share one Tracer the way they share a Journal.
+// Tracer collects committed spans. It is safe for concurrent use.
 type Tracer struct {
 	mu        sync.Mutex
 	threshold uint64 // keep a trace when sampleHash(id) < threshold
@@ -102,10 +78,8 @@ func (t *Tracer) Sampled(id uint64) bool {
 	return sampleHash(id) < t.threshold
 }
 
-// Record commits one standalone span into the trace with the given ID,
-// subject to head sampling. Live gnet nodes use it for spans whose
-// tree position cannot be coordinated across processes (the trace ID
-// groups them; ordering falls to timestamps).
+// Record commits one span into the trace with the given ID, subject to
+// head sampling.
 func (t *Tracer) Record(id uint64, s Span) {
 	if !t.Sampled(id) {
 		return
@@ -129,29 +103,6 @@ func (t *Tracer) commit(s Span) {
 		return
 	}
 	t.spans = append(t.spans, s)
-}
-
-// Spans returns a snapshot copy of every committed span, in commit
-// order.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
-// Len returns the number of committed spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }
 
 // Dropped returns the number of spans discarded because the store was

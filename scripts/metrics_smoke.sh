@@ -1,10 +1,10 @@
 #!/bin/sh
 # metrics_smoke.sh — boot a real ddnode with the exposition plane and
 # assert the three endpoints answer: /metrics with non-empty Prometheus
-# text, /healthz with status ok, /journal with NDJSON (possibly empty
-# for an idle node). Then a second ddnode connects and is SIGTERM'd: the
-# first must journal an orderly drop of it and re-dial nothing. Part of
-# `make ci`.
+# text, /healthz with status ok, /journal with NDJSON holding the flood
+# record of the node's own query (it searches with -flood-sample 1).
+# Then a second ddnode connects and is SIGTERM'd: the first must journal
+# an orderly drop of it and re-dial nothing. Part of `make ci`.
 set -eu
 
 workdir=$(mktemp -d)
@@ -20,6 +20,7 @@ trap cleanup EXIT INT TERM
 go build -o "$workdir/ddnode" ./cmd/ddnode
 
 "$workdir/ddnode" -id 1 -listen 127.0.0.1:0 -police -metrics 127.0.0.1:0 \
+	-flood-sample 1 -query prize -query-interval 200ms \
 	>"$workdir/node.log" 2>&1 &
 pid=$!
 
@@ -42,13 +43,20 @@ echo "$metrics" | grep -q '^gnet_' || {
 health=$(curl -fsS "http://$addr/healthz")
 echo "$health" | grep -q '"status":"ok"' || {
 	echo "smoke: /healthz not ok: $health"; exit 1; }
-for field in journal_events journal_dropped trace_spans trace_dropped cuts; do
+for field in journal_events journal_dropped cuts; do
 	echo "$health" | grep -q "\"$field\":" || {
 		echo "smoke: /healthz lacks $field: $health"; exit 1; }
 done
 
-curl -fsS "http://$addr/journal?n=5" >/dev/null || {
+# The node issues a query every 200 ms and keeps every flood record.
+for _ in $(seq 1 50); do
+	curl -fsS "http://$addr/journal?n=5" | grep -q '"type":"query_issue"' && break
+	sleep 0.1
+done
+journal=$(curl -fsS "http://$addr/journal?n=5") || {
 	echo "smoke: /journal failed"; exit 1; }
+echo "$journal" | grep '"type":"query_issue"' | grep -q '"node":1,' || {
+	echo "smoke: /journal holds no query_issue of node 1:"; echo "$journal"; exit 1; }
 
 # A real shutdown. Node 2 dials node 1 and is SIGTERM'd; its Bye must
 # reach node 1 as an orderly drop, which the supervisor never re-dials.

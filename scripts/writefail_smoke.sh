@@ -42,13 +42,13 @@ mkdir -p "$workdir/csv"
 ln -s /dev/full "$workdir/csv/fig5_6_saturation.csv"
 must_fail ddexp "$workdir/ddexp" -scale quick -fig 5 -csv "$workdir/csv"
 
-# ddtrace -perfetto converts a trace: the committed two-query stream.
-must_fail ddtrace "$workdir/ddtrace" -in cmd/ddtrace/testdata/two_queries.trace -perfetto /dev/full
+# ddtrace -perfetto converts a journal: the committed two-query one.
+must_fail ddtrace "$workdir/ddtrace" -in cmd/ddtrace/testdata/two_queries.journal -perfetto /dev/full
 
-# ddnode dumps its trace on shutdown; a failed dump must not exit 0.
-# An isolated node records no spans (and an empty dump legitimately
-# succeeds), so boot a tiny two-node overlay and let the second node
-# query the first until it has spans to lose.
+# ddnode streams its journal to -journal-out; a failed write must not
+# exit 0. An empty journal legitimately succeeds, so boot a tiny
+# two-node overlay and let the second node query the first, journaling
+# every flood, until it has records to lose.
 "$workdir/ddnode" -id 1 -listen 127.0.0.1:0 -share prize \
 	>"$workdir/node1.log" 2>&1 &
 node1pid=$!
@@ -61,13 +61,13 @@ done
 [ -n "$addr" ] || { echo "writefail smoke: node1 never listened"; cat "$workdir/node1.log"; exit 1; }
 
 "$workdir/ddnode" -id 2 -listen 127.0.0.1:0 -connect "$addr" \
-	-query prize -query-interval 200ms -trace-out /dev/full \
+	-query prize -query-interval 200ms -flood-sample 1 -journal-out /dev/full \
 	>"$workdir/node2.log" 2>&1 &
 node2pid=$!
 sleep 2
 kill -TERM "$node2pid"
 if wait "$node2pid"; then
-	echo "writefail smoke: ddnode exited 0 dumping trace to /dev/full"
+	echo "writefail smoke: ddnode exited 0 writing its journal to /dev/full"
 	cat "$workdir/node2.log"
 	kill "$node1pid" 2>/dev/null || true
 	exit 1
