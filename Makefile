@@ -171,9 +171,13 @@ bench:
 # end-to-end metric both medians with quartiles, the change's wins,
 # both medians under each layout, and `claim ok` or `unresolved` (nine
 # tenths of the pairs, a median gap beyond the base's own interquartile
-# range, and the change ahead under every layout). About N x 40 s;
-# non-zero exit when a run was not correct. A claim needs the held-out
-# seed too: SEED="1 2" builds once and prints one table per seed.
+# range, and the change ahead under every layout). After each seed's
+# pairs the change runs once more with -trace 1 and its
+# sim.driver_vs_run is printed: that run fails when the layer driver no
+# longer describes sim.Run, which the pairs never check. About N x 40 s;
+# non-zero exit when a run, the traced one included, failed or was not
+# correct. A claim needs the held-out seed too: SEED="1 2" builds once
+# and prints one table per seed.
 N ?= 10
 SEED ?= 1
 BASE ?= HEAD~1

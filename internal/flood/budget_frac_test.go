@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -112,10 +113,15 @@ func TestBudgetFairShareFractionalEdges(t *testing.T) {
 }
 
 // Refill must be observationally identical to a plain reference that
-// applies the per-peer rules to every peer every tick: drive the
-// reference and the real one through the same random take/SetCapacity
-// schedule and compare every peer's Remaining and Utilization each
-// tick.
+// applies the per-peer rules to every peer every tick and captures each
+// peer's utilization eagerly at Refill: drive the reference and the real
+// one through the same random schedule of takes, SetCapacity and
+// ReserveControl calls, and after every operation compare every peer's
+// remaining tokens, arrival cap and Utilization. A SetCapacity is read
+// in the tick it lands in, so Utilization must keep dividing the ended
+// tick's leftover by the allowance that tick ran under. floor must
+// bound every remaining cell from below, and equal their minimum right
+// after Refill.
 func TestBudgetRefillMatchesReference(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(7))
@@ -143,7 +149,8 @@ func TestBudgetRefillMatchesReference(t *testing.T) {
 		}
 		return u
 	}
-	refRefill := func() {
+	refRefill := func() float64 {
+		floor := math.Inf(1)
 		for i := range refRemaining {
 			refPrevUtil[i] = refUtilNow(i)
 			p := refPerTick[i]
@@ -156,23 +163,54 @@ func TestBudgetRefillMatchesReference(t *testing.T) {
 			} else {
 				refRemaining[i] = p
 			}
+			floor = min(floor, refRemaining[i])
 		}
+		return floor
 	}
-
-	for tick := 0; tick < 400; tick++ {
-		real.Refill()
-		refRefill()
+	check := func(tick int, op string) {
+		t.Helper()
 		for i := 0; i < n; i++ {
+			v := PeerID(i)
 			if real.remaining[i] != refRemaining[i] {
-				t.Fatalf("tick %d peer %d: Remaining %v != ref %v", tick, i, real.remaining[i], refRemaining[i])
+				t.Fatalf("tick %d after %s, peer %d: remaining %v != ref %v", tick, op, i, real.remaining[i], refRemaining[i])
+			}
+			if got, want := real.arrivalCap(v, 0), max(refRemaining[i], 0); got != want {
+				t.Fatalf("tick %d after %s, peer %d: arrivalCap %v != ref %v", tick, op, i, got, want)
 			}
 			ru := refUtilNow(i)
 			if refPrevUtil[i] > ru {
 				ru = refPrevUtil[i]
 			}
-			if got := real.Utilization(PeerID(i)); got != ru {
-				t.Fatalf("tick %d peer %d: Utilization %v != ref %v", tick, i, got, ru)
+			if got := real.Utilization(v); got != ru {
+				t.Fatalf("tick %d after %s, peer %d: Utilization %v != ref %v", tick, op, i, got, ru)
 			}
+			if !(real.floor <= real.remaining[i]) {
+				t.Fatalf("tick %d after %s, peer %d: floor %v above remaining %v", tick, op, i, real.floor, real.remaining[i])
+			}
+		}
+	}
+	allowances := []float64{0, 0.5, 3, 12}
+	setCapacity := func(tick int) {
+		v := PeerID(rng.Intn(n))
+		c := allowances[rng.Intn(len(allowances))]
+		real.SetCapacity(v, c)
+		refPerTick[v] = c
+		if refRemaining[v] > c {
+			refRemaining[v] = c
+		}
+		check(tick, "SetCapacity")
+	}
+
+	for tick := 0; tick < 400; tick++ {
+		real.Refill()
+		floor := refRefill()
+		check(tick, "Refill")
+		if real.floor != floor {
+			t.Fatalf("tick %d: floor %v after Refill, want the minimum %v", tick, real.floor, floor)
+		}
+		// A brownout lands right after the refill, before any take.
+		if tick%11 == 0 {
+			setCapacity(tick)
 		}
 		// Random takes; a few peers drained hard, most untouched.
 		for k := 0; k < 10; k++ {
@@ -184,16 +222,22 @@ func TestBudgetRefillMatchesReference(t *testing.T) {
 			} else {
 				refRemaining[v] = 0
 			}
-		}
-		// Occasional capacity churn, including sub-1.0 rates.
-		if tick%37 == 0 {
-			v := PeerID(rng.Intn(n))
-			c := []float64{0, 0.5, 3, 12}[rng.Intn(4)]
-			real.SetCapacity(v, c)
-			refPerTick[v] = c
-			if refRemaining[v] > c {
-				refRemaining[v] = c
+			check(tick, "take")
+			// Capacity churn between takes, read in the same tick.
+			if rng.Intn(8) == 0 {
+				setCapacity(tick)
 			}
+		}
+		// A control reserve now and then, also mid-tick.
+		if tick%97 == 50 {
+			real.ReserveControl(0.25)
+			for i := range refPerTick {
+				refPerTick[i] *= 0.75
+				if refRemaining[i] > refPerTick[i] {
+					refRemaining[i] = refPerTick[i]
+				}
+			}
+			check(tick, "ReserveControl")
 		}
 	}
 }

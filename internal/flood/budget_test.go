@@ -61,7 +61,7 @@ func TestUtilZeroCapacityIdle(t *testing.T) {
 	if u := b.Utilization(0); u != 0 {
 		t.Fatalf("Utilization = %v for an idle zero-capacity peer, want 0", u)
 	}
-	b.Refill() // prevUtil capture must not resurrect the 1.0 either
+	b.Refill() // last tick's utilization must not resurrect the 1.0 either
 	if u := b.Utilization(0); u != 0 {
 		t.Fatalf("Utilization = %v after Refill, want 0", u)
 	}

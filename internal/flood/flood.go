@@ -78,11 +78,14 @@ type cell struct {
 // Budget tracks the per-tick processing tokens of every peer. The
 // simulator refills it each tick from the peers' capacity model.
 //
-// Refill is one dense pass over every peer (and, in fair-share mode,
-// every directed edge). A tick's floods charge most of the overlay, so
-// a list of charged peers would save the pass little and cost every
-// charge its upkeep; a charge is two clamped subtractions (see take).
-// Every write to remaining goes through a method that keeps floor true.
+// Refill is a swap and a copy: the ending tick's remaining tokens
+// become prevRem, and remaining starts over from perTick. Only peers
+// whose allowance is a fraction of a token (they accumulate, see
+// Refill) and, in fair-share mode, the directed edges are visited one by
+// one. The last tick's utilization is derived from prevRem on demand, in
+// Utilization, which only pathDelay reads: a few peers per answered
+// query. A charge is two clamped subtractions (see take). Every write
+// to remaining goes through a method that keeps floor true.
 //
 // By default tokens are taken first-come-first-served. EnableFairShare
 // switches to the related-work baseline the paper contrasts DD-POLICE
@@ -101,10 +104,23 @@ type Budget struct {
 	// and by each flood's largest charge. -Inf until the first Refill and
 	// in fair-share mode, whose zero-share inactive edges clip any peer.
 	floor float64
-	// prevUtil is each peer's utilization over the last completed tick,
-	// captured at Refill. Queueing delay uses it because mid-tick
-	// utilization systematically understates a tick's true load.
-	prevUtil []float64
+	// prevRem is each peer's remaining tokens at the end of the last
+	// completed tick, swapped out of remaining at Refill; +Inf before the
+	// first Refill, which reads as utilization 0. Queueing delay reads
+	// the utilization it implies because mid-tick utilization
+	// systematically understates a tick's true load.
+	prevRem []float64
+	// prevPerTick holds the allowance in force at the last Refill once
+	// SetCapacity or ReserveControl has changed perTick since (capMoved);
+	// until then that allowance is perTick itself. The copy is made at
+	// the first such change after a Refill, so a same-tick Utilization
+	// divides by the allowance the ended tick ran under.
+	prevPerTick []float64
+	// frac lists the peers whose allowance is in (0, 1), and wholeMin is
+	// the minimum allowance of every other peer: Refill's fix-up list and
+	// the start of its floor.
+	frac     []PeerID
+	wholeMin float64
 
 	// Fair-share mode: per-directed-edge sub-budgets for the receiving
 	// endpoint of each edge. edgeRemaining[e] caps what may arrive over
@@ -119,11 +135,13 @@ type Budget struct {
 	edgeRemaining []float64
 	edgePerTick   []float64
 	fairVersion   uint64
-	// fairDirty forces a share rebuild at the next Refill after a
-	// capacity change (ReserveControl, SetCapacity): those move perTick
-	// without touching the overlay mutation counter, so version
-	// comparison alone would leave the per-edge split stale.
-	fairDirty bool
+	// capMoved marks a capacity change (ReserveControl, SetCapacity)
+	// since the last Refill: prevPerTick holds the old allowance, and the
+	// next Refill recomputes frac and wholeMin and rebuilds the fair
+	// shares, since a capacity change moves perTick without touching the
+	// overlay mutation counter and version comparison alone would leave
+	// the per-edge split stale.
+	capMoved bool
 }
 
 // NewBudget allocates a budget for n peers with a uniform per-tick
@@ -133,13 +151,27 @@ func NewBudget(n int, perTick float64) *Budget {
 		remaining: make([]float64, n),
 		perTick:   make([]float64, n),
 		floor:     math.Inf(-1),
-		prevUtil:  make([]float64, n),
+		prevRem:   make([]float64, n),
 	}
 	for i := range b.remaining {
 		b.remaining[i] = perTick
 		b.perTick[i] = perTick
+		b.prevRem[i] = math.Inf(1)
 	}
+	b.splitAllowances()
 	return b
+}
+
+// splitAllowances recomputes frac and wholeMin from perTick.
+func (b *Budget) splitAllowances() {
+	b.frac, b.wholeMin = b.frac[:0], math.Inf(1)
+	for i, p := range b.perTick {
+		if p > 0 && p < 1 {
+			b.frac = append(b.frac, PeerID(i))
+		} else {
+			b.wholeMin = min(b.wholeMin, p)
+		}
+	}
 }
 
 // EnableFairShare activates the [21]-style per-connection capacity
@@ -181,6 +213,15 @@ func (b *Budget) rebuildFairShare() {
 	}
 }
 
+// capacityChanges prepares for a write to perTick: at the first since
+// the last Refill, the allowance in force then is kept for Utilization.
+func (b *Budget) capacityChanges() {
+	if !b.capMoved {
+		b.prevPerTick = append(b.prevPerTick[:0], b.perTick...)
+		b.capMoved = true
+	}
+}
+
 // ReserveControl carves a control-plane reserve out of every peer's
 // budget: the query flood is metered against the remaining (1-frac)
 // capacity from the next refill on. The overload plane's simulator
@@ -195,6 +236,7 @@ func (b *Budget) ReserveControl(frac float64) {
 	if frac > 1 {
 		frac = 1
 	}
+	b.capacityChanges()
 	for i := range b.perTick {
 		b.perTick[i] *= 1 - frac
 		if b.remaining[i] > b.perTick[i] {
@@ -202,7 +244,6 @@ func (b *Budget) ReserveControl(frac float64) {
 		}
 		b.floor = min(b.floor, b.remaining[i])
 	}
-	b.fairDirty = true
 }
 
 // SetCapacity replaces peer p's per-tick allowance (negative clamps to
@@ -213,12 +254,12 @@ func (b *Budget) SetCapacity(p PeerID, perTick float64) {
 	if perTick < 0 {
 		perTick = 0
 	}
+	b.capacityChanges()
 	b.perTick[p] = perTick
 	if b.remaining[p] > perTick {
 		b.remaining[p] = perTick
 	}
 	b.floor = min(b.floor, b.remaining[p])
-	b.fairDirty = true
 }
 
 // arrivalCap returns how much may still arrive at v via the directed
@@ -258,27 +299,8 @@ func (b *Budget) take(v PeerID, e overlay.EdgeID, amount float64) {
 	}
 }
 
-// refillPeer resets v's tokens for the next tick. An allowance of at
-// least one token refills exactly (leftovers discarded, the original
-// semantics); a sub-1.0 allowance instead accumulates its fractional
-// remainder up to one whole token, so a peer granted 0.5 tokens/tick
-// admits a query every other tick instead of rounding to zero and
-// starving forever (the discrete flood path needs arrivalCap >= 1).
-// It returns the refilled tokens.
-func (b *Budget) refillPeer(v PeerID) float64 {
-	p := b.perTick[v]
-	if p > 0 && p < 1 {
-		if r := b.remaining[v] + p; r < 1 {
-			p = r
-		} else {
-			p = 1
-		}
-	}
-	b.remaining[v] = p
-	return p
-}
-
-// edgeRefill is refillPeer for a fair-share arrival edge.
+// edgeRefill resets a fair-share arrival edge's tokens for the next
+// tick by the rule Refill applies to peers.
 func (b *Budget) edgeRefill(e overlay.EdgeID) {
 	p := b.edgePerTick[e]
 	if p > 0 && p < 1 {
@@ -292,22 +314,35 @@ func (b *Budget) edgeRefill(e overlay.EdgeID) {
 	b.edgeRemaining[e] = p
 }
 
-// Refill captures every peer's utilization for the ending tick, then
-// resets its tokens to the per-tick allowance, in one pass in peer
-// order that also takes their minimum as floor. In fair-share mode
-// every arrival edge is refilled the same way, unless the overlay or a
-// capacity moved since the last Refill, in which case the shares are
-// rebuilt and reset whole.
+// Refill starts the next tick. The ending tick's remaining tokens are
+// kept as prevRem (Utilization reads them), and every peer's tokens are
+// reset to its per-tick allowance, leftovers discarded. An allowance in
+// (0, 1) instead accumulates its fractional remainder up to one whole
+// token, so a peer granted 0.5 tokens/tick admits a query every other
+// tick instead of rounding to zero and starving forever (the discrete
+// flood path needs arrivalCap >= 1). floor becomes the minimum of the
+// refilled tokens. In fair-share mode every arrival edge is refilled
+// the same way, unless the overlay or a capacity moved since the last
+// Refill, in which case the shares are rebuilt and reset whole.
 func (b *Budget) Refill() {
-	floor := math.Inf(1)
-	for i := range b.remaining {
-		b.prevUtil[i] = b.utilNow(PeerID(i))
-		floor = min(floor, b.refillPeer(PeerID(i)))
+	if b.capMoved {
+		b.splitAllowances()
+	}
+	b.remaining, b.prevRem = b.prevRem, b.remaining
+	copy(b.remaining, b.perTick)
+	floor := b.wholeMin
+	for _, v := range b.frac {
+		r := b.prevRem[v] + b.perTick[v]
+		if !(r < 1) {
+			r = 1
+		}
+		b.remaining[v] = r
+		floor = min(floor, r)
 	}
 	b.floor = floor
 	if b.ov != nil {
 		b.floor = math.Inf(-1)
-		if b.fairDirty || b.fairVersion != b.ov.Version() {
+		if b.capMoved || b.fairVersion != b.ov.Version() {
 			b.rebuildFairShare()
 			copy(b.edgeRemaining, b.edgePerTick)
 		} else {
@@ -316,18 +351,19 @@ func (b *Budget) Refill() {
 			}
 		}
 	}
-	b.fairDirty = false
+	b.capMoved = false
 }
 
-func (b *Budget) utilNow(p PeerID) float64 {
-	full := b.perTick[p]
+// util is the share of an allowance full that remaining tokens rem
+// leave used, clamped to [0, 1].
+func util(rem, full float64) float64 {
 	if full <= 0 {
 		// A zero-capacity peer that processes nothing is idle, not
 		// saturated: reporting u=1 here used to charge every flood path
 		// through it the maximum queueing delay despite zero traffic.
 		return 0
 	}
-	u := 1 - b.remaining[p]/full
+	u := 1 - rem/full
 	if u < 0 {
 		return 0
 	}
@@ -338,12 +374,18 @@ func (b *Budget) utilNow(p PeerID) float64 {
 }
 
 // Utilization returns peer p's load estimate for queueing-delay
-// purposes: the larger of the last completed tick's utilization and the
+// purposes: the larger of the last completed tick's utilization (its
+// remaining tokens at Refill over the allowance in force then) and the
 // current tick's consumption so far.
 func (b *Budget) Utilization(p PeerID) float64 {
-	u := b.utilNow(p)
-	if b.prevUtil[p] > u {
-		return b.prevUtil[p]
+	full := b.perTick
+	if b.capMoved {
+		full = b.prevPerTick
+	}
+	prev := util(b.prevRem[p], full[p])
+	u := util(b.remaining[p], b.perTick[p])
+	if prev > u {
+		return prev
 	}
 	return u
 }
@@ -1036,9 +1078,10 @@ func (m *holderMemo) index(k listKey, holders []topology.NodeID, w int) int32 {
 // chain, summed from the source down, each at the utilization the peer
 // had when the copy reached it. Computing that after the flood is exact
 // because a flood charges each peer at most once (the seen mark), so
-// remaining[v] is still what v's own take left, and prevUtil and
-// perTick move only at Refill, SetCapacity and ReserveControl, none of
-// which runs inside a flood.
+// remaining[v] is still what v's own take left, and prevRem and
+// perTick (and the allowance Utilization divides prevRem by) move only
+// at Refill, SetCapacity and ReserveControl, none of which runs inside
+// a flood.
 func (e *Engine) pathDelay(h PeerID, budget *Budget, dm DelayModel) float64 {
 	var path [MaxTTL]PeerID
 	n := int(e.cells[h].hop)

@@ -54,7 +54,7 @@ func TestSetCapacityClampsAndAppliesImmediately(t *testing.T) {
 }
 
 // Capacity changes move PerTick without touching the overlay mutation
-// counter, so the fair-share split must be rebuilt via the fairDirty
+// counter, so the fair-share split must be rebuilt via the capMoved
 // flag, not version comparison alone.
 func TestCapacityChangeRebuildsFairShare(t *testing.T) {
 	ov := star(t, 4) // hub 0 with leaves 1..3

@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"math"
 	"slices"
 	"time"
@@ -243,7 +243,8 @@ func (c *Core) flood(keywords string) (protocol.GUID, int) {
 // floodRecord journals one record of query guid's flood if this node's
 // sample keeps the query. The query ID is the GUID's first 8 bytes; the
 // decision rehashes it, so every node at one rate decides alike from the
-// header alone.
+// header alone. The ID is written as 16 lowercase hex digits, encoded on
+// the stack so that a kept record allocates only its Detail string.
 func (c *Core) floodRecord(typ string, guid protocol.GUID, from int32, depth int) {
 	if c.floodKeep == 0 || c.cfg.Journal == nil {
 		return
@@ -252,5 +253,9 @@ func (c *Core) floodRecord(typ string, guid protocol.GUID, from int32, depth int
 	if c.floodKeep != math.MaxUint64 && rng.SubSeed(id, 0x7ace) >= c.floodKeep {
 		return
 	}
-	c.journal(journal.Event{Type: typ, Peer: int64(from), Depth: depth, Detail: fmt.Sprintf("%016x", id)})
+	var raw [8]byte
+	var text [16]byte
+	binary.BigEndian.PutUint64(raw[:], id)
+	hex.Encode(text[:], raw[:])
+	c.journal(journal.Event{Type: typ, Peer: int64(from), Depth: depth, Detail: string(text[:])})
 }

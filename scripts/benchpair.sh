@@ -23,7 +23,13 @@
 # metric gives both medians under each layout. SEED may list several
 # seeds ("1 2"): the binaries are built once, and each seed gets its own
 # warm-up, pairs and table.
-# Exits non-zero when any run reports correct=false.
+#
+# After each seed's pairs, the change's default build runs once more
+# with -trace 1 and the script prints its sim.driver_vs_run. That run
+# fails when the layer driver stops describing sim.Run (the ratio
+# outside its band after its pairs, or the driver's query count more
+# than 1 % off), which the untraced pairs never check.
+# Exits non-zero when any run fails or reports correct=false.
 set -eu
 
 w=${1:?usage: benchpair.sh WORKLOAD [N] [SEED...] [BASE] [LAYOUTS]}
@@ -130,6 +136,13 @@ for seed in $seeds; do
 				printf "%-20s per layout, base -> change:%s\n", "", per
 			}'
 	done <"$tmp/metrics"
+
+	# A failed run's error follows its summary line, so take the line
+	# by its shape; its notes say why it failed.
+	(cd "$root/bench" && "$tmp/bench.change.0" -workload "$w" -seed "$seed" -trace 1) >"$tmp/traced.log" 2>&1 || bad=1
+	grep '^{' "$tmp/traced.log" | tail -n 1 >"$tmp/traced"
+	echo "traced change run, seed $seed: sim.driver_vs_run $(value "$tmp/traced" sim.driver_vs_run)"
+	grep -q '"correct":true' "$tmp/traced" || { bad=1; echo "benchpair: traced change run not correct:"; grep -v '^{' "$tmp/traced.log" | tail -n 3; }
 done
 
 [ "$bad" -eq 0 ] || { echo "benchpair: a run failed or reported correct=false"; exit 1; }
