@@ -193,9 +193,11 @@ benchpair:
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz runs each decoder's fuzz target for FUZZTIME (default 5 s, about
-# 15 s in all): the wire frames, the journal's NDJSON reader and the
-# query trace reader, the inputs that arrive from outside the program. `go
+# fuzz runs each fuzz target for FUZZTIME (default 5 s, about 20 s in
+# all): the three decoders of the inputs that arrive from outside the
+# program (the wire frames, the journal's NDJSON reader and the query
+# trace reader), and the catalog builder over arbitrary content configs,
+# which must refuse a bad one by name or build valid replica lists. `go
 # test` alone runs only their seed corpora. A failing input is written
 # under the package's testdata/fuzz; commit it with the fix, so `go
 # test` replays it from then on.
@@ -204,3 +206,4 @@ fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadNDJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzNewCatalog$$' -fuzztime $(FUZZTIME)

@@ -13,7 +13,7 @@
 // refill, and under churn the cache is flushed by then. The key stays
 // eligible and the next use records again at no extra cost. A key is
 // recorded on its second sighting within a connectivity version, never
-// its first: a source that floods once costs one seenOnce entry, not a
+// its first: a source that floods once costs one sighted entry, not a
 // copy of its tree.
 // Trees are built from the overlay's active rows (overlay.Active), which
 // each join/leave and cut/uncut rewrites itself; the cache keeps only
@@ -38,7 +38,7 @@
 package flood
 
 import (
-	"unsafe"
+	"reflect"
 
 	"ddpolice/internal/overlay"
 )
@@ -124,19 +124,19 @@ type travCache struct {
 	version uint64
 
 	trees        map[treeKey]*travTree
-	seenOnce     map[treeKey]struct{}
-	cachedVisits int    // Σ len(visits)+len(nodes) over trees
-	cachedBytes  uint64 // Σ bytes() over trees
+	sighted      map[treeKey]struct{} // keys flooded once since the flush
+	cachedVisits int                  // Σ len(visits)+len(nodes) over trees
+	cachedBytes  uint64               // Σ bytes() over trees
 
 	stats CacheStats
 }
 
 func newTravCache(ov *overlay.Overlay) *travCache {
 	return &travCache{
-		ov:       ov,
-		version:  ov.Version(),
-		trees:    make(map[treeKey]*travTree),
-		seenOnce: make(map[treeKey]struct{}),
+		ov:      ov,
+		version: ov.Version(),
+		trees:   make(map[treeKey]*travTree),
+		sighted: make(map[treeKey]struct{}),
 	}
 }
 
@@ -154,11 +154,11 @@ func (c *travCache) ensure() {
 }
 
 func (c *travCache) flush() {
-	if len(c.trees) > 0 || len(c.seenOnce) > 0 {
+	if len(c.trees) > 0 || len(c.sighted) > 0 {
 		c.stats.Flushes++
 	}
 	clear(c.trees)
-	clear(c.seenOnce)
+	clear(c.sighted)
 	c.cachedVisits = 0
 	c.cachedBytes = 0
 }
@@ -175,10 +175,10 @@ func (c *travCache) lookup(k treeKey) (tr *travTree, build bool) {
 		return tr, false
 	}
 	c.stats.Misses++
-	if _, ok := c.seenOnce[k]; ok {
+	if _, ok := c.sighted[k]; ok {
 		return nil, true
 	}
-	c.seenOnce[k] = struct{}{}
+	c.sighted[k] = struct{}{}
 	return nil, false
 }
 
@@ -198,7 +198,7 @@ func (c *travCache) store(k treeKey, tr *travTree) {
 
 // keep ends a recording flood: a structural recording is cloned into
 // the cache; a clipped one is discarded, leaving k eligible to record
-// again on its next use (lookup's seenOnce entry stays).
+// again on its next use (lookup's sighted entry stays).
 func (c *travCache) keep(k treeKey, rec *travTree, structural bool) {
 	if structural {
 		c.store(k, rec.clone())
@@ -219,10 +219,15 @@ func (tr *travTree) clone() *travTree {
 	}
 }
 
+// visitBytes and nodeBytes are the sizes of one visit and one travNode.
+var (
+	visitBytes = uint64(reflect.TypeOf(visit{}).Size())
+	nodeBytes  = uint64(reflect.TypeOf(travNode{}).Size())
+)
+
 // bytes is the memory tr's visits and nodes occupy.
 func (tr *travTree) bytes() uint64 {
-	return uint64(len(tr.visits))*uint64(unsafe.Sizeof(visit{})) +
-		uint64(len(tr.nodes))*uint64(unsafe.Sizeof(travNode{}))
+	return uint64(len(tr.visits))*visitBytes + uint64(len(tr.nodes))*nodeBytes
 }
 
 // replayFailed records a physical-mode precheck failure; after

@@ -2,11 +2,11 @@ package flood
 
 import (
 	"testing"
-	"unsafe"
 
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/topology"
+	"ddpolice/internal/workload"
 )
 
 // cachePair builds two independent overlays over the same static graph,
@@ -69,7 +69,7 @@ func TestCachedQueryByteIdentical(t *testing.T) {
 		engB.SetCounterMode(mode)
 		ba, bb := NewBudget(400, 12), NewBudget(400, 12)
 		dm := DefaultDelayModel()
-		holders := []topology.NodeID{7, 99, 250}
+		holders := replicas(t, 400, 7, 99, 250)
 		r := rng.New(42)
 		for step := 0; step < 600; step++ {
 			if step%50 == 0 {
@@ -107,7 +107,7 @@ func TestCachedReplayFloorByteIdentical(t *testing.T) {
 	ovA, ovB := engA.ov, engB.ov
 	ba, bb := NewBudget(n, 8), NewBudget(n, 8)
 	dm := DefaultDelayModel()
-	holders := []topology.NodeID{9, 150, 280}
+	holders := replicas(t, n, 9, 150, 280)
 	var keys []TreeKey
 	for src := PeerID(0); src < 12; src++ { // replays from the first flood on
 		keys = append(keys, TreeKey{Src: src, Entry: -1, TTL: 4}, TreeKey{Src: src, Entry: -1, TTL: 3})
@@ -198,7 +198,7 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	ovA, ovB := engA.ov, engB.ov
 	ba, bb := NewBudget(300, 1e9), NewBudget(300, 1e9)
 	dm := DefaultDelayModel()
-	holders := []topology.NodeID{120, 200}
+	holders := replicas(t, 300, 120, 200)
 	r := rng.New(99)
 	mutate := func(step int) {
 		v := PeerID(100 + r.Intn(100))
@@ -252,14 +252,14 @@ func TestCacheRecordsOnSecondSighting(t *testing.T) {
 	b := bigBudget(n)
 	dm := DefaultDelayModel()
 	for i := 0; i < 500; i++ { // one repeating source, well past 192 floods
-		eng.FloodQuery(0, 3, nil, b, dm)
+		eng.FloodQuery(0, 3, workload.Replicas{}, b, dm)
 	}
 	before := eng.CacheStats()
 	if before.Builds != 1 || before.Hits != 498 {
 		t.Fatalf("repeating source: want 1 build and 498 replays, got %+v", before)
 	}
 	for src := PeerID(1); src <= 300; src++ { // 300 one-shot sources
-		eng.FloodQuery(src, 3, nil, b, dm)
+		eng.FloodQuery(src, 3, workload.Replicas{}, b, dm)
 	}
 	if st := eng.CacheStats(); st.Builds != before.Builds || st.Hits != before.Hits || st.Trees != 1 {
 		t.Fatalf("one-shot sources recorded trees: before %+v after %+v", before, st)
@@ -269,7 +269,7 @@ func TestCacheRecordsOnSecondSighting(t *testing.T) {
 		{Builds: 2, Hits: 498}, // second: recorded
 		{Builds: 2, Hits: 499}, // third: replayed
 	} {
-		eng.FloodQuery(350, 3, nil, b, dm)
+		eng.FloodQuery(350, 3, workload.Replicas{}, b, dm)
 		if st := eng.CacheStats(); st.Builds != want.Builds || st.Hits != want.Hits {
 			t.Fatalf("use %d of a fresh key: want builds=%d hits=%d, got %+v", use+1, want.Builds, want.Hits, st)
 		}
@@ -285,7 +285,7 @@ func linePair(t *testing.T) (engA *Engine, flood func(step int, ba, bb *Budget))
 	engA, engB := NewEngine(lineGraph(t, 8)), NewEngine(lineGraph(t, 8))
 	engB.SetTraversalCache(false)
 	dm := DefaultDelayModel()
-	holders := []topology.NodeID{6}
+	holders := replicas(t, 8, 6)
 	return engA, func(step int, ba, bb *Budget) {
 		t.Helper()
 		ra := engA.FloodQuery(0, 7, holders, ba, dm)
@@ -451,7 +451,7 @@ func TestReplayLeavesTheLiveCells(t *testing.T) {
 		ba.Refill()
 		bb.Refill()
 		dm := DefaultDelayModel()
-		holders := []topology.NodeID{3, 77, 250, 390}
+		holders := replicas(t, n, 3, 77, 250, 390)
 		clipped := false
 		for round := 0; round < 3; round++ {
 			if round == 2 {
@@ -536,7 +536,7 @@ func TestCachedTreeBytesPerVisit(t *testing.T) {
 		visits += uint64(len(tr.visits))
 		nodes += uint64(len(tr.nodes))
 	}
-	bytes := visits*uint64(unsafe.Sizeof(visit{})) + nodes*uint64(unsafe.Sizeof(travNode{}))
+	bytes := visits*visitBytes + nodes*nodeBytes
 	if per := float64(bytes) / float64(visits); per > 12 {
 		t.Errorf("%d trees: %d visits, %d nodes, %d bytes: %.1f B per visit, want at most 12", n, visits, nodes, bytes, per)
 	}

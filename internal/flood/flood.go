@@ -29,25 +29,22 @@
 // shorter. A flood's visits — the peers it reached in BFS order, which a
 // replay has as its tree's visits and a live flood as its queue — are
 // often far fewer than the replica list of a popular object, so when
-// they are, score walks them and tests each against a bitset of the
-// list. The Engine memoizes one bitset per replica list, keyed by the
-// list's identity (its first element's address and its length), which
-// is sound only because a list passed to FloodQuery never changes (see
-// FloodQuery). Both walks are branch-free per peer, sum the hops as
-// integers (exact: every partial sum is a small integer, so converting
-// the sum once gives the float that adding each hop in list order
-// gives), and agree on the responder, the first holder in list order at
-// the minimum hop.
+// they are, score walks them and tests each against the list's bitset,
+// which the catalog builds with the list (workload.Replicas). Both walks
+// are branch-free per peer, sum the hops as integers (exact: every
+// partial sum is a small integer, so converting the sum once gives the
+// float that adding each hop in list order gives), and agree on the
+// responder, the first holder in list order at the minimum hop.
 package flood
 
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
+	"ddpolice/internal/workload"
 )
 
 // PeerID aliases the overlay peer identifier.
@@ -507,9 +504,8 @@ type Engine struct {
 	queue          []visit
 	frontier, next []PeerID
 
-	// memo holds the replica-list bitsets the success test's visits side
-	// reads; visitScores counts the queries scored from that side.
-	memo        holderMemo
+	// visitScores counts the queries the success test scored from the
+	// visits side.
 	visitScores uint64
 
 	// cache is the topology-versioned traversal cache (see cache.go);
@@ -732,20 +728,12 @@ func (e *Engine) decide(upstream bool, v PeerID, eid overlay.EdgeID, budget *Bud
 }
 
 // FloodQuery floods one discrete query from src with the given TTL (at
-// most MaxTTL). holders is the replica set of the searched object (used
-// for success accounting; the issuer itself is not counted as a
-// responder). Each processing peer consumes one token from budget. Edge
+// most MaxTTL). holders is the replica set of the searched object
+// (workload.Catalog.Holders; used for success accounting, the issuer
+// itself not counted as a responder). Each processing peer consumes one token from budget. Edge
 // traffic counters in the overlay are incremented for every query copy
 // sent.
-//
-// holders must not change after it is first passed, for as long as the
-// Engine lives: the success test memoizes a bitset of a long list by the
-// list's identity, its first element's address and its length (score),
-// and would read a changed list through its old bitset. The memo keeps
-// every list it indexes alive, so an address is never reused while it
-// is remembered. The catalog's lists (workload.Catalog.Holders) are
-// never written after the catalog is built.
-func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budget *Budget, dm DelayModel) QueryResult {
+func (e *Engine) FloodQuery(src PeerID, ttl int, holders workload.Replicas, budget *Budget, dm DelayModel) QueryResult {
 	res := QueryResult{FirstHitHops: -1}
 	if ttl <= 0 || !e.ov.Online(src) {
 		return res
@@ -878,18 +866,19 @@ func b2i(b bool) int {
 // score runs the success accounting against the replica set, reading
 // the cells the traversal (live or replayed) left behind, from the
 // shorter side: the flood's visits vs when they are fewer than the
-// holders and the list has a bitset (holderBits), else the holders.
+// holders and the list has a bitset over every peer, else the holders.
 // Both sides find the same hits, the same hop sum and the same
 // responder that times the query, the first holder in list order at the
 // minimum hop; its forward delay is computed here, on demand, for its
 // path alone.
-func (e *Engine) score(src PeerID, holders []topology.NodeID, vs []visit, budget *Budget, dm DelayModel, res *QueryResult) {
+func (e *Engine) score(src PeerID, holders workload.Replicas, vs []visit, budget *Budget, dm DelayModel, res *QueryResult) {
 	var first PeerID
-	if bits := e.holderBits(holders, len(vs)); bits != nil {
+	peers, bits := holders.Peers(), holders.Bits()
+	if len(vs) < len(peers) && len(bits)*64 >= len(e.cells) {
 		e.visitScores++
-		first = e.scoreVisits(vs, bits, holders, res)
+		first = e.scoreVisits(vs, bits, peers, res)
 	} else {
-		first = e.scoreHolders(src, holders, res)
+		first = e.scoreHolders(src, peers, res)
 	}
 	if res.Hit {
 		// Round trip: accumulated forward delay plus the return path at
@@ -980,97 +969,6 @@ func (e *Engine) firstAt(holders []topology.NodeID, hop int32) PeerID {
 		}
 	}
 	panic("flood: no holder at the minimum hop")
-}
-
-// Replica-list memo limits and marks.
-const (
-	// memoMaxLists bounds the lists the memo remembers (and keeps
-	// alive); one more clears it. A catalog's lists long enough to index
-	// number a few hundred.
-	memoMaxLists = 1 << 10
-	// notIndexed marks a list the memo refused: it holds a peer twice,
-	// which the visits side would count once.
-	notIndexed = -1
-	// seenOnce marks a list the visits side wanted once. Building a
-	// bitset costs about one holder-side walk, so a list is indexed at
-	// its second want, as the traversal cache records a tree at its
-	// second sighting: a list wanted once costs a map entry, no bitset.
-	seenOnce = -2
-)
-
-// holderMemo is the Engine's replica-list bitsets: one bit per peer,
-// set for each holder, carved from one arena so that a list costs no
-// heap object of its own. A list is indexed only when its bitset is no
-// larger than the list (at least two holders per bitset word), so the
-// memo never outgrows the lists it indexes.
-type holderMemo struct {
-	at   map[listKey]int32 // a list's first word in bits, notIndexed or seenOnce
-	bits []uint64
-}
-
-// listKey is a replica list's identity. The pointer keeps the list
-// alive while the memo remembers it, so no other list can take its
-// address.
-type listKey struct {
-	first *topology.NodeID
-	n     int
-}
-
-// holderBits returns holders' bitset when the visits side should score
-// the query: the flood's visits are fewer than the holders and the list
-// is indexed, at this want if it is the list's second. Otherwise it
-// returns nil.
-func (e *Engine) holderBits(holders []topology.NodeID, visits int) []uint64 {
-	w := (len(e.cells) + 63) / 64
-	if visits >= len(holders) || len(holders) < 2*w {
-		return nil
-	}
-	k := listKey{unsafe.SliceData(holders), len(holders)}
-	off, ok := e.memo.at[k]
-	switch {
-	case !ok:
-		e.memo.sighted(k)
-		return nil
-	case off == seenOnce:
-		off = e.memo.index(k, holders, w)
-	}
-	if off == notIndexed {
-		return nil
-	}
-	return e.memo.bits[off : int(off)+w]
-}
-
-// sighted records k as seenOnce, clearing the memo first when it is
-// full.
-func (m *holderMemo) sighted(k listKey) {
-	if m.at == nil {
-		m.at = make(map[listKey]int32)
-	}
-	if len(m.at) >= memoMaxLists {
-		clear(m.at)
-		m.bits = m.bits[:0]
-	}
-	m.at[k] = seenOnce
-}
-
-// index builds the bitset of k, a list the memo holds as seenOnce, in w
-// words at the end of the arena and returns its offset, or notIndexed
-// when a peer repeats.
-func (m *holderMemo) index(k listKey, holders []topology.NodeID, w int) int32 {
-	off := len(m.bits)
-	m.bits = append(m.bits, make([]uint64, w)...)
-	b := m.bits[off:]
-	for _, h := range holders {
-		word, bit := uint32(h)/64, uint64(1)<<(uint32(h)%64)
-		if b[word]&bit != 0 {
-			m.bits = m.bits[:off]
-			m.at[k] = notIndexed
-			return notIndexed
-		}
-		b[word] |= bit
-	}
-	m.at[k] = int32(off)
-	return int32(off)
 }
 
 // pathDelay returns the one-way delay the query accumulated on its

@@ -8,6 +8,7 @@ import (
 	"ddpolice/internal/rng"
 	"ddpolice/internal/telemetry"
 	"ddpolice/internal/topology"
+	"ddpolice/internal/workload"
 )
 
 // lineGraph builds 0-1-2-...-n-1.
@@ -39,7 +40,7 @@ func bigBudget(n int) *Budget { return NewBudget(n, 1e9) }
 func TestFloodQueryReachesTTL(t *testing.T) {
 	ov := lineGraph(t, 10)
 	e := NewEngine(ov)
-	res := e.FloodQuery(0, 3, nil, bigBudget(10), DelayModel{HopDelay: 0.05})
+	res := e.FloodQuery(0, 3, workload.Replicas{}, bigBudget(10), DelayModel{HopDelay: 0.05})
 	// Peers 1, 2, 3 processed; messages = 3 (no branching, no dups).
 	if res.Processed != 3 {
 		t.Fatalf("processed = %d, want 3", res.Processed)
@@ -58,7 +59,7 @@ func TestFloodQueryReachesTTL(t *testing.T) {
 func TestFloodQueryHitAccounting(t *testing.T) {
 	ov := lineGraph(t, 10)
 	e := NewEngine(ov)
-	holders := []topology.NodeID{2, 5, 9}
+	holders := replicas(t, 10, 2, 5, 9)
 	res := e.FloodQuery(0, 7, holders, bigBudget(10), DelayModel{HopDelay: 0.05})
 	if !res.Hit {
 		t.Fatal("no hit")
@@ -81,7 +82,7 @@ func TestFloodQueryHitAccounting(t *testing.T) {
 func TestIssuerNotCountedAsResponder(t *testing.T) {
 	ov := lineGraph(t, 5)
 	e := NewEngine(ov)
-	res := e.FloodQuery(0, 7, []topology.NodeID{0}, bigBudget(5), DefaultDelayModel())
+	res := e.FloodQuery(0, 7, replicas(t, e.ov.NumPeers(), 0), bigBudget(5), DefaultDelayModel())
 	if res.Hit {
 		t.Fatal("issuer's own replica must not count as a hit")
 	}
@@ -97,7 +98,7 @@ func TestFloodQueryDuplicates(t *testing.T) {
 	}
 	ov := overlay.New(b.Build())
 	e := NewEngine(ov)
-	res := e.FloodQuery(0, 7, nil, bigBudget(3), DefaultDelayModel())
+	res := e.FloodQuery(0, 7, workload.Replicas{}, bigBudget(3), DefaultDelayModel())
 	if res.Processed != 2 {
 		t.Fatalf("processed = %d", res.Processed)
 	}
@@ -110,7 +111,7 @@ func TestFloodQueryDuplicates(t *testing.T) {
 func TestNeverSendsBackToParent(t *testing.T) {
 	ov := lineGraph(t, 3)
 	e := NewEngine(ov)
-	res := e.FloodQuery(0, 7, nil, bigBudget(3), DefaultDelayModel())
+	res := e.FloodQuery(0, 7, workload.Replicas{}, bigBudget(3), DefaultDelayModel())
 	// 0->1, 1->2. Peer 1 must not send back to 0, peer 2 has no other
 	// neighbor: exactly 2 messages, no dups.
 	if res.QueryMessages != 2 || res.DupMessages != 0 {
@@ -123,7 +124,7 @@ func TestCapacityDropsTruncateFlood(t *testing.T) {
 	e := NewEngine(ov)
 	budget := bigBudget(10)
 	budget.remaining[3] = 0 // peer 3 saturated
-	res := e.FloodQuery(0, 9, []topology.NodeID{5}, budget, DefaultDelayModel())
+	res := e.FloodQuery(0, 9, replicas(t, e.ov.NumPeers(), 5), budget, DefaultDelayModel())
 	if res.Processed != 2 { // peers 1, 2
 		t.Fatalf("processed = %d, want 2", res.Processed)
 	}
@@ -140,7 +141,7 @@ func TestSaturatedHolderDoesNotRespond(t *testing.T) {
 	e := NewEngine(ov)
 	budget := bigBudget(5)
 	budget.remaining[2] = 0
-	res := e.FloodQuery(0, 7, []topology.NodeID{2}, budget, DefaultDelayModel())
+	res := e.FloodQuery(0, 7, replicas(t, e.ov.NumPeers(), 2), budget, DefaultDelayModel())
 	if res.Hit {
 		t.Fatal("a peer that dropped the query cannot answer it")
 	}
@@ -150,7 +151,7 @@ func TestBudgetConsumption(t *testing.T) {
 	ov := star(t, 6)
 	e := NewEngine(ov)
 	budget := NewBudget(6, 10)
-	e.FloodQuery(1, 7, nil, budget, DefaultDelayModel())
+	e.FloodQuery(1, 7, workload.Replicas{}, budget, DefaultDelayModel())
 	// Flood from leaf 1: hub 0 processes (9 left), leaves 2-5 process.
 	if budget.remaining[0] != 9 {
 		t.Fatalf("hub budget = %v", budget.remaining[0])
@@ -189,10 +190,10 @@ func TestQueueingDelayGrowsWithUtilization(t *testing.T) {
 	ov := lineGraph(t, 4)
 	e := NewEngine(ov)
 	dm := DelayModel{HopDelay: 0.05, QueueFactor: 0.3, MaxQueue: 12}
-	fast := e.FloodQuery(0, 7, []topology.NodeID{3}, bigBudget(4), dm)
+	fast := e.FloodQuery(0, 7, replicas(t, e.ov.NumPeers(), 3), bigBudget(4), dm)
 	// Now a nearly-exhausted budget: utilization ~1 at every hop.
 	tight := NewBudget(4, 1.0)
-	slow := e.FloodQuery(0, 7, []topology.NodeID{3}, tight, dm)
+	slow := e.FloodQuery(0, 7, replicas(t, e.ov.NumPeers(), 3), tight, dm)
 	if !fast.Hit || !slow.Hit {
 		t.Fatal("both floods should hit")
 	}
@@ -205,7 +206,7 @@ func TestFloodFromOfflinePeerIsNoop(t *testing.T) {
 	ov := lineGraph(t, 5)
 	ov.SetOnline(0, false)
 	e := NewEngine(ov)
-	res := e.FloodQuery(0, 7, nil, bigBudget(5), DefaultDelayModel())
+	res := e.FloodQuery(0, 7, workload.Replicas{}, bigBudget(5), DefaultDelayModel())
 	if res.QueryMessages != 0 || res.Processed != 0 {
 		t.Fatalf("offline flood produced traffic: %+v", res)
 	}
@@ -217,7 +218,7 @@ func TestFloodFromOfflinePeerIsNoop(t *testing.T) {
 func TestZeroTTLIsNoop(t *testing.T) {
 	ov := lineGraph(t, 5)
 	e := NewEngine(ov)
-	if res := e.FloodQuery(0, 0, nil, bigBudget(5), DefaultDelayModel()); res.QueryMessages != 0 {
+	if res := e.FloodQuery(0, 0, workload.Replicas{}, bigBudget(5), DefaultDelayModel()); res.QueryMessages != 0 {
 		t.Fatalf("TTL 0 flood produced traffic: %+v", res)
 	}
 }
@@ -233,7 +234,7 @@ func TestFloodRefusesTTLAboveMax(t *testing.T) {
 		name  string
 		flood func(ttl int)
 	}{
-		{"FloodQuery", func(ttl int) { e.FloodQuery(0, ttl, nil, b, dm) }},
+		{"FloodQuery", func(ttl int) { e.FloodQuery(0, ttl, workload.Replicas{}, b, dm) }},
 		{"FloodBatch", func(ttl int) { e.FloodBatch(0, -1, ttl, 1, b) }},
 	} {
 		tc.flood(MaxTTL)
@@ -260,7 +261,7 @@ func TestFloodBatchMatchesUnitFlood(t *testing.T) {
 	}
 	ov := overlay.New(g)
 	e := NewEngine(ov)
-	unit := e.FloodQuery(0, 7, nil, bigBudget(200), DefaultDelayModel())
+	unit := e.FloodQuery(0, 7, workload.Replicas{}, bigBudget(200), DefaultDelayModel())
 	batch := e.FloodBatch(0, -1, 7, 50, bigBudget(200))
 	if math.Abs(batch.QueryMessages-50*unit.QueryMessages) > 1e-6 {
 		t.Fatalf("batch messages %v != 50 * unit %v", batch.QueryMessages, unit.QueryMessages)
@@ -344,8 +345,8 @@ func TestRepeatedFloodsIsolated(t *testing.T) {
 	}
 	ov := overlay.New(g)
 	e := NewEngine(ov)
-	first := e.FloodQuery(5, 7, nil, bigBudget(100), DefaultDelayModel())
-	second := e.FloodQuery(5, 7, nil, bigBudget(100), DefaultDelayModel())
+	first := e.FloodQuery(5, 7, workload.Replicas{}, bigBudget(100), DefaultDelayModel())
+	second := e.FloodQuery(5, 7, workload.Replicas{}, bigBudget(100), DefaultDelayModel())
 	if first.QueryMessages != second.QueryMessages || first.Processed != second.Processed {
 		t.Fatalf("floods differ: %+v vs %+v", first, second)
 	}
@@ -362,7 +363,7 @@ func BenchmarkFloodQuery2000(b *testing.B) {
 	dm := DefaultDelayModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.FloodQuery(PeerID(i%2000), 7, nil, budget, dm)
+		e.FloodQuery(PeerID(i%2000), 7, workload.Replicas{}, budget, dm)
 	}
 }
 
@@ -416,7 +417,7 @@ func TestFloodQueryIdealCountersPastSaturation(t *testing.T) {
 	e.SetCounterMode(CounterIdeal)
 	budget := bigBudget(6)
 	budget.remaining[2] = 0
-	res := e.FloodQuery(0, 7, []topology.NodeID{4}, budget, DefaultDelayModel())
+	res := e.FloodQuery(0, 7, replicas(t, e.ov.NumPeers(), 4), budget, DefaultDelayModel())
 	if res.Hit {
 		t.Fatal("query answered past a saturated peer")
 	}
@@ -448,7 +449,7 @@ func TestFairShareProtectsOtherLinks(t *testing.T) {
 	if got := budget.remaining[0]; got != 30 {
 		t.Fatalf("hub remaining = %v, want 30 (one link's share consumed)", got)
 	}
-	res := e.FloodQuery(2, 7, []topology.NodeID{3}, budget, DefaultDelayModel())
+	res := e.FloodQuery(2, 7, replicas(t, e.ov.NumPeers(), 3), budget, DefaultDelayModel())
 	if !res.Hit {
 		t.Fatal("fair share failed to protect the other links")
 	}
@@ -464,7 +465,7 @@ func TestFairShareVsFCFS(t *testing.T) {
 	if got := budget.remaining[0]; got != 0 {
 		t.Fatalf("hub remaining = %v, want 0 under FCFS", got)
 	}
-	res := e.FloodQuery(2, 7, []topology.NodeID{3}, budget, DefaultDelayModel())
+	res := e.FloodQuery(2, 7, replicas(t, e.ov.NumPeers(), 3), budget, DefaultDelayModel())
 	if res.Hit {
 		t.Fatal("FCFS hub should have been drained by the flood")
 	}
@@ -497,7 +498,7 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	reg := telemetry.New()
 	eng.AttachTelemetry(reg)
 
-	eng.FloodQuery(0, 2, nil, bigBudget(3), DelayModel{HopDelay: 0.05})
+	eng.FloodQuery(0, 2, workload.Replicas{}, bigBudget(3), DelayModel{HopDelay: 0.05})
 	if got := reg.Counter("flood.floods").Load(); got != 1 {
 		t.Errorf("floods = %d, want 1", got)
 	}
@@ -512,7 +513,7 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	}
 
 	// A starving budget records drop events (batch plane too).
-	eng.FloodQuery(0, 2, nil, NewBudget(3, 0), DelayModel{HopDelay: 0.05})
+	eng.FloodQuery(0, 2, workload.Replicas{}, NewBudget(3, 0), DelayModel{HopDelay: 0.05})
 	if got := reg.Counter("flood.budget_drops").Load(); got == 0 {
 		t.Error("no drop events under a zero budget")
 	}
@@ -524,5 +525,5 @@ func TestEngineTelemetryCounters(t *testing.T) {
 
 	// Detach: recording must stop, not crash.
 	eng.AttachTelemetry(nil)
-	eng.FloodQuery(0, 2, nil, bigBudget(3), DelayModel{HopDelay: 0.05})
+	eng.FloodQuery(0, 2, workload.Replicas{}, bigBudget(3), DelayModel{HopDelay: 0.05})
 }

@@ -3,11 +3,13 @@ package flood
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
 	"ddpolice/internal/topology"
+	"ddpolice/internal/workload"
 )
 
 // eagerTree is the reference's per-peer first-visit tree: whether the
@@ -18,6 +20,17 @@ type eagerTree struct {
 	hop    []int32
 	parent []PeerID
 	delay  []float64
+}
+
+// replicas is the replica list of peers over n peers; t fails if the
+// constructor refuses it.
+func replicas(t testing.TB, n int, peers ...topology.NodeID) workload.Replicas {
+	t.Helper()
+	r, err := workload.NewReplicas(n, peers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // eagerQuery is the reference the on-demand delay is held to: a plain
@@ -113,13 +126,14 @@ func assertCellsMatchTree(t *testing.T, at string, e *Engine, ref *eagerTree) {
 // parent, alive) must be the reference's tree: the replay writes them
 // as the live BFS does.
 //
-// A flood searches either six random peers or one of three lists kept
-// for the whole run, since the engine indexes a list by its identity at
-// the visits side's second want of it: half the peers, every peer, and
-// every peer plus one repeated, which the engine must refuse to index
-// (the visits side would count the repeat once). The long lists outnumber
-// most floods' visits, so each lane must score floods from the visits
-// side, and the cached lane must do it on a replay too.
+// A flood searches either six distinct random peers, too few to have a
+// bitset, or one of two long lists that have one: half the peers and
+// every peer. The long lists outnumber most floods' visits, so each lane
+// must score floods from the visits side, and the cached lane must do it
+// on a replay too; every peer outnumbers every flood's visits, so each
+// of its queries, the first included, must be scored from there. A list
+// of every peer plus one repeated never reaches a flood: the constructor
+// refuses it (the visits side would count the repeat once).
 func TestQueryResultMatchesEagerReference(t *testing.T) {
 	const n, ticks, floodsPerTick = 300, 12, 60
 	dm := DefaultDelayModel()
@@ -149,7 +163,10 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 				for i, v := range setup.Perm(n) {
 					perm[i] = topology.NodeID(v)
 				}
-				lists := [][]topology.NodeID{perm[:n/2], perm, append(perm[:n:n], perm[n/3])}
+				lists := []workload.Replicas{replicas(t, n, perm[:n/2]...), replicas(t, n, perm...)}
+				if _, err := workload.NewReplicas(n, append(perm[:n:n], perm[n/3])...); err == nil {
+					t.Fatalf("%s: a list with a repeated peer was accepted", name)
+				}
 				replayVisits := 0
 				for l := range ovs {
 					ovs[l] = overlay.New(g)
@@ -190,21 +207,28 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 					}
 					for f := 0; f < floodsPerTick; f++ {
 						src, ttl := PeerID(r.Intn(12)), 3+r.Intn(2)
-						holders := make([]topology.NodeID, 6)
-						for i := range holders {
-							holders[i] = topology.NodeID(r.Intn(n))
+						peers := make([]topology.NodeID, 0, 6)
+						for len(peers) < cap(peers) {
+							if v := topology.NodeID(r.Intn(n)); !slices.Contains(peers, v) {
+								peers = append(peers, v)
+							}
 						}
-						if k := kinds.Intn(len(lists) + 1); k < len(lists) {
+						holders := replicas(t, n, peers...)
+						k := kinds.Intn(len(lists) + 1)
+						if k < len(lists) {
 							holders = lists[k]
 						}
 						var res [3]QueryResult
 						var ref *eagerTree
-						res[0], ref = eagerQuery(ovs[0], mode, buds[0], src, ttl, holders, dm)
+						res[0], ref = eagerQuery(ovs[0], mode, buds[0], src, ttl, holders.Peers(), dm)
 						for l := 1; l < 3; l++ {
 							hits, scored := engs[l].CacheStats().Hits, engs[l].visitScores
 							res[l] = engs[l].FloodQuery(src, ttl, holders, buds[l], dm)
 							if engs[l].CacheStats().Hits > hits && engs[l].visitScores > scored {
 								replayVisits++
+							}
+							if k == 1 && engs[l].visitScores != scored+1 {
+								t.Fatalf("%s tick %d flood %d lane %d: the every-peer list was not scored from the visits side", name, tick, f, l)
 							}
 							if res[l] != res[0] {
 								t.Fatalf("%s tick %d flood %d src %d lane %d:\n got %+v\nwant %+v", name, tick, f, src, l, res[l], res[0])
@@ -227,12 +251,6 @@ func TestQueryResultMatchesEagerReference(t *testing.T) {
 				}
 				if engs[2].visitScores == 0 || replayVisits == 0 {
 					t.Fatalf("%s: the visits side scored %d live floods and %d replays", name, engs[2].visitScores, replayVisits)
-				}
-				repeated := lists[2]
-				for l := 1; l < 3; l++ {
-					if off, ok := engs[l].memo.at[listKey{&repeated[0], len(repeated)}]; !ok || off != notIndexed {
-						t.Fatalf("%s lane %d: the list with a repeated peer is held as %d (present %v), want %d", name, l, off, ok, notIndexed)
-					}
 				}
 			}
 		}
@@ -320,7 +338,11 @@ func budgetConservation(t *testing.T, seed uint64) {
 		switch p := r.Intn(100); {
 		case p < 60:
 			op = "FloodQuery"
-			holders := []topology.NodeID{topology.NodeID(r.Intn(n)), topology.NodeID(r.Intn(n))}
+			h1, h2 := topology.NodeID(r.Intn(n)), topology.NodeID(r.Intn(n))
+			holders := replicas(t, n, h1)
+			if h2 != h1 {
+				holders = replicas(t, n, h1, h2)
+			}
 			processed += float64(eng.FloodQuery(PeerID(r.Intn(30)), 1+r.Intn(5), holders, b, dm).Processed)
 		case p < 88:
 			op = "FloodBatch"

@@ -179,6 +179,7 @@ func floodThrice[R comparable](t *testing.T, e *Engine, name string, want R, flo
 // batch moves it.
 func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 	holders := []topology.NodeID{42, 77, 130}
+	list := replicas(t, 200, holders...)
 	dm := DelayModel{HopDelay: 0.05}
 	for _, damaged := range []bool{false, true} {
 		hits, misses := 0, 0
@@ -224,7 +225,7 @@ func TestFloodMatchesHopDistanceOracle(t *testing.T) {
 									for dd := 1; dd <= 7; dd++ {
 										before[dd] = depthCtrs[dd].Load()
 									}
-									qr := eng.FloodQuery(src, ttl, holders, budget, dm)
+									qr := eng.FloodQuery(src, ttl, list, budget, dm)
 									sum := 0
 									for dd := 1; dd <= 7; dd++ {
 										got, want := int(depthCtrs[dd].Load()-before[dd]), 0

@@ -123,7 +123,7 @@ func TestPrewarmedFloodByteIdentical(t *testing.T) {
 	engA, engB := NewEngine(ovA), NewEngine(ovB)
 	budA, budB := NewBudget(n, 4), NewBudget(n, 4)
 	dm := DefaultDelayModel()
-	holders := []topology.NodeID{7, 99, 201}
+	holders := replicas(t, n, 7, 99, 201)
 	keys := shardKeys(n)
 
 	engA.PrewarmTrees(keys, 4)

@@ -161,7 +161,6 @@ type Police struct {
 	cutGood    []bool // good peers cut at least once (false negatives)
 	cutGoodN   int    // count of set cutGood entries
 	detected   []bool // bad peers detected at least once
-	detectedN  int    // count of set detected entries
 
 	lossProb  float64
 	lossSrc   *rng.Source
@@ -271,10 +270,6 @@ func (p *Police) Overhead() Overhead { return p.overhead }
 // FalseNegatives returns the number of distinct good peers wrongly
 // disconnected (the paper's "false negative").
 func (p *Police) FalseNegatives() int { return p.cutGoodN }
-
-// DetectedBad returns the number of distinct bad peers disconnected at
-// least once.
-func (p *Police) DetectedBad() int { return p.detectedN }
 
 // FalsePositives returns the number of bad peers among the given agent
 // set that were never identified (the paper's "false positive").

@@ -333,10 +333,7 @@ func (p *Police) recordCut(v Verdict, now float64) {
 	})
 	p.round.RecordCut(now, v)
 	if p.isBad[v.Suspect] {
-		if !p.detected[v.Suspect] {
-			p.detected[v.Suspect] = true
-			p.detectedN++
-		}
+		p.detected[v.Suspect] = true
 	} else if !p.cutGood[v.Suspect] {
 		p.cutGood[v.Suspect] = true
 		p.cutGoodN++

@@ -153,8 +153,8 @@ func TestRadius2At40kPeers(t *testing.T) {
 	ov.RollMinute()
 	p.EvaluateMinute(cfg.ExchangePeriod)
 
-	if p.DetectedBad() != 1 || p.FalseNegatives() != 0 {
-		t.Fatalf("flooding hub: detected %d bad, %d good peers cut", p.DetectedBad(), p.FalseNegatives())
+	if p.FalsePositives([]PeerID{hub}) != 0 || p.FalseNegatives() != 0 {
+		t.Fatalf("flooding hub: missed %d bad, %d good peers cut", p.FalsePositives([]PeerID{hub}), p.FalseNegatives())
 	}
 	var bound uint64 // 3·Σ_v deg(v)²
 	for v := 0; v < ov.NumPeers(); v++ {

@@ -226,6 +226,9 @@ func (c Config) Validate() error {
 	if c.TopologyM < 1 {
 		return fmt.Errorf("sim: TopologyM = %d", c.TopologyM)
 	}
+	if err := c.Catalog.Validate(); err != nil {
+		return fmt.Errorf("sim: Catalog: %w", err)
+	}
 	if !(c.QueriesPerMin >= 0) || math.IsInf(c.QueriesPerMin, 1) {
 		return fmt.Errorf("sim: QueriesPerMin = %v (want finite and >= 0)", c.QueriesPerMin)
 	}
@@ -440,7 +443,9 @@ var StageNames = []string{"churn", "attack", "querygen", "flood", "police", "met
 // placed on it, which four Config fields decide. Both are immutable once
 // built — the overlay keeps all edge and peer state beside the graph, the
 // query generator draws objects from its own workload.Sampler — so
-// concurrent runs may share one World, and no method writes to it.
+// concurrent runs may share one World, and no method writes to it. The
+// catalog's replica lists carry the bitsets every run's success test
+// reads (workload.Replicas), so each is built once per world.
 type World struct {
 	key   worldKey
 	graph *topology.Graph

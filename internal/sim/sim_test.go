@@ -5,12 +5,14 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ddpolice/internal/faults"
 	"ddpolice/internal/flood"
 	"ddpolice/internal/metrics"
 	"ddpolice/internal/overload"
 	"ddpolice/internal/trace"
+	"ddpolice/internal/workload"
 )
 
 // smallConfig returns a fast configuration for unit tests: 1,000 peers
@@ -132,6 +134,40 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%+v %+v refused: %v", cfg.Agent, cfg.Delay, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("err = %v, want one containing %q", err, tc.want)
+		}
+	}
+}
+
+// TestRunRefusesBrokenCatalog: Run refuses a content model it cannot
+// build with an error naming the field. Before Validate read Catalog, a
+// NaN ZipfExponent hung the first query's object draw, a negative one
+// panicked in rng.NewZipf, and a NaN MeanReplicas gave every object
+// three holders.
+func TestRunRefusesBrokenCatalog(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*workload.CatalogConfig)
+		want   string
+	}{
+		{func(c *workload.CatalogConfig) { c.ZipfExponent = math.NaN() }, "Catalog: workload: ZipfExponent = NaN"},
+		{func(c *workload.CatalogConfig) { c.ZipfExponent = -1 }, "Catalog: workload: ZipfExponent = -1"},
+		{func(c *workload.CatalogConfig) { c.MeanReplicas = math.NaN() }, "Catalog: workload: MeanReplicas = NaN"},
+		{func(c *workload.CatalogConfig) { c.MeanReplicas = math.Inf(-1) }, "Catalog: workload: MeanReplicas = -Inf"},
+		{func(c *workload.CatalogConfig) { c.ReplicationSkew = math.NaN() }, "Catalog: workload: ReplicationSkew = NaN"},
+	} {
+		cfg := smallConfig()
+		tc.mutate(&cfg.Catalog)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one containing %q", err, tc.want)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%+v: Run has not returned after a minute", cfg.Catalog)
 		}
 	}
 }

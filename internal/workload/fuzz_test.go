@@ -3,8 +3,64 @@ package workload
 import (
 	"bytes"
 	"io"
+	"math"
+	"strings"
 	"testing"
+
+	"ddpolice/internal/rng"
 )
+
+// FuzzNewCatalog drives NewCatalog with arbitrary configs of at most
+// 2,000 objects on at most 500 peers, NaN, infinite, zero and negative
+// floats included. Each must either be refused with an error that names
+// a field, or give a catalog whose every list holds distinct peers in
+// range, with a bitset exactly when it has at least two holders per
+// bitset word, equal to the list, and whose sampler's first draw is an
+// object of the catalog. `go test` runs the seed corpus (the default
+// config and every refused row); `go test -fuzz=FuzzNewCatalog
+// ./internal/workload` explores further.
+func FuzzNewCatalog(f *testing.F) {
+	add := func(cfg CatalogConfig, peers int16) {
+		f.Add(int16(cfg.NumObjects), cfg.ZipfExponent, cfg.MeanReplicas, cfg.ReplicationSkew, int16(cfg.MinReplicas), peers, uint64(1))
+	}
+	def := DefaultCatalogConfig()
+	def.NumObjects = 2000
+	add(def, 500)
+	add(def, 1)
+	add(def, 0)
+	for _, tc := range refusedCatalogs() {
+		tc.cfg.NumObjects = min(tc.cfg.NumObjects, 2000)
+		add(tc.cfg, 300)
+	}
+	for _, s := range []float64{0, 1, 1 - 1e-12, 700, 1e300, math.MaxFloat64} {
+		add(CatalogConfig{NumObjects: 50, ZipfExponent: s, MeanReplicas: 4, ReplicationSkew: 0.5, MinReplicas: 2}, 64)
+	}
+
+	fields := []string{"NumObjects = ", "ZipfExponent = ", "MeanReplicas = ", "ReplicationSkew = ", "MinReplicas = ", "numPeers = "}
+	f.Fuzz(func(t *testing.T, objects int16, zipf, mean, skew float64, minReplicas, peers int16, seed uint64) {
+		if objects > 2000 || peers > 500 {
+			return
+		}
+		cfg := CatalogConfig{NumObjects: int(objects), ZipfExponent: zipf, MeanReplicas: mean, ReplicationSkew: skew, MinReplicas: int(minReplicas)}
+		c, err := NewCatalog(cfg, int(peers), rng.New(seed))
+		if err != nil {
+			for _, field := range fields {
+				if strings.Contains(err.Error(), field) {
+					return
+				}
+			}
+			t.Fatalf("%+v on %d peers: error %q names no field", cfg, peers, err)
+		}
+		for o := range ObjectID(c.NumObjects()) {
+			if err := checkReplicas(c.Holders(o), int(peers)); err != nil {
+				t.Fatalf("%+v on %d peers, object %d: %v", cfg, peers, o, err)
+			}
+		}
+		if o := c.Sampler().Object(); o < 0 || int(o) >= cfg.NumObjects {
+			t.Fatalf("%+v: first draw %d of %d objects", cfg, o, cfg.NumObjects)
+		}
+	})
+}
 
 // FuzzTraceReader drives NewTraceReader, plain and gzip, with arbitrary
 // bytes: it must never panic, and any stream it reads to the end must

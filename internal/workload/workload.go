@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ddpolice/internal/rng"
@@ -44,64 +45,102 @@ func DefaultCatalogConfig() CatalogConfig {
 	}
 }
 
+// Validate reports a config NewCatalog cannot build, naming the field.
+// The float comparisons are written so that NaN fails them too: a NaN
+// ZipfExponent would hang the sampler's first draw, and a non-finite
+// MeanReplicas or ReplicationSkew would give every object MinReplicas
+// holders without a word.
+func (cfg CatalogConfig) Validate() error {
+	switch {
+	case cfg.NumObjects <= 0:
+		return fmt.Errorf("workload: NumObjects = %d (want > 0)", cfg.NumObjects)
+	case !(cfg.ZipfExponent >= 0) || math.IsInf(cfg.ZipfExponent, 1):
+		return fmt.Errorf("workload: ZipfExponent = %v (want finite and >= 0)", cfg.ZipfExponent)
+	case !(cfg.MeanReplicas > 0) || math.IsInf(cfg.MeanReplicas*float64(cfg.NumObjects), 1):
+		return fmt.Errorf("workload: MeanReplicas = %v (want > 0, with MeanReplicas × NumObjects finite)", cfg.MeanReplicas)
+	case math.IsNaN(cfg.ReplicationSkew) || math.IsInf(cfg.ReplicationSkew, 0):
+		return fmt.Errorf("workload: ReplicationSkew = %v (want finite)", cfg.ReplicationSkew)
+	case cfg.MinReplicas < 1:
+		return fmt.Errorf("workload: MinReplicas = %d (want >= 1)", cfg.MinReplicas)
+	}
+	return nil
+}
+
 // Catalog holds object popularity and placement. It is immutable once
 // built, so concurrent runs may share one: whatever advances — the
 // popularity sampler's stream — lives in the Sampler each consumer takes.
 type Catalog struct {
-	popularity []float64           // normalized query probability per object
-	holders    [][]topology.NodeID // object -> peers storing it
-	zipf       *rng.Zipf           // start of the sampling stream; cloned, never drawn from
+	popularity []float64         // normalized query probability per object
+	peers      []topology.NodeID // every object's holders, object after object
+	bits       []uint64          // the bitsets of the lists that have one, in object order
+	// peerAt and bitAt hold each object's offsets into peers and bits:
+	// object o's list is peers[peerAt[o]:peerAt[o+1]], and its bitset
+	// the same span of bits, empty when it has none.
+	peerAt, bitAt []int
+	zipf          *rng.Zipf // start of the sampling stream; cloned, never drawn from
 }
 
 // NewCatalog builds a catalog and places replicas on the n peers.
 func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, error) {
-	if cfg.NumObjects <= 0 {
-		return nil, fmt.Errorf("workload: NumObjects = %d", cfg.NumObjects)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if numPeers <= 0 {
 		return nil, fmt.Errorf("workload: numPeers = %d", numPeers)
 	}
-	if cfg.MeanReplicas <= 0 || cfg.MinReplicas < 1 {
-		return nil, fmt.Errorf("workload: replica config %v/%d invalid", cfg.MeanReplicas, cfg.MinReplicas)
-	}
+	n := cfg.NumObjects
 	c := &Catalog{
-		popularity: rng.ZipfWeights(cfg.NumObjects, cfg.ZipfExponent),
-		holders:    make([][]topology.NodeID, cfg.NumObjects),
-		zipf:       rng.NewZipf(src.Split(), uint64(cfg.NumObjects), cfg.ZipfExponent),
+		popularity: rng.ZipfWeights(n, cfg.ZipfExponent),
+		peerAt:     make([]int, n+1),
+		bitAt:      make([]int, n+1),
+		zipf:       rng.NewZipf(src.Split(), uint64(n), cfg.ZipfExponent),
 	}
 	// Replica budget shaped by popularity^skew, normalized to the mean.
-	shape := make([]float64, cfg.NumObjects)
+	shape := make([]float64, n)
 	var shapeSum float64
 	for i, p := range c.popularity {
 		shape[i] = math.Pow(p, cfg.ReplicationSkew)
 		shapeSum += shape[i]
 	}
-	budget := cfg.MeanReplicas * float64(cfg.NumObjects)
+	if !(shapeSum > 0) || math.IsInf(shapeSum, 1) {
+		return nil, fmt.Errorf("workload: ReplicationSkew = %v under ZipfExponent = %v gives replica shares that sum to %v (want finite and > 0)",
+			cfg.ReplicationSkew, cfg.ZipfExponent, shapeSum)
+	}
+	budget := cfg.MeanReplicas * float64(n)
+	for o := range n {
+		count := numPeers
+		if share := budget * shape[o] / shapeSum; share < float64(numPeers) {
+			count = min(max(int(share), cfg.MinReplicas), numPeers)
+		}
+		c.peerAt[o+1] = c.peerAt[o] + count
+		c.bitAt[o+1] = c.bitAt[o]
+		if indexed(count, numPeers) {
+			c.bitAt[o+1] += bitWords(numPeers)
+		}
+	}
+	c.peers, c.bits = make([]topology.NodeID, c.peerAt[n]), make([]uint64, c.bitAt[n])
 	perm := make([]topology.NodeID, numPeers)
 	for i := range perm {
 		perm[i] = topology.NodeID(i)
 	}
-	for o := 0; o < cfg.NumObjects; o++ {
-		count := int(budget * shape[o] / shapeSum)
-		if count < cfg.MinReplicas {
-			count = cfg.MinReplicas
-		}
-		if count > numPeers {
-			count = numPeers
-		}
-		c.holders[o] = samplePeers(src, perm, count)
+	for o := range n {
+		samplePeers(src, perm, c.Holders(ObjectID(o)))
 	}
 	return c, nil
 }
 
-// Holders returns the peers storing object o, each once. The list is
-// never written after NewCatalog returns, and callers must not write it
-// either: flood.Engine memoizes a bitset per list by the list's identity
-// (flood.FloodQuery states the contract).
-func (c *Catalog) Holders(o ObjectID) []topology.NodeID { return c.holders[o] }
+// Holders returns the peers storing object o, with their bitset if the
+// list is long enough to have one.
+func (c *Catalog) Holders(o ObjectID) Replicas {
+	r := Replicas{peers: c.peers[c.peerAt[o]:c.peerAt[o+1]:c.peerAt[o+1]]}
+	if b := c.bits[c.bitAt[o]:c.bitAt[o+1]:c.bitAt[o+1]]; len(b) > 0 {
+		r.bits = b
+	}
+	return r
+}
 
 // NumObjects returns the catalog size.
-func (c *Catalog) NumObjects() int { return len(c.holders) }
+func (c *Catalog) NumObjects() int { return len(c.popularity) }
 
 // Sampler draws objects according to popularity from its own copy of
 // the catalog's stream: every Sampler of one catalog emits the same
@@ -114,12 +153,13 @@ func (c *Catalog) Sampler() *Sampler { return &Sampler{c.zipf.Clone()} }
 // Object draws the next object.
 func (s *Sampler) Object() ObjectID { return ObjectID(s.zipf.Rank() - 1) }
 
-// samplePeers draws count distinct peers by partial Fisher-Yates over
-// perm, the identity permutation, and leaves it the identity again: a
-// position past count is touched only when drawn, and its own value
-// moved into out the first time it was.
-func samplePeers(src *rng.Source, perm []topology.NodeID, count int) []topology.NodeID {
-	out := make([]topology.NodeID, count)
+// samplePeers draws len(r.peers) distinct peers into r by partial
+// Fisher-Yates over perm, the identity permutation, and leaves it the
+// identity again: a position past the count is touched only when drawn,
+// and its own value moved into r.peers the first time it was. The
+// restore loop sets r's bits, if it has any.
+func samplePeers(src *rng.Source, perm []topology.NodeID, r Replicas) {
+	out := r.peers
 	for i := range out {
 		j := i + src.Intn(len(perm)-i)
 		perm[i], perm[j] = perm[j], perm[i]
@@ -127,9 +167,60 @@ func samplePeers(src *rng.Source, perm []topology.NodeID, count int) []topology.
 	}
 	for i, v := range out {
 		perm[i], perm[v] = topology.NodeID(i), v
+		if r.bits != nil {
+			r.bits[uint32(v)/64] |= 1 << (uint32(v) % 64)
+		}
 	}
-	return out
 }
+
+// Replicas is one object's replica list: distinct peers, in placement
+// order, and, when the list is long enough, a bitset of them over every
+// peer, which lets a flood test a visited peer for membership in one
+// load. A list has its bitset exactly when it holds at least two peers
+// per 64-bit word of it (at least numPeers/32), so a bitset is never
+// larger than its list. A Replicas is immutable, and the zero value is
+// the empty list.
+type Replicas struct {
+	peers []topology.NodeID
+	bits  []uint64 // nil unless indexed(len(peers), numPeers)
+}
+
+// NewReplicas returns the replica list of peers over numPeers peers. It
+// refuses a peer outside [0, numPeers) or one listed twice.
+func NewReplicas(numPeers int, peers ...topology.NodeID) (Replicas, error) {
+	bits := make([]uint64, bitWords(numPeers))
+	for _, v := range peers {
+		if v < 0 || int(v) >= numPeers {
+			return Replicas{}, fmt.Errorf("workload: replica %d outside [0, %d)", v, numPeers)
+		}
+		word, bit := uint32(v)/64, uint64(1)<<(uint32(v)%64)
+		if bits[word]&bit != 0 {
+			return Replicas{}, fmt.Errorf("workload: replica %d listed twice", v)
+		}
+		bits[word] |= bit
+	}
+	r := Replicas{peers: slices.Clone(peers)}
+	if indexed(len(peers), numPeers) {
+		r.bits = bits
+	}
+	return r, nil
+}
+
+// Peers returns the list in placement order. It is shared: read it,
+// never write it.
+func (r Replicas) Peers() []topology.NodeID { return r.peers }
+
+// Bits returns the list's bitset, bit v%64 of word v/64 set for each
+// peer v, or nil when the list is too short to have one. It is shared:
+// read it, never write it.
+func (r Replicas) Bits() []uint64 { return r.bits }
+
+// bitWords is the length of a bitset over numPeers peers.
+func bitWords(numPeers int) int { return (numPeers + 63) / 64 }
+
+// indexed reports whether a list of count peers out of numPeers gets a
+// bitset: at least two peers per word.
+func indexed(count, numPeers int) bool { return count >= 2*bitWords(numPeers) }
 
 // QueryGen produces the good peers' query arrivals: a Poisson process
 // at rate QueriesPerMin per online peer (paper: 0.3/min).

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"ddpolice/internal/rng"
@@ -29,7 +31,7 @@ func TestCatalogInvariants(t *testing.T) {
 	}
 	var totalReplicas int
 	for o := ObjectID(0); o < 500; o++ {
-		hs := c.Holders(o)
+		hs := c.Holders(o).Peers()
 		if len(hs) < cfg.MinReplicas {
 			t.Fatalf("object %d has %d replicas, below floor %d", o, len(hs), cfg.MinReplicas)
 		}
@@ -59,8 +61,8 @@ func TestReplicationFollowsPopularity(t *testing.T) {
 	cfg.ReplicationSkew = 1
 	c := testCatalog(t, cfg, 5000, 2)
 	// Rank-0 object must have strictly more replicas than rank-999.
-	if len(c.Holders(0)) <= len(c.Holders(999)) {
-		t.Fatalf("top object %d replicas <= tail %d", len(c.Holders(0)), len(c.Holders(999)))
+	if len(c.Holders(0).Peers()) <= len(c.Holders(999).Peers()) {
+		t.Fatalf("top object %d replicas <= tail %d", len(c.Holders(0).Peers()), len(c.Holders(999).Peers()))
 	}
 	if c.popularity[0] <= c.popularity[999] {
 		t.Fatal("popularity not rank ordered")
@@ -75,26 +77,139 @@ func TestUniformReplicationSkewZero(t *testing.T) {
 	cfg.MinReplicas = 1
 	c := testCatalog(t, cfg, 1000, 3)
 	for o := ObjectID(0); o < 200; o++ {
-		if got := len(c.Holders(o)); got != 10 {
+		if got := len(c.Holders(o).Peers()); got != 10 {
 			t.Fatalf("object %d: %d replicas, want exactly 10 under skew 0", o, got)
 		}
 	}
 }
 
-func TestCatalogErrors(t *testing.T) {
-	src := rng.New(1)
-	bad := []CatalogConfig{
-		{NumObjects: 0, MeanReplicas: 1, MinReplicas: 1},
-		{NumObjects: 10, MeanReplicas: 0, MinReplicas: 1},
-		{NumObjects: 10, MeanReplicas: 5, MinReplicas: 0},
+// refusedCatalogs are configs NewCatalog must refuse, each with the
+// field its error names. Before Validate, a NaN ZipfExponent hung the
+// sampler's first draw, a negative one panicked in rng.NewZipf, and the
+// non-finite replica rows gave every object MinReplicas holders.
+func refusedCatalogs() []struct {
+	field string
+	cfg   CatalogConfig
+} {
+	with := func(edit func(*CatalogConfig)) CatalogConfig {
+		cfg := DefaultCatalogConfig()
+		edit(&cfg)
+		return cfg
 	}
-	for i, cfg := range bad {
-		if _, err := NewCatalog(cfg, 100, src); err == nil {
-			t.Errorf("config %d accepted", i)
+	inf, nan := math.Inf(1), math.NaN()
+	return []struct {
+		field string
+		cfg   CatalogConfig
+	}{
+		{"NumObjects", with(func(c *CatalogConfig) { c.NumObjects = 0 })},
+		{"NumObjects", with(func(c *CatalogConfig) { c.NumObjects = -3 })},
+		{"ZipfExponent", with(func(c *CatalogConfig) { c.ZipfExponent = nan })},
+		{"ZipfExponent", with(func(c *CatalogConfig) { c.ZipfExponent = -1 })},
+		{"ZipfExponent", with(func(c *CatalogConfig) { c.ZipfExponent = inf })},
+		{"MeanReplicas", with(func(c *CatalogConfig) { c.MeanReplicas = 0 })},
+		{"MeanReplicas", with(func(c *CatalogConfig) { c.MeanReplicas = -2 })},
+		{"MeanReplicas", with(func(c *CatalogConfig) { c.MeanReplicas = nan })},
+		{"MeanReplicas", with(func(c *CatalogConfig) { c.MeanReplicas = inf })},
+		{"MeanReplicas", with(func(c *CatalogConfig) { c.MeanReplicas = -inf })},
+		{"MeanReplicas", with(func(c *CatalogConfig) { c.MeanReplicas = math.MaxFloat64 })},
+		{"ReplicationSkew", with(func(c *CatalogConfig) { c.ReplicationSkew = nan })},
+		{"ReplicationSkew", with(func(c *CatalogConfig) { c.ReplicationSkew = inf })},
+		{"ReplicationSkew", with(func(c *CatalogConfig) { c.ReplicationSkew = -inf })},
+		{"ReplicationSkew", with(func(c *CatalogConfig) { c.ReplicationSkew = 1e6 })},  // every share underflows to 0
+		{"ReplicationSkew", with(func(c *CatalogConfig) { c.ReplicationSkew = -1e6 })}, // the tail's shares overflow
+		{"MinReplicas", with(func(c *CatalogConfig) { c.MinReplicas = 0 })},
+	}
+}
+
+func TestCatalogErrors(t *testing.T) {
+	for _, tc := range refusedCatalogs() {
+		_, err := NewCatalog(tc.cfg, 100, rng.New(1))
+		if err == nil || !strings.HasPrefix(err.Error(), "workload: "+tc.field+" = ") {
+			t.Errorf("%+v: error %v, want one naming %s", tc.cfg, err, tc.field)
 		}
 	}
-	if _, err := NewCatalog(DefaultCatalogConfig(), 0, src); err == nil {
+	if _, err := NewCatalog(DefaultCatalogConfig(), 0, rng.New(1)); err == nil {
 		t.Error("zero peers accepted")
+	}
+}
+
+// checkReplicas reports the first way r is not a valid replica list
+// over numPeers peers: distinct peers in range, and a bitset exactly
+// when the list has at least two peers per word of it, holding exactly
+// those peers.
+func checkReplicas(r Replicas, numPeers int) error {
+	seen := make([]uint64, bitWords(numPeers))
+	for _, v := range r.Peers() {
+		if v < 0 || int(v) >= numPeers {
+			return fmt.Errorf("peer %d outside [0, %d)", v, numPeers)
+		}
+		if seen[v/64]>>(v%64)&1 != 0 {
+			return fmt.Errorf("peer %d listed twice", v)
+		}
+		seen[v/64] |= 1 << (v % 64)
+	}
+	switch bits := r.Bits(); {
+	case (len(r.Peers()) >= 2*len(seen)) != (bits != nil):
+		return fmt.Errorf("%d of %d peers: bitset present %v", len(r.Peers()), numPeers, bits != nil)
+	case bits != nil && !slices.Equal(bits, seen):
+		return fmt.Errorf("bitset %x, want %x", bits, seen)
+	}
+	return nil
+}
+
+// TestCatalogIndexesLongLists: a catalog's lists hold distinct peers in
+// range, and exactly those with at least two holders per bitset word
+// carry a bitset equal to the list, at sizes where none, some and every
+// list qualifies.
+func TestCatalogIndexesLongLists(t *testing.T) {
+	for _, peers := range []int{40, 700, 5000} {
+		cfg := DefaultCatalogConfig()
+		cfg.NumObjects = 300
+		c := testCatalog(t, cfg, peers, 5)
+		n := 0
+		for o := ObjectID(0); o < 300; o++ {
+			if err := checkReplicas(c.Holders(o), peers); err != nil {
+				t.Fatalf("%d peers, object %d: %v", peers, o, err)
+			}
+			if c.Holders(o).Bits() != nil {
+				n++
+			}
+		}
+		if want := map[int]bool{40: n == 300, 700: n > 0 && n < 300, 5000: n > 0 && n < 50}; !want[peers] {
+			t.Errorf("%d peers: %d of 300 lists indexed", peers, n)
+		}
+	}
+}
+
+// TestNewReplicas: the constructor copies and indexes a valid list and
+// refuses a repeated peer and one outside [0, numPeers).
+func TestNewReplicas(t *testing.T) {
+	peers := []topology.NodeID{5, 0, 63, 64, 99}
+	r, err := NewReplicas(100, peers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers[0] = 7
+	if r.Peers()[0] != 5 {
+		t.Fatal("the list shares its caller's array")
+	}
+	if err := checkReplicas(r, 100); err != nil || r.Bits() == nil {
+		t.Fatalf("%v (bitset %x)", err, r.Bits())
+	}
+	// 130 peers take three words: six holders have a bitset, five do not.
+	if long, err := NewReplicas(130, 1, 2, 3, 4, 5, 129); err != nil || checkReplicas(long, 130) != nil || long.Bits() == nil {
+		t.Fatalf("six of 130 peers: %v, bitset %x", err, long.Bits())
+	}
+	if short, err := NewReplicas(130, 1, 2, 3, 4, 129); err != nil || checkReplicas(short, 130) != nil || short.Bits() != nil {
+		t.Fatalf("five of 130 peers: %v, bitset %x", err, short.Bits())
+	}
+	for _, bad := range [][]topology.NodeID{{3, 4, 3}, {0, 100}, {-1}} {
+		if _, err := NewReplicas(100, bad...); err == nil {
+			t.Errorf("%v over 100 peers accepted", bad)
+		}
+	}
+	if r := (Replicas{}); r.Peers() != nil || r.Bits() != nil {
+		t.Fatal("the zero Replicas is not the empty list")
 	}
 }
 
@@ -201,7 +316,8 @@ func TestSharedCatalogQueryStreams(t *testing.T) {
 
 // TestSamplePeersRestoresIdentity: the scratch permutation NewCatalog
 // hands samplePeers must come back the identity, whatever was drawn, or
-// the next object's holders are drawn from a shuffled population.
+// the next object's holders are drawn from a shuffled population; the
+// bitset it fills is the list drawn.
 func TestSamplePeersRestoresIdentity(t *testing.T) {
 	src := rng.New(17)
 	perm := make([]topology.NodeID, 40)
@@ -210,13 +326,13 @@ func TestSamplePeersRestoresIdentity(t *testing.T) {
 	}
 	for _, count := range []int{0, 1, 7, 39, 40} {
 		for rep := 0; rep < 50; rep++ {
-			out := samplePeers(src, perm, count)
-			seen := map[topology.NodeID]bool{}
-			for _, v := range out {
-				if v < 0 || int(v) >= len(perm) || seen[v] {
-					t.Fatalf("count %d: holders %v out of range or repeated", count, out)
-				}
-				seen[v] = true
+			r := Replicas{peers: make([]topology.NodeID, count)}
+			if indexed(count, len(perm)) {
+				r.bits = make([]uint64, bitWords(len(perm)))
+			}
+			samplePeers(src, perm, r)
+			if err := checkReplicas(r, len(perm)); err != nil {
+				t.Fatalf("count %d: %v", count, err)
 			}
 			for i, v := range perm {
 				if v != topology.NodeID(i) {
