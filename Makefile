@@ -33,10 +33,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# ddlint runs the house determinism analyzers (ddclock, ddrand,
-# ddmaporder, ddnilgate, ddoutfile, ddallow) over the whole module.
-# Exit 1 = findings, exit 2 = a package failed to load or type-check
-# (a hard failure, not a skip).
+# ddlint runs the house analyzers (ddclock, ddrand, ddmaporder,
+# ddnilgate, ddoutfile, ddallow, and dddead's whole-program dead-code
+# walk) over the whole program: the main module and the nested bench/
+# module. Exit 1 = findings, exit 2 = a package of either failed to
+# load or type-check (a hard failure, not a skip).
 ddlint:
 	$(GO) run ./cmd/ddlint ./...
 

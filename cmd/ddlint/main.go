@@ -1,15 +1,18 @@
-// ddlint is the multichecker for the repo's determinism house rules
-// (DESIGN.md §18): ddclock (no wall clocks in deterministic packages),
-// ddrand (no math/rand outside internal/rng), ddmaporder (no map
-// iteration into order-dependent sinks), ddnilgate (plane methods must
-// be nil-receiver-safe), ddoutfile (cmd artifacts go through the
-// sticky-error writer), and ddallow (the escape hatch itself must be
-// well-formed).
+// ddlint is the multichecker for the repo's house rules (DESIGN.md
+// §18): ddclock (no wall clocks in deterministic packages), ddrand (no
+// math/rand outside internal/rng), ddmaporder (no map iteration into
+// order-dependent sinks), ddnilgate (plane methods must be
+// nil-receiver-safe), ddoutfile (cmd artifacts go through the
+// sticky-error writer), dddead (no function only tests reach), and
+// ddallow (the escape hatch itself must be well-formed).
 //
 // Usage: ddlint [-list] [packages]
 //
 // Patterns are resolved from the module root (default ./...), so
 // `go run ./cmd/ddlint ./...` behaves identically from any directory.
+// ./... is the whole program: the main module and the nested bench
+// module, so that dddead sees every caller. Other patterns load only
+// what they name, and dddead treats that as the whole program.
 // Exit status: 0 clean, 1 findings, 2 when a package cannot be loaded
 // or type-checked. A lint run that cannot see the code MUST fail —
 // the writefail philosophy applied to static analysis; there is no
@@ -22,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"ddpolice/internal/lint"
 	"ddpolice/internal/lint/analysis"
@@ -62,24 +64,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ddlint:", err)
 		return exitLoadFail
 	}
-	pkgs, err := load.Load(patterns...)
+	pkgs, err := load.Load(root, patterns...)
+	if err == nil && len(patterns) == 1 && patterns[0] == "./..." {
+		var bench []*load.Package
+		bench, err = load.Load(filepath.Join(root, "bench"), "./...")
+		pkgs = append(pkgs, bench...)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ddlint:", err)
+		return exitLoadFail
+	}
+	all, err := analysis.Check(analyzers, pkgs)
 	if err != nil {
 		fmt.Fprintln(stderr, "ddlint:", err)
 		return exitLoadFail
 	}
 	findings := 0
-	for _, pkg := range pkgs {
-		var diags []analysis.Diagnostic
-		for _, a := range analyzers {
-			ds, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
-			if err != nil {
-				fmt.Fprintf(stderr, "ddlint: %s: %v\n", pkg.PkgPath, err)
-				return exitLoadFail
-			}
-			diags = append(diags, ds...)
-		}
-		sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-		for _, d := range diags {
+	for i, pkg := range pkgs {
+		for _, d := range all[i] {
 			pos := pkg.Fset.Position(d.Pos)
 			name := pos.Filename
 			if rel, err := filepath.Rel(root, name); err == nil {

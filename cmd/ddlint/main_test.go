@@ -49,7 +49,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"ddallow", "ddclock", "ddmaporder", "ddnilgate", "ddoutfile", "ddrand"} {
+	for _, name := range []string{"ddallow", "ddclock", "dddead", "ddmaporder", "ddnilgate", "ddoutfile", "ddrand"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

@@ -109,9 +109,6 @@ func (p *Processor) TryProcess() bool {
 // Processed returns the cumulative accepted count.
 func (p *Processor) Processed() float64 { return p.processed }
 
-// Dropped returns the cumulative dropped count.
-func (p *Processor) Dropped() float64 { return p.dropped }
-
 // DropRate returns dropped/(processed+dropped), or 0 if idle.
 func (p *Processor) DropRate() float64 {
 	total := p.processed + p.dropped

@@ -16,8 +16,8 @@ func TestProcessorBasics(t *testing.T) {
 	if got := p.Offer(10); got != 6 {
 		t.Fatalf("accepted %v, want remaining 6 tokens", got)
 	}
-	if p.Dropped() != 4 {
-		t.Fatalf("dropped = %v", p.Dropped())
+	if p.dropped != 4 {
+		t.Fatalf("dropped = %v", p.dropped)
 	}
 	p.Tick(1) // +10 tokens
 	if got := p.tokens; got != 10 {
@@ -40,8 +40,8 @@ func TestTryProcess(t *testing.T) {
 	if p.TryProcess() {
 		t.Fatal("processed with empty bucket")
 	}
-	if p.Processed() != 2 || p.Dropped() != 1 {
-		t.Fatalf("processed=%v dropped=%v", p.Processed(), p.Dropped())
+	if p.Processed() != 2 || p.dropped != 1 {
+		t.Fatalf("processed=%v dropped=%v", p.Processed(), p.dropped)
 	}
 	if got := p.DropRate(); math.Abs(got-1.0/3) > 1e-12 {
 		t.Fatalf("drop rate = %v", got)
@@ -87,8 +87,8 @@ func TestZeroRateClamp(t *testing.T) {
 		if p.tokens != 0 {
 			t.Fatalf("rate %v: tokens after tick = %v", rate, p.tokens)
 		}
-		if p.Processed() != 0 || p.Dropped() != 11 {
-			t.Fatalf("rate %v: processed=%v dropped=%v", rate, p.Processed(), p.Dropped())
+		if p.Processed() != 0 || p.dropped != 11 {
+			t.Fatalf("rate %v: processed=%v dropped=%v", rate, p.Processed(), p.dropped)
 		}
 		if p.DropRate() != 1 {
 			t.Fatalf("rate %v: drop rate = %v, want 1", rate, p.DropRate())
@@ -104,8 +104,8 @@ func TestOfferClampedAtZero(t *testing.T) {
 	if got := p.Offer(5); got != 0 {
 		t.Fatalf("drained bucket accepted %v", got)
 	}
-	if p.Processed() != 10 || p.Dropped() != 5 {
-		t.Fatalf("processed=%v dropped=%v", p.Processed(), p.Dropped())
+	if p.Processed() != 10 || p.dropped != 5 {
+		t.Fatalf("processed=%v dropped=%v", p.Processed(), p.dropped)
 	}
 	if got, want := p.DropRate(), 5.0/15; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("drop rate = %v, want %v", got, want)

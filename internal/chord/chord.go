@@ -5,8 +5,10 @@
 // the same agent generation rate buys an attacker orders of magnitude
 // less damage. The Ring here is simulation-grade: finger tables are
 // computed from the membership directly (no join/stabilize protocol),
-// lookups are routed hop by hop through capacity-limited nodes, and a
-// successor list provides the customary resilience to failed hops.
+// and lookups are routed hop by hop through capacity-limited nodes.
+// Every node stays online, so routing needs no successor lists; churn
+// on the ring would come with a Chord scenario family beyond
+// -fig structured.
 package chord
 
 import (
@@ -19,27 +21,10 @@ import (
 // NodeID is a position on the 64-bit identifier ring.
 type NodeID uint64
 
-// Config parameterizes a ring.
-type Config struct {
-	// SuccessorListLen is the number of successors each node can fall
-	// back to when a finger points at an offline node (Chord's r).
-	SuccessorListLen int
-	// CapacityPerMin is each node's lookup-processing rate, matching
-	// the unstructured simulator's per-peer capacity.
-	CapacityPerMin float64
-}
-
-// DefaultConfig mirrors the unstructured simulator's operating point.
-func DefaultConfig() Config {
-	return Config{SuccessorListLen: 8, CapacityPerMin: 1000}
-}
-
 // Ring is a static Chord ring over n nodes. A node's external index is
 // its position on the ring: ids ascend with it.
 type Ring struct {
-	cfg     Config
 	ids     []NodeID
-	online  []bool
 	fingers [][64]int32 // position of the successor of id + 2^b
 	perMin  []float64   // remaining capacity tokens per tick
 	perTick float64
@@ -51,18 +36,17 @@ type Ring struct {
 	drops    uint64
 }
 
-// New builds a ring of n nodes with deterministic random identifiers.
-func New(n int, cfg Config, src *rng.Source) (*Ring, error) {
+// New builds a ring of n nodes with deterministic random identifiers,
+// each processing capacityPerMin lookups a minute (the unstructured
+// simulator's per-peer capacity).
+func New(n int, capacityPerMin float64, src *rng.Source) (*Ring, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("chord: ring size %d", n)
 	}
-	if cfg.SuccessorListLen < 1 {
-		return nil, fmt.Errorf("chord: successor list %d", cfg.SuccessorListLen)
+	if capacityPerMin <= 0 {
+		return nil, fmt.Errorf("chord: capacity %v", capacityPerMin)
 	}
-	if cfg.CapacityPerMin <= 0 {
-		return nil, fmt.Errorf("chord: capacity %v", cfg.CapacityPerMin)
-	}
-	r := &Ring{cfg: cfg, perTick: cfg.CapacityPerMin / 60}
+	r := &Ring{perTick: capacityPerMin / 60}
 	seen := make(map[NodeID]bool, n)
 	for len(r.ids) < n {
 		id := NodeID(src.Uint64())
@@ -73,11 +57,9 @@ func New(n int, cfg Config, src *rng.Source) (*Ring, error) {
 		r.ids = append(r.ids, id)
 	}
 	slices.Sort(r.ids)
-	r.online = make([]bool, n)
 	r.fingers = make([][64]int32, n)
 	r.perMin = make([]float64, n)
 	for i, id := range r.ids {
-		r.online[i] = true
 		for b := range r.fingers[i] {
 			r.fingers[i][b] = int32(r.successorOf(id + NodeID(1)<<b))
 		}
@@ -96,12 +78,6 @@ func (r *Ring) successorOf(target NodeID) int {
 	return pos
 }
 
-// SetOnline toggles node p.
-func (r *Ring) SetOnline(p int, on bool) { r.online[p] = on }
-
-// Online reports node p's state.
-func (r *Ring) Online(p int) bool { return r.online[p] }
-
 // Tick refills every node's per-tick lookup budget.
 func (r *Ring) Tick() {
 	for i := range r.perMin {
@@ -117,30 +93,15 @@ type LookupResult struct {
 }
 
 // Lookup routes a key from origin to the key's successor, consuming one
-// capacity token per intermediate node. It fails when routing stalls
-// (all candidate hops offline) or a node on the path is saturated.
+// capacity token per intermediate node. It fails when a node on the
+// path is saturated.
 func (r *Ring) Lookup(origin int, key NodeID) LookupResult {
 	r.lookups++
 	cur := origin
-	if !r.online[cur] {
-		r.failures++
-		return LookupResult{}
-	}
-	succ := r.successorOf(key)
-	// The successor may be offline: its first online successor takes over.
-	owner, ok := r.firstOnlineFrom(succ)
-	if !ok {
-		r.failures++
-		return LookupResult{}
-	}
+	owner := r.successorOf(key)
 	hops := 0
 	for cur != owner {
-		next, ok := r.nextHop(cur, r.ids[succ])
-		if !ok {
-			r.failures++
-			return LookupResult{Hops: hops}
-		}
-		cur = next
+		cur = r.nextHop(cur, r.ids[owner])
 		hops++
 		if hops > 2*len(r.ids) {
 			r.failures++ // routing loop guard; cannot happen with sane tables
@@ -159,39 +120,19 @@ func (r *Ring) Lookup(origin int, key NodeID) LookupResult {
 	return LookupResult{OK: true, Hops: hops, Owner: cur}
 }
 
-// nextHop picks cur's closest online finger preceding target, falling
-// back to the first online of the SuccessorListLen nodes after cur.
-func (r *Ring) nextHop(cur int, target NodeID) (int, bool) {
+// nextHop picks cur's closest finger preceding target, the owner's id:
+// the most progress without overshooting. Finger 0 is the next node,
+// which never overshoots, so there always is one.
+func (r *Ring) nextHop(cur int, target NodeID) int {
 	id := r.ids[cur]
 	bestDist := target - id // distances are clockwise: unsigned, wrapping
-	// Closest preceding finger: maximize progress without overshooting.
-	for b := 63; b >= 0; b-- {
+	for b := 63; b > 0; b-- {
 		f := int(r.fingers[cur][b])
-		if !r.online[f] || f == cur {
-			continue
-		}
 		if d := r.ids[f] - id; d > 0 && d <= bestDist {
-			return f, true
+			return f
 		}
 	}
-	n := len(r.ids)
-	for s := 1; s <= r.cfg.SuccessorListLen && s < n; s++ {
-		if p := (cur + s) % n; r.online[p] {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// firstOnlineFrom scans clockwise for an online node.
-func (r *Ring) firstOnlineFrom(pos int) (int, bool) {
-	n := len(r.ids)
-	for i := range n {
-		if p := (pos + i) % n; r.online[p] {
-			return p, true
-		}
-	}
-	return 0, false
+	return int(r.fingers[cur][0])
 }
 
 // Stats summarizes routed lookups.

@@ -606,9 +606,6 @@ func (t *depthTally) flush(ttl int) {
 // SetCounterMode switches the counter accounting plane.
 func (e *Engine) SetCounterMode(m CounterMode) { e.mode = m }
 
-// Mode returns the current counter accounting plane.
-func (e *Engine) Mode() CounterMode { return e.mode }
-
 // bump starts a new flood: it advances the epoch, which invalidates
 // every cell at once, and marks src as the root.
 func (e *Engine) bump(src PeerID) {

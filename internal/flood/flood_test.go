@@ -387,7 +387,7 @@ func TestFloodBatchIdealCountersUnclipped(t *testing.T) {
 	// mass thins.
 	ov := lineGraph(t, 5)
 	e := NewEngine(ov)
-	if e.Mode() != CounterPhysical {
+	if e.mode != CounterPhysical {
 		t.Fatal("default mode must be CounterPhysical")
 	}
 	e.SetCounterMode(CounterIdeal)

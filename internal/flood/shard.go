@@ -67,9 +67,8 @@ type treeBuilder struct {
 	visitHint int
 	nodeHint  int
 
-	// Shard-local tallies, merged serially at commit so the hot build
-	// loop touches no shared counters.
-	builds uint64
+	// Shard-local visit tally, merged serially at commit so the hot
+	// build loop touches no shared counter.
 	visits uint64
 }
 
@@ -131,7 +130,6 @@ func (tb *treeBuilder) build(src, entry PeerID, ttl int) *travTree {
 		}
 		tb.frontier, tb.next = tb.next, tb.frontier
 	}
-	tb.builds++
 	tb.visits += uint64(len(tr.visits))
 	tb.visitHint = len(tr.visits)
 	tb.nodeHint = len(tr.nodes)
@@ -234,7 +232,7 @@ func (e *Engine) PrewarmTrees(keys []TreeKey, shards int) int {
 	var visits uint64
 	for s := 0; s < shards; s++ {
 		visits += e.builders[s].visits
-		e.builders[s].builds, e.builders[s].visits = 0, 0
+		e.builders[s].visits = 0
 	}
 	c.stats.Prewarmed += uint64(len(want))
 	e.telPrewarm.Add(uint64(len(want)))

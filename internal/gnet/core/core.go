@@ -493,19 +493,6 @@ func (c *Core) Neighbors() []int32 {
 	return ids
 }
 
-// Disconnect sends neighbor id an orderly Bye and drops the link.
-func (c *Core) Disconnect(now time.Time, id int32, code uint16, reason string) error {
-	c.at(now)
-	i, ok := c.peer(id)
-	if !ok {
-		return fmt.Errorf("gnet: no neighbor %d", id)
-	}
-	l := c.peers[i].link
-	c.bye(l, code, reason)
-	c.drop(l, dropOrderly)
-	return nil
-}
-
 // Shutdown says an orderly Bye to every neighbor and closes its link: the
 // node is going away, and a neighbor told so does not re-dial it. The
 // core takes no input after it.

@@ -121,9 +121,7 @@ func TestMeshClosedLinkEnd(t *testing.T) {
 	if err := b.Issue(m.Now, "in flight", make(chan protocol.QueryHit, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Disconnect(m.Now, 2, protocol.ByeCodeShutdown, "test"); err != nil {
-		t.Fatal(err)
-	}
+	a.Shutdown(m.Now)
 	since := len(m.Log)
 	ping := protocol.Encode(nil, protocol.NewGUID(m.Src), 1, 0, protocol.Ping{})
 	if got := m.Transport(1).Send(core.Link{ID: 2, Conn: vnet.LinkConn}, ping); got != core.Gone || len(m.Log) != since {

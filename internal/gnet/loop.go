@@ -152,9 +152,3 @@ func (n *Node) IssueQuery(keywords string) (<-chan protocol.QueryHit, error) {
 func (n *Node) SendRawQuery(keywords string) {
 	n.post(func(now time.Time) { n.core.SendRaw(now, keywords) })
 }
-
-// Disconnect sends an orderly Bye to neighbor id and drops the link.
-func (n *Node) Disconnect(id int32, code uint16, reason string) error {
-	dropErr, err := ctlCall(n, 0, func(now time.Time) error { return n.core.Disconnect(now, id, code, reason) })
-	return cmp.Or(err, dropErr)
-}

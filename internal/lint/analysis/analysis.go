@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"ddpolice/internal/lint/directive"
+	"ddpolice/internal/lint/load"
 )
 
 // Analyzer describes one static check. Name doubles as the directive
@@ -31,7 +32,11 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass) (interface{}, error)
+	// Program, when set, sees every package of the run before Run sees
+	// any one of them; each Pass carries its result. A whole-program
+	// check (dddead) works it out here and reports per package.
+	Program func([]*load.Package) interface{}
+	Run     func(*Pass) (interface{}, error)
 }
 
 // AllowToken is the token that names this analyzer in a
@@ -47,6 +52,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// ProgramResult is what Analyzer.Program returned for this run.
+	ProgramResult interface{}
 
 	diags  []Diagnostic
 	allows map[string]map[int]directive.Allow
@@ -63,10 +70,14 @@ type Diagnostic struct {
 // for this analyzer covers the line (trailing on the same line, or on
 // the line immediately above — the tail of a doc comment counts).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	position := p.Fset.Position(pos)
-	if p.allowedAt(position) {
-		return
+	if !p.allowedAt(p.Fset.Position(pos)) {
+		p.ReportUnallowed(pos, format, args...)
 	}
+}
+
+// ReportUnallowed records a finding that no allow directive can
+// suppress: one about an allow directive itself.
+func (p *Pass) ReportUnallowed(pos token.Pos, format string, args ...interface{}) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
@@ -88,29 +99,48 @@ func (p *Pass) allowedAt(position token.Position) bool {
 	return false
 }
 
-// Run drives one analyzer over one package and returns its surviving
-// diagnostics sorted by position.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		allows:    map[string]map[int]directive.Allow{},
+// Run drives one analyzer over one package, which is its whole
+// program, and returns its surviving diagnostics sorted by position.
+func Run(a *Analyzer, pkg *load.Package) ([]Diagnostic, error) {
+	diags, err := Check([]*Analyzer{a}, []*load.Package{pkg})
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range files {
-		name := fset.Position(f.Pos()).Filename
-		for _, al := range directive.Parse(fset, f) {
-			if pass.allows[name] == nil {
-				pass.allows[name] = map[int]directive.Allow{}
-			}
-			pass.allows[name][al.Line] = al
+	return diags[0], nil
+}
+
+// Check drives every analyzer over a whole program: an analyzer's
+// Program hook once over all of pkgs, then its Run once per package.
+// It returns each package's diagnostics, indexed like pkgs and sorted
+// by position.
+func Check(analyzers []*Analyzer, pkgs []*load.Package) ([][]Diagnostic, error) {
+	results := make([]interface{}, len(analyzers))
+	for i, a := range analyzers {
+		if a.Program != nil {
+			results[i] = a.Program(pkgs)
 		}
 	}
-	if _, err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name, err)
+	out := make([][]Diagnostic, len(pkgs))
+	for i, pkg := range pkgs {
+		allows := map[string]map[int]directive.Allow{}
+		for _, f := range pkg.Files {
+			name := pkg.Fset.Position(f.Pos()).Filename
+			for _, al := range directive.Parse(pkg.Fset, f) {
+				if allows[name] == nil {
+					allows[name] = map[int]directive.Allow{}
+				}
+				allows[name][al.Line] = al
+			}
+		}
+		for j, a := range analyzers {
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types,
+				TypesInfo: pkg.TypesInfo, ProgramResult: results[j], allows: allows}
+			if _, err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", pkg.PkgPath, a.Name, err)
+			}
+			out[i] = append(out[i], pass.diags...)
+		}
+		sort.SliceStable(out[i], func(x, y int) bool { return out[i][x].Pos < out[i][y].Pos })
 	}
-	sort.Slice(pass.diags, func(i, j int) bool { return pass.diags[i].Pos < pass.diags[j].Pos })
-	return pass.diags, nil
+	return out, nil
 }

@@ -17,8 +17,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
 	"regexp"
 	"sort"
 	"strings"
@@ -40,7 +38,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+	diags, err := analysis.Run(a, pkg)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -115,9 +113,4 @@ func collectWants(pkg *load.Package) []want {
 func unescape(s string) string {
 	s = strings.ReplaceAll(s, `\"`, `"`)
 	return strings.ReplaceAll(s, `\\`, `\`)
-}
-
-// Pos formats a token position for test failure messages.
-func Pos(fset *token.FileSet, p token.Pos) string {
-	return fmt.Sprint(fset.Position(p))
 }

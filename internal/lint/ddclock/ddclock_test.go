@@ -20,7 +20,7 @@ func TestDDClockOutOfScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(ddclock.Analyzer, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+	diags, err := analysis.Run(ddclock.Analyzer, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestDDNilGateScopedToPlanePackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(ddnilgate.Analyzer, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+	diags, err := analysis.Run(ddnilgate.Analyzer, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +32,16 @@ func TestDDNilGateScopedToPlanePackages(t *testing.T) {
 // The real plane packages must satisfy their own contract — this is
 // the live invariant, not a fixture.
 func TestRealPlanesSatisfyContract(t *testing.T) {
-	pkgs, err := load.Load("./internal/journal", "./internal/trace")
+	root, err := load.ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := load.Load(root, "./internal/journal", "./internal/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(ddnilgate.Analyzer, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+		diags, err := analysis.Run(ddnilgate.Analyzer, pkg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestDDOutfileScopedToCmd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(ddoutfile.Analyzer, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+	diags, err := analysis.Run(ddoutfile.Analyzer, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestDDRandExemptsRNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(ddrand.Analyzer, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+	diags, err := analysis.Run(ddrand.Analyzer, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 //
 //	//ddlint:allow <check> -- <reason>
 //
-// where <check> names the analyzer without its dd prefix (clock, rand,
-// maporder, nilgate, outfile) and <reason> is a non-empty free-text
+// where <check> names the analyzer without its dd prefix (clock, dead,
+// rand, maporder, nilgate, outfile) and <reason> is a non-empty free-text
 // justification. The reason is mandatory by design: an allow is a
 // reviewed decision, and the review has to survive in the source. A
 // bare allow — no "--", or an empty reason — parses but is not
@@ -28,6 +28,7 @@ var Known = map[string]bool{
 	"maporder": true,
 	"nilgate":  true,
 	"outfile":  true,
+	"dead":     true,
 }
 
 // Allow is one parsed //ddlint:allow directive.

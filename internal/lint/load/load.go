@@ -16,6 +16,7 @@ package load
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,7 +36,6 @@ import (
 // Package is one loaded, fully type-checked target.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -49,7 +49,6 @@ type listPackage struct {
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
-	Incomplete bool
 	Error      *listError
 	DepsErrors []*listError
 }
@@ -74,14 +73,30 @@ func ModuleRoot() (string, error) {
 }
 
 // Load lists, parses, and type-checks the non-test sources of every
-// package matched by patterns (resolved from the module root). Any
-// package that cannot be fully loaded makes the whole call fail.
-func Load(patterns ...string) ([]*Package, error) {
-	root, err := ModuleRoot()
+// package matched by patterns, resolved in the module whose directory
+// is dir (ModuleRoot, or a nested module such as bench/). Any package
+// that cannot be fully loaded makes the whole call fail.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, patterns, "")
+}
+
+// Dir loads the one package in dir under the import path pkgPath. This
+// is the fixture path: analysistest loads testdata packages under a
+// caller-chosen import path so scope-sensitive analyzers (ddclock's
+// deterministic-package list, ddoutfile's cmd/ prefix) see the path
+// shape they enforce against.
+func Dir(dir, pkgPath string) (*Package, error) {
+	pkgs, err := load(dir, []string{"."}, pkgPath)
 	if err != nil {
 		return nil, err
 	}
-	listed, err := goList(root, patterns)
+	return pkgs[0], nil
+}
+
+// load is Load, with every target type-checked under pkgPath when it
+// is not empty.
+func load(dir string, patterns []string, pkgPath string) ([]*Package, error) {
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +126,7 @@ func Load(patterns ...string) ([]*Package, error) {
 	}
 	var pkgs []*Package
 	for _, lp := range targets {
-		pkg, err := check(lp.ImportPath, lp.Dir, sourceFiles(lp), exports)
+		pkg, err := check(cmp.Or(pkgPath, lp.ImportPath), lp, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -120,64 +135,10 @@ func Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// Dir loads a single directory of Go files as a package with the given
-// import path, resolving its imports through `go list -export`. This
-// is the fixture path: analysistest loads testdata packages under a
-// caller-chosen import path so scope-sensitive analyzers (ddclock's
-// deterministic-package list, ddoutfile's cmd/ prefix) see the path
-// shape they enforce against.
-func Dir(dir, pkgPath string) (*Package, error) {
-	root, err := ModuleRoot()
-	if err != nil {
-		return nil, err
-	}
-	if !filepath.IsAbs(dir) {
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		dir = abs
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("load: %w", err)
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, filepath.Join(dir, name))
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("load: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	fset := token.NewFileSet()
-	asts, err := parseFiles(fset, files)
-	if err != nil {
-		return nil, err
-	}
-	exports, err := exportsFor(root, imports(asts))
-	if err != nil {
-		return nil, err
-	}
-	return typeCheck(pkgPath, dir, fset, asts, exports)
-}
-
-func sourceFiles(lp *listPackage) []string {
-	files := make([]string, 0, len(lp.GoFiles))
-	for _, f := range lp.GoFiles {
-		files = append(files, filepath.Join(lp.Dir, f))
-	}
-	return files
-}
-
 func goList(root string, args []string) ([]*listPackage, error) {
 	cmdArgs := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Incomplete,Error,DepsErrors",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error,DepsErrors",
 	}, args...)
 	cmd := exec.Command("go", cmdArgs...)
 	cmd.Dir = root
@@ -202,73 +163,18 @@ func goList(root string, args []string) ([]*listPackage, error) {
 	return out, nil
 }
 
-// exportsFor resolves export data for a set of import paths (and their
-// transitive dependencies). Unlike Load, the named packages themselves
-// are dependencies here, so their own exports are required too.
-func exportsFor(root string, paths []string) (map[string]string, error) {
-	exports := map[string]string{}
-	if len(paths) == 0 {
-		return exports, nil
-	}
-	listed, err := goList(root, paths)
-	if err != nil {
-		return nil, err
-	}
-	var loadErrs []string
-	for _, lp := range listed {
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-		if lp.Error != nil {
-			loadErrs = append(loadErrs, fmt.Sprintf("%s: %s", lp.ImportPath, lp.Error.Err))
-		}
-	}
-	if len(loadErrs) > 0 {
-		sort.Strings(loadErrs)
-		return nil, fmt.Errorf("load: %s", strings.Join(loadErrs, "; "))
-	}
-	return exports, nil
-}
-
-func imports(files []*ast.File) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if path == "unsafe" || seen[path] { // the importer resolves unsafe itself
-				continue
-			}
-			seen[path] = true
-			out = append(out, path)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func parseFiles(fset *token.FileSet, files []string) ([]*ast.File, error) {
+// check parses lp's non-test sources with comments and type-checks
+// them as pkgPath against the dependency exports.
+func check(pkgPath string, lp *listPackage, exports map[string]string) (*Package, error) {
+	fset := token.NewFileSet()
 	var asts []*ast.File
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("load: %w", err)
 		}
 		asts = append(asts, f)
 	}
-	return asts, nil
-}
-
-func check(pkgPath, dir string, files []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	asts, err := parseFiles(fset, files)
-	if err != nil {
-		return nil, err
-	}
-	return typeCheck(pkgPath, dir, fset, asts, exports)
-}
-
-func typeCheck(pkgPath, dir string, fset *token.FileSet, asts []*ast.File, exports map[string]string) (*Package, error) {
 	lookup := func(path string) (io.ReadCloser, error) {
 		exp, ok := exports[path]
 		if !ok {
@@ -300,7 +206,6 @@ func typeCheck(pkgPath, dir string, fset *token.FileSet, asts []*ast.File, expor
 	}
 	return &Package{
 		PkgPath:   pkgPath,
-		Dir:       dir,
 		Fset:      fset,
 		Files:     asts,
 		Types:     tpkg,

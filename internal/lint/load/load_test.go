@@ -7,7 +7,7 @@ import (
 )
 
 func TestLoadPackage(t *testing.T) {
-	pkgs, err := Load("./internal/rng")
+	pkgs, err := Load(moduleRoot(t), "./internal/rng")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLoadPackage(t *testing.T) {
 // writefail philosophy: a lint gate that skips what it cannot see
 // reports a clean tree it never inspected.
 func TestLoadTypeErrorFails(t *testing.T) {
-	_, err := Load("./internal/lint/testdata/src/brokenload")
+	_, err := Load(moduleRoot(t), "./internal/lint/testdata/src/brokenload")
 	if err == nil {
 		t.Fatal("expected an error loading a package with type errors")
 	}
@@ -43,12 +43,8 @@ func TestLoadTypeErrorFails(t *testing.T) {
 // them: `go build ./...` and `go test ./...` must not see a package
 // seeded with violations (brokenload does not even compile).
 func TestFixturesExcludedFromTier1(t *testing.T) {
-	root, err := ModuleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cmd := exec.Command("go", "list", "./...")
-	cmd.Dir = root
+	cmd.Dir = moduleRoot(t)
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatal(err)
@@ -58,4 +54,13 @@ func TestFixturesExcludedFromTier1(t *testing.T) {
 			t.Errorf("tier-1 package pattern matches a lint fixture: %s", line)
 		}
 	}
+}
+
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }

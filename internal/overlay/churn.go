@@ -36,8 +36,6 @@ type Churn struct {
 	pinned    []bool    // peers excluded from churn (e.g. DDoS agents)
 	crashed   []bool    // last departure of v was a crash, not a leave
 	flips     []PeerID  // peers that flipped during the last Tick, ascending
-	joins     int
-	leaves    int
 }
 
 // NewChurn creates a churn driver. Every peer starts online with a
@@ -73,12 +71,6 @@ func (c *Churn) Pin(v PeerID) {
 	c.ov.SetOnline(v, true)
 }
 
-// Joins returns the number of join events so far.
-func (c *Churn) Joins() int { return c.joins }
-
-// Leaves returns the number of leave events so far (crashes included).
-func (c *Churn) Leaves() int { return c.leaves }
-
 // Crashed reports whether v's most recent departure was a crash. The
 // flag clears when v rejoins.
 func (c *Churn) Crashed(v PeerID) bool { return c.crashed[v] }
@@ -106,7 +98,6 @@ func (c *Churn) Tick(dt float64) {
 		c.flips = append(c.flips, id)
 		if c.ov.Online(id) {
 			c.ov.SetOnline(id, false)
-			c.leaves++
 			if c.cfg.CrashFraction > 0 && c.src.Bool(c.cfg.CrashFraction) {
 				c.crashed[v] = true
 			}
@@ -117,7 +108,6 @@ func (c *Churn) Tick(dt float64) {
 			}
 		} else {
 			c.ov.SetOnline(id, true)
-			c.joins++
 			c.crashed[v] = false
 			c.remaining[v] = c.sampleLifetime()
 		}

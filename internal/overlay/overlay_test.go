@@ -237,11 +237,19 @@ func TestChurnTogglesPeers(t *testing.T) {
 	}
 	o := New(g)
 	c := NewChurn(o, ChurnConfig{MeanLifetime: 60, StddevLifetime: 13, MeanOffline: 60}, rng.New(2))
+	joins, leaves := 0, 0
 	for i := 0; i < 600; i++ { // 10 simulated minutes
 		c.Tick(1)
+		for _, v := range c.Flips() {
+			if o.Online(v) {
+				joins++
+			} else {
+				leaves++
+			}
+		}
 	}
-	if c.Joins() == 0 || c.Leaves() == 0 {
-		t.Fatalf("no churn: joins=%d leaves=%d", c.Joins(), c.Leaves())
+	if joins == 0 || leaves == 0 {
+		t.Fatalf("no churn: joins=%d leaves=%d", joins, leaves)
 	}
 	// With equal on/off means, roughly half the peers are online.
 	on := o.OnlineCount()
@@ -275,9 +283,11 @@ func TestChurnNoRejoinWhenMeanOfflineZero(t *testing.T) {
 	c := NewChurn(o, ChurnConfig{MeanLifetime: 10, StddevLifetime: 2, MeanOffline: 0}, rng.New(6))
 	for i := 0; i < 200; i++ {
 		c.Tick(1)
-	}
-	if c.Joins() != 0 {
-		t.Fatalf("peers rejoined despite MeanOffline=0: %d", c.Joins())
+		for _, v := range c.Flips() {
+			if o.Online(v) {
+				t.Fatalf("peer %d rejoined despite MeanOffline=0", v)
+			}
+		}
 	}
 	if o.OnlineCount() != 0 {
 		t.Fatalf("%d peers still online after 20 mean lifetimes", o.OnlineCount())

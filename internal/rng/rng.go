@@ -147,14 +147,6 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Source) NormFloat64() float64 {
 	for {

@@ -118,23 +118,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(9)
-	xs := []int{1, 2, 2, 3, 5, 8, 13}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: sum %d != %d", got, sum)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(10)
 	const n = 200000

@@ -9,14 +9,13 @@ import "math"
 // The sampler uses rejection-inversion (Hörmann & Derflinger), which is
 // O(1) per sample for any s >= 0, s != 1 handled too.
 type Zipf struct {
-	src              *Source
-	n                uint64
-	s                float64
-	oneMinusS        float64
-	oneOverOneMinusS float64
-	hIntegralX1      float64
-	hIntegralN       float64
-	threshold        float64
+	src         *Source
+	n           uint64
+	s           float64
+	oneMinusS   float64
+	hIntegralX1 float64
+	hIntegralN  float64
+	threshold   float64
 }
 
 // NewZipf creates a Zipf sampler over ranks [1, n] with exponent s >= 0.
@@ -29,9 +28,6 @@ func NewZipf(src *Source, n uint64, s float64) *Zipf {
 		panic("rng: Zipf with negative exponent")
 	}
 	z := &Zipf{src: src, n: n, s: s, oneMinusS: 1 - s}
-	if z.oneMinusS != 0 {
-		z.oneOverOneMinusS = 1 / z.oneMinusS
-	}
 	z.hIntegralX1 = z.hIntegral(1.5) - 1
 	z.hIntegralN = z.hIntegral(float64(n) + 0.5)
 	z.threshold = 2 - z.helper1inv(z.hIntegral(2.5)-z.h(2))

@@ -140,23 +140,13 @@ func Grid(cfgs []Config, seeds []uint64) ([]*Result, error) {
 // their results in input order: Grid with each on its own Seed.
 func RunParallel(cfgs []Config) ([]*Result, error) { return Grid(cfgs, nil) }
 
-// Averaged runs cfg on each seed and merges the replicas: scalars and
-// series by arithmetic mean, counters — Minutes element-wise, the
-// control-overhead classes, ControlLost, the traversal-cache tallies — by
-// rounded mean. AgentIDs alone stays the first seed's: placement is
-// per-seed identity, not a statistic. It is Grid over the one
-// configuration, so no seeds is Run(cfg).
-func Averaged(cfg Config, seeds []uint64) (*Result, error) {
-	rs, err := Grid([]Config{cfg}, seeds)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // mergeResults averages rs into a fresh Result without modifying any
-// input: the accumulator deep-copies every slice field first, so the
-// first seed's series are not mutated in place.
+// input: scalars and series by arithmetic mean, counters — Minutes
+// element-wise, the control-overhead classes, ControlLost, the
+// traversal-cache tallies — by rounded mean. AgentIDs alone stays the
+// first seed's: placement is per-seed identity, not a statistic. The
+// accumulator deep-copies every slice field first, so the first seed's
+// series are not mutated in place.
 func mergeResults(rs []*Result) *Result {
 	out := *rs[0]
 	out.Minutes = append([]metrics.MinuteStats(nil), rs[0].Minutes...)

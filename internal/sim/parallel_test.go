@@ -18,6 +18,16 @@ import (
 	"ddpolice/internal/trace"
 )
 
+// Averaged is Grid over the one configuration: cfg on each seed, the
+// replicas merged (mergeResults), so no seeds is Run(cfg).
+func Averaged(cfg Config, seeds []uint64) (*Result, error) {
+	rs, err := Grid([]Config{cfg}, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
 // TestMergeResultsLeavesInputsUnmodified is the regression test for the
 // Averaged aliasing bug: the accumulator used to start from a shallow
 // copy of rs[0], so averaging SuccessSeries element-wise mutated the

@@ -8,35 +8,21 @@ import (
 	"sort"
 )
 
-// Welford accumulates count, mean and variance in a single numerically
-// stable pass. The zero value is ready to use.
+// Welford accumulates a running mean in Welford's numerically stable
+// single pass. The zero value is ready to use.
 type Welford struct {
 	n    int64
 	mean float64
-	m2   float64
 }
 
 // Add incorporates x.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
-
-// Count returns the number of observations.
-func (w *Welford) Count() int64 { return w.n }
 
 // Mean returns the running mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (n-1 denominator).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
 
 // Sample is a bounded in-memory sample supporting exact quantiles.
 type Sample struct {

@@ -169,22 +169,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(uint64(d / time.Millisecond))
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Registry names and owns a set of instruments. Instrument lookup
 // takes the registry lock; the returned pointers record lock-free, so
 // hot paths resolve their instruments once and keep them. A nil

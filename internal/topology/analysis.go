@@ -13,6 +13,8 @@ import (
 // BallSizes returns the mean number of nodes reachable within each hop
 // count 1..maxHops from sampled sources — the flood-coverage profile
 // that calibrates the simulator's TTL (DESIGN.md, finding 2).
+//
+//ddlint:allow dead -- ROADMAP items 8 and 10 choose and check TTL coverage with it
 func (g *Graph) BallSizes(src *rng.Source, sources, maxHops int) ([]float64, error) {
 	n := len(g.adj)
 	if n == 0 {

@@ -63,6 +63,8 @@ func BarabasiAlbert(src *rng.Source, n, m int) (*Graph, error) {
 // RingLattice generates a ring where each node links to its k nearest
 // neighbors on each side (2k total). Deterministic; used in tests where
 // exact structure matters.
+//
+//ddlint:allow dead -- overlay, police and gnet tests build their fixtures on it
 func RingLattice(n, k int) (*Graph, error) {
 	if n < 3 || k < 1 || 2*k >= n {
 		return nil, fmt.Errorf("topology: RingLattice n=%d k=%d invalid", n, k)

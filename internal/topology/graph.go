@@ -25,6 +25,8 @@ type Graph struct {
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns the undirected edge count.
+//
+//ddlint:allow dead -- gnet/core's flood tests count a full flood's messages with it
 func (g *Graph) NumEdges() int {
 	total := 0
 	for _, ns := range g.adj {
@@ -48,90 +50,6 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 		}
 	}
 	return false
-}
-
-// AvgDegree returns the mean degree.
-func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(len(g.adj))
-}
-
-// MaxDegree returns the largest degree.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, ns := range g.adj {
-		if len(ns) > max {
-			max = len(ns)
-		}
-	}
-	return max
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for _, ns := range g.adj {
-		counts[len(ns)]++
-	}
-	return counts
-}
-
-// IsConnected reports whether the graph is a single connected component.
-func (g *Graph) IsConnected() bool {
-	n := len(g.adj)
-	if n == 0 {
-		return true
-	}
-	return g.ComponentSize(0) == n
-}
-
-// ComponentSize returns the size of the connected component containing
-// start, via BFS.
-func (g *Graph) ComponentSize(start NodeID) int {
-	visited := make([]bool, len(g.adj))
-	queue := []NodeID{start}
-	visited[start] = true
-	count := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		count++
-		for _, w := range g.adj[v] {
-			if !visited[w] {
-				visited[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return count
-}
-
-// EccentricityFrom returns the BFS hop distance from start to the
-// farthest reachable node, and the number of reachable nodes.
-func (g *Graph) EccentricityFrom(start NodeID) (maxHops, reached int) {
-	dist := make([]int32, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[start] = 0
-	queue := []NodeID{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		reached++
-		if int(dist[v]) > maxHops {
-			maxHops = int(dist[v])
-		}
-		for _, w := range g.adj[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return maxHops, reached
 }
 
 // Builder assembles a simple undirected graph incrementally. It keeps

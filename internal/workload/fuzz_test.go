@@ -51,7 +51,7 @@ func FuzzNewCatalog(f *testing.F) {
 			}
 			t.Fatalf("%+v on %d peers: error %q names no field", cfg, peers, err)
 		}
-		for o := range ObjectID(c.NumObjects()) {
+		for o := range ObjectID(len(c.popularity)) {
 			if err := checkReplicas(c.Holders(o), int(peers)); err != nil {
 				t.Fatalf("%+v on %d peers, object %d: %v", cfg, peers, o, err)
 			}

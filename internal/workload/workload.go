@@ -139,9 +139,6 @@ func (c *Catalog) Holders(o ObjectID) Replicas {
 	return r
 }
 
-// NumObjects returns the catalog size.
-func (c *Catalog) NumObjects() int { return len(c.popularity) }
-
 // Sampler draws objects according to popularity from its own copy of
 // the catalog's stream: every Sampler of one catalog emits the same
 // sequence, and drawing from one moves no other.
@@ -187,6 +184,8 @@ type Replicas struct {
 
 // NewReplicas returns the replica list of peers over numPeers peers. It
 // refuses a peer outside [0, numPeers) or one listed twice.
+//
+//ddlint:allow dead -- flood's kernel tests build their replica lists with it
 func NewReplicas(numPeers int, peers ...topology.NodeID) (Replicas, error) {
 	bits := make([]uint64, bitWords(numPeers))
 	for _, v := range peers {

@@ -26,8 +26,8 @@ func TestCatalogInvariants(t *testing.T) {
 	cfg := DefaultCatalogConfig()
 	cfg.NumObjects = 500
 	c := testCatalog(t, cfg, 2000, 1)
-	if c.NumObjects() != 500 {
-		t.Fatalf("objects = %d", c.NumObjects())
+	if len(c.popularity) != 500 {
+		t.Fatalf("objects = %d", len(c.popularity))
 	}
 	var totalReplicas int
 	for o := ObjectID(0); o < 500; o++ {

@@ -148,9 +148,7 @@ func structuredPoints(s Scale, rows []Row) (any, error) {
 // of the scale's size.
 func runChord(scale Scale, p *StructuredPoint) error {
 	src := rng.New(scale.Seed)
-	ccfg := chord.DefaultConfig()
-	ccfg.CapacityPerMin = capacity.EffectiveForwardPerMin
-	ring, err := chord.New(scale.NumPeers, ccfg, src.Split())
+	ring, err := chord.New(scale.NumPeers, capacity.EffectiveForwardPerMin, src.Split())
 	if err != nil {
 		return err
 	}
